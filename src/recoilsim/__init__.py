@@ -18,7 +18,7 @@ from .patterngen import (PhaseMask, TargetPattern, encode, equal_split,
 from .plans import (Figure3Params, Figure3Result, Plan1DParams, Plan2DParams,
                     RamseyParams, RamseyResult, run_figure3,
                     run_plan_1d_adiabatic, run_plan_2d, run_plan_ramsey)
-from .propagate import evolve_plan, step
+from .propagate import evolve_plan
 from .pulses import (PulseEnvelope, PulseEvent, PulsePair, SequencePlan,
                      adiabaticity_parameter, build_adiabatic_sequence,
                      build_raman_sequence, chirp_offset,

@@ -22,6 +22,16 @@ PRUNE_FLOOR = 1e-14          # on |amplitude|^2
 PRUNE_NORM_BUDGET = 1e-12    # max total probability a prune may remove
 
 
+def prune_dust(amps: np.ndarray) -> None:
+    """Zero, in place, all amplitudes with 0 < |amp|^2 < PRUNE_FLOOR, unless
+    together they hold more than PRUNE_NORM_BUDGET of probability: then none
+    is touched, so a prune can never move the norm measurably."""
+    w = np.abs(amps) ** 2
+    small = (w > 0.0) & (w < PRUNE_FLOOR)
+    if small.any() and float(w[small].sum()) <= PRUNE_NORM_BUDGET:
+        amps[small] = 0.0
+
+
 class RecoilState(NamedTuple):
     level: InternalLevel
     n_z: int
@@ -190,30 +200,6 @@ class WaveFunction:
         if xmax > xmin:
             near |= (self.basis.n_x <= xmin + margin - 1) | (self.basis.n_x >= xmax - margin + 1)
         return float(np.sum(np.abs(self.amplitudes[near]) ** 2))
-
-    def pruned(self, floor: float = PRUNE_FLOOR) -> "WaveFunction":
-        """Zero out amplitudes with |amp|^2 below ``floor``.
-
-        Refuses to prune more total probability than PRUNE_NORM_BUDGET so the
-        norm cannot drift measurably.
-        """
-        w = np.abs(self.amplitudes) ** 2
-        small = (w > 0) & (w < floor)
-        removed = float(w[small].sum())
-        if removed > PRUNE_NORM_BUDGET:
-            order = np.argsort(w)
-            keep_mass = 0.0
-            small = np.zeros(len(w), dtype=bool)
-            for i in order:
-                if w[i] == 0 or w[i] >= floor:
-                    continue
-                if keep_mass + w[i] > PRUNE_NORM_BUDGET:
-                    break
-                keep_mass += w[i]
-                small[i] = True
-        out = self.copy()
-        out.amplitudes[small] = 0.0
-        return out
 
     def components(self, floor: float = 0.0) -> list[tuple[RecoilState, complex]]:
         """(state, amplitude) pairs with |amp|^2 above ``floor``, basis order."""

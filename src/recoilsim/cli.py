@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    recoilsim run <config.json> --out <dir> [--threads N] [--strict]
+    recoilsim run <config.json> --out <dir> [--strict]
     recoilsim list-plans
 
 Every run writes its artifacts plus a provenance JSON (the fully resolved
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import multiprocessing
 import sys
 import time
 from pathlib import Path
@@ -49,8 +48,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute a plan from a JSON config")
     run_p.add_argument("config", help="path to the experiment config JSON")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for scan points")
     run_p.add_argument("--strict", action="store_true",
                        help="treat plan warnings as errors")
 
@@ -71,7 +68,7 @@ def main(argv=None) -> int:
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _run(cfg, out_dir, threads=args.threads, strict=args.strict)
+        return _run(cfg, out_dir, strict=args.strict)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -86,8 +83,7 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-def _run(cfg: ResolvedConfig, out_dir: Path, threads: int,
-         strict: bool) -> int:
+def _run(cfg: ResolvedConfig, out_dir: Path, strict: bool) -> int:
     t0 = time.time()
     base = f"{cfg.plan}-{config_hash(cfg.resolved)}"
     runner = {
@@ -98,7 +94,7 @@ def _run(cfg: ResolvedConfig, out_dir: Path, threads: int,
         "fringes": _run_fringes,
         "pattern": _run_pattern,
     }[cfg.plan]
-    artifacts, warnings = runner(cfg, out_dir, base, threads)
+    artifacts, warnings = runner(cfg, out_dir, base)
 
     prov_path = out_dir / f"{base}.provenance.json"
     write_provenance(prov_path, cfg.resolved, time.time() - t0, warnings)
@@ -118,7 +114,7 @@ def _run(cfg: ResolvedConfig, out_dir: Path, threads: int,
     return EXIT_OK
 
 
-def _run_figure3(cfg, out_dir, base, threads):
+def _run_figure3(cfg, out_dir, base):
     result = run_figure3(cfg.params, cfg.atom)
     rows_path = out_dir / f"{base}.momentum.csv"
     write_csv(rows_path,
@@ -138,7 +134,26 @@ def _stage_csv(result, path):
     write_csv(path, STAGE_COLUMNS, result.stage_rows())
 
 
-def _run_split1d(cfg, out_dir, base, threads):
+def _write_fringe(pattern, out_dir, base) -> list[Path]:
+    """A 1D pattern as a position/value CSV; a 2D one as a 16-bit PGM plus
+    its text sidecar.  Returns the written paths in manifest order."""
+    if pattern.dims == 1:
+        csv_path = out_dir / f"{base}.fringe.csv"
+        write_csv(csv_path, ["position_nm", "value"],
+                  [(z * 1e9, v) for z, v in
+                   zip(pattern.axis_coordinates(0), pattern.samples)])
+        return [csv_path]
+    pgm_path = out_dir / f"{base}.fringe.pgm"
+    pgmio.write_pgm(pgm_path,
+                    (pattern.samples * 65535).round().astype("uint16"))
+    sidecar_path = out_dir / f"{base}.fringe.txt"
+    pgmio.write_sidecar(sidecar_path, {
+        "pitch_m": pattern.pitch, "rows_axis": "z", "cols_axis": "x",
+        "max_value": 65535, "byte_order": "big-endian"})
+    return [pgm_path, sidecar_path]
+
+
+def _run_split1d(cfg, out_dir, base):
     result = run_plan_1d_adiabatic(cfg.params, cfg.atom)
     stages_path = out_dir / f"{base}.stages.csv"
     _stage_csv(result, stages_path)
@@ -147,10 +162,7 @@ def _run_split1d(cfg, out_dir, base, threads):
     pattern = fr.synthesize(result.final_arms, grid, cfg.atom,
                             fr.CoherenceEnvelope())
     spacing = fr.extract_spacing(pattern, "z")
-    fringe_path = out_dir / f"{base}.fringe.csv"
-    write_csv(fringe_path, ["position_nm", "value"],
-              [(z * 1e9, v) for z, v in
-               zip(pattern.axis_coordinates(0), pattern.samples)])
+    fringe_paths = _write_fringe(pattern, out_dir, base)
     summary_path = out_dir / f"{base}.summary.csv"
     write_csv(summary_path, ["quantity", "value"], [
         ("delta_n_z", result.extras["delta_n_z"]),
@@ -161,25 +173,13 @@ def _run_split1d(cfg, out_dir, base, threads):
         ("fringe_contrast", fr.contrast(pattern)),
         ("recombine_drift_s", result.extras["recombine_drift_s"]),
     ])
-    return [stages_path, fringe_path, summary_path], result.warnings
+    return [stages_path, *fringe_paths, summary_path], result.warnings
 
 
-def _run_ramsey(cfg, out_dir, base, threads):
+def _run_ramsey(cfg, out_dir, base):
     result = run_plan_ramsey(cfg.params, cfg.atom)
-    mapper = map
-    pool = None
-    if threads > 1:
-        pool = multiprocessing.Pool(threads)
-        mapper = pool.map
-    try:
-        scan = fr.ramsey_scan(result,
-                              periods=cfg.output["scan_periods"],
-                              points_per_period=cfg.output["points_per_period"],
-                              mapper=mapper)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    scan = fr.ramsey_scan(result, periods=cfg.output["scan_periods"],
+                          points_per_period=cfg.output["points_per_period"])
     stages_path = out_dir / f"{base}.stages.csv"
     _stage_csv(result.plan, stages_path)
     scan_path = out_dir / f"{base}.scan.csv"
@@ -196,7 +196,7 @@ def _run_ramsey(cfg, out_dir, base, threads):
     return [stages_path, scan_path, summary_path], result.plan.warnings
 
 
-def _run_split2d(cfg, out_dir, base, threads):
+def _run_split2d(cfg, out_dir, base):
     result = run_plan_2d(cfg.params, cfg.atom)
     stages_path = out_dir / f"{base}.stages.csv"
     _stage_csv(result, stages_path)
@@ -226,51 +226,21 @@ def _run_split2d(cfg, out_dir, base, threads):
             ("nominal_spacing_x_m", result.extras["nominal_spacing_x_m"]),
             ("extracted_spacing_x_m", spacing_x.period),
             ("spacing_x_bin_m", spacing_x.bin_uncertainty)]
-        pgm_path = out_dir / f"{base}.fringe.pgm"
-        image = (pattern.samples * 65535).round().astype("uint16")
-        pgmio.write_pgm(pgm_path, image)
-        pgmio.write_sidecar(out_dir / f"{base}.fringe.txt", {
-            "pitch_m": pattern.pitch,
-            "rows_axis": "z",
-            "cols_axis": "x",
-            "max_value": 65535,
-            "byte_order": "big-endian",
-        })
-        artifacts += [pgm_path, out_dir / f"{base}.fringe.txt"]
-    else:
-        fringe_path = out_dir / f"{base}.fringe.csv"
-        write_csv(fringe_path, ["position_nm", "value"],
-                  [(z * 1e9, v) for z, v in
-                   zip(pattern.axis_coordinates(0), pattern.samples)])
-        artifacts.append(fringe_path)
+    artifacts += _write_fringe(pattern, out_dir, base)
     summary_path = out_dir / f"{base}.summary.csv"
     write_csv(summary_path, ["quantity", "value"], summary_rows)
     artifacts.append(summary_path)
     return artifacts, result.warnings
 
 
-def _run_fringes(cfg, out_dir, base, threads):
+def _run_fringes(cfg, out_dir, base):
     params = cfg.params
     arms = [(complex(a["amplitude_re"], a["amplitude_im"]), a["n_z"], a["n_x"],
              a["phase_rad"]) for a in params["arms"]]
     grid = grid_from_output("fringes", cfg.output)
     envelope = envelope_from_params(params)
     pattern = fr.synthesize(arms, grid, cfg.atom, envelope)
-    artifacts = []
-    if grid.dims == 1:
-        fringe_path = out_dir / f"{base}.fringe.csv"
-        write_csv(fringe_path, ["position_nm", "value"],
-                  [(z * 1e9, v) for z, v in
-                   zip(pattern.axis_coordinates(0), pattern.samples)])
-        artifacts.append(fringe_path)
-    else:
-        pgm_path = out_dir / f"{base}.fringe.pgm"
-        pgmio.write_pgm(pgm_path,
-                        (pattern.samples * 65535).round().astype("uint16"))
-        pgmio.write_sidecar(out_dir / f"{base}.fringe.txt", {
-            "pitch_m": pattern.pitch, "rows_axis": "z", "cols_axis": "x",
-            "max_value": 65535, "byte_order": "big-endian"})
-        artifacts += [pgm_path, out_dir / f"{base}.fringe.txt"]
+    artifacts = _write_fringe(pattern, out_dir, base)
     summary_rows = []
     for axis in pattern.axes:
         try:
@@ -286,7 +256,7 @@ def _run_fringes(cfg, out_dir, base, threads):
     return artifacts, []
 
 
-def _run_pattern(cfg, out_dir, base, threads):
+def _run_pattern(cfg, out_dir, base):
     params = cfg.params
     image, maxval = pgmio.read_pgm(params["input_pgm"])
     target = pg.from_image(image, maxval, pitch=params["pitch_m"])

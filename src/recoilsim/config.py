@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .basis import PRUNE_FLOOR
 from .errors import ConfigurationError
 from .fringes import CoherenceEnvelope, GridSpec
 from .params import AtomParams
@@ -139,6 +140,17 @@ _OUTPUT_SCHEMAS = {
     "pattern": {},
 }
 
+# Allowed ranges of plan parameters, checked on every plan with the key.  An
+# arm floor below PRUNE_FLOOR would keep components the dust prune may zero.
+_PARAM_RANGES = {
+    "samples_per_pair": (lambda v: v >= 1, ">= 1"),
+    "ladder_n": (lambda v: v >= 1, ">= 1"),
+    "omega_eff_hz": (lambda v: v > 0, "> 0"),
+    "drift1_s": (lambda v: v >= 0, ">= 0"),
+    "arm_floor": (lambda v: PRUNE_FLOOR <= v < 1,
+                  f"in [{PRUNE_FLOOR:g}, 1)"),
+}
+
 _ARM_SCHEMA = {
     "amplitude_re": ((int, float), None),
     "amplitude_im": ((int, float), 0.0),
@@ -204,6 +216,10 @@ def validate_config(doc: dict) -> ResolvedConfig:
 
     params = _apply_schema(doc.get("params", {}), _PARAM_SCHEMAS[plan],
                            f"params({plan})")
+    for key, (allowed, text) in _PARAM_RANGES.items():
+        if key in params and not allowed(params[key]):
+            raise ConfigurationError(
+                f"params({plan}).{key} must be {text}, got {params[key]!r}")
     toggles = _apply_schema(doc.get("toggles", {}), _TOGGLE_SCHEMA, "toggles")
     output = _apply_schema(doc.get("output", {}), _OUTPUT_SCHEMAS[plan],
                            f"output({plan})")

@@ -36,10 +36,6 @@ class AdiabaticityError(PhysicsError):
 class IntegrationError(RecoilSimError):
     """Propagation step-size outside the stability bound."""
 
-    def __init__(self, message, suggested_dt=None):
-        super().__init__(message)
-        self.suggested_dt = suggested_dt
-
 
 class NoFringeError(RecoilSimError):
     """Spectral analysis found no fringe peak above background."""

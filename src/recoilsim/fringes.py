@@ -233,13 +233,11 @@ class RamseyScan:
 
 
 def ramsey_scan(result, periods: float = 3.2,
-                points_per_period: int = 100, mapper=map) -> RamseyScan:
+                points_per_period: int = 100) -> RamseyScan:
     """Scan the closing pulse's two-photon detuning and read P_c.
 
     ``result`` must expose ``tau`` (s) and ``pc_of(delta_rad_s)``.  The grid
     must span at least 3 fringe periods with at least 20 points each.
-    ``mapper`` lets callers farm the (independent) scan points out to a
-    process pool; it must preserve ordering.
     """
     if periods < 3:
         raise ConfigurationError("scan must span at least 3 fringe periods")
@@ -250,7 +248,7 @@ def ramsey_scan(result, periods: float = 3.2,
     half_span = periods / 2 * period_rad
     n = int(round(periods * points_per_period)) | 1  # odd: include delta=0
     deltas = np.linspace(-half_span, half_span, n)
-    pops = np.array(list(mapper(result.pc_of, [float(d) for d in deltas])))
+    pops = np.array([result.pc_of(float(d)) for d in deltas])
 
     minima = _local_minima(deltas, pops)
     if len(minima) < 2:

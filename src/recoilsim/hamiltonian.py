@@ -60,12 +60,10 @@ class CouplingFamily:
         return v
 
     def apply_into(self, t: float, psi: np.ndarray, out: np.ndarray,
-                   buf: np.ndarray | None = None) -> None:
+                   buf: np.ndarray) -> None:
         env = self._env(t)
         if env == 0.0:
             return
-        if buf is None:
-            buf = np.empty_like(psi)
         psi.take(self.perm, out=buf)
         buf *= self.pattern
         if self.has_rate:
@@ -105,15 +103,6 @@ class EpochHamiltonian:
         self.families = families
         self._buf = np.empty(len(basis), dtype=np.complex128)
 
-    def apply(self, t: float, psi: np.ndarray) -> np.ndarray:
-        out = self._diag_complex * psi
-        for fam in self.families:
-            fam.apply_into(t, psi, out)
-        return out
-
-    def derivative(self, t: float, psi: np.ndarray) -> np.ndarray:
-        return -1j * self.apply(t, psi)
-
     def derivative_into(self, t: float, psi: np.ndarray,
                         out: np.ndarray) -> None:
         np.multiply(self._diag_complex, psi, out=out)
@@ -148,9 +137,6 @@ class EpochHamiltonian:
             total += scale * np.array([fam.envelope_value(t) for t in grid])
         # small safety factor against the sampling missing the true peak
         return diag_max + 1.02 * float(total.max())
-
-    def matrix(self, t: float) -> np.ndarray:
-        return self.snapshot(t).matrix()
 
     def active_mask(self, amps: np.ndarray) -> np.ndarray:
         """States reachable from nonzero amplitudes via this epoch's

@@ -156,8 +156,7 @@ def run_sequence_on_arm(arm: ArmTrack, plan: SequencePlan, atom: AtomParams,
     t0 = plan.epochs[0].t_start if plan.epochs else 0.0
     psi = WaveFunction.from_components(basis, {arm.state: 1.0}, time=t0,
                                        normalize=False)
-    result = evolve_plan(psi, plan, atom, decay_rate=decay_rate)
-    final = result.psi.pruned()
+    final = evolve_plan(psi, plan, atom, decay_rate=decay_rate).psi
 
     duration = plan.total_duration - t0
     g = atom.gravity

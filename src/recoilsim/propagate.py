@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (PRUNE_FLOOR, PRUNE_NORM_BUDGET, Basis, WaveFunction,
-                    build_basis, span_window)
+from .basis import Basis, WaveFunction, build_basis, prune_dust, span_window
 from .errors import ConfigurationError, IntegrationError
 from .hamiltonian import EpochHamiltonian, compile_from_epoch
 from .params import AtomParams
@@ -33,8 +32,7 @@ def check_stability(hamiltonian: EpochHamiltonian, dt: float) -> None:
     if dt * peak > STABILITY_LIMIT:
         raise IntegrationError(
             f"dt={dt:.3e} s violates the stability bound "
-            f"dt*max|H| <= {STABILITY_LIMIT}",
-            suggested_dt=STABILITY_LIMIT / peak if peak else None)
+            f"dt*max|H| <= {STABILITY_LIMIT}")
 
 
 def default_dt(hamiltonian: EpochHamiltonian,
@@ -44,25 +42,6 @@ def default_dt(hamiltonian: EpochHamiltonian,
     if bound == 0.0:
         return math.inf
     return 1.0 / (dt_factor * bound)
-
-
-def _rk4(hamiltonian: EpochHamiltonian, t: float, psi: np.ndarray,
-         dt: float) -> np.ndarray:
-    k1 = hamiltonian.derivative(t, psi)
-    k2 = hamiltonian.derivative(t + 0.5 * dt, psi + (0.5 * dt) * k1)
-    k3 = hamiltonian.derivative(t + 0.5 * dt, psi + (0.5 * dt) * k2)
-    k4 = hamiltonian.derivative(t + dt, psi + dt * k3)
-    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step(psi: WaveFunction, hamiltonian: EpochHamiltonian,
-         dt: float) -> WaveFunction:
-    """Advance one RK4 step; validates the stability bound first."""
-    if dt <= 0:
-        raise IntegrationError("dt must be positive")
-    check_stability(hamiltonian, dt)
-    out = _rk4(hamiltonian, psi.time, psi.amplitudes, dt)
-    return WaveFunction(psi.basis, out, psi.time + dt)
 
 
 @dataclass
@@ -157,15 +136,11 @@ def evolve_plan(psi: WaveFunction, plan: SequencePlan, atom: AtomParams,
             if drift > norm_tol_per_step * n_steps:
                 raise IntegrationError(
                     f"norm drifted by {drift:.3e} over epoch {epoch.label!r}; "
-                    "reduce the step size",
-                    suggested_dt=dt / 2)
+                    "reduce the step size")
 
         # drop sub-floor dust so dead rungs cannot re-enter the active set
         # (and with it the stability bound) of later epochs
-        w = np.abs(amps) ** 2
-        small = (w > 0.0) & (w < PRUNE_FLOOR)
-        if small.any() and float(w[small].sum()) <= PRUNE_NORM_BUDGET:
-            amps[small] = 0.0
+        prune_dust(amps)
 
         if auto_extend:
             probe = WaveFunction(basis, amps, t)
@@ -191,10 +166,8 @@ def _extend(basis: Basis, amps: np.ndarray, max_states: int):
             f"momentum window extension needs {new_size} states, over the "
             f"budget of {max_states}")
     new_basis = build_basis(levels, window_z, window_x)
-    new_amps = np.zeros(len(new_basis), dtype=np.complex128)
-    for i, state in enumerate(basis.states):
-        new_amps[new_basis.index_of(state)] = amps[i]
-    return new_basis, new_amps
+    moved = WaveFunction(basis, amps).project_onto(new_basis)
+    return new_basis, moved.amplitudes
 
 
 def ladder_basis(levels, rungs, guard: int = 3, window_x=(0,)) -> Basis:

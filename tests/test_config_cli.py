@@ -95,11 +95,34 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return path
 
 
+OUT_OF_RANGE = [
+    ("figure3", {"samples_per_pair": 0}),
+    ("ramsey", {"ladder_n": 0}),
+    ("split1d", {"ladder_n": 0}),
+    ("split2d", {"omega_eff_hz": 0}),
+    ("figure3", {"omega_eff_hz": -5e5}),
+    ("split1d", {"drift1_s": -1e-3}),
+    ("split2d", {"drift1_s": -1e-3}),
+    ("split2d", {"arm_floor": 2}),
+    ("ramsey", {"arm_floor": 1}),
+    ("split1d", {"arm_floor": 1e-15}),
+]
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, {"plan": "nope"})
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     path2 = tmp_path / "missing.json"
     assert main(["run", str(path2), "--out", str(tmp_path / "out")]) == 2
+    capsys.readouterr()
+    # out-of-range values are rejected with one line before any propagation
+    for plan, params in OUT_OF_RANGE:
+        path = write_config(tmp_path, {"plan": plan, "params": params})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        with pytest.raises(ConfigurationError):
+            validate_config({"plan": plan, "params": params})
 
 
 def test_cli_physics_error_exit_code(tmp_path, capsys):
@@ -197,3 +220,24 @@ def test_cli_pattern_missing_input_is_io_error(tmp_path):
     doc = {"plan": "pattern", "params": {"input_pgm": str(tmp_path / "no.pgm")}}
     path = write_config(tmp_path, doc)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+
+
+def test_cli_split2d_fringe_artifacts_and_determinism(tmp_path):
+    # four small pulse trains per axis and a coarse grid keep this quick
+    doc = {"plan": "split2d",
+           "params": {"p_pulses": 4, "p_reverse": 8, "q_pulses": 4,
+                      "q_reverse": 8, "drift1_s": 0.03},
+           "output": {"grid_pitch_m": 2e-9, "grid_samples": 512}}
+    path = write_config(tmp_path, doc)
+    out1 = tmp_path / "one"
+    out2 = tmp_path / "two"
+    assert main(["run", str(path), "--out", str(out1)]) == 0
+    assert main(["run", str(path), "--out", str(out2)]) == 0
+    manifest = json.loads(next(out1.glob("*.manifest.json")).read_text())
+    hashed = [a["path"] for a in manifest["artifacts"] if "sha256" in a]
+    assert [name.split(".", 1)[1] for name in hashed] == \
+        ["stages.csv", "fringe.pgm", "fringe.txt", "summary.csv"]
+    for name in hashed:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    img, _ = read_pgm(out1 / hashed[1])
+    assert img.shape == (512, 512)

@@ -9,7 +9,8 @@ from recoilsim.basis import RecoilState, WaveFunction, build_basis
 from recoilsim.errors import ConfigurationError, IntegrationError
 from recoilsim.hamiltonian import compile_epoch
 from recoilsim.params import InternalLevel, rb87
-from recoilsim.propagate import evolve_plan, step
+from recoilsim.propagate import (STABILITY_LIMIT, check_stability,
+                                 evolve_plan)
 from recoilsim.pulses import (Epoch, SequencePlan, effective_pulse,
                               copropagating_pulse)
 
@@ -82,16 +83,10 @@ def test_step_validates_stability_bound(atom):
     ev = copropagating_pulse(math.pi, omega, atom, "a-c", axis="x")
     basis = build_basis([A, C], range(-1, 2))
     h = compile_epoch(basis, [ev], atom)
-    psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
-    bad_dt = 0.2 / (omega / 2)
-    with pytest.raises(IntegrationError) as err:
-        step(psi, h, bad_dt)
-    assert err.value.suggested_dt is not None
-    assert err.value.suggested_dt < bad_dt
-    # a legal step advances time and stays normalized
-    good = step(psi, h, err.value.suggested_dt / 10)
-    assert good.time > 0
-    assert abs(good.norm() - 1) < 1e-9
+    limit = STABILITY_LIMIT / h.max_element()
+    with pytest.raises(IntegrationError):
+        check_stability(h, 2 * limit)
+    check_stability(h, limit / 10)
 
 
 def test_norm_conserved_over_ten_thousand_steps(atom):
