@@ -8,7 +8,7 @@ from .errors import (AdiabaticityError, ConfigurationError, IntegrationError,
 from .fringes import (CoherenceEnvelope, FringePattern, GridSpec, RamseyScan,
                       contrast, extract_spacing, ramsey_scan, synthesize)
 from .hamiltonian import (EpochHamiltonian, HamiltonianSpec, assemble,
-                          compile_epoch, dark_state, kinetic_term)
+                          compile_epoch, dark_state)
 from .interferometer import (ArmTrack, PlanResult, StageRecord, free_flight,
                              selective_transfer)
 from .params import AtomParams, InternalLevel, rb87

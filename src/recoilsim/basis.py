@@ -1,22 +1,24 @@
 """Momentum-lattice Hilbert space: basis construction and state vectors.
 
 A basis state is an internal level plus a pair of integer recoil indices
-(n_z, n_x) counting photon momenta along the two beam axes.  The basis is a
-flat, deterministically ordered list so that wavefunctions are plain complex
-vectors and all operators reduce to index arithmetic.
+(n_z, n_x) counting photon momenta along the two beam axes.  The basis is
+the product of level x z window x x window in a fixed order, so that
+wavefunctions are plain complex vectors and all operators reduce to index
+arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .params import InternalLevel
 
-LEVEL_ORDER = {level: i for i, level in enumerate(InternalLevel)}
+LEVELS = tuple(InternalLevel)
+LEVEL_ORDER = {level: i for i, level in enumerate(LEVELS)}
 
 PRUNE_FLOOR = 1e-14          # on |amplitude|^2
 PRUNE_NORM_BUDGET = 1e-12    # max total probability a prune may remove
@@ -42,50 +44,71 @@ class RecoilState(NamedTuple):
 
 
 class Basis:
-    """Ordered, immutable collection of RecoilState with O(1) lookup."""
+    """Product of level x z window x x window, ordered (level, n_z, n_x).
 
-    def __init__(self, states: Sequence[RecoilState]):
-        self.states: tuple[RecoilState, ...] = tuple(states)
-        self.index: dict[RecoilState, int] = {s: i for i, s in enumerate(self.states)}
-        if len(self.index) != len(self.states):
-            raise ConfigurationError("duplicate states in basis")
-        self.n_z = np.array([s.n_z for s in self.states], dtype=np.int64)
-        self.n_x = np.array([s.n_x for s in self.states], dtype=np.int64)
-        self.level_codes = np.array([LEVEL_ORDER[s.level] for s in self.states],
-                                    dtype=np.int64)
+    Levels follow the enum order and both windows ascend, so a state's flat
+    index is plain index arithmetic on its three positions.
+    """
+
+    def __init__(self, levels: Iterable[InternalLevel],
+                 window_z: Iterable[int], window_x: Iterable[int] = (0,)):
+        self.levels: tuple[InternalLevel, ...] = tuple(
+            sorted(set(levels), key=LEVEL_ORDER.__getitem__))
+        self.rungs_z, self.rungs_x = (
+            np.array(sorted({int(n) for n in window}), dtype=np.int64)
+            for window in (window_z, window_x))
+        if not self.levels:
+            raise ConfigurationError("basis needs at least one internal level")
+        if not len(self.rungs_z) or not len(self.rungs_x):
+            raise ConfigurationError("momentum windows must be nonempty")
+        codes = np.array([LEVEL_ORDER[lv] for lv in self.levels], dtype=np.int64)
+        self._position = np.full(len(LEVELS), -1, dtype=np.int64)
+        self._position[codes] = np.arange(len(codes))
+        grid = np.meshgrid(codes, self.rungs_z, self.rungs_x, indexing="ij")
+        self.level_codes, self.n_z, self.n_x = (g.ravel() for g in grid)
+        self.n_squared = self.n_z ** 2 + self.n_x ** 2
 
     def __len__(self):
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
+        return len(self.level_codes)
 
     def __contains__(self, state):
-        return state in self.index
+        return bool(self.locate(LEVEL_ORDER[state.level], state.n_z,
+                                state.n_x) >= 0)
+
+    def locate(self, codes, n_z, n_x) -> np.ndarray:
+        """Flat index of each (level code, n_z, n_x), or -1 outside the basis."""
+        level = self._position[np.asarray(codes, dtype=np.int64)]
+        # searching all but the last rung keeps every position in range
+        iz = np.searchsorted(self.rungs_z[:-1], n_z)
+        ix = np.searchsorted(self.rungs_x[:-1], n_x)
+        found = (level >= 0) & (self.rungs_z[iz] == n_z) & \
+            (self.rungs_x[ix] == n_x)
+        flat = (level * len(self.rungs_z) + iz) * len(self.rungs_x) + ix
+        return np.where(found, flat, -1)
 
     def index_of(self, state: RecoilState) -> int:
-        try:
-            return self.index[state]
-        except KeyError:
-            raise ConfigurationError(f"state {state} not in basis") from None
+        i = int(self.locate(LEVEL_ORDER[state.level], state.n_z, state.n_x))
+        if i < 0:
+            raise ConfigurationError(f"state {state} not in basis")
+        return i
+
+    def state(self, i: int) -> RecoilState:
+        return RecoilState(LEVELS[self.level_codes[i]], int(self.n_z[i]),
+                           int(self.n_x[i]))
+
+    @property
+    def states(self) -> tuple[RecoilState, ...]:
+        return tuple(self.state(i) for i in range(len(self)))
 
     def level_mask(self, levels: Iterable[InternalLevel]) -> np.ndarray:
         codes = {LEVEL_ORDER[lv] for lv in levels}
         return np.isin(self.level_codes, list(codes))
 
-    @property
-    def levels(self) -> tuple[InternalLevel, ...]:
-        seen = []
-        for s in self.states:
-            if s.level not in seen:
-                seen.append(s.level)
-        return tuple(seen)
-
     def window_z(self) -> tuple[int, int]:
-        return int(self.n_z.min()), int(self.n_z.max())
+        return int(self.rungs_z[0]), int(self.rungs_z[-1])
 
     def window_x(self) -> tuple[int, int]:
-        return int(self.n_x.min()), int(self.n_x.max())
+        return int(self.rungs_x[0]), int(self.rungs_x[-1])
 
 
 def build_basis(levels: Iterable[InternalLevel],
@@ -96,17 +119,7 @@ def build_basis(levels: Iterable[InternalLevel],
     Ordering is (level enum order, n_z ascending, n_x ascending), which keeps
     basis layout reproducible between runs.
     """
-    levels = list(levels)
-    window_z = sorted(set(int(n) for n in window_z))
-    window_x = sorted(set(int(n) for n in window_x))
-    if not levels:
-        raise ConfigurationError("basis needs at least one internal level")
-    if not window_z or not window_x:
-        raise ConfigurationError("momentum windows must be nonempty")
-    levels = sorted(set(levels), key=lambda lv: LEVEL_ORDER[lv])
-    states = [RecoilState(level, nz, nx)
-              for level in levels for nz in window_z for nx in window_x]
-    return Basis(states)
+    return Basis(levels, window_z, window_x)
 
 
 def span_window(occupied: Iterable[int], guard: int = 3) -> range:
@@ -207,22 +220,18 @@ class WaveFunction:
             keep = np.nonzero(self.amplitudes)[0]
         else:
             keep = np.nonzero(np.abs(self.amplitudes) ** 2 > floor)[0]
-        return [(self.basis.states[i], complex(self.amplitudes[i]))
+        return [(self.basis.state(i), complex(self.amplitudes[i]))
                 for i in keep]
 
     def project_onto(self, basis: Basis) -> "WaveFunction":
         """Re-express on another basis; errors if population would be lost."""
         out = WaveFunction(basis, time=self.time)
-        lost = 0.0
-        for i, state in enumerate(self.basis.states):
-            amp = self.amplitudes[i]
-            if amp == 0:
-                continue
-            if state in basis:
-                out.amplitudes[basis.index_of(state)] = amp
-            else:
-                lost += abs(amp) ** 2
+        target = basis.locate(self.basis.level_codes, self.basis.n_z,
+                              self.basis.n_x)
+        lost = float(np.sum(np.abs(self.amplitudes[target < 0]) ** 2))
         if lost > 1e-12:
             raise ConfigurationError(
                 f"target basis drops {lost:.3e} of population")
+        keep = (target >= 0) & (self.amplitudes != 0)
+        out.amplitudes[target[keep]] = self.amplitudes[keep]
         return out

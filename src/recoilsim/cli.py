@@ -158,7 +158,7 @@ def _run_split1d(cfg, out_dir, base):
     stages_path = out_dir / f"{base}.stages.csv"
     _stage_csv(result, stages_path)
 
-    grid = grid_from_output("split1d", cfg.output)
+    grid = grid_from_output(cfg.output, dims=1)
     pattern = fr.synthesize(result.final_arms, grid, cfg.atom,
                             fr.CoherenceEnvelope())
     spacing = fr.extract_spacing(pattern, "z")
@@ -203,11 +203,7 @@ def _run_split2d(cfg, out_dir, base):
     artifacts = [stages_path]
 
     two_dimensional = cfg.params.q_pulses > 0
-    if two_dimensional:
-        grid = grid_from_output("split2d", cfg.output)
-    else:
-        grid = fr.GridSpec(dims=1, pitch=cfg.output["grid_pitch_m"],
-                           shape=(4096,))
+    grid = grid_from_output(cfg.output, dims=2 if two_dimensional else 1)
     pattern = fr.synthesize(result.final_arms, grid, cfg.atom,
                             fr.CoherenceEnvelope())
     summary_rows = [
@@ -237,7 +233,7 @@ def _run_fringes(cfg, out_dir, base):
     params = cfg.params
     arms = [(complex(a["amplitude_re"], a["amplitude_im"]), a["n_z"], a["n_x"],
              a["phase_rad"]) for a in params["arms"]]
-    grid = grid_from_output("fringes", cfg.output)
+    grid = grid_from_output(cfg.output, dims=cfg.output["dims"])
     envelope = envelope_from_params(params)
     pattern = fr.synthesize(arms, grid, cfg.atom, envelope)
     artifacts = _write_fringe(pattern, out_dir, base)

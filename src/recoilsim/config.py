@@ -140,15 +140,25 @@ _OUTPUT_SCHEMAS = {
     "pattern": {},
 }
 
-# Allowed ranges of plan parameters, checked on every plan with the key.  An
-# arm floor below PRUNE_FLOOR would keep components the dust prune may zero.
-_PARAM_RANGES = {
+# Allowed ranges of parameter, toggle and output keys, checked at load time
+# on every section that has the key.  An arm floor below PRUNE_FLOOR would
+# keep components the dust prune may zero; a grid needs two samples per axis.
+_RANGES = {
     "samples_per_pair": (lambda v: v >= 1, ">= 1"),
     "ladder_n": (lambda v: v >= 1, ">= 1"),
     "omega_eff_hz": (lambda v: v > 0, "> 0"),
+    "rms_rabi_hz": (lambda v: v > 0, "> 0"),
+    "stagger_s": (lambda v: v > 0, "> 0"),
     "drift1_s": (lambda v: v >= 0, ">= 0"),
+    "cloud_size_m": (lambda v: v > 0, "> 0"),
+    "beam_width_m": (lambda v: v > 0, "> 0"),
     "arm_floor": (lambda v: PRUNE_FLOOR <= v < 1,
                   f"in [{PRUNE_FLOOR:g}, 1)"),
+    "decay_gamma_hz": (lambda v: v >= 0, ">= 0"),
+    "scan_periods": (lambda v: v >= 3, ">= 3"),
+    "points_per_period": (lambda v: v >= 20, ">= 20"),
+    "grid_pitch_m": (lambda v: v > 0, "> 0"),
+    "grid_samples": (lambda v: v >= 2, ">= 2"),
 }
 
 _ARM_SCHEMA = {
@@ -216,13 +226,15 @@ def validate_config(doc: dict) -> ResolvedConfig:
 
     params = _apply_schema(doc.get("params", {}), _PARAM_SCHEMAS[plan],
                            f"params({plan})")
-    for key, (allowed, text) in _PARAM_RANGES.items():
-        if key in params and not allowed(params[key]):
-            raise ConfigurationError(
-                f"params({plan}).{key} must be {text}, got {params[key]!r}")
     toggles = _apply_schema(doc.get("toggles", {}), _TOGGLE_SCHEMA, "toggles")
     output = _apply_schema(doc.get("output", {}), _OUTPUT_SCHEMAS[plan],
                            f"output({plan})")
+    for where, section in ((f"params({plan})", params), ("toggles", toggles),
+                           (f"output({plan})", output)):
+        for key, value in section.items():
+            if key in _RANGES and not _RANGES[key][0](value):
+                raise ConfigurationError(
+                    f"{where}.{key} must be {_RANGES[key][1]}, got {value!r}")
     if toggles["envelope"] not in (SINE_SQUARED, SQUARE):
         raise ConfigurationError(
             f"toggles.envelope must be {SINE_SQUARED!r} or {SQUARE!r}")
@@ -294,12 +306,10 @@ def load_config(path) -> ResolvedConfig:
     return validate_config(doc)
 
 
-def grid_from_output(plan: str, output: dict) -> GridSpec:
-    if plan == "split2d" or (plan == "fringes" and output.get("dims") == 2):
-        n = output["grid_samples"]
-        return GridSpec(dims=2, pitch=output["grid_pitch_m"], shape=(n, n))
-    return GridSpec(dims=1, pitch=output["grid_pitch_m"],
-                    shape=(output["grid_samples"],))
+def grid_from_output(output: dict, dims: int) -> GridSpec:
+    """Square grid of ``grid_samples`` per axis at ``grid_pitch_m``."""
+    return GridSpec(dims=dims, pitch=output["grid_pitch_m"],
+                    shape=(output["grid_samples"],) * dims)
 
 
 def envelope_from_params(params: dict) -> CoherenceEnvelope:

@@ -23,16 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, RecoilState, WaveFunction, build_basis
+from .basis import (LEVEL_ORDER, LEVELS, Basis, RecoilState, WaveFunction,
+                    build_basis)
 from .errors import ConfigurationError
 from .params import AtomParams, InternalLevel
 from .pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, Epoch, PulseEvent,
                      SIGMA_LEG)
 
 
-def kinetic_term(state: RecoilState, atom: AtomParams) -> float:
-    """Free-particle kinetic energy of a lattice state, rad/s."""
-    return atom.kinetic_rate(state.n_z, state.n_x)
+_EXCITED = np.array([level.is_excited for level in LEVELS])
 
 
 @dataclass
@@ -94,14 +93,13 @@ class HamiltonianSpec:
 class EpochHamiltonian:
     """Compiled operator for one epoch: static structure, scalar envelopes."""
 
-    def __init__(self, basis: Basis, diagonal: np.ndarray,
+    def __init__(self, diagonal: np.ndarray,
                  families: list[CouplingFamily], decay: np.ndarray):
-        self.basis = basis
         self.diagonal = diagonal            # real part of the frame diagonal
         self.decay = decay
         self._diag_complex = diagonal - 0.5j * decay
         self.families = families
-        self._buf = np.empty(len(basis), dtype=np.complex128)
+        self._buf = np.empty(len(diagonal), dtype=np.complex128)
 
     def derivative_into(self, t: float, psi: np.ndarray,
                         out: np.ndarray) -> None:
@@ -111,7 +109,7 @@ class EpochHamiltonian:
         out *= -1j
 
     def max_element(self) -> float:
-        peak = float(np.max(np.abs(self._diag_complex))) if len(self.basis) else 0.0
+        peak = float(np.max(np.abs(self._diag_complex))) if len(self.diagonal) else 0.0
         for fam in self.families:
             peak = max(peak, fam.peak * float(np.max(np.abs(fam.pattern))))
         return peak
@@ -123,7 +121,7 @@ class EpochHamiltonian:
         With a time window, the envelopes are sampled over it so beams that
         never peak simultaneously are not double-counted.
         """
-        diag_max = float(np.max(np.abs(self._diag_complex))) if len(self.basis) else 0.0
+        diag_max = float(np.max(np.abs(self._diag_complex))) if len(self.diagonal) else 0.0
         elem = [fam.peak * float(np.max(np.abs(fam.pattern)))
                 for fam in self.families]
         if t0 is None or t1 is None or t1 <= t0 or not self.families:
@@ -153,7 +151,7 @@ class EpochHamiltonian:
 
     def reduced(self, idx: np.ndarray) -> "EpochHamiltonian":
         """Restriction to the index set ``idx`` (closed under couplings)."""
-        inverse = np.full(len(self.basis), -1, dtype=np.int64)
+        inverse = np.full(len(self.diagonal), -1, dtype=np.int64)
         inverse[idx] = np.arange(len(idx))
         families = []
         for fam in self.families:
@@ -170,10 +168,9 @@ class EpochHamiltonian:
                 perm=perm, pattern=pattern, rate=rate,
                 envelope_value=fam.envelope_value, peak=fam.peak,
                 label=fam.label, has_rate=bool(np.any(rate[pattern != 0]))))
-        return EpochHamiltonian(_SubBasis(len(idx)), self.diagonal[idx],
-                                families, self.decay[idx])
+        return EpochHamiltonian(self.diagonal[idx], families, self.decay[idx])
 
-    def snapshot(self, t: float) -> HamiltonianSpec:
+    def snapshot(self, basis: Basis, t: float) -> HamiltonianSpec:
         couplings = []
         for fam in self.families:
             env = fam.envelope_value(t)
@@ -186,69 +183,48 @@ class EpochHamiltonian:
                 if fam.has_rate:
                     amp = amp * np.exp(1j * fam.rate[j] * t)
                 couplings.append((int(i), j, complex(amp)))
-        return HamiltonianSpec(self.basis, self.diagonal.copy(),
+        return HamiltonianSpec(basis, self.diagonal.copy(),
                                couplings, self.decay.copy())
-
-
-class _SubBasis:
-    """Bare length stand-in for reduced operators (no state lookup)."""
-
-    def __init__(self, n: int):
-        self._n = n
-
-    def __len__(self):
-        return self._n
 
 
 def frame_diagonal(basis: Basis, atom: AtomParams,
                    anchors: dict[InternalLevel, tuple[int, int]] | None) -> np.ndarray:
     anchors = anchors or {}
-    shifts = {}
-    for level in InternalLevel:
-        nz, nx = anchors.get(level, (0, 0))
-        shifts[level] = atom.kinetic_rate(nz, nx)
-    diag = np.empty(len(basis), dtype=np.float64)
-    for i, state in enumerate(basis.states):
-        diag[i] = kinetic_term(state, atom) - shifts[state.level]
-    return diag
+    shifts = np.array([atom.kinetic_rate(*anchors.get(level, (0, 0)))
+                       for level in LEVELS])
+    return atom.recoil_frequency * basis.n_squared - shifts[basis.level_codes]
+
+
+def _matching(basis: Basis, level_from: InternalLevel, shift: int,
+              level_to: InternalLevel, axis: str = "z",
+              rung: int | None = None):
+    """Pairs (i, j) taking |level_from, n> to |level_to, n + shift> along
+    ``axis`` (only from ``rung`` if given), and the permutation swapping
+    each pair.  The levels differ, so the pairs form a perfect matching."""
+    i = np.flatnonzero(basis.level_codes == LEVEL_ORDER[level_from])
+    if rung is not None:
+        i = i[(basis.n_z if axis == "z" else basis.n_x)[i] == rung]
+    dz, dx = (shift, 0) if axis == "z" else (0, shift)
+    j = basis.locate(LEVEL_ORDER[level_to], basis.n_z[i] + dz,
+                     basis.n_x[i] + dx)
+    i, j = i[j >= 0], j[j >= 0]
+    perm = np.arange(len(basis))
+    perm[i] = j
+    perm[j] = i
+    return i, j, perm
 
 
 def _sigma_family(basis: Basis, event: PulseEvent) -> CouplingFamily:
-    leg = SIGMA_LEG[event.polarization]
-    n = len(basis)
-    perm = np.arange(n)
-    pattern = np.zeros(n, dtype=np.complex128)
-    for i, state in enumerate(basis.states):
-        if state.level is not leg:
-            continue
-        partner = RecoilState(InternalLevel.E1, state.n_z + event.direction,
-                              state.n_x)
-        if partner not in basis:
-            continue
-        j = basis.index_of(partner)
-        perm[i], perm[j] = j, i
-        pattern[i] = 0.5
-        pattern[j] = 0.5
+    i, j, perm = _matching(basis, SIGMA_LEG[event.polarization],
+                           event.direction, InternalLevel.E1)
+    pattern = np.zeros(len(basis), dtype=np.complex128)
+    pattern[i] = 0.5
+    pattern[j] = 0.5
     return CouplingFamily(perm=perm, pattern=pattern,
-                          rate=np.zeros(n), envelope_value=event.envelope.value,
+                          rate=np.zeros(len(basis)),
+                          envelope_value=event.envelope.value,
                           peak=event.envelope.peak_rabi,
                           label=f"{event.polarization}:{event.direction:+d}z")
-
-
-def _effective_pairs(basis: Basis, event: PulseEvent):
-    lf, lt = event.levels
-    for i, state in enumerate(basis.states):
-        if state.level is not lf:
-            continue
-        rung = state.n_z if event.axis == "z" else state.n_x
-        if event.target_rung is not None and rung != event.target_rung:
-            continue
-        if event.axis == "z":
-            partner = RecoilState(lt, state.n_z + event.delta_n, state.n_x)
-        else:
-            partner = RecoilState(lt, state.n_z, state.n_x + event.delta_n)
-        if partner in basis:
-            yield i, basis.index_of(partner)
 
 
 def _effective_family(basis: Basis, event: PulseEvent, atom: AtomParams,
@@ -262,17 +238,15 @@ def _effective_family(basis: Basis, event: PulseEvent, atom: AtomParams,
     tone = wr * ((ref + event.delta_n) ** 2 - ref ** 2) if event.delta_n else 0.0
     rho = tone + event.bias_detuning - (shift_t - shift_f)
 
-    n = len(basis)
-    perm = np.arange(n)
-    pattern = np.zeros(n, dtype=np.complex128)
-    rate = np.zeros(n, dtype=np.float64)
+    i, j, perm = _matching(basis, lf, event.delta_n, lt, event.axis,
+                           event.target_rung)
     half = 0.5 * np.exp(1j * event.phase)
-    for i, j in _effective_pairs(basis, event):
-        perm[i], perm[j] = j, i
-        pattern[j] = half          # H[to, from]
-        pattern[i] = np.conj(half)
-        rate[j] = -rho
-        rate[i] = +rho
+    pattern = np.zeros(len(basis), dtype=np.complex128)
+    pattern[j] = half          # H[to, from]
+    pattern[i] = np.conj(half)
+    rate = np.zeros(len(basis), dtype=np.float64)
+    rate[j] = -rho
+    rate[i] = +rho
     return CouplingFamily(perm=perm, pattern=pattern, rate=rate,
                           envelope_value=event.envelope.value,
                           peak=event.envelope.peak_rabi,
@@ -287,25 +261,21 @@ def compile_epoch(basis: Basis, events, atom: AtomParams,
     families = []
     for event in events:
         if event.channel == CHANNEL_LAMBDA:
-            if not any(s.level is InternalLevel.E1 for s in basis.states):
+            if InternalLevel.E1 not in basis.levels:
                 raise ConfigurationError(
                     "adiabatic channel needs the intermediate level in the basis")
             families.append(_sigma_family(basis, event))
         elif event.channel == CHANNEL_RAMAN:
             for level in event.levels:
-                if not any(s.level is level for s in basis.states):
+                if level not in basis.levels:
                     raise ConfigurationError(
                         f"pulse addresses level {level.name} missing from basis")
             families.append(_effective_family(basis, event, atom, anchors))
         else:  # pragma: no cover - PulseEvent validation rejects this earlier
             raise ConfigurationError(f"unknown channel {event.channel!r}")
     diagonal = frame_diagonal(basis, atom, anchors)
-    decay = np.zeros(len(basis))
-    if decay_rate:
-        for i, state in enumerate(basis.states):
-            if state.level.is_excited:
-                decay[i] = decay_rate
-    return EpochHamiltonian(basis, diagonal, families, decay)
+    decay = np.where(_EXCITED[basis.level_codes], float(decay_rate), 0.0)
+    return EpochHamiltonian(diagonal, families, decay)
 
 
 def compile_from_epoch(basis: Basis, epoch: Epoch, atom: AtomParams,
@@ -323,7 +293,7 @@ def assemble(basis: Basis, active_pulses, t: float, atom: AtomParams,
     beam.  Hermitian whenever decay is off.
     """
     epoch = compile_epoch(basis, list(active_pulses), atom, anchors, decay_rate)
-    return epoch.snapshot(t)
+    return epoch.snapshot(basis, t)
 
 
 def dark_state(rabi_plus: float, rabi_minus: float, n_origin: int,

@@ -135,8 +135,10 @@ class PulseEvent:
             if self.polarization not in (PI_PAIR, SIGMA_PAIR):
                 raise ConfigurationError(
                     "raman_effective pulses must be pi_pair or sigma_pair")
-            if self.levels is None or len(self.levels) != 2:
-                raise ConfigurationError("raman_effective pulses need two levels")
+            if self.levels is None or len(self.levels) != 2 or \
+                    self.levels[0] is self.levels[1]:
+                raise ConfigurationError(
+                    "raman_effective pulses need two distinct levels")
             if self.delta_n not in (-2, 0, 2):
                 raise ConfigurationError("two-photon recoil must be 0 or +-2")
             if self.delta_n != 0 and self.target_rung is None:

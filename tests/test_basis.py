@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recoilsim.basis import (Basis, RecoilState, WaveFunction, build_basis,
-                             prune_dust, span_window)
+from recoilsim.basis import (LEVEL_ORDER, RecoilState, WaveFunction,
+                             build_basis, prune_dust, span_window)
 from recoilsim.errors import ConfigurationError
 from recoilsim.params import InternalLevel
 
@@ -40,15 +40,34 @@ def test_ordering_level_then_nz_then_nx():
 
 
 @given(levels=st.sets(st.sampled_from(list(InternalLevel)), min_size=1),
-       lo=st.integers(-30, 0), width=st.integers(0, 8))
+       window_z=st.sets(st.integers(-12, 12), min_size=1, max_size=8),
+       window_x=st.sets(st.integers(-4, 4), min_size=1, max_size=4))
 @settings(max_examples=50, deadline=None)
-def test_build_deterministic_and_indexable(levels, lo, width):
-    window = range(lo, lo + width + 1)
-    b1 = build_basis(levels, window)
-    b2 = build_basis(sorted(levels, key=lambda lv: lv.name, reverse=True), window)
-    assert b1.states == b2.states  # input order cannot matter
+def test_build_deterministic_and_indexable(levels, window_z, window_x):
+    b1 = build_basis(levels, window_z, window_x)
+    b2 = build_basis(sorted(levels, key=lambda lv: lv.name, reverse=True),
+                     sorted(window_z, reverse=True), list(window_x))
+    expected = [RecoilState(lv, nz, nx) for lv in InternalLevel if lv in levels
+                for nz in sorted(window_z) for nx in sorted(window_x)]
+    assert b1.states == b2.states == tuple(expected)  # input order cannot matter
     for i, state in enumerate(b1.states):
+        assert state in b1
         assert b1.index_of(state) == i
+    # every state of a box one rung wider than the windows: present ones,
+    # gaps of non-contiguous windows, rungs outside, and missing levels
+    index = {state: i for i, state in enumerate(expected)}
+    probes = [RecoilState(lv, nz, nx) for lv in InternalLevel
+              for nz in range(min(window_z) - 1, max(window_z) + 2)
+              for nx in range(min(window_x) - 1, max(window_x) + 2)]
+    for state in probes:
+        if state not in index:
+            assert state not in b1
+            with pytest.raises(ConfigurationError):
+                b1.index_of(state)
+    flat = b1.locate([LEVEL_ORDER[s.level] for s in probes],
+                     [s.n_z for s in probes], [s.n_x for s in probes])
+    assert flat.tolist() == [index.get(s, -1) for s in probes]
+    assert b1.locate([], [], []).shape == (0,)
 
 
 def test_span_window_guard():

@@ -96,16 +96,31 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 
 OUT_OF_RANGE = [
-    ("figure3", {"samples_per_pair": 0}),
-    ("ramsey", {"ladder_n": 0}),
-    ("split1d", {"ladder_n": 0}),
-    ("split2d", {"omega_eff_hz": 0}),
-    ("figure3", {"omega_eff_hz": -5e5}),
-    ("split1d", {"drift1_s": -1e-3}),
-    ("split2d", {"drift1_s": -1e-3}),
-    ("split2d", {"arm_floor": 2}),
-    ("ramsey", {"arm_floor": 1}),
-    ("split1d", {"arm_floor": 1e-15}),
+    ("figure3", "params", {"samples_per_pair": 0}),
+    ("ramsey", "params", {"ladder_n": 0}),
+    ("split1d", "params", {"ladder_n": 0}),
+    ("split2d", "params", {"omega_eff_hz": 0}),
+    ("figure3", "params", {"omega_eff_hz": -5e5}),
+    ("split1d", "params", {"drift1_s": -1e-3}),
+    ("split2d", "params", {"drift1_s": -1e-3}),
+    ("split2d", "params", {"arm_floor": 2}),
+    ("ramsey", "params", {"arm_floor": 1}),
+    ("split1d", "params", {"arm_floor": 1e-15}),
+    ("split1d", "params", {"stagger_s": 0}),
+    ("ramsey", "params", {"stagger_s": 0}),
+    ("figure3", "params", {"rms_rabi_hz": 0}),
+    ("split1d", "params", {"rms_rabi_hz": -1e6}),
+    ("split1d", "params", {"cloud_size_m": -1e-3}),
+    ("ramsey", "params", {"cloud_size_m": 0}),
+    ("split1d", "params", {"beam_width_m": -0.5e-3}),
+    ("split2d", "params", {"beam_width_m": 0}),
+    ("figure3", "toggles", {"decay_gamma_hz": -1e3}),
+    ("ramsey", "output", {"scan_periods": 2.5}),
+    ("ramsey", "output", {"points_per_period": 10}),
+    ("split1d", "output", {"grid_pitch_m": 0}),
+    ("split2d", "output", {"grid_pitch_m": -1e-9}),
+    ("split1d", "output", {"grid_samples": 0}),
+    ("split2d", "output", {"grid_samples": 1}),
 ]
 
 
@@ -116,13 +131,15 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert main(["run", str(path2), "--out", str(tmp_path / "out")]) == 2
     capsys.readouterr()
     # out-of-range values are rejected with one line before any propagation
-    for plan, params in OUT_OF_RANGE:
-        path = write_config(tmp_path, {"plan": plan, "params": params})
+    for plan, section, values in OUT_OF_RANGE:
+        doc = {"plan": plan, section: values}
+        path = write_config(tmp_path, doc)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert err.startswith(f"config error: {section}") and \
+            err.count("\n") == 1
         with pytest.raises(ConfigurationError):
-            validate_config({"plan": plan, "params": params})
+            validate_config(doc)
 
 
 def test_cli_physics_error_exit_code(tmp_path, capsys):
@@ -241,3 +258,16 @@ def test_cli_split2d_fringe_artifacts_and_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     img, _ = read_pgm(out1 / hashed[1])
     assert img.shape == (512, 512)
+
+
+def test_cli_two_arm_split2d_honours_grid_samples(tmp_path):
+    doc = {"plan": "split2d",
+           "params": {"p_pulses": 4, "p_reverse": 8, "q_pulses": 0,
+                      "q_reverse": 0, "drift1_s": 0.03},
+           "output": {"grid_pitch_m": 2e-9, "grid_samples": 512}}
+    path = write_config(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    fringe = next((tmp_path / "out").glob("*.fringe.csv"))
+    lines = fringe.read_text().splitlines()
+    assert lines[0] == "position_nm,value"
+    assert len(lines) == 513

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from recoilsim.basis import RecoilState, build_basis
 from recoilsim.errors import ConfigurationError
-from recoilsim.hamiltonian import (assemble, compile_epoch, dark_state,
-                                   kinetic_term)
+from recoilsim.hamiltonian import assemble, compile_epoch, dark_state
 from recoilsim.params import InternalLevel, rb87
-from recoilsim.pulses import (PulseEnvelope, PulseEvent, SQUARE,
-                              copropagating_pulse, counter_intuitive_pair,
-                              effective_pulse)
+from recoilsim.pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, PI_PAIR,
+                              SIGMA_LEG, SIGMA_PAIR, PulseEnvelope,
+                              PulseEvent, SQUARE, copropagating_pulse,
+                              counter_intuitive_pair, effective_pulse)
 
 A, B, C, E1 = (InternalLevel.A, InternalLevel.B, InternalLevel.C,
                InternalLevel.E1)
@@ -27,14 +27,6 @@ def sigma_event(pol, direction, peak=1e6, duration=1e-6):
     return PulseEvent(envelope=PulseEnvelope(SQUARE, peak, 0.0, duration),
                       polarization=pol, axis="z", direction=direction,
                       channel="adiabatic_lambda")
-
-
-def test_kinetic_term_examples(atom):
-    wr = atom.recoil_frequency
-    assert kinetic_term(RecoilState(A, 0, 0), atom) == 0.0
-    assert kinetic_term(RecoilState(A, -2, 0), atom) == pytest.approx(4 * wr)
-    one = kinetic_term(RecoilState(A, 1, 0), atom)
-    assert one / (2 * math.pi) == pytest.approx(3771, abs=5)
 
 
 def test_no_pulses_is_diagonal_only(atom):
@@ -164,3 +156,114 @@ def test_dark_state_normalized_no_excited(gp, gm, direction, origin):
                np.conj(d.amplitude(RecoilState(B, origin + 2 * direction))) *
                bright_b)
     assert abs(overlap) <= 1e-9 * max(gp, gm)
+
+
+def reference_compile(basis, events, atom, anchors, decay_rate):
+    """Brute-force per-state compiler: a dict over basis.states."""
+    states = basis.states
+    index = {state: i for i, state in enumerate(states)}
+    n = len(states)
+    wr = atom.recoil_frequency
+    shift = {lv: atom.kinetic_rate(*anchors.get(lv, (0, 0)))
+             for lv in InternalLevel}
+    diagonal = np.array([atom.kinetic_rate(s.n_z, s.n_x) - shift[s.level]
+                         for s in states])
+    decay = np.array([decay_rate if s.level.is_excited else 0.0
+                      for s in states])
+    families = []
+    for ev in events:
+        perm = np.arange(n)
+        pattern = np.zeros(n, dtype=complex)
+        rate = np.zeros(n)
+        if ev.channel == CHANNEL_LAMBDA:
+            lf, lt, dn, rung = SIGMA_LEG[ev.polarization], E1, ev.direction, None
+            forward = back = 0.5
+            rho = None
+        else:
+            lf, lt = ev.levels
+            dn, rung = ev.delta_n, ev.target_rung
+            ref = ev.reference_rung if ev.reference_rung is not None else 0
+            tone = wr * ((ref + dn) ** 2 - ref ** 2) if dn else 0.0
+            rho = tone + ev.bias_detuning - (shift[lt] - shift[lf])
+            back = 0.5 * np.exp(1j * ev.phase)
+            forward = np.conj(back)
+        for i, s in enumerate(states):
+            along = s.n_z if ev.axis == "z" else s.n_x
+            if s.level is not lf or (rung is not None and along != rung):
+                continue
+            partner = RecoilState(lt, s.n_z + dn, s.n_x) if ev.axis == "z" \
+                else RecoilState(lt, s.n_z, s.n_x + dn)
+            j = index.get(partner)
+            if j is None:
+                continue
+            perm[i], perm[j] = j, i
+            pattern[i], pattern[j] = forward, back
+            if rho is not None:
+                rate[i], rate[j] = rho, -rho
+        families.append((perm, pattern, rate,
+                         rho is not None and abs(rho) > 0.0))
+    return diagonal, decay, families
+
+
+def identical(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+def envelope(peak):
+    return PulseEnvelope(SQUARE, peak, 0.0, 1e-6)
+
+
+sigma_events = st.builds(
+    lambda pol, d, peak: PulseEvent(envelope=envelope(peak), polarization=pol,
+                                    axis="z", direction=d,
+                                    channel=CHANNEL_LAMBDA),
+    st.sampled_from(list(SIGMA_LEG)), st.sampled_from([-1, 1]),
+    st.floats(1e3, 1e8))
+
+
+@st.composite
+def effective_events(draw):
+    lf, lt = draw(st.permutations(list(InternalLevel)))[:2]
+    dn = draw(st.sampled_from([-2, 0, 2]))
+    rung = st.integers(-6, 6)
+    target = draw(rung) if dn else draw(st.one_of(st.none(), rung))
+    return PulseEvent(
+        envelope=envelope(draw(st.floats(1e3, 1e7))),
+        polarization=draw(st.sampled_from([PI_PAIR, SIGMA_PAIR])),
+        axis=draw(st.sampled_from(["z", "x"])), direction=1,
+        channel=CHANNEL_RAMAN, levels=(lf, lt), delta_n=dn,
+        target_rung=target, reference_rung=draw(st.one_of(st.none(), rung)),
+        bias_detuning=draw(st.sampled_from([0.0, 1e3, -2.5e4])),
+        phase=draw(st.floats(-4.0, 4.0)))
+
+
+@given(levels=st.sets(st.sampled_from(list(InternalLevel)), max_size=5),
+       window_z=st.sets(st.integers(-6, 6), min_size=1, max_size=8),
+       window_x=st.sets(st.integers(-3, 3), min_size=1, max_size=4),
+       events=st.lists(st.one_of(sigma_events, effective_events()),
+                       max_size=4),
+       anchors=st.dictionaries(st.sampled_from(list(InternalLevel)),
+                               st.tuples(st.integers(-6, 6),
+                                         st.integers(-3, 3)), max_size=3),
+       decay_rate=st.sampled_from([0.0, 1e5]))
+@settings(max_examples=150, deadline=None)
+def test_compile_matches_per_state_reference(atom, levels, window_z, window_x,
+                                             events, anchors, decay_rate):
+    # the basis holds every level the events address, plus random extras
+    for ev in events:
+        levels |= {E1} if ev.channel == CHANNEL_LAMBDA else set(ev.levels)
+    if not levels:
+        levels = {A}
+    basis = build_basis(levels, window_z, window_x)
+    h = compile_epoch(basis, events, atom, anchors, decay_rate)
+    diagonal, decay, families = reference_compile(basis, events, atom,
+                                                  anchors, decay_rate)
+    assert identical(h.diagonal, diagonal)
+    assert identical(h.decay, decay)
+    assert len(h.families) == len(families)
+    for fam, (perm, pattern, rate, has_rate) in zip(h.families, families):
+        assert identical(fam.perm, perm)
+        assert identical(fam.pattern, pattern)
+        assert identical(fam.rate, rate)
+        assert fam.has_rate == has_rate

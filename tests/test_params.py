@@ -49,6 +49,15 @@ def test_kinetic_rate_quadratic_and_doppler():
     assert atom.kinetic_rate(1, 0, drift_z=0.5) == pytest.approx(2.25 * wr)
 
 
+def test_kinetic_rate_examples():
+    atom = rb87()
+    wr = atom.recoil_frequency
+    assert atom.kinetic_rate(0, 0) == 0.0
+    assert atom.kinetic_rate(-2, 0) == pytest.approx(4 * wr)
+    # one recoil of Rb-87 on the D2 line is 3.77 kHz
+    assert atom.kinetic_rate(1, 0) / (2 * math.pi) == pytest.approx(3771, abs=5)
+
+
 @pytest.mark.parametrize("field", ["mass", "wavelength_d1", "wavelength_d2",
                                    "nominal_wavelength", "gravity"])
 def test_nonpositive_parameters_rejected(field):

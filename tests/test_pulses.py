@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -228,6 +229,8 @@ def test_copropagating_pulse_shapes(atom):
         copropagating_pulse(0.0, omega, atom)
     with pytest.raises(ConfigurationError):
         copropagating_pulse(math.pi, omega, atom, "a-b")
+    with pytest.raises(ConfigurationError):  # a coupling must change level
+        dataclasses.replace(ev, levels=(A, A))
 
 
 def test_sequence_plan_serialization_round_trip(atom):
