@@ -1,7 +1,7 @@
 """Recoil-lattice simulator for large-angle atom interferometers."""
 
 from .basis import (Basis, Observables, RecoilState, WaveFunction,
-                    build_basis, span_window)
+                    span_window)
 from .errors import (AdiabaticityError, ConfigurationError, IntegrationError,
                      NoFringeError, NormalizationError, PhysicsError,
                      RecoilSimError, SelectivityError)

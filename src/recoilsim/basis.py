@@ -111,17 +111,6 @@ class Basis:
         return int(self.rungs_x[0]), int(self.rungs_x[-1])
 
 
-def build_basis(levels: Iterable[InternalLevel],
-                window_z: Iterable[int],
-                window_x: Iterable[int] = (0,)) -> Basis:
-    """Enumerate the truncated lattice basis.
-
-    Ordering is (level enum order, n_z ascending, n_x ascending), which keeps
-    basis layout reproducible between runs.
-    """
-    return Basis(levels, window_z, window_x)
-
-
 def span_window(occupied: Iterable[int], guard: int = 3) -> range:
     """Window covering all occupied rungs plus a guard band on each side."""
     occupied = list(occupied)

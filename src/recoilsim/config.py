@@ -156,7 +156,6 @@ _RANGES = {
                   f"in [{PRUNE_FLOOR:g}, 1)"),
     "decay_gamma_hz": (lambda v: v >= 0, ">= 0"),
     "scan_periods": (lambda v: v >= 3, ">= 3"),
-    "points_per_period": (lambda v: v >= 20, ">= 20"),
     "grid_pitch_m": (lambda v: v > 0, "> 0"),
     "grid_samples": (lambda v: v >= 2, ">= 2"),
 }

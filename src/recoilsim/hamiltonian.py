@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (LEVEL_ORDER, LEVELS, Basis, RecoilState, WaveFunction,
-                    build_basis)
+from .basis import LEVEL_ORDER, LEVELS, Basis, RecoilState, WaveFunction
 from .errors import ConfigurationError
 from .params import AtomParams, InternalLevel
 from .pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, Epoch, PulseEvent,
@@ -312,7 +311,7 @@ def dark_state(rabi_plus: float, rabi_minus: float, n_origin: int,
     target_rung = n_origin + 2 * direction
     if basis is None:
         lo, hi = sorted((n_origin, target_rung))
-        basis = build_basis(
+        basis = Basis(
             [InternalLevel.A, InternalLevel.B, InternalLevel.E1],
             range(lo - 3, hi + 4))
     # hypot survives magnitudes whose squares would underflow

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import RecoilState, WaveFunction, build_basis
+from .basis import Basis, RecoilState, WaveFunction
 from .errors import (AdiabaticityError, ConfigurationError, PhysicsError,
                      SelectivityError)
 from .params import AtomParams, InternalLevel
@@ -147,10 +147,10 @@ def run_sequence_on_arm(arm: ArmTrack, plan: SequencePlan, atom: AtomParams,
     rungs.add(arm.n_z if axis == "z" else arm.n_x)
     window = range(min(rungs) - guard, max(rungs) + guard + 1)
     if axis == "z":
-        basis = build_basis(levels, window, (arm.n_x,))
+        basis = Basis(levels, window, (arm.n_x,))
         plan = _anchor_cross_axis(plan, axis, arm.n_x)
     else:
-        basis = build_basis(levels, (arm.n_z,), window)
+        basis = Basis(levels, (arm.n_z,), window)
         plan = _anchor_cross_axis(plan, axis, arm.n_z)
 
     t0 = plan.epochs[0].t_start if plan.epochs else 0.0

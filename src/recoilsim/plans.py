@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import RecoilState, WaveFunction, build_basis
+from .basis import Basis, RecoilState, WaveFunction
 from .errors import ConfigurationError, PhysicsError
 from .interferometer import (DEFAULT_ARM_FLOOR, DEFAULT_BEAM_WIDTH,
                              DEFAULT_CLOUD_SIZE, DEFAULT_OMEGA_EFF, ArmTrack,
@@ -350,7 +350,7 @@ def run_plan_ramsey(params: RamseyParams, atom: AtomParams) -> RamseyResult:
 
     tau = (tl.t + d_half / 2) - t_first_center
 
-    scan_basis = build_basis([InternalLevel.B, InternalLevel.C],
+    scan_basis = Basis([InternalLevel.B, InternalLevel.C],
                              range(-3, 6))
     amps = np.zeros(len(scan_basis), dtype=np.complex128)
     amps[scan_basis.index_of(RecoilState(InternalLevel.C, 0))] = still.amplitude

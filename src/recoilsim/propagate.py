@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, WaveFunction, build_basis, prune_dust, span_window
+from .basis import Basis, WaveFunction, prune_dust, span_window
 from .errors import ConfigurationError, IntegrationError
 from .hamiltonian import EpochHamiltonian, compile_from_epoch
 from .params import AtomParams
@@ -165,11 +165,11 @@ def _extend(basis: Basis, amps: np.ndarray, max_states: int):
         raise ConfigurationError(
             f"momentum window extension needs {new_size} states, over the "
             f"budget of {max_states}")
-    new_basis = build_basis(levels, window_z, window_x)
+    new_basis = Basis(levels, window_z, window_x)
     moved = WaveFunction(basis, amps).project_onto(new_basis)
     return new_basis, moved.amplitudes
 
 
 def ladder_basis(levels, rungs, guard: int = 3, window_x=(0,)) -> Basis:
     """Convenience basis spanning a set of z rungs plus guard bands."""
-    return build_basis(levels, span_window(rungs, guard), window_x)
+    return Basis(levels, span_window(rungs, guard), window_x)

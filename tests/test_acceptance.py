@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from recoilsim.basis import RecoilState, WaveFunction, build_basis
+from recoilsim.basis import Basis, RecoilState, WaveFunction
 from recoilsim.fringes import (GridSpec, extract_spacing, ramsey_scan,
                                scan_minimum_near, synthesize)
 from recoilsim.params import InternalLevel, rb87
@@ -95,7 +95,7 @@ def test_criterion_3_area_robustness(atom):
         area = (1 + eps) * math.pi
         ev = effective_pulse(area, omega, RecoilState(A, 0),
                              RecoilState(C, -2), atom, "sigma_pair", "z")
-        basis = build_basis([A, C], range(-5, 3))
+        basis = Basis([A, C], range(-5, 3))
         psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
         plan = SequencePlan(kind="pi", epochs=[
             Epoch(0.0, ev.envelope.duration, (ev,), {A: (0, 0), C: (-2, 0)})])
@@ -288,7 +288,7 @@ def test_criterion_10_engine_oracles(atom):
         ev = effective_pulse(omega * t, omega, RecoilState(A, 0),
                              RecoilState(C, -2), atom, "sigma_pair", "z",
                              bias_detuning=delta)
-        basis = build_basis([A, C], range(-5, 3))
+        basis = Basis([A, C], range(-5, 3))
         psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
         plan = SequencePlan(kind="rabi", epochs=[
             Epoch(0.0, t, (ev,), {A: (0, 0), C: (-2, 0)})])
@@ -310,7 +310,7 @@ def test_criterion_10_engine_oracles(atom):
     plan = SequencePlan(kind="drive", epochs=[
         Epoch(0.0, duration, (lead, trail),
               {A: (0, 0), E1: (-1, 0), B: (-2, 0)})])
-    basis = build_basis([A, B, E1], range(-4, 5))
+    basis = Basis([A, B, E1], range(-4, 5))
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
     res = evolve_plan(psi, plan, atom)
     assert res.steps >= 10_000
@@ -322,7 +322,7 @@ def test_criterion_10_engine_oracles(atom):
     plan = build_raman_sequence("none", 1, math.pi / omega, omega, "z", atom,
                                 start_rung=0, c_start_rung=-2,
                                 start_direction=+1)
-    basis = build_basis([A, C], range(-30, 31))
+    basis = Basis([A, C], range(-30, 31))
     psi = WaveFunction.from_components(
         basis, {RecoilState(A, 0): 1 / math.sqrt(2),
                 RecoilState(C, -2): 1 / math.sqrt(2)})

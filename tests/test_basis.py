@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recoilsim.basis import (LEVEL_ORDER, RecoilState, WaveFunction,
-                             build_basis, prune_dust, span_window)
+from recoilsim.basis import (LEVEL_ORDER, Basis, RecoilState, WaveFunction,
+                             prune_dust, span_window)
 from recoilsim.errors import ConfigurationError
 from recoilsim.params import InternalLevel
 
@@ -15,24 +15,24 @@ A, B, C, E1 = (InternalLevel.A, InternalLevel.B, InternalLevel.C,
 
 
 def test_basis_size_three_levels():
-    basis = build_basis([A, B, C], range(-2, 1), (0,))
+    basis = Basis([A, B, C], range(-2, 1), (0,))
     assert len(basis) == 9
 
 
 def test_basis_size_ladder_window():
-    basis = build_basis([A, B, C, E1], range(-62, 3), (0,))
+    basis = Basis([A, B, C, E1], range(-62, 3), (0,))
     assert len(basis) == 4 * 65
 
 
 def test_empty_window_rejected():
     with pytest.raises(ConfigurationError):
-        build_basis([A], [], (0,))
+        Basis([A], [], (0,))
     with pytest.raises(ConfigurationError):
-        build_basis([], range(3), (0,))
+        Basis([], range(3), (0,))
 
 
 def test_ordering_level_then_nz_then_nx():
-    basis = build_basis([C, A], [1, -1], [0, 2])
+    basis = Basis([C, A], [1, -1], [0, 2])
     assert basis.states[0] == RecoilState(A, -1, 0)
     assert basis.states[1] == RecoilState(A, -1, 2)
     assert basis.states[2] == RecoilState(A, 1, 0)
@@ -44,8 +44,8 @@ def test_ordering_level_then_nz_then_nx():
        window_x=st.sets(st.integers(-4, 4), min_size=1, max_size=4))
 @settings(max_examples=50, deadline=None)
 def test_build_deterministic_and_indexable(levels, window_z, window_x):
-    b1 = build_basis(levels, window_z, window_x)
-    b2 = build_basis(sorted(levels, key=lambda lv: lv.name, reverse=True),
+    b1 = Basis(levels, window_z, window_x)
+    b2 = Basis(sorted(levels, key=lambda lv: lv.name, reverse=True),
                      sorted(window_z, reverse=True), list(window_x))
     expected = [RecoilState(lv, nz, nx) for lv in InternalLevel if lv in levels
                 for nz in sorted(window_z) for nx in sorted(window_x)]
@@ -75,7 +75,7 @@ def test_span_window_guard():
 
 
 def test_wavefunction_normalization_and_lookup():
-    basis = build_basis([A, C], range(-1, 2))
+    basis = Basis([A, C], range(-1, 2))
     psi = WaveFunction.from_components(
         basis, {RecoilState(C, 0): 1.0, RecoilState(A, -1): 1.0})
     assert psi.norm() == pytest.approx(1.0, abs=1e-15)
@@ -83,7 +83,7 @@ def test_wavefunction_normalization_and_lookup():
 
 
 def test_observables_equal_superposition():
-    basis = build_basis([A, B, C], range(-5, 1))
+    basis = Basis([A, B, C], range(-5, 1))
     psi = WaveFunction.from_components(
         basis, {RecoilState(C, 0): 1.0, RecoilState(A, -4): 1.0})
     obs_a = psi.observables([A])
@@ -96,7 +96,7 @@ def test_observables_equal_superposition():
 
 
 def test_observables_empty_filter_undefined_not_zero():
-    basis = build_basis([A, B, C], range(-5, 1))
+    basis = Basis([A, B, C], range(-5, 1))
     psi = WaveFunction.from_components(
         basis, {RecoilState(C, 0): 1.0, RecoilState(A, -4): 1.0})
     obs_b = psi.observables([B])
@@ -106,7 +106,7 @@ def test_observables_empty_filter_undefined_not_zero():
 
 
 def test_momentum_spread():
-    basis = build_basis([A], range(-3, 4))
+    basis = Basis([A], range(-3, 4))
     psi = WaveFunction.from_components(
         basis, {RecoilState(A, 1): 1.0, RecoilState(A, -1): 1.0})
     obs = psi.observables([A])
@@ -137,7 +137,7 @@ def test_prune_never_removes_too_much():
                 max_size=7))
 @settings(max_examples=60, deadline=None)
 def test_components_reconstruct_state(amps):
-    basis = build_basis([A], range(0, len(amps)))
+    basis = Basis([A], range(0, len(amps)))
     psi = WaveFunction(basis, np.array(amps, dtype=complex))
     rebuilt = np.zeros(len(basis), dtype=complex)
     for state, amp in psi.components():
@@ -146,8 +146,8 @@ def test_components_reconstruct_state(amps):
 
 
 def test_project_onto_guards_population():
-    small = build_basis([A], range(0, 2))
-    big = build_basis([A], range(-2, 4))
+    small = Basis([A], range(0, 2))
+    big = Basis([A], range(-2, 4))
     psi = WaveFunction.from_components(small, {RecoilState(A, 0): 1.0})
     lifted = psi.project_onto(big)
     assert lifted.amplitude(RecoilState(A, 0)) == pytest.approx(1.0)

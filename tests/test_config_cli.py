@@ -116,7 +116,6 @@ OUT_OF_RANGE = [
     ("split2d", "params", {"beam_width_m": 0}),
     ("figure3", "toggles", {"decay_gamma_hz": -1e3}),
     ("ramsey", "output", {"scan_periods": 2.5}),
-    ("ramsey", "output", {"points_per_period": 10}),
     ("split1d", "output", {"grid_pitch_m": 0}),
     ("split2d", "output", {"grid_pitch_m": -1e-9}),
     ("split1d", "output", {"grid_samples": 0}),

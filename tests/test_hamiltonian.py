@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recoilsim.basis import RecoilState, build_basis
+from recoilsim.basis import Basis, RecoilState
 from recoilsim.errors import ConfigurationError
 from recoilsim.hamiltonian import assemble, compile_epoch, dark_state
 from recoilsim.params import InternalLevel, rb87
@@ -30,7 +30,7 @@ def sigma_event(pol, direction, peak=1e6, duration=1e-6):
 
 
 def test_no_pulses_is_diagonal_only(atom):
-    basis = build_basis([A, B, E1], range(-3, 4))
+    basis = Basis([A, B, E1], range(-3, 4))
     spec = assemble(basis, [], 0.0, atom)
     assert spec.couplings == []
     wr = atom.recoil_frequency
@@ -40,7 +40,7 @@ def test_no_pulses_is_diagonal_only(atom):
 
 def test_sigma_plus_recoil_bookkeeping(atom):
     # one coupling per rung, each stepping n_z by the photon direction
-    basis = build_basis([A, B, E1], range(-3, 4))
+    basis = Basis([A, B, E1], range(-3, 4))
     spec = assemble(basis, [sigma_event("sigma_plus", +1)], 0.5e-6, atom)
     assert spec.couplings, "beam should couple something"
     for i, j, amp in spec.couplings:
@@ -59,7 +59,7 @@ def test_sigma_plus_recoil_bookkeeping(atom):
 def test_counterpropagating_pair_builds_lambda_chain(atom):
     pair = counter_intuitive_pair(0, 50e-9, 2 * math.pi * 1e8, atom,
                                   direction=-1, start_rung=0)
-    basis = build_basis([A, B, E1], range(-5, 3))
+    basis = Basis([A, B, E1], range(-5, 3))
     spec = assemble(basis, pair.events, 75e-9, atom, pair.epoch.anchors)
     pairs = {(basis.states[i], basis.states[j]) for i, j, _ in spec.couplings}
     chain = {(RecoilState(A, 0), RecoilState(E1, -1)),
@@ -80,14 +80,14 @@ def test_counterpropagating_pair_builds_lambda_chain(atom):
 
 def test_hermitian_exactly_when_no_decay(atom):
     pair = counter_intuitive_pair(0, 50e-9, 2 * math.pi * 1e8, atom)
-    basis = build_basis([A, B, E1], range(-5, 3))
+    basis = Basis([A, B, E1], range(-5, 3))
     h = assemble(basis, pair.events, 60e-9, atom, pair.epoch.anchors).matrix()
     assert np.array_equal(h.real, h.real.T)
     assert np.array_equal(h.imag, -h.imag.T)
 
 
 def test_decay_appears_on_excited_levels_only(atom):
-    basis = build_basis([A, B, E1], range(-2, 3))
+    basis = Basis([A, B, E1], range(-2, 3))
     spec = assemble(basis, [], 0.0, atom, decay_rate=1e5)
     for i, state in enumerate(basis.states):
         expected = 1e5 if state.level.is_excited else 0.0
@@ -97,10 +97,10 @@ def test_decay_appears_on_excited_levels_only(atom):
 
 
 def test_pulse_referencing_missing_level_rejected(atom):
-    basis = build_basis([A, B], range(-2, 3))  # no intermediate level
+    basis = Basis([A, B], range(-2, 3))  # no intermediate level
     with pytest.raises(ConfigurationError):
         assemble(basis, [sigma_event("sigma_plus", +1)], 0.0, atom)
-    basis2 = build_basis([A, B, E1], range(-2, 3))  # no C
+    basis2 = Basis([A, B, E1], range(-2, 3))  # no C
     pulse = copropagating_pulse(math.pi, 1e6, atom, "a-c", axis="x")
     with pytest.raises(ConfigurationError):
         assemble(basis2, [pulse], 0.0, atom)
@@ -110,7 +110,7 @@ def test_chirped_effective_pulse_degenerate_diagonal(atom):
     # the chirp contract: both target states sit at the same diagonal value
     ev = effective_pulse(math.pi, 1e6, RecoilState(A, -2), RecoilState(C, -4),
                          atom, "sigma_pair", "z", chirp=True)
-    basis = build_basis([A, C], range(-8, 3))
+    basis = Basis([A, C], range(-8, 3))
     anchors = {A: (-2, 0), C: (-4, 0)}
     spec = assemble(basis, [ev], 0.0, atom, anchors)
     ia = basis.index_of(RecoilState(A, -2))
@@ -255,7 +255,7 @@ def test_compile_matches_per_state_reference(atom, levels, window_z, window_x,
         levels |= {E1} if ev.channel == CHANNEL_LAMBDA else set(ev.levels)
     if not levels:
         levels = {A}
-    basis = build_basis(levels, window_z, window_x)
+    basis = Basis(levels, window_z, window_x)
     h = compile_epoch(basis, events, atom, anchors, decay_rate)
     diagonal, decay, families = reference_compile(basis, events, atom,
                                                   anchors, decay_rate)

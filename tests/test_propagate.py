@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from recoilsim.basis import RecoilState, WaveFunction, build_basis
+from recoilsim.basis import Basis, RecoilState, WaveFunction
 from recoilsim.errors import ConfigurationError, IntegrationError
 from recoilsim.hamiltonian import compile_epoch
 from recoilsim.params import InternalLevel, rb87
@@ -38,7 +38,7 @@ def generalized_rabi(omega, delta, t):
 
 
 def run_two_level(atom, omega, duration, detuning=0.0, dt_factor=32.0):
-    basis = build_basis([A, C], range(-4, 3))
+    basis = Basis([A, C], range(-4, 3))
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
     plan = two_level_plan(atom, omega, duration, detuning)
     res = evolve_plan(psi, plan, atom, dt_factor=dt_factor)
@@ -64,7 +64,7 @@ def test_generalized_rabi_oracle_ten_random_triples(atom):
 
 
 def test_zero_hamiltonian_identity_up_to_kinetic_phases(atom):
-    basis = build_basis([A], range(-6, 9))
+    basis = Basis([A], range(-6, 9))
     psi = WaveFunction.from_components(
         basis, {RecoilState(A, 0): 1.0, RecoilState(A, 2): 1.0})
     duration = 1e-5
@@ -81,7 +81,7 @@ def test_zero_hamiltonian_identity_up_to_kinetic_phases(atom):
 def test_step_validates_stability_bound(atom):
     omega = 2 * math.pi * 1e6
     ev = copropagating_pulse(math.pi, omega, atom, "a-c", axis="x")
-    basis = build_basis([A, C], range(-1, 2))
+    basis = Basis([A, C], range(-1, 2))
     h = compile_epoch(basis, [ev], atom)
     limit = STABILITY_LIMIT / h.max_element()
     with pytest.raises(IntegrationError):
@@ -93,7 +93,7 @@ def test_norm_conserved_over_ten_thousand_steps(atom):
     # constant lambda drive via two square sigma beams, >= 1e4 RK4 steps
     from recoilsim.pulses import PulseEnvelope, PulseEvent, SQUARE
     omega = 2 * math.pi * 5e5
-    basis = build_basis([A, B, E1], range(-3, 4))
+    basis = Basis([A, B, E1], range(-3, 4))
     duration = 10_500 / (32 * (omega + 4 * atom.recoil_frequency))
     lead = PulseEvent(PulseEnvelope(SQUARE, omega, 0.0, duration),
                       "sigma_plus", "z", +1, "adiabatic_lambda")
@@ -112,7 +112,7 @@ def test_cross_axis_momentum_conserved_under_z_pulses(atom):
     # z-axis beams cannot change the transverse momentum distribution
     from recoilsim.pulses import build_adiabatic_sequence
     plan = build_adiabatic_sequence(2, 50e-9, 2 * math.pi * 1e8, atom)
-    basis = build_basis([A, B, E1], range(-7, 4), (2,))
+    basis = Basis([A, B, E1], range(-7, 4), (2,))
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0, 2): 1.0})
     out = evolve_plan(psi, plan, atom).psi
     w = np.abs(out.amplitudes) ** 2
@@ -130,7 +130,7 @@ def test_two_level_oracle_inside_large_basis(atom):
     ev = effective_pulse(omega * t, omega, RecoilState(A, 5),
                          RecoilState(C, 3), atom, "sigma_pair", "z",
                          bias_detuning=delta)
-    basis = build_basis([A, B, C, E1], range(-40, 41))
+    basis = Basis([A, B, C, E1], range(-40, 41))
     anchors = {A: (5, 0), C: (3, 0)}
     plan = SequencePlan(kind="pair", epochs=[Epoch(0.0, t, (ev,), anchors)])
     psi = WaveFunction.from_components(basis, {RecoilState(A, 5): 1.0})
@@ -142,7 +142,7 @@ def test_two_level_oracle_inside_large_basis(atom):
 def test_auto_extension_grows_window(atom):
     from recoilsim.pulses import build_adiabatic_sequence
     plan = build_adiabatic_sequence(3, 50e-9, 2 * math.pi * 1e8, atom)
-    basis = build_basis([A, B, E1], range(-4, 2))  # too small for 3 pairs
+    basis = Basis([A, B, E1], range(-4, 2))  # too small for 3 pairs
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
     out = evolve_plan(psi, plan, atom).psi
     assert out.basis.window_z()[0] < -4
@@ -152,7 +152,7 @@ def test_auto_extension_grows_window(atom):
 def test_memory_budget_enforced(atom):
     from recoilsim.pulses import build_adiabatic_sequence
     plan = build_adiabatic_sequence(3, 50e-9, 2 * math.pi * 1e8, atom)
-    basis = build_basis([A, B, E1], range(-4, 2))
+    basis = Basis([A, B, E1], range(-4, 2))
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
     with pytest.raises(ConfigurationError):
         evolve_plan(psi, plan, atom, max_states=20)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from recoilsim.basis import RecoilState, WaveFunction, build_basis
+from recoilsim.basis import Basis, RecoilState, WaveFunction
 from recoilsim.hamiltonian import compile_epoch, dark_state
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.propagate import evolve_plan, ladder_basis
@@ -75,7 +75,7 @@ def test_pi_pulse_area_sensitivity_formula(atom):
     # contrast case: a bare two-level pi pulse leaves cos^2((1+eps)pi/2)
     # behind for an area error eps
     omega = TWO_PI * 5e5
-    basis = build_basis([A, C], range(-4, 3))
+    basis = Basis([A, C], range(-4, 3))
     for eps in (-0.2, -0.1, -0.03, 0.05, 0.15):
         area = (1 + eps) * math.pi
         ev = effective_pulse(area, omega, RecoilState(A, 0),
@@ -98,7 +98,7 @@ def test_dark_state_stationary_under_constant_drive(atom):
     b_leg = PulseEvent(PulseEnvelope(SQUARE, g_minus, 0.0, duration),
                        "sigma_plus", "z", +1, "adiabatic_lambda")
     anchors = {A: (0, 0), E1: (-1, 0), B: (-2, 0)}
-    basis = build_basis([A, B, E1], range(-6, 5))
+    basis = Basis([A, B, E1], range(-6, 5))
     psi = dark_state(g_plus, g_minus, 0, -1, basis=basis)
     plan = SequencePlan(kind="hold", epochs=[
         Epoch(0.0, duration, (a_leg, b_leg), anchors)])
@@ -118,7 +118,7 @@ def test_bright_state_is_driven(atom):
     b_leg = PulseEvent(PulseEnvelope(SQUARE, g_minus, 0.0, duration),
                        "sigma_plus", "z", +1, "adiabatic_lambda")
     anchors = {A: (0, 0), E1: (-1, 0), B: (-2, 0)}
-    basis = build_basis([A, B, E1], range(-6, 5))
+    basis = Basis([A, B, E1], range(-6, 5))
     norm = math.hypot(g_plus, g_minus)
     bright = WaveFunction.from_components(
         basis, {RecoilState(A, 0): g_plus / norm,
@@ -172,7 +172,7 @@ def test_momentum_selection_in_parallel_raman_pulse(atom):
     plan = build_raman_sequence("none", 1, t_pi, omega, "z", atom,
                                 start_rung=0, c_start_rung=-2,
                                 start_direction=+1)
-    basis = build_basis([A, C], range(-30, 31))
+    basis = Basis([A, C], range(-30, 31))
     psi = WaveFunction.from_components(
         basis, {RecoilState(A, 0): 1 / math.sqrt(2),
                 RecoilState(C, -2): 1 / math.sqrt(2)})
