@@ -27,11 +27,12 @@ PRUNE_NORM_BUDGET = 1e-12    # max total probability a prune may remove
 def prune_dust(amps: np.ndarray) -> None:
     """Zero, in place, all amplitudes with 0 < |amp|^2 < PRUNE_FLOOR, unless
     together they hold more than PRUNE_NORM_BUDGET of probability: then none
-    is touched, so a prune can never move the norm measurably."""
+    is touched, so a prune can never move the norm measurably.  A batch
+    (B, n) is pruned row by row, each against its own budget."""
     w = np.abs(amps) ** 2
     small = (w > 0.0) & (w < PRUNE_FLOOR)
-    if small.any() and float(w[small].sum()) <= PRUNE_NORM_BUDGET:
-        amps[small] = 0.0
+    dust = np.where(small, w, 0.0).sum(axis=-1, keepdims=True)
+    amps[small & (dust <= PRUNE_NORM_BUDGET)] = 0.0
 
 
 class RecoilState(NamedTuple):
@@ -129,8 +130,19 @@ class Observables:
     spread: float | None
 
 
+def _per_member(x):
+    """A float for one wavefunction, an array over the members of a batch."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 class WaveFunction:
-    """Complex amplitudes over a Basis at a given time."""
+    """Complex amplitudes over a Basis at a given time.
+
+    The amplitudes are one vector (n,) or a batch (B, n) of members on the
+    same basis.  ``total_population``, ``population``,
+    ``boundary_population`` and ``project_onto`` act per member; the other
+    methods need a single wavefunction.
+    """
 
     def __init__(self, basis: Basis, amplitudes: np.ndarray | None = None,
                  time: float = 0.0):
@@ -139,7 +151,8 @@ class WaveFunction:
             amplitudes = np.zeros(len(basis), dtype=np.complex128)
         else:
             amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-            if amplitudes.shape != (len(basis),):
+            if amplitudes.ndim not in (1, 2) or \
+                    amplitudes.shape[-1] != len(basis):
                 raise ConfigurationError("amplitude vector does not match basis size")
         self.amplitudes = amplitudes
         self.time = float(time)
@@ -165,17 +178,17 @@ class WaveFunction:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
-    def total_population(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+    def total_population(self):
+        return _per_member(np.sum(np.abs(self.amplitudes) ** 2, axis=-1))
 
     def amplitude(self, state: RecoilState) -> complex:
         return complex(self.amplitudes[self.basis.index_of(state)])
 
-    def population(self, levels: Iterable[InternalLevel] | None = None) -> float:
+    def population(self, levels: Iterable[InternalLevel] | None = None):
         w = np.abs(self.amplitudes) ** 2
-        if levels is None:
-            return float(w.sum())
-        return float(w[self.basis.level_mask(levels)].sum())
+        if levels is not None:
+            w = w[..., self.basis.level_mask(levels)]
+        return _per_member(w.sum(axis=-1))
 
     def observables(self, levels: Iterable[InternalLevel] | None = None,
                     axis: str = "z") -> Observables:
@@ -194,14 +207,15 @@ class WaveFunction:
         var = float(np.sum((n - mean) ** 2 * w) / pop)
         return Observables(population=pop, mean=mean, spread=float(np.sqrt(max(var, 0.0))))
 
-    def boundary_population(self, margin: int = 1) -> float:
+    def boundary_population(self, margin: int = 1):
         """Probability sitting within ``margin`` rungs of the window edge."""
         zmin, zmax = self.basis.window_z()
         xmin, xmax = self.basis.window_x()
         near = (self.basis.n_z <= zmin + margin - 1) | (self.basis.n_z >= zmax - margin + 1)
         if xmax > xmin:
             near |= (self.basis.n_x <= xmin + margin - 1) | (self.basis.n_x >= xmax - margin + 1)
-        return float(np.sum(np.abs(self.amplitudes[near]) ** 2))
+        return _per_member(
+            np.sum(np.abs(self.amplitudes[..., near]) ** 2, axis=-1))
 
     def components(self, floor: float = 0.0) -> list[tuple[RecoilState, complex]]:
         """(state, amplitude) pairs with |amp|^2 above ``floor``, basis order."""
@@ -214,13 +228,15 @@ class WaveFunction:
 
     def project_onto(self, basis: Basis) -> "WaveFunction":
         """Re-express on another basis; errors if population would be lost."""
-        out = WaveFunction(basis, time=self.time)
         target = basis.locate(self.basis.level_codes, self.basis.n_z,
                               self.basis.n_x)
-        lost = float(np.sum(np.abs(self.amplitudes[target < 0]) ** 2))
+        lost = np.max(np.sum(np.abs(self.amplitudes[..., target < 0]) ** 2,
+                             axis=-1))
         if lost > 1e-12:
             raise ConfigurationError(
                 f"target basis drops {lost:.3e} of population")
-        keep = (target >= 0) & (self.amplitudes != 0)
-        out.amplitudes[target[keep]] = self.amplitudes[keep]
-        return out
+        keep = target >= 0
+        amps = np.zeros(self.amplitudes.shape[:-1] + (len(basis),),
+                        dtype=np.complex128)
+        amps[..., target[keep]] = self.amplitudes[..., keep]
+        return WaveFunction(basis, amps, self.time)

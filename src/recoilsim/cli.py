@@ -188,7 +188,7 @@ def _run_ramsey(cfg, out_dir, base):
     summary_path = out_dir / f"{base}.summary.csv"
     write_csv(summary_path, ["quantity", "value"], [
         ("tau_s", result.tau),
-        ("population_c_at_zero", result.pc_of(0.0)),
+        ("population_c_at_zero", scan.population_at_zero),
         ("fringe_period_hz", scan.fringe_period_hz),
         ("central_width_hz", scan.central_width_hz),
         ("width_scale_hz", scan.width_scale_hz),

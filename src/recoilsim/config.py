@@ -144,6 +144,12 @@ _OUTPUT_SCHEMAS = {
 # on every section that has the key.  An arm floor below PRUNE_FLOOR would
 # keep components the dust prune may zero; a grid needs two samples per axis.
 _RANGES = {
+    "n_pairs": (lambda v: v >= 1, ">= 1"),
+    "direction": (lambda v: v in (-1, 1), "-1 or +1"),
+    "target_tau_s": (lambda v: v > 0, "> 0"),
+    "coherence_length_m": (lambda v: v > 0, "> 0"),
+    "magnification": (lambda v: v > 0, "> 0"),
+    "pitch_m": (lambda v: v > 0, "> 0"),
     "samples_per_pair": (lambda v: v >= 1, ">= 1"),
     "ladder_n": (lambda v: v >= 1, ">= 1"),
     "omega_eff_hz": (lambda v: v > 0, "> 0"),

@@ -222,6 +222,7 @@ def contrast(pattern: FringePattern,
 class RamseyScan:
     deltas: np.ndarray            # rad/s
     populations: np.ndarray       # P_c per delta
+    population_at_zero: float     # P_c at exactly zero detuning
     tau: float
     fringe_period_hz: float       # measured from minima spacing
     central_width_hz: float       # half the span between minima around zero
@@ -236,8 +237,11 @@ def ramsey_scan(result, periods: float = 3.2,
                 points_per_period: int = 100) -> RamseyScan:
     """Scan the closing pulse's two-photon detuning and read P_c.
 
-    ``result`` must expose ``tau`` (s) and ``pc_of(delta_rad_s)``.  The grid
-    must span at least 3 fringe periods with at least 20 points each.
+    ``result`` must expose ``tau`` (s) and ``pc_of(deltas_rad_s)``, which
+    takes an array and returns one population per entry.  The grid must
+    span at least 3 fringe periods with at least 20 points each.  The whole
+    grid plus one member at exactly zero detuning (the odd grid's midpoint
+    is only zero up to rounding) is evaluated in one call.
     """
     if periods < 3:
         raise ConfigurationError("scan must span at least 3 fringe periods")
@@ -248,7 +252,8 @@ def ramsey_scan(result, periods: float = 3.2,
     half_span = periods / 2 * period_rad
     n = int(round(periods * points_per_period)) | 1  # odd: include delta=0
     deltas = np.linspace(-half_span, half_span, n)
-    pops = np.array([result.pc_of(float(d)) for d in deltas])
+    pops = result.pc_of(np.append(deltas, 0.0))
+    pops, at_zero = pops[:-1], float(pops[-1])
 
     minima = _local_minima(deltas, pops)
     if len(minima) < 2:
@@ -263,7 +268,7 @@ def ramsey_scan(result, periods: float = 3.2,
         central_width = period_meas
     period_hz = period_meas / (2 * math.pi)
     return RamseyScan(
-        deltas=deltas, populations=pops, tau=tau,
+        deltas=deltas, populations=pops, population_at_zero=at_zero, tau=tau,
         fringe_period_hz=period_hz,
         central_width_hz=central_width / (2 * math.pi),
         width_scale_hz=1.0 / (2 * math.pi * (1.0 / period_hz)))

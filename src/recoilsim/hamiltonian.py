@@ -15,11 +15,17 @@ partner per family), so H*psi is a handful of vectorized gather-multiply
 operations.  That matching structure is also the physical content of the
 momentum selection rules: within one family a state can only ever reach its
 single partner.
+
+A family may carry a leading batch axis: ``pattern`` and ``rate`` of shape
+(B, n) hold B members that share the permutation, diagonal, decay and
+envelope, such as one closing pulse at B detunings.  Every operation below
+is elementwise over that axis, so each member's arithmetic is exactly that
+of an operator compiled for it alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,8 +44,8 @@ class CouplingFamily:
     """One beam or tone, expanded over the basis as a perfect matching."""
 
     perm: np.ndarray       # partner index per state (identity where uncoupled)
-    pattern: np.ndarray    # complex; H[i, perm[i]] = envelope(t) * pattern[i] * e^{i rate[i] t}
-    rate: np.ndarray       # rad/s phase-ramp per entry (anti-symmetric over the matching)
+    pattern: np.ndarray    # complex, (n,) or (B, n); H[i, perm[i]] = envelope(t) * pattern[i] * e^{i rate[i] t}
+    rate: np.ndarray       # rad/s phase-ramp per entry, shaped like pattern (anti-symmetric over the matching)
     envelope_value: object  # callable t -> scalar envelope
     peak: float
     label: str = ""
@@ -62,7 +68,7 @@ class CouplingFamily:
         env = self._env(t)
         if env == 0.0:
             return
-        psi.take(self.perm, out=buf)
+        psi.take(self.perm, axis=-1, out=buf)
         buf *= self.pattern
         if self.has_rate:
             buf *= np.exp(1j * t * self.rate)
@@ -90,7 +96,11 @@ class HamiltonianSpec:
 
 
 class EpochHamiltonian:
-    """Compiled operator for one epoch: static structure, scalar envelopes."""
+    """Compiled operator for one epoch: static structure, scalar envelopes.
+
+    ``psi`` may be one state vector (n,) or a batch (B, n); the peak and
+    bound queries return one value per member when a family is batched.
+    """
 
     def __init__(self, diagonal: np.ndarray,
                  families: list[CouplingFamily], decay: np.ndarray):
@@ -98,52 +108,77 @@ class EpochHamiltonian:
         self.decay = decay
         self._diag_complex = diagonal - 0.5j * decay
         self.families = families
-        self._buf = np.empty(len(diagonal), dtype=np.complex128)
 
-    def derivative_into(self, t: float, psi: np.ndarray,
-                        out: np.ndarray) -> None:
+    @property
+    def batched(self) -> bool:
+        return any(fam.pattern.ndim > 1 for fam in self.families)
+
+    def derivative_into(self, t: float, psi: np.ndarray, out: np.ndarray,
+                        buf: np.ndarray) -> None:
+        """out = -i H(t) psi; ``buf`` is scratch shaped like ``psi``."""
         np.multiply(self._diag_complex, psi, out=out)
         for fam in self.families:
-            fam.apply_into(t, psi, out, self._buf)
+            fam.apply_into(t, psi, out, buf)
         out *= -1j
 
-    def max_element(self) -> float:
-        peak = float(np.max(np.abs(self._diag_complex))) if len(self.diagonal) else 0.0
-        for fam in self.families:
-            peak = max(peak, fam.peak * float(np.max(np.abs(fam.pattern))))
+    def _diag_max(self) -> float:
+        return float(np.max(np.abs(self._diag_complex))) if len(self.diagonal) else 0.0
+
+    def _peak_elements(self) -> list:
+        """Largest |H element| of each family, per member for a batch."""
+        return [fam.peak * np.max(np.abs(fam.pattern), axis=-1)
+                for fam in self.families]
+
+    def max_element(self):
+        peak = self._diag_max()
+        for elem in self._peak_elements():
+            peak = np.maximum(peak, elem)
         return peak
 
-    def row_bound(self, t0: float | None = None,
-                  t1: float | None = None) -> float:
+    def row_bound(self, t0: float | None = None, t1: float | None = None):
         """Gershgorin-style bound on the spectral radius.
 
         With a time window, the envelopes are sampled over it so beams that
         never peak simultaneously are not double-counted.
         """
-        diag_max = float(np.max(np.abs(self._diag_complex))) if len(self.diagonal) else 0.0
-        elem = [fam.peak * float(np.max(np.abs(fam.pattern)))
-                for fam in self.families]
+        diag_max = self._diag_max()
+        elem = self._peak_elements()
         if t0 is None or t1 is None or t1 <= t0 or not self.families:
             return diag_max + sum(elem)
         grid = np.linspace(t0, t1, 257)
-        total = np.zeros_like(grid)
-        for fam, peak_elem in zip(self.families, elem):
-            if fam.peak == 0:
-                continue
-            scale = peak_elem / fam.peak
-            total += scale * np.array([fam.envelope_value(t) for t in grid])
-        # small safety factor against the sampling missing the true peak
-        return diag_max + 1.02 * float(total.max())
+        envelopes = [np.array([fam.envelope_value(t) for t in grid])
+                     if fam.peak else None for fam in self.families]
+        # batch members mostly share their peak elements (over a detuning
+        # scan they differ by an ulp at most), so each distinct row of them
+        # is summed once instead of building a (B, 257) array
+        distinct = {}
+        member = [distinct.setdefault(tuple(row), len(distinct)) for row in
+                  np.column_stack(np.broadcast_arrays(*elem)).tolist()]
+        bound = np.empty(len(distinct))
+        for r, row in enumerate(distinct):
+            total = np.zeros_like(grid)
+            for fam, peak_elem, envelope in zip(self.families, row, envelopes):
+                if fam.peak == 0:
+                    continue
+                scale = peak_elem / fam.peak
+                total += scale * envelope
+            # small safety factor against the sampling missing the true peak
+            bound[r] = diag_max + 1.02 * total.max()
+        return bound[member] if self.batched else bound[0]
 
     def active_mask(self, amps: np.ndarray) -> np.ndarray:
         """States reachable from nonzero amplitudes via this epoch's
         couplings.  Everything outside stays exactly zero under the
-        evolution, so it can be excluded with no approximation."""
-        active = np.abs(amps) > 0.0
+        evolution, so it can be excluded with no approximation.  For a
+        batch, the union over its members."""
+        n = len(self.diagonal)
+        active = (np.abs(amps) > 0.0).reshape(-1, n).any(axis=0)
+        coupled = [(fam.pattern != 0).reshape(-1, n).any(axis=0)
+                   for fam in self.families]
         while True:
             grown = active.copy()
-            for fam in self.families:
-                grown |= (fam.pattern != 0) & active[fam.perm]
+            for fam, links in zip(self.families, coupled):
+                grown |= links & active[fam.perm]
             if bool(np.array_equal(grown, active)):
                 return active
             active = grown
@@ -154,7 +189,7 @@ class EpochHamiltonian:
         inverse[idx] = np.arange(len(idx))
         families = []
         for fam in self.families:
-            pattern = fam.pattern[idx]
+            pattern = fam.pattern[..., idx]
             if not np.any(pattern):
                 continue
             perm = inverse[fam.perm[idx]]
@@ -162,12 +197,18 @@ class EpochHamiltonian:
             if np.any(loose & (pattern != 0)):
                 raise ValueError("index set not closed under couplings")
             perm[loose] = np.nonzero(loose)[0]
-            rate = fam.rate[idx]
+            rate = fam.rate[..., idx]
             families.append(CouplingFamily(
                 perm=perm, pattern=pattern, rate=rate,
                 envelope_value=fam.envelope_value, peak=fam.peak,
                 label=fam.label, has_rate=bool(np.any(rate[pattern != 0]))))
         return EpochHamiltonian(self.diagonal[idx], families, self.decay[idx])
+
+    def members(self, rows) -> "EpochHamiltonian":
+        """The operator of the batch members ``rows`` alone."""
+        families = [replace(fam, pattern=fam.pattern[rows], rate=fam.rate[rows])
+                    if fam.pattern.ndim > 1 else fam for fam in self.families]
+        return EpochHamiltonian(self.diagonal, families, self.decay)
 
     def snapshot(self, basis: Basis, t: float) -> HamiltonianSpec:
         couplings = []
@@ -235,22 +276,24 @@ def _effective_family(basis: Basis, event: PulseEvent, atom: AtomParams,
     ref = event.reference_rung if event.reference_rung is not None else 0
     wr = atom.recoil_frequency
     tone = wr * ((ref + event.delta_n) ** 2 - ref ** 2) if event.delta_n else 0.0
-    rho = tone + event.bias_detuning - (shift_t - shift_f)
+    # an array bias and phase give one member per entry
+    rho = np.asarray(tone + event.bias_detuning - (shift_t - shift_f))[..., None]
+    half = np.asarray(0.5 * np.exp(1j * event.phase))[..., None]
 
     i, j, perm = _matching(basis, lf, event.delta_n, lt, event.axis,
                            event.target_rung)
-    half = 0.5 * np.exp(1j * event.phase)
-    pattern = np.zeros(len(basis), dtype=np.complex128)
-    pattern[j] = half          # H[to, from]
-    pattern[i] = np.conj(half)
-    rate = np.zeros(len(basis), dtype=np.float64)
-    rate[j] = -rho
-    rate[i] = +rho
+    shape = np.broadcast_shapes(rho.shape, half.shape)[:-1] + (len(basis),)
+    pattern = np.zeros(shape, dtype=np.complex128)
+    pattern[..., j] = half          # H[to, from]
+    pattern[..., i] = np.conj(half)
+    rate = np.zeros(shape, dtype=np.float64)
+    rate[..., j] = -rho
+    rate[..., i] = +rho
     return CouplingFamily(perm=perm, pattern=pattern, rate=rate,
                           envelope_value=event.envelope.value,
                           peak=event.envelope.peak_rabi,
                           label=f"{event.polarization}:{lf.tag}->{lt.tag}",
-                          has_rate=bool(abs(rho) > 0.0))
+                          has_rate=bool(np.any(rho != 0.0)))
 
 
 def compile_epoch(basis: Basis, events, atom: AtomParams,

@@ -258,16 +258,22 @@ class RamseyResult:
     _scan_basis: object = field(repr=False, default=None)
     _scan_psi: object = field(repr=False, default=None)
 
-    def pc_of(self, delta: float) -> float:
+    def pc_of(self, delta):
         """Population left in level C after the closing pi/2 at detuning
-        ``delta`` (rad/s)."""
+        ``delta`` (rad/s): a float, or for a 1-D array of detunings an array,
+        evaluated as one batch under one compiled pulse."""
+        if np.ndim(delta):
+            delta = np.asarray(delta, dtype=np.float64)
         pulse = effective_pulse(
             math.pi / 2, self.params.omega_eff,
             RecoilState(InternalLevel.C, 0), RecoilState(InternalLevel.B, 2),
             self.atom, "sigma_pair", "z", chirp=True,
             bias_detuning=delta, phase=delta * self.tau)
         plan = _single_pulse_plan(pulse)
-        psi = WaveFunction(self._scan_basis, self._scan_psi.copy(), 0.0)
+        # evolve_plan copies the amplitudes, so a broadcast view will do
+        amps = np.broadcast_to(self._scan_psi,
+                               np.shape(delta) + self._scan_psi.shape)
+        psi = WaveFunction(self._scan_basis, amps, 0.0)
         out = evolve_plan(psi, plan, self.atom).psi
         return out.population([InternalLevel.C])
 

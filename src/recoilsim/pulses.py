@@ -114,8 +114,10 @@ class PulseEvent:
     delta_n: int = 0              # net recoil on `axis` for from -> to
     target_rung: int | None = None
     reference_rung: int | None = None  # rung the tone is actually tuned to
-    bias_detuning: float = 0.0    # deliberate two-photon detuning (scan knob)
-    phase: float = 0.0            # coupling phase, rad
+    # deliberate two-photon detuning (scan knob) and coupling phase; arrays
+    # of one shape compile to a batch with one member per entry
+    bias_detuning: float = 0.0    # rad/s
+    phase: float = 0.0            # rad
 
     def __post_init__(self):
         if self.axis not in ("z", "x"):

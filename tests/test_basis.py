@@ -132,6 +132,22 @@ def test_prune_never_removes_too_much():
     assert np.array_equal(amps, dust)
 
 
+def test_prune_each_row_against_its_own_budget():
+    rows = np.zeros((3, 2000), dtype=complex)
+    rows[:, 0] = 1.0
+    rows[0, 1:31] = 1e-8     # 3e-15 of dust: within its budget
+    rows[1, 1:] = 7e-8       # ~1e-11 of dust: over budget, left whole
+    rows[2, 1] = 1e-9        # one speck
+    before = rows.copy()
+    prune_dust(rows)
+    # pooled, the batch's dust would exceed the budget and nothing would go
+    assert [np.count_nonzero(row) for row in rows] == [1, 2000, 1]
+    for row, ref in zip(rows, before):
+        alone = ref.copy()
+        prune_dust(alone)
+        assert np.array_equal(row, alone)
+
+
 @given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
                                    allow_infinity=False), min_size=1,
                 max_size=7))

@@ -120,6 +120,17 @@ OUT_OF_RANGE = [
     ("split2d", "output", {"grid_pitch_m": -1e-9}),
     ("split1d", "output", {"grid_samples": 0}),
     ("split2d", "output", {"grid_samples": 1}),
+    ("figure3", "params", {"n_pairs": 0}),
+    ("figure3", "params", {"direction": 0}),
+    ("figure3", "params", {"direction": 2}),
+    ("ramsey", "params", {"target_tau_s": -1}),
+    ("ramsey", "params", {"target_tau_s": 0}),
+    ("fringes", "params", {"arms": [{"amplitude_re": 1.0, "n_z": 0}],
+                           "coherence_length_m": 0}),
+    # input_pgm is required, so without it that error would fire first
+    ("pattern", "params", {"input_pgm": "any.pgm", "magnification": 0}),
+    ("pattern", "params", {"input_pgm": "any.pgm", "magnification": -2}),
+    ("pattern", "params", {"input_pgm": "any.pgm", "pitch_m": -1}),
 ]
 
 
@@ -129,7 +140,8 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     path2 = tmp_path / "missing.json"
     assert main(["run", str(path2), "--out", str(tmp_path / "out")]) == 2
     capsys.readouterr()
-    # out-of-range values are rejected with one line before any propagation
+    # out-of-range values are rejected with one line before any propagation;
+    # the offending key is the last one of each case
     for plan, section, values in OUT_OF_RANGE:
         doc = {"plan": plan, section: values}
         path = write_config(tmp_path, doc)
@@ -137,6 +149,7 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {section}") and \
             err.count("\n") == 1
+        assert f".{list(values)[-1]} must be" in err
         with pytest.raises(ConfigurationError):
             validate_config(doc)
 

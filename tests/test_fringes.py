@@ -154,7 +154,7 @@ class AnalyticRamsey:
         self.phase = phase
 
     def pc_of(self, delta):
-        return math.sin((delta * self.tau + self.phase) / 2) ** 2
+        return np.sin((delta * self.tau + self.phase) / 2) ** 2
 
 
 def test_scan_measures_period_and_widths():
@@ -165,6 +165,17 @@ def test_scan_measures_period_and_widths():
     assert scan.width_scale_hz == pytest.approx(1 / (2 * math.pi * tau),
                                                 abs=0.005)
     assert scan.populations.min() < 1e-4
+    # the zero-detuning member is evaluated but kept off the grid
+    assert len(scan.deltas) == len(scan.populations) == 321
+    assert scan.population_at_zero == AnalyticRamsey(tau).pc_of(0.0)
+
+
+def test_scan_reads_exact_zero_not_the_grid_midpoint():
+    # at this tau the 1601-point grid's midpoint is -2.8e-14 rad/s
+    scan = ramsey_scan(AnalyticRamsey(0.10251), periods=8,
+                       points_per_period=200)
+    assert scan.deltas[len(scan.deltas) // 2] != 0.0
+    assert scan.population_at_zero == 0.0
 
 
 def test_scan_phase_shift_mapping():

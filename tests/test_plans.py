@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recoilsim.errors import PhysicsError
 from recoilsim.params import InternalLevel
@@ -96,6 +99,30 @@ class TestRamsey:
     def test_too_short_tau_rejected(self, atom):
         with pytest.raises(PhysicsError):
             run_plan_ramsey(RamseyParams(target_tau=1e-6), atom)
+
+
+@pytest.fixture(scope="module")
+def short_ramsey(atom):
+    return run_plan_ramsey(RamseyParams(ladder_n=1), atom)
+
+
+@given(picks=st.lists(st.integers(0, 320), max_size=10),
+       others=st.lists(st.floats(-300.0, 300.0), max_size=4),
+       arm_phase=st.sampled_from([None, 0.9, -2.3]))
+@settings(max_examples=30, deadline=None)
+def test_batched_pc_of_matches_single_calls(short_ramsey, picks, others,
+                                            arm_phase):
+    result = short_ramsey if arm_phase is None else \
+        short_ramsey.with_arm_phase(arm_phase)
+    # values of the default scan grid, exact zero of both signs, and others
+    half_span = 3.2 / 2 * (2 * math.pi / result.tau)
+    grid = np.linspace(-half_span, half_span, 321)
+    deltas = np.array([0.0, -0.0, *grid[picks], *others])
+    batch = result.pc_of(deltas)
+    single = [result.pc_of(float(d)) for d in deltas]
+    assert all(type(p) is float for p in single)
+    assert batch.shape == deltas.shape
+    assert np.array_equal(batch, single)
 
 
 class TestPlan2D:

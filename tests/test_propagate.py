@@ -7,7 +7,7 @@ import pytest
 
 from recoilsim.basis import Basis, RecoilState, WaveFunction
 from recoilsim.errors import ConfigurationError, IntegrationError
-from recoilsim.hamiltonian import compile_epoch
+from recoilsim.hamiltonian import EpochHamiltonian, compile_epoch
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.propagate import (STABILITY_LIMIT, check_stability,
                                  evolve_plan)
@@ -156,3 +156,57 @@ def test_memory_budget_enforced(atom):
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
     with pytest.raises(ConfigurationError):
         evolve_plan(psi, plan, atom, max_states=20)
+
+
+def test_batch_member_keeps_its_own_step_count(atom, monkeypatch):
+    omega = 2 * math.pi * 4e5
+    duration = 0.8 * math.pi / omega
+    detunings = np.array([0.0, 0.3 * omega, -0.5 * omega])
+    basis = Basis([A, C], range(-4, 3))
+    single = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
+    batch = WaveFunction(basis, np.tile(single.amplitudes, (3, 1)))
+    plan = two_level_plan(atom, omega, duration, detunings)
+
+    def alone(k, dt_factor=32.0):
+        plan_k = two_level_plan(atom, omega, duration, float(detunings[k]))
+        return evolve_plan(single, plan_k, atom, dt_factor=dt_factor)
+
+    plain = evolve_plan(batch, plan, atom)
+    assert plain.psi.amplitudes.shape == (3, len(basis))
+    assert plain.steps == alone(0).steps
+    for k in range(3):
+        assert np.array_equal(plain.psi.amplitudes[k], alone(k).psi.amplitudes)
+
+    # triple member 1's bound: it alone needs the steps of dt_factor 96
+    # (32 * (3 * bound) rounds exactly as 96 * bound)
+    row_bound = EpochHamiltonian.row_bound
+
+    def boosted(self, t0=None, t1=None):
+        bound = row_bound(self, t0, t1)
+        return bound * np.array([1.0, 3.0, 1.0]) if np.ndim(bound) else bound
+
+    monkeypatch.setattr(EpochHamiltonian, "row_bound", boosted)
+    split = evolve_plan(batch, plan, atom)
+    finer = alone(1, dt_factor=96.0)
+    assert finer.steps > alone(1).steps
+    assert split.steps == alone(0).steps + finer.steps
+    assert np.array_equal(split.psi.amplitudes[1], finer.psi.amplitudes)
+    for k in (0, 2):
+        assert np.array_equal(split.psi.amplitudes[k], alone(k).psi.amplitudes)
+
+
+def test_batch_window_grows_when_any_member_nears_the_edge(atom):
+    from recoilsim.pulses import build_adiabatic_sequence
+    plan = build_adiabatic_sequence(3, 50e-9, 2 * math.pi * 1e8, atom)
+    basis = Basis([A, B, C, E1], range(-4, 2))  # too small for 3 pairs
+    still = WaveFunction.from_components(basis, {RecoilState(C, -2): 1.0})
+    mover = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
+    assert evolve_plan(still, plan, atom).psi.basis.window_z() == (-4, 1)
+    batch = WaveFunction(basis, np.stack([still.amplitudes,
+                                          mover.amplitudes]))
+    out = evolve_plan(batch, plan, atom).psi
+    alone = evolve_plan(mover, plan, atom).psi
+    assert out.basis.window_z() == alone.basis.window_z()
+    assert out.basis.window_z()[0] < -4
+    assert out.population([C])[0] == pytest.approx(1.0, abs=1e-9)
+    assert np.max(np.abs(out.amplitudes[1] - alone.amplitudes)) < 1e-9
