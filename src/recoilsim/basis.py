@@ -211,7 +211,10 @@ class WaveFunction:
         """Probability sitting within ``margin`` rungs of the window edge."""
         zmin, zmax = self.basis.window_z()
         xmin, xmax = self.basis.window_x()
-        near = (self.basis.n_z <= zmin + margin - 1) | (self.basis.n_z >= zmax - margin + 1)
+        # a one-rung window is a cross axis, not an edge
+        near = np.zeros(len(self.basis), dtype=bool)
+        if zmax > zmin:
+            near |= (self.basis.n_z <= zmin + margin - 1) | (self.basis.n_z >= zmax - margin + 1)
         if xmax > xmin:
             near |= (self.basis.n_x <= xmin + margin - 1) | (self.basis.n_x >= xmax - margin + 1)
         return _per_member(

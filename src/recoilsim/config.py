@@ -164,6 +164,11 @@ _RANGES = {
     "scan_periods": (lambda v: v >= 3, ">= 3"),
     "grid_pitch_m": (lambda v: v > 0, "> 0"),
     "grid_samples": (lambda v: v >= 2, ">= 2"),
+    "p_pulses": (lambda v: v >= 2 and v % 2 == 0, "even and >= 2"),
+    "p_reverse": (lambda v: v >= 0 and v % 2 == 0, "even and >= 0"),
+    "q_pulses": (lambda v: v >= 0 and v % 2 == 0, "even and >= 0"),
+    "q_reverse": (lambda v: v >= 0 and v % 2 == 0, "even and >= 0"),
+    "dims": (lambda v: v in (1, 2), "1 or 2"),
 }
 
 _ARM_SCHEMA = {
@@ -173,6 +178,13 @@ _ARM_SCHEMA = {
     "n_x": (int, 0),
     "phase_rad": ((int, float), 0.0),
 }
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an integer beyond the float range
+        return False
 
 
 def _apply_schema(section: dict, schema: dict, where: str) -> dict:
@@ -192,6 +204,9 @@ def _apply_schema(section: dict, schema: dict, where: str) -> dict:
             if not isinstance(value, types):
                 raise ConfigurationError(
                     f"{where}.{key} must be {types}, got {type(value).__name__}")
+            if types == (int, float) and not _is_finite(value):
+                raise ConfigurationError(
+                    f"{where}.{key} must be a finite float, got {value!r}")
             resolved[key] = value
         elif default is None:
             raise ConfigurationError(f"{where}.{key} is required")
@@ -219,14 +234,16 @@ def validate_config(doc: dict) -> ResolvedConfig:
         raise ConfigurationError(
             f"unknown top-level keys: {sorted(unknown)}; valid: {sorted(allowed)}")
     plan = doc.get("plan")
-    if plan not in PLAN_CATALOG:
+    if not isinstance(plan, str) or plan not in PLAN_CATALOG:
         raise ConfigurationError(
             f"unknown plan {plan!r}; valid kinds: {sorted(PLAN_CATALOG)}")
 
     atom_section = doc.get("atom", {})
+    if not isinstance(atom_section, dict):
+        raise ConfigurationError("atom must be a JSON object")
     try:
-        atom = AtomParams.from_dict(atom_section) if atom_section else AtomParams()
-    except (ValueError, TypeError) as exc:
+        atom = AtomParams.from_dict(atom_section)
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigurationError(f"atom section: {exc}") from exc
 
     params = _apply_schema(doc.get("params", {}), _PARAM_SCHEMAS[plan],
@@ -302,11 +319,11 @@ def _build_params(plan: str, p: dict, toggles: dict):
 def load_config(path) -> ResolvedConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a decode error, or an integer too long to parse
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     return validate_config(doc)
 

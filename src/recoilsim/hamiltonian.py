@@ -16,11 +16,12 @@ operations.  That matching structure is also the physical content of the
 momentum selection rules: within one family a state can only ever reach its
 single partner.
 
-A family may carry a leading batch axis: ``pattern`` and ``rate`` of shape
-(B, n) hold B members that share the permutation, diagonal, decay and
-envelope, such as one closing pulse at B detunings.  Every operation below
-is elementwise over that axis, so each member's arithmetic is exactly that
-of an operator compiled for it alone.
+An operator may carry a leading batch axis: ``pattern`` and ``rate`` of
+shape (B, n) hold B members that share the permutation and envelope, such
+as one closing pulse at B detunings, and ``stack`` gives the diagonal and
+decay that axis too, for members compiled apart (arms with their own
+anchors).  Every operation below is elementwise over that axis, so each
+member's arithmetic is exactly that of an operator compiled for it alone.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class EpochHamiltonian:
     """Compiled operator for one epoch: static structure, scalar envelopes.
 
     ``psi`` may be one state vector (n,) or a batch (B, n); the peak and
-    bound queries return one value per member when a family is batched.
+    bound queries return one value per member when the operator is batched.
     """
 
     def __init__(self, diagonal: np.ndarray,
@@ -111,7 +112,16 @@ class EpochHamiltonian:
 
     @property
     def batched(self) -> bool:
-        return any(fam.pattern.ndim > 1 for fam in self.families)
+        return self._diag_complex.ndim > 1 or \
+            any(fam.pattern.ndim > 1 for fam in self.families)
+
+    @property
+    def structure(self) -> tuple:
+        """Equal for operators whose members can share one integration: the
+        same number of states, coupled alike by the same envelopes."""
+        return (self.diagonal.shape[-1],
+                tuple((fam.envelope_value, fam.perm.tobytes())
+                      for fam in self.families))
 
     def derivative_into(self, t: float, psi: np.ndarray, out: np.ndarray,
                         buf: np.ndarray) -> None:
@@ -121,8 +131,9 @@ class EpochHamiltonian:
             fam.apply_into(t, psi, out, buf)
         out *= -1j
 
-    def _diag_max(self) -> float:
-        return float(np.max(np.abs(self._diag_complex))) if len(self.diagonal) else 0.0
+    def _diag_max(self):
+        """Largest |diagonal element|, per member for a batch."""
+        return np.max(np.abs(self._diag_complex), axis=-1, initial=0.0)
 
     def _peak_elements(self) -> list:
         """Largest |H element| of each family, per member for a batch."""
@@ -153,9 +164,10 @@ class EpochHamiltonian:
         # is summed once instead of building a (B, 257) array
         distinct = {}
         member = [distinct.setdefault(tuple(row), len(distinct)) for row in
-                  np.column_stack(np.broadcast_arrays(*elem)).tolist()]
+                  np.column_stack(np.broadcast_arrays(diag_max, *elem))
+                  .tolist()]
         bound = np.empty(len(distinct))
-        for r, row in enumerate(distinct):
+        for r, (row_diag, *row) in enumerate(distinct):
             total = np.zeros_like(grid)
             for fam, peak_elem, envelope in zip(self.families, row, envelopes):
                 if fam.peak == 0:
@@ -163,29 +175,27 @@ class EpochHamiltonian:
                 scale = peak_elem / fam.peak
                 total += scale * envelope
             # small safety factor against the sampling missing the true peak
-            bound[r] = diag_max + 1.02 * total.max()
+            bound[r] = row_diag + 1.02 * total.max()
         return bound[member] if self.batched else bound[0]
 
     def active_mask(self, amps: np.ndarray) -> np.ndarray:
         """States reachable from nonzero amplitudes via this epoch's
-        couplings.  Everything outside stays exactly zero under the
-        evolution, so it can be excluded with no approximation.  For a
-        batch, the union over its members."""
-        n = len(self.diagonal)
-        active = (np.abs(amps) > 0.0).reshape(-1, n).any(axis=0)
-        coupled = [(fam.pattern != 0).reshape(-1, n).any(axis=0)
-                   for fam in self.families]
+        couplings, shaped like ``amps``: one row per member of a batch.
+        Everything outside stays exactly zero under the evolution, so it
+        can be excluded with no approximation."""
+        active = np.abs(amps) > 0.0
+        coupled = [fam.pattern != 0 for fam in self.families]
         while True:
             grown = active.copy()
             for fam, links in zip(self.families, coupled):
-                grown |= links & active[fam.perm]
+                grown |= links & active[..., fam.perm]
             if bool(np.array_equal(grown, active)):
                 return active
             active = grown
 
     def reduced(self, idx: np.ndarray) -> "EpochHamiltonian":
         """Restriction to the index set ``idx`` (closed under couplings)."""
-        inverse = np.full(len(self.diagonal), -1, dtype=np.int64)
+        inverse = np.full(self.diagonal.shape[-1], -1, dtype=np.int64)
         inverse[idx] = np.arange(len(idx))
         families = []
         for fam in self.families:
@@ -202,13 +212,21 @@ class EpochHamiltonian:
                 perm=perm, pattern=pattern, rate=rate,
                 envelope_value=fam.envelope_value, peak=fam.peak,
                 label=fam.label, has_rate=bool(np.any(rate[pattern != 0]))))
-        return EpochHamiltonian(self.diagonal[idx], families, self.decay[idx])
+        return EpochHamiltonian(self.diagonal[..., idx], families,
+                                self.decay[..., idx])
 
     def members(self, rows) -> "EpochHamiltonian":
-        """The operator of the batch members ``rows`` alone."""
-        families = [replace(fam, pattern=fam.pattern[rows], rate=fam.rate[rows])
-                    if fam.pattern.ndim > 1 else fam for fam in self.families]
-        return EpochHamiltonian(self.diagonal, families, self.decay)
+        """The operator of the batch members ``rows`` alone; one member (an
+        integer row) gets unbatched arrays."""
+        if not self.batched:
+            return self
+
+        def pick(a):
+            return a[rows] if a.ndim > 1 else a
+        families = [replace(fam, pattern=pick(fam.pattern),
+                            rate=pick(fam.rate)) for fam in self.families]
+        return EpochHamiltonian(pick(self.diagonal), families,
+                                pick(self.decay))
 
     def snapshot(self, basis: Basis, t: float) -> HamiltonianSpec:
         couplings = []
@@ -225,6 +243,24 @@ class EpochHamiltonian:
                 couplings.append((int(i), j, complex(amp)))
         return HamiltonianSpec(basis, self.diagonal.copy(),
                                couplings, self.decay.copy())
+
+
+def stack(operators: list[EpochHamiltonian], sizes) -> EpochHamiltonian:
+    """One batched operator over the members of ``operators``, which share
+    their ``structure``; operator k stands for ``sizes[k]`` members (one row
+    each of a batched operator, or copies of a shared one)."""
+    def rows(arrays):
+        return np.concatenate([np.broadcast_to(a, (size, a.shape[-1]))
+                               for a, size in zip(arrays, sizes)])
+    families = []
+    for f, fam in enumerate(operators[0].families):
+        alike = [op.families[f] for op in operators]
+        families.append(replace(
+            fam, pattern=rows([x.pattern for x in alike]),
+            rate=rows([x.rate for x in alike]),
+            has_rate=any(x.has_rate for x in alike)))
+    return EpochHamiltonian(rows([op.diagonal for op in operators]), families,
+                            rows([op.decay for op in operators]))
 
 
 def frame_diagonal(basis: Basis, atom: AtomParams,

@@ -133,53 +133,56 @@ def _sequence_rungs(plan: SequencePlan, axis: str) -> set[int]:
     return rungs
 
 
-def run_sequence_on_arm(arm: ArmTrack, plan: SequencePlan, atom: AtomParams,
-                        levels, axis: str = "z", decay_rate: float = 0.0,
+def run_sequence_on_arm(arms: list[ArmTrack], plan: SequencePlan,
+                        atom: AtomParams, levels, axis: str = "z",
+                        decay_rate: float = 0.0,
                         arm_floor: float = DEFAULT_ARM_FLOOR,
-                        guard: int = 3):
-    """Propagate one arm through a pulse sequence on its own small lattice.
+                        guard: int = 3) -> list[tuple[list[ArmTrack], float]]:
+    """Propagate arms through one pulse sequence, each on its own small
+    lattice, as one batch.
 
-    Returns (child arms, dropped population).  Linearity of the Schrodinger
-    equation makes per-arm propagation exact; spatial selectivity is then
-    just a matter of which arms a stage is applied to.
+    Returns (child arms, dropped population) for each arm, in order.
+    Linearity of the Schrodinger equation makes per-arm propagation exact;
+    spatial selectivity is then just a matter of which arms a stage is
+    applied to.
     """
-    rungs = _sequence_rungs(plan, axis)
-    rungs.add(arm.n_z if axis == "z" else arm.n_x)
-    window = range(min(rungs) - guard, max(rungs) + guard + 1)
-    if axis == "z":
-        basis = Basis(levels, window, (arm.n_x,))
-        plan = _anchor_cross_axis(plan, axis, arm.n_x)
-    else:
-        basis = Basis(levels, (arm.n_z,), window)
-        plan = _anchor_cross_axis(plan, axis, arm.n_z)
-
+    seq_rungs = _sequence_rungs(plan, axis)
     t0 = plan.epochs[0].t_start if plan.epochs else 0.0
-    psi = WaveFunction.from_components(basis, {arm.state: 1.0}, time=t0,
-                                       normalize=False)
-    final = evolve_plan(psi, plan, atom, decay_rate=decay_rate).psi
+    psis, plans = [], []
+    for arm in arms:
+        own, cross = (arm.n_z, arm.n_x) if axis == "z" else (arm.n_x, arm.n_z)
+        rungs = seq_rungs | {own}
+        window = range(min(rungs) - guard, max(rungs) + guard + 1)
+        basis = Basis(levels, window, (cross,)) if axis == "z" else \
+            Basis(levels, (cross,), window)
+        psis.append(WaveFunction.from_components(
+            basis, {arm.state: 1.0}, time=t0, normalize=False))
+        plans.append(_anchor_cross_axis(plan, axis, cross))
+    finals = evolve_plan(psis, plans, atom, decay_rate=decay_rate).psi
 
     duration = plan.total_duration - t0
     g = atom.gravity
-    children = []
-    kept = 0.0
-    comps = final.components(floor=arm_floor)
-    for k, (state, amp) in enumerate(comps):
-        kept += abs(amp) ** 2
-        vy_out = arm.velocity[1] - g * duration
-        v_out = lattice_velocity(atom, state.n_z, state.n_x, vy_out)
-        # trapezoid displacement: the ladder ramps velocity uniformly
-        pos = arm.position + 0.5 * (arm.velocity + v_out) * duration
-        pos[1] = arm.position[1] + arm.velocity[1] * duration \
-            - 0.5 * g * duration ** 2
-        child = ArmTrack(
-            id=arm.id if len(comps) == 1 else f"{arm.id}/{k}",
-            amplitude=arm.amplitude * amp,
-            level=state.level, n_z=state.n_z, n_x=state.n_x,
-            position=pos, velocity=v_out,
-            kinetic_phase=arm.kinetic_phase)
-        children.append(child)
-    dropped = arm.population * max(0.0, 1.0 - kept)
-    return children, dropped
+    runs = []
+    for arm, final in zip(arms, finals):
+        children = []
+        kept = 0.0
+        comps = final.components(floor=arm_floor)
+        for k, (state, amp) in enumerate(comps):
+            kept += abs(amp) ** 2
+            vy_out = arm.velocity[1] - g * duration
+            v_out = lattice_velocity(atom, state.n_z, state.n_x, vy_out)
+            # trapezoid displacement: the ladder ramps velocity uniformly
+            pos = arm.position + 0.5 * (arm.velocity + v_out) * duration
+            pos[1] = arm.position[1] + arm.velocity[1] * duration \
+                - 0.5 * g * duration ** 2
+            children.append(ArmTrack(
+                id=arm.id if len(comps) == 1 else f"{arm.id}/{k}",
+                amplitude=arm.amplitude * amp,
+                level=state.level, n_z=state.n_z, n_x=state.n_x,
+                position=pos, velocity=v_out,
+                kinetic_phase=arm.kinetic_phase))
+        runs.append((children, arm.population * max(0.0, 1.0 - kept)))
+    return runs
 
 
 def selective_transfer(arms: list[ArmTrack], pulse, atom: AtomParams,
@@ -226,14 +229,14 @@ def selective_transfer(arms: list[ArmTrack], pulse, atom: AtomParams,
     seq = SequencePlan(kind="selective", epochs=[
         Epoch(pulse.envelope.start, duration, (pulse,),
               anchors={})])
-    selected_ids = {id(a) for a in selected}
+    runs = dict(zip(map(id, selected), run_sequence_on_arm(
+        selected, seq, atom, levels=list(pulse.levels), axis=pulse.axis,
+        arm_floor=arm_floor, decay_rate=decay_rate)))
     out = []
     dropped = 0.0
     for arm in arms:
-        if id(arm) in selected_ids:
-            kids, d = run_sequence_on_arm(
-                arm, seq, atom, levels=list(pulse.levels), axis=pulse.axis,
-                arm_floor=arm_floor, decay_rate=decay_rate)
+        if id(arm) in runs:
+            kids, d = runs[id(arm)]
             out.extend(kids)
             dropped += d
         else:
@@ -340,14 +343,17 @@ class _Timeline:
         plan = shift_plan(plan, self.t - (plan.epochs[0].t_start
                                           if plan.epochs else 0.0))
         duration = plan.total_duration - self.t if plan.epochs else 0.0
+        chosen = [arm for arm in self.arms if only is None or only(arm)]
+        runs = dict(zip(map(id, chosen), run_sequence_on_arm(
+            chosen, plan, self.atom, levels, axis, decay_rate,
+            arm_floor))) if chosen else {}
         new_arms = []
         dropped = 0.0
         for arm in self.arms:
-            if only is not None and not only(arm):
+            if id(arm) not in runs:
                 new_arms.extend(free_flight([arm], duration, self.atom))
                 continue
-            kids, d = run_sequence_on_arm(arm, plan, self.atom, levels, axis,
-                                          decay_rate, arm_floor)
+            kids, d = runs[id(arm)]
             new_arms.extend(kids)
             dropped += d
         self.arms = new_arms

@@ -143,7 +143,7 @@ class AtomParams:
         kwargs = {}
         for key, value in data.items():
             if key not in mapping:
-                raise ValueError(f"unknown atom parameter: {key}")
+                raise ValueError(f"unknown atom parameter: {key!r}")
             kwargs[mapping[key]] = value
         return cls(**kwargs)
 

@@ -5,9 +5,10 @@ The step size is validated against an explicit stability bound and chosen
 conservatively enough that norm drift stays below 1e-9 per step without any
 renormalization tricks; norm is checked, never silently repaired.
 
-The one RK4 loop works on a leading batch axis: a wavefunction is a batch
-of one, and a whole detuning scan is one batch of members sharing a
-compiled operator, integrated in one pass of the loop.
+The one RK4 loop works on a leading batch axis: a whole detuning scan is
+one batch of members sharing a compiled operator, and the arms of one pulse
+stage, each compiled on its own lattice, are stacked into one batch
+wherever their reduced operators couple alike.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .basis import Basis, WaveFunction, prune_dust, span_window
 from .errors import ConfigurationError, IntegrationError
-from .hamiltonian import EpochHamiltonian, compile_from_epoch
+from .hamiltonian import EpochHamiltonian, compile_from_epoch, stack
 from .params import AtomParams
 from .pulses import Epoch, SequencePlan
 
@@ -60,110 +61,159 @@ def _step_count(duration: float, dt_cap):
 
 @dataclass
 class EvolveResult:
-    psi: WaveFunction
-    loss: float                 # population removed by decay, if enabled (per member for a batch)
+    psi: WaveFunction | list    # in the form evolve_plan was given
+    loss: float | list          # population removed by decay, if enabled
+                                # (per member for a batch)
     samples: list               # observer outputs in time order
     steps: int
 
 
-def evolve_plan(psi: WaveFunction, plan: SequencePlan, atom: AtomParams,
-                decay_rate: float = 0.0,
+def evolve_plan(psi: WaveFunction | list, plan: SequencePlan | list,
+                atom: AtomParams, decay_rate: float = 0.0,
                 dt_factor: float = DEFAULT_DT_FACTOR,
                 observer=None, observe_per_epoch: int = 0,
                 norm_tol_per_step: float = NORM_TOL_PER_STEP,
                 auto_extend: bool = True,
                 max_states: int = DEFAULT_MAX_STATES) -> EvolveResult:
-    """Integrate a wavefunction through every epoch of a sequence plan.
+    """Integrate wavefunctions through every epoch of a sequence plan.
 
-    ``psi`` may hold a batch of members (B, n), such as one state under a
-    pulse compiled at B detunings; then ``psi`` and ``loss`` of the result
-    are per member too.  Each member keeps its own step count, norm check,
-    dust prune and window check, so members that share their support do
-    exactly the arithmetic of a run on their own; ``steps`` counts loop
-    iterations.  Observers need a single wavefunction.
+    ``psi`` is one wavefunction or a list of them, each on its own basis,
+    and ``plan`` one plan for all or a list with one plan each; the plans
+    must share their epoch timing (such as one sequence anchored on each
+    arm's own cross-axis rung).  A wavefunction may hold a batch of members
+    (B, n), such as one state under a pulse compiled at B detunings; then
+    its ``psi`` and ``loss`` in the result are per member too.  The result
+    holds ``psi`` and ``loss`` in the form they were given.
 
-    The basis grows automatically whenever more than BOUNDARY_TOL of the
-    population of any member reaches the edge of the momentum window;
-    exceeding ``max_states`` is a hard error rather than a silent
-    truncation.
+    In every epoch each member gets its own active set, and with it its
+    own reduced operator, bound, step count, norm check and dust prune.
+    Members whose reduced operators couple alike and whose step counts
+    agree run as one batch through the one RK4 loop, and a member alone
+    runs on plain vectors, so each member does exactly the arithmetic of a
+    run on its own; ``steps`` counts loop iterations.  Observers need a
+    single wavefunction.
+
+    The basis of a wavefunction grows automatically whenever more than
+    BOUNDARY_TOL of the population of any of its members reaches the edge
+    of the momentum window; exceeding ``max_states`` is a hard error rather
+    than a silent truncation.
     """
-    basis = psi.basis
-    amps = psi.amplitudes.copy()
-    if observer is not None and amps.ndim != 1:
+    single = isinstance(psi, WaveFunction)
+    psis = [psi] if single else list(psi)
+    plans = [plan] * len(psis) if isinstance(plan, SequencePlan) \
+        else list(plan)
+    timing = [[(ep.t_start, ep.duration) for ep in p.epochs] for p in plans]
+    if not psis or len(plans) != len(psis) or \
+            any(tm != timing[0] for tm in timing):
+        raise ConfigurationError(
+            "each wavefunction needs a plan, and the plans must share their "
+            "epoch timing")
+    if observer is not None and not (single and psi.amplitudes.ndim == 1):
         raise ConfigurationError("observers need a single wavefunction")
-    t = psi.time
+    bases = [p.basis for p in psis]
+    amps = [np.array(p.amplitudes, ndmin=2) for p in psis]   # copies
+    t = max(p.time for p in psis)
     samples = []
     total_steps = 0
 
-    for epoch in plan.epochs:
+    for e, epoch in enumerate(plans[0].epochs):
         if epoch.t_start < t - 1e-15:
             raise ConfigurationError(
                 f"epoch {epoch.label!r} starts at {epoch.t_start} before "
                 f"current time {t}")
         t = epoch.t_start
-        h = compile_from_epoch(basis, epoch, atom, decay_rate)
-        # restrict to states reachable from the current support: everything
-        # else holds an exact zero and cannot change during this epoch
-        active = h.active_mask(amps)
-        if bool(active.all()):
-            work, idx = amps, None
-        else:
-            idx = np.nonzero(active)[0]
-            h = h.reduced(idx)
-            work = amps[..., idx]
+        # restrict each member to the states reachable from its support:
+        # everything else holds an exact zero and cannot change during this
+        # epoch.  Members whose restrictions couple alike share one batch.
+        batches = {}
+        for b, basis in enumerate(bases):
+            compiled = compile_from_epoch(basis, plans[b].epochs[e], atom,
+                                          decay_rate)
+            active = compiled.active_mask(amps[b])
+            alike = {}
+            for r, row in enumerate(active):
+                alike.setdefault(row.tobytes(), []).append(r)
+            for rows in alike.values():
+                idx = np.flatnonzero(active[rows[0]])
+                if len(rows) == 1:
+                    op = compiled.members(rows[0])
+                elif len(rows) < len(active):
+                    op = compiled.members(rows)
+                else:
+                    op = compiled
+                if len(idx) < len(basis):
+                    op = op.reduced(idx)
+                batches.setdefault(op.structure, []).append((op, b, rows, idx))
 
-        dt_cap = default_dt(h, dt_factor, epoch.t_start, epoch.t_end)
-        if h.batched:
-            # members share the finest step unless an ulp of their bounds
-            # moves them across a step edge; each keeps its own count
-            dt_cap = _dt_caps(h.row_bound(epoch.t_start, epoch.t_end),
-                              dt_factor)
-        n_steps = np.broadcast_to(_step_count(epoch.duration, dt_cap),
-                                  work.shape[:-1])
+        for parts in batches.values():
+            h = parts[0][0] if len(parts) == 1 else stack(
+                [op for op, *_ in parts], [len(part[2]) for part in parts])
+            work = np.concatenate([amps[b][np.ix_(rows, idx)]
+                                   for _, b, rows, idx in parts])
+            if len(work) == 1:
+                work = work[0]
+            dt_cap = default_dt(h, dt_factor, epoch.t_start, epoch.t_end)
+            if h.batched:
+                # members share the finest step unless their own bounds
+                # move them across a step edge; each keeps its own count
+                dt_cap = _dt_caps(h.row_bound(epoch.t_start, epoch.t_end),
+                                  dt_factor)
+            n_steps = np.broadcast_to(_step_count(epoch.duration, dt_cap),
+                                      work.shape[:-1])
 
-        observe = None
-        if observer is not None and observe_per_epoch:
-            def observe(t):
-                if idx is not None:
-                    amps[idx] = work
-                samples.append(observer(t, WaveFunction(basis, amps.copy(), t)))
+            observe = None
+            if observer is not None and observe_per_epoch:
+                full, support = amps[0][0], parts[0][3]
 
-        norm_before = np.sum(np.abs(amps) ** 2, axis=-1)
-        for count in sorted(set(n_steps.flat)):
-            rows = n_steps == count
-            if rows.all():
-                t = _rk4(h, work, epoch, int(count), observe,
-                         observe_per_epoch)
-            else:
-                part = work[rows]
-                t = _rk4(h.members(rows), part, epoch, int(count))
-                work[rows] = part
-            total_steps += int(count)
-        if idx is not None:
-            amps[..., idx] = work
+                def observe(t):
+                    full[support] = work
+                    samples.append(observer(t, WaveFunction(bases[0],
+                                                            full.copy(), t)))
 
-        norm_after = np.sum(np.abs(amps) ** 2, axis=-1)
-        if decay_rate == 0.0:
-            drift = np.abs(norm_after - norm_before)
-            if np.any(drift > norm_tol_per_step * n_steps):
-                raise IntegrationError(
-                    f"norm drifted by {np.max(drift):.3e} over epoch "
-                    f"{epoch.label!r}; reduce the step size")
+            norm_before = np.sum(np.abs(work) ** 2, axis=-1)
+            counts = sorted(set(n_steps.flat))
+            for count in counts:
+                if len(counts) == 1:
+                    t = _rk4(h, work, epoch, int(count), observe,
+                             observe_per_epoch)
+                else:
+                    rows = np.flatnonzero(n_steps == count)
+                    rows = rows[0] if len(rows) == 1 else rows
+                    part = work[rows]
+                    t = _rk4(h.members(rows), part, epoch, int(count))
+                    work[rows] = part
+                total_steps += int(count)
 
-        # drop sub-floor dust so dead rungs cannot re-enter the active set
-        # (and with it the stability bound) of later epochs
-        prune_dust(amps)
+            norm_after = np.sum(np.abs(work) ** 2, axis=-1)
+            if decay_rate == 0.0:
+                drift = np.abs(norm_after - norm_before)
+                if np.any(drift > norm_tol_per_step * n_steps):
+                    raise IntegrationError(
+                        f"norm drifted by {np.max(drift):.3e} over epoch "
+                        f"{epoch.label!r}; reduce the step size")
+            # drop sub-floor dust so dead rungs cannot re-enter the active
+            # set (and with it the stability bound) of later epochs
+            prune_dust(work)
+
+            start = 0
+            for _, b, rows, idx in parts:
+                amps[b][np.ix_(rows, idx)] = \
+                    np.atleast_2d(work)[start:start + len(rows)]
+                start += len(rows)
 
         if auto_extend:
-            probe = WaveFunction(basis, amps, t)
-            if np.any(probe.boundary_population(margin=2) > BOUNDARY_TOL):
-                basis, amps = _extend(basis, amps, max_states)
+            for b, basis in enumerate(bases):
+                edge = WaveFunction(basis, amps[b]).boundary_population(2)
+                if np.any(edge > BOUNDARY_TOL):
+                    bases[b], amps[b] = _extend(basis, amps[b], max_states)
 
-    final = WaveFunction(basis, amps, t)
-    loss = np.maximum(0.0, 1.0 - final.total_population()) if decay_rate \
-        else 0.0
-    return EvolveResult(psi=final, loss=loss, samples=samples,
-                        steps=total_steps)
+    finals = [WaveFunction(basis, a if p.amplitudes.ndim > 1 else a[0], t)
+              for basis, a, p in zip(bases, amps, psis)]
+    losses = [np.maximum(0.0, 1.0 - f.total_population()) if decay_rate
+              else 0.0 for f in finals]
+    return EvolveResult(psi=finals[0] if single else finals,
+                        loss=losses[0] if single else losses,
+                        samples=samples, steps=total_steps)
 
 
 def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
@@ -206,11 +256,12 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
 
 
 def _extend(basis: Basis, amps: np.ndarray, max_states: int):
-    zmin, zmax = basis.window_z()
-    xmin, xmax = basis.window_x()
-    window_z = range(zmin - EXTEND_BY, zmax + EXTEND_BY + 1)
-    window_x = range(xmin, xmax + 1) if xmax == xmin else \
-        range(xmin - EXTEND_BY, xmax + EXTEND_BY + 1)
+    # a one-rung axis is the cross axis of the run: nothing moves along it
+    def grown(lo, hi):
+        return range(lo, hi + 1) if lo == hi else \
+            range(lo - EXTEND_BY, hi + EXTEND_BY + 1)
+    window_z = grown(*basis.window_z())
+    window_x = grown(*basis.window_x())
     levels = basis.levels
     new_size = len(levels) * len(window_z) * len(window_x)
     if new_size > max_states:

@@ -1,11 +1,20 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recoilsim.cli import main
-from recoilsim.config import (PLAN_CATALOG, list_plans, validate_config)
+from recoilsim.config import (_OUTPUT_SCHEMAS, _PARAM_SCHEMAS, _TOGGLE_SCHEMA,
+                              PLAN_CATALOG, list_plans, load_config,
+                              validate_config)
+from recoilsim.params import AtomParams
 from recoilsim.errors import ConfigurationError
 from recoilsim.patterngen import gear_silhouette, to_image
 from recoilsim.pgmio import read_pgm, write_pgm
@@ -131,7 +140,24 @@ OUT_OF_RANGE = [
     ("pattern", "params", {"input_pgm": "any.pgm", "magnification": 0}),
     ("pattern", "params", {"input_pgm": "any.pgm", "magnification": -2}),
     ("pattern", "params", {"input_pgm": "any.pgm", "pitch_m": -1}),
+    ("split2d", "params", {"p_pulses": 0}),
+    ("split2d", "params", {"p_pulses": 3}),
+    ("split2d", "params", {"p_reverse": -2}),
+    ("split2d", "params", {"p_reverse": 5}),
+    ("split2d", "params", {"q_pulses": -2}),
+    ("split2d", "params", {"q_pulses": 1}),
+    ("split2d", "params", {"q_reverse": -2}),
+    ("split2d", "params", {"q_reverse": 7}),
+    ("fringes", "output", {"dims": 3}),
+    ("fringes", "output", {"dims": 0}),
+    ("split2d", "params", {"omega_eff_hz": math.inf}),
+    ("ramsey", "params", {"arm_phase_rad": math.nan}),
+    ("split1d", "params", {"drift1_s": 10 ** 400}),
+    ("figure3", "toggles", {"decay_gamma_hz": -math.inf}),
 ]
+
+# sections a case needs besides its own, or a "required" error fires first
+REQUIRED = {"fringes": {"params": {"arms": [{"amplitude_re": 1.0, "n_z": 0}]}}}
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):
@@ -143,7 +169,7 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     # out-of-range values are rejected with one line before any propagation;
     # the offending key is the last one of each case
     for plan, section, values in OUT_OF_RANGE:
-        doc = {"plan": plan, section: values}
+        doc = {"plan": plan, **REQUIRED.get(plan, {}), section: values}
         path = write_config(tmp_path, doc)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -283,3 +309,62 @@ def test_cli_two_arm_split2d_honours_grid_samples(tmp_path):
     lines = fringe.read_text().splitlines()
     assert lines[0] == "position_nm,value"
     assert len(lines) == 513
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _section(schema):
+    """A section of known and unknown keys, with defaults, numbers around
+    the valid ranges and JSON values of every type; sometimes not an object."""
+    known = sorted(schema)
+    defaults = [default for _, default in schema.values() if default is not None]
+    keys = (st.sampled_from(known) if known else st.nothing()) | st.text(max_size=6)
+    values = (st.sampled_from(defaults) if defaults else st.nothing()) \
+        | st.integers(-3, 3) | JSON_VALUES
+    return st.dictionaries(keys, values, max_size=4) | JSON_VALUES
+
+
+@st.composite
+def config_documents(draw):
+    plan = draw(st.sampled_from(sorted(PLAN_CATALOG)) | JSON_VALUES)
+    schema_plan = plan if isinstance(plan, str) and plan in _PARAM_SCHEMAS \
+        else "figure3"
+    sections = {
+        "params": _PARAM_SCHEMAS[schema_plan],
+        "toggles": _TOGGLE_SCHEMA,
+        "output": _OUTPUT_SCHEMAS[schema_plan],
+        "atom": {key: (None, value)
+                 for key, value in AtomParams().to_dict().items()},
+    }
+    doc = {"plan": plan} if draw(st.integers(0, 9)) else {}
+    for name, schema in sections.items():
+        if draw(st.booleans()):
+            doc[name] = draw(_section(schema))
+    if draw(st.integers(0, 5)) == 0:
+        doc[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+    return doc
+
+
+@given(doc=config_documents())
+@settings(max_examples=300, deadline=None)
+def test_config_fuzz_rejects_only_with_configuration_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            load_config(path)
+        except ConfigurationError:
+            pass
+        else:
+            return
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
+        assert code == 2
+        assert err.getvalue().startswith("config error: ")
+        assert err.getvalue().count("\n") == 1

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recoilsim import interferometer, propagate
 from recoilsim.errors import PhysicsError, SelectivityError
-from recoilsim.interferometer import (ArmTrack, free_flight, initial_arm,
-                                      lattice_velocity, selective_transfer)
+from recoilsim.interferometer import (ArmTrack, _Timeline, free_flight,
+                                      initial_arm, lattice_velocity,
+                                      selective_transfer)
 from recoilsim.params import AtomParams, InternalLevel, rb87
-from recoilsim.pulses import copropagating_pulse
+from recoilsim.pulses import build_raman_sequence, copropagating_pulse
 
 A, C = InternalLevel.A, InternalLevel.C
 
@@ -129,3 +131,55 @@ def test_arm_velocity_consistent_with_momentum(atom):
     assert v[2] == pytest.approx(-100 * atom.recoil_velocity)
     assert v[0] == pytest.approx(4 * atom.recoil_velocity)
     assert v[1] == -0.5
+
+
+def test_batched_stage_matches_lone_arms(atom, monkeypatch):
+    # an x-reverse stage on four arms (two z rungs x levels A and C) plus two
+    # arms off the pulse path, whose one-state supports share a batch and
+    # then need different step counts; every child must equal a lone run
+    omega = 2 * math.pi * 5e5
+    a_x, c_x = 4, -6
+    plan = build_raman_sequence("none", 4, math.pi / omega, omega, "x", atom,
+                                start_rung=a_x, c_start_rung=c_x,
+                                start_direction=-1)
+    arms = [ArmTrack(f"{level.tag}{n_z}", 0.5, level, n_z, n_x,
+                     np.array([1e-3 * n_x, 0.0, 1e-3 * n_z]),
+                     lattice_velocity(atom, n_z, n_x, 0.0))
+            for n_z in (4, -6) for level, n_x in ((A, a_x), (C, c_x))]
+    arms += [ArmTrack("offA", 0.1, A, 4, a_x + 10, np.zeros(3),
+                      lattice_velocity(atom, 4, a_x + 10, 0.0)),
+             ArmTrack("offC", 0.1, C, -6, c_x - 3, np.zeros(3),
+                      lattice_velocity(atom, -6, c_x - 3, 0.0))]
+
+    widths, stage_calls = [], []
+    rk4, run = propagate._rk4, interferometer.run_sequence_on_arm
+
+    def recording_rk4(h, work, *args):
+        widths.append(1 if work.ndim == 1 else len(work))
+        return rk4(h, work, *args)
+
+    def recording_run(stage_arms, *args):
+        stage_calls.append(len(stage_arms))
+        return run(stage_arms, *args)
+
+    monkeypatch.setattr(propagate, "_rk4", recording_rk4)
+    monkeypatch.setattr(interferometer, "run_sequence_on_arm", recording_run)
+    tl = _Timeline("test", atom)
+    tl.arms = arms
+    tl.sequence("x-reverse", plan, (A, C), "x")
+    assert stage_calls == [len(arms)]
+    assert {1, 2, 4} <= set(widths)
+
+    lone_dropped = 0.0
+    children = iter(tl.arms)
+    for arm in arms:
+        ((kids, dropped),) = run([arm], plan, atom, (A, C), "x")
+        lone_dropped += dropped
+        for kid in kids:
+            got = next(children)
+            assert (got.id, got.amplitude, got.level, got.n_z, got.n_x) == \
+                (kid.id, kid.amplitude, kid.level, kid.n_z, kid.n_x)
+            assert np.array_equal(got.position, kid.position)
+            assert np.array_equal(got.velocity, kid.velocity)
+    assert next(children, None) is None
+    assert tl.stages[-1].dropped == lone_dropped > 0.0

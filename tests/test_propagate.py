@@ -149,6 +149,22 @@ def test_auto_extension_grows_window(atom):
     assert out.population([B]) > 0.99
 
 
+def test_x_sequence_on_one_z_rung_keeps_its_basis(atom):
+    # a one-rung z window is the cross axis of an x run, never its edge
+    from recoilsim.pulses import build_raman_sequence
+    omega = 2 * math.pi * 5e5
+    plan = build_raman_sequence("half_pi", 2, math.pi / omega, omega, "x",
+                                atom)
+    basis = Basis([A, C], (0,), range(-9, 8))
+    psi = WaveFunction.from_components(basis, {RecoilState(A, 0, 0): 1.0})
+    assert psi.boundary_population(margin=2) == 0.0
+    out = evolve_plan(psi, plan, atom).psi
+    assert out.basis.window_z() == (0, 0)
+    assert out.basis.window_x() == (-9, 7)
+    assert out.total_population() == pytest.approx(1.0, abs=1e-9)
+    assert out.population([A]) == pytest.approx(0.5, abs=1e-3)
+
+
 def test_memory_budget_enforced(atom):
     from recoilsim.pulses import build_adiabatic_sequence
     plan = build_adiabatic_sequence(3, 50e-9, 2 * math.pi * 1e8, atom)
