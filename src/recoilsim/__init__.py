@@ -7,8 +7,7 @@ from .errors import (AdiabaticityError, ConfigurationError, IntegrationError,
                      RecoilSimError, SelectivityError)
 from .fringes import (CoherenceEnvelope, FringePattern, GridSpec, RamseyScan,
                       contrast, extract_spacing, ramsey_scan, synthesize)
-from .hamiltonian import (EpochHamiltonian, HamiltonianSpec, assemble,
-                          compile_epoch, dark_state)
+from .hamiltonian import EpochHamiltonian, compile_epoch, dark_state
 from .interferometer import (ArmTrack, PlanResult, StageRecord, free_flight,
                              selective_transfer)
 from .params import AtomParams, InternalLevel, rb87
@@ -21,8 +20,7 @@ from .plans import (Figure3Params, Figure3Result, Plan1DParams, Plan2DParams,
 from .propagate import evolve_plan
 from .pulses import (PulseEnvelope, PulseEvent, PulsePair, SequencePlan,
                      adiabaticity_parameter, build_adiabatic_sequence,
-                     build_raman_sequence, chirp_offset,
-                     counter_intuitive_pair, copropagating_pulse,
-                     effective_pulse)
+                     build_raman_sequence, counter_intuitive_pair,
+                     copropagating_pulse, effective_pulse)
 
 __version__ = "0.1.0"

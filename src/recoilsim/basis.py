@@ -97,10 +97,6 @@ class Basis:
         return RecoilState(LEVELS[self.level_codes[i]], int(self.n_z[i]),
                            int(self.n_x[i]))
 
-    @property
-    def states(self) -> tuple[RecoilState, ...]:
-        return tuple(self.state(i) for i in range(len(self)))
-
     def level_mask(self, levels: Iterable[InternalLevel]) -> np.ndarray:
         codes = {LEVEL_ORDER[lv] for lv in levels}
         return np.isin(self.level_codes, list(codes))
@@ -171,9 +167,6 @@ class WaveFunction:
                 raise ConfigurationError("cannot normalize a zero wavefunction")
             psi.amplitudes /= norm
         return psi
-
-    def copy(self) -> "WaveFunction":
-        return WaveFunction(self.basis, self.amplitudes.copy(), self.time)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))

@@ -21,8 +21,7 @@ from pathlib import Path
 from . import fringes as fr
 from . import patterngen as pg
 from . import pgmio
-from .config import (ResolvedConfig, envelope_from_params, grid_from_output,
-                     list_plans, load_config)
+from .config import ResolvedConfig, grid_from_output, list_plans, load_config
 from .errors import (ConfigurationError, IntegrationError, NoFringeError,
                      PhysicsError, RecoilSimError)
 from .output import (config_hash, file_digest, write_csv, write_manifest,
@@ -234,7 +233,7 @@ def _run_fringes(cfg, out_dir, base):
     arms = [(complex(a["amplitude_re"], a["amplitude_im"]), a["n_z"], a["n_x"],
              a["phase_rad"]) for a in params["arms"]]
     grid = grid_from_output(cfg.output, dims=cfg.output["dims"])
-    envelope = envelope_from_params(params)
+    envelope = fr.CoherenceEnvelope(params["coherence_length_m"])
     pattern = fr.synthesize(arms, grid, cfg.atom, envelope)
     artifacts = _write_fringe(pattern, out_dir, base)
     summary_rows = []

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .basis import PRUNE_FLOOR
 from .errors import ConfigurationError
-from .fringes import CoherenceEnvelope, GridSpec
+from .fringes import GridSpec
 from .params import AtomParams
 from .plans import (Figure3Params, Plan1DParams, Plan2DParams, RamseyParams)
 from .pulses import SINE_SQUARED, SQUARE
@@ -332,10 +332,6 @@ def grid_from_output(output: dict, dims: int) -> GridSpec:
     """Square grid of ``grid_samples`` per axis at ``grid_pitch_m``."""
     return GridSpec(dims=dims, pitch=output["grid_pitch_m"],
                     shape=(output["grid_samples"],) * dims)
-
-
-def envelope_from_params(params: dict) -> CoherenceEnvelope:
-    return CoherenceEnvelope(length=params.get("coherence_length_m", 300e-6))
 
 
 def list_plans() -> list[dict]:

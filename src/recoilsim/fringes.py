@@ -11,7 +11,7 @@ synthesis path and the measurement path can check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class CoherenceEnvelope:
     def intensity_factor(self, r2: np.ndarray) -> np.ndarray:
         return np.exp(-r2 / (2.0 * self.length ** 2))
 
-    def periods_within(self, spacing: float) -> float:
-        return self.length / spacing
-
 
 @dataclass
 class FringePattern:
@@ -65,7 +62,6 @@ class FringePattern:
     pitch: float
     samples: np.ndarray
     axes: tuple[str, ...]
-    meta: dict = field(default_factory=dict)
 
     def axis_coordinates(self, axis_index: int) -> np.ndarray:
         n = self.samples.shape[axis_index]
@@ -76,9 +72,6 @@ class FringePattern:
 class SpacingEstimate:
     period: float
     bin_uncertainty: float
-
-    def __iter__(self):
-        return iter((self.period, self.bin_uncertainty))
 
 
 def _arm_tuple(arm):
@@ -99,7 +92,7 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
 
     All arms must share one internal level: components in different levels
     are distinguishable and cannot interfere.  The result is normalized to
-    unit peak.
+    unit peak, so amplitudes whose intensity could overflow are rejected.
     """
     entries = [_arm_tuple(a) for a in arms]
     if not entries:
@@ -110,6 +103,11 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
             "arms in different internal levels cannot interfere; transfer "
             f"them to one level first (got {sorted(lv.name for lv in levels)})")
 
+    # the intensity never exceeds the squared sum of the amplitudes
+    total = float(sum(abs(amp) for amp, *_ in entries))
+    if not math.isfinite(total * total):
+        raise ConfigurationError(
+            f"arm amplitudes summing to {total:.3g} overflow the intensity")
     k = atom.wavenumber()
     _validate_grid(entries, grid, k)
 
@@ -140,10 +138,7 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
     if peak > 0:
         intensity = intensity / peak
     return FringePattern(dims=grid.dims, pitch=grid.pitch, samples=intensity,
-                         axes=axes,
-                         meta={"wavenumber": k,
-                               "coherence_length":
-                                   envelope.length if envelope else None})
+                         axes=axes)
 
 
 def _validate_grid(entries, grid: GridSpec, k: float) -> None:

@@ -49,7 +49,6 @@ class CouplingFamily:
     rate: np.ndarray       # rad/s phase-ramp per entry, shaped like pattern (anti-symmetric over the matching)
     envelope_value: object  # callable t -> scalar envelope
     peak: float
-    label: str = ""
     has_rate: bool = False
 
     def __post_init__(self):
@@ -75,25 +74,6 @@ class CouplingFamily:
             buf *= np.exp(1j * t * self.rate)
         buf *= env
         out += buf
-
-
-@dataclass
-class HamiltonianSpec:
-    """Snapshot of the operator at one instant (test/introspection view)."""
-
-    basis: Basis
-    diagonal: np.ndarray                 # real, rad/s
-    couplings: list[tuple[int, int, complex]]  # (from_idx, to_idx, H[to, from])
-    decay: np.ndarray                    # nonnegative loss rates, rad/s
-
-    def matrix(self) -> np.ndarray:
-        n = len(self.basis)
-        h = np.zeros((n, n), dtype=np.complex128)
-        h[np.arange(n), np.arange(n)] = self.diagonal - 0.5j * self.decay
-        for i, j, amp in self.couplings:
-            h[j, i] += amp
-            h[i, j] += np.conj(amp)
-        return h
 
 
 class EpochHamiltonian:
@@ -211,7 +191,7 @@ class EpochHamiltonian:
             families.append(CouplingFamily(
                 perm=perm, pattern=pattern, rate=rate,
                 envelope_value=fam.envelope_value, peak=fam.peak,
-                label=fam.label, has_rate=bool(np.any(rate[pattern != 0]))))
+                has_rate=bool(np.any(rate[pattern != 0]))))
         return EpochHamiltonian(self.diagonal[..., idx], families,
                                 self.decay[..., idx])
 
@@ -227,22 +207,6 @@ class EpochHamiltonian:
                             rate=pick(fam.rate)) for fam in self.families]
         return EpochHamiltonian(pick(self.diagonal), families,
                                 pick(self.decay))
-
-    def snapshot(self, basis: Basis, t: float) -> HamiltonianSpec:
-        couplings = []
-        for fam in self.families:
-            env = fam.envelope_value(t)
-            for i in np.nonzero(np.abs(fam.pattern))[0]:
-                j = int(fam.perm[i])
-                if j <= i:
-                    continue
-                # pattern[j] multiplies psi[i] into H psi [j]: H[j, i]
-                amp = env * fam.pattern[j]
-                if fam.has_rate:
-                    amp = amp * np.exp(1j * fam.rate[j] * t)
-                couplings.append((int(i), j, complex(amp)))
-        return HamiltonianSpec(basis, self.diagonal.copy(),
-                               couplings, self.decay.copy())
 
 
 def stack(operators: list[EpochHamiltonian], sizes) -> EpochHamiltonian:
@@ -299,8 +263,7 @@ def _sigma_family(basis: Basis, event: PulseEvent) -> CouplingFamily:
     return CouplingFamily(perm=perm, pattern=pattern,
                           rate=np.zeros(len(basis)),
                           envelope_value=event.envelope.value,
-                          peak=event.envelope.peak_rabi,
-                          label=f"{event.polarization}:{event.direction:+d}z")
+                          peak=event.envelope.peak_rabi)
 
 
 def _effective_family(basis: Basis, event: PulseEvent, atom: AtomParams,
@@ -328,7 +291,6 @@ def _effective_family(basis: Basis, event: PulseEvent, atom: AtomParams,
     return CouplingFamily(perm=perm, pattern=pattern, rate=rate,
                           envelope_value=event.envelope.value,
                           peak=event.envelope.peak_rabi,
-                          label=f"{event.polarization}:{lf.tag}->{lt.tag}",
                           has_rate=bool(np.any(rho != 0.0)))
 
 
@@ -359,19 +321,6 @@ def compile_epoch(basis: Basis, events, atom: AtomParams,
 def compile_from_epoch(basis: Basis, epoch: Epoch, atom: AtomParams,
                        decay_rate: float = 0.0) -> EpochHamiltonian:
     return compile_epoch(basis, epoch.events, atom, epoch.anchors, decay_rate)
-
-
-def assemble(basis: Basis, active_pulses, t: float, atom: AtomParams,
-             anchors: dict[InternalLevel, tuple[int, int]] | None = None,
-             decay_rate: float = 0.0) -> HamiltonianSpec:
-    """Snapshot of the rotated-frame Hamiltonian at time ``t``.
-
-    With no active pulses this is diagonal; with pulses, every coupling
-    changes the momentum indices by exactly the recoil signature of its
-    beam.  Hermitian whenever decay is off.
-    """
-    epoch = compile_epoch(basis, list(active_pulses), atom, anchors, decay_rate)
-    return epoch.snapshot(basis, t)
 
 
 def dark_state(rabi_plus: float, rabi_minus: float, n_origin: int,

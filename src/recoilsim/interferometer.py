@@ -21,11 +21,11 @@ against the nominal round-number timings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import Basis, RecoilState, WaveFunction
+from .basis import Basis, RecoilState, WaveFunction, span_window
 from .errors import (AdiabaticityError, ConfigurationError, PhysicsError,
                      SelectivityError)
 from .params import AtomParams, InternalLevel
@@ -37,6 +37,7 @@ DEFAULT_CLOUD_SIZE = 1e-3     # m, initial cloud diameter scale
 DEFAULT_BEAM_WIDTH = 0.5e-3   # m
 DEFAULT_ARM_FLOOR = 1e-6      # population below which components are dropped
 DEFAULT_OMEGA_EFF = 2 * math.pi * 5e5  # rad/s effective two-photon Rabi
+ARM_GUARD = 3                 # guard rungs around a sequence on an arm lattice
 
 
 @dataclass(eq=False)
@@ -107,18 +108,11 @@ def _anchor_cross_axis(plan: SequencePlan, axis: str,
     """
     if cross_rung == 0:
         return plan
-    epochs = []
-    for ep in plan.epochs:
-        anchors = {}
-        for level, (az, ax) in ep.anchors.items():
-            anchors[level] = (cross_rung, ax) if axis == "x" else (az, cross_rung)
-        epochs.append(Epoch(ep.t_start, ep.duration, ep.events, anchors,
-                            ep.label))
-    return SequencePlan(kind=plan.kind, epochs=epochs,
-                        drift_intervals=list(plan.drift_intervals),
-                        pairs=plan.pairs,
-                        expected_final=dict(plan.expected_final),
-                        adiabaticity=plan.adiabaticity)
+    return replace(plan, epochs=[
+        replace(ep, anchors={
+            level: (cross_rung, ax) if axis == "x" else (az, cross_rung)
+            for level, (az, ax) in ep.anchors.items()})
+        for ep in plan.epochs])
 
 
 def _sequence_rungs(plan: SequencePlan, axis: str) -> set[int]:
@@ -136,8 +130,8 @@ def _sequence_rungs(plan: SequencePlan, axis: str) -> set[int]:
 def run_sequence_on_arm(arms: list[ArmTrack], plan: SequencePlan,
                         atom: AtomParams, levels, axis: str = "z",
                         decay_rate: float = 0.0,
-                        arm_floor: float = DEFAULT_ARM_FLOOR,
-                        guard: int = 3) -> list[tuple[list[ArmTrack], float]]:
+                        arm_floor: float = DEFAULT_ARM_FLOOR
+                        ) -> list[tuple[list[ArmTrack], float]]:
     """Propagate arms through one pulse sequence, each on its own small
     lattice, as one batch.
 
@@ -151,8 +145,7 @@ def run_sequence_on_arm(arms: list[ArmTrack], plan: SequencePlan,
     psis, plans = [], []
     for arm in arms:
         own, cross = (arm.n_z, arm.n_x) if axis == "z" else (arm.n_x, arm.n_z)
-        rungs = seq_rungs | {own}
-        window = range(min(rungs) - guard, max(rungs) + guard + 1)
+        window = span_window(seq_rungs | {own}, ARM_GUARD)
         basis = Basis(levels, window, (cross,)) if axis == "z" else \
             Basis(levels, (cross,), window)
         psis.append(WaveFunction.from_components(
@@ -229,20 +222,32 @@ def selective_transfer(arms: list[ArmTrack], pulse, atom: AtomParams,
     seq = SequencePlan(kind="selective", epochs=[
         Epoch(pulse.envelope.start, duration, (pulse,),
               anchors={})])
-    runs = dict(zip(map(id, selected), run_sequence_on_arm(
-        selected, seq, atom, levels=list(pulse.levels), axis=pulse.axis,
-        arm_floor=arm_floor, decay_rate=decay_rate)))
+    out, dropped = _apply_to_chosen(arms, selected, seq, duration, atom,
+                                    list(pulse.levels), pulse.axis,
+                                    decay_rate, arm_floor)
+    return out, dropped, warnings
+
+
+def _apply_to_chosen(arms: list[ArmTrack], chosen: list[ArmTrack],
+                     plan: SequencePlan, duration: float, atom: AtomParams,
+                     levels, axis: str, decay_rate: float, arm_floor: float
+                     ) -> tuple[list[ArmTrack], float]:
+    """Run the ``chosen`` arms through ``plan`` as one batch and let the
+    rest of ``arms`` fly free for ``duration``; returns the new arms, in
+    the order of ``arms``, and the population the chosen ones dropped."""
+    runs = dict(zip(map(id, chosen), run_sequence_on_arm(
+        chosen, plan, atom, levels, axis, decay_rate,
+        arm_floor))) if chosen else {}
     out = []
     dropped = 0.0
     for arm in arms:
-        if id(arm) in runs:
-            kids, d = runs[id(arm)]
-            out.extend(kids)
-            dropped += d
-        else:
-            moved = free_flight([arm], duration, atom)
-            out.extend(moved)
-    return out, dropped, warnings
+        if id(arm) not in runs:
+            out.extend(free_flight([arm], duration, atom))
+            continue
+        kids, d = runs[id(arm)]
+        out.extend(kids)
+        dropped += d
+    return out, dropped
 
 
 @dataclass
@@ -308,9 +313,6 @@ class PlanResult:
                 })
         return rows
 
-    def accounted_population(self) -> float:
-        return sum(a.population for a in self.final_arms) + self.dropped_total
-
 
 class _Timeline:
     """Shared bookkeeping for plan execution."""
@@ -344,19 +346,9 @@ class _Timeline:
                                           if plan.epochs else 0.0))
         duration = plan.total_duration - self.t if plan.epochs else 0.0
         chosen = [arm for arm in self.arms if only is None or only(arm)]
-        runs = dict(zip(map(id, chosen), run_sequence_on_arm(
-            chosen, plan, self.atom, levels, axis, decay_rate,
-            arm_floor))) if chosen else {}
-        new_arms = []
-        dropped = 0.0
-        for arm in self.arms:
-            if id(arm) not in runs:
-                new_arms.extend(free_flight([arm], duration, self.atom))
-                continue
-            kids, d = runs[id(arm)]
-            new_arms.extend(kids)
-            dropped += d
-        self.arms = new_arms
+        self.arms, dropped = _apply_to_chosen(
+            self.arms, chosen, plan, duration, self.atom, levels, axis,
+            decay_rate, arm_floor)
         self.record(name, "quantum-sequence", duration, dropped)
 
     def result(self, extras=None) -> PlanResult:

@@ -58,10 +58,6 @@ class InternalLevel(enum.Enum):
         return f"<{self.name} F={self.f} mF={self.mf}>"
 
 
-GROUND_LEVELS = (InternalLevel.A, InternalLevel.B, InternalLevel.C)
-EXCITED_LEVELS = (InternalLevel.E1, InternalLevel.E2)
-
-
 @dataclass(frozen=True)
 class AtomParams:
     """Physical parameters of the atom and its environment.
@@ -110,15 +106,9 @@ class AtomParams:
         k = self.wavenumber()
         return HBAR * k * k / (2.0 * self.mass)
 
-    def kinetic_rate(self, n_z: int, n_x: int = 0,
-                     drift_z: float = 0.0, drift_x: float = 0.0) -> float:
-        """Kinetic energy of lattice momentum (n_z, n_x) as an angular rate.
-
-        ``drift_*`` are optional initial velocities in recoil units, folded in
-        so Doppler terms come out of the same expression.
-        """
-        wr = self.recoil_frequency
-        return wr * ((n_z + drift_z) ** 2 + (n_x + drift_x) ** 2)
+    def kinetic_rate(self, n_z: int, n_x: int = 0) -> float:
+        """Kinetic energy of lattice momentum (n_z, n_x) as an angular rate."""
+        return self.recoil_frequency * (n_z ** 2 + n_x ** 2)
 
     def to_dict(self) -> dict:
         return {

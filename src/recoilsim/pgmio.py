@@ -26,6 +26,9 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     if not match:
         raise ConfigurationError(f"{path}: not a raw (P5) PGM file")
     width, height, maxval = (int(g) for g in match.groups())
+    if width == 0 or height == 0:
+        raise ConfigurationError(
+            f"{path}: image is {width}x{height}; needs at least one pixel")
     if not 0 < maxval < 65536:
         raise ConfigurationError(f"{path}: maxval {maxval} out of range")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")

@@ -28,7 +28,7 @@ DEFAULT_DT_FACTOR = 32.0    # default dt = 1 / (factor * spectral bound)
 NORM_TOL_PER_STEP = 1e-9
 BOUNDARY_TOL = 1e-10        # population near the window edge triggering growth
 EXTEND_BY = 8               # rungs added per auto-extension
-DEFAULT_MAX_STATES = 40_000
+MAX_STATES = 40_000         # basis size an auto-extension may not exceed
 
 
 def check_stability(hamiltonian: EpochHamiltonian, dt: float) -> None:
@@ -71,10 +71,7 @@ class EvolveResult:
 def evolve_plan(psi: WaveFunction | list, plan: SequencePlan | list,
                 atom: AtomParams, decay_rate: float = 0.0,
                 dt_factor: float = DEFAULT_DT_FACTOR,
-                observer=None, observe_per_epoch: int = 0,
-                norm_tol_per_step: float = NORM_TOL_PER_STEP,
-                auto_extend: bool = True,
-                max_states: int = DEFAULT_MAX_STATES) -> EvolveResult:
+                observer=None, observe_per_epoch: int = 0) -> EvolveResult:
     """Integrate wavefunctions through every epoch of a sequence plan.
 
     ``psi`` is one wavefunction or a list of them, each on its own basis,
@@ -95,7 +92,7 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan | list,
 
     The basis of a wavefunction grows automatically whenever more than
     BOUNDARY_TOL of the population of any of its members reaches the edge
-    of the momentum window; exceeding ``max_states`` is a hard error rather
+    of the momentum window; exceeding MAX_STATES is a hard error rather
     than a silent truncation.
     """
     single = isinstance(psi, WaveFunction)
@@ -187,7 +184,7 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan | list,
             norm_after = np.sum(np.abs(work) ** 2, axis=-1)
             if decay_rate == 0.0:
                 drift = np.abs(norm_after - norm_before)
-                if np.any(drift > norm_tol_per_step * n_steps):
+                if np.any(drift > NORM_TOL_PER_STEP * n_steps):
                     raise IntegrationError(
                         f"norm drifted by {np.max(drift):.3e} over epoch "
                         f"{epoch.label!r}; reduce the step size")
@@ -201,11 +198,10 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan | list,
                     np.atleast_2d(work)[start:start + len(rows)]
                 start += len(rows)
 
-        if auto_extend:
-            for b, basis in enumerate(bases):
-                edge = WaveFunction(basis, amps[b]).boundary_population(2)
-                if np.any(edge > BOUNDARY_TOL):
-                    bases[b], amps[b] = _extend(basis, amps[b], max_states)
+        for b, basis in enumerate(bases):
+            edge = WaveFunction(basis, amps[b]).boundary_population(2)
+            if np.any(edge > BOUNDARY_TOL):
+                bases[b], amps[b] = _extend(basis, amps[b])
 
     finals = [WaveFunction(basis, a if p.amplitudes.ndim > 1 else a[0], t)
               for basis, a, p in zip(bases, amps, psis)]
@@ -255,7 +251,7 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
     return t
 
 
-def _extend(basis: Basis, amps: np.ndarray, max_states: int):
+def _extend(basis: Basis, amps: np.ndarray):
     # a one-rung axis is the cross axis of the run: nothing moves along it
     def grown(lo, hi):
         return range(lo, hi + 1) if lo == hi else \
@@ -264,10 +260,10 @@ def _extend(basis: Basis, amps: np.ndarray, max_states: int):
     window_x = grown(*basis.window_x())
     levels = basis.levels
     new_size = len(levels) * len(window_z) * len(window_x)
-    if new_size > max_states:
+    if new_size > MAX_STATES:
         raise ConfigurationError(
             f"momentum window extension needs {new_size} states, over the "
-            f"budget of {max_states}")
+            f"budget of {MAX_STATES}")
     new_basis = Basis(levels, window_z, window_x)
     moved = WaveFunction(basis, amps).project_onto(new_basis)
     return new_basis, moved.amplitudes

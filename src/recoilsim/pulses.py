@@ -15,10 +15,11 @@ Two families of light pulses exist in this model:
   momentum class; cross-tone driving is neglected (valid when the tones are
   spectrally resolved).
 
-Every sequence step recomputes its detuning offset from the momentum the
-atom is predicted to have at that step (open-loop, like a pre-programmed
-frequency ramp).  Disabling the chirp freezes the references at the
-sequence's starting rung so the Doppler ramp shows up as a real detuning.
+The chirp lives in each epoch's frame anchors and each tone's reference
+rung: every sequence step re-anchors both on the momentum the atom is
+predicted to have at that step (open-loop, like a pre-programmed frequency
+ramp).  Disabling the chirp freezes them at the sequence's starting rung so
+the Doppler ramp shows up as a real detuning.
 """
 
 from __future__ import annotations
@@ -85,19 +86,6 @@ class PulseEnvelope:
         s = math.sin(math.pi * x)
         return self.peak_rabi * s * s
 
-    def area(self) -> float:
-        if self.shape == SQUARE:
-            return self.peak_rabi * self.duration
-        return self.peak_rabi * self.duration / 2.0
-
-    def to_dict(self) -> dict:
-        return {"shape": self.shape, "peak_rabi": self.peak_rabi,
-                "start": self.start, "duration": self.duration}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PulseEnvelope":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class PulseEvent:
@@ -108,7 +96,6 @@ class PulseEvent:
     axis: str
     direction: int
     channel: str
-    detuning_offset: float = 0.0  # rad/s, chirp applied to this tone
     # raman_effective fields:
     levels: tuple[InternalLevel, InternalLevel] | None = None
     delta_n: int = 0              # net recoil on `axis` for from -> to
@@ -124,8 +111,6 @@ class PulseEvent:
             raise ConfigurationError("axis must be 'z' or 'x'")
         if self.direction not in (-1, +1):
             raise ConfigurationError("direction must be +1 or -1")
-        if not math.isfinite(self.detuning_offset):
-            raise ConfigurationError("detuning offset must be finite")
         if self.channel == CHANNEL_LAMBDA:
             if self.polarization not in (SIGMA_PLUS, SIGMA_MINUS):
                 raise ConfigurationError(
@@ -149,36 +134,6 @@ class PulseEvent:
         else:
             raise ConfigurationError(f"unknown channel {self.channel!r}")
 
-    @property
-    def ground_leg(self) -> InternalLevel:
-        if self.channel != CHANNEL_LAMBDA:
-            raise ConfigurationError("ground_leg only defined for sigma beams")
-        return SIGMA_LEG[self.polarization]
-
-    def to_dict(self) -> dict:
-        return {
-            "envelope": self.envelope.to_dict(),
-            "polarization": self.polarization,
-            "axis": self.axis,
-            "direction": self.direction,
-            "channel": self.channel,
-            "detuning_offset": self.detuning_offset,
-            "levels": [lv.name for lv in self.levels] if self.levels else None,
-            "delta_n": self.delta_n,
-            "target_rung": self.target_rung,
-            "reference_rung": self.reference_rung,
-            "bias_detuning": self.bias_detuning,
-            "phase": self.phase,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PulseEvent":
-        d = dict(d)
-        d["envelope"] = PulseEnvelope.from_dict(d["envelope"])
-        if d.get("levels"):
-            d["levels"] = tuple(InternalLevel[name] for name in d["levels"])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class Epoch:
@@ -198,26 +153,6 @@ class Epoch:
     @property
     def t_end(self) -> float:
         return self.t_start + self.duration
-
-    def to_dict(self) -> dict:
-        return {
-            "t_start": self.t_start,
-            "duration": self.duration,
-            "events": [e.to_dict() for e in self.events],
-            "anchors": {lv.name: list(r) for lv, r in self.anchors.items()},
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Epoch":
-        return cls(
-            t_start=d["t_start"],
-            duration=d["duration"],
-            events=tuple(PulseEvent.from_dict(e) for e in d["events"]),
-            anchors={InternalLevel[name]: tuple(r)
-                     for name, r in d["anchors"].items()},
-            label=d.get("label", ""),
-        )
 
 
 @dataclass(frozen=True)
@@ -245,10 +180,8 @@ class SequencePlan:
 
     kind: str
     epochs: list[Epoch]
-    drift_intervals: list[tuple[float, float]] = field(default_factory=list)
     pairs: list[PulsePair] = field(default_factory=list)
     expected_final: dict = field(default_factory=dict)
-    adiabaticity: float | None = None
 
     @property
     def events(self) -> list[PulseEvent]:
@@ -256,53 +189,7 @@ class SequencePlan:
 
     @property
     def total_duration(self) -> float:
-        ends = [ep.t_end for ep in self.epochs]
-        ends += [start + dur for start, dur in self.drift_intervals]
-        return max(ends) if ends else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "epochs": [ep.to_dict() for ep in self.epochs],
-            "drift_intervals": [list(pair) for pair in self.drift_intervals],
-            "expected_final": {
-                key: {"level": st.level.name, "n_z": st.n_z, "n_x": st.n_x}
-                for key, st in self.expected_final.items()},
-            "adiabaticity": self.adiabaticity,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SequencePlan":
-        return cls(
-            kind=d["kind"],
-            epochs=[Epoch.from_dict(e) for e in d["epochs"]],
-            drift_intervals=[tuple(pair) for pair in d["drift_intervals"]],
-            expected_final={
-                key: RecoilState(InternalLevel[v["level"]], v["n_z"], v["n_x"])
-                for key, v in d["expected_final"].items()},
-            adiabaticity=d.get("adiabaticity"),
-        )
-
-
-def chirp_offset(from_state: RecoilState, to_state: RecoilState,
-                 atom: AtomParams, drift_z: float = 0.0,
-                 drift_x: float = 0.0) -> float:
-    """Frequency adjustment that makes the two-photon drive resonant.
-
-    Returns the full kinetic contribution (recoil plus Doppler, folded into
-    one quadratic) to the transition frequency of the pair, relative to the
-    zero-momentum transition.  Applying it as a tone offset makes the two
-    target states degenerate in the rotated frame.
-    """
-    dz = abs(to_state.n_z - from_state.n_z)
-    dx = abs(to_state.n_x - from_state.n_x)
-    if not ((dz == 2 and dx == 0) or (dz == 0 and dx == 2)):
-        raise ConfigurationError(
-            "chirp offsets are defined for two-photon pairs two recoils apart "
-            f"on one axis, got {from_state} -> {to_state}")
-    e_to = atom.kinetic_rate(to_state.n_z, to_state.n_x, drift_z, drift_x)
-    e_from = atom.kinetic_rate(from_state.n_z, from_state.n_x, drift_z, drift_x)
-    return e_to - e_from
+        return max((ep.t_end for ep in self.epochs), default=0.0)
 
 
 def counter_intuitive_pair(index: int, stagger: float, rms_rabi: float,
@@ -341,25 +228,13 @@ def counter_intuitive_pair(index: int, stagger: float, rms_rabi: float,
 
     anchor = start_rung if chirp else unchirped_rung
 
-    def beam_offset(g_now: int, e_now: int) -> float:
-        # frequency step of this beam relative to its ladder-start tuning
-        if not chirp:
-            return 0.0
-        g_ref = unchirped_rung + (g_now - start_rung)
-        e_ref = unchirped_rung + (e_now - start_rung)
-        now = atom.kinetic_rate(e_now) - atom.kinetic_rate(g_now)
-        ref = atom.kinetic_rate(e_ref) - atom.kinetic_rate(g_ref)
-        return now - ref
-
     lead = PulseEvent(
         envelope=lead_env, polarization=lead_pol, axis="z",
         direction=-direction, channel=CHANNEL_LAMBDA,
-        detuning_offset=beam_offset(target.n_z, intermediate.n_z),
     )
     trail = PulseEvent(
         envelope=trail_env, polarization=trail_pol, axis="z",
         direction=direction, channel=CHANNEL_LAMBDA,
-        detuning_offset=beam_offset(populated.n_z, intermediate.n_z),
     )
 
     a_rungs = {pop_level: (anchor, 0),
@@ -407,7 +282,6 @@ def build_adiabatic_sequence(n_pairs: int, stagger: float, rms_rabi: float,
         epochs=epochs,
         pairs=pairs,
         expected_final={"deflected": RecoilState(final_level, rung)},
-        adiabaticity=pairs[0].adiabaticity,
     )
     return plan
 
@@ -436,13 +310,9 @@ def effective_pulse(area: float, omega_eff: float,
     target = from_state.n_z if axis == "z" else from_state.n_x
     if reference_rung is None or chirp:
         reference_rung = target
-    offset = 0.0
-    if dn != 0 and chirp:
-        offset = chirp_offset(from_state, to_state, atom)
     return PulseEvent(
         envelope=env, polarization=polarization, axis=axis,
         direction=1 if dn >= 0 else -1, channel=CHANNEL_RAMAN,
-        detuning_offset=offset,
         levels=(from_state.level, to_state.level), delta_n=dn,
         target_rung=target, reference_rung=reference_rung,
         bias_detuning=bias_detuning, phase=phase,
@@ -589,15 +459,9 @@ def _anchor(axis: str, rung: int) -> tuple[int, int]:
 
 def shift_plan(plan: SequencePlan, dt: float) -> SequencePlan:
     """Return a copy of the plan with all times offset by ``dt``."""
-    epochs = []
-    for ep in plan.epochs:
-        events = tuple(replace(e, envelope=replace(e.envelope,
-                                                   start=e.envelope.start + dt))
-                       for e in ep.events)
-        epochs.append(Epoch(ep.t_start + dt, ep.duration, events,
-                            ep.anchors, ep.label))
-    return SequencePlan(
-        kind=plan.kind, epochs=epochs,
-        drift_intervals=[(s + dt, d) for s, d in plan.drift_intervals],
-        pairs=plan.pairs, expected_final=dict(plan.expected_final),
-        adiabaticity=plan.adiabaticity)
+    return replace(plan, epochs=[
+        replace(ep, t_start=ep.t_start + dt, events=tuple(
+            replace(e, envelope=replace(e.envelope,
+                                        start=e.envelope.start + dt))
+            for e in ep.events))
+        for ep in plan.epochs])

@@ -33,10 +33,10 @@ def test_empty_window_rejected():
 
 def test_ordering_level_then_nz_then_nx():
     basis = Basis([C, A], [1, -1], [0, 2])
-    assert basis.states[0] == RecoilState(A, -1, 0)
-    assert basis.states[1] == RecoilState(A, -1, 2)
-    assert basis.states[2] == RecoilState(A, 1, 0)
-    assert basis.states[-1] == RecoilState(C, 1, 2)
+    assert basis.state(0) == RecoilState(A, -1, 0)
+    assert basis.state(1) == RecoilState(A, -1, 2)
+    assert basis.state(2) == RecoilState(A, 1, 0)
+    assert basis.state(len(basis) - 1) == RecoilState(C, 1, 2)
 
 
 @given(levels=st.sets(st.sampled_from(list(InternalLevel)), min_size=1),
@@ -49,8 +49,10 @@ def test_build_deterministic_and_indexable(levels, window_z, window_x):
                      sorted(window_z, reverse=True), list(window_x))
     expected = [RecoilState(lv, nz, nx) for lv in InternalLevel if lv in levels
                 for nz in sorted(window_z) for nx in sorted(window_x)]
-    assert b1.states == b2.states == tuple(expected)  # input order cannot matter
-    for i, state in enumerate(b1.states):
+    states = [b1.state(i) for i in range(len(b1))]
+    # input order cannot matter
+    assert states == [b2.state(i) for i in range(len(b2))] == expected
+    for i, state in enumerate(states):
         assert state in b1
         assert b1.index_of(state) == i
     # every state of a box one rung wider than the windows: present ones,

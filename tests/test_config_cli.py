@@ -277,6 +277,29 @@ def test_cli_pattern_missing_input_is_io_error(tmp_path):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
 
 
+def test_cli_pattern_empty_image_is_config_error(tmp_path, capsys):
+    empty = tmp_path / "empty.pgm"
+    empty.write_bytes(b"P5\n0 0\n255\n")
+    path = write_config(tmp_path, {"plan": "pattern",
+                                   "params": {"input_pgm": str(empty)}})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_cli_fringes_overflowing_amplitudes_is_config_error(tmp_path,
+                                                            capsys):
+    doc = {"plan": "fringes",
+           "params": {"arms": [{"amplitude_re": 1e200, "n_z": 0},
+                               {"amplitude_re": 1e200, "n_z": 94}]}}
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not list(out.glob("*.fringe.csv"))
+
+
 def test_cli_split2d_fringe_artifacts_and_determinism(tmp_path):
     # four small pulse trains per axis and a coarse grid keep this quick
     doc = {"plan": "split2d",

@@ -131,10 +131,16 @@ def test_arm_phase_shifts_pattern_not_spacing(atom):
     assert not np.allclose(base.samples, shifted.samples)
 
 
+def test_overflowing_amplitudes_rejected(atom):
+    # |1e200 + 1e200|^2 overflows: the normalized pattern would be all NaN
+    with pytest.raises(ConfigurationError, match="overflow the intensity"):
+        synthesize([(1e200, 0, 0), (1e200, 94, 0)], GridSpec(), atom)
+
+
 def test_coherence_envelope_counts_enough_periods():
     env = CoherenceEnvelope()
     assert env.length == pytest.approx(300e-6)
-    assert env.periods_within(8e-9) > 1e4
+    assert env.length / 8e-9 > 1e4  # periods of an 8 nm fringe inside it
 
 
 def test_envelope_limits_fringe_field(atom):

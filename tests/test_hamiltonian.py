@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from recoilsim.basis import Basis, RecoilState
 from recoilsim.errors import ConfigurationError
-from recoilsim.hamiltonian import assemble, compile_epoch, dark_state
+from recoilsim.hamiltonian import compile_epoch, dark_state
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, PI_PAIR,
                               SIGMA_LEG, SIGMA_PAIR, PulseEnvelope,
@@ -29,81 +29,105 @@ def sigma_event(pol, direction, peak=1e6, duration=1e-6):
                       channel="adiabatic_lambda")
 
 
+def dense(h, t):
+    """H(t) of a compiled single-member operator as a dense matrix, entry by
+    entry as derivative_into applies it: H[i, perm[i]] = envelope(t) *
+    pattern[i] * exp(i rate[i] t), plus the diagonal minus i decay / 2."""
+    m = np.diag(h.diagonal - 0.5j * h.decay)
+    for fam in h.families:
+        for i in np.flatnonzero(fam.pattern):
+            m[i, fam.perm[i]] += fam.envelope_value(t) * fam.pattern[i] * \
+                np.exp(1j * t * fam.rate[i])
+    return m
+
+
+def couplings(basis, h):
+    """The coupled state pairs (i < j) of every family."""
+    return [(basis.state(i), basis.state(int(fam.perm[i])))
+            for fam in h.families for i in np.flatnonzero(fam.pattern)
+            if fam.perm[i] > i]
+
+
 def test_no_pulses_is_diagonal_only(atom):
     basis = Basis([A, B, E1], range(-3, 4))
-    spec = assemble(basis, [], 0.0, atom)
-    assert spec.couplings == []
+    h = compile_epoch(basis, [], atom)
+    assert h.families == []
+    m = dense(h, 0.0)
+    assert np.array_equal(m, np.diag(m.diagonal()))
     wr = atom.recoil_frequency
-    for i, state in enumerate(basis.states):
-        assert spec.diagonal[i] == pytest.approx(wr * state.n_z ** 2)
+    for i in range(len(basis)):
+        assert m[i, i] == pytest.approx(wr * basis.state(i).n_z ** 2)
 
 
 def test_sigma_plus_recoil_bookkeeping(atom):
     # one coupling per rung, each stepping n_z by the photon direction
     basis = Basis([A, B, E1], range(-3, 4))
-    spec = assemble(basis, [sigma_event("sigma_plus", +1)], 0.5e-6, atom)
-    assert spec.couplings, "beam should couple something"
-    for i, j, amp in spec.couplings:
-        lo, hi = basis.states[i], basis.states[j]
-        pair = {lo.level, hi.level}
-        assert pair == {B, E1}
+    h = compile_epoch(basis, [sigma_event("sigma_plus", +1)], atom)
+    m = dense(h, 0.5e-6)
+    pairs = couplings(basis, h)
+    assert pairs, "beam should couple something"
+    for lo, hi in pairs:
+        assert {lo.level, hi.level} == {B, E1}
         ground = lo if lo.level is B else hi
         excited = hi if hi.level is E1 else lo
         assert excited.n_z == ground.n_z + 1
+        amp = m[basis.index_of(excited), basis.index_of(ground)]
         assert amp == pytest.approx(0.5e6)
-    rungs = {basis.states[i].n_z for i, _, _ in spec.couplings} | \
-            {basis.states[j].n_z for _, j, _ in spec.couplings}
-    assert len(spec.couplings) == 6  # every rung pair inside the window
+    assert len(pairs) == 6  # every rung pair inside the window
 
 
 def test_counterpropagating_pair_builds_lambda_chain(atom):
     pair = counter_intuitive_pair(0, 50e-9, 2 * math.pi * 1e8, atom,
                                   direction=-1, start_rung=0)
     basis = Basis([A, B, E1], range(-5, 3))
-    spec = assemble(basis, pair.events, 75e-9, atom, pair.epoch.anchors)
-    pairs = {(basis.states[i], basis.states[j]) for i, j, _ in spec.couplings}
-    chain = {(RecoilState(A, 0), RecoilState(E1, -1)),
-             (RecoilState(E1, -1), RecoilState(A, 0)),
-             (RecoilState(B, -2), RecoilState(E1, -1)),
-             (RecoilState(E1, -1), RecoilState(B, -2))}
-    assert any(p in chain or tuple(reversed(p)) in chain for p in pairs)
+    h = compile_epoch(basis, pair.events, atom, pair.epoch.anchors)
+    pairs = set(couplings(basis, h))
+    assert (RecoilState(A, 0), RecoilState(E1, -1)) in pairs
+    assert (RecoilState(B, -2), RecoilState(E1, -1)) in pairs
     # two-photon chain steps two recoils between the ground legs, with no
     # direct one-photon shortcut between them
-    h = spec.matrix()
+    m = dense(h, 75e-9)
     ia = basis.index_of(RecoilState(A, 0))
     ie = basis.index_of(RecoilState(E1, -1))
     ib = basis.index_of(RecoilState(B, -2))
-    assert h[ie, ia] != 0
-    assert h[ie, ib] != 0
-    assert h[ib, ia] == 0
+    assert m[ie, ia] != 0
+    assert m[ie, ib] != 0
+    assert m[ib, ia] == 0
 
 
 def test_hermitian_exactly_when_no_decay(atom):
     pair = counter_intuitive_pair(0, 50e-9, 2 * math.pi * 1e8, atom)
-    basis = Basis([A, B, E1], range(-5, 3))
-    h = assemble(basis, pair.events, 60e-9, atom, pair.epoch.anchors).matrix()
-    assert np.array_equal(h.real, h.real.T)
-    assert np.array_equal(h.imag, -h.imag.T)
+    basis = Basis([A, B, C, E1], range(-5, 3))
+    # a detuned, phased Raman tone adds a rotating coupling
+    tone = effective_pulse(math.pi, 1e6, RecoilState(A, -2),
+                           RecoilState(C, -4), atom, "sigma_pair", "z",
+                           chirp=False, reference_rung=0,
+                           bias_detuning=2.5e4, phase=0.7)
+    h = compile_epoch(basis, [*pair.events, tone], atom, pair.epoch.anchors)
+    assert any(fam.has_rate for fam in h.families)
+    m = dense(h, 60e-9)
+    assert np.array_equal(m.real, m.real.T)
+    assert np.array_equal(m.imag, -m.imag.T)
 
 
 def test_decay_appears_on_excited_levels_only(atom):
     basis = Basis([A, B, E1], range(-2, 3))
-    spec = assemble(basis, [], 0.0, atom, decay_rate=1e5)
-    for i, state in enumerate(basis.states):
-        expected = 1e5 if state.level.is_excited else 0.0
-        assert spec.decay[i] == expected
-    h = spec.matrix()
-    assert np.any(h.imag.diagonal() < 0)
+    h = compile_epoch(basis, [], atom, decay_rate=1e5)
+    for i in range(len(basis)):
+        expected = 1e5 if basis.state(i).level.is_excited else 0.0
+        assert h.decay[i] == expected
+    m = dense(h, 0.0)
+    assert np.any(m.imag.diagonal() < 0)
 
 
 def test_pulse_referencing_missing_level_rejected(atom):
     basis = Basis([A, B], range(-2, 3))  # no intermediate level
     with pytest.raises(ConfigurationError):
-        assemble(basis, [sigma_event("sigma_plus", +1)], 0.0, atom)
+        compile_epoch(basis, [sigma_event("sigma_plus", +1)], atom)
     basis2 = Basis([A, B, E1], range(-2, 3))  # no C
     pulse = copropagating_pulse(math.pi, 1e6, atom, "a-c", axis="x")
     with pytest.raises(ConfigurationError):
-        assemble(basis2, [pulse], 0.0, atom)
+        compile_epoch(basis2, [pulse], atom)
 
 
 def test_chirped_effective_pulse_degenerate_diagonal(atom):
@@ -112,10 +136,10 @@ def test_chirped_effective_pulse_degenerate_diagonal(atom):
                          atom, "sigma_pair", "z", chirp=True)
     basis = Basis([A, C], range(-8, 3))
     anchors = {A: (-2, 0), C: (-4, 0)}
-    spec = assemble(basis, [ev], 0.0, atom, anchors)
+    m = dense(compile_epoch(basis, [ev], atom, anchors), 0.0)
     ia = basis.index_of(RecoilState(A, -2))
     ic = basis.index_of(RecoilState(C, -4))
-    assert spec.diagonal[ia] == spec.diagonal[ic] == 0.0
+    assert m[ia, ia] == m[ic, ic] == 0.0
 
 
 def test_dark_state_matches_stated_formula():
@@ -159,8 +183,8 @@ def test_dark_state_normalized_no_excited(gp, gm, direction, origin):
 
 
 def reference_compile(basis, events, atom, anchors, decay_rate):
-    """Brute-force per-state compiler: a dict over basis.states."""
-    states = basis.states
+    """Brute-force per-state compiler: a dict over the basis states."""
+    states = [basis.state(i) for i in range(len(basis))]
     index = {state: i for i, state in enumerate(states)}
     n = len(states)
     wr = atom.recoil_frequency

@@ -56,6 +56,14 @@ def test_rejects_truncated_data(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("width, height", [(0, 0), (0, 5)])
+def test_rejects_empty_image(tmp_path, width, height):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(f"P5\n{width} {height}\n255\n".encode())
+    with pytest.raises(ConfigurationError, match="at least one pixel"):
+        read_pgm(path)
+
+
 def test_rejects_out_of_range_pixels(tmp_path):
     with pytest.raises(ConfigurationError):
         write_pgm(tmp_path / "bad.pgm", np.array([[70000]], dtype=np.int64))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from recoilsim import propagate
 from recoilsim.basis import Basis, RecoilState, WaveFunction
 from recoilsim.errors import ConfigurationError, IntegrationError
 from recoilsim.hamiltonian import EpochHamiltonian, compile_epoch
@@ -165,13 +166,14 @@ def test_x_sequence_on_one_z_rung_keeps_its_basis(atom):
     assert out.population([A]) == pytest.approx(0.5, abs=1e-3)
 
 
-def test_memory_budget_enforced(atom):
+def test_memory_budget_enforced(atom, monkeypatch):
     from recoilsim.pulses import build_adiabatic_sequence
     plan = build_adiabatic_sequence(3, 50e-9, 2 * math.pi * 1e8, atom)
     basis = Basis([A, B, E1], range(-4, 2))
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
-    with pytest.raises(ConfigurationError):
-        evolve_plan(psi, plan, atom, max_states=20)
+    monkeypatch.setattr(propagate, "MAX_STATES", 20)
+    with pytest.raises(ConfigurationError, match="over the budget of 20"):
+        evolve_plan(psi, plan, atom)
 
 
 def test_batch_member_keeps_its_own_step_count(atom, monkeypatch):
