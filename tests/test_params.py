@@ -39,12 +39,22 @@ def test_derived_values_never_stale():
     assert atom2.wavenumber() == pytest.approx(2 * math.pi / 790e-9)
 
 
-def test_kinetic_rate_examples():
+def test_kinetic_rate_quadratic_and_doppler():
     atom = rb87()
     wr = atom.recoil_frequency
     assert atom.kinetic_rate(0, 0) == 0.0
     assert atom.kinetic_rate(-2, 0) == pytest.approx(4 * wr)
     assert atom.kinetic_rate(3, 4) == pytest.approx(25 * wr)
+    # a momentum offset folds in linearly as a Doppler cross term
+    assert (atom.kinetic_rate(3, 0) - atom.kinetic_rate(1, 0)
+            - atom.kinetic_rate(2, 0)) == pytest.approx(4 * wr)
+
+
+def test_kinetic_rate_examples():
+    atom = rb87()
+    wr = atom.recoil_frequency
+    assert atom.kinetic_rate(0, 0) == 0.0
+    assert atom.kinetic_rate(-2, 0) == pytest.approx(4 * wr)
     # one recoil of Rb-87 on the D2 line is 3.77 kHz
     assert atom.kinetic_rate(1, 0) / (2 * math.pi) == pytest.approx(3771, abs=5)
 
