@@ -11,10 +11,13 @@ phase rotates at the tone-spacing rate.
 
 Couplings are stored as whole-basis permutation/pattern arrays: every
 coupling family here is a perfect matching (each state has at most one
-partner per family), so H*psi is a handful of vectorized gather-multiply
-operations.  That matching structure is also the physical content of the
-momentum selection rules: within one family a state can only ever reach its
-single partner.
+partner per family), so H*psi is a gather and a few multiplies.  For
+integration the families are stacked (``StepOperator``): one ``take``
+gathers every family's partners at once, one multiply applies all the
+patterns, one the phase ramps and one a column of envelope values, and each
+family's row is then added onto the diagonal term in family order.  That
+matching structure is also the physical content of the momentum selection
+rules: within one family a state can only ever reach its single partner.
 
 An operator may carry a leading batch axis: ``pattern`` and ``rate`` of
 shape (B, n) hold B members that share the permutation and envelope, such
@@ -47,37 +50,81 @@ class CouplingFamily:
     perm: np.ndarray       # partner index per state (identity where uncoupled)
     pattern: np.ndarray    # complex, (n,) or (B, n); H[i, perm[i]] = envelope(t) * pattern[i] * e^{i rate[i] t}
     rate: np.ndarray       # rad/s phase-ramp per entry, shaped like pattern (anti-symmetric over the matching)
-    envelope_value: object  # callable t -> scalar envelope
+    envelope_value: object  # callable: time or array of times -> envelope
     peak: float
     has_rate: bool = False
 
-    def __post_init__(self):
-        self._env_cache = (float("nan"), 0.0)
 
-    def _env(self, t: float) -> float:
-        # RK4 evaluates the midpoint twice per step; memoize the last call
-        last_t, last_v = self._env_cache
-        if t == last_t:
-            return last_v
-        v = self.envelope_value(t)
-        self._env_cache = (t, v)
-        return v
+class StepOperator:
+    """An operator's families stacked for states of one shape, (n,) or
+    (B, n), so that ``apply`` treats all of them with one call per
+    operation.  Element by element it does what a loop over the families
+    would: partner amplitude * pattern * e^{i rate t} * envelope, added in
+    family order, with the phase of a family without a rate left out (a
+    factor of exactly 1 in the stacked multiply).
+    """
 
-    def apply_into(self, t: float, psi: np.ndarray, out: np.ndarray,
-                   buf: np.ndarray) -> None:
-        env = self._env(t)
-        if env == 0.0:
+    def __init__(self, h: "EpochHamiltonian", shape: tuple):
+        families = h.families
+        self.diag = h._diag_complex
+        self.envelopes = [fam.envelope_value for fam in families]
+        self.column = (len(families),) + (1,) * len(shape)
+        self.index = None
+        self.rates = None
+        if not families:
             return
-        psi.take(self.perm, axis=-1, out=buf)
-        buf *= self.pattern
-        if self.has_rate:
-            buf *= np.exp(1j * t * self.rate)
-        buf *= env
-        out += buf
+        # flat indices into psi: take() then gathers straight into the
+        # (F, B, n) layout whose family rows are contiguous
+        offsets = shape[-1] * np.arange(shape[0])[:, None] \
+            if len(shape) > 1 else 0
+        self.index = np.stack([fam.perm + offsets for fam in families])
+        self.patterns = np.stack([np.broadcast_to(fam.pattern, shape)
+                                  for fam in families])
+        if any(fam.has_rate for fam in families):
+            self.rates = np.stack([np.broadcast_to(
+                fam.rate if fam.has_rate else 0.0, shape)
+                for fam in families])
+            self._phase = np.empty_like(self.patterns)
+        self._gathered = np.empty_like(self.patterns)
+        self._rows = list(self._gathered)
+
+    def envelope_table(self, times: np.ndarray) -> np.ndarray:
+        """Envelope columns (len(times), F, 1...) for ``apply``, each
+        family evaluated once on the whole array."""
+        table = np.empty((len(times), len(self.envelopes)),
+                         dtype=np.complex128)
+        for f, value in enumerate(self.envelopes):
+            table[:, f] = value(times)
+        return table.reshape((len(times),) + self.column)
+
+    def phase(self, t: float) -> np.ndarray | None:
+        """e^{i rate t} of every family, or None when no family has a rate;
+        the array is overwritten by the next call."""
+        if self.rates is None:
+            return None
+        np.multiply(1j * t, self.rates, out=self._phase)
+        return np.exp(self._phase, out=self._phase)
+
+    def apply(self, psi: np.ndarray, out: np.ndarray, envelope: np.ndarray,
+              phase: np.ndarray | None) -> None:
+        """out = H psi at the time of the ``envelope`` column and
+        ``phase``."""
+        np.multiply(self.diag, psi, out=out)
+        if self.index is None:
+            return
+        gathered = self._gathered
+        psi.take(self.index, out=gathered, mode="clip")
+        gathered *= self.patterns
+        if phase is not None:
+            gathered *= phase
+        gathered *= envelope
+        for row in self._rows:
+            out += row
 
 
 class EpochHamiltonian:
-    """Compiled operator for one epoch: static structure, scalar envelopes.
+    """Compiled operator for one epoch: static structure, time-dependent
+    envelopes.
 
     ``psi`` may be one state vector (n,) or a batch (B, n); the peak and
     bound queries return one value per member when the operator is batched.
@@ -89,6 +136,7 @@ class EpochHamiltonian:
         self.decay = decay
         self._diag_complex = diagonal - 0.5j * decay
         self.families = families
+        self._bound = None                  # last (t0, t1) and its row_bound
 
     @property
     def batched(self) -> bool:
@@ -102,14 +150,6 @@ class EpochHamiltonian:
         return (self.diagonal.shape[-1],
                 tuple((fam.envelope_value, fam.perm.tobytes())
                       for fam in self.families))
-
-    def derivative_into(self, t: float, psi: np.ndarray, out: np.ndarray,
-                        buf: np.ndarray) -> None:
-        """out = -i H(t) psi; ``buf`` is scratch shaped like ``psi``."""
-        np.multiply(self._diag_complex, psi, out=out)
-        for fam in self.families:
-            fam.apply_into(t, psi, out, buf)
-        out *= -1j
 
     def _diag_max(self):
         """Largest |diagonal element|, per member for a batch."""
@@ -130,15 +170,21 @@ class EpochHamiltonian:
         """Gershgorin-style bound on the spectral radius.
 
         With a time window, the envelopes are sampled over it so beams that
-        never peak simultaneously are not double-counted.
+        never peak simultaneously are not double-counted.  The last window's
+        bound is kept, so asking again for it costs nothing.
         """
+        if self._bound is None or self._bound[0] != (t0, t1):
+            self._bound = ((t0, t1), self._sampled_bound(t0, t1))
+        return self._bound[1]
+
+    def _sampled_bound(self, t0, t1):
         diag_max = self._diag_max()
         elem = self._peak_elements()
         if t0 is None or t1 is None or t1 <= t0 or not self.families:
             return diag_max + sum(elem)
         grid = np.linspace(t0, t1, 257)
-        envelopes = [np.array([fam.envelope_value(t) for t in grid])
-                     if fam.peak else None for fam in self.families]
+        envelopes = [fam.envelope_value(grid) if fam.peak else None
+                     for fam in self.families]
         # batch members mostly share their peak elements (over a detuning
         # scan they differ by an ulp at most), so each distinct row of them
         # is summed once instead of building a (B, 257) array

@@ -9,6 +9,13 @@ The one RK4 loop works on a leading batch axis: a whole detuning scan is
 one batch of members sharing a compiled operator, and the arms of one pulse
 stage, each compiled on its own lattice, are stacked into one batch
 wherever their reduced operators couple alike.
+
+Each step is bound by the number of numpy calls, not by the size of the
+vectors, so the loop keeps that number small: the coupling families are
+stacked so that one gather serves all of them (``StepOperator``), and every
+envelope is evaluated once per chunk of steps on an array of substage
+times.  Every element is computed exactly as a per-family loop computes
+it, so results are bit-identical to that loop.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ import numpy as np
 
 from .basis import Basis, WaveFunction, prune_dust, span_window
 from .errors import ConfigurationError, IntegrationError
-from .hamiltonian import EpochHamiltonian, compile_from_epoch, stack
+from .hamiltonian import (EpochHamiltonian, StepOperator, compile_from_epoch,
+                          stack)
 from .params import AtomParams
 from .pulses import Epoch, SequencePlan
 
@@ -29,6 +37,7 @@ NORM_TOL_PER_STEP = 1e-9
 BOUNDARY_TOL = 1e-10        # population near the window edge triggering growth
 EXTEND_BY = 8               # rungs added per auto-extension
 MAX_STATES = 40_000         # basis size an auto-extension may not exceed
+ENVELOPE_CHUNK = 128        # steps whose envelopes are tabulated at once
 
 
 def check_stability(hamiltonian: EpochHamiltonian, dt: float) -> None:
@@ -215,40 +224,60 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan | list,
 def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
          observe=None, observe_per_epoch: int = 0) -> float:
     """Classic RK4 over the epoch in ``n_steps`` equal steps, in place on
-    ``work`` (members x states); returns the end time."""
+    ``work`` (members x states); returns the end time.
+
+    The substage times and every envelope on them are tabulated for up to
+    ENVELOPE_CHUNK steps at a time.  The stages are H psi, and the -i of
+    the Schrodinger equation rides on the step coefficients: a product with
+    -i only swaps and negates components, so each element is exactly what
+    -i H psi scaled by a real coefficient gives.
+    """
     dt = epoch.duration / n_steps
     check_stability(h, dt)
     stride = max(1, n_steps // observe_per_epoch) if observe else 0
-    t = epoch.t_start
+    op = StepOperator(h, work.shape)
+    half, full, sixth = (np.array(c) for c in
+                         (-0.5j * dt, -1j * dt, -1j * dt / 6.0))
     k1 = np.empty_like(work)
     k2 = np.empty_like(work)
     k3 = np.empty_like(work)
     k4 = np.empty_like(work)
     y = np.empty_like(work)
-    buf = np.empty_like(work)
-    for k in range(n_steps):
-        h.derivative_into(t, work, k1, buf)
-        np.multiply(k1, 0.5 * dt, out=y)
-        y += work
-        h.derivative_into(t + 0.5 * dt, y, k2, buf)
-        np.multiply(k2, 0.5 * dt, out=y)
-        y += work
-        h.derivative_into(t + 0.5 * dt, y, k3, buf)
-        np.multiply(k3, dt, out=y)
-        y += work
+    for k0 in range(0, n_steps, ENVELOPE_CHUNK):
+        k_stop = min(k0 + ENVELOPE_CHUNK, n_steps)
+        # the times of the step loop: each step starts where the last ended
+        bounds = epoch.t_start + np.arange(k0, k_stop + 1) * epoch.duration \
+            / n_steps
+        t = bounds[:-1]
+        mid = t + 0.5 * dt
         # clamp: rounding must not push the last substage past the
         # envelope window (a square edge there breaks the error order)
-        h.derivative_into(min(t + dt, epoch.t_end), y, k4, buf)
-        k2 += k3
-        k2 *= 2.0
-        k2 += k1
-        k2 += k4
-        k2 *= dt / 6.0
-        work += k2
-        t = epoch.t_start + (k + 1) * epoch.duration / n_steps
-        if stride and ((k + 1) % stride == 0 or k + 1 == n_steps):
-            observe(t)
-    return t
+        end = np.minimum(t + dt, epoch.t_end)
+        envelopes = op.envelope_table(np.concatenate([t, mid, end])) \
+            .reshape((3, k_stop - k0) + op.column)
+        for k, t_s, t_m, t_e, e_s, e_m, e_e in zip(
+                range(k0 + 1, k_stop + 1), t.tolist(), mid.tolist(),
+                end.tolist(), *envelopes):
+            op.apply(work, k1, e_s, op.phase(t_s))
+            np.multiply(k1, half, out=y)
+            y += work
+            phase = op.phase(t_m)
+            op.apply(y, k2, e_m, phase)
+            np.multiply(k2, half, out=y)
+            y += work
+            op.apply(y, k3, e_m, phase)
+            np.multiply(k3, full, out=y)
+            y += work
+            op.apply(y, k4, e_e, op.phase(t_e))
+            k2 += k3
+            k2 *= 2.0
+            k2 += k1
+            k2 += k4
+            k2 *= sixth
+            work += k2
+            if stride and (k % stride == 0 or k == n_steps):
+                observe(float(bounds[k - k0]))
+    return float(bounds[-1])
 
 
 def _extend(basis: Basis, amps: np.ndarray):

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .basis import RecoilState
 from .errors import ConfigurationError
 from .params import AtomParams, InternalLevel
@@ -77,14 +79,20 @@ class PulseEnvelope:
     def end(self) -> float:
         return self.start + self.duration
 
-    def value(self, t: float) -> float:
-        if t < self.start or t > self.end:
-            return 0.0
+    def value(self, t):
+        """The envelope at the time or array of times ``t``, zero outside
+        the closed window.  Each element is the scalar formula: math.sin
+        per element, since a SIMD np.sin may differ in the last bit."""
+        t = np.asarray(t, dtype=np.float64)
+        inside = (t >= self.start) & (t <= self.end)
+        out = np.zeros(t.shape)
         if self.shape == SQUARE:
-            return self.peak_rabi
-        x = (t - self.start) / self.duration
-        s = math.sin(math.pi * x)
-        return self.peak_rabi * s * s
+            out[inside] = self.peak_rabi
+        else:
+            x = (t[inside] - self.start) / self.duration
+            s = np.array([math.sin(v) for v in (math.pi * x).tolist()])
+            out[inside] = self.peak_rabi * s * s
+        return out[()]
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ def sigma_event(pol, direction, peak=1e6, duration=1e-6):
 
 def dense(h, t):
     """H(t) of a compiled single-member operator as a dense matrix, entry by
-    entry as derivative_into applies it: H[i, perm[i]] = envelope(t) *
+    entry as StepOperator.apply applies it: H[i, perm[i]] = envelope(t) *
     pattern[i] * exp(i rate[i] t), plus the diagonal minus i decay / 2."""
     m = np.diag(h.diagonal - 0.5j * h.decay)
     for fam in h.families:

@@ -1,18 +1,23 @@
 """Integrator oracles: analytic two-level formulas, norm, stability."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recoilsim import propagate
 from recoilsim.basis import Basis, RecoilState, WaveFunction
 from recoilsim.errors import ConfigurationError, IntegrationError
-from recoilsim.hamiltonian import EpochHamiltonian, compile_epoch
+from recoilsim.hamiltonian import (CouplingFamily, EpochHamiltonian,
+                                   compile_epoch)
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.propagate import (STABILITY_LIMIT, check_stability,
                                  evolve_plan)
-from recoilsim.pulses import (Epoch, SequencePlan, effective_pulse,
+from recoilsim.pulses import (SINE_SQUARED, SQUARE, Epoch, PulseEnvelope,
+                              SequencePlan, effective_pulse,
                               copropagating_pulse)
 
 A, B, C, E1 = (InternalLevel.A, InternalLevel.B, InternalLevel.C,
@@ -228,3 +233,134 @@ def test_batch_window_grows_when_any_member_nears_the_edge(atom):
     assert out.basis.window_z()[0] < -4
     assert out.population([C])[0] == pytest.approx(1.0, abs=1e-9)
     assert np.max(np.abs(out.amplitudes[1] - alone.amplitudes)) < 1e-9
+
+
+# The integrator as it was before the families were stacked: one gather,
+# multiply and add per family, a family skipped while its envelope is zero,
+# and -i applied to each stage.  The stacked kernel must match it bit for
+# bit; only the sign of an exact zero may differ.
+
+def reference_derivative(h, t, psi, out, buf):
+    np.multiply(h.diagonal - 0.5j * h.decay, psi, out=out)
+    for fam in h.families:
+        env = float(fam.envelope_value(t))
+        if env == 0.0:
+            continue
+        psi.take(fam.perm, axis=-1, out=buf)
+        buf *= fam.pattern
+        if fam.has_rate:
+            buf *= np.exp(1j * t * fam.rate)
+        buf *= env
+        out += buf
+    out *= -1j
+
+
+def reference_rk4(h, work, epoch, n_steps, observe=None,
+                  observe_per_epoch=0):
+    dt = epoch.duration / n_steps
+    stride = max(1, n_steps // observe_per_epoch) if observe else 0
+    t = epoch.t_start
+    k1, k2, k3, k4, y, buf = (np.empty_like(work) for _ in range(6))
+    for k in range(n_steps):
+        reference_derivative(h, t, work, k1, buf)
+        np.multiply(k1, 0.5 * dt, out=y)
+        y += work
+        reference_derivative(h, t + 0.5 * dt, y, k2, buf)
+        np.multiply(k2, 0.5 * dt, out=y)
+        y += work
+        reference_derivative(h, t + 0.5 * dt, y, k3, buf)
+        np.multiply(k3, dt, out=y)
+        y += work
+        reference_derivative(h, min(t + dt, epoch.t_end), y, k4, buf)
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        k2 *= dt / 6.0
+        work += k2
+        t = epoch.t_start + (k + 1) * epoch.duration / n_steps
+        if stride and ((k + 1) % stride == 0 or k + 1 == n_steps):
+            observe(t)
+    return t
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random operator, state, epoch and step count: 0-3 families, each
+    a perfect matching with an unbatched or (B, n) pattern, rates and decay
+    on or off, and square or sine^2 windows that may open or close inside
+    the epoch; ``scale`` sets the time unit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 9))
+    batch = draw(st.sampled_from([None, 1, 3]))
+    shape = (n,) if batch is None else (batch, n)
+    scale = draw(st.sampled_from([1.0, 1e-7]))
+    t_start = scale * draw(st.floats(0.0, 4.0))
+    duration = scale * draw(st.floats(0.25, 2.0))
+
+    def per_member():
+        return shape if batch and draw(st.booleans()) else (n,)
+
+    families = []
+    for _ in range(draw(st.integers(0, 3))):
+        order = rng.permutation(n)
+        m = int(rng.integers(0, n // 2 + 1))
+        i, j = order[:m], order[m:2 * m]
+        perm = np.arange(n)
+        perm[i], perm[j] = j, i
+        fam_shape = per_member()
+        half = np.zeros(fam_shape[:-1] + (m,), dtype=np.complex128)
+        half += rng.normal(size=half.shape) + 1j * rng.normal(size=half.shape)
+        pattern = np.zeros(fam_shape, dtype=np.complex128)
+        pattern[..., j] = half
+        pattern[..., i] = np.conj(half)
+        rate = np.zeros(fam_shape)
+        has_rate = draw(st.booleans())
+        if has_rate:
+            rho = rng.uniform(-20.0, 20.0, size=half.shape) / scale
+            rate[..., j] = -rho
+            rate[..., i] = rho
+        opens = draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.9)))
+        window = PulseEnvelope(draw(st.sampled_from([SQUARE, SINE_SQUARED])),
+                               draw(st.sampled_from([0.0, 1.0, 2.0])) / scale,
+                               t_start + opens * duration,
+                               duration * draw(st.floats(0.1, 1.5)))
+        families.append(CouplingFamily(
+            perm=perm, pattern=pattern, rate=rate,
+            envelope_value=window.value, peak=window.peak_rabi,
+            has_rate=has_rate))
+    diagonal = rng.normal(size=per_member()) / scale
+    decay = np.zeros(per_member())
+    if draw(st.booleans()):
+        decay[..., ::2] = rng.uniform(0.0, 1.0, size=decay[..., ::2].shape) \
+            / scale
+    h = EpochHamiltonian(diagonal, families, decay)
+    work = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stable = math.ceil(duration * float(np.max(h.max_element())) / 0.05)
+    n_steps = max(draw(st.integers(1, 40)), stable)
+    return (h, work, Epoch(t_start, duration, ()), n_steps,
+            draw(st.integers(0, 5)), draw(st.sampled_from([1, 3, 1024])))
+
+
+def observed(work):
+    samples = []
+    return samples, lambda t: samples.append((t, work.copy()))
+
+
+@given(case=kernel_cases())
+@settings(max_examples=200, deadline=None)
+def test_stacked_kernel_matches_the_per_family_loop_bit_for_bit(case):
+    h, work, epoch, n_steps, per_epoch, chunk = case
+    ref = work.copy()
+    samples, observe = observed(work)
+    ref_samples, ref_observe = observed(ref)
+    with mock.patch.object(propagate, "ENVELOPE_CHUNK", chunk):
+        t = propagate._rk4(h, work, epoch, n_steps,
+                           observe if per_epoch else None, per_epoch)
+    t_ref = reference_rk4(h, ref, epoch, n_steps,
+                          ref_observe if per_epoch else None, per_epoch)
+    assert t == t_ref
+    assert np.array_equal(work, ref)
+    assert [s for s, _ in samples] == [s for s, _ in ref_samples]
+    for (_, got), (_, want) in zip(samples, ref_samples):
+        assert np.array_equal(got, want)

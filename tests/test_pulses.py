@@ -1,14 +1,16 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recoilsim.basis import Basis, RecoilState
 from recoilsim.errors import ConfigurationError
-from recoilsim.hamiltonian import compile_epoch
+from recoilsim.hamiltonian import compile_epoch, compile_from_epoch
 from recoilsim.params import InternalLevel, rb87
+from recoilsim.propagate import default_dt, ladder_basis
 from recoilsim.pulses import (PulseEnvelope, SINE_SQUARED, SQUARE,
                               adiabaticity_parameter,
                               build_adiabatic_sequence, build_raman_sequence,
@@ -39,6 +41,54 @@ def test_envelope_zero_outside_window_peak_inside(peak, start, duration, shape, 
     elif 0 <= x <= 1:
         assert 0.0 <= value <= peak
     assert env.value(start + duration / 2) == pytest.approx(peak)
+
+
+def scalar_envelope(env, t):
+    """The envelope formula one time at a time; the array form must give
+    exactly this at every element."""
+    if t < env.start or t > env.end:
+        return 0.0
+    if env.shape == SQUARE:
+        return env.peak_rabi
+    x = (t - env.start) / env.duration
+    s = math.sin(math.pi * x)
+    return env.peak_rabi * s * s
+
+
+@pytest.mark.parametrize("shape", [SINE_SQUARED, SQUARE])
+def test_array_envelope_is_the_scalar_formula_at_the_window_edges(shape):
+    env = PulseEnvelope(shape, TWO_PI * 1e8, 3e-8, 1e-7)
+    times = [t for edge in (env.start, env.end)
+             for t in (np.nextafter(edge, -np.inf), edge,
+                       np.nextafter(edge, np.inf))]
+    times += np.linspace(0.0, 2e-7, 41).tolist()
+    values = env.value(np.array(times))
+    assert values.tolist() == [scalar_envelope(env, t) for t in times]
+    assert [env.value(t) for t in times] == values.tolist()
+    assert values[0] == 0.0 and values[5] == 0.0
+    assert (values[1] == 0.0) == (shape == SINE_SQUARED)
+    assert values[2] > 0.0 and values[4] > 0.0
+
+
+def test_array_envelope_is_the_scalar_formula_at_every_ladder_substage(atom):
+    # the times the RK4 loop evaluates, computed as it does one step at a
+    # time, over the second pair of a ladder (one beam opens at the epoch
+    # start, the other closes at its end)
+    epoch = build_adiabatic_sequence(2, 50e-9, TWO_PI * 1e8, atom).epochs[1]
+    basis = ladder_basis([A, B, E1], [-2, -4])
+    h = compile_from_epoch(basis, epoch, atom)
+    n_steps = math.ceil(epoch.duration / default_dt(h, 32.0, epoch.t_start,
+                                                    epoch.t_end))
+    dt = epoch.duration / n_steps
+    times = []
+    for k in range(n_steps):
+        t = epoch.t_start + k * epoch.duration / n_steps
+        times += [t, t + 0.5 * dt, min(t + dt, epoch.t_end)]
+    assert n_steps > 100
+    for event in epoch.events:
+        values = event.envelope.value(np.array(times))
+        assert values.tolist() == [scalar_envelope(event.envelope, t)
+                                   for t in times]
 
 
 def test_envelope_validation():
