@@ -7,15 +7,21 @@ A run is described by one JSON document with at most these sections:
 
 Unknown keys are rejected everywhere, and validation resolves every default
 so the provenance block records the complete effective configuration.
-User-facing frequencies are in Hz (cycles); they are converted to angular
-rates at the boundary.
+
+The params schema of figure3, split1d, ramsey and split2d is their
+parameter dataclass (see plans): each field but the toggles is a key, with
+its annotated type and its default.  Validation builds the dataclass from
+the resolved params and toggles as they are, in the config's units (Hz,
+s, m); each plan converts to angular rates on entry.  The fringes and
+pattern plans keep a dict schema and a dict of params.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .basis import PRUNE_FLOOR
@@ -24,8 +30,6 @@ from .fringes import GridSpec
 from .params import AtomParams
 from .plans import (Figure3Params, Plan1DParams, Plan2DParams, RamseyParams)
 from .pulses import SINE_SQUARED, SQUARE
-
-TWO_PI = 2 * math.pi
 
 PLAN_CATALOG = {
     "figure3": {
@@ -66,47 +70,25 @@ _TOGGLE_SCHEMA = {
     "envelope": (str, SINE_SQUARED),
 }
 
+_PARAM_CLASSES = {
+    "figure3": Figure3Params,
+    "split1d": Plan1DParams,
+    "ramsey": RamseyParams,
+    "split2d": Plan2DParams,
+}
+
+
+def _dataclass_schema(cls) -> dict:
+    """{field: (accepted types, default)} of every field of ``cls`` but the
+    toggles; a float field also accepts an int."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: ((int, float) if hints[f.name] is float
+                     else hints[f.name], f.default)
+            for f in fields(cls) if f.name not in _TOGGLE_SCHEMA}
+
+
 _PARAM_SCHEMAS = {
-    "figure3": {
-        "n_pairs": (int, 30),
-        "stagger_s": ((int, float), 50e-9),
-        "rms_rabi_hz": ((int, float), 100e6),
-        "direction": (int, -1),
-        "split_first": (bool, True),
-        "omega_eff_hz": ((int, float), 5e5),
-        "samples_per_pair": (int, 6),
-    },
-    "split1d": {
-        "ladder_n": (int, 25),
-        "stagger_s": ((int, float), 50e-9),
-        "rms_rabi_hz": ((int, float), 150e6),
-        "drift1_s": ((int, float), 3.3e-3),
-        "omega_eff_hz": ((int, float), 5e5),
-        "cloud_size_m": ((int, float), 1e-3),
-        "beam_width_m": ((int, float), 0.5e-3),
-        "arm_floor": ((int, float), 1e-6),
-    },
-    "ramsey": {
-        "ladder_n": (int, 25),
-        "stagger_s": ((int, float), 50e-9),
-        "rms_rabi_hz": ((int, float), 150e6),
-        "target_tau_s": ((int, float), 0.102),
-        "omega_eff_hz": ((int, float), 5e5),
-        "arm_phase_rad": ((int, float), 0.0),
-        "cloud_size_m": ((int, float), 1e-3),
-        "arm_floor": ((int, float), 1e-6),
-    },
-    "split2d": {
-        "p_pulses": (int, 24),
-        "p_reverse": (int, 48),
-        "q_pulses": (int, 48),
-        "q_reverse": (int, 96),
-        "omega_eff_hz": ((int, float), 5e5),
-        "drift1_s": ((int, float), 3.3e-3),
-        "cloud_size_m": ((int, float), 1e-3),
-        "beam_width_m": ((int, float), 0.5e-3),
-        "arm_floor": ((int, float), 1e-6),
-    },
+    **{plan: _dataclass_schema(cls) for plan, cls in _PARAM_CLASSES.items()},
     "fringes": {
         "arms": (list, None),
         "coherence_length_m": ((int, float), 300e-6),
@@ -220,7 +202,6 @@ class ResolvedConfig:
     plan: str
     atom: AtomParams
     params: object              # plan parameter dataclass or dict
-    toggles: dict
     output: dict
     resolved: dict              # the fully resolved JSON document
 
@@ -273,47 +254,14 @@ def validate_config(doc: dict) -> ResolvedConfig:
         "toggles": toggles,
         "output": output,
     }
-    return ResolvedConfig(plan=plan, atom=atom,
-                          params=_build_params(plan, params, toggles),
-                          toggles=toggles, output=output, resolved=resolved)
-
-
-def _build_params(plan: str, p: dict, toggles: dict):
-    gamma = toggles["decay_gamma_hz"] * TWO_PI
-    envelope = toggles["envelope"]
-    chirp = toggles["chirp"]
-    if plan == "figure3":
-        return Figure3Params(
-            n_pairs=p["n_pairs"], stagger=p["stagger_s"],
-            rms_rabi=TWO_PI * p["rms_rabi_hz"], direction=p["direction"],
-            chirp=chirp, envelope=envelope, split_first=p["split_first"],
-            omega_eff=TWO_PI * p["omega_eff_hz"],
-            samples_per_pair=p["samples_per_pair"], decay_rate=gamma)
-    if plan == "split1d":
-        return Plan1DParams(
-            ladder_n=p["ladder_n"], stagger=p["stagger_s"],
-            rms_rabi=TWO_PI * p["rms_rabi_hz"], drift1=p["drift1_s"],
-            omega_eff=TWO_PI * p["omega_eff_hz"], chirp=chirp,
-            envelope=envelope, cloud_size=p["cloud_size_m"],
-            beam_width=p["beam_width_m"], arm_floor=p["arm_floor"],
-            decay_rate=gamma)
-    if plan == "ramsey":
-        return RamseyParams(
-            ladder_n=p["ladder_n"], stagger=p["stagger_s"],
-            rms_rabi=TWO_PI * p["rms_rabi_hz"], target_tau=p["target_tau_s"],
-            omega_eff=TWO_PI * p["omega_eff_hz"], chirp=chirp,
-            envelope=envelope, arm_phase=p["arm_phase_rad"],
-            cloud_size=p["cloud_size_m"], arm_floor=p["arm_floor"],
-            decay_rate=gamma)
-    if plan == "split2d":
-        return Plan2DParams(
-            p_pulses=p["p_pulses"], p_reverse=p["p_reverse"],
-            q_pulses=p["q_pulses"], q_reverse=p["q_reverse"],
-            omega_eff=TWO_PI * p["omega_eff_hz"], drift1=p["drift1_s"],
-            chirp=chirp, cloud_size=p["cloud_size_m"],
-            beam_width=p["beam_width_m"], arm_floor=p["arm_floor"],
-            decay_rate=gamma)
-    return dict(p)  # fringes / pattern keep their validated dict
+    cls = _PARAM_CLASSES.get(plan)
+    if cls is None:
+        built = dict(params)
+    else:
+        built = cls(**params, **{f.name: toggles[f.name] for f in fields(cls)
+                                 if f.name in toggles})
+    return ResolvedConfig(plan=plan, atom=atom, params=built, output=output,
+                          resolved=resolved)
 
 
 def load_config(path) -> ResolvedConfig:

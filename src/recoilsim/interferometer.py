@@ -30,13 +30,9 @@ from .errors import (AdiabaticityError, ConfigurationError, PhysicsError,
                      SelectivityError)
 from .params import AtomParams, InternalLevel
 from .propagate import evolve_plan
-from .pulses import (ADIABATIC_FLAG_THRESHOLD, Epoch, SequencePlan,
-                     adiabaticity_parameter, shift_plan)
+from .pulses import (ADIABATIC_FLAG_THRESHOLD, SequencePlan,
+                     adiabaticity_parameter, shift_plan, single_pulse_plan)
 
-DEFAULT_CLOUD_SIZE = 1e-3     # m, initial cloud diameter scale
-DEFAULT_BEAM_WIDTH = 0.5e-3   # m
-DEFAULT_ARM_FLOOR = 1e-6      # population below which components are dropped
-DEFAULT_OMEGA_EFF = 2 * math.pi * 5e5  # rad/s effective two-photon Rabi
 ARM_GUARD = 3                 # guard rungs around a sequence on an arm lattice
 
 
@@ -128,14 +124,14 @@ def _sequence_rungs(plan: SequencePlan, axis: str) -> set[int]:
 
 
 def run_sequence_on_arm(arms: list[ArmTrack], plan: SequencePlan,
-                        atom: AtomParams, levels, axis: str = "z",
-                        decay_rate: float = 0.0,
-                        arm_floor: float = DEFAULT_ARM_FLOOR
+                        atom: AtomParams, levels, axis: str,
+                        decay_rate: float, arm_floor: float
                         ) -> list[tuple[list[ArmTrack], float]]:
     """Propagate arms through one pulse sequence, each on its own small
     lattice, as one batch.
 
-    Returns (child arms, dropped population) for each arm, in order.
+    Returns (child arms, dropped population) for each arm, in order;
+    components below ``arm_floor`` population are dropped.
     Linearity of the Schrodinger equation makes per-arm propagation exact;
     spatial selectivity is then just a matter of which arms a stage is
     applied to.
@@ -180,13 +176,11 @@ def run_sequence_on_arm(arms: list[ArmTrack], plan: SequencePlan,
 
 def selective_transfer(arms: list[ArmTrack], pulse, atom: AtomParams,
                        axis_name: str, region_center: float,
-                       region_halfwidth: float,
-                       beam_width: float = DEFAULT_BEAM_WIDTH,
-                       cloud_size: float = DEFAULT_CLOUD_SIZE,
-                       intended=None, stage: str = "selective",
-                       arm_floor: float = DEFAULT_ARM_FLOOR,
-                       decay_rate: float = 0.0):
-    """Apply a momentum-preserving pulse only to arms inside a region.
+                       region_halfwidth: float, beam_width: float,
+                       cloud_size: float, arm_floor: float, decay_rate: float,
+                       intended=None, stage: str = "selective"):
+    """Apply a momentum-preserving pulse only to arms inside a region;
+    the others fly free for the pulse's duration.
 
     Every non-selected arm must sit farther than beam_width + cloud_size
     from the region, otherwise the stage is physically unrealizable and a
@@ -209,8 +203,7 @@ def selective_transfer(arms: list[ArmTrack], pulse, atom: AtomParams,
     warnings = []
     if not selected:
         warnings.append(f"{stage}: no arm inside the addressed region; no-op")
-        return list(arms), 0.0, warnings
-    if intended is not None:
+    elif intended is not None:
         want = {a.id for a in arms if intended(a)}
         got = {a.id for a in selected}
         if want != got:
@@ -218,11 +211,8 @@ def selective_transfer(arms: list[ArmTrack], pulse, atom: AtomParams,
                 f"region selects arms {sorted(got)} but stage intends "
                 f"{sorted(want)}", stage=stage)
 
-    duration = pulse.envelope.duration
-    seq = SequencePlan(kind="selective", epochs=[
-        Epoch(pulse.envelope.start, duration, (pulse,),
-              anchors={})])
-    out, dropped = _apply_to_chosen(arms, selected, seq, duration, atom,
+    out, dropped = _apply_to_chosen(arms, selected, single_pulse_plan(pulse),
+                                    pulse.envelope.duration, atom,
                                     list(pulse.levels), pulse.axis,
                                     decay_rate, arm_floor)
     return out, dropped, warnings
@@ -315,11 +305,16 @@ class PlanResult:
 
 
 class _Timeline:
-    """Shared bookkeeping for plan execution."""
+    """Shared bookkeeping for plan execution, and the settings every
+    pulse stage of a plan shares: the population floor below which a
+    component is dropped and the decay rate (rad/s) of the excited level."""
 
-    def __init__(self, kind: str, atom: AtomParams):
+    def __init__(self, kind: str, atom: AtomParams, arm_floor: float,
+                 decay_rate: float):
         self.kind = kind
         self.atom = atom
+        self.arm_floor = arm_floor
+        self.decay_rate = decay_rate
         self.t = 0.0
         self.arms: list[ArmTrack] = [initial_arm(atom)]
         self.stages: list[StageRecord] = []
@@ -341,14 +336,14 @@ class _Timeline:
         self.record(name, "drift", duration)
 
     def sequence(self, name: str, plan: SequencePlan, levels, axis: str,
-                 only=None, arm_floor=DEFAULT_ARM_FLOOR, decay_rate=0.0):
+                 only=None):
         plan = shift_plan(plan, self.t - (plan.epochs[0].t_start
                                           if plan.epochs else 0.0))
         duration = plan.total_duration - self.t if plan.epochs else 0.0
         chosen = [arm for arm in self.arms if only is None or only(arm)]
         self.arms, dropped = _apply_to_chosen(
             self.arms, chosen, plan, duration, self.atom, levels, axis,
-            decay_rate, arm_floor)
+            self.decay_rate, self.arm_floor)
         self.record(name, "quantum-sequence", duration, dropped)
 
     def result(self, extras=None) -> PlanResult:

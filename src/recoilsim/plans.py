@@ -10,6 +10,11 @@
 * split2d -- the alternating-pi-pulse scheme in both axes, ending with four
   level-A arms on a 2D momentum lattice; with no x pulses it degrades to
   the two-arm Raman variant.
+
+Each plan's parameter dataclass is also its config schema: a field is named
+by its JSON key and holds that key's value and default, in the config's
+units (Hz, s, m); the toggles ride along as the chirp, envelope and
+decay_gamma_hz fields.  A plan converts to angular rates on entry.
 """
 
 from __future__ import annotations
@@ -21,15 +26,13 @@ import numpy as np
 
 from .basis import Basis, RecoilState, WaveFunction
 from .errors import ConfigurationError, PhysicsError
-from .interferometer import (DEFAULT_ARM_FLOOR, DEFAULT_BEAM_WIDTH,
-                             DEFAULT_CLOUD_SIZE, DEFAULT_OMEGA_EFF, ArmTrack,
-                             PlanResult, _Timeline, require_adiabatic,
-                             selective_transfer)
+from .interferometer import (ArmTrack, PlanResult, _Timeline,
+                             require_adiabatic, selective_transfer)
 from .params import AtomParams, InternalLevel
 from .propagate import evolve_plan, ladder_basis
 from .pulses import (SINE_SQUARED, SequencePlan, build_adiabatic_sequence,
                      build_raman_sequence, copropagating_pulse,
-                     effective_pulse)
+                     effective_pulse, single_pulse_plan)
 
 TWO_PI = 2 * math.pi
 CLOSURE_TOL_FRACTION = 0.1
@@ -45,15 +48,14 @@ RAMAN_LEVELS = (InternalLevel.A, InternalLevel.C)
 @dataclass
 class Figure3Params:
     n_pairs: int = 30
-    stagger: float = 50e-9            # s; each beam lasts twice this
-    rms_rabi: float = TWO_PI * 100e6  # rad/s
+    stagger_s: float = 50e-9          # each beam lasts twice this
+    rms_rabi_hz: float = 100e6
     direction: int = -1
+    split_first: bool = True          # apply the pi/2 so the arm carries 1/2
+    samples_per_pair: int = 6
     chirp: bool = True
     envelope: str = SINE_SQUARED
-    split_first: bool = True          # apply the pi/2 so the arm carries 1/2
-    omega_eff: float = DEFAULT_OMEGA_EFF
-    samples_per_pair: int = 6
-    decay_rate: float = 0.0
+    decay_gamma_hz: float = 0.0
 
 
 @dataclass
@@ -65,19 +67,19 @@ class Figure3Result:
     final_transfer: float             # |mean n_z| of the deflected component
     final_population: float           # population of the deflected level
     adiabaticity: float
-    arm_weight: float                 # 0.5 with the splitter, else 1.0
 
 
 def run_figure3(params: Figure3Params, atom: AtomParams) -> Figure3Result:
+    rms_rabi = TWO_PI * params.rms_rabi_hz
     weight = 1.0
     if params.split_first:
         weight = 0.5
 
     ladder = build_adiabatic_sequence(
-        params.n_pairs, params.stagger, params.rms_rabi, atom,
+        params.n_pairs, params.stagger_s, rms_rabi, atom,
         start_rung=0, direction=params.direction, chirp=params.chirp,
         shape=params.envelope)
-    xi = require_adiabatic(params.rms_rabi, params.stagger)
+    xi = require_adiabatic(rms_rabi, params.stagger_s)
 
     rungs = range(0, 2 * params.direction * params.n_pairs + params.direction,
                   params.direction)
@@ -99,8 +101,10 @@ def run_figure3(params: Figure3Params, atom: AtomParams) -> Figure3Result:
             "pop_c": 1.0 - weight,
         }
 
-    result = evolve_plan(psi, ladder, atom, decay_rate=params.decay_rate,
-                         observer=observe, observe_per_epoch=params.samples_per_pair)
+    result = evolve_plan(psi, ladder, atom,
+                         decay_rate=params.decay_gamma_hz * TWO_PI,
+                         observer=observe,
+                         observe_per_epoch=params.samples_per_pair)
     rows = [{"t_s": 0.0, "recoils_transferred": 0.0, "mean_nz_deflected": 0.0,
              "pop_a": weight, "pop_b": 0.0, "pop_e1": 0.0,
              "pop_c": 1.0 - weight}] + result.samples
@@ -118,7 +122,7 @@ def run_figure3(params: Figure3Params, atom: AtomParams) -> Figure3Result:
         params=params, atom=atom, rows=rows, pair_end_transfer=pair_ends,
         final_transfer=(obs_final.mean or 0.0) / params.direction,
         final_population=final.population([final_level]) * weight,
-        adiabaticity=xi, arm_weight=weight)
+        adiabaticity=xi)
 
 
 # ----------------------------------------------------------------------
@@ -128,73 +132,47 @@ def run_figure3(params: Figure3Params, atom: AtomParams) -> Figure3Result:
 @dataclass
 class Plan1DParams:
     ladder_n: int = 25                # splitter is 2n pairs; reversal 4n
-    stagger: float = 50e-9
-    rms_rabi: float = TWO_PI * 150e6
-    drift1: float = 3.3e-3
-    omega_eff: float = DEFAULT_OMEGA_EFF
+    stagger_s: float = 50e-9
+    rms_rabi_hz: float = 150e6
+    drift1_s: float = 3.3e-3
+    omega_eff_hz: float = 5e5         # effective two-photon Rabi frequency
+    cloud_size_m: float = 1e-3        # initial cloud diameter scale
+    beam_width_m: float = 0.5e-3
+    arm_floor: float = 1e-6           # population below which arms drop
     chirp: bool = True
     envelope: str = SINE_SQUARED
-    cloud_size: float = DEFAULT_CLOUD_SIZE
-    beam_width: float = DEFAULT_BEAM_WIDTH
-    arm_floor: float = DEFAULT_ARM_FLOOR
-    decay_rate: float = 0.0
+    decay_gamma_hz: float = 0.0
 
 
 def run_plan_1d_adiabatic(params: Plan1DParams, atom: AtomParams) -> PlanResult:
     n = params.ladder_n
     if n < 1:
         raise ConfigurationError("ladder_n must be at least 1")
-    require_adiabatic(params.rms_rabi, params.stagger)
-    tl = _Timeline("split1d", atom)
+    rms_rabi = TWO_PI * params.rms_rabi_hz
+    omega_eff = TWO_PI * params.omega_eff_hz
+    require_adiabatic(rms_rabi, params.stagger_s)
+    tl = _Timeline("split1d", atom, params.arm_floor,
+                   params.decay_gamma_hz * TWO_PI)
 
-    splitter = copropagating_pulse(math.pi / 2, params.omega_eff, atom,
-                                   "a-c", axis="x")
-    tl.sequence("initial-split", _single_pulse_plan(splitter), RAMAN_LEVELS,
-                "x", arm_floor=params.arm_floor,
-                decay_rate=params.decay_rate)
-
-    deflect = build_adiabatic_sequence(
-        2 * n, params.stagger, params.rms_rabi, atom, start_rung=0,
-        direction=-1, chirp=params.chirp, shape=params.envelope)
-    tl.sequence("split-ladder", deflect, LAMBDA_LEVELS, "z",
-                only=lambda a: a.level in (InternalLevel.A, InternalLevel.B),
-                arm_floor=params.arm_floor, decay_rate=params.decay_rate)
-
-    tl.drift("drift-separate", params.drift1)
-
-    reverse = build_adiabatic_sequence(
-        4 * n, params.stagger, params.rms_rabi, atom, start_rung=-4 * n,
-        direction=+1, chirp=params.chirp, shape=params.envelope)
-    tl.sequence("reverse-ladder", reverse, LAMBDA_LEVELS, "z",
-                only=lambda a: a.level in (InternalLevel.A, InternalLevel.B),
-                arm_floor=params.arm_floor, decay_rate=params.decay_rate)
-
-    c_arm = tl.arm_by_state(InternalLevel.C)
-    transfer = copropagating_pulse(math.pi, params.omega_eff, atom,
-                                   "c-a", axis="x", t_start=tl.t)
-    arms, dropped, warnings = selective_transfer(
-        tl.arms, transfer, atom, axis_name="z",
-        region_center=c_arm.position[2],
-        region_halfwidth=params.beam_width / 2,
-        beam_width=params.beam_width, cloud_size=params.cloud_size,
-        intended=lambda a: a.level is InternalLevel.C,
-        stage="state-transfer", arm_floor=params.arm_floor,
-        decay_rate=params.decay_rate)
-    tl.arms = arms
-    tl.record("state-transfer", "selective-pulse",
-              transfer.envelope.duration, dropped, warnings)
+    _initial_split(tl, omega_eff)
+    _lambda_ladder(tl, "split-ladder", params, rms_rabi, 2 * n, 0, -1)
+    tl.drift("drift-separate", params.drift1_s)
+    reverse = _lambda_ladder(tl, "reverse-ladder", params, rms_rabi, 4 * n,
+                             -4 * n, +1)
+    _state_transfer(tl, "state-transfer", params, omega_eff, "z",
+                    tl.arm_by_state(InternalLevel.C).position[2])
 
     moving = tl.arm_by_state(InternalLevel.A, n_z=4 * n)
     still = tl.arm_by_state(InternalLevel.A, n_z=0)
     t_close = _closing_time(moving, still, axis=2)
-    if abs(t_close - params.drift1) > 0.05 * params.drift1:
+    if abs(t_close - params.drift1_s) > 0.05 * params.drift1_s:
         tl.warnings.append(
             f"recombination drift {t_close * 1e3:.3f} ms differs from the "
-            f"separation drift {params.drift1 * 1e3:.3f} ms by more than 5%")
+            f"separation drift {params.drift1_s * 1e3:.3f} ms by more than 5%")
     tl.drift("drift-recombine", t_close)
 
     sep = tl.stages[-1].separation(2)
-    if sep > CLOSURE_TOL_FRACTION * params.cloud_size:
+    if sep > CLOSURE_TOL_FRACTION * params.cloud_size_m:
         tl.warnings.append(
             f"closure mismatch {sep * 1e6:.1f} um exceeds "
             f"{CLOSURE_TOL_FRACTION:.0%} of the cloud size")
@@ -212,10 +190,46 @@ def run_plan_1d_adiabatic(params: Plan1DParams, atom: AtomParams) -> PlanResult:
     return tl.result(extras)
 
 
-def _single_pulse_plan(event) -> SequencePlan:
-    from .pulses import Epoch
-    return SequencePlan(kind="pulse", epochs=[
-        Epoch(event.envelope.start, event.envelope.duration, (event,), {})])
+def _initial_split(tl: _Timeline, omega_eff: float):
+    """The copropagating pi/2 that splits the atom between A and C."""
+    splitter = copropagating_pulse(math.pi / 2, omega_eff, tl.atom, "a-c",
+                                   axis="x")
+    tl.sequence("initial-split", single_pulse_plan(splitter), RAMAN_LEVELS,
+                "x")
+
+
+def _moving(arm: ArmTrack) -> bool:
+    """The arms a lambda ladder drives: those in the ground levels A, B."""
+    return arm.level in (InternalLevel.A, InternalLevel.B)
+
+
+def _lambda_ladder(tl: _Timeline, name: str, params, rms_rabi: float,
+                   n_pairs: int, start_rung: int,
+                   direction: int) -> SequencePlan:
+    """One lambda-ladder stage of ``n_pairs`` pairs on the moving arms;
+    returns the ladder as built, before it is shifted onto the timeline."""
+    ladder = build_adiabatic_sequence(
+        n_pairs, params.stagger_s, rms_rabi, tl.atom, start_rung=start_rung,
+        direction=direction, chirp=params.chirp, shape=params.envelope)
+    tl.sequence(name, ladder, LAMBDA_LEVELS, "z", only=_moving)
+    return ladder
+
+
+def _state_transfer(tl: _Timeline, name: str, params, omega_eff: float,
+                    axis: str, center: float):
+    """Flip the C arms to A with a copropagating pi pulse whose beam
+    crosses ``axis`` and is centred on ``center`` along it."""
+    pulse = copropagating_pulse(math.pi, omega_eff, tl.atom, "c-a",
+                                axis="x" if axis == "z" else "z",
+                                t_start=tl.t)
+    tl.arms, dropped, warnings = selective_transfer(
+        tl.arms, pulse, tl.atom, axis_name=axis, region_center=center,
+        region_halfwidth=params.beam_width_m / 2,
+        beam_width=params.beam_width_m, cloud_size=params.cloud_size_m,
+        arm_floor=tl.arm_floor, decay_rate=tl.decay_rate,
+        intended=lambda a: a.level is InternalLevel.C, stage=name)
+    tl.record(name, "selective-pulse", pulse.envelope.duration, dropped,
+              warnings)
 
 
 def _closing_time(a: ArmTrack, b: ArmTrack, axis: int) -> float:
@@ -236,16 +250,16 @@ def _closing_time(a: ArmTrack, b: ArmTrack, axis: int) -> float:
 @dataclass
 class RamseyParams:
     ladder_n: int = 25
-    stagger: float = 50e-9
-    rms_rabi: float = TWO_PI * 150e6
-    target_tau: float = 0.102         # s, split-to-recombine separation
-    omega_eff: float = DEFAULT_OMEGA_EFF
+    stagger_s: float = 50e-9
+    rms_rabi_hz: float = 150e6
+    target_tau_s: float = 0.102       # split-to-recombine separation
+    omega_eff_hz: float = 5e5
+    arm_phase_rad: float = 0.0        # extra phase injected on the moving arm
+    cloud_size_m: float = 1e-3
+    arm_floor: float = 1e-6
     chirp: bool = True
     envelope: str = SINE_SQUARED
-    arm_phase: float = 0.0            # extra phase injected on the moving arm
-    cloud_size: float = DEFAULT_CLOUD_SIZE
-    arm_floor: float = DEFAULT_ARM_FLOOR
-    decay_rate: float = 0.0
+    decay_gamma_hz: float = 0.0
 
 
 @dataclass
@@ -265,11 +279,11 @@ class RamseyResult:
         if np.ndim(delta):
             delta = np.asarray(delta, dtype=np.float64)
         pulse = effective_pulse(
-            math.pi / 2, self.params.omega_eff,
+            math.pi / 2, TWO_PI * self.params.omega_eff_hz,
             RecoilState(InternalLevel.C, 0), RecoilState(InternalLevel.B, 2),
             self.atom, "sigma_pair", "z", chirp=True,
             bias_detuning=delta, phase=delta * self.tau)
-        plan = _single_pulse_plan(pulse)
+        plan = single_pulse_plan(pulse)
         # evolve_plan copies the amplitudes, so a broadcast view will do
         amps = np.broadcast_to(self._scan_psi,
                                np.shape(delta) + self._scan_psi.shape)
@@ -291,9 +305,11 @@ class RamseyResult:
 
 def run_plan_ramsey(params: RamseyParams, atom: AtomParams) -> RamseyResult:
     n = params.ladder_n
-    require_adiabatic(params.rms_rabi, params.stagger)
-    stagger3 = 3 * params.stagger
-    d_half = (math.pi / 2) / params.omega_eff
+    rms_rabi = TWO_PI * params.rms_rabi_hz
+    omega_eff = TWO_PI * params.omega_eff_hz
+    require_adiabatic(rms_rabi, params.stagger_s)
+    stagger3 = 3 * params.stagger_s
+    d_half = (math.pi / 2) / omega_eff
     s1 = 2 * n * stagger3
     s2 = 4 * n * stagger3
     s3 = (2 * n - 1) * stagger3
@@ -307,49 +323,28 @@ def run_plan_ramsey(params: RamseyParams, atom: AtomParams) -> RamseyResult:
     disp_fixed = (-big_v / 2 * s1) + 0.0 * s2 \
         + (big_v + 2 * vr) / 2 * s3 + 2 * vr * d_half / 2
     mat = np.array([[1.0, 1.0], [-big_v, big_v]])
-    rhs = np.array([params.target_tau - seq_sum, -disp_fixed])
+    rhs = np.array([params.target_tau_s - seq_sum, -disp_fixed])
     d1, d2 = np.linalg.solve(mat, rhs)
     if d1 < 0 or d2 < 0:
         raise PhysicsError(
-            f"target separation time {params.target_tau} s is too short for "
+            f"target separation time {params.target_tau_s} s is too short for "
             "this pulse program")
 
-    tl = _Timeline("ramsey", atom)
-    splitter = copropagating_pulse(math.pi / 2, params.omega_eff, atom,
-                                   "a-c", axis="x")
-    tl.sequence("initial-split", _single_pulse_plan(splitter), RAMAN_LEVELS,
-                "x", arm_floor=params.arm_floor, decay_rate=params.decay_rate)
+    tl = _Timeline("ramsey", atom, params.arm_floor,
+                   params.decay_gamma_hz * TWO_PI)
+    _initial_split(tl, omega_eff)
     t_first_center = d_half / 2
-
-    only_moving = lambda a: a.level in (InternalLevel.A, InternalLevel.B)
-    tl.sequence("split-ladder",
-                build_adiabatic_sequence(2 * n, params.stagger,
-                                         params.rms_rabi, atom, 0, -1,
-                                         chirp=params.chirp,
-                                         shape=params.envelope),
-                LAMBDA_LEVELS, "z", only=only_moving,
-                arm_floor=params.arm_floor, decay_rate=params.decay_rate)
+    _lambda_ladder(tl, "split-ladder", params, rms_rabi, 2 * n, 0, -1)
     tl.drift("drift-out", float(d1))
-    tl.sequence("reverse-ladder",
-                build_adiabatic_sequence(4 * n, params.stagger,
-                                         params.rms_rabi, atom, -4 * n, +1,
-                                         chirp=params.chirp,
-                                         shape=params.envelope),
-                LAMBDA_LEVELS, "z", only=only_moving,
-                arm_floor=params.arm_floor, decay_rate=params.decay_rate)
+    _lambda_ladder(tl, "reverse-ladder", params, rms_rabi, 4 * n, -4 * n, +1)
     tl.drift("drift-back", float(d2))
-    tl.sequence("closing-ladder",
-                build_adiabatic_sequence(2 * n - 1, params.stagger,
-                                         params.rms_rabi, atom, 4 * n, -1,
-                                         chirp=params.chirp,
-                                         shape=params.envelope),
-                LAMBDA_LEVELS, "z", only=only_moving,
-                arm_floor=params.arm_floor, decay_rate=params.decay_rate)
+    _lambda_ladder(tl, "closing-ladder", params, rms_rabi, 2 * n - 1, 4 * n,
+                   -1)
 
     moving = tl.arm_by_state(InternalLevel.B, n_z=2)
     still = tl.arm_by_state(InternalLevel.C, n_z=0)
     gap = abs(moving.position[2] - still.position[2])
-    if gap > CLOSURE_TOL_FRACTION * params.cloud_size:
+    if gap > CLOSURE_TOL_FRACTION * params.cloud_size_m:
         tl.warnings.append(
             f"arms recombine {gap * 1e6:.1f} um apart, over "
             f"{CLOSURE_TOL_FRACTION:.0%} of the cloud size")
@@ -361,7 +356,7 @@ def run_plan_ramsey(params: RamseyParams, atom: AtomParams) -> RamseyResult:
     amps = np.zeros(len(scan_basis), dtype=np.complex128)
     amps[scan_basis.index_of(RecoilState(InternalLevel.C, 0))] = still.amplitude
     amps[scan_basis.index_of(RecoilState(InternalLevel.B, 2))] = \
-        moving.amplitude * np.exp(1j * params.arm_phase)
+        moving.amplitude * np.exp(1j * params.arm_phase_rad)
     tl.record("closing-pulse", "measurement", d_half)
 
     return RamseyResult(
@@ -383,13 +378,13 @@ class Plan2DParams:
     p_reverse: int = 48
     q_pulses: int = 48                # x splitting pi pulses (2Q); 0 = skip x
     q_reverse: int = 96
-    omega_eff: float = DEFAULT_OMEGA_EFF
-    drift1: float = 3.3e-3
+    omega_eff_hz: float = 5e5
+    drift1_s: float = 3.3e-3
+    cloud_size_m: float = 1e-3
+    beam_width_m: float = 0.5e-3
+    arm_floor: float = 1e-6
     chirp: bool = True
-    cloud_size: float = DEFAULT_CLOUD_SIZE
-    beam_width: float = DEFAULT_BEAM_WIDTH
-    arm_floor: float = DEFAULT_ARM_FLOOR
-    decay_rate: float = 0.0
+    decay_gamma_hz: float = 0.0
 
 
 def run_plan_2d(params: Plan2DParams, atom: AtomParams) -> PlanResult:
@@ -397,44 +392,31 @@ def run_plan_2d(params: Plan2DParams, atom: AtomParams) -> PlanResult:
         raise ConfigurationError("p_pulses must be a positive even count")
     if params.q_pulses % 2 or params.q_reverse % 2 or params.p_reverse % 2:
         raise ConfigurationError("pulse counts must be even")
-    omega = params.omega_eff
+    omega = TWO_PI * params.omega_eff_hz
     t_pi = math.pi / omega
     vr = atom.recoil_velocity
 
     a_z = params.p_pulses * 2          # +4P
     c_z = -(params.p_pulses * 2 + 2)   # -(4P+2)
 
-    tl = _Timeline("split2d", atom)
+    tl = _Timeline("split2d", atom, params.arm_floor,
+                   params.decay_gamma_hz * TWO_PI)
     zsplit = build_raman_sequence("half_pi", params.p_pulses, t_pi, omega,
                                   "z", atom, start_rung=0, start_direction=+1,
                                   half_pi_direction=-1, chirp=params.chirp)
-    tl.sequence("z-split", zsplit, RAMAN_LEVELS, "z",
-                arm_floor=params.arm_floor, decay_rate=params.decay_rate)
+    tl.sequence("z-split", zsplit, RAMAN_LEVELS, "z")
 
-    tl.drift("drift-separate", params.drift1)
+    tl.drift("drift-separate", params.drift1_s)
 
     zrev = build_raman_sequence("none", params.p_reverse, t_pi, omega, "z",
                                 atom, start_rung=a_z, c_start_rung=c_z,
                                 start_direction=-1, chirp=params.chirp)
-    tl.sequence("z-reverse", zrev, RAMAN_LEVELS, "z",
-                arm_floor=params.arm_floor, decay_rate=params.decay_rate)
+    tl.sequence("z-reverse", zrev, RAMAN_LEVELS, "z")
     exp_a = zrev.expected_final["a_arm"].n_z
     exp_c = zrev.expected_final["c_arm"].n_z
 
-    c_arm = tl.arm_by_state(InternalLevel.C, n_z=exp_c)
-    xfer = copropagating_pulse(math.pi, omega, atom, "c-a", axis="x",
-                               t_start=tl.t)
-    arms, dropped, warn = selective_transfer(
-        tl.arms, xfer, atom, axis_name="z",
-        region_center=c_arm.position[2],
-        region_halfwidth=params.beam_width / 2,
-        beam_width=params.beam_width, cloud_size=params.cloud_size,
-        intended=lambda a: a.level is InternalLevel.C,
-        stage="z-state-transfer", arm_floor=params.arm_floor,
-        decay_rate=params.decay_rate)
-    tl.arms = arms
-    tl.record("z-state-transfer", "selective-pulse", xfer.envelope.duration,
-              dropped, warn)
+    _state_transfer(tl, "z-state-transfer", params, omega, "z",
+                    tl.arm_by_state(InternalLevel.C, n_z=exp_c).position[2])
 
     if params.q_pulses == 0:
         moving = tl.arm_by_state(InternalLevel.A, n_z=exp_a)
@@ -484,30 +466,17 @@ def run_plan_2d(params: Plan2DParams, atom: AtomParams) -> PlanResult:
     dx, df = np.linalg.solve(jac, -g0)
     if dx < 0 or df < 0:
         raise PhysicsError("x-splitting drifts came out negative; "
-                           "reduce pulse counts or increase drift1")
+                           "reduce pulse counts or increase drift1_s")
 
-    tl.sequence("x-split", xsplit, RAMAN_LEVELS, "x",
-                arm_floor=params.arm_floor, decay_rate=params.decay_rate)
+    tl.sequence("x-split", xsplit, RAMAN_LEVELS, "x")
     tl.drift("x-drift", float(dx))
-    tl.sequence("x-reverse", xrev, RAMAN_LEVELS, "x",
-                arm_floor=params.arm_floor, decay_rate=params.decay_rate)
+    tl.sequence("x-reverse", xrev, RAMAN_LEVELS, "x")
 
     c_subs = [a for a in tl.arms if a.level is InternalLevel.C]
     if not c_subs:
         raise PhysicsError("no C-level arms before the final state transfer")
-    xsel = copropagating_pulse(math.pi, omega, atom, "c-a", axis="z",
-                               t_start=tl.t)
-    arms, dropped, warn = selective_transfer(
-        tl.arms, xsel, atom, axis_name="x",
-        region_center=float(np.mean([a.position[0] for a in c_subs])),
-        region_halfwidth=params.beam_width / 2,
-        beam_width=params.beam_width, cloud_size=params.cloud_size,
-        intended=lambda a: a.level is InternalLevel.C,
-        stage="x-state-transfer", arm_floor=params.arm_floor,
-        decay_rate=params.decay_rate)
-    tl.arms = arms
-    tl.record("x-state-transfer", "selective-pulse", xsel.envelope.duration,
-              dropped, warn)
+    _state_transfer(tl, "x-state-transfer", params, omega, "x",
+                    float(np.mean([a.position[0] for a in c_subs])))
 
     tl.drift("drift-recombine", float(df))
     return _finish_2d(tl, params, atom, dn_z=abs(exp_a - exp_c),
@@ -519,7 +488,7 @@ def _finish_2d(tl: _Timeline, params: Plan2DParams, atom: AtomParams,
                df: float = 0.0) -> PlanResult:
     sep_z = tl.stages[-1].separation(2)
     sep_x = tl.stages[-1].separation(0)
-    tol = CLOSURE_TOL_FRACTION * params.cloud_size
+    tol = CLOSURE_TOL_FRACTION * params.cloud_size_m
     if sep_z > tol or sep_x > tol:
         tl.warnings.append(
             f"closure mismatch z={sep_z * 1e6:.1f} um, x={sep_x * 1e6:.1f} um "

@@ -172,8 +172,6 @@ class PulsePair:
     index: int
     adiabaticity: float
     adiabatic: bool
-    populated: RecoilState
-    intermediate: RecoilState
     target: RecoilState
     epoch: Epoch
 
@@ -198,6 +196,13 @@ class SequencePlan:
     @property
     def total_duration(self) -> float:
         return max((ep.t_end for ep in self.epochs), default=0.0)
+
+
+def single_pulse_plan(event: PulseEvent) -> SequencePlan:
+    """A plan of one epoch that runs ``event`` alone, in the frame with
+    no anchors."""
+    return SequencePlan(kind="pulse", epochs=[
+        Epoch(event.envelope.start, event.envelope.duration, (event,))])
 
 
 def counter_intuitive_pair(index: int, stagger: float, rms_rabi: float,
@@ -226,8 +231,6 @@ def counter_intuitive_pair(index: int, stagger: float, rms_rabi: float,
     lead_pol = SIGMA_PLUS if even else SIGMA_MINUS
     trail_pol = SIGMA_MINUS if even else SIGMA_PLUS
 
-    populated = RecoilState(pop_level, start_rung)
-    intermediate = RecoilState(InternalLevel.E1, start_rung + direction)
     target = RecoilState(tgt_level, start_rung + 2 * direction)
 
     peak = rms_rabi * RMS_TO_PEAK[shape]
@@ -255,7 +258,6 @@ def counter_intuitive_pair(index: int, stagger: float, rms_rabi: float,
     xi = adiabaticity_parameter(rms_rabi, stagger)
     return PulsePair(lead=lead, trail=trail, index=index, adiabaticity=xi,
                      adiabatic=xi <= ADIABATIC_FLAG_THRESHOLD,
-                     populated=populated, intermediate=intermediate,
                      target=target, epoch=epoch)
 
 

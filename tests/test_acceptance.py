@@ -39,8 +39,8 @@ def test_criterion_1_deflection_staircase(figure3_run):
     result, wall_time = figure3_run
     p = result.params
     assert p.n_pairs == 30
-    assert p.stagger == 50e-9                      # pair window 150 ns
-    assert p.rms_rabi == TWO_PI * 100e6
+    assert p.stagger_s == 50e-9                    # pair window 150 ns
+    assert p.rms_rabi_hz == 100e6
     assert p.chirp
 
     assert result.final_transfer == pytest.approx(60.0, abs=0.5)

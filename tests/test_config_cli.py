@@ -16,6 +16,9 @@ from recoilsim.config import (_OUTPUT_SCHEMAS, _PARAM_SCHEMAS, _TOGGLE_SCHEMA,
                               validate_config)
 from recoilsim.params import AtomParams
 from recoilsim.errors import ConfigurationError
+from recoilsim.output import config_hash
+from recoilsim.plans import (Figure3Params, Plan1DParams, Plan2DParams,
+                             RamseyParams)
 from recoilsim.patterngen import gear_silhouette, to_image
 from recoilsim.pgmio import read_pgm, write_pgm
 
@@ -56,7 +59,7 @@ def test_defaults_resolved_and_recorded():
     assert cfg.resolved["params"]["rms_rabi_hz"] == 100e6
     assert cfg.resolved["toggles"]["chirp"] is True
     assert cfg.resolved["atom"]["gravity_m_s2"] == 9.81
-    assert cfg.params.rms_rabi == pytest.approx(2 * math.pi * 100e6)
+    assert cfg.params.rms_rabi_hz == 100e6
 
 
 def test_toggles_flow_into_params():
@@ -66,7 +69,7 @@ def test_toggles_flow_into_params():
                                        "envelope": "square"}})
     assert cfg.params.chirp is False
     assert cfg.params.envelope == "square"
-    assert cfg.params.decay_rate == pytest.approx(2 * math.pi * 6e6)
+    assert cfg.params.decay_gamma_hz == 6e6
 
 
 def test_envelope_toggle_validated():
@@ -109,7 +112,7 @@ OUT_OF_RANGE = [
     ("ramsey", "params", {"ladder_n": 0}),
     ("split1d", "params", {"ladder_n": 0}),
     ("split2d", "params", {"omega_eff_hz": 0}),
-    ("figure3", "params", {"omega_eff_hz": -5e5}),
+    ("ramsey", "params", {"omega_eff_hz": -5e5}),
     ("split1d", "params", {"drift1_s": -1e-3}),
     ("split2d", "params", {"drift1_s": -1e-3}),
     ("split2d", "params", {"arm_floor": 2}),
@@ -178,6 +181,53 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         assert f".{list(values)[-1]} must be" in err
         with pytest.raises(ConfigurationError):
             validate_config(doc)
+
+
+def test_figure3_rejects_omega_eff_as_unknown(tmp_path, capsys):
+    # figure3's pi/2 split is only the 0.5 weight; no pulse reads omega_eff
+    doc = {"plan": "figure3", "params": {"omega_eff_hz": 5e5}}
+    path = write_config(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown keys in params(figure3)")
+    assert "'omega_eff_hz'" in err and err.count("\n") == 1
+
+
+# config_hash of each resolved document; a change here renames artifacts
+RESOLVED_HASHES = {
+    "figure3.json": "ae35d81cf3c5",
+    "figure3_uncompensated.json": "a68fcad35504",
+    "fringes_94.json": "8dfc916f8a69",
+    "pattern_gear.json": "55c17e4774af",
+    "ramsey.json": "e222c3a67d2b",
+    "split1d.json": "dfcb5fe65d27",
+    "split2d.json": "2ce528ec3d42",
+    "figure3": "ae35d81cf3c5",
+    "split1d": "dfcb5fe65d27",
+    "ramsey": "e222c3a67d2b",
+    "split2d": "2ce528ec3d42",
+    "fringes": "5733cb43da21",
+    "pattern": "2d52133065f4",
+}
+
+# the least document of each plan: fringes and pattern have required keys
+LEAST_DOCUMENTS = {
+    "fringes": {"params": {"arms": [{"amplitude_re": 1.0, "n_z": 0}]}},
+    "pattern": {"params": {"input_pgm": "gear.pgm"}},
+}
+
+
+def test_resolved_documents_are_pinned():
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    docs = {path.name: json.loads(path.read_text())
+            for path in sorted(configs.glob("*.json"))}
+    docs.update({plan: {"plan": plan, **LEAST_DOCUMENTS.get(plan, {})}
+                 for plan in PLAN_CATALOG})
+    assert {name: config_hash(validate_config(doc).resolved)
+            for name, doc in docs.items()} == RESOLVED_HASHES
+    for plan, cls in [("figure3", Figure3Params), ("split1d", Plan1DParams),
+                      ("ramsey", RamseyParams), ("split2d", Plan2DParams)]:
+        assert validate_config({"plan": plan}).params == cls()
 
 
 def test_cli_physics_error_exit_code(tmp_path, capsys):

@@ -82,7 +82,7 @@ def test_selective_transfer_applies_only_in_region(atom):
     out, dropped, warnings = selective_transfer(
         arms, pulse, atom, axis_name="z", region_center=0.0,
         region_halfwidth=0.25e-3, beam_width=0.5e-3, cloud_size=1e-3,
-        intended=lambda a: a.level is C)
+        arm_floor=1e-6, decay_rate=0.0, intended=lambda a: a.level is C)
     assert not warnings
     levels = sorted(a.level.name for a in out)
     assert levels == ["A", "A"]
@@ -99,18 +99,29 @@ def test_selective_transfer_rejects_overlapping_arms(atom):
         selective_transfer(arms, pulse, atom, axis_name="z",
                            region_center=0.0, region_halfwidth=0.25e-3,
                            beam_width=0.5e-3, cloud_size=1e-3,
+                           arm_floor=1e-6, decay_rate=0.0,
                            intended=lambda a: a.level is C)
 
 
 def test_selective_transfer_empty_region_warns(atom):
+    # with no arm in the region every arm still flies for the pulse's length
     arms = [make_arm(atom, "moving", A, 100, 5e-3)]
     pulse = copropagating_pulse(math.pi, 2 * math.pi * 5e5, atom, "c-a",
                                 axis="x")
     out, dropped, warnings = selective_transfer(
         arms, pulse, atom, axis_name="z", region_center=0.0,
-        region_halfwidth=0.25e-3)
+        region_halfwidth=0.25e-3, beam_width=0.5e-3, cloud_size=1e-3,
+        arm_floor=1e-6, decay_rate=0.0)
     assert warnings
-    assert out[0].level is A and out[0].n_z == 100
+    assert dropped == 0.0
+    (flown,) = free_flight(arms, pulse.envelope.duration, atom)
+    (got,) = out
+    assert (got.id, got.amplitude, got.level, got.n_z, got.n_x,
+            got.kinetic_phase) == (flown.id, flown.amplitude, flown.level,
+                                   flown.n_z, flown.n_x, flown.kinetic_phase)
+    assert np.array_equal(got.position, flown.position)
+    assert np.array_equal(got.velocity, flown.velocity)
+    assert got.position[2] > arms[0].position[2]
 
 
 def test_selective_transfer_checks_intent(atom):
@@ -121,6 +132,8 @@ def test_selective_transfer_checks_intent(atom):
     with pytest.raises(SelectivityError):
         selective_transfer(arms, pulse, atom, axis_name="z",
                            region_center=0.0, region_halfwidth=0.25e-3,
+                           beam_width=0.5e-3, cloud_size=1e-3,
+                           arm_floor=1e-6, decay_rate=0.0,
                            intended=lambda a: a.level is C)
 
 
@@ -164,7 +177,7 @@ def test_batched_stage_matches_lone_arms(atom, monkeypatch):
 
     monkeypatch.setattr(propagate, "_rk4", recording_rk4)
     monkeypatch.setattr(interferometer, "run_sequence_on_arm", recording_run)
-    tl = _Timeline("test", atom)
+    tl = _Timeline("test", atom, arm_floor=1e-6, decay_rate=0.0)
     tl.arms = arms
     tl.sequence("x-reverse", plan, (A, C), "x")
     assert stage_calls == [len(arms)]
@@ -173,7 +186,7 @@ def test_batched_stage_matches_lone_arms(atom, monkeypatch):
     lone_dropped = 0.0
     children = iter(tl.arms)
     for arm in arms:
-        ((kids, dropped),) = run([arm], plan, atom, (A, C), "x")
+        ((kids, dropped),) = run([arm], plan, atom, (A, C), "x", 0.0, 1e-6)
         lone_dropped += dropped
         for kid in kids:
             got = next(children)

@@ -99,7 +99,7 @@ class TestRamsey:
 
     def test_too_short_tau_rejected(self, atom):
         with pytest.raises(PhysicsError):
-            run_plan_ramsey(RamseyParams(target_tau=1e-6), atom)
+            run_plan_ramsey(RamseyParams(target_tau_s=1e-6), atom)
 
 
 @pytest.fixture(scope="module")

@@ -47,7 +47,7 @@ def test_z_spacing_scales_inversely_with_pulse_count(atom, half_count):
 
 
 def test_plan_rejects_non_adiabatic_parameters(atom):
-    slow = Plan1DParams(rms_rabi=TWO_PI * 1e5)  # parameter lands at 0.32
+    slow = Plan1DParams(rms_rabi_hz=1e5)  # parameter lands at 0.32
     with pytest.raises(AdiabaticityError):
         run_plan_1d_adiabatic(slow, atom)
 

@@ -1,11 +1,13 @@
-"""Every function, class and method of the package is used by the program.
+"""Every function, class, method and dataclass field of the package is used
+by the program.
 
 A name defined in ``src/recoilsim`` must be referenced somewhere in
 ``src/recoilsim`` or ``scripts`` besides its own definition; a re-export in
 ``__init__.py`` does not count.  Top-level names count as referenced by any
-use of the name, methods only by an attribute access (``x.name``).  Dunder
-methods are called by the language and are not checked.  Names kept for
-the tests alone must be listed in ALLOWED with the reason.
+use of the name, methods and dataclass fields only by an attribute read
+(``x.name``).  Dunder methods are called by the language and are not
+checked.  Names kept for the tests alone must be listed in ALLOWED with the
+reason.
 """
 
 import ast
@@ -20,6 +22,15 @@ ALLOWED = {
     "with_arm_phase": "acceptance-test helper (criterion 6)",
     "scan_minimum_near": "acceptance-test helper (criterion 6)",
     "default_2d": "acceptance-test helper (criterion 8)",
+    "pair_end_transfer": "the per-pair staircase of criterion 1",
+    "adiabatic": "the adiabaticity flag of criterion 2",
+    "target": "the pair's target state, whose fidelity criteria 2 and 4 "
+              "measure",
+    "pairs": "the ladder's pairs, whose targets criterion 4 measures",
+    "steps": "the RK4 step count that criterion 10 pins",
+    "loss": "decay loss per member, checked by the propagation tests",
+    "dropped_total": "dropped population, checked by the plan tests",
+    "spread": "momentum spread, checked by the basis tests",
 }
 
 
@@ -36,17 +47,27 @@ def definitions():
                             not item.name.startswith("__"):
                         yield item.name, \
                             f"{path.stem}.{node.name}.{item.name}", True
+                    if isinstance(item, ast.AnnAssign) and \
+                            _is_dataclass(node):
+                        name = item.target.id
+                        yield name, f"{path.stem}.{node.name}.{name}", True
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list)
 
 
 def references():
-    """Names used as plain names, and names used as attributes."""
+    """Names used as plain names, and names read as attributes."""
     names, attributes = set(), set()
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     for path in files + sorted((ROOT / "scripts").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
                 attributes.add(node.attr)
     return names, attributes
 
