@@ -8,12 +8,14 @@ A run is described by one JSON document with at most these sections:
 Unknown keys are rejected everywhere, and validation resolves every default
 so the provenance block records the complete effective configuration.
 
-The params schema of figure3, split1d, ramsey and split2d is their
-parameter dataclass (see plans): each field but the toggles is a key, with
-its annotated type and its default.  Validation builds the dataclass from
-the resolved params and toggles as they are, in the config's units (Hz,
-s, m); each plan converts to angular rates on entry.  The fringes and
-pattern plans keep a dict schema and a dict of params.
+The params and toggles schemas of figure3, split1d, ramsey and split2d
+are their parameter dataclass (see plans): each field is a key, with its
+annotated type and its default, and a field named in ``_TOGGLES`` is a
+toggle.  So a plan takes exactly the toggles it reads.  Validation builds
+the dataclass from the resolved params and toggles as they are, in the
+config's units (Hz, s, m); each plan converts to angular rates on entry.
+The fringes and pattern plans keep a dict schema and a dict of params,
+and take no toggles.
 """
 
 from __future__ import annotations
@@ -64,11 +66,7 @@ PLAN_CATALOG = {
     },
 }
 
-_TOGGLE_SCHEMA = {
-    "chirp": (bool, True),
-    "decay_gamma_hz": ((int, float), 0.0),
-    "envelope": (str, SINE_SQUARED),
-}
+_TOGGLES = ("chirp", "decay_gamma_hz", "envelope")
 
 _PARAM_CLASSES = {
     "figure3": Figure3Params,
@@ -78,17 +76,22 @@ _PARAM_CLASSES = {
 }
 
 
-def _dataclass_schema(cls) -> dict:
-    """{field: (accepted types, default)} of every field of ``cls`` but the
-    toggles; a float field also accepts an int."""
+def _dataclass_schemas(cls) -> tuple[dict, dict]:
+    """The params and toggles schemas of ``cls``, each {field: (accepted
+    types, default)}; a float field also accepts an int."""
     hints = typing.get_type_hints(cls)
-    return {f.name: ((int, float) if hints[f.name] is float
-                     else hints[f.name], f.default)
-            for f in fields(cls) if f.name not in _TOGGLE_SCHEMA}
+    schemas = ({}, {})
+    for f in fields(cls):
+        types = (int, float) if hints[f.name] is float else hints[f.name]
+        schemas[f.name in _TOGGLES][f.name] = (types, f.default)
+    return schemas
 
+
+_SCHEMAS = {plan: _dataclass_schemas(cls)
+            for plan, cls in _PARAM_CLASSES.items()}
 
 _PARAM_SCHEMAS = {
-    **{plan: _dataclass_schema(cls) for plan, cls in _PARAM_CLASSES.items()},
+    **{plan: params for plan, (params, _) in _SCHEMAS.items()},
     "fringes": {
         "arms": (list, None),
         "coherence_length_m": ((int, float), 300e-6),
@@ -98,6 +101,12 @@ _PARAM_SCHEMAS = {
         "magnification": ((int, float), 1.0),
         "pitch_m": ((int, float), 1e-9),
     },
+}
+
+_TOGGLE_SCHEMAS = {
+    **{plan: toggles for plan, (_, toggles) in _SCHEMAS.items()},
+    "fringes": {},
+    "pattern": {},
 }
 
 _OUTPUT_SCHEMAS = {
@@ -151,6 +160,8 @@ _RANGES = {
     "q_pulses": (lambda v: v >= 0 and v % 2 == 0, "even and >= 0"),
     "q_reverse": (lambda v: v >= 0 and v % 2 == 0, "even and >= 0"),
     "dims": (lambda v: v in (1, 2), "1 or 2"),
+    "envelope": (lambda v: v in (SINE_SQUARED, SQUARE),
+                 f"{SINE_SQUARED!r} or {SQUARE!r}"),
 }
 
 _ARM_SCHEMA = {
@@ -229,18 +240,17 @@ def validate_config(doc: dict) -> ResolvedConfig:
 
     params = _apply_schema(doc.get("params", {}), _PARAM_SCHEMAS[plan],
                            f"params({plan})")
-    toggles = _apply_schema(doc.get("toggles", {}), _TOGGLE_SCHEMA, "toggles")
+    toggles = _apply_schema(doc.get("toggles", {}), _TOGGLE_SCHEMAS[plan],
+                            f"toggles({plan})")
     output = _apply_schema(doc.get("output", {}), _OUTPUT_SCHEMAS[plan],
                            f"output({plan})")
-    for where, section in ((f"params({plan})", params), ("toggles", toggles),
+    for where, section in ((f"params({plan})", params),
+                           (f"toggles({plan})", toggles),
                            (f"output({plan})", output)):
         for key, value in section.items():
             if key in _RANGES and not _RANGES[key][0](value):
                 raise ConfigurationError(
                     f"{where}.{key} must be {_RANGES[key][1]}, got {value!r}")
-    if toggles["envelope"] not in (SINE_SQUARED, SQUARE):
-        raise ConfigurationError(
-            f"toggles.envelope must be {SINE_SQUARED!r} or {SQUARE!r}")
     if plan == "fringes":
         params["arms"] = [_apply_schema(a, _ARM_SCHEMA, "params.arms[]")
                           for a in params["arms"]]
@@ -255,11 +265,7 @@ def validate_config(doc: dict) -> ResolvedConfig:
         "output": output,
     }
     cls = _PARAM_CLASSES.get(plan)
-    if cls is None:
-        built = dict(params)
-    else:
-        built = cls(**params, **{f.name: toggles[f.name] for f in fields(cls)
-                                 if f.name in toggles})
+    built = dict(params) if cls is None else cls(**params, **toggles)
     return ResolvedConfig(plan=plan, atom=atom, params=built, output=output,
                           resolved=resolved)
 

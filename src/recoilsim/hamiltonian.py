@@ -9,100 +9,97 @@ time: quadratic recoil/Doppler mismatches of all the other rungs.  A second
 synthesizer tone inside the same window is represented by a coupling whose
 phase rotates at the tone-spacing rate.
 
-Couplings are stored as whole-basis permutation/pattern arrays: every
-coupling family here is a perfect matching (each state has at most one
-partner per family), so H*psi is a gather and a few multiplies.  For
-integration the families are stacked (``StepOperator``): one ``take``
-gathers every family's partners at once, one multiply applies all the
-patterns, one the phase ramps and one a column of envelope values, and each
-family's row is then added onto the diagonal term in family order.  That
-matching structure is also the physical content of the momentum selection
-rules: within one family a state can only ever reach its single partner.
+Every coupling family here (one per beam or tone) is a perfect matching:
+each state has at most one partner per family.  That matching structure is
+also the physical content of the momentum selection rules: within one
+family a state can only ever reach its single partner.  A compiled operator
+holds its F families stacked, in one format from compile to step: partner
+indices ``perm`` (F, n), ``pattern`` and phase-ramp ``rate`` (F, n) or
+(F, B, n), and one envelope callable and one peak per family, so that
 
-An operator may carry a leading batch axis: ``pattern`` and ``rate`` of
-shape (B, n) hold B members that share the permutation and envelope, such
-as one closing pulse at B detunings, and ``stack`` gives the diagonal and
-decay that axis too, for members compiled apart (arms with their own
-anchors).  Every operation below is elementwise over that axis, so each
-member's arithmetic is exactly that of an operator compiled for it alone.
+    H[i, perm[f, i]] += envelope_f(t) * pattern[f, i] * e^{i rate[f, i] t}.
+
+``rate`` is zero wherever ``pattern`` is, and a family without a rate holds
+exact zeros.  The queries (bounds, active sets, restriction, member
+selection, stacking) are one array expression over the family axis each.
+For integration, H psi is one ``take`` that gathers every family's partners
+at once, one multiply each for the patterns, the phase ramps and a column
+of envelope values, and one add per family row onto the diagonal term, in
+family order (``StepOperator``).
+
+An operator may carry a leading batch axis: B members that share the
+permutation and envelopes, such as one closing pulse at B detunings, and
+``stack`` gives the diagonal and decay that axis too, for members compiled
+apart (arms with their own anchors).  A family unbatched among batched ones
+has its row repeated over the members.  Every operation below is
+elementwise over that axis, so each member's arithmetic is exactly that of
+an operator compiled for it alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
 from .basis import LEVEL_ORDER, LEVELS, Basis, RecoilState, WaveFunction
 from .errors import ConfigurationError
 from .params import AtomParams, InternalLevel
-from .pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, Epoch, PulseEvent,
-                     SIGMA_LEG)
+from .pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, Epoch, SIGMA_LEG)
 
 
 _EXCITED = np.array([level.is_excited for level in LEVELS])
 
 
-@dataclass
-class CouplingFamily:
-    """One beam or tone, expanded over the basis as a perfect matching."""
+def _in_order_sum(rows: np.ndarray, empty):
+    """Sum over the leading (family) axis in family order, as a loop of
+    ``+=`` adds; ``np.sum`` pairs the terms differently along a short
+    axis.  ``empty`` is the sum of no rows."""
+    return np.add.accumulate(rows, axis=0)[-1] if len(rows) else empty
 
-    perm: np.ndarray       # partner index per state (identity where uncoupled)
-    pattern: np.ndarray    # complex, (n,) or (B, n); H[i, perm[i]] = envelope(t) * pattern[i] * e^{i rate[i] t}
-    rate: np.ndarray       # rad/s phase-ramp per entry, shaped like pattern (anti-symmetric over the matching)
-    envelope_value: object  # callable: time or array of times -> envelope
-    peak: float
-    has_rate: bool = False
+
+def _lift(rows: np.ndarray, ndim: int) -> np.ndarray:
+    """Family rows with a member axis of one inserted after the family
+    axis when they have fewer than ``ndim`` dimensions."""
+    return np.expand_dims(rows, 1) if rows.ndim < ndim else rows
 
 
 class StepOperator:
-    """An operator's families stacked for states of one shape, (n,) or
-    (B, n), so that ``apply`` treats all of them with one call per
-    operation.  Element by element it does what a loop over the families
-    would: partner amplitude * pattern * e^{i rate t} * envelope, added in
-    family order, with the phase of a family without a rate left out (a
-    factor of exactly 1 in the stacked multiply).
+    """What an operator's RK4 step needs for states of one shape, (n,) or
+    (B, n): flat partner indices with the batch offsets (``take`` then
+    gathers straight into the (F, B, n) layout whose family rows are
+    contiguous), the family rows lifted to that shape, and the scratch
+    buffers.  Element by element ``apply`` does what a loop over the
+    families would: partner amplitude * pattern * e^{i rate t} * envelope,
+    added in family order, with the phase left out when no family has a
+    rate.
     """
 
     def __init__(self, h: "EpochHamiltonian", shape: tuple):
-        families = h.families
         self.diag = h._diag_complex
-        self.envelopes = [fam.envelope_value for fam in families]
-        self.column = (len(families),) + (1,) * len(shape)
+        self.column = (len(h.envelopes),) + (1,) * len(shape)
         self.index = None
-        self.rates = None
-        if not families:
+        self.rate = None
+        if not h.envelopes:
             return
-        # flat indices into psi: take() then gathers straight into the
-        # (F, B, n) layout whose family rows are contiguous
+        ndim = len(shape) + 1
         offsets = shape[-1] * np.arange(shape[0])[:, None] \
             if len(shape) > 1 else 0
-        self.index = np.stack([fam.perm + offsets for fam in families])
-        self.patterns = np.stack([np.broadcast_to(fam.pattern, shape)
-                                  for fam in families])
-        if any(fam.has_rate for fam in families):
-            self.rates = np.stack([np.broadcast_to(
-                fam.rate if fam.has_rate else 0.0, shape)
-                for fam in families])
-            self._phase = np.empty_like(self.patterns)
-        self._gathered = np.empty_like(self.patterns)
+        self.index = _lift(h.perm, ndim) + offsets
+        self.pattern = _lift(h.pattern, ndim)
+        if h.rate.any():
+            self.rate = _lift(h.rate, ndim)
+            self._phase = np.empty(self.rate.shape, dtype=np.complex128)
+        self._gathered = np.empty(self.index.shape, dtype=np.complex128)
         self._rows = list(self._gathered)
-
-    def envelope_table(self, times: np.ndarray) -> np.ndarray:
-        """Envelope columns (len(times), F, 1...) for ``apply``, each
-        family evaluated once on the whole array."""
-        table = np.empty((len(times), len(self.envelopes)),
-                         dtype=np.complex128)
-        for f, value in enumerate(self.envelopes):
-            table[:, f] = value(times)
-        return table.reshape((len(times),) + self.column)
 
     def phase(self, t: float) -> np.ndarray | None:
         """e^{i rate t} of every family, or None when no family has a rate;
         the array is overwritten by the next call."""
-        if self.rates is None:
+        if self.rate is None:
             return None
-        np.multiply(1j * t, self.rates, out=self._phase)
+        np.multiply(1j * t, self.rate, out=self._phase)
         return np.exp(self._phase, out=self._phase)
 
     def apply(self, psi: np.ndarray, out: np.ndarray, envelope: np.ndarray,
@@ -114,7 +111,7 @@ class StepOperator:
             return
         gathered = self._gathered
         psi.take(self.index, out=gathered, mode="clip")
-        gathered *= self.patterns
+        gathered *= self.pattern
         if phase is not None:
             gathered *= phase
         gathered *= envelope
@@ -122,6 +119,7 @@ class StepOperator:
             out += row
 
 
+@dataclass(eq=False)
 class EpochHamiltonian:
     """Compiled operator for one epoch: static structure, time-dependent
     envelopes.
@@ -130,41 +128,47 @@ class EpochHamiltonian:
     bound queries return one value per member when the operator is batched.
     """
 
-    def __init__(self, diagonal: np.ndarray,
-                 families: list[CouplingFamily], decay: np.ndarray):
-        self.diagonal = diagonal            # real part of the frame diagonal
-        self.decay = decay
-        self._diag_complex = diagonal - 0.5j * decay
-        self.families = families
-        self._bound = None                  # last (t0, t1) and its row_bound
+    diagonal: np.ndarray    # real part of the frame diagonal, (n,) or (B, n)
+    decay: np.ndarray       # excited-state decay rate, shaped like diagonal
+    perm: np.ndarray        # (F, n) partner per state (identity where uncoupled)
+    pattern: np.ndarray     # complex (F, n) or (F, B, n)
+    rate: np.ndarray        # rad/s phase ramp, shaped like pattern (anti-symmetric over the matching)
+    envelopes: tuple        # per family: time or array of times -> envelope
+    peak: np.ndarray        # (F,) peak envelope per family
+    _bound: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self._diag_complex = self.diagonal - 0.5j * self.decay
 
     @property
     def batched(self) -> bool:
-        return self._diag_complex.ndim > 1 or \
-            any(fam.pattern.ndim > 1 for fam in self.families)
+        return self.diagonal.ndim > 1 or self.pattern.ndim > 2
 
     @property
     def structure(self) -> tuple:
         """Equal for operators whose members can share one integration: the
         same number of states, coupled alike by the same envelopes."""
-        return (self.diagonal.shape[-1],
-                tuple((fam.envelope_value, fam.perm.tobytes())
-                      for fam in self.families))
+        return (self.diagonal.shape[-1], self.envelopes, self.perm.tobytes())
+
+    def envelope_table(self, times: np.ndarray) -> np.ndarray:
+        """Every family's envelope at ``times``, (F, len(times)), each
+        envelope evaluated once on the whole array."""
+        return np.array([value(times) for value in self.envelopes],
+                        dtype=np.float64).reshape(len(self.envelopes),
+                                                  len(times))
 
     def _diag_max(self):
         """Largest |diagonal element|, per member for a batch."""
         return np.max(np.abs(self._diag_complex), axis=-1, initial=0.0)
 
-    def _peak_elements(self) -> list:
-        """Largest |H element| of each family, per member for a batch."""
-        return [fam.peak * np.max(np.abs(fam.pattern), axis=-1)
-                for fam in self.families]
+    def _peak_elements(self) -> np.ndarray:
+        """Largest |H element| of each family, (F,) or (F, B)."""
+        peak = self.peak.reshape((-1,) + (1,) * (self.pattern.ndim - 2))
+        return peak * np.max(np.abs(self.pattern), axis=-1, initial=0.0)
 
     def max_element(self):
-        peak = self._diag_max()
-        for elem in self._peak_elements():
-            peak = np.maximum(peak, elem)
-        return peak
+        return np.maximum(self._diag_max(),
+                          self._peak_elements().max(axis=0, initial=0.0))
 
     def row_bound(self, t0: float | None = None, t1: float | None = None):
         """Gershgorin-style bound on the spectral radius.
@@ -180,11 +184,10 @@ class EpochHamiltonian:
     def _sampled_bound(self, t0, t1):
         diag_max = self._diag_max()
         elem = self._peak_elements()
-        if t0 is None or t1 is None or t1 <= t0 or not self.families:
-            return diag_max + sum(elem)
-        grid = np.linspace(t0, t1, 257)
-        envelopes = [fam.envelope_value(grid) if fam.peak else None
-                     for fam in self.families]
+        if t0 is None or t1 is None or t1 <= t0 or not len(elem):
+            return diag_max + _in_order_sum(elem, 0)
+        live = self.peak != 0
+        envelopes = self.envelope_table(np.linspace(t0, t1, 257))[live]
         # batch members mostly share their peak elements (over a detuning
         # scan they differ by an ulp at most), so each distinct row of them
         # is summed once instead of building a (B, 257) array
@@ -192,16 +195,13 @@ class EpochHamiltonian:
         member = [distinct.setdefault(tuple(row), len(distinct)) for row in
                   np.column_stack(np.broadcast_arrays(diag_max, *elem))
                   .tolist()]
+        rows = np.array(list(distinct))
+        scales = rows[:, 1:][:, live] / self.peak[live]
         bound = np.empty(len(distinct))
-        for r, (row_diag, *row) in enumerate(distinct):
-            total = np.zeros_like(grid)
-            for fam, peak_elem, envelope in zip(self.families, row, envelopes):
-                if fam.peak == 0:
-                    continue
-                scale = peak_elem / fam.peak
-                total += scale * envelope
+        for r, scale in enumerate(scales):
+            total = _in_order_sum(scale[:, None] * envelopes, 0.0)
             # small safety factor against the sampling missing the true peak
-            bound[r] = row_diag + 1.02 * total.max()
+            bound[r] = rows[r, 0] + 1.02 * np.max(total)
         return bound[member] if self.batched else bound[0]
 
     def active_mask(self, amps: np.ndarray) -> np.ndarray:
@@ -209,68 +209,65 @@ class EpochHamiltonian:
         couplings, shaped like ``amps``: one row per member of a batch.
         Everything outside stays exactly zero under the evolution, so it
         can be excluded with no approximation."""
+        links = (self.pattern != 0).swapaxes(0, -2)       # ([B,] F, n)
         active = np.abs(amps) > 0.0
-        coupled = [fam.pattern != 0 for fam in self.families]
         while True:
-            grown = active.copy()
-            for fam, links in zip(self.families, coupled):
-                grown |= links & active[..., fam.perm]
+            grown = active | (links & active[..., self.perm]).any(axis=-2)
             if bool(np.array_equal(grown, active)):
                 return active
             active = grown
 
     def reduced(self, idx: np.ndarray) -> "EpochHamiltonian":
-        """Restriction to the index set ``idx`` (closed under couplings)."""
+        """Restriction to the index set ``idx`` (closed under couplings);
+        families that couple nothing there are dropped."""
+        def restrict(a):        # take() keeps the rows C-contiguous
+            return a.take(idx, axis=-1)
         inverse = np.full(self.diagonal.shape[-1], -1, dtype=np.int64)
         inverse[idx] = np.arange(len(idx))
-        families = []
-        for fam in self.families:
-            pattern = fam.pattern[..., idx]
-            if not np.any(pattern):
-                continue
-            perm = inverse[fam.perm[idx]]
-            loose = perm < 0
-            if np.any(loose & (pattern != 0)):
-                raise ValueError("index set not closed under couplings")
-            perm[loose] = np.nonzero(loose)[0]
-            rate = fam.rate[..., idx]
-            families.append(CouplingFamily(
-                perm=perm, pattern=pattern, rate=rate,
-                envelope_value=fam.envelope_value, peak=fam.peak,
-                has_rate=bool(np.any(rate[pattern != 0]))))
-        return EpochHamiltonian(self.diagonal[..., idx], families,
-                                self.decay[..., idx])
+        pattern = restrict(self.pattern)
+        coupled = pattern != 0
+        live = coupled.any(axis=tuple(range(1, coupled.ndim)))
+        coupled = coupled[live].any(axis=tuple(range(1, coupled.ndim - 1)))
+        perm = inverse[restrict(self.perm[live])]
+        loose = perm < 0
+        if np.any(loose & coupled):
+            raise ValueError("index set not closed under couplings")
+        return EpochHamiltonian(
+            restrict(self.diagonal), restrict(self.decay),
+            np.where(loose, np.arange(len(idx)), perm), pattern[live],
+            restrict(self.rate[live]), tuple(compress(self.envelopes, live)),
+            self.peak[live])
 
     def members(self, rows) -> "EpochHamiltonian":
-        """The operator of the batch members ``rows`` alone; one member (an
-        integer row) gets unbatched arrays."""
-        if not self.batched:
+        """The operator of the batch members ``rows`` (increasing indices)
+        alone: the operator itself for all of them, unbatched arrays for
+        one."""
+        members = self.diagonal.shape[:-1] or self.pattern.shape[1:-1]
+        if not members or len(rows) == members[0]:
             return self
+        pick = rows[0] if len(rows) == 1 else rows
 
-        def pick(a):
-            return a[rows] if a.ndim > 1 else a
-        families = [replace(fam, pattern=pick(fam.pattern),
-                            rate=pick(fam.rate)) for fam in self.families]
-        return EpochHamiltonian(pick(self.diagonal), families,
-                                pick(self.decay))
+        def take(a, axis):      # the member axis: 0 of a diagonal, 1 of rows
+            return a.take(pick, axis) if a.ndim > axis + 1 else a
+        return replace(self, diagonal=take(self.diagonal, 0),
+                       decay=take(self.decay, 0),
+                       pattern=take(self.pattern, 1),
+                       rate=take(self.rate, 1))
 
 
 def stack(operators: list[EpochHamiltonian], sizes) -> EpochHamiltonian:
     """One batched operator over the members of ``operators``, which share
     their ``structure``; operator k stands for ``sizes[k]`` members (one row
     each of a batched operator, or copies of a shared one)."""
-    def rows(arrays):
-        return np.concatenate([np.broadcast_to(a, (size, a.shape[-1]))
-                               for a, size in zip(arrays, sizes)])
-    families = []
-    for f, fam in enumerate(operators[0].families):
-        alike = [op.families[f] for op in operators]
-        families.append(replace(
-            fam, pattern=rows([x.pattern for x in alike]),
-            rate=rows([x.rate for x in alike]),
-            has_rate=any(x.has_rate for x in alike)))
-    return EpochHamiltonian(rows([op.diagonal for op in operators]), families,
-                            rows([op.decay for op in operators]))
+    def rows(name, axis):       # the member axis: 0 of a diagonal, 1 of rows
+        arrays = [getattr(op, name) for op in operators]
+        return np.concatenate([np.broadcast_to(
+            np.expand_dims(a, axis) if a.ndim == axis + 1 else a,
+            a.shape[:axis] + (size,) + a.shape[-1:])
+            for a, size in zip(arrays, sizes)], axis=axis)
+    return replace(operators[0], diagonal=rows("diagonal", 0),
+                   decay=rows("decay", 0), pattern=rows("pattern", 1),
+                   rate=rows("rate", 1))
 
 
 def frame_diagonal(basis: Basis, atom: AtomParams,
@@ -285,83 +282,78 @@ def _matching(basis: Basis, level_from: InternalLevel, shift: int,
               level_to: InternalLevel, axis: str = "z",
               rung: int | None = None):
     """Pairs (i, j) taking |level_from, n> to |level_to, n + shift> along
-    ``axis`` (only from ``rung`` if given), and the permutation swapping
-    each pair.  The levels differ, so the pairs form a perfect matching."""
+    ``axis`` (only from ``rung`` if given).  The levels differ, so the
+    pairs form a perfect matching."""
     i = np.flatnonzero(basis.level_codes == LEVEL_ORDER[level_from])
     if rung is not None:
         i = i[(basis.n_z if axis == "z" else basis.n_x)[i] == rung]
     dz, dx = (shift, 0) if axis == "z" else (0, shift)
     j = basis.locate(LEVEL_ORDER[level_to], basis.n_z[i] + dz,
                      basis.n_x[i] + dx)
-    i, j = i[j >= 0], j[j >= 0]
-    perm = np.arange(len(basis))
-    perm[i] = j
-    perm[j] = i
-    return i, j, perm
-
-
-def _sigma_family(basis: Basis, event: PulseEvent) -> CouplingFamily:
-    i, j, perm = _matching(basis, SIGMA_LEG[event.polarization],
-                           event.direction, InternalLevel.E1)
-    pattern = np.zeros(len(basis), dtype=np.complex128)
-    pattern[i] = 0.5
-    pattern[j] = 0.5
-    return CouplingFamily(perm=perm, pattern=pattern,
-                          rate=np.zeros(len(basis)),
-                          envelope_value=event.envelope.value,
-                          peak=event.envelope.peak_rabi)
-
-
-def _effective_family(basis: Basis, event: PulseEvent, atom: AtomParams,
-                      anchors: dict[InternalLevel, tuple[int, int]] | None) -> CouplingFamily:
-    anchors = anchors or {}
-    lf, lt = event.levels
-    shift_f = atom.kinetic_rate(*anchors.get(lf, (0, 0)))
-    shift_t = atom.kinetic_rate(*anchors.get(lt, (0, 0)))
-    ref = event.reference_rung if event.reference_rung is not None else 0
-    wr = atom.recoil_frequency
-    tone = wr * ((ref + event.delta_n) ** 2 - ref ** 2) if event.delta_n else 0.0
-    # an array bias and phase give one member per entry
-    rho = np.asarray(tone + event.bias_detuning - (shift_t - shift_f))[..., None]
-    half = np.asarray(0.5 * np.exp(1j * event.phase))[..., None]
-
-    i, j, perm = _matching(basis, lf, event.delta_n, lt, event.axis,
-                           event.target_rung)
-    shape = np.broadcast_shapes(rho.shape, half.shape)[:-1] + (len(basis),)
-    pattern = np.zeros(shape, dtype=np.complex128)
-    pattern[..., j] = half          # H[to, from]
-    pattern[..., i] = np.conj(half)
-    rate = np.zeros(shape, dtype=np.float64)
-    rate[..., j] = -rho
-    rate[..., i] = +rho
-    return CouplingFamily(perm=perm, pattern=pattern, rate=rate,
-                          envelope_value=event.envelope.value,
-                          peak=event.envelope.peak_rabi,
-                          has_rate=bool(np.any(rho != 0.0)))
+    return i[j >= 0], j[j >= 0]
 
 
 def compile_epoch(basis: Basis, events, atom: AtomParams,
                   anchors: dict[InternalLevel, tuple[int, int]] | None = None,
                   decay_rate: float = 0.0) -> EpochHamiltonian:
-    """Turn an epoch's active events into a ready-to-integrate operator."""
-    families = []
+    """Turn an epoch's active events into a ready-to-integrate operator,
+    with one coupling family per event.  A Raman tone with an array bias
+    detuning or phase gives one batch member per entry."""
+    anchors = anchors or {}
     for event in events:
         if event.channel == CHANNEL_LAMBDA:
             if InternalLevel.E1 not in basis.levels:
                 raise ConfigurationError(
                     "adiabatic channel needs the intermediate level in the basis")
-            families.append(_sigma_family(basis, event))
         elif event.channel == CHANNEL_RAMAN:
             for level in event.levels:
                 if level not in basis.levels:
                     raise ConfigurationError(
                         f"pulse addresses level {level.name} missing from basis")
-            families.append(_effective_family(basis, event, atom, anchors))
         else:  # pragma: no cover - PulseEvent validation rejects this earlier
             raise ConfigurationError(f"unknown channel {event.channel!r}")
+    n = len(basis)
+    batch = np.broadcast_shapes(*(np.shape(value) for event in events
+                                  for value in (event.bias_detuning,
+                                                event.phase)))
+    perm = np.tile(np.arange(n), (len(events), 1))
+    pattern = np.zeros((len(events),) + batch + (n,), dtype=np.complex128)
+    rate = np.zeros(pattern.shape, dtype=np.float64)
+    wr = atom.recoil_frequency
+    for f, event in enumerate(events):
+        if event.channel == CHANNEL_LAMBDA:
+            i, j = _matching(basis, SIGMA_LEG[event.polarization],
+                             event.direction, InternalLevel.E1)
+            pattern[f][..., i] = 0.5
+            pattern[f][..., j] = 0.5
+        else:
+            lf, lt = event.levels
+            shift_f = atom.kinetic_rate(*anchors.get(lf, (0, 0)))
+            shift_t = atom.kinetic_rate(*anchors.get(lt, (0, 0)))
+            ref = event.reference_rung if event.reference_rung is not None \
+                else 0
+            tone = wr * ((ref + event.delta_n) ** 2 - ref ** 2) \
+                if event.delta_n else 0.0
+            rho = np.asarray(tone + event.bias_detuning
+                             - (shift_t - shift_f))[..., None]
+            half = np.asarray(0.5 * np.exp(1j * event.phase))[..., None]
+            i, j = _matching(basis, lf, event.delta_n, lt, event.axis,
+                             event.target_rung)
+            pattern[f][..., j] = half           # H[to, from]
+            pattern[f][..., i] = np.conj(half)
+            # a tone without a detuning keeps its exact zero rates
+            if np.any(rho != 0.0):
+                rate[f][..., j] = -rho
+                rate[f][..., i] = +rho
+        perm[f, i] = j
+        perm[f, j] = i
     diagonal = frame_diagonal(basis, atom, anchors)
     decay = np.where(_EXCITED[basis.level_codes], float(decay_rate), 0.0)
-    return EpochHamiltonian(diagonal, families, decay)
+    return EpochHamiltonian(
+        diagonal, decay, perm, pattern, rate,
+        tuple(event.envelope.value for event in events),
+        np.array([event.envelope.peak_rabi for event in events],
+                 dtype=np.float64))
 
 
 def compile_from_epoch(basis: Basis, epoch: Epoch, atom: AtomParams,

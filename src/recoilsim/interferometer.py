@@ -364,9 +364,9 @@ class _Timeline:
         return matches[0]
 
 
-def require_adiabatic(rms_rabi: float, stagger: float, strict: bool = True):
+def require_adiabatic(rms_rabi: float, stagger: float):
     xi = adiabaticity_parameter(rms_rabi, stagger)
-    if strict and xi >= ADIABATIC_FLAG_THRESHOLD:
+    if xi >= ADIABATIC_FLAG_THRESHOLD:
         raise AdiabaticityError(
             f"adiabaticity parameter {xi:.3f} is not << 1; "
             "slower or stronger pulses are required")

@@ -85,11 +85,9 @@ class AtomParams:
         if self.lattice_manifold not in ("d1", "d2"):
             raise ValueError("lattice_manifold must be 'd1' or 'd2'")
 
-    def wavenumber(self, manifold: str | None = None) -> float:
-        """Optical wavenumber k = 2*pi/lambda in rad/m."""
-        manifold = manifold or self.lattice_manifold
-        wavelength = {"d1": self.wavelength_d1, "d2": self.wavelength_d2}[manifold]
-        return 2.0 * math.pi / wavelength
+    def wavenumber(self) -> float:
+        """Optical wavenumber k = 2*pi/lambda of the lattice, in rad/m."""
+        return 2.0 * math.pi / self.lattice_wavelength
 
     @property
     def lattice_wavelength(self) -> float:

@@ -13,8 +13,9 @@
 
 Each plan's parameter dataclass is also its config schema: a field is named
 by its JSON key and holds that key's value and default, in the config's
-units (Hz, s, m); the toggles ride along as the chirp, envelope and
-decay_gamma_hz fields.  A plan converts to angular rates on entry.
+units (Hz, s, m); the toggles ride along as those of the chirp, envelope
+and decay_gamma_hz fields that the plan reads.  A plan converts to angular
+rates on entry.
 """
 
 from __future__ import annotations

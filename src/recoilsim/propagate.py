@@ -11,11 +11,12 @@ stage, each compiled on its own lattice, are stacked into one batch
 wherever their reduced operators couple alike.
 
 Each step is bound by the number of numpy calls, not by the size of the
-vectors, so the loop keeps that number small: the coupling families are
-stacked so that one gather serves all of them (``StepOperator``), and every
-envelope is evaluated once per chunk of steps on an array of substage
-times.  Every element is computed exactly as a per-family loop computes
-it, so results are bit-identical to that loop.
+vectors, so the loop keeps that number small: a compiled operator holds
+its coupling families stacked, so that one gather serves all of them
+(``StepOperator`` adds only the batch offsets and scratch buffers of the
+work shape), and every envelope is evaluated once per chunk of steps on an
+array of substage times.  Every element is computed exactly as a
+per-family loop computes it, so results are bit-identical to that loop.
 """
 
 from __future__ import annotations
@@ -94,10 +95,10 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan | list,
     In every epoch each member gets its own active set, and with it its
     own reduced operator, bound, step count, norm check and dust prune.
     Members whose reduced operators couple alike and whose step counts
-    agree run as one batch through the one RK4 loop, and a member alone
-    runs on plain vectors, so each member does exactly the arithmetic of a
-    run on its own; ``steps`` counts loop iterations.  Observers need a
-    single wavefunction.
+    agree run as one batch through the one RK4 loop; every operation is
+    elementwise over the members, so each member does exactly the
+    arithmetic of a run on its own; ``steps`` counts loop iterations.
+    Observers need a single wavefunction.
 
     The basis of a wavefunction grows automatically whenever more than
     BOUNDARY_TOL of the population of any of its members reaches the edge
@@ -141,12 +142,7 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan | list,
                 alike.setdefault(row.tobytes(), []).append(r)
             for rows in alike.values():
                 idx = np.flatnonzero(active[rows[0]])
-                if len(rows) == 1:
-                    op = compiled.members(rows[0])
-                elif len(rows) < len(active):
-                    op = compiled.members(rows)
-                else:
-                    op = compiled
+                op = compiled.members(rows)
                 if len(idx) < len(basis):
                     op = op.reduced(idx)
                 batches.setdefault(op.structure, []).append((op, b, rows, idx))
@@ -184,7 +180,6 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan | list,
                              observe_per_epoch)
                 else:
                     rows = np.flatnonzero(n_steps == count)
-                    rows = rows[0] if len(rows) == 1 else rows
                     part = work[rows]
                     t = _rk4(h.members(rows), part, epoch, int(count))
                     work[rows] = part
@@ -253,8 +248,8 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
         # clamp: rounding must not push the last substage past the
         # envelope window (a square edge there breaks the error order)
         end = np.minimum(t + dt, epoch.t_end)
-        envelopes = op.envelope_table(np.concatenate([t, mid, end])) \
-            .reshape((3, k_stop - k0) + op.column)
+        envelopes = h.envelope_table(np.concatenate([t, mid, end])).T \
+            .astype(np.complex128).reshape((3, k_stop - k0) + op.column)
         for k, t_s, t_m, t_e, e_s, e_m, e_e in zip(
                 range(k0 + 1, k_stop + 1), t.tolist(), mid.tolist(),
                 end.tolist(), *envelopes):
@@ -298,6 +293,7 @@ def _extend(basis: Basis, amps: np.ndarray):
     return new_basis, moved.amplitudes
 
 
-def ladder_basis(levels, rungs, guard: int = 3, window_x=(0,)) -> Basis:
-    """Convenience basis spanning a set of z rungs plus guard bands."""
-    return Basis(levels, span_window(rungs, guard), window_x)
+def ladder_basis(levels, rungs) -> Basis:
+    """Convenience basis spanning a set of z rungs plus guard bands of
+    three rungs."""
+    return Basis(levels, span_window(rungs, 3), (0,))

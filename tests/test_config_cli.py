@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recoilsim.cli import main
-from recoilsim.config import (_OUTPUT_SCHEMAS, _PARAM_SCHEMAS, _TOGGLE_SCHEMA,
+from recoilsim.config import (_OUTPUT_SCHEMAS, _PARAM_SCHEMAS, _TOGGLE_SCHEMAS,
                               PLAN_CATALOG, list_plans, load_config,
                               validate_config)
 from recoilsim.params import AtomParams
@@ -197,17 +197,17 @@ def test_figure3_rejects_omega_eff_as_unknown(tmp_path, capsys):
 RESOLVED_HASHES = {
     "figure3.json": "ae35d81cf3c5",
     "figure3_uncompensated.json": "a68fcad35504",
-    "fringes_94.json": "8dfc916f8a69",
-    "pattern_gear.json": "55c17e4774af",
+    "fringes_94.json": "5e3146da6c51",
+    "pattern_gear.json": "cfbe48ae3199",
     "ramsey.json": "e222c3a67d2b",
     "split1d.json": "dfcb5fe65d27",
-    "split2d.json": "2ce528ec3d42",
+    "split2d.json": "30ec780670fc",
     "figure3": "ae35d81cf3c5",
     "split1d": "dfcb5fe65d27",
     "ramsey": "e222c3a67d2b",
-    "split2d": "2ce528ec3d42",
-    "fringes": "5733cb43da21",
-    "pattern": "2d52133065f4",
+    "split2d": "30ec780670fc",
+    "fringes": "7b70fc0d3794",
+    "pattern": "32a8f23b4631",
 }
 
 # the least document of each plan: fringes and pattern have required keys
@@ -228,6 +228,23 @@ def test_resolved_documents_are_pinned():
     for plan, cls in [("figure3", Figure3Params), ("split1d", Plan1DParams),
                       ("ramsey", RamseyParams), ("split2d", Plan2DParams)]:
         assert validate_config({"plan": plan}).params == cls()
+
+
+@pytest.mark.parametrize("plan, toggles", [
+    ("split2d", {"envelope": "square"}),
+    ("fringes", {"chirp": False}),
+    ("pattern", {"decay_gamma_hz": 0.0}),
+])
+def test_toggles_a_plan_does_not_read_are_unknown(tmp_path, capsys, plan,
+                                                   toggles):
+    # a toggle no step of the plan reads would rename every artifact and
+    # change none of their bytes
+    doc = {"plan": plan, **LEAST_DOCUMENTS.get(plan, {}), "toggles": toggles}
+    path = write_config(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: unknown keys in toggles({plan})")
+    assert repr(list(toggles)[0]) in err and err.count("\n") == 1
 
 
 def test_cli_physics_error_exit_code(tmp_path, capsys):
@@ -409,7 +426,7 @@ def config_documents(draw):
         else "figure3"
     sections = {
         "params": _PARAM_SCHEMAS[schema_plan],
-        "toggles": _TOGGLE_SCHEMA,
+        "toggles": _TOGGLE_SCHEMAS[schema_plan],
         "output": _OUTPUT_SCHEMAS[schema_plan],
         "atom": {key: (None, value)
                  for key, value in AtomParams().to_dict().items()},

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from recoilsim.basis import Basis, RecoilState
 from recoilsim.errors import ConfigurationError
-from recoilsim.hamiltonian import compile_epoch, dark_state
+from recoilsim.hamiltonian import compile_epoch, dark_state, stack
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, PI_PAIR,
                               SIGMA_LEG, SIGMA_PAIR, PulseEnvelope,
@@ -29,29 +30,33 @@ def sigma_event(pol, direction, peak=1e6, duration=1e-6):
                       channel="adiabatic_lambda")
 
 
-def dense(h, t):
-    """H(t) of a compiled single-member operator as a dense matrix, entry by
-    entry as StepOperator.apply applies it: H[i, perm[i]] = envelope(t) *
-    pattern[i] * exp(i rate[i] t), plus the diagonal minus i decay / 2."""
-    m = np.diag(h.diagonal - 0.5j * h.decay)
-    for fam in h.families:
-        for i in np.flatnonzero(fam.pattern):
-            m[i, fam.perm[i]] += fam.envelope_value(t) * fam.pattern[i] * \
-                np.exp(1j * t * fam.rate[i])
+def dense(h, t, member=0):
+    """H(t) of one member of a compiled operator as a dense matrix, entry
+    by entry as StepOperator.apply applies it: H[i, perm[i]] = envelope(t)
+    * pattern[i] * exp(i rate[i] t), plus the diagonal minus i decay / 2."""
+    def rows(a, axis):      # the member's rows; axis is the member axis
+        return a.take(member, axis) if a.ndim > axis + 1 else a
+    pattern, rate = rows(h.pattern, 1), rows(h.rate, 1)
+    m = np.diag(rows(h.diagonal, 0) - 0.5j * rows(h.decay, 0))
+    for f, envelope in enumerate(h.envelopes):
+        for i in np.flatnonzero(pattern[f]):
+            m[i, h.perm[f, i]] += envelope(t) * pattern[f, i] * \
+                np.exp(1j * t * rate[f, i])
     return m
 
 
 def couplings(basis, h):
     """The coupled state pairs (i < j) of every family."""
-    return [(basis.state(i), basis.state(int(fam.perm[i])))
-            for fam in h.families for i in np.flatnonzero(fam.pattern)
-            if fam.perm[i] > i]
+    return [(basis.state(i), basis.state(int(h.perm[f, i])))
+            for f in range(len(h.perm)) for i in np.flatnonzero(h.pattern[f])
+            if h.perm[f, i] > i]
 
 
 def test_no_pulses_is_diagonal_only(atom):
     basis = Basis([A, B, E1], range(-3, 4))
     h = compile_epoch(basis, [], atom)
-    assert h.families == []
+    assert h.envelopes == ()
+    assert h.pattern.shape == h.rate.shape == h.perm.shape == (0, len(basis))
     m = dense(h, 0.0)
     assert np.array_equal(m, np.diag(m.diagonal()))
     wr = atom.recoil_frequency
@@ -104,7 +109,7 @@ def test_hermitian_exactly_when_no_decay(atom):
                            chirp=False, reference_rung=0,
                            bias_detuning=2.5e4, phase=0.7)
     h = compile_epoch(basis, [*pair.events, tone], atom, pair.epoch.anchors)
-    assert any(fam.has_rate for fam in h.families)
+    assert h.rate.any()
     m = dense(h, 60e-9)
     assert np.array_equal(m.real, m.real.T)
     assert np.array_equal(m.imag, -m.imag.T)
@@ -222,7 +227,8 @@ def reference_compile(basis, events, atom, anchors, decay_rate):
                 continue
             perm[i], perm[j] = j, i
             pattern[i], pattern[j] = forward, back
-            if rho is not None:
+            # a tone without a detuning has no rate: exact zeros
+            if rho is not None and abs(rho) > 0.0:
                 rate[i], rate[j] = rho, -rho
         families.append((perm, pattern, rate,
                          rho is not None and abs(rho) > 0.0))
@@ -285,9 +291,139 @@ def test_compile_matches_per_state_reference(atom, levels, window_z, window_x,
                                                   anchors, decay_rate)
     assert identical(h.diagonal, diagonal)
     assert identical(h.decay, decay)
-    assert len(h.families) == len(families)
-    for fam, (perm, pattern, rate, has_rate) in zip(h.families, families):
-        assert identical(fam.perm, perm)
-        assert identical(fam.pattern, pattern)
-        assert identical(fam.rate, rate)
-        assert fam.has_rate == has_rate
+    assert len(h.envelopes) == len(h.peak) == len(families)
+    for f, (perm, pattern, rate, has_rate) in enumerate(families):
+        assert identical(h.perm[f], perm)
+        assert identical(h.pattern[f], pattern)
+        assert identical(h.rate[f], rate)
+        # a rate shows where a detuned tone couples a pair of the basis
+        assert h.rate[f].any() == (has_rate and pattern.any())
+        assert h.envelopes[f] == events[f].envelope.value
+        assert h.peak[f] == events[f].envelope.peak_rabi
+
+
+@st.composite
+def batched_epochs(draw):
+    """A basis, the events of one epoch (lambda beams and Raman tones; one
+    tone may sweep B two-photon detunings and phases, zero included), its
+    decay rate and the support of each member."""
+    levels = draw(st.sets(st.sampled_from(list(InternalLevel)), max_size=5))
+    events = draw(st.lists(st.one_of(sigma_events, effective_events()),
+                           min_size=1, max_size=4))
+    members = 1
+    raman = [k for k, ev in enumerate(events) if ev.channel == CHANNEL_RAMAN]
+    if raman and draw(st.booleans()):
+        members = draw(st.integers(2, 4))
+        detunings = draw(st.lists(st.sampled_from([0.0, 1e3, -2.5e4]),
+                                  min_size=members, max_size=members))
+        phases = draw(st.lists(st.floats(-4.0, 4.0), min_size=members,
+                               max_size=members))
+        k = draw(st.sampled_from(raman))
+        events[k] = replace(events[k], bias_detuning=np.array(detunings),
+                            phase=np.array(phases))
+    for ev in events:
+        levels |= {E1} if ev.channel == CHANNEL_LAMBDA else set(ev.levels)
+    basis = Basis(levels, draw(st.sets(st.integers(-4, 4), min_size=1,
+                                       max_size=5)),
+                  draw(st.sets(st.integers(-2, 2), min_size=1, max_size=2)))
+    anchors = draw(st.dictionaries(st.sampled_from(list(InternalLevel)),
+                                   st.tuples(st.integers(-4, 4),
+                                             st.integers(-2, 2)),
+                                   max_size=2))
+    support = np.array(draw(st.lists(
+        st.lists(st.booleans(), min_size=len(basis), max_size=len(basis)),
+        min_size=members, max_size=members)))
+    support[:, draw(st.integers(0, len(basis) - 1))] = True
+    return (basis, events, anchors, draw(st.sampled_from([0.0, 1e5])),
+            support)
+
+
+def reference_bound(h, t0=None, t1=None):
+    """The spectral bound as a loop over the families computes it: the
+    largest |diagonal element| plus each family's largest element, scaled
+    by its envelope sampled at 257 times of a window (plus 2%)."""
+    diag = np.max(np.abs(h.diagonal - 0.5j * h.decay), axis=-1, initial=0.0)
+    elem = [h.peak[f] * np.max(np.abs(h.pattern[f]), axis=-1)
+            for f in range(len(h.envelopes))]
+    if t0 is None:
+        return diag + sum(elem)
+    grid = np.linspace(t0, t1, 257)
+    total = np.zeros(np.shape(diag + sum(elem)) + grid.shape)
+    for f, envelope in enumerate(h.envelopes):
+        if h.peak[f]:
+            total += (elem[f] / h.peak[f])[..., None] * envelope(grid)
+    return diag + 1.02 * total.max(axis=-1)
+
+
+def member_events(events, r):
+    """The events of batch member ``r``: each array entry taken alone."""
+    return [replace(ev, bias_detuning=float(ev.bias_detuning[r]),
+                    phase=float(ev.phase[r])) if np.ndim(ev.phase) else ev
+            for ev in events]
+
+
+@given(case=batched_epochs())
+@settings(max_examples=120, deadline=None)
+def test_reductions_match_the_dense_operator(atom, case):
+    basis, events, anchors, decay_rate, support = case
+    h = compile_epoch(basis, events, atom, anchors, decay_rate)
+    members = len(support)
+    assert h.batched == (members > 1)
+    assert np.array_equal(h.row_bound(), reference_bound(h))
+    assert np.array_equal(h.row_bound(-0.2e-6, 0.7e-6),
+                          reference_bound(h, -0.2e-6, 0.7e-6))
+    t = 0.5e-6                  # every square envelope is on
+    full = [dense(h, t, r) for r in range(members)]
+    lone = [compile_epoch(basis, member_events(events, r), atom, anchors,
+                          decay_rate) for r in range(members)]
+
+    # active_mask: the closure of each member's support under the nonzero
+    # off-diagonal entries of its dense matrix
+    amps = np.where(support, 0.5 - 0.25j, 0.0)
+    mask = h.active_mask(amps)
+    for r in range(members):
+        linked = (full[r] != 0) & ~np.eye(len(basis), dtype=bool)
+        closure = support[r]
+        while not np.array_equal(grown := closure | linked[:, closure]
+                                 .any(axis=1), closure):
+            closure = grown
+        assert np.array_equal(mask[r], closure)
+
+    # members(r): the operator of member r compiled alone
+    for r in range(members):
+        alone = h.members([r])
+        assert not alone.batched
+        assert alone.structure == lone[r].structure
+        for name in ("diagonal", "decay", "pattern", "rate", "peak"):
+            assert np.array_equal(getattr(alone, name),
+                                  getattr(lone[r], name))
+        assert np.array_equal(dense(alone, t), dense(lone[r], t))
+    assert h.members(list(range(members))) is h
+
+    # stack of the lone operators: the batch
+    batch = stack(lone, [1] * members)
+    assert batch.structure == h.structure
+    for r in range(members):
+        assert np.array_equal(dense(batch, t, r), full[r])
+    # members whose largest elements differ each get their own bound
+    other = compile_epoch(basis, member_events(events, 0), atom, anchors,
+                          1e5 - decay_rate)
+    mixed = stack([lone[0], other, lone[0]], [1, 2, 1])
+    assert np.array_equal(mixed.row_bound(-0.2e-6, 0.7e-6),
+                          reference_bound(mixed, -0.2e-6, 0.7e-6))
+
+    # reduced(idx): the full matrix restricted to idx, for each member
+    for r in range(members):
+        idx = np.flatnonzero(mask[r])
+        small = h.members([r]).reduced(idx)
+        assert np.array_equal(dense(small, t), full[r][np.ix_(idx, idx)])
+        assert all(row.any() for row in small.pattern)   # none left idle
+        # the step gathers and multiplies these rows whole: keep them dense
+        assert all(a.flags.c_contiguous for a in
+                   (small.perm, small.pattern, small.rate, small.diagonal))
+    if members > 1 and np.array_equal(mask[0], mask[1]):
+        idx = np.flatnonzero(mask[0])
+        both = h.reduced(idx)
+        for r in range(members):
+            assert np.array_equal(dense(both, t, r),
+                                  full[r][np.ix_(idx, idx)])

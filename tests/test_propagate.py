@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from recoilsim import propagate
 from recoilsim.basis import Basis, RecoilState, WaveFunction
 from recoilsim.errors import ConfigurationError, IntegrationError
-from recoilsim.hamiltonian import (CouplingFamily, EpochHamiltonian,
-                                   compile_epoch)
+from recoilsim.hamiltonian import EpochHamiltonian, compile_epoch
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.propagate import (STABILITY_LIMIT, check_stability,
                                  evolve_plan)
@@ -242,14 +241,14 @@ def test_batch_window_grows_when_any_member_nears_the_edge(atom):
 
 def reference_derivative(h, t, psi, out, buf):
     np.multiply(h.diagonal - 0.5j * h.decay, psi, out=out)
-    for fam in h.families:
-        env = float(fam.envelope_value(t))
+    for f, envelope in enumerate(h.envelopes):
+        env = float(envelope(t))
         if env == 0.0:
             continue
-        psi.take(fam.perm, axis=-1, out=buf)
-        buf *= fam.pattern
-        if fam.has_rate:
-            buf *= np.exp(1j * t * fam.rate)
+        psi.take(h.perm[f], axis=-1, out=buf)
+        buf *= h.pattern[f]
+        if h.rate[f].any():
+            buf *= np.exp(1j * t * h.rate[f])
         buf *= env
         out += buf
     out *= -1j
@@ -287,9 +286,10 @@ def reference_rk4(h, work, epoch, n_steps, observe=None,
 @st.composite
 def kernel_cases(draw):
     """A random operator, state, epoch and step count: 0-3 families, each
-    a perfect matching with an unbatched or (B, n) pattern, rates and decay
-    on or off, and square or sine^2 windows that may open or close inside
-    the epoch; ``scale`` sets the time unit."""
+    a perfect matching with an unbatched or (B, n) pattern (an unbatched
+    row repeated over the members when another family is batched), rates
+    and decay on or off, and square or sine^2 windows that may open or
+    close inside the epoch; ``scale`` sets the time unit."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(2, 9))
     batch = draw(st.sampled_from([None, 1, 3]))
@@ -315,8 +315,7 @@ def kernel_cases(draw):
         pattern[..., j] = half
         pattern[..., i] = np.conj(half)
         rate = np.zeros(fam_shape)
-        has_rate = draw(st.booleans())
-        if has_rate:
+        if draw(st.booleans()):
             rho = rng.uniform(-20.0, 20.0, size=half.shape) / scale
             rate[..., j] = -rho
             rate[..., i] = rho
@@ -325,16 +324,24 @@ def kernel_cases(draw):
                                draw(st.sampled_from([0.0, 1.0, 2.0])) / scale,
                                t_start + opens * duration,
                                duration * draw(st.floats(0.1, 1.5)))
-        families.append(CouplingFamily(
-            perm=perm, pattern=pattern, rate=rate,
-            envelope_value=window.value, peak=window.peak_rabi,
-            has_rate=has_rate))
+        families.append((perm, pattern, rate, window))
     diagonal = rng.normal(size=per_member()) / scale
     decay = np.zeros(per_member())
     if draw(st.booleans()):
         decay[..., ::2] = rng.uniform(0.0, 1.0, size=decay[..., ::2].shape) \
             / scale
-    h = EpochHamiltonian(diagonal, families, decay)
+    members = np.broadcast_shapes(*(p.shape[:-1] for _, p, _, _ in families))
+    pattern = np.zeros((len(families),) + members + (n,), dtype=np.complex128)
+    rate = np.zeros(pattern.shape)
+    for f, (_, fam_pattern, fam_rate, _) in enumerate(families):
+        pattern[f] = fam_pattern
+        rate[f] = fam_rate
+    h = EpochHamiltonian(
+        diagonal, decay,
+        np.array([perm for perm, *_ in families], dtype=np.int64)
+        .reshape(-1, n), pattern, rate,
+        tuple(window.value for *_, window in families),
+        np.array([window.peak_rabi for *_, window in families]))
     work = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     stable = math.ceil(duration * float(np.max(h.max_element())) / 0.05)
     n_steps = max(draw(st.integers(1, 40)), stable)

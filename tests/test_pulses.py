@@ -154,11 +154,12 @@ def tone_rate(atom, from_state, to_state, anchors=None, **kw):
     ev = effective_pulse(math.pi, 1e6, from_state, to_state, atom,
                          "sigma_pair", "z", **kw)
     basis = Basis([A, C], range(-12, 13))
-    (fam,) = compile_epoch(basis, [ev], atom, anchors).families
+    h = compile_epoch(basis, [ev], atom, anchors)
+    (perm,), (rate,) = h.perm, h.rate
     i = basis.index_of(from_state)
-    assert fam.perm[i] == basis.index_of(to_state)
-    assert fam.rate[fam.perm[i]] == -fam.rate[i]
-    return fam.rate[i]
+    assert perm[i] == basis.index_of(to_state)
+    assert rate[perm[i]] == -rate[i]
+    return rate[i]
 
 
 def test_chirp_offset_first_rung_is_pure_recoil(atom):
