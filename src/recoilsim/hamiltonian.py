@@ -23,9 +23,10 @@ indices ``perm`` (F, n), ``pattern`` and phase-ramp ``rate`` (F, n) or
 exact zeros.  The queries (bounds, active sets, restriction, member
 selection, stacking) are one array expression over the family axis each.
 For integration, H psi is one ``take`` that gathers every family's partners
-at once, one multiply each for the patterns, the phase ramps and a column
-of envelope values, and one add per family row onto the diagonal term, in
-family order (``StepOperator``).
+at once, one multiply each for the patterns, a row of phase ramps and a
+column of envelope values, and one add per family row onto the diagonal
+term, in family order (``StepOperator``).  The ramps and envelopes do not
+depend on psi, so they are tabulated for many times at once.
 
 An operator may carry a leading batch axis: B members that share the
 permutation and envelopes, such as one closing pulse at B detunings, and
@@ -90,22 +91,27 @@ class StepOperator:
         self.pattern = _lift(h.pattern, ndim)
         if h.rate.any():
             self.rate = _lift(h.rate, ndim)
-            self._phase = np.empty(self.rate.shape, dtype=np.complex128)
         self._gathered = np.empty(self.index.shape, dtype=np.complex128)
         self._rows = list(self._gathered)
 
-    def phase(self, t: float) -> np.ndarray | None:
-        """e^{i rate t} of every family, or None when no family has a rate;
-        the array is overwritten by the next call."""
-        if self.rate is None:
-            return None
-        np.multiply(1j * t, self.rate, out=self._phase)
-        return np.exp(self._phase, out=self._phase)
+    def phase_table(self, times: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """e^{i rate t} of every family at each of ``times``, written to
+        ``out`` (shaped ``times.shape + rate.shape``) and returned; each row
+        is exactly what ``exp(1j * t * rate)`` gives.  Only for an operator
+        with a rate.
+
+        The rates are cast into ``out`` and scaled there, which makes no
+        temporary copy of them; the product (rate + 0i)(0 + it) has the bits
+        of (0 + it)(rate + 0i), as each factor has one zero part."""
+        out[...] = self.rate
+        out *= (1j * times).reshape(times.shape + (1,) * self.rate.ndim)
+        return np.exp(out, out=out)
 
     def apply(self, psi: np.ndarray, out: np.ndarray, envelope: np.ndarray,
               phase: np.ndarray | None) -> None:
-        """out = H psi at the time of the ``envelope`` column and
-        ``phase``."""
+        """out = H psi at the time of the ``envelope`` column and the
+        ``phase`` row of ``phase_table`` (None when no family has a
+        rate)."""
         np.multiply(self.diag, psi, out=out)
         if self.index is None:
             return

@@ -14,14 +14,16 @@ Each step is bound by the number of numpy calls, not by the size of the
 vectors, so the loop keeps that number small: a compiled operator holds
 its coupling families stacked, so that one gather serves all of them
 (``StepOperator`` adds only the batch offsets and scratch buffers of the
-work shape), and every envelope is evaluated once per chunk of steps on an
-array of substage times.  Every element is computed exactly as a
+work shape), and the substage times, envelopes and phase ramps are
+tabulated per chunk of steps, each envelope and ramp evaluated once on an
+array of times.  Every element is computed exactly as a
 per-family loop computes it, so results are bit-identical to that loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -38,7 +40,11 @@ NORM_TOL_PER_STEP = 1e-9
 BOUNDARY_TOL = 1e-10        # population near the window edge triggering growth
 EXTEND_BY = 8               # rungs added per auto-extension
 MAX_STATES = 40_000         # basis size an auto-extension may not exceed
+MAX_STEPS_PER_EPOCH = 10 ** 7   # RK4 steps one epoch may ask for
 ENVELOPE_CHUNK = 128        # steps whose envelopes are tabulated at once
+PHASE_TABLE_ELEMENTS = 2 ** 12  # ramps in one substage's phase table: caps
+                                # the chunk of an operator with a rate, and
+                                # with it the tables' memory
 
 
 def check_stability(hamiltonian: EpochHamiltonian, dt: float) -> None:
@@ -65,8 +71,16 @@ def default_dt(hamiltonian: EpochHamiltonian,
 
 
 def _step_count(duration: float, dt_cap):
-    """Equal RK4 steps covering ``duration`` with none above ``dt_cap``."""
-    return np.maximum(1, np.ceil(duration / np.asarray(dt_cap))).astype(np.int64)
+    """Equal RK4 steps covering ``duration`` with none above ``dt_cap``;
+    a count that is not finite or exceeds MAX_STEPS_PER_EPOCH is an
+    error."""
+    with np.errstate(divide="ignore"):
+        steps = np.ceil(duration / np.asarray(dt_cap))
+    if not np.all(steps <= MAX_STEPS_PER_EPOCH):
+        raise IntegrationError(
+            f"an epoch needs {np.max(steps):.3e} RK4 steps, over the budget "
+            f"of {MAX_STEPS_PER_EPOCH}")
+    return np.maximum(1, steps).astype(np.int64)
 
 
 @dataclass
@@ -221,8 +235,10 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
     """Classic RK4 over the epoch in ``n_steps`` equal steps, in place on
     ``work`` (members x states); returns the end time.
 
-    The substage times and every envelope on them are tabulated for up to
-    ENVELOPE_CHUNK steps at a time.  The stages are H psi, and the -i of
+    The substage times, every envelope and every phase ramp on them are
+    tabulated for up to ENVELOPE_CHUNK steps at a time, with at most
+    PHASE_TABLE_ELEMENTS ramps per substage.  k4 reuses k3's buffer once
+    k2 + k3 is taken.  The stages are H psi, and the -i of
     the Schrodinger equation rides on the step coefficients: a product with
     -i only swaps and negates components, so each element is exactly what
     -i H psi scaled by a real coefficient gives.
@@ -231,15 +247,22 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
     check_stability(h, dt)
     stride = max(1, n_steps // observe_per_epoch) if observe else 0
     op = StepOperator(h, work.shape)
+    if op.rate is None:
+        chunk, phases = ENVELOPE_CHUNK, (repeat(None),) * 3
+    else:
+        # one table of phase rows per substage, filled anew for each chunk
+        chunk = max(1, min(ENVELOPE_CHUNK,
+                           PHASE_TABLE_ELEMENTS // op.rate.size))
+        phases = [np.empty((chunk,) + op.rate.shape, dtype=np.complex128)
+                  for _ in range(3)]
     half, full, sixth = (np.array(c) for c in
                          (-0.5j * dt, -1j * dt, -1j * dt / 6.0))
     k1 = np.empty_like(work)
     k2 = np.empty_like(work)
     k3 = np.empty_like(work)
-    k4 = np.empty_like(work)
     y = np.empty_like(work)
-    for k0 in range(0, n_steps, ENVELOPE_CHUNK):
-        k_stop = min(k0 + ENVELOPE_CHUNK, n_steps)
+    for k0 in range(0, n_steps, chunk):
+        k_stop = min(k0 + chunk, n_steps)
         # the times of the step loop: each step starts where the last ended
         bounds = epoch.t_start + np.arange(k0, k_stop + 1) * epoch.duration \
             / n_steps
@@ -250,24 +273,25 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
         end = np.minimum(t + dt, epoch.t_end)
         envelopes = h.envelope_table(np.concatenate([t, mid, end])).T \
             .astype(np.complex128).reshape((3, k_stop - k0) + op.column)
-        for k, t_s, t_m, t_e, e_s, e_m, e_e in zip(
-                range(k0 + 1, k_stop + 1), t.tolist(), mid.tolist(),
-                end.tolist(), *envelopes):
-            op.apply(work, k1, e_s, op.phase(t_s))
+        if op.rate is not None:
+            for times, table in zip((t, mid, end), phases):
+                op.phase_table(times, table[:k_stop - k0])
+        for k, e_s, e_m, e_e, p_s, p_m, p_e in zip(
+                range(k0 + 1, k_stop + 1), *envelopes, *phases):
+            op.apply(work, k1, e_s, p_s)
             np.multiply(k1, half, out=y)
             y += work
-            phase = op.phase(t_m)
-            op.apply(y, k2, e_m, phase)
+            op.apply(y, k2, e_m, p_m)
             np.multiply(k2, half, out=y)
             y += work
-            op.apply(y, k3, e_m, phase)
+            op.apply(y, k3, e_m, p_m)
             np.multiply(k3, full, out=y)
             y += work
-            op.apply(y, k4, e_e, op.phase(t_e))
             k2 += k3
+            op.apply(y, k3, e_e, p_e)       # k4
             k2 *= 2.0
             k2 += k1
-            k2 += k4
+            k2 += k3
             k2 *= sixth
             work += k2
             if stride and (k % stride == 0 or k == n_steps):

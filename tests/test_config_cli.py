@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -252,6 +255,25 @@ def test_cli_physics_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, {"plan": "ramsey",
                                    "params": {"target_tau_s": 1e-6}})
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("rabi_hz", [1e300, 1e12])
+def test_cli_epoch_over_the_step_budget_exit_code(tmp_path, rabi_hz):
+    # a step count that is not finite or over MAX_STEPS_PER_EPOCH stops the
+    # run before any step: one error line, no traceback
+    path = write_config(tmp_path, {"plan": "figure3", "params": {
+        "n_pairs": 1, "rms_rabi_hz": rabi_hz}})
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "recoilsim", "run", str(path), "--out",
+         str(tmp_path / "out")], env=env, capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 3
+    assert done.stderr.startswith("physics error: an epoch needs ")
+    assert "over the budget" in done.stderr and \
+        done.stderr.count("\n") == 1
 
 
 def test_cli_figure3_artifacts_and_determinism(tmp_path):

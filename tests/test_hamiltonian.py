@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from recoilsim.basis import Basis, RecoilState
 from recoilsim.errors import ConfigurationError
-from recoilsim.hamiltonian import compile_epoch, dark_state, stack
+from recoilsim.hamiltonian import (StepOperator, compile_epoch, dark_state,
+                                   stack)
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, PI_PAIR,
                               SIGMA_LEG, SIGMA_PAIR, PulseEnvelope,
@@ -427,3 +428,34 @@ def test_reductions_match_the_dense_operator(atom, case):
         for r in range(members):
             assert np.array_equal(dense(both, t, r),
                                   full[r][np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("bias, shape", [
+    (0.0, ()),                              # one state vector
+    (0.0, (3,)),                            # rows lifted over 3 members
+    (np.linspace(-2e4, 2e4, 5), (5,)),      # a detuning scan, (F, B, n)
+])
+def test_phase_table_matches_the_per_time_formula_bit_for_bit(atom, bias,
+                                                              shape):
+    # the two tones of a split2d-like pulse, one per axis, in a frame
+    # anchored off their rungs so the rates carry both signs
+    events = [PulseEvent(envelope=PulseEnvelope(SQUARE, 2e5, 1e-3, 5e-6),
+                         polarization=PI_PAIR, axis=axis, direction=1,
+                         channel=CHANNEL_RAMAN, levels=(A, B), delta_n=2,
+                         target_rung=rung, reference_rung=1,
+                         bias_detuning=bias, phase=0.3)
+              for axis, rung in (("z", -1), ("x", 0))]
+    basis = Basis([A, B], range(-4, 5), range(-2, 3))
+    h = compile_epoch(basis, events, atom, {B: (2, 1)})
+    op = StepOperator(h, shape + (len(basis),))
+    assert (op.rate < 0).any() and (op.rate > 0).any()
+    # every substage time of the epoch as the RK4 loop steps it
+    t_start, duration, n_steps = 1e-3, 5e-6, 97
+    dt = duration / n_steps
+    t = t_start + np.arange(n_steps) * duration / n_steps
+    times = np.concatenate([t, t + 0.5 * dt,
+                            np.minimum(t + dt, t_start + duration)])
+    out = np.empty(times.shape + op.rate.shape, dtype=np.complex128)
+    assert op.phase_table(times, out) is out
+    for time, row in zip(times.tolist(), out):
+        assert identical(row, np.exp(1j * time * op.rate))

@@ -289,7 +289,9 @@ def kernel_cases(draw):
     a perfect matching with an unbatched or (B, n) pattern (an unbatched
     row repeated over the members when another family is batched), rates
     and decay on or off, and square or sine^2 windows that may open or
-    close inside the epoch; ``scale`` sets the time unit."""
+    close inside the epoch; ``scale`` sets the time unit.  The envelope
+    chunk and phase-table budget drawn last give chunks of one step and
+    partial chunks, with rates and without."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(2, 9))
     batch = draw(st.sampled_from([None, 1, 3]))
@@ -346,7 +348,8 @@ def kernel_cases(draw):
     stable = math.ceil(duration * float(np.max(h.max_element())) / 0.05)
     n_steps = max(draw(st.integers(1, 40)), stable)
     return (h, work, Epoch(t_start, duration, ()), n_steps,
-            draw(st.integers(0, 5)), draw(st.sampled_from([1, 3, 1024])))
+            draw(st.integers(0, 5)), draw(st.sampled_from([1, 3, 1024])),
+            draw(st.sampled_from([1, 40, 2 ** 12])))
 
 
 def observed(work):
@@ -357,11 +360,12 @@ def observed(work):
 @given(case=kernel_cases())
 @settings(max_examples=200, deadline=None)
 def test_stacked_kernel_matches_the_per_family_loop_bit_for_bit(case):
-    h, work, epoch, n_steps, per_epoch, chunk = case
+    h, work, epoch, n_steps, per_epoch, chunk, budget = case
     ref = work.copy()
     samples, observe = observed(work)
     ref_samples, ref_observe = observed(ref)
-    with mock.patch.object(propagate, "ENVELOPE_CHUNK", chunk):
+    with mock.patch.object(propagate, "ENVELOPE_CHUNK", chunk), \
+            mock.patch.object(propagate, "PHASE_TABLE_ELEMENTS", budget):
         t = propagate._rk4(h, work, epoch, n_steps,
                            observe if per_epoch else None, per_epoch)
     t_ref = reference_rk4(h, ref, epoch, n_steps,
