@@ -157,7 +157,7 @@ def _run_split1d(cfg, out_dir, base):
     stages_path = out_dir / f"{base}.stages.csv"
     _stage_csv(result, stages_path)
 
-    grid = grid_from_output(cfg.output, dims=1)
+    grid = grid_from_output(cfg)
     pattern = fr.synthesize(result.final_arms, grid, cfg.atom,
                             fr.CoherenceEnvelope())
     spacing = fr.extract_spacing(pattern, "z")
@@ -201,8 +201,7 @@ def _run_split2d(cfg, out_dir, base):
     _stage_csv(result, stages_path)
     artifacts = [stages_path]
 
-    two_dimensional = cfg.params.q_pulses > 0
-    grid = grid_from_output(cfg.output, dims=2 if two_dimensional else 1)
+    grid = grid_from_output(cfg)
     pattern = fr.synthesize(result.final_arms, grid, cfg.atom,
                             fr.CoherenceEnvelope())
     summary_rows = [
@@ -214,7 +213,7 @@ def _run_split2d(cfg, out_dir, base):
     spacing_z = fr.extract_spacing(pattern, "z")
     summary_rows += [("extracted_spacing_z_m", spacing_z.period),
                      ("spacing_z_bin_m", spacing_z.bin_uncertainty)]
-    if two_dimensional:
+    if grid.dims == 2:
         spacing_x = fr.extract_spacing(pattern, "x")
         summary_rows += [
             ("expected_spacing_x_m", result.extras["expected_spacing_x_m"]),
@@ -231,9 +230,9 @@ def _run_split2d(cfg, out_dir, base):
 def _run_fringes(cfg, out_dir, base):
     params = cfg.params
     arms = [(complex(a["amplitude_re"], a["amplitude_im"]), a["n_z"], a["n_x"],
-             a["phase_rad"]) for a in params["arms"]]
-    grid = grid_from_output(cfg.output, dims=cfg.output["dims"])
-    envelope = fr.CoherenceEnvelope(params["coherence_length_m"])
+             a["phase_rad"]) for a in params.arms]
+    grid = grid_from_output(cfg)
+    envelope = fr.CoherenceEnvelope(params.coherence_length_m)
     pattern = fr.synthesize(arms, grid, cfg.atom, envelope)
     artifacts = _write_fringe(pattern, out_dir, base)
     summary_rows = []
@@ -253,15 +252,15 @@ def _run_fringes(cfg, out_dir, base):
 
 def _run_pattern(cfg, out_dir, base):
     params = cfg.params
-    image, maxval = pgmio.read_pgm(params["input_pgm"])
-    target = pg.from_image(image, maxval, pitch=params["pitch_m"])
-    report = pg.roundtrip(target, magnification=params["magnification"])
+    image, maxval = pgmio.read_pgm(params.input_pgm)
+    target = pg.from_image(image, maxval, pitch=params.pitch_m)
+    report = pg.roundtrip(target, magnification=params.magnification)
 
     recovered_path = out_dir / f"{base}.recovered.pgm"
     pgmio.write_pgm(recovered_path, pg.to_image(report.recovered))
     pgmio.write_sidecar(out_dir / f"{base}.recovered.txt", {
         "pitch_m": report.output_pitch,
-        "magnification": params["magnification"],
+        "magnification": params.magnification,
         "max_value": 65535, "byte_order": "big-endian"})
     error_path = out_dir / f"{base}.errors.csv"
     write_csv(error_path, ["quantity", "value"], [

@@ -8,14 +8,13 @@ A run is described by one JSON document with at most these sections:
 Unknown keys are rejected everywhere, and validation resolves every default
 so the provenance block records the complete effective configuration.
 
-The params and toggles schemas of figure3, split1d, ramsey and split2d
-are their parameter dataclass (see plans): each field is a key, with its
-annotated type and its default, and a field named in ``_TOGGLES`` is a
-toggle.  So a plan takes exactly the toggles it reads.  Validation builds
-the dataclass from the resolved params and toggles as they are, in the
-config's units (Hz, s, m); each plan converts to angular rates on entry.
-The fringes and pattern plans keep a dict schema and a dict of params,
-and take no toggles.
+The params and toggles schemas of every plan are its parameter dataclass
+(see plans): each field is a key, with its annotated type and its
+default, a field without a default is a required key, and a field named
+in ``_TOGGLES`` is a toggle.  So a plan takes exactly the toggles it
+reads.  Validation builds the dataclass from the resolved params and
+toggles as they are, in the config's units (Hz, s, m); each plan converts
+to angular rates on entry.
 """
 
 from __future__ import annotations
@@ -23,14 +22,15 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .basis import PRUNE_FLOOR
 from .errors import ConfigurationError
 from .fringes import GridSpec
 from .params import AtomParams
-from .plans import (Figure3Params, Plan1DParams, Plan2DParams, RamseyParams)
+from .plans import (Figure3Params, FringesParams, PatternParams, Plan1DParams,
+                    Plan2DParams, RamseyParams)
 from .pulses import SINE_SQUARED, SQUARE
 
 PLAN_CATALOG = {
@@ -73,41 +73,28 @@ _PARAM_CLASSES = {
     "split1d": Plan1DParams,
     "ramsey": RamseyParams,
     "split2d": Plan2DParams,
+    "fringes": FringesParams,
+    "pattern": PatternParams,
 }
 
 
 def _dataclass_schemas(cls) -> tuple[dict, dict]:
     """The params and toggles schemas of ``cls``, each {field: (accepted
-    types, default)}; a float field also accepts an int."""
+    types, default)}, where a default of None marks a required key; a
+    float field also accepts an int."""
     hints = typing.get_type_hints(cls)
     schemas = ({}, {})
     for f in fields(cls):
         types = (int, float) if hints[f.name] is float else hints[f.name]
-        schemas[f.name in _TOGGLES][f.name] = (types, f.default)
+        default = None if f.default is MISSING else f.default
+        schemas[f.name in _TOGGLES][f.name] = (types, default)
     return schemas
 
 
 _SCHEMAS = {plan: _dataclass_schemas(cls)
             for plan, cls in _PARAM_CLASSES.items()}
-
-_PARAM_SCHEMAS = {
-    **{plan: params for plan, (params, _) in _SCHEMAS.items()},
-    "fringes": {
-        "arms": (list, None),
-        "coherence_length_m": ((int, float), 300e-6),
-    },
-    "pattern": {
-        "input_pgm": (str, None),
-        "magnification": ((int, float), 1.0),
-        "pitch_m": ((int, float), 1e-9),
-    },
-}
-
-_TOGGLE_SCHEMAS = {
-    **{plan: toggles for plan, (_, toggles) in _SCHEMAS.items()},
-    "fringes": {},
-    "pattern": {},
-}
+_PARAM_SCHEMAS = {plan: params for plan, (params, _) in _SCHEMAS.items()}
+_TOGGLE_SCHEMAS = {plan: toggles for plan, (_, toggles) in _SCHEMAS.items()}
 
 _OUTPUT_SCHEMAS = {
     "figure3": {},
@@ -197,9 +184,9 @@ def _apply_schema(section: dict, schema: dict, where: str) -> dict:
             if not isinstance(value, types):
                 raise ConfigurationError(
                     f"{where}.{key} must be {types}, got {type(value).__name__}")
-            if types == (int, float) and not _is_finite(value):
+            if types in (int, (int, float)) and not _is_finite(value):
                 raise ConfigurationError(
-                    f"{where}.{key} must be a finite float, got {value!r}")
+                    f"{where}.{key} must be finite, got {value!r}")
             resolved[key] = value
         elif default is None:
             raise ConfigurationError(f"{where}.{key} is required")
@@ -212,7 +199,7 @@ def _apply_schema(section: dict, schema: dict, where: str) -> dict:
 class ResolvedConfig:
     plan: str
     atom: AtomParams
-    params: object              # plan parameter dataclass or dict
+    params: object              # the plan's parameter dataclass
     output: dict
     resolved: dict              # the fully resolved JSON document
 
@@ -264,10 +251,12 @@ def validate_config(doc: dict) -> ResolvedConfig:
         "toggles": toggles,
         "output": output,
     }
-    cls = _PARAM_CLASSES.get(plan)
-    built = dict(params) if cls is None else cls(**params, **toggles)
-    return ResolvedConfig(plan=plan, atom=atom, params=built, output=output,
-                          resolved=resolved)
+    cfg = ResolvedConfig(plan=plan, atom=atom,
+                         params=_PARAM_CLASSES[plan](**params, **toggles),
+                         output=output, resolved=resolved)
+    if "grid_samples" in output:
+        grid_from_output(cfg)   # an oversized grid fails before any run
+    return cfg
 
 
 def load_config(path) -> ResolvedConfig:
@@ -282,10 +271,15 @@ def load_config(path) -> ResolvedConfig:
     return validate_config(doc)
 
 
-def grid_from_output(output: dict, dims: int) -> GridSpec:
-    """Square grid of ``grid_samples`` per axis at ``grid_pitch_m``."""
-    return GridSpec(dims=dims, pitch=output["grid_pitch_m"],
-                    shape=(output["grid_samples"],) * dims)
+def grid_from_output(cfg: ResolvedConfig) -> GridSpec:
+    """Square grid of ``grid_samples`` per axis at ``grid_pitch_m``: 2-D
+    for split2d with x pulses and for fringes with ``dims`` 2."""
+    if cfg.plan == "split2d":
+        dims = 2 if cfg.params.q_pulses > 0 else 1
+    else:
+        dims = cfg.output.get("dims", 1)
+    return GridSpec(dims=dims, pitch=cfg.output["grid_pitch_m"],
+                    shape=(cfg.output["grid_samples"],) * dims)
 
 
 def list_plans() -> list[dict]:

@@ -21,6 +21,7 @@ from .params import AtomParams
 MIN_PERIODS = 10          # grid must span at least this many fringes
 MIN_SAMPLES_PER_PERIOD = 16
 PEAK_OVER_BACKGROUND = 5.0
+MAX_GRID_SAMPLES = 2 ** 24  # 4096 x 4096
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,10 @@ class GridSpec:
             raise ConfigurationError("shape must match dims")
         if self.pitch <= 0 or any(n < 2 for n in self.shape):
             raise ConfigurationError("grid pitch and sizes must be positive")
+        if math.prod(self.shape) > MAX_GRID_SAMPLES:
+            raise ConfigurationError(
+                f"a grid of {' x '.join(map(str, self.shape))} samples is "
+                f"over the limit of {MAX_GRID_SAMPLES}")
 
     @classmethod
     def default_2d(cls) -> "GridSpec":
@@ -218,7 +223,6 @@ class RamseyScan:
     deltas: np.ndarray            # rad/s
     populations: np.ndarray       # P_c per delta
     population_at_zero: float     # P_c at exactly zero detuning
-    tau: float
     fringe_period_hz: float       # measured from minima spacing
     central_width_hz: float       # half the span between minima around zero
     width_scale_hz: float         # 1/(2 pi tau_measured)
@@ -263,7 +267,7 @@ def ramsey_scan(result, periods: float = 3.2,
         central_width = period_meas
     period_hz = period_meas / (2 * math.pi)
     return RamseyScan(
-        deltas=deltas, populations=pops, population_at_zero=at_zero, tau=tau,
+        deltas=deltas, populations=pops, population_at_zero=at_zero,
         fringe_period_hz=period_hz,
         central_width_hz=central_width / (2 * math.pi),
         width_scale_hz=1.0 / (2 * math.pi * (1.0 / period_hz)))

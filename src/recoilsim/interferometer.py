@@ -63,7 +63,7 @@ class ArmTrack:
                         self.kinetic_phase)
 
 
-def initial_arm(atom: AtomParams, level=InternalLevel.A) -> ArmTrack:
+def initial_arm(level=InternalLevel.A) -> ArmTrack:
     return ArmTrack("arm", 1.0 + 0.0j, level, 0, 0,
                     np.zeros(3), np.zeros(3), 0.0)
 
@@ -243,12 +243,10 @@ def _apply_to_chosen(arms: list[ArmTrack], chosen: list[ArmTrack],
 @dataclass
 class StageRecord:
     name: str
-    kind: str
     t_start: float
     t_end: float
     arms: list[ArmTrack]
     dropped: float
-    warnings: list[str] = field(default_factory=list)
 
     def level_populations(self) -> dict[str, float]:
         pops: dict[str, float] = {}
@@ -279,8 +277,6 @@ class StageRecord:
 
 @dataclass
 class PlanResult:
-    kind: str
-    atom: AtomParams
     stages: list[StageRecord]
     final_arms: list[ArmTrack]
     warnings: list[str]
@@ -309,31 +305,26 @@ class _Timeline:
     pulse stage of a plan shares: the population floor below which a
     component is dropped and the decay rate (rad/s) of the excited level."""
 
-    def __init__(self, kind: str, atom: AtomParams, arm_floor: float,
-                 decay_rate: float):
-        self.kind = kind
+    def __init__(self, atom: AtomParams, arm_floor: float, decay_rate: float):
         self.atom = atom
         self.arm_floor = arm_floor
         self.decay_rate = decay_rate
         self.t = 0.0
-        self.arms: list[ArmTrack] = [initial_arm(atom)]
+        self.arms: list[ArmTrack] = [initial_arm()]
         self.stages: list[StageRecord] = []
         self.warnings: list[str] = []
         self.dropped = 0.0
 
-    def record(self, name: str, kind: str, duration: float,
-               dropped: float = 0.0, warnings=()):
+    def record(self, name: str, duration: float, dropped: float = 0.0):
         self.dropped += dropped
-        self.warnings.extend(warnings)
         self.stages.append(StageRecord(
-            name=name, kind=kind, t_start=self.t, t_end=self.t + duration,
-            arms=[a.copy() for a in self.arms], dropped=dropped,
-            warnings=list(warnings)))
+            name=name, t_start=self.t, t_end=self.t + duration,
+            arms=[a.copy() for a in self.arms], dropped=dropped))
         self.t += duration
 
     def drift(self, name: str, duration: float):
         self.arms = free_flight(self.arms, duration, self.atom)
-        self.record(name, "drift", duration)
+        self.record(name, duration)
 
     def sequence(self, name: str, plan: SequencePlan, levels, axis: str,
                  only=None):
@@ -344,10 +335,10 @@ class _Timeline:
         self.arms, dropped = _apply_to_chosen(
             self.arms, chosen, plan, duration, self.atom, levels, axis,
             self.decay_rate, self.arm_floor)
-        self.record(name, "quantum-sequence", duration, dropped)
+        self.record(name, duration, dropped)
 
     def result(self, extras=None) -> PlanResult:
-        return PlanResult(kind=self.kind, atom=self.atom, stages=self.stages,
+        return PlanResult(stages=self.stages,
                           final_arms=[a.copy() for a in self.arms],
                           warnings=self.warnings, dropped_total=self.dropped,
                           extras=extras or {})

@@ -10,6 +10,9 @@
 * split2d -- the alternating-pi-pulse scheme in both axes, ending with four
   level-A arms on a 2D momentum lattice; with no x pulses it degrades to
   the two-arm Raman variant.
+* fringes and pattern -- fringe synthesis from a list of arms and the
+  arccos pattern pipeline; they propagate nothing, so only their parameter
+  sets live here.
 
 Each plan's parameter dataclass is also its config schema: a field is named
 by its JSON key and holds that key's value and default, in the config's
@@ -62,7 +65,6 @@ class Figure3Params:
 @dataclass
 class Figure3Result:
     params: Figure3Params
-    atom: AtomParams
     rows: list[dict]                  # fine-grained momentum trajectory
     pair_end_transfer: list[float]    # recoils transferred at each pair end
     final_transfer: float             # |mean n_z| of the deflected component
@@ -77,9 +79,8 @@ def run_figure3(params: Figure3Params, atom: AtomParams) -> Figure3Result:
         weight = 0.5
 
     ladder = build_adiabatic_sequence(
-        params.n_pairs, params.stagger_s, rms_rabi, atom,
-        start_rung=0, direction=params.direction, chirp=params.chirp,
-        shape=params.envelope)
+        params.n_pairs, params.stagger_s, rms_rabi, start_rung=0,
+        direction=params.direction, chirp=params.chirp, shape=params.envelope)
     xi = require_adiabatic(rms_rabi, params.stagger_s)
 
     rungs = range(0, 2 * params.direction * params.n_pairs + params.direction,
@@ -120,7 +121,7 @@ def run_figure3(params: Figure3Params, atom: AtomParams) -> Figure3Result:
     final_level = ladder.expected_final["deflected"].level
     obs_final = final.observables([final_level])
     return Figure3Result(
-        params=params, atom=atom, rows=rows, pair_end_transfer=pair_ends,
+        params=params, rows=rows, pair_end_transfer=pair_ends,
         final_transfer=(obs_final.mean or 0.0) / params.direction,
         final_population=final.population([final_level]) * weight,
         adiabaticity=xi)
@@ -152,8 +153,7 @@ def run_plan_1d_adiabatic(params: Plan1DParams, atom: AtomParams) -> PlanResult:
     rms_rabi = TWO_PI * params.rms_rabi_hz
     omega_eff = TWO_PI * params.omega_eff_hz
     require_adiabatic(rms_rabi, params.stagger_s)
-    tl = _Timeline("split1d", atom, params.arm_floor,
-                   params.decay_gamma_hz * TWO_PI)
+    tl = _Timeline(atom, params.arm_floor, params.decay_gamma_hz * TWO_PI)
 
     _initial_split(tl, omega_eff)
     _lambda_ladder(tl, "split-ladder", params, rms_rabi, 2 * n, 0, -1)
@@ -193,8 +193,7 @@ def run_plan_1d_adiabatic(params: Plan1DParams, atom: AtomParams) -> PlanResult:
 
 def _initial_split(tl: _Timeline, omega_eff: float):
     """The copropagating pi/2 that splits the atom between A and C."""
-    splitter = copropagating_pulse(math.pi / 2, omega_eff, tl.atom, "a-c",
-                                   axis="x")
+    splitter = copropagating_pulse(math.pi / 2, omega_eff, "a-c", axis="x")
     tl.sequence("initial-split", single_pulse_plan(splitter), RAMAN_LEVELS,
                 "x")
 
@@ -210,7 +209,7 @@ def _lambda_ladder(tl: _Timeline, name: str, params, rms_rabi: float,
     """One lambda-ladder stage of ``n_pairs`` pairs on the moving arms;
     returns the ladder as built, before it is shifted onto the timeline."""
     ladder = build_adiabatic_sequence(
-        n_pairs, params.stagger_s, rms_rabi, tl.atom, start_rung=start_rung,
+        n_pairs, params.stagger_s, rms_rabi, start_rung=start_rung,
         direction=direction, chirp=params.chirp, shape=params.envelope)
     tl.sequence(name, ladder, LAMBDA_LEVELS, "z", only=_moving)
     return ladder
@@ -220,7 +219,7 @@ def _state_transfer(tl: _Timeline, name: str, params, omega_eff: float,
                     axis: str, center: float):
     """Flip the C arms to A with a copropagating pi pulse whose beam
     crosses ``axis`` and is centred on ``center`` along it."""
-    pulse = copropagating_pulse(math.pi, omega_eff, tl.atom, "c-a",
+    pulse = copropagating_pulse(math.pi, omega_eff, "c-a",
                                 axis="x" if axis == "z" else "z",
                                 t_start=tl.t)
     tl.arms, dropped, warnings = selective_transfer(
@@ -229,8 +228,8 @@ def _state_transfer(tl: _Timeline, name: str, params, omega_eff: float,
         beam_width=params.beam_width_m, cloud_size=params.cloud_size_m,
         arm_floor=tl.arm_floor, decay_rate=tl.decay_rate,
         intended=lambda a: a.level is InternalLevel.C, stage=name)
-    tl.record(name, "selective-pulse", pulse.envelope.duration, dropped,
-              warnings)
+    tl.warnings.extend(warnings)
+    tl.record(name, pulse.envelope.duration, dropped)
 
 
 def _closing_time(a: ArmTrack, b: ArmTrack, axis: int) -> float:
@@ -282,8 +281,7 @@ class RamseyResult:
         pulse = effective_pulse(
             math.pi / 2, TWO_PI * self.params.omega_eff_hz,
             RecoilState(InternalLevel.C, 0), RecoilState(InternalLevel.B, 2),
-            self.atom, "sigma_pair", "z", chirp=True,
-            bias_detuning=delta, phase=delta * self.tau)
+            "z", bias_detuning=delta, phase=delta * self.tau)
         plan = single_pulse_plan(pulse)
         # evolve_plan copies the amplitudes, so a broadcast view will do
         amps = np.broadcast_to(self._scan_psi,
@@ -331,8 +329,7 @@ def run_plan_ramsey(params: RamseyParams, atom: AtomParams) -> RamseyResult:
             f"target separation time {params.target_tau_s} s is too short for "
             "this pulse program")
 
-    tl = _Timeline("ramsey", atom, params.arm_floor,
-                   params.decay_gamma_hz * TWO_PI)
+    tl = _Timeline(atom, params.arm_floor, params.decay_gamma_hz * TWO_PI)
     _initial_split(tl, omega_eff)
     t_first_center = d_half / 2
     _lambda_ladder(tl, "split-ladder", params, rms_rabi, 2 * n, 0, -1)
@@ -358,7 +355,7 @@ def run_plan_ramsey(params: RamseyParams, atom: AtomParams) -> RamseyResult:
     amps[scan_basis.index_of(RecoilState(InternalLevel.C, 0))] = still.amplitude
     amps[scan_basis.index_of(RecoilState(InternalLevel.B, 2))] = \
         moving.amplitude * np.exp(1j * params.arm_phase_rad)
-    tl.record("closing-pulse", "measurement", d_half)
+    tl.record("closing-pulse", d_half)
 
     return RamseyResult(
         params=params, atom=atom, tau=float(tau), plan=tl.result(
@@ -400,17 +397,16 @@ def run_plan_2d(params: Plan2DParams, atom: AtomParams) -> PlanResult:
     a_z = params.p_pulses * 2          # +4P
     c_z = -(params.p_pulses * 2 + 2)   # -(4P+2)
 
-    tl = _Timeline("split2d", atom, params.arm_floor,
-                   params.decay_gamma_hz * TWO_PI)
+    tl = _Timeline(atom, params.arm_floor, params.decay_gamma_hz * TWO_PI)
     zsplit = build_raman_sequence("half_pi", params.p_pulses, t_pi, omega,
-                                  "z", atom, start_rung=0, start_direction=+1,
+                                  "z", start_rung=0, start_direction=+1,
                                   half_pi_direction=-1, chirp=params.chirp)
     tl.sequence("z-split", zsplit, RAMAN_LEVELS, "z")
 
     tl.drift("drift-separate", params.drift1_s)
 
     zrev = build_raman_sequence("none", params.p_reverse, t_pi, omega, "z",
-                                atom, start_rung=a_z, c_start_rung=c_z,
+                                start_rung=a_z, c_start_rung=c_z,
                                 start_direction=-1, chirp=params.chirp)
     tl.sequence("z-reverse", zrev, RAMAN_LEVELS, "z")
     exp_a = zrev.expected_final["a_arm"].n_z
@@ -429,10 +425,10 @@ def run_plan_2d(params: Plan2DParams, atom: AtomParams) -> PlanResult:
     a_x = params.q_pulses * 2
     c_x = -(params.q_pulses * 2 + 2)
     xsplit = build_raman_sequence("half_pi", params.q_pulses, t_pi, omega,
-                                  "x", atom, start_rung=0, start_direction=+1,
+                                  "x", start_rung=0, start_direction=+1,
                                   half_pi_direction=-1, chirp=params.chirp)
     xrev = build_raman_sequence("none", params.q_reverse, t_pi, omega, "x",
-                                atom, start_rung=a_x, c_start_rung=c_x,
+                                start_rung=a_x, c_start_rung=c_x,
                                 start_direction=-1, chirp=params.chirp)
     a_xr = xrev.expected_final["a_arm"].n_x
     c_xr = xrev.expected_final["c_arm"].n_x
@@ -508,3 +504,20 @@ def _finish_2d(tl: _Timeline, params: Plan2DParams, atom: AtomParams,
         "x_drift_s": dx, "final_drift_s": df,
     }
     return tl.result(extras)
+
+
+# ----------------------------------------------------------------------
+# fringes and pattern: no propagation
+# ----------------------------------------------------------------------
+
+@dataclass
+class FringesParams:
+    arms: list                        # one resolved JSON object per arm
+    coherence_length_m: float = 300e-6
+
+
+@dataclass
+class PatternParams:
+    input_pgm: str
+    magnification: float = 1.0
+    pitch_m: float = 1e-9

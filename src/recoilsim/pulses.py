@@ -31,7 +31,7 @@ import numpy as np
 
 from .basis import RecoilState
 from .errors import ConfigurationError
-from .params import AtomParams, InternalLevel
+from .params import InternalLevel
 
 SINE_SQUARED = "sine_squared"
 SQUARE = "square"
@@ -49,6 +49,9 @@ SIGMA_PLUS = "sigma_plus"
 SIGMA_MINUS = "sigma_minus"
 PI_PAIR = "pi_pair"        # linear, copropagating or counterpropagating legs
 SIGMA_PAIR = "sigma_pair"  # circular two-photon pair
+
+# The polarization of a two-photon drive along each axis.
+RAMAN_POLARIZATION = {"z": SIGMA_PAIR, "x": PI_PAIR}
 
 # Which ground leg each circular polarization drives (quantization along +z:
 # sigma+ raises m_F, reaching the intermediate m_F'=0 from B at m_F=-1).
@@ -169,7 +172,6 @@ class PulsePair:
 
     lead: PulseEvent
     trail: PulseEvent
-    index: int
     adiabaticity: float
     adiabatic: bool
     target: RecoilState
@@ -184,14 +186,9 @@ class PulsePair:
 class SequencePlan:
     """Time-ordered pulse program plus its bookkeeping predictions."""
 
-    kind: str
     epochs: list[Epoch]
     pairs: list[PulsePair] = field(default_factory=list)
     expected_final: dict = field(default_factory=dict)
-
-    @property
-    def events(self) -> list[PulseEvent]:
-        return [e for epoch in self.epochs for e in epoch.events]
 
     @property
     def total_duration(self) -> float:
@@ -201,14 +198,14 @@ class SequencePlan:
 def single_pulse_plan(event: PulseEvent) -> SequencePlan:
     """A plan of one epoch that runs ``event`` alone, in the frame with
     no anchors."""
-    return SequencePlan(kind="pulse", epochs=[
+    return SequencePlan(epochs=[
         Epoch(event.envelope.start, event.envelope.duration, (event,))])
 
 
 def counter_intuitive_pair(index: int, stagger: float, rms_rabi: float,
-                           atom: AtomParams, direction: int = -1,
-                           start_rung: int = 0, chirp: bool = True,
-                           unchirped_rung: int = 0, t_start: float = 0.0,
+                           direction: int = -1, start_rung: int = 0,
+                           anchor_rung: int | None = None,
+                           t_start: float = 0.0,
                            shape: str = SINE_SQUARED) -> PulsePair:
     """Build the two counter-intuitively ordered beams of one ladder step.
 
@@ -216,7 +213,8 @@ def counter_intuitive_pair(index: int, stagger: float, rms_rabi: float,
     start_rung + 2*direction) via the intermediate level.  Even-index pairs
     start from A with the sigma+ beam leading; odd ones start from B with
     sigma- leading.  Each beam lasts 2*stagger and the second starts one
-    stagger after the first, so the pair occupies 3*stagger.
+    stagger after the first, so the pair occupies 3*stagger.  The frame is
+    anchored on ``anchor_rung``, by default the chirped one, start_rung.
     """
     if not stagger > 0:
         raise ConfigurationError("stagger must be positive")
@@ -237,7 +235,7 @@ def counter_intuitive_pair(index: int, stagger: float, rms_rabi: float,
     lead_env = PulseEnvelope(shape, peak, t_start, 2 * stagger)
     trail_env = PulseEnvelope(shape, peak, t_start + stagger, 2 * stagger)
 
-    anchor = start_rung if chirp else unchirped_rung
+    anchor = start_rung if anchor_rung is None else anchor_rung
 
     lead = PulseEvent(
         envelope=lead_env, polarization=lead_pol, axis="z",
@@ -256,13 +254,13 @@ def counter_intuitive_pair(index: int, stagger: float, rms_rabi: float,
                   label=f"pair-{index}")
 
     xi = adiabaticity_parameter(rms_rabi, stagger)
-    return PulsePair(lead=lead, trail=trail, index=index, adiabaticity=xi,
+    return PulsePair(lead=lead, trail=trail, adiabaticity=xi,
                      adiabatic=xi <= ADIABATIC_FLAG_THRESHOLD,
                      target=target, epoch=epoch)
 
 
 def build_adiabatic_sequence(n_pairs: int, stagger: float, rms_rabi: float,
-                             atom: AtomParams, start_rung: int = 0,
+                             start_rung: int = 0,
                              direction: int = -1, chirp: bool = True,
                              t_start: float = 0.0,
                              shape: str = SINE_SQUARED) -> SequencePlan:
@@ -279,8 +277,9 @@ def build_adiabatic_sequence(n_pairs: int, stagger: float, rms_rabi: float,
     t = t_start
     for j in range(n_pairs):
         pair = counter_intuitive_pair(
-            j, stagger, rms_rabi, atom, direction=direction, start_rung=rung,
-            chirp=chirp, unchirped_rung=start_rung, t_start=t, shape=shape)
+            j, stagger, rms_rabi, direction=direction, start_rung=rung,
+            anchor_rung=rung if chirp else start_rung, t_start=t,
+            shape=shape)
         pairs.append(pair)
         epochs.append(pair.epoch)
         rung += 2 * direction
@@ -288,7 +287,6 @@ def build_adiabatic_sequence(n_pairs: int, stagger: float, rms_rabi: float,
 
     final_level = InternalLevel.A if n_pairs % 2 == 0 else InternalLevel.B
     plan = SequencePlan(
-        kind="adiabatic_ladder",
         epochs=epochs,
         pairs=pairs,
         expected_final={"deflected": RecoilState(final_level, rung)},
@@ -298,11 +296,11 @@ def build_adiabatic_sequence(n_pairs: int, stagger: float, rms_rabi: float,
 
 def effective_pulse(area: float, omega_eff: float,
                     from_state: RecoilState, to_state: RecoilState,
-                    atom: AtomParams, polarization: str, axis: str,
-                    chirp: bool = True, reference_rung: int | None = None,
+                    axis: str, reference_rung: int | None = None,
                     bias_detuning: float = 0.0, phase: float = 0.0,
                     t_start: float = 0.0) -> PulseEvent:
-    """One tone of a two-photon drive as an effective two-level coupling."""
+    """One tone of a two-photon drive as an effective two-level coupling,
+    tuned to ``reference_rung``, by default its own target rung."""
     if not area > 0:
         raise ConfigurationError("pulse area must be positive")
     if not omega_eff > 0:
@@ -318,18 +316,17 @@ def effective_pulse(area: float, omega_eff: float,
     duration = area / omega_eff
     env = PulseEnvelope(SQUARE, omega_eff, t_start, duration)
     target = from_state.n_z if axis == "z" else from_state.n_x
-    if reference_rung is None or chirp:
-        reference_rung = target
     return PulseEvent(
-        envelope=env, polarization=polarization, axis=axis,
+        envelope=env, polarization=RAMAN_POLARIZATION.get(axis), axis=axis,
         direction=1 if dn >= 0 else -1, channel=CHANNEL_RAMAN,
         levels=(from_state.level, to_state.level), delta_n=dn,
-        target_rung=target, reference_rung=reference_rung,
+        target_rung=target,
+        reference_rung=target if reference_rung is None else reference_rung,
         bias_detuning=bias_detuning, phase=phase,
     )
 
 
-def copropagating_pulse(area: float, omega_eff: float, atom: AtomParams,
+def copropagating_pulse(area: float, omega_eff: float,
                         transition: str = "a-c", axis: str = "x",
                         t_start: float = 0.0, phase: float = 0.0) -> PulseEvent:
     """Momentum-preserving two-photon pulse (both legs travel together).
@@ -347,17 +344,15 @@ def copropagating_pulse(area: float, omega_eff: float, atom: AtomParams,
         raise ConfigurationError("effective Rabi frequency must be positive")
     duration = area / omega_eff
     env = PulseEnvelope(SQUARE, omega_eff, t_start, duration)
-    pol = PI_PAIR if axis == "x" else SIGMA_PAIR
     return PulseEvent(
-        envelope=env, polarization=pol, axis=axis, direction=+1,
-        channel=CHANNEL_RAMAN, levels=pairs[transition], delta_n=0,
-        target_rung=None, reference_rung=None, phase=phase,
+        envelope=env, polarization=RAMAN_POLARIZATION.get(axis), axis=axis,
+        direction=+1, channel=CHANNEL_RAMAN, levels=pairs[transition],
+        delta_n=0, target_rung=None, reference_rung=None, phase=phase,
     )
 
 
 def _raman_tone_pair(a_rung: int, c_rung: int, d: int, omega_eff: float,
-                     duration: float, atom: AtomParams, axis: str,
-                     chirp: bool, ref_a: int, ref_c: int,
+                     duration: float, axis: str, ref_a: int, ref_c: int,
                      t_start: float) -> tuple[PulseEvent, PulseEvent]:
     """The two tones of one momentum-stepping pi pulse.
 
@@ -365,25 +360,20 @@ def _raman_tone_pair(a_rung: int, c_rung: int, d: int, omega_eff: float,
     (C, c_rung) -> (A, c_rung - 2d).  They run in parallel and momentum
     selection keeps their transitions disjoint.
     """
-    pol = SIGMA_PAIR if axis == "z" else PI_PAIR
     area = omega_eff * duration
-
-    def st(level, n):
-        return RecoilState(level, n, 0) if axis == "z" else RecoilState(level, 0, n)
-
     tone1 = effective_pulse(
-        area, omega_eff, st(InternalLevel.A, a_rung),
-        st(InternalLevel.C, a_rung + 2 * d), atom, pol, axis,
-        chirp=chirp, reference_rung=ref_a, t_start=t_start)
+        area, omega_eff, _state(axis, InternalLevel.A, a_rung),
+        _state(axis, InternalLevel.C, a_rung + 2 * d), axis,
+        reference_rung=ref_a, t_start=t_start)
     tone2 = effective_pulse(
-        area, omega_eff, st(InternalLevel.C, c_rung),
-        st(InternalLevel.A, c_rung - 2 * d), atom, pol, axis,
-        chirp=chirp, reference_rung=ref_c, t_start=t_start)
+        area, omega_eff, _state(axis, InternalLevel.C, c_rung),
+        _state(axis, InternalLevel.A, c_rung - 2 * d), axis,
+        reference_rung=ref_c, t_start=t_start)
     return tone1, tone2
 
 
 def build_raman_sequence(first: str, n_pulses: int, t_prime: float,
-                         omega_eff: float, axis: str, atom: AtomParams,
+                         omega_eff: float, axis: str,
                          start_rung: int = 0, start_direction: int = +1,
                          half_pi_direction: int = -1, c_start_rung: int | None = None,
                          chirp: bool = True, t_start: float = 0.0) -> SequencePlan:
@@ -407,20 +397,17 @@ def build_raman_sequence(first: str, n_pulses: int, t_prime: float,
     if start_direction not in (-1, +1) or half_pi_direction not in (-1, +1):
         raise ConfigurationError("directions must be +1 or -1")
 
-    def st(level, n):
-        return RecoilState(level, n, 0) if axis == "z" else RecoilState(level, 0, n)
-
     epochs = []
     t = t_start
     a_rung = start_rung
-    pol = SIGMA_PAIR if axis == "z" else PI_PAIR
 
     if first == "half_pi":
         d0 = half_pi_direction
         c_rung = a_rung + 2 * d0
-        ev = effective_pulse(math.pi / 2, omega_eff, st(InternalLevel.A, a_rung),
-                             st(InternalLevel.C, c_rung), atom, pol, axis,
-                             chirp=chirp, reference_rung=a_rung, t_start=t)
+        ev = effective_pulse(math.pi / 2, omega_eff,
+                             _state(axis, InternalLevel.A, a_rung),
+                             _state(axis, InternalLevel.C, c_rung), axis,
+                             t_start=t)
         anchors = {InternalLevel.A: _anchor(axis, a_rung),
                    InternalLevel.C: _anchor(axis, c_rung)}
         epochs.append(Epoch(t, t_prime / 2, (ev,), anchors, label="half-pi"))
@@ -437,8 +424,7 @@ def build_raman_sequence(first: str, n_pulses: int, t_prime: float,
         ref_a = a_rung if chirp else ref_a0
         ref_c = c_rung if chirp else ref_c0
         tone1, tone2 = _raman_tone_pair(
-            a_rung, c_rung, d, omega_eff, t_prime, atom, axis, chirp,
-            ref_a, ref_c, t)
+            a_rung, c_rung, d, omega_eff, t_prime, axis, ref_a, ref_c, t)
         if a_rung == c_rung - 2 * d:
             # The components' momentum paths cross here: both transitions
             # collapse onto one pair, so there is physically a single tone,
@@ -455,16 +441,19 @@ def build_raman_sequence(first: str, n_pulses: int, t_prime: float,
         t += t_prime
 
     plan = SequencePlan(
-        kind="raman_ladder",
         epochs=epochs,
-        expected_final={"a_arm": st(InternalLevel.A, a_rung),
-                        "c_arm": st(InternalLevel.C, c_rung)},
+        expected_final={"a_arm": _state(axis, InternalLevel.A, a_rung),
+                        "c_arm": _state(axis, InternalLevel.C, c_rung)},
     )
     return plan
 
 
 def _anchor(axis: str, rung: int) -> tuple[int, int]:
     return (rung, 0) if axis == "z" else (0, rung)
+
+
+def _state(axis: str, level: InternalLevel, rung: int) -> RecoilState:
+    return RecoilState(level, *_anchor(axis, rung))
 
 
 def shift_plan(plan: SequencePlan, dt: float) -> SequencePlan:

@@ -67,7 +67,7 @@ def test_criterion_1_deflection_staircase(figure3_run):
 def test_criterion_2_adiabaticity_number(atom):
     xi = adiabaticity_parameter(TWO_PI * 100e6, 50e-9)
     assert xi == pytest.approx(0.032, abs=0.002)
-    pair = counter_intuitive_pair(0, 50e-9, TWO_PI * 100e6, atom)
+    pair = counter_intuitive_pair(0, 50e-9, TWO_PI * 100e6)
     assert pair.adiabaticity == pytest.approx(xi)
     assert pair.adiabatic
     report(2, f"(2 pi g T)^-1 = {xi:.4f}")
@@ -80,10 +80,10 @@ def test_criterion_2_adiabaticity_number(atom):
 def test_criterion_3_area_robustness(atom):
     worst = 1.0
     for scale in (0.8, 0.9, 1.0, 1.1, 1.2):
-        pair = counter_intuitive_pair(0, 50e-9, scale * TWO_PI * 100e6, atom)
+        pair = counter_intuitive_pair(0, 50e-9, scale * TWO_PI * 100e6)
         basis = ladder_basis([A, B, E1], [0, -2])
         psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
-        out = evolve_plan(psi, SequencePlan(kind="p", epochs=[pair.epoch]),
+        out = evolve_plan(psi, SequencePlan(epochs=[pair.epoch]),
                           atom).psi
         fid = abs(out.amplitude(pair.target)) ** 2
         worst = min(worst, fid)
@@ -94,10 +94,10 @@ def test_criterion_3_area_robustness(atom):
     for eps in np.linspace(-0.2, 0.2, 9):
         area = (1 + eps) * math.pi
         ev = effective_pulse(area, omega, RecoilState(A, 0),
-                             RecoilState(C, -2), atom, "sigma_pair", "z")
+                             RecoilState(C, -2), "z")
         basis = Basis([A, C], range(-5, 3))
         psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
-        plan = SequencePlan(kind="pi", epochs=[
+        plan = SequencePlan(epochs=[
             Epoch(0.0, ev.envelope.duration, (ev,), {A: (0, 0), C: (-2, 0)})])
         out = evolve_plan(psi, plan, atom, dt_factor=64).psi
         residual = out.population([A])
@@ -121,7 +121,7 @@ def chirp_demo(atom):
     rms = TWO_PI * 1e6
     results = {}
     for chirp in (True, False):
-        plan = build_adiabatic_sequence(30, stagger, rms, atom, chirp=chirp)
+        plan = build_adiabatic_sequence(30, stagger, rms, chirp=chirp)
         basis = ladder_basis([A, B, E1], range(-60, 1))
         psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
         res = evolve_plan(psi, plan, atom, observer=lambda t, wf: wf,
@@ -286,11 +286,11 @@ def test_criterion_10_engine_oracles(atom):
         delta = omega * rng.uniform(-2.0, 2.0)
         t = rng.uniform(0.2, 3.0) * TWO_PI / omega
         ev = effective_pulse(omega * t, omega, RecoilState(A, 0),
-                             RecoilState(C, -2), atom, "sigma_pair", "z",
+                             RecoilState(C, -2), "z",
                              bias_detuning=delta)
         basis = Basis([A, C], range(-5, 3))
         psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
-        plan = SequencePlan(kind="rabi", epochs=[
+        plan = SequencePlan(epochs=[
             Epoch(0.0, t, (ev,), {A: (0, 0), C: (-2, 0)})])
         out = evolve_plan(psi, plan, atom, dt_factor=64).psi
         w = math.hypot(omega, delta)
@@ -307,7 +307,7 @@ def test_criterion_10_engine_oracles(atom):
                       "sigma_plus", "z", +1, "adiabatic_lambda")
     trail = PulseEvent(PulseEnvelope(SQUARE, omega, 0.0, duration),
                        "sigma_minus", "z", -1, "adiabatic_lambda")
-    plan = SequencePlan(kind="drive", epochs=[
+    plan = SequencePlan(epochs=[
         Epoch(0.0, duration, (lead, trail),
               {A: (0, 0), E1: (-1, 0), B: (-2, 0)})])
     basis = Basis([A, B, E1], range(-4, 5))
@@ -319,7 +319,7 @@ def test_criterion_10_engine_oracles(atom):
 
     # momentum selection in a parallel two-transition pi pulse
     omega = TWO_PI * 5e5
-    plan = build_raman_sequence("none", 1, math.pi / omega, omega, "z", atom,
+    plan = build_raman_sequence("none", 1, math.pi / omega, omega, "z",
                                 start_rung=0, c_start_rung=-2,
                                 start_direction=+1)
     basis = Basis([A, C], range(-30, 31))

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recoilsim import cli
 from recoilsim.cli import main
 from recoilsim.config import (_OUTPUT_SCHEMAS, _PARAM_SCHEMAS, _TOGGLE_SCHEMAS,
                               PLAN_CATALOG, list_plans, load_config,
                               validate_config)
 from recoilsim.params import AtomParams
 from recoilsim.errors import ConfigurationError
+from recoilsim.fringes import MAX_GRID_SAMPLES
 from recoilsim.output import config_hash
 from recoilsim.plans import (Figure3Params, Plan1DParams, Plan2DParams,
                              RamseyParams)
@@ -94,7 +96,7 @@ def test_fringes_requires_arms():
         validate_config({"plan": "fringes", "params": {"arms": []}})
     cfg = validate_config({"plan": "fringes", "params": {
         "arms": [{"amplitude_re": 1.0, "n_z": 0}]}})
-    assert cfg.params["arms"][0]["n_x"] == 0
+    assert cfg.params.arms[0]["n_x"] == 0
 
 
 def test_cli_list_plans(capsys):
@@ -248,6 +250,55 @@ def test_toggles_a_plan_does_not_read_are_unknown(tmp_path, capsys, plan,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: unknown keys in toggles({plan})")
     assert repr(list(toggles)[0]) in err and err.count("\n") == 1
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("the config passed validation")
+
+
+ARM = {"amplitude_re": 1.0, "n_z": 0}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"plan": "fringes", "params": {"arms": [{**ARM, "n_z": 10 ** 400}]}},
+     "params.arms[].n_z must be finite"),
+    ({"plan": "fringes", "params": {"arms": [{**ARM, "n_x": -10 ** 400}]}},
+     "params.arms[].n_x must be finite"),
+    ({"plan": "figure3", "params": {"n_pairs": 10 ** 400}},
+     "params(figure3).n_pairs must be finite"),
+    ({"plan": "split1d", "output": {"grid_samples": 10 ** 400}},
+     "output(split1d).grid_samples must be finite"),
+    ({"plan": "split1d", "output": {"grid_samples": 10 ** 12}},
+     f"a grid of {10 ** 12} samples is over the limit of "
+     f"{MAX_GRID_SAMPLES}"),
+    ({"plan": "split2d", "output": {"grid_samples": 10 ** 6}},
+     f"a grid of {10 ** 6} x {10 ** 6} samples is over the limit"),
+    ({"plan": "fringes", "params": {"arms": [ARM]},
+      "output": {"dims": 2, "grid_samples": 4097}},
+     "a grid of 4097 x 4097 samples is over the limit"),
+])
+def test_rejected_at_load_before_any_run(tmp_path, capsys, monkeypatch, doc,
+                                         message):
+    # _run refuses, so a check that misses fails here instead of running
+    # the plan or allocating the grid
+    monkeypatch.setattr(cli, "_run", _refuse_to_run)
+    path = write_config(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert err.count("\n") == 1
+
+
+def test_grids_up_to_the_limit_validate():
+    side = math.isqrt(MAX_GRID_SAMPLES)
+    validate_config({"plan": "split1d",
+                     "output": {"grid_samples": MAX_GRID_SAMPLES}})
+    validate_config({"plan": "split2d", "output": {"grid_samples": side}})
+    validate_config({"plan": "split2d", "params": {"q_pulses": 0},
+                     "output": {"grid_samples": side + 1}})
+    with pytest.raises(ConfigurationError):
+        validate_config({"plan": "split2d",
+                         "output": {"grid_samples": side + 1}})
 
 
 def test_cli_physics_error_exit_code(tmp_path, capsys):

@@ -83,7 +83,7 @@ def test_sigma_plus_recoil_bookkeeping(atom):
 
 
 def test_counterpropagating_pair_builds_lambda_chain(atom):
-    pair = counter_intuitive_pair(0, 50e-9, 2 * math.pi * 1e8, atom,
+    pair = counter_intuitive_pair(0, 50e-9, 2 * math.pi * 1e8,
                                   direction=-1, start_rung=0)
     basis = Basis([A, B, E1], range(-5, 3))
     h = compile_epoch(basis, pair.events, atom, pair.epoch.anchors)
@@ -102,12 +102,11 @@ def test_counterpropagating_pair_builds_lambda_chain(atom):
 
 
 def test_hermitian_exactly_when_no_decay(atom):
-    pair = counter_intuitive_pair(0, 50e-9, 2 * math.pi * 1e8, atom)
+    pair = counter_intuitive_pair(0, 50e-9, 2 * math.pi * 1e8)
     basis = Basis([A, B, C, E1], range(-5, 3))
     # a detuned, phased Raman tone adds a rotating coupling
     tone = effective_pulse(math.pi, 1e6, RecoilState(A, -2),
-                           RecoilState(C, -4), atom, "sigma_pair", "z",
-                           chirp=False, reference_rung=0,
+                           RecoilState(C, -4), "z", reference_rung=0,
                            bias_detuning=2.5e4, phase=0.7)
     h = compile_epoch(basis, [*pair.events, tone], atom, pair.epoch.anchors)
     assert h.rate.any()
@@ -131,7 +130,7 @@ def test_pulse_referencing_missing_level_rejected(atom):
     with pytest.raises(ConfigurationError):
         compile_epoch(basis, [sigma_event("sigma_plus", +1)], atom)
     basis2 = Basis([A, B, E1], range(-2, 3))  # no C
-    pulse = copropagating_pulse(math.pi, 1e6, atom, "a-c", axis="x")
+    pulse = copropagating_pulse(math.pi, 1e6, "a-c", axis="x")
     with pytest.raises(ConfigurationError):
         compile_epoch(basis2, [pulse], atom)
 
@@ -139,7 +138,7 @@ def test_pulse_referencing_missing_level_rejected(atom):
 def test_chirped_effective_pulse_degenerate_diagonal(atom):
     # the chirp contract: both target states sit at the same diagonal value
     ev = effective_pulse(math.pi, 1e6, RecoilState(A, -2), RecoilState(C, -4),
-                         atom, "sigma_pair", "z", chirp=True)
+                         "z")
     basis = Basis([A, C], range(-8, 3))
     anchors = {A: (-2, 0), C: (-4, 0)}
     m = dense(compile_epoch(basis, [ev], atom, anchors), 0.0)

@@ -77,7 +77,7 @@ def test_selective_transfer_applies_only_in_region(atom):
     # resting component flips internal state while the mover is untouched
     arms = [make_arm(atom, "still", C, 0, 0.0),
             make_arm(atom, "moving", A, 100, 2e-3)]
-    pulse = copropagating_pulse(math.pi, 2 * math.pi * 5e5, atom, "c-a",
+    pulse = copropagating_pulse(math.pi, 2 * math.pi * 5e5, "c-a",
                                 axis="x")
     out, dropped, warnings = selective_transfer(
         arms, pulse, atom, axis_name="z", region_center=0.0,
@@ -93,7 +93,7 @@ def test_selective_transfer_rejects_overlapping_arms(atom):
     # 0.1 mm separation with a 1 mm cloud cannot be addressed selectively
     arms = [make_arm(atom, "still", C, 0, 0.0),
             make_arm(atom, "moving", A, 100, 0.1e-3)]
-    pulse = copropagating_pulse(math.pi, 2 * math.pi * 5e5, atom, "c-a",
+    pulse = copropagating_pulse(math.pi, 2 * math.pi * 5e5, "c-a",
                                 axis="x")
     with pytest.raises(SelectivityError):
         selective_transfer(arms, pulse, atom, axis_name="z",
@@ -106,7 +106,7 @@ def test_selective_transfer_rejects_overlapping_arms(atom):
 def test_selective_transfer_empty_region_warns(atom):
     # with no arm in the region every arm still flies for the pulse's length
     arms = [make_arm(atom, "moving", A, 100, 5e-3)]
-    pulse = copropagating_pulse(math.pi, 2 * math.pi * 5e5, atom, "c-a",
+    pulse = copropagating_pulse(math.pi, 2 * math.pi * 5e5, "c-a",
                                 axis="x")
     out, dropped, warnings = selective_transfer(
         arms, pulse, atom, axis_name="z", region_center=0.0,
@@ -127,7 +127,7 @@ def test_selective_transfer_empty_region_warns(atom):
 def test_selective_transfer_checks_intent(atom):
     arms = [make_arm(atom, "still", C, 0, 0.0),
             make_arm(atom, "bystander", A, 0, 0.0)]
-    pulse = copropagating_pulse(math.pi, 2 * math.pi * 5e5, atom, "c-a",
+    pulse = copropagating_pulse(math.pi, 2 * math.pi * 5e5, "c-a",
                                 axis="x")
     with pytest.raises(SelectivityError):
         selective_transfer(arms, pulse, atom, axis_name="z",
@@ -138,7 +138,7 @@ def test_selective_transfer_checks_intent(atom):
 
 
 def test_arm_velocity_consistent_with_momentum(atom):
-    arm = initial_arm(atom)
+    arm = initial_arm()
     assert arm.velocity[2] == 0.0
     v = lattice_velocity(atom, -100, 4, -0.5)
     assert v[2] == pytest.approx(-100 * atom.recoil_velocity)
@@ -152,7 +152,7 @@ def test_batched_stage_matches_lone_arms(atom, monkeypatch):
     # then need different step counts; every child must equal a lone run
     omega = 2 * math.pi * 5e5
     a_x, c_x = 4, -6
-    plan = build_raman_sequence("none", 4, math.pi / omega, omega, "x", atom,
+    plan = build_raman_sequence("none", 4, math.pi / omega, omega, "x",
                                 start_rung=a_x, c_start_rung=c_x,
                                 start_direction=-1)
     arms = [ArmTrack(f"{level.tag}{n_z}", 0.5, level, n_z, n_x,
@@ -177,7 +177,7 @@ def test_batched_stage_matches_lone_arms(atom, monkeypatch):
 
     monkeypatch.setattr(propagate, "_rk4", recording_rk4)
     monkeypatch.setattr(interferometer, "run_sequence_on_arm", recording_run)
-    tl = _Timeline("test", atom, arm_floor=1e-6, decay_rate=0.0)
+    tl = _Timeline(atom, arm_floor=1e-6, decay_rate=0.0)
     tl.arms = arms
     tl.sequence("x-reverse", plan, (A, C), "x")
     assert stage_calls == [len(arms)]

@@ -30,10 +30,10 @@ def atom():
 
 def two_level_plan(atom, omega, duration, detuning=0.0):
     ev = effective_pulse(omega * duration, omega, RecoilState(A, 0),
-                         RecoilState(C, -2), atom, "sigma_pair", "z",
+                         RecoilState(C, -2), "z",
                          bias_detuning=detuning)
     anchors = {A: (0, 0), C: (-2, 0)}
-    return SequencePlan(kind="two-level", epochs=[
+    return SequencePlan(epochs=[
         Epoch(0.0, duration, (ev,), anchors)])
 
 
@@ -73,7 +73,7 @@ def test_zero_hamiltonian_identity_up_to_kinetic_phases(atom):
     psi = WaveFunction.from_components(
         basis, {RecoilState(A, 0): 1.0, RecoilState(A, 2): 1.0})
     duration = 1e-5
-    plan = SequencePlan(kind="free", epochs=[Epoch(0.0, duration, (), {})])
+    plan = SequencePlan(epochs=[Epoch(0.0, duration, (), {})])
     out = evolve_plan(psi, plan, atom).psi
     assert np.allclose(np.abs(out.amplitudes), np.abs(psi.amplitudes),
                        atol=1e-12)
@@ -85,7 +85,7 @@ def test_zero_hamiltonian_identity_up_to_kinetic_phases(atom):
 
 def test_step_validates_stability_bound(atom):
     omega = 2 * math.pi * 1e6
-    ev = copropagating_pulse(math.pi, omega, atom, "a-c", axis="x")
+    ev = copropagating_pulse(math.pi, omega, "a-c", axis="x")
     basis = Basis([A, C], range(-1, 2))
     h = compile_epoch(basis, [ev], atom)
     limit = STABILITY_LIMIT / h.max_element()
@@ -105,7 +105,7 @@ def test_norm_conserved_over_ten_thousand_steps(atom):
     trail = PulseEvent(PulseEnvelope(SQUARE, omega, 0.0, duration),
                        "sigma_minus", "z", -1, "adiabatic_lambda")
     anchors = {A: (0, 0), E1: (-1, 0), B: (-2, 0)}
-    plan = SequencePlan(kind="drive", epochs=[
+    plan = SequencePlan(epochs=[
         Epoch(0.0, duration, (lead, trail), anchors)])
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
     res = evolve_plan(psi, plan, atom)
@@ -116,7 +116,7 @@ def test_norm_conserved_over_ten_thousand_steps(atom):
 def test_cross_axis_momentum_conserved_under_z_pulses(atom):
     # z-axis beams cannot change the transverse momentum distribution
     from recoilsim.pulses import build_adiabatic_sequence
-    plan = build_adiabatic_sequence(2, 50e-9, 2 * math.pi * 1e8, atom)
+    plan = build_adiabatic_sequence(2, 50e-9, 2 * math.pi * 1e8)
     basis = Basis([A, B, E1], range(-7, 4), (2,))
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0, 2): 1.0})
     out = evolve_plan(psi, plan, atom).psi
@@ -133,11 +133,11 @@ def test_two_level_oracle_inside_large_basis(atom):
     delta = 0.7 * omega
     t = 1.8 * math.pi / omega
     ev = effective_pulse(omega * t, omega, RecoilState(A, 5),
-                         RecoilState(C, 3), atom, "sigma_pair", "z",
+                         RecoilState(C, 3), "z",
                          bias_detuning=delta)
     basis = Basis([A, B, C, E1], range(-40, 41))
     anchors = {A: (5, 0), C: (3, 0)}
-    plan = SequencePlan(kind="pair", epochs=[Epoch(0.0, t, (ev,), anchors)])
+    plan = SequencePlan(epochs=[Epoch(0.0, t, (ev,), anchors)])
     psi = WaveFunction.from_components(basis, {RecoilState(A, 5): 1.0})
     out = evolve_plan(psi, plan, atom, dt_factor=64).psi
     expected = generalized_rabi(omega, delta, t)
@@ -146,7 +146,7 @@ def test_two_level_oracle_inside_large_basis(atom):
 
 def test_auto_extension_grows_window(atom):
     from recoilsim.pulses import build_adiabatic_sequence
-    plan = build_adiabatic_sequence(3, 50e-9, 2 * math.pi * 1e8, atom)
+    plan = build_adiabatic_sequence(3, 50e-9, 2 * math.pi * 1e8)
     basis = Basis([A, B, E1], range(-4, 2))  # too small for 3 pairs
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
     out = evolve_plan(psi, plan, atom).psi
@@ -158,8 +158,7 @@ def test_x_sequence_on_one_z_rung_keeps_its_basis(atom):
     # a one-rung z window is the cross axis of an x run, never its edge
     from recoilsim.pulses import build_raman_sequence
     omega = 2 * math.pi * 5e5
-    plan = build_raman_sequence("half_pi", 2, math.pi / omega, omega, "x",
-                                atom)
+    plan = build_raman_sequence("half_pi", 2, math.pi / omega, omega, "x")
     basis = Basis([A, C], (0,), range(-9, 8))
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0, 0): 1.0})
     assert psi.boundary_population(margin=2) == 0.0
@@ -172,7 +171,7 @@ def test_x_sequence_on_one_z_rung_keeps_its_basis(atom):
 
 def test_memory_budget_enforced(atom, monkeypatch):
     from recoilsim.pulses import build_adiabatic_sequence
-    plan = build_adiabatic_sequence(3, 50e-9, 2 * math.pi * 1e8, atom)
+    plan = build_adiabatic_sequence(3, 50e-9, 2 * math.pi * 1e8)
     basis = Basis([A, B, E1], range(-4, 2))
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
     monkeypatch.setattr(propagate, "MAX_STATES", 20)
@@ -219,7 +218,7 @@ def test_batch_member_keeps_its_own_step_count(atom, monkeypatch):
 
 def test_batch_window_grows_when_any_member_nears_the_edge(atom):
     from recoilsim.pulses import build_adiabatic_sequence
-    plan = build_adiabatic_sequence(3, 50e-9, 2 * math.pi * 1e8, atom)
+    plan = build_adiabatic_sequence(3, 50e-9, 2 * math.pi * 1e8)
     basis = Basis([A, B, C, E1], range(-4, 2))  # too small for 3 pairs
     still = WaveFunction.from_components(basis, {RecoilState(C, -2): 1.0})
     mover = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})

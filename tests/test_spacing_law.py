@@ -25,11 +25,11 @@ def test_z_spacing_scales_inversely_with_pulse_count(atom, half_count):
     omega = TWO_PI * 5e5
     t_pi = math.pi / omega
     forward = build_raman_sequence("half_pi", 2 * half_count, t_pi, omega,
-                                   "z", atom)
+                                   "z")
     a_rung = forward.expected_final["a_arm"].n_z
     c_rung = forward.expected_final["c_arm"].n_z
     reverse = build_raman_sequence("none", 4 * half_count, t_pi, omega, "z",
-                                   atom, start_rung=a_rung,
+                                   start_rung=a_rung,
                                    c_start_rung=c_rung, start_direction=-1)
     dn = abs(reverse.expected_final["a_arm"].n_z
              - reverse.expected_final["c_arm"].n_z)

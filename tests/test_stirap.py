@@ -34,8 +34,8 @@ def atom():
 def run_single_pair(atom, rms=NOMINAL_RMS, stagger=NOMINAL_STAGGER,
                     rabi_scale=1.0, stagger_scale=1.0):
     pair = counter_intuitive_pair(0, stagger * stagger_scale,
-                                  rms * rabi_scale, atom, direction=-1)
-    plan = SequencePlan(kind="pair", epochs=[pair.epoch])
+                                  rms * rabi_scale, direction=-1)
+    plan = SequencePlan(epochs=[pair.epoch])
     basis = ladder_basis([A, B, E1], [0, -2])
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
     out = evolve_plan(psi, plan, atom).psi
@@ -79,8 +79,8 @@ def test_pi_pulse_area_sensitivity_formula(atom):
     for eps in (-0.2, -0.1, -0.03, 0.05, 0.15):
         area = (1 + eps) * math.pi
         ev = effective_pulse(area, omega, RecoilState(A, 0),
-                             RecoilState(C, -2), atom, "sigma_pair", "z")
-        plan = SequencePlan(kind="pi", epochs=[
+                             RecoilState(C, -2), "z")
+        plan = SequencePlan(epochs=[
             Epoch(0.0, ev.envelope.duration, (ev,), {A: (0, 0), C: (-2, 0)})])
         psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
         out = evolve_plan(psi, plan, atom, dt_factor=64).psi
@@ -100,7 +100,7 @@ def test_dark_state_stationary_under_constant_drive(atom):
     anchors = {A: (0, 0), E1: (-1, 0), B: (-2, 0)}
     basis = Basis([A, B, E1], range(-6, 5))
     psi = dark_state(g_plus, g_minus, 0, -1, basis=basis)
-    plan = SequencePlan(kind="hold", epochs=[
+    plan = SequencePlan(epochs=[
         Epoch(0.0, duration, (a_leg, b_leg), anchors)])
     out = evolve_plan(psi, plan, atom).psi
     assert out.population([E1]) < 1e-10
@@ -123,7 +123,7 @@ def test_bright_state_is_driven(atom):
     bright = WaveFunction.from_components(
         basis, {RecoilState(A, 0): g_plus / norm,
                 RecoilState(B, -2): g_minus / norm})
-    plan = SequencePlan(kind="hold", epochs=[
+    plan = SequencePlan(epochs=[
         Epoch(0.0, duration, (a_leg, b_leg), anchors)])
     out = evolve_plan(bright, plan, atom).psi
     assert out.population([E1]) > 0.1
@@ -133,7 +133,7 @@ def test_chirped_ladder_per_pair_fidelity_uniform(atom):
     # with compensation on, each rung transfers as well as the first
     n_pairs = 20
     plan = build_adiabatic_sequence(n_pairs, NOMINAL_STAGGER, NOMINAL_RMS,
-                                    atom, chirp=True)
+                                    chirp=True)
     basis = ladder_basis([A, B, E1], range(-2 * n_pairs, 1))
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
     res = evolve_plan(psi, plan, atom, observer=lambda t, wf: wf,
@@ -153,8 +153,8 @@ def test_decay_barely_touches_dark_transfer(atom):
     # near-total loss a scheme parked half-time in the excited state would
     # suffer over the same window
     gamma = TWO_PI * 6e6
-    pair = counter_intuitive_pair(0, NOMINAL_STAGGER, NOMINAL_RMS, atom)
-    plan = SequencePlan(kind="pair", epochs=[pair.epoch])
+    pair = counter_intuitive_pair(0, NOMINAL_STAGGER, NOMINAL_RMS)
+    plan = SequencePlan(epochs=[pair.epoch])
     basis = ladder_basis([A, B, E1], [0, -2])
     psi = WaveFunction.from_components(basis, {RecoilState(A, 0): 1.0})
     res = evolve_plan(psi, plan, atom, decay_rate=gamma)
@@ -169,7 +169,7 @@ def test_momentum_selection_in_parallel_raman_pulse(atom):
     omega = TWO_PI * 5e5
     t_pi = math.pi / omega
     from recoilsim.pulses import build_raman_sequence
-    plan = build_raman_sequence("none", 1, t_pi, omega, "z", atom,
+    plan = build_raman_sequence("none", 1, t_pi, omega, "z",
                                 start_rung=0, c_start_rung=-2,
                                 start_direction=+1)
     basis = Basis([A, C], range(-30, 31))
