@@ -27,10 +27,10 @@ from pathlib import Path
 
 from .basis import PRUNE_FLOOR
 from .errors import ConfigurationError
-from .fringes import GridSpec
+from .fringes import GridSpec, validate_grid
 from .params import AtomParams
 from .plans import (Figure3Params, FringesParams, PatternParams, Plan1DParams,
-                    Plan2DParams, RamseyParams)
+                    Plan2DParams, RamseyParams, arm_separation)
 from .pulses import SINE_SQUARED, SQUARE
 
 PLAN_CATALOG = {
@@ -254,8 +254,12 @@ def validate_config(doc: dict) -> ResolvedConfig:
     cfg = ResolvedConfig(plan=plan, atom=atom,
                          params=_PARAM_CLASSES[plan](**params, **toggles),
                          output=output, resolved=resolved)
+    # an oversized grid, or one too short or too coarse for the fringes of
+    # the arms a plan will recombine, fails before any run
     if "grid_samples" in output:
-        grid_from_output(cfg)   # an oversized grid fails before any run
+        grid = grid_from_output(cfg)
+        if plan in ("split1d", "split2d"):
+            validate_grid(arm_separation(cfg.params), grid, atom.wavenumber())
     return cfg
 
 

@@ -114,7 +114,8 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
         raise ConfigurationError(
             f"arm amplitudes summing to {total:.3g} overflow the intensity")
     k = atom.wavenumber()
-    _validate_grid(entries, grid, k)
+    _, n_z, n_x, _ = zip(*entries)
+    validate_grid((max(n_z) - min(n_z), max(n_x) - min(n_x)), grid, k)
 
     if grid.dims == 1:
         z = (np.arange(grid.shape[0]) - grid.shape[0] / 2) * grid.pitch
@@ -146,10 +147,14 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
                          axes=axes)
 
 
-def _validate_grid(entries, grid: GridSpec, k: float) -> None:
-    for axis_index, key in enumerate(("n_z", "n_x")[:grid.dims]):
-        ns = [e[1 + axis_index] for e in entries]
-        dn = max(ns) - min(ns)
+def validate_grid(separations, grid: GridSpec, k: float) -> None:
+    """Reject a grid too short or too coarse for the fringes of arms
+    ``separations`` = (dn_z, dn_x) recoils apart at wavenumber ``k``: each
+    grid axis must span MIN_PERIODS fringe periods with
+    MIN_SAMPLES_PER_PERIOD samples each.  A zero separation makes no
+    fringe to check."""
+    for axis_index, (key, dn) in enumerate(zip(("n_z", "n_x")[:grid.dims],
+                                               separations)):
         if dn == 0:
             continue
         finest = 2 * math.pi / (k * dn)

@@ -3,11 +3,12 @@
 The frame convention: optical and hyperfine frequencies are already removed,
 and each internal level is additionally shifted by the kinetic energy of an
 anchor rung (per epoch), so the transition chain a pulse targets sits at
-exactly zero diagonal.  What remains on the diagonal is the real physics a
-chirped synthesizer cannot remove for more than one momentum class at a
-time: quadratic recoil/Doppler mismatches of all the other rungs.  A second
-synthesizer tone inside the same window is represented by a coupling whose
-phase rotates at the tone-spacing rate.
+exactly zero diagonal; on a basis with a one-rung axis the anchors take
+that rung (``compile_from_epoch``).  What remains on the diagonal is the
+real physics a chirped synthesizer cannot remove for more than one
+momentum class at a time: quadratic recoil/Doppler mismatches of all the
+other rungs.  A second synthesizer tone inside the same window is
+represented by a coupling whose phase rotates at the tone-spacing rate.
 
 Every coupling family here (one per beam or tone) is a perfect matching:
 each state has at most one partner per family.  That matching structure is
@@ -31,7 +32,7 @@ depend on psi, so they are tabulated for many times at once.
 An operator may carry a leading batch axis: B members that share the
 permutation and envelopes, such as one closing pulse at B detunings, and
 ``stack`` gives the diagonal and decay that axis too, for members compiled
-apart (arms with their own anchors).  A family unbatched among batched ones
+apart (arms on their own lattices).  A family unbatched among batched ones
 has its row repeated over the members.  Every operation below is
 elementwise over that axis, so each member's arithmetic is exactly that of
 an operator compiled for it alone.
@@ -68,17 +69,19 @@ def _lift(rows: np.ndarray, ndim: int) -> np.ndarray:
 
 class StepOperator:
     """What an operator's RK4 step needs for states of one shape, (n,) or
-    (B, n): flat partner indices with the batch offsets (``take`` then
-    gathers straight into the (F, B, n) layout whose family rows are
-    contiguous), the family rows lifted to that shape, and the scratch
-    buffers.  Element by element ``apply`` does what a loop over the
-    families would: partner amplitude * pattern * e^{i rate t} * envelope,
-    added in family order, with the phase left out when no family has a
-    rate.
+    (B, n): the diagonal at that shape (numpy buffers a broadcast operand
+    through a temporary on every multiply), flat partner indices with the
+    batch offsets (``take`` then gathers straight into the (F, B, n) layout
+    whose family rows are contiguous), the family rows lifted to that
+    shape, and the scratch buffers.  Element by element ``apply`` does
+    what a loop over the families would: partner amplitude * pattern *
+    e^{i rate t} * envelope, added in family order, with the phase left out
+    when no family has a rate.
     """
 
     def __init__(self, h: "EpochHamiltonian", shape: tuple):
-        self.diag = h._diag_complex
+        self.diag = np.ascontiguousarray(
+            np.broadcast_to(h._diag_complex, shape))
         self.column = (len(h.envelopes),) + (1,) * len(shape)
         self.index = None
         self.rate = None
@@ -276,14 +279,6 @@ def stack(operators: list[EpochHamiltonian], sizes) -> EpochHamiltonian:
                    rate=rows("rate", 1))
 
 
-def frame_diagonal(basis: Basis, atom: AtomParams,
-                   anchors: dict[InternalLevel, tuple[int, int]] | None) -> np.ndarray:
-    anchors = anchors or {}
-    shifts = np.array([atom.kinetic_rate(*anchors.get(level, (0, 0)))
-                       for level in LEVELS])
-    return atom.recoil_frequency * basis.n_squared - shifts[basis.level_codes]
-
-
 def _matching(basis: Basis, level_from: InternalLevel, shift: int,
               level_to: InternalLevel, axis: str = "z",
               rung: int | None = None):
@@ -306,6 +301,9 @@ def compile_epoch(basis: Basis, events, atom: AtomParams,
     with one coupling family per event.  A Raman tone with an array bias
     detuning or phase gives one batch member per entry."""
     anchors = anchors or {}
+    # the kinetic rate each level's frame subtracts, indexed by level code
+    shifts = np.array([atom.kinetic_rate(*anchors.get(level, (0, 0)))
+                       for level in LEVELS])
     for event in events:
         if event.channel == CHANNEL_LAMBDA:
             if InternalLevel.E1 not in basis.levels:
@@ -334,14 +332,13 @@ def compile_epoch(basis: Basis, events, atom: AtomParams,
             pattern[f][..., j] = 0.5
         else:
             lf, lt = event.levels
-            shift_f = atom.kinetic_rate(*anchors.get(lf, (0, 0)))
-            shift_t = atom.kinetic_rate(*anchors.get(lt, (0, 0)))
             ref = event.reference_rung if event.reference_rung is not None \
                 else 0
             tone = wr * ((ref + event.delta_n) ** 2 - ref ** 2) \
                 if event.delta_n else 0.0
             rho = np.asarray(tone + event.bias_detuning
-                             - (shift_t - shift_f))[..., None]
+                             - (shifts[LEVEL_ORDER[lt]]
+                                - shifts[LEVEL_ORDER[lf]]))[..., None]
             half = np.asarray(0.5 * np.exp(1j * event.phase))[..., None]
             i, j = _matching(basis, lf, event.delta_n, lt, event.axis,
                              event.target_rung)
@@ -353,7 +350,7 @@ def compile_epoch(basis: Basis, events, atom: AtomParams,
                 rate[f][..., i] = +rho
         perm[f, i] = j
         perm[f, j] = i
-    diagonal = frame_diagonal(basis, atom, anchors)
+    diagonal = wr * basis.n_squared - shifts[basis.level_codes]
     decay = np.where(_EXCITED[basis.level_codes], float(decay_rate), 0.0)
     return EpochHamiltonian(
         diagonal, decay, perm, pattern, rate,
@@ -364,7 +361,19 @@ def compile_epoch(basis: Basis, events, atom: AtomParams,
 
 def compile_from_epoch(basis: Basis, epoch: Epoch, atom: AtomParams,
                        decay_rate: float = 0.0) -> EpochHamiltonian:
-    return compile_epoch(basis, epoch.events, atom, epoch.anchors, decay_rate)
+    """Compile an epoch on ``basis``, with its anchors gauged to it.
+
+    Along an axis where the basis holds one rung (the cross axis of an
+    arm's lattice), every anchored level is anchored on that rung: the
+    frame then subtracts the arm's own transverse kinetic energy, a
+    common-mode term that would add only a global phase but would still
+    throttle the step size.  Levels without an anchor stay unshifted.
+    """
+    (z_lo, z_hi), (x_lo, x_hi) = basis.window_z(), basis.window_x()
+    anchors = {level: (z_lo if z_lo == z_hi else n_z,
+                       x_lo if x_lo == x_hi else n_x)
+               for level, (n_z, n_x) in epoch.anchors.items()}
+    return compile_epoch(basis, epoch.events, atom, anchors, decay_rate)
 
 
 def dark_state(rabi_plus: float, rabi_minus: float, n_origin: int,

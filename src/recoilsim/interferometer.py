@@ -21,7 +21,7 @@ against the nominal round-number timings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,24 +93,6 @@ def free_flight(arms: list[ArmTrack], duration: float,
     return out
 
 
-def _anchor_cross_axis(plan: SequencePlan, axis: str,
-                       cross_rung: int) -> SequencePlan:
-    """Frame gauge: subtract the arm's own transverse kinetic energy.
-
-    The sequence builders anchor the unused axis at rung zero; an arm that
-    is already moving across the beam carries a large common-mode kinetic
-    term that would only add a global phase but would still throttle the
-    integrator's step size.
-    """
-    if cross_rung == 0:
-        return plan
-    return replace(plan, epochs=[
-        replace(ep, anchors={
-            level: (cross_rung, ax) if axis == "x" else (az, cross_rung)
-            for level, (az, ax) in ep.anchors.items()})
-        for ep in plan.epochs])
-
-
 def _sequence_rungs(plan: SequencePlan, axis: str) -> set[int]:
     rungs = set()
     for epoch in plan.epochs:
@@ -128,17 +110,19 @@ def run_sequence_on_arm(arms: list[ArmTrack], plan: SequencePlan,
                         decay_rate: float, arm_floor: float
                         ) -> list[tuple[list[ArmTrack], float]]:
     """Propagate arms through one pulse sequence, each on its own small
-    lattice, as one batch.
+    lattice, as one batch under the one ``plan``.
 
-    Returns (child arms, dropped population) for each arm, in order;
-    components below ``arm_floor`` population are dropped.
-    Linearity of the Schrodinger equation makes per-arm propagation exact;
-    spatial selectivity is then just a matter of which arms a stage is
-    applied to.
+    Each lattice holds a single rung of the arm's cross axis, on which
+    ``compile_from_epoch`` anchors the frame, so every arm runs in the
+    frame of its own transverse motion.  Returns (child arms, dropped
+    population) for each arm, in order; components below ``arm_floor``
+    population are dropped.  Linearity of the Schrodinger equation makes
+    per-arm propagation exact; spatial selectivity is then just a matter of
+    which arms a stage is applied to.
     """
     seq_rungs = _sequence_rungs(plan, axis)
     t0 = plan.epochs[0].t_start if plan.epochs else 0.0
-    psis, plans = [], []
+    psis = []
     for arm in arms:
         own, cross = (arm.n_z, arm.n_x) if axis == "z" else (arm.n_x, arm.n_z)
         window = span_window(seq_rungs | {own}, ARM_GUARD)
@@ -146,8 +130,7 @@ def run_sequence_on_arm(arms: list[ArmTrack], plan: SequencePlan,
             Basis(levels, (cross,), window)
         psis.append(WaveFunction.from_components(
             basis, {arm.state: 1.0}, time=t0, normalize=False))
-        plans.append(_anchor_cross_axis(plan, axis, cross))
-    finals = evolve_plan(psis, plans, atom, decay_rate=decay_rate).psi
+    finals = evolve_plan(psis, plan, atom, decay_rate=decay_rate).psi
 
     duration = plan.total_duration - t0
     g = atom.gravity

@@ -506,6 +506,23 @@ def _finish_2d(tl: _Timeline, params: Plan2DParams, atom: AtomParams,
     return tl.result(extras)
 
 
+def arm_separation(params: Plan1DParams | Plan2DParams) -> tuple[float, ...]:
+    """Nominal momentum separation, in recoils, of the recombined arms of
+    split1d or split2d along each axis of its fringe grid: z, then x when
+    split2d splits along x.  split1d ends 4N recoils apart.  On each split2d
+    axis, P splitting pi pulses leave the arms 4P + 2 recoils apart and each
+    of the R reversing ones closes that gap by 4.
+
+    In floats: a count near the float limit gives an infinite separation,
+    which the grid check rejects, where an integer one would overflow."""
+    if isinstance(params, Plan1DParams):
+        return (4.0 * params.ladder_n,)
+    counts = [(params.p_pulses, params.p_reverse)]
+    if params.q_pulses:
+        counts.append((params.q_pulses, params.q_reverse))
+    return tuple(abs(4.0 * p + 2 - 4.0 * r) for p, r in counts)
+
+
 # ----------------------------------------------------------------------
 # fringes and pattern: no propagation
 # ----------------------------------------------------------------------

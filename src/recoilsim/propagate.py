@@ -92,19 +92,19 @@ class EvolveResult:
     steps: int
 
 
-def evolve_plan(psi: WaveFunction | list, plan: SequencePlan | list,
+def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
                 atom: AtomParams, decay_rate: float = 0.0,
                 dt_factor: float = DEFAULT_DT_FACTOR,
                 observer=None, observe_per_epoch: int = 0) -> EvolveResult:
     """Integrate wavefunctions through every epoch of a sequence plan.
 
     ``psi`` is one wavefunction or a list of them, each on its own basis,
-    and ``plan`` one plan for all or a list with one plan each; the plans
-    must share their epoch timing (such as one sequence anchored on each
-    arm's own cross-axis rung).  A wavefunction may hold a batch of members
-    (B, n), such as one state under a pulse compiled at B detunings; then
-    its ``psi`` and ``loss`` in the result are per member too.  The result
-    holds ``psi`` and ``loss`` in the form they were given.
+    all run under the one ``plan``; each epoch is compiled on each basis,
+    whose one-rung axis, if any, gauges the frame (``compile_from_epoch``).
+    A wavefunction may hold a batch of members (B, n), such as one state
+    under a pulse compiled at B detunings; then its ``psi`` and ``loss`` in
+    the result are per member too.  The result holds ``psi`` and ``loss``
+    in the form they were given.
 
     In every epoch each member gets its own active set, and with it its
     own reduced operator, bound, step count, norm check and dust prune.
@@ -121,14 +121,6 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan | list,
     """
     single = isinstance(psi, WaveFunction)
     psis = [psi] if single else list(psi)
-    plans = [plan] * len(psis) if isinstance(plan, SequencePlan) \
-        else list(plan)
-    timing = [[(ep.t_start, ep.duration) for ep in p.epochs] for p in plans]
-    if not psis or len(plans) != len(psis) or \
-            any(tm != timing[0] for tm in timing):
-        raise ConfigurationError(
-            "each wavefunction needs a plan, and the plans must share their "
-            "epoch timing")
     if observer is not None and not (single and psi.amplitudes.ndim == 1):
         raise ConfigurationError("observers need a single wavefunction")
     bases = [p.basis for p in psis]
@@ -137,7 +129,7 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan | list,
     samples = []
     total_steps = 0
 
-    for e, epoch in enumerate(plans[0].epochs):
+    for epoch in plan.epochs:
         if epoch.t_start < t - 1e-15:
             raise ConfigurationError(
                 f"epoch {epoch.label!r} starts at {epoch.t_start} before "
@@ -148,8 +140,7 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan | list,
         # epoch.  Members whose restrictions couple alike share one batch.
         batches = {}
         for b, basis in enumerate(bases):
-            compiled = compile_from_epoch(basis, plans[b].epochs[e], atom,
-                                          decay_rate)
+            compiled = compile_from_epoch(basis, epoch, atom, decay_rate)
             active = compiled.active_mask(amps[b])
             alike = {}
             for r, row in enumerate(active):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recoilsim import cli
+from recoilsim import cli, interferometer, plans
 from recoilsim.cli import main
 from recoilsim.config import (_OUTPUT_SCHEMAS, _PARAM_SCHEMAS, _TOGGLE_SCHEMAS,
                               PLAN_CATALOG, list_plans, load_config,
@@ -276,6 +276,8 @@ ARM = {"amplitude_re": 1.0, "n_z": 0}
     ({"plan": "fringes", "params": {"arms": [ARM]},
       "output": {"dims": 2, "grid_samples": 4097}},
      "a grid of 4097 x 4097 samples is over the limit"),
+    ({"plan": "split1d", "params": {"ladder_n": 10 ** 308}},
+     "only 0.0 samples per period on n_z"),
 ])
 def test_rejected_at_load_before_any_run(tmp_path, capsys, monkeypatch, doc,
                                          message):
@@ -287,6 +289,22 @@ def test_rejected_at_load_before_any_run(tmp_path, capsys, monkeypatch, doc,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}")
     assert err.count("\n") == 1
+
+
+def test_grid_too_short_for_the_arms_exits_before_any_propagation(
+        tmp_path, capsys, monkeypatch):
+    # 4/8/4/8 pulses end the arms 14 recoils apart on each axis, whose
+    # fringes a 256-sample grid at 2 nm spans 9.2 times
+    for module in (plans, interferometer):
+        monkeypatch.setattr(module, "evolve_plan", _refuse_to_run)
+    path = write_config(tmp_path, {
+        "plan": "split2d",
+        "params": {"p_pulses": 4, "p_reverse": 8, "q_pulses": 4,
+                   "q_reverse": 8},
+        "output": {"grid_samples": 256, "grid_pitch_m": 2e-9}})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: grid spans 9.2 periods on n_z; needs >= 10\n"
 
 
 def test_grids_up_to_the_limit_validate():

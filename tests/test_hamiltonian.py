@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from recoilsim.basis import Basis, RecoilState
 from recoilsim.errors import ConfigurationError
-from recoilsim.hamiltonian import (StepOperator, compile_epoch, dark_state,
-                                   stack)
+from recoilsim.hamiltonian import (StepOperator, compile_epoch,
+                                   compile_from_epoch, dark_state, stack)
 from recoilsim.params import InternalLevel, rb87
+from recoilsim.propagate import ladder_basis
 from recoilsim.pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, PI_PAIR,
                               SIGMA_LEG, SIGMA_PAIR, PulseEnvelope,
-                              PulseEvent, SQUARE, copropagating_pulse,
-                              counter_intuitive_pair, effective_pulse)
+                              PulseEvent, SQUARE, build_adiabatic_sequence,
+                              build_raman_sequence, copropagating_pulse,
+                              counter_intuitive_pair, effective_pulse,
+                              single_pulse_plan)
 
 A, B, C, E1 = (InternalLevel.A, InternalLevel.B, InternalLevel.C,
                InternalLevel.E1)
@@ -458,3 +461,50 @@ def test_phase_table_matches_the_per_time_formula_bit_for_bit(atom, bias,
     assert op.phase_table(times, out) is out
     for time, row in zip(times.tolist(), out):
         assert identical(row, np.exp(1j * time * op.rate))
+
+
+def anchor_cross_axis(plan, axis, cross_rung):
+    """The per-arm frame gauge as a plan rewrite: every anchor of the plan
+    moved onto the arm's cross-axis rung."""
+    if cross_rung == 0:
+        return plan
+    return replace(plan, epochs=[
+        replace(ep, anchors={
+            level: (cross_rung, ax) if axis == "x" else (az, cross_rung)
+            for level, (az, ax) in ep.anchors.items()})
+        for ep in plan.epochs])
+
+
+LADDER = build_adiabatic_sequence(3, 50e-9, 2 * math.pi * 100e6,
+                                  start_rung=4, direction=-1)
+RAMAN_X = build_raman_sequence("half_pi", 3, math.pi / 1e6, 1e6, "x",
+                               start_rung=2)
+TRANSFER = single_pulse_plan(copropagating_pulse(math.pi, 1e6, "c-a",
+                                                 axis="x"))
+
+
+@pytest.mark.parametrize("plan, basis, axis, cross", [
+    # a z ladder arm on x rung 7
+    (LADDER, Basis([A, B, E1], range(-5, 8), (7,)), "z", 7),
+    # an x Raman arm on z rung -50
+    (RAMAN_X, Basis([A, C], (-50,), range(-12, 13)), "x", -50),
+    # an anchor-free epoch, on an arm with a cross rung: no shift at all
+    (TRANSFER, Basis([A, C], (3,), range(-4, 5)), "x", 3),
+    # a ladder basis (x window (0,)): the builders' anchors as they are
+    (LADDER, ladder_basis([A, B, E1], range(-4, 5)), "z", 0),
+])
+def test_compile_from_epoch_anchors_on_the_cross_rung(atom, plan, basis, axis,
+                                                      cross):
+    gauged = anchor_cross_axis(plan, axis, cross)
+    for epoch, reference in zip(plan.epochs, gauged.epochs):
+        h = compile_from_epoch(basis, epoch, atom, 1e5)
+        ref = compile_epoch(basis, reference.events, atom, reference.anchors,
+                            1e5)
+        for name in ("diagonal", "decay", "perm", "pattern", "rate", "peak"):
+            assert identical(getattr(h, name), getattr(ref, name))
+        assert h.envelopes == ref.envelopes
+        if not epoch.anchors:
+            assert identical(h.diagonal,
+                             atom.recoil_frequency * basis.n_squared)
+        if cross == 0:
+            assert reference.anchors == epoch.anchors

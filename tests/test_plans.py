@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from recoilsim.errors import PhysicsError
 from recoilsim.params import InternalLevel
-from recoilsim.plans import (Plan2DParams, RamseyParams, run_plan_2d,
-                             run_plan_ramsey)
+from recoilsim.plans import (Plan1DParams, Plan2DParams, RamseyParams,
+                             arm_separation, run_plan_2d, run_plan_ramsey)
+from recoilsim.pulses import build_adiabatic_sequence, build_raman_sequence
 
 A, B, C = InternalLevel.A, InternalLevel.B, InternalLevel.C
 
@@ -100,6 +101,34 @@ class TestRamsey:
     def test_too_short_tau_rejected(self, atom):
         with pytest.raises(PhysicsError):
             run_plan_ramsey(RamseyParams(target_tau_s=1e-6), atom)
+
+
+def test_arm_separation_matches_the_builders():
+    # the pulse sequences the plans build, with their expected final rungs
+    for n in range(1, 8):
+        # the reversal takes the moving arm to 4n; the other stays at 0
+        reverse = build_adiabatic_sequence(4 * n, 50e-9, 1e9,
+                                           start_rung=-4 * n, direction=+1)
+        assert arm_separation(Plan1DParams(ladder_n=n)) == \
+            (reverse.expected_final["deflected"].n_z,)
+    for axis in ("z", "x"):
+        for p in range(2, 39, 2):
+            split = build_raman_sequence("half_pi", p, math.pi, 1.0, axis,
+                                         start_rung=0, start_direction=+1,
+                                         half_pi_direction=-1)
+            a, c = (getattr(split.expected_final[arm], f"n_{axis}")
+                    for arm in ("a_arm", "c_arm"))
+            for r in range(0, 89, 2):
+                final = build_raman_sequence(
+                    "none", r, math.pi, 1.0, axis, start_rung=a,
+                    c_start_rung=c, start_direction=-1).expected_final
+                dn = abs(getattr(final["a_arm"], f"n_{axis}")
+                         - getattr(final["c_arm"], f"n_{axis}"))
+                counts = {"p_pulses": p, "p_reverse": r} if axis == "z" \
+                    else {"q_pulses": p, "q_reverse": r}
+                assert arm_separation(Plan2DParams(**counts))[
+                    "zx".index(axis)] == dn
+    assert len(arm_separation(Plan2DParams(q_pulses=0))) == 1
 
 
 @pytest.fixture(scope="module")
