@@ -4,10 +4,11 @@
     recoilsim list-plans
 
 Every run writes its artifacts plus a provenance JSON (the fully resolved
-configuration, tool version, wall time) and a manifest listing the files
-with their digests.  Artifact names embed a hash of the canonical config,
-so distinct configurations never overwrite each other.  Exit codes: 0
-success, 2 configuration error, 3 physics or numerical error, 4 I/O error.
+configuration, tool version, which RK4 loop runs, wall time) and a
+manifest listing the files with their digests.  Artifact names embed a
+hash of the canonical config, so distinct configurations never overwrite
+each other.  Exit codes: 0 success, 2 configuration error, 3 physics or
+numerical error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ def _run(cfg: ResolvedConfig, out_dir: Path, strict: bool) -> int:
     artifacts, warnings = runner(cfg, out_dir, base)
 
     prov_path = out_dir / f"{base}.provenance.json"
-    write_provenance(prov_path, cfg.resolved, time.time() - t0, warnings)
+    from . import ckernel     # not at import: the loader is run-time only
+    write_provenance(prov_path, cfg.resolved, time.time() - t0, warnings,
+                     ckernel.engine())
     manifest = [{"path": p.name, "sha256": file_digest(p)}
                 for p in artifacts] + [{"path": prov_path.name}]
     manifest_path = out_dir / f"{base}.manifest.json"

@@ -31,6 +31,7 @@ from .fringes import GridSpec, validate_grid
 from .params import AtomParams
 from .plans import (Figure3Params, FringesParams, PatternParams, Plan1DParams,
                     Plan2DParams, RamseyParams, arm_separation)
+from .propagate import MAX_STATES
 from .pulses import SINE_SQUARED, SQUARE
 
 PLAN_CATALOG = {
@@ -118,18 +119,23 @@ _OUTPUT_SCHEMAS = {
     "pattern": {},
 }
 
+# Each pulse (or pair) of a count moves an arm two rungs, and a basis of
+# MAX_STATES states spans no more rungs than that, so a larger count could
+# never run to its end.
+MAX_PULSES = MAX_STATES // 2
+
 # Allowed ranges of parameter, toggle and output keys, checked at load time
 # on every section that has the key.  An arm floor below PRUNE_FLOOR would
 # keep components the dust prune may zero; a grid needs two samples per axis.
 _RANGES = {
-    "n_pairs": (lambda v: v >= 1, ">= 1"),
+    "n_pairs": (lambda v: 1 <= v <= MAX_PULSES, f"in [1, {MAX_PULSES}]"),
     "direction": (lambda v: v in (-1, 1), "-1 or +1"),
     "target_tau_s": (lambda v: v > 0, "> 0"),
     "coherence_length_m": (lambda v: v > 0, "> 0"),
     "magnification": (lambda v: v > 0, "> 0"),
     "pitch_m": (lambda v: v > 0, "> 0"),
     "samples_per_pair": (lambda v: v >= 1, ">= 1"),
-    "ladder_n": (lambda v: v >= 1, ">= 1"),
+    "ladder_n": (lambda v: 1 <= v <= MAX_PULSES, f"in [1, {MAX_PULSES}]"),
     "omega_eff_hz": (lambda v: v > 0, "> 0"),
     "rms_rabi_hz": (lambda v: v > 0, "> 0"),
     "stagger_s": (lambda v: v > 0, "> 0"),
@@ -142,10 +148,14 @@ _RANGES = {
     "scan_periods": (lambda v: v >= 3, ">= 3"),
     "grid_pitch_m": (lambda v: v > 0, "> 0"),
     "grid_samples": (lambda v: v >= 2, ">= 2"),
-    "p_pulses": (lambda v: v >= 2 and v % 2 == 0, "even and >= 2"),
-    "p_reverse": (lambda v: v >= 0 and v % 2 == 0, "even and >= 0"),
-    "q_pulses": (lambda v: v >= 0 and v % 2 == 0, "even and >= 0"),
-    "q_reverse": (lambda v: v >= 0 and v % 2 == 0, "even and >= 0"),
+    "p_pulses": (lambda v: 2 <= v <= MAX_PULSES and v % 2 == 0,
+                 f"even and in [2, {MAX_PULSES}]"),
+    "p_reverse": (lambda v: 0 <= v <= MAX_PULSES and v % 2 == 0,
+                  f"even and in [0, {MAX_PULSES}]"),
+    "q_pulses": (lambda v: 0 <= v <= MAX_PULSES and v % 2 == 0,
+                 f"even and in [0, {MAX_PULSES}]"),
+    "q_reverse": (lambda v: 0 <= v <= MAX_PULSES and v % 2 == 0,
+                  f"even and in [0, {MAX_PULSES}]"),
     "dims": (lambda v: v in (1, 2), "1 or 2"),
     "envelope": (lambda v: v in (SINE_SQUARED, SQUARE),
                  f"{SINE_SQUARED!r} or {SQUARE!r}"),

@@ -46,11 +46,12 @@ def config_hash(config: dict, digits: int = 12) -> str:
 
 
 def write_provenance(path, resolved_config: dict, wall_time_s: float,
-                     warnings: list[str]) -> None:
+                     warnings: list[str], rk4_kernel: str) -> None:
     doc = {
         "tool": TOOL_NAME,
         "version": TOOL_VERSION,
         "resolved_config": resolved_config,
+        "rk4_kernel": rk4_kernel,
         "wall_time_s": wall_time_s,
         "written_at_unix": time.time(),
         "warnings": warnings,

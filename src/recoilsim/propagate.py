@@ -10,13 +10,17 @@ one batch of members sharing a compiled operator, and the arms of one pulse
 stage, each compiled on its own lattice, are stacked into one batch
 wherever their reduced operators couple alike.
 
-Each step is bound by the number of numpy calls, not by the size of the
-vectors, so the loop keeps that number small: a compiled operator holds
-its coupling families stacked, so that one gather serves all of them
+The vectors are short (2 to a few hundred states), so the step loop runs
+in C (``ckernel``, ``_rk4.c``), one chunk of steps per call; the numpy
+loop below, whose every step costs a few dozen calls of interpreter
+overhead whatever the vector size, stays as the fallback where no build
+matches numpy's complex rounding and as the C loop's bit-for-bit oracle.
+Both take their operator in one form: a compiled operator holds its
+coupling families stacked, so that one gather serves all of them
 (``StepOperator`` adds only the batch offsets and scratch buffers of the
 work shape), and the substage times, envelopes and phase ramps are
-tabulated per chunk of steps, each envelope and ramp evaluated once on an
-array of times.  Every element is computed exactly as a
+tabulated per chunk of steps in Python, each envelope and ramp evaluated
+once on an array of times.  Every element is computed exactly as a
 per-family loop computes it, so results are bit-identical to that loop.
 """
 
@@ -228,11 +232,14 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
 
     The substage times, every envelope and every phase ramp on them are
     tabulated for up to ENVELOPE_CHUNK steps at a time, with at most
-    PHASE_TABLE_ELEMENTS ramps per substage.  k4 reuses k3's buffer once
-    k2 + k3 is taken.  The stages are H psi, and the -i of
-    the Schrodinger equation rides on the step coefficients: a product with
-    -i only swaps and negates components, so each element is exactly what
-    -i H psi scaled by a real coefficient gives.
+    PHASE_TABLE_ELEMENTS ramps per substage.  The steps of a chunk run in
+    the C kernel where ``ckernel.load`` gives one, split wherever the
+    observer is due, and in the numpy loop below otherwise; the two agree
+    bit for bit.  k4 reuses k3's buffer once k2 + k3 is taken.  The stages
+    are H psi, and the -i of the Schrodinger equation rides on the step
+    coefficients: a product with -i only swaps and negates components, so
+    each element is exactly what -i H psi scaled by a real coefficient
+    gives.
     """
     dt = epoch.duration / n_steps
     check_stability(h, dt)
@@ -248,10 +255,33 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
                   for _ in range(3)]
     half, full, sixth = (np.array(c) for c in
                          (-0.5j * dt, -1j * dt, -1j * dt / 6.0))
-    k1 = np.empty_like(work)
-    k2 = np.empty_like(work)
-    k3 = np.empty_like(work)
-    y = np.empty_like(work)
+    from . import ckernel     # not at import: the loader is run-time only
+    kernel = ckernel.load() if work.flags.c_contiguous and \
+        work.dtype == np.complex128 else None
+    if kernel is not None:
+        members, n = work.size // work.shape[-1], work.shape[-1]
+        perm = np.ascontiguousarray(h.perm, dtype=np.int64)
+        if perm.size and not 0 <= perm.min() <= perm.max() < n:
+            raise ValueError("partner index outside the states")
+        # a family's row shared by the members is read with a member stride
+        # of 0; the phase tables hold their rows laid out as the pattern
+        pattern = np.ascontiguousarray(h.pattern, dtype=np.complex128)
+        rows = pattern.shape[1] if pattern.ndim > 2 else 1
+        if rows not in (1, members):
+            raise ValueError("pattern rows do not match the members")
+        coef = np.array([half, full, sixth, 2.0])
+        scratch = np.empty((4,) + work.shape, dtype=np.complex128)
+        fixed = (members, n, len(perm), work.ctypes.data, op.diag.ctypes.data,
+                 perm.ctypes.data, pattern.ctypes.data, rows * n,
+                 n if rows > 1 else 0,
+                 *(None if op.rate is None else p.ctypes.data
+                   for p in phases),
+                 coef.ctypes.data, scratch.ctypes.data)
+    else:
+        k1 = np.empty_like(work)
+        k2 = np.empty_like(work)
+        k3 = np.empty_like(work)
+        y = np.empty_like(work)
     for k0 in range(0, n_steps, chunk):
         k_stop = min(k0 + chunk, n_steps)
         # the times of the step loop: each step starts where the last ended
@@ -262,11 +292,23 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
         # clamp: rounding must not push the last substage past the
         # envelope window (a square edge there breaks the error order)
         end = np.minimum(t + dt, epoch.t_end)
-        envelopes = h.envelope_table(np.concatenate([t, mid, end])).T \
-            .astype(np.complex128).reshape((3, k_stop - k0) + op.column)
+        table = h.envelope_table(np.concatenate([t, mid, end]))
         if op.rate is not None:
-            for times, table in zip((t, mid, end), phases):
-                op.phase_table(times, table[:k_stop - k0])
+            for times, phase in zip((t, mid, end), phases):
+                op.phase_table(times, phase[:k_stop - k0])
+        if kernel is not None:
+            done = k0
+            while done < k_stop:
+                stop = min(k_stop, (done // stride + 1) * stride) \
+                    if stride else k_stop
+                kernel(*fixed, table.ctypes.data, k_stop - k0, done - k0,
+                       stop - k0)
+                done = stop
+                if stride and (done % stride == 0 or done == n_steps):
+                    observe(float(bounds[done - k0]))
+            continue
+        envelopes = table.T.astype(np.complex128) \
+            .reshape((3, k_stop - k0) + op.column)
         for k, e_s, e_m, e_e, p_s, p_m, p_e in zip(
                 range(k0 + 1, k_stop + 1), *envelopes, *phases):
             op.apply(work, k1, e_s, p_s)

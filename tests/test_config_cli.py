@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recoilsim import cli, interferometer, plans
+from recoilsim import ckernel, cli, interferometer, plans
 from recoilsim.cli import main
-from recoilsim.config import (_OUTPUT_SCHEMAS, _PARAM_SCHEMAS, _TOGGLE_SCHEMAS,
-                              PLAN_CATALOG, list_plans, load_config,
-                              validate_config)
+from recoilsim.config import (_OUTPUT_SCHEMAS, _PARAM_SCHEMAS, _RANGES,
+                              _TOGGLE_SCHEMAS, MAX_PULSES, PLAN_CATALOG,
+                              list_plans, load_config, validate_config)
 from recoilsim.params import AtomParams
 from recoilsim.errors import ConfigurationError
 from recoilsim.fringes import MAX_GRID_SAMPLES
@@ -26,6 +26,7 @@ from recoilsim.plans import (Figure3Params, Plan1DParams, Plan2DParams,
                              RamseyParams)
 from recoilsim.patterngen import gear_silhouette, to_image
 from recoilsim.pgmio import read_pgm, write_pgm
+from recoilsim.propagate import MAX_STATES
 
 
 def test_catalog_has_exactly_six_plans():
@@ -276,8 +277,14 @@ ARM = {"amplitude_re": 1.0, "n_z": 0}
     ({"plan": "fringes", "params": {"arms": [ARM]},
       "output": {"dims": 2, "grid_samples": 4097}},
      "a grid of 4097 x 4097 samples is over the limit"),
-    ({"plan": "split1d", "params": {"ladder_n": 10 ** 308}},
+    ({"plan": "split1d", "params": {"ladder_n": MAX_PULSES}},
      "only 0.0 samples per period on n_z"),
+    ({"plan": "split1d", "params": {"ladder_n": 10 ** 308}},
+     f"params(split1d).ladder_n must be in [1, {MAX_PULSES}]"),
+    # 4P + 2 - 4R rounds to 0 in floats, so no grid check could stop it
+    ({"plan": "split2d", "params": {"p_pulses": 10 ** 30,
+                                    "p_reverse": 10 ** 30, "q_pulses": 0}},
+     f"params(split2d).p_pulses must be even and in [2, {MAX_PULSES}]"),
 ])
 def test_rejected_at_load_before_any_run(tmp_path, capsys, monkeypatch, doc,
                                          message):
@@ -289,6 +296,16 @@ def test_rejected_at_load_before_any_run(tmp_path, capsys, monkeypatch, doc,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["n_pairs", "ladder_n", "p_pulses",
+                                 "p_reverse", "q_pulses", "q_reverse"])
+def test_pulse_counts_are_bounded_by_the_basis_budget(key):
+    # an arm moves two rungs per pulse; no basis may hold more rungs than
+    # MAX_STATES
+    accepts = _RANGES[key][0]
+    assert 2 * MAX_PULSES <= MAX_STATES
+    assert accepts(MAX_PULSES) and not accepts(MAX_PULSES + 2)
 
 
 def test_grid_too_short_for_the_arms_exits_before_any_propagation(
@@ -363,6 +380,8 @@ def test_cli_figure3_artifacts_and_determinism(tmp_path):
     prov = json.loads(next(out1.glob("*.provenance.json")).read_text())
     assert prov["resolved_config"]["params"]["n_pairs"] == 4
     assert prov["resolved_config"]["params"]["stagger_s"] == 50e-9
+    assert prov["rk4_kernel"] == ckernel.engine()
+    assert prov["rk4_kernel"] in ("c-fma", "c-plain", "numpy")
 
 
 def test_cli_output_names_differ_with_config(tmp_path):

@@ -1,6 +1,10 @@
 """Integrator oracles: analytic two-level formulas, norm, stability."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recoilsim import propagate
+from recoilsim import ckernel, propagate
 from recoilsim.basis import Basis, RecoilState, WaveFunction
 from recoilsim.errors import ConfigurationError, IntegrationError
 from recoilsim.hamiltonian import EpochHamiltonian, compile_epoch
@@ -374,3 +378,91 @@ def test_stacked_kernel_matches_the_per_family_loop_bit_for_bit(case):
     assert [s for s, _ in samples] == [s for s, _ in ref_samples]
     for (_, got), (_, want) in zip(samples, ref_samples):
         assert np.array_equal(got, want)
+
+
+# The C kernel against the numpy loop it replaces, which stays as the
+# fallback and as its oracle: every bit of the state and of each observed
+# sample must agree.
+
+def c_kernel_or_skip():
+    plain = ckernel._numpy_product_is_plain()
+    if not (plain or ckernel._cpu_features().get("FMA3")):
+        pytest.skip("no C build can match numpy's complex product here")
+    if ckernel._library((ckernel.PLAIN if plain else ckernel.FMA)[1]) is None:
+        pytest.skip("no C compiler or no writable cache here")
+    assert ckernel.load() is not None, "the C kernel's probe disagrees"
+
+
+@given(case=kernel_cases())
+@settings(max_examples=200, deadline=None)
+def test_c_kernel_equals_the_numpy_loop(case):
+    c_kernel_or_skip()
+    h, work, epoch, n_steps, per_epoch, chunk, budget = case
+    ref = work.copy()
+    samples, observe = observed(work)
+    ref_samples, ref_observe = observed(ref)
+    with mock.patch.object(propagate, "ENVELOPE_CHUNK", chunk), \
+            mock.patch.object(propagate, "PHASE_TABLE_ELEMENTS", budget):
+        t = propagate._rk4(h, work, epoch, n_steps,
+                           observe if per_epoch else None, per_epoch)
+        with mock.patch.object(ckernel, "load", lambda: None):
+            t_ref = propagate._rk4(h, ref, epoch, n_steps,
+                                   ref_observe if per_epoch else None,
+                                   per_epoch)
+    assert t == t_ref
+    assert work.tobytes() == ref.tobytes()
+    assert [s for s, _ in samples] == [s for s, _ in ref_samples]
+    for (_, got), (_, want) in zip(samples, ref_samples):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_loader_refuses_a_build_whose_probe_disagrees(monkeypatch,
+                                                      tmp_path):
+    c_kernel_or_skip()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    # pretend numpy rounds the other way, so the other build is chosen
+    flipped = not ckernel._numpy_product_is_plain()
+    monkeypatch.setattr(ckernel, "_numpy_product_is_plain", lambda: flipped)
+    monkeypatch.setattr(ckernel, "_loaded", None)   # choose again
+    assert ckernel.load() is None
+    assert ckernel.engine() == "numpy"
+    if flipped or ckernel._cpu_features().get("FMA3"):
+        # built and opened, then refused on its probe
+        assert list((tmp_path / "recoilsim").glob("rk4-*.so"))
+
+
+@pytest.mark.parametrize("broken", ["compiler", "cache"])
+def test_loader_falls_back_to_numpy_with_identical_results(
+        atom, monkeypatch, tmp_path, broken):
+    omega = 2 * math.pi * 4e5
+    kernel_run = run_two_level(atom, omega, 0.7 * math.pi / omega, 0.2 * omega)
+    if broken == "compiler":
+        tools = tmp_path / "bin"
+        tools.mkdir()
+        (tools / "cc").write_text("#!/bin/sh\nexit 1\n")
+        (tools / "cc").chmod(0o755)
+        monkeypatch.setenv("PATH", str(tools))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    else:
+        # a file where the cache directory should be: mkdir fails
+        (tmp_path / "cache").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache" / "x"))
+    monkeypatch.setattr(ckernel, "_loaded", None)   # choose again
+    fallback_run = run_two_level(atom, omega, 0.7 * math.pi / omega,
+                                 0.2 * omega)
+    assert ckernel.engine() == "numpy"
+    assert fallback_run.amplitudes.tobytes() == \
+        kernel_run.amplitudes.tobytes()
+
+
+def test_import_neither_builds_nor_loads_the_kernel(tmp_path):
+    code = ("import sys, recoilsim, recoilsim.cli; "
+            "print('recoilsim.ckernel' in sys.modules); "
+            "from recoilsim import ckernel; "
+            "print(ckernel._loaded, 'subprocess' in sys.modules)")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=str(Path(propagate.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\nNone False\n"
+    assert not list(tmp_path.iterdir())
