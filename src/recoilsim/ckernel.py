@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_rk4.c")
 COMPILE = ("cc", "-O3", "-shared", "-fPIC", "-ffp-contract=off")
 PLAIN, FMA = ("c-plain", ()), ("c-fma", ("-mfma", "-DUSE_FMA"))
-_loaded = None          # (engine name, rk4_steps or None) once chosen
+_loaded = None          # (engine name, bind on rk4_steps or None) once chosen
 
 
 def _probe_operands():
@@ -68,8 +69,8 @@ def _library(flags: tuple) -> Path | None:
 
 
 def _open(flags: tuple):
-    """``rk4_steps`` of the build with ``flags``, or None unless its probe
-    product equals numpy's bit for bit."""
+    """``bind`` on ``rk4_steps`` of the build with ``flags``, or None
+    unless its probe product equals numpy's bit for bit."""
     path = _library(flags)
     if path is None:
         return None
@@ -88,6 +89,49 @@ def _open(flags: tuple):
     steps.argtypes = (ctypes.c_int64,) * 3 + (ctypes.c_void_p,) * 4 + \
         (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6 + (ctypes.c_int64,) * 3
     steps.restype = None
+    return partial(bind, steps)
+
+
+def bind(rk4_steps, states, diag, perm, pattern, phases, coef, scratch):
+    """``steps(table, m, lo, hi)``: steps lo..hi-1 of a chunk of m, run by
+    ``rk4_steps`` in place on ``states``, on the operator layout of
+    ``propagate._rk4``.  ``states`` and the phase tables, refilled between
+    calls, must be C-contiguous complex128; the other arrays are copied
+    into that form if need be.  A pattern row shared by the members is
+    read with a member stride of 0.  ``steps`` holds every array whose
+    pointer it passes."""
+    members, n = states.shape
+    diag, pattern, coef, scratch = (np.ascontiguousarray(
+        a, dtype=np.complex128) for a in (diag, pattern, coef, scratch))
+    perm = np.ascontiguousarray(perm, dtype=np.int64)
+    families, rows = len(perm), pattern.shape[1]
+    tables = [p for p in phases if p is not None]
+    chunk = len(tables[0]) if tables else np.inf
+    if len(tables) not in (0, 3) or not all(
+            a.dtype == np.complex128 and a.flags.c_contiguous
+            for a in (states, *tables)) or \
+            (diag.shape, scratch.shape, coef.shape) != \
+            (states.shape, (4,) + states.shape, (4,)) or \
+            any(p.shape != (chunk,) + pattern.shape for p in tables) or \
+            pattern.shape != (families, rows, n) or rows not in (1, members):
+        raise ValueError("arrays outside the (B, n) operator layout")
+    if perm.shape != (families, n) or \
+            perm.size and not 0 <= perm.min() <= perm.max() < n:
+        raise ValueError("partner index outside the states")
+    held = (states, diag, perm, pattern, *tables, coef, scratch)
+    fixed = (members, n, families, states.ctypes.data, diag.ctypes.data,
+             perm.ctypes.data, pattern.ctypes.data, rows * n,
+             n if rows > 1 else 0,
+             *([p.ctypes.data for p in tables] or [None] * 3),
+             coef.ctypes.data, scratch.ctypes.data)
+
+    def steps(table, m, lo, hi):
+        if table.dtype != np.float64 or not table.flags.c_contiguous or \
+                table.shape != (families, 3 * m) or \
+                not 0 <= lo <= hi <= m <= chunk:
+            raise ValueError("envelope table or steps outside the chunk")
+        rk4_steps(*fixed, table.ctypes.data, m, lo, hi)
+    steps.held = held
     return steps
 
 
@@ -120,7 +164,7 @@ def _cpu_features() -> dict:
 
 
 def load():
-    """The C ``rk4_steps`` function, or None where the numpy loop runs."""
+    """``bind`` on the C ``rk4_steps``, or None where numpy's loop runs."""
     global _loaded
     if _loaded is None:
         _loaded = _choose()

@@ -4,11 +4,11 @@
     recoilsim list-plans
 
 Every run writes its artifacts plus a provenance JSON (the fully resolved
-configuration, tool version, which RK4 loop runs, wall time) and a
-manifest listing the files with their digests.  Artifact names embed a
-hash of the canonical config, so distinct configurations never overwrite
-each other.  Exit codes: 0 success, 2 configuration error, 3 physics or
-numerical error, 4 I/O error.
+configuration, tool version, which RK4 loop runs, or null for a plan that
+propagates nothing, wall time) and a manifest listing the files with their
+digests.  Artifact names embed a hash of the canonical config, so distinct
+configurations never overwrite each other.  Exit codes: 0 success, 2
+configuration error, 3 physics or numerical error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -98,8 +98,10 @@ def _run(cfg: ResolvedConfig, out_dir: Path, strict: bool) -> int:
 
     prov_path = out_dir / f"{base}.provenance.json"
     from . import ckernel     # not at import: the loader is run-time only
+    # fringes and pattern runs propagate nothing: no loop is chosen
     write_provenance(prov_path, cfg.resolved, time.time() - t0, warnings,
-                     ckernel.engine())
+                     None if cfg.plan in ("fringes", "pattern")
+                     else ckernel.engine())
     manifest = [{"path": p.name, "sha256": file_digest(p)}
                 for p in artifacts] + [{"path": prov_path.name}]
     manifest_path = out_dir / f"{base}.manifest.json"

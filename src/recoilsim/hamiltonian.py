@@ -23,11 +23,6 @@ indices ``perm`` (F, n), ``pattern`` and phase-ramp ``rate`` (F, n) or
 ``rate`` is zero wherever ``pattern`` is, and a family without a rate holds
 exact zeros.  The queries (bounds, active sets, restriction, member
 selection, stacking) are one array expression over the family axis each.
-For integration, H psi is one ``take`` that gathers every family's partners
-at once, one multiply each for the patterns, a row of phase ramps and a
-column of envelope values, and one add per family row onto the diagonal
-term, in family order (``StepOperator``).  The ramps and envelopes do not
-depend on psi, so they are tabulated for many times at once.
 
 An operator may carry a leading batch axis: B members that share the
 permutation and envelopes, such as one closing pulse at B detunings, and
@@ -59,73 +54,6 @@ def _in_order_sum(rows: np.ndarray, empty):
     ``+=`` adds; ``np.sum`` pairs the terms differently along a short
     axis.  ``empty`` is the sum of no rows."""
     return np.add.accumulate(rows, axis=0)[-1] if len(rows) else empty
-
-
-def _lift(rows: np.ndarray, ndim: int) -> np.ndarray:
-    """Family rows with a member axis of one inserted after the family
-    axis when they have fewer than ``ndim`` dimensions."""
-    return np.expand_dims(rows, 1) if rows.ndim < ndim else rows
-
-
-class StepOperator:
-    """What an operator's RK4 step needs for states of one shape, (n,) or
-    (B, n): the diagonal at that shape (numpy buffers a broadcast operand
-    through a temporary on every multiply), flat partner indices with the
-    batch offsets (``take`` then gathers straight into the (F, B, n) layout
-    whose family rows are contiguous), the family rows lifted to that
-    shape, and the scratch buffers.  Element by element ``apply`` does
-    what a loop over the families would: partner amplitude * pattern *
-    e^{i rate t} * envelope, added in family order, with the phase left out
-    when no family has a rate.
-    """
-
-    def __init__(self, h: "EpochHamiltonian", shape: tuple):
-        self.diag = np.ascontiguousarray(
-            np.broadcast_to(h._diag_complex, shape))
-        self.column = (len(h.envelopes),) + (1,) * len(shape)
-        self.index = None
-        self.rate = None
-        if not h.envelopes:
-            return
-        ndim = len(shape) + 1
-        offsets = shape[-1] * np.arange(shape[0])[:, None] \
-            if len(shape) > 1 else 0
-        self.index = _lift(h.perm, ndim) + offsets
-        self.pattern = _lift(h.pattern, ndim)
-        if h.rate.any():
-            self.rate = _lift(h.rate, ndim)
-        self._gathered = np.empty(self.index.shape, dtype=np.complex128)
-        self._rows = list(self._gathered)
-
-    def phase_table(self, times: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """e^{i rate t} of every family at each of ``times``, written to
-        ``out`` (shaped ``times.shape + rate.shape``) and returned; each row
-        is exactly what ``exp(1j * t * rate)`` gives.  Only for an operator
-        with a rate.
-
-        The rates are cast into ``out`` and scaled there, which makes no
-        temporary copy of them; the product (rate + 0i)(0 + it) has the bits
-        of (0 + it)(rate + 0i), as each factor has one zero part."""
-        out[...] = self.rate
-        out *= (1j * times).reshape(times.shape + (1,) * self.rate.ndim)
-        return np.exp(out, out=out)
-
-    def apply(self, psi: np.ndarray, out: np.ndarray, envelope: np.ndarray,
-              phase: np.ndarray | None) -> None:
-        """out = H psi at the time of the ``envelope`` column and the
-        ``phase`` row of ``phase_table`` (None when no family has a
-        rate)."""
-        np.multiply(self.diag, psi, out=out)
-        if self.index is None:
-            return
-        gathered = self._gathered
-        psi.take(self.index, out=gathered, mode="clip")
-        gathered *= self.pattern
-        if phase is not None:
-            gathered *= phase
-        gathered *= envelope
-        for row in self._rows:
-            out += row
 
 
 @dataclass(eq=False)

@@ -46,7 +46,7 @@ def config_hash(config: dict, digits: int = 12) -> str:
 
 
 def write_provenance(path, resolved_config: dict, wall_time_s: float,
-                     warnings: list[str], rk4_kernel: str) -> None:
+                     warnings: list[str], rk4_kernel: str | None) -> None:
     doc = {
         "tool": TOOL_NAME,
         "version": TOOL_VERSION,

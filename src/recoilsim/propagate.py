@@ -12,16 +12,14 @@ wherever their reduced operators couple alike.
 
 The vectors are short (2 to a few hundred states), so the step loop runs
 in C (``ckernel``, ``_rk4.c``), one chunk of steps per call; the numpy
-loop below, whose every step costs a few dozen calls of interpreter
-overhead whatever the vector size, stays as the fallback where no build
-matches numpy's complex rounding and as the C loop's bit-for-bit oracle.
-Both take their operator in one form: a compiled operator holds its
-coupling families stacked, so that one gather serves all of them
-(``StepOperator`` adds only the batch offsets and scratch buffers of the
-work shape), and the substage times, envelopes and phase ramps are
-tabulated per chunk of steps in Python, each envelope and ramp evaluated
-once on an array of times.  Every element is computed exactly as a
-per-family loop computes it, so results are bit-identical to that loop.
+loop (``_numpy_loop``), whose every step costs a few dozen calls of
+interpreter overhead whatever the vector size, stays as the fallback where
+no build matches numpy's complex rounding and as the C loop's bit-for-bit
+oracle.  Nothing else exists twice: ``_rk4`` lays the operator out once
+for both, and one chunk loop tabulates the substage times, envelopes and
+phase ramps per chunk of steps, each evaluated once on an array of times.
+Every element is computed exactly as a per-family loop computes it, so
+results are bit-identical to that loop.
 """
 
 from __future__ import annotations
@@ -33,8 +31,7 @@ import numpy as np
 
 from .basis import Basis, WaveFunction, prune_dust, span_window
 from .errors import ConfigurationError, IntegrationError
-from .hamiltonian import (EpochHamiltonian, StepOperator, compile_from_epoch,
-                          stack)
+from .hamiltonian import EpochHamiltonian, compile_from_epoch, stack
 from .params import AtomParams
 from .pulses import Epoch, SequencePlan
 
@@ -161,8 +158,6 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
                 [op for op, *_ in parts], [len(part[2]) for part in parts])
             work = np.concatenate([amps[b][np.ix_(rows, idx)]
                                    for _, b, rows, idx in parts])
-            if len(work) == 1:
-                work = work[0]
             dt_cap = default_dt(h, dt_factor, epoch.t_start, epoch.t_end)
             if h.batched:
                 # members share the finest step unless their own bounds
@@ -177,7 +172,7 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
                 full, support = amps[0][0], parts[0][3]
 
                 def observe(t):
-                    full[support] = work
+                    full[support] = work[0]
                     samples.append(observer(t, WaveFunction(bases[0],
                                                             full.copy(), t)))
 
@@ -207,8 +202,7 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
 
             start = 0
             for _, b, rows, idx in parts:
-                amps[b][np.ix_(rows, idx)] = \
-                    np.atleast_2d(work)[start:start + len(rows)]
+                amps[b][np.ix_(rows, idx)] = work[start:start + len(rows)]
                 start += len(rows)
 
         for b, basis in enumerate(bases):
@@ -228,60 +222,42 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
 def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
          observe=None, observe_per_epoch: int = 0) -> float:
     """Classic RK4 over the epoch in ``n_steps`` equal steps, in place on
-    ``work`` (members x states); returns the end time.
+    ``work`` ((n,) or (B, n), C-contiguous complex128); returns the end
+    time.
 
-    The substage times, every envelope and every phase ramp on them are
-    tabulated for up to ENVELOPE_CHUNK steps at a time, with at most
-    PHASE_TABLE_ELEMENTS ramps per substage.  The steps of a chunk run in
-    the C kernel where ``ckernel.load`` gives one, split wherever the
-    observer is due, and in the numpy loop below otherwise; the two agree
-    bit for bit.  k4 reuses k3's buffer once k2 + k3 is taken.  The stages
-    are H psi, and the -i of the Schrodinger equation rides on the step
-    coefficients: a product with -i only swaps and negates components, so
-    each element is exactly what -i H psi scaled by a real coefficient
-    gives.
+    The operator is laid out once, for either step loop: states and
+    diagonal (B, n), partner indices (F, n), pattern and rate rows
+    (F, 1|B, n), where a member axis of one is a row the members share,
+    one phase table per substage and one scratch (4, B, n).  The substage
+    times, envelopes and phase ramps are tabulated for up to
+    ENVELOPE_CHUNK steps at a time, with at most PHASE_TABLE_ELEMENTS
+    ramps per substage, and each chunk runs up to each observer stop in
+    the C loop where ``ckernel.load`` gives one, in ``_numpy_loop``
+    otherwise; the two agree bit for bit.
     """
+    if not (work.flags.c_contiguous and work.dtype == np.complex128):
+        raise ValueError("the states must be C-contiguous complex128")
     dt = epoch.duration / n_steps
     check_stability(h, dt)
     stride = max(1, n_steps // observe_per_epoch) if observe else 0
-    op = StepOperator(h, work.shape)
-    if op.rate is None:
-        chunk, phases = ENVELOPE_CHUNK, (repeat(None),) * 3
-    else:
+    states = work.reshape(-1, work.shape[-1])
+    # numpy buffers a broadcast operand through a temporary on every multiply
+    diag = np.ascontiguousarray(np.broadcast_to(h._diag_complex,
+                                                states.shape))
+    pattern, rate = (rows if rows.ndim > 2 else rows[:, None]
+                     for rows in (h.pattern, h.rate))
+    if rate.any():
         # one table of phase rows per substage, filled anew for each chunk
-        chunk = max(1, min(ENVELOPE_CHUNK,
-                           PHASE_TABLE_ELEMENTS // op.rate.size))
-        phases = [np.empty((chunk,) + op.rate.shape, dtype=np.complex128)
+        chunk = max(1, min(ENVELOPE_CHUNK, PHASE_TABLE_ELEMENTS // rate.size))
+        phases = [np.empty((chunk,) + rate.shape, dtype=np.complex128)
                   for _ in range(3)]
-    half, full, sixth = (np.array(c) for c in
-                         (-0.5j * dt, -1j * dt, -1j * dt / 6.0))
-    from . import ckernel     # not at import: the loader is run-time only
-    kernel = ckernel.load() if work.flags.c_contiguous and \
-        work.dtype == np.complex128 else None
-    if kernel is not None:
-        members, n = work.size // work.shape[-1], work.shape[-1]
-        perm = np.ascontiguousarray(h.perm, dtype=np.int64)
-        if perm.size and not 0 <= perm.min() <= perm.max() < n:
-            raise ValueError("partner index outside the states")
-        # a family's row shared by the members is read with a member stride
-        # of 0; the phase tables hold their rows laid out as the pattern
-        pattern = np.ascontiguousarray(h.pattern, dtype=np.complex128)
-        rows = pattern.shape[1] if pattern.ndim > 2 else 1
-        if rows not in (1, members):
-            raise ValueError("pattern rows do not match the members")
-        coef = np.array([half, full, sixth, 2.0])
-        scratch = np.empty((4,) + work.shape, dtype=np.complex128)
-        fixed = (members, n, len(perm), work.ctypes.data, op.diag.ctypes.data,
-                 perm.ctypes.data, pattern.ctypes.data, rows * n,
-                 n if rows > 1 else 0,
-                 *(None if op.rate is None else p.ctypes.data
-                   for p in phases),
-                 coef.ctypes.data, scratch.ctypes.data)
     else:
-        k1 = np.empty_like(work)
-        k2 = np.empty_like(work)
-        k3 = np.empty_like(work)
-        y = np.empty_like(work)
+        chunk, phases = ENVELOPE_CHUNK, [None] * 3
+    coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6.0, 2.0])
+    scratch = np.empty((4,) + states.shape, dtype=np.complex128)
+    from . import ckernel     # not at import: the loader is run-time only
+    steps = (ckernel.load() or _numpy_loop)(states, diag, h.perm, pattern,
+                                            phases, coef, scratch)
     for k0 in range(0, n_steps, chunk):
         k_stop = min(k0 + chunk, n_steps)
         # the times of the step loop: each step starts where the last ended
@@ -293,43 +269,96 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
         # envelope window (a square edge there breaks the error order)
         end = np.minimum(t + dt, epoch.t_end)
         table = h.envelope_table(np.concatenate([t, mid, end]))
-        if op.rate is not None:
+        if phases[0] is not None:
             for times, phase in zip((t, mid, end), phases):
-                op.phase_table(times, phase[:k_stop - k0])
-        if kernel is not None:
-            done = k0
-            while done < k_stop:
-                stop = min(k_stop, (done // stride + 1) * stride) \
-                    if stride else k_stop
-                kernel(*fixed, table.ctypes.data, k_stop - k0, done - k0,
-                       stop - k0)
-                done = stop
-                if stride and (done % stride == 0 or done == n_steps):
-                    observe(float(bounds[done - k0]))
-            continue
+                _phase_rows(rate, times, phase[:k_stop - k0])
+        done = k0
+        while done < k_stop:
+            stop = min(k_stop, (done // stride + 1) * stride) \
+                if stride else k_stop
+            steps(table, k_stop - k0, done - k0, stop - k0)
+            done = stop
+            if stride and (done % stride == 0 or done == n_steps):
+                observe(float(bounds[done - k0]))
+    return float(bounds[-1])
+
+
+def _phase_rows(rate: np.ndarray, times: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """e^{i rate t} of every family row at each of ``times``, written to
+    ``out`` (shaped ``times.shape + rate.shape``) and returned; each row is
+    exactly what ``exp(1j * t * rate)`` gives.
+
+    The rates are cast into ``out`` and scaled there, which makes no
+    temporary copy of them; the product (rate + 0i)(0 + it) has the bits of
+    (0 + it)(rate + 0i), as each factor has one zero part."""
+    out[...] = rate
+    out *= (1j * times).reshape(times.shape + (1,) * rate.ndim)
+    return np.exp(out, out=out)
+
+
+class _numpy_loop:
+    """``ckernel.bind``'s chunk runner, in numpy.
+
+    H psi is one ``take`` that gathers every family's partners at once
+    (flat indices with the member offsets, so each family row is
+    contiguous), one multiply each for the patterns, a row of phase ramps
+    and a column of envelope values, and one add per family row onto the
+    diagonal term, in family order.  k4 reuses k3's buffer once k2 + k3
+    is taken.  The stages are H psi, and the -i of the Schrodinger
+    equation rides on the step coefficients: a product with -i only swaps
+    and negates components, so each element is exactly what -i H psi
+    scaled by a real coefficient gives.
+    """
+
+    def __init__(self, states, diag, perm, pattern, phases, coef, scratch):
+        members, n = states.shape
+        self.states, self.diag, self.pattern = states, diag, pattern
+        self.phases, self.coef, self.scratch = phases, coef[:3], scratch
+        self.index = perm[:, None] + n * np.arange(members)[:, None]
+        self.gathered = np.empty(self.index.shape, dtype=np.complex128)
+        self.rows = list(self.gathered)
+
+    def _apply(self, psi, out, envelope, phase):
+        """out = H psi at the time of the ``envelope`` column and the
+        ``phase`` rows (None when no family has a rate)."""
+        np.multiply(self.diag, psi, out=out)
+        if not self.rows:
+            return
+        gathered = self.gathered
+        psi.take(self.index, out=gathered, mode="clip")
+        gathered *= self.pattern
+        if phase is not None:
+            gathered *= phase
+        gathered *= envelope
+        for row in self.rows:
+            out += row
+
+    def __call__(self, table, m, lo, hi):
+        work, (k1, k2, k3, y) = self.states, self.scratch
+        half, full, sixth = self.coef
         envelopes = table.T.astype(np.complex128) \
-            .reshape((3, k_stop - k0) + op.column)
-        for k, e_s, e_m, e_e, p_s, p_m, p_e in zip(
-                range(k0 + 1, k_stop + 1), *envelopes, *phases):
-            op.apply(work, k1, e_s, p_s)
+            .reshape((3, m, len(table), 1, 1))
+        phases = [repeat(None) if p is None else p[lo:hi]
+                  for p in self.phases]
+        for e_s, e_m, e_e, p_s, p_m, p_e in zip(
+                *envelopes[:, lo:hi], *phases):
+            self._apply(work, k1, e_s, p_s)
             np.multiply(k1, half, out=y)
             y += work
-            op.apply(y, k2, e_m, p_m)
+            self._apply(y, k2, e_m, p_m)
             np.multiply(k2, half, out=y)
             y += work
-            op.apply(y, k3, e_m, p_m)
+            self._apply(y, k3, e_m, p_m)
             np.multiply(k3, full, out=y)
             y += work
             k2 += k3
-            op.apply(y, k3, e_e, p_e)       # k4
+            self._apply(y, k3, e_e, p_e)       # k4
             k2 *= 2.0
             k2 += k1
             k2 += k3
             k2 *= sixth
             work += k2
-            if stride and (k % stride == 0 or k == n_steps):
-                observe(float(bounds[k - k0]))
-    return float(bounds[-1])
 
 
 def _extend(basis: Basis, amps: np.ndarray):

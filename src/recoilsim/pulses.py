@@ -168,18 +168,13 @@ class Epoch:
 
 @dataclass(frozen=True)
 class PulsePair:
-    """One counter-intuitive pair: the leading beam couples the empty leg."""
+    """One counter-intuitive pair: the leading beam, first of
+    ``epoch.events``, couples the empty leg."""
 
-    lead: PulseEvent
-    trail: PulseEvent
     adiabaticity: float
     adiabatic: bool
     target: RecoilState
     epoch: Epoch
-
-    @property
-    def events(self) -> tuple[PulseEvent, PulseEvent]:
-        return (self.lead, self.trail)
 
 
 @dataclass
@@ -254,7 +249,7 @@ def counter_intuitive_pair(index: int, stagger: float, rms_rabi: float,
                   label=f"pair-{index}")
 
     xi = adiabaticity_parameter(rms_rabi, stagger)
-    return PulsePair(lead=lead, trail=trail, adiabaticity=xi,
+    return PulsePair(adiabaticity=xi,
                      adiabatic=xi <= ADIABATIC_FLAG_THRESHOLD,
                      target=target, epoch=epoch)
 

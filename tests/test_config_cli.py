@@ -412,6 +412,28 @@ def test_cli_fringes_plan(tmp_path):
     assert fringe[0] == "position_nm,value"
 
 
+def test_a_plan_that_propagates_nothing_neither_builds_nor_loads_the_kernel(
+        tmp_path, monkeypatch):
+    tools, cache = tmp_path / "bin", tmp_path / "cache"
+    tools.mkdir()
+    cache.mkdir()
+    (tools / "cc").write_text("#!/bin/sh\nexit 1\n")
+    (tools / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(tools))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(ckernel, "_loaded", None)   # nothing chosen yet
+    doc = {"plan": "fringes",
+           "params": {"arms": [{"amplitude_re": 1.0, "n_z": 0},
+                               {"amplitude_re": 1.0, "n_z": 100}]}}
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, doc)), "--out",
+                 str(out)]) == 0
+    prov = json.loads(next(out.glob("*.provenance.json")).read_text())
+    assert prov["rk4_kernel"] is None
+    assert ckernel._loaded is None
+    assert not list(cache.iterdir())
+
+
 def test_cli_fringes_2d_writes_pgm(tmp_path):
     amp = 0.5
     doc = {"plan": "fringes",

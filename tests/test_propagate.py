@@ -1,5 +1,6 @@
 """Integrator oracles: analytic two-level formulas, norm, stability."""
 
+import gc
 import math
 import os
 import subprocess
@@ -414,6 +415,51 @@ def test_c_kernel_equals_the_numpy_loop(case):
     assert [s for s, _ in samples] == [s for s, _ in ref_samples]
     for (_, got), (_, want) in zip(samples, ref_samples):
         assert got.tobytes() == want.tobytes()
+
+
+def test_c_kernel_binder_holds_the_copies_it_passes():
+    c_kernel_or_skip()
+    rng = np.random.default_rng(5)
+    members, n, m = 3, 6, 5
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # int32 partner indices and a transposed pattern: bind passes copies
+    perm = np.array([[1, 0, 3, 2, 5, 4], [2, 3, 0, 1, 4, 5]], dtype=np.int32)
+    pattern = normal(2, n, members).transpose(0, 2, 1)
+    phases = [np.exp(1j * rng.uniform(-3, 3, size=(m, 2, members, n)))
+              for _ in range(3)]
+    diag, states = normal(members, n), normal(members, n)
+    coef = np.array([-0.05j, -0.1j, -0.1j / 6.0, 2.0])
+    table = rng.uniform(size=(2, 3 * m))
+    runs = []
+    for loop in (ckernel.load(), propagate._numpy_loop):
+        work = states.copy()
+        scratch = np.empty((4, members, n), dtype=np.complex128)
+        steps = loop(work, diag, perm, pattern, phases, coef, scratch)
+        gc.collect()
+        # take back the memory of a dropped copy (numpy reuses freed blocks
+        # of a size) and zero it: partner 0 for every state, no pattern
+        junk = [np.full(size, 0, dtype=np.int64)
+                for size in (perm.size, 2 * pattern.size) * 4]
+        steps(table, m, 0, 2)
+        steps(table, m, 2, m)
+        runs.append(work.tobytes())
+    assert runs[0] == runs[1]
+
+
+def test_rk4_refuses_work_it_cannot_step_in_place():
+    n = 4
+    h = EpochHamiltonian(np.zeros(n), np.zeros(n),
+                         np.empty((0, n), dtype=np.int64),
+                         np.empty((0, n), dtype=np.complex128),
+                         np.empty((0, n)), (), np.empty(0))
+    epoch = Epoch(0.0, 1.0, ())
+    for work in (np.ones((n, 2), dtype=np.complex128)[:, 0],
+                 np.ones((2, 2 * n), dtype=np.complex128)[:, ::2],
+                 np.ones(n)):
+        with pytest.raises(ValueError):
+            propagate._rk4(h, work, epoch, 4)
 
 
 def test_loader_refuses_a_build_whose_probe_disagrees(monkeypatch,

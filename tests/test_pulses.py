@@ -107,23 +107,25 @@ def test_adiabaticity_number(atom):
 def test_pair_geometry_and_tags(atom):
     T = 50e-9
     pair = counter_intuitive_pair(0, T, TWO_PI * 1e8, direction=-1)
-    assert pair.lead.polarization == "sigma_plus"
-    assert pair.lead.direction == +1
-    assert pair.trail.polarization == "sigma_minus"
-    assert pair.trail.direction == -1
-    assert pair.lead.envelope.start == 0.0
-    assert pair.lead.envelope.duration == pytest.approx(2 * T)
-    assert pair.trail.envelope.start == pytest.approx(T)
-    assert pair.trail.envelope.duration == pytest.approx(2 * T)
+    lead, trail = pair.epoch.events
+    assert lead.polarization == "sigma_plus"
+    assert lead.direction == +1
+    assert trail.polarization == "sigma_minus"
+    assert trail.direction == -1
+    assert lead.envelope.start == 0.0
+    assert lead.envelope.duration == pytest.approx(2 * T)
+    assert trail.envelope.start == pytest.approx(T)
+    assert trail.envelope.duration == pytest.approx(2 * T)
     # total pair window is 3T
     assert pair.epoch.duration == pytest.approx(3 * T)
 
     odd = counter_intuitive_pair(1, T, TWO_PI * 1e8, direction=-1,
                                  start_rung=-2)
-    assert odd.lead.polarization == "sigma_minus"
-    assert odd.lead.direction == +1
-    assert odd.trail.polarization == "sigma_plus"
-    assert odd.trail.direction == -1
+    lead, trail = odd.epoch.events
+    assert lead.polarization == "sigma_minus"
+    assert lead.direction == +1
+    assert trail.polarization == "sigma_plus"
+    assert trail.direction == -1
 
 
 def test_pair_chain_prediction(atom):

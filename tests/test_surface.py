@@ -47,12 +47,6 @@ ALLOWED = {
     "pulses.PulsePair.adiabatic": "the adiabaticity flag of criterion 2",
     "pulses.PulsePair.target": "the pair's target state, whose fidelity "
                                "criteria 2 and 4 measure",
-    "pulses.PulsePair.lead": "the leading beam, whose geometry the pulse "
-                             "tests check",
-    "pulses.PulsePair.trail": "the trailing beam, whose geometry the pulse "
-                              "tests check",
-    "pulses.PulsePair.events": "the pair's beams, which the Hamiltonian "
-                               "tests compile",
     "pulses.SequencePlan.pairs": "the ladder's pairs, whose targets "
                                  "criterion 4 measures",
     "pulses.Epoch.label": "names the epoch in the error messages of "
