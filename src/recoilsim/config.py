@@ -292,7 +292,7 @@ def grid_from_output(cfg: ResolvedConfig) -> GridSpec:
         dims = 2 if cfg.params.q_pulses > 0 else 1
     else:
         dims = cfg.output.get("dims", 1)
-    return GridSpec(dims=dims, pitch=cfg.output["grid_pitch_m"],
+    return GridSpec(pitch=cfg.output["grid_pitch_m"],
                     shape=(cfg.output["grid_samples"],) * dims)
 
 

@@ -26,25 +26,37 @@ MAX_GRID_SAMPLES = 2 ** 24  # 4096 x 4096
 
 @dataclass(frozen=True)
 class GridSpec:
-    dims: int = 1
+    """(n_z, n_x) samples ``pitch`` m apart, centred on the origin.  A 1-D
+    grid, ``shape`` (n_z,), is the same grid with one column, at x = 0."""
+
     pitch: float = 0.25e-9          # m per sample
     shape: tuple[int, ...] = (4096,)
 
     def __post_init__(self):
         if self.dims not in (1, 2):
             raise ConfigurationError("grids are 1D or 2D")
-        if len(self.shape) != self.dims:
-            raise ConfigurationError("shape must match dims")
-        if self.pitch <= 0 or any(n < 2 for n in self.shape):
-            raise ConfigurationError("grid pitch and sizes must be positive")
+        if not 0 < self.pitch < math.inf or any(n < 2 for n in self.shape):
+            raise ConfigurationError(
+                "grid pitch must be positive and finite, and sizes at least 2")
         if math.prod(self.shape) > MAX_GRID_SAMPLES:
             raise ConfigurationError(
                 f"a grid of {' x '.join(map(str, self.shape))} samples is "
                 f"over the limit of {MAX_GRID_SAMPLES}")
 
+    @property
+    def dims(self) -> int:
+        return len(self.shape)
+
+    def coordinates(self, axis: int) -> np.ndarray:
+        """Positions (m) on axis 0 (z) or 1 (x): [0.0] on x of a 1-D grid."""
+        if axis >= self.dims:
+            return np.zeros(1)
+        n = self.shape[axis]
+        return (np.arange(n) - n / 2) * self.pitch
+
     @classmethod
     def default_2d(cls) -> "GridSpec":
-        return cls(dims=2, pitch=0.25e-9, shape=(1024, 1024))
+        return cls(pitch=0.25e-9, shape=(1024, 1024))
 
 
 @dataclass(frozen=True)
@@ -54,8 +66,9 @@ class CoherenceEnvelope:
     length: float = 300e-6  # m
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ConfigurationError("coherence length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ConfigurationError(
+                "coherence length must be positive and finite")
 
     def intensity_factor(self, r2: np.ndarray) -> np.ndarray:
         return np.exp(-r2 / (2.0 * self.length ** 2))
@@ -63,14 +76,26 @@ class CoherenceEnvelope:
 
 @dataclass
 class FringePattern:
-    dims: int
-    pitch: float
+    """Intensity ``samples`` on ``grid``, in the grid's shape: (n_z,) for
+    a 1-D grid, which is one column at x = 0."""
+
+    grid: GridSpec
     samples: np.ndarray
-    axes: tuple[str, ...]
+
+    @property
+    def pitch(self) -> float:
+        return self.grid.pitch
+
+    @property
+    def dims(self) -> int:
+        return self.grid.dims
+
+    @property
+    def axes(self) -> tuple[str, ...]:
+        return ("z", "x")[:self.dims]
 
     def axis_coordinates(self, axis_index: int) -> np.ndarray:
-        n = self.samples.shape[axis_index]
-        return (np.arange(n) - n / 2) * self.pitch
+        return self.grid.coordinates(axis_index)
 
 
 @dataclass
@@ -95,9 +120,11 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
                envelope: CoherenceEnvelope | None = None) -> FringePattern:
     """Superpose the arms' plane waves on a spatial grid.
 
-    All arms must share one internal level: components in different levels
-    are distinguishable and cannot interfere.  The result is normalized to
-    unit peak, so amplitudes whose intensity could overflow are rejected.
+    The sum runs on (n_z, n_x), a 1-D grid being its one column at x = 0,
+    and the samples take the grid's shape.  All arms must share one
+    internal level: components in different levels are distinguishable
+    and cannot interfere.  The result is normalized to unit peak, so
+    amplitudes whose intensity could overflow are rejected.
     """
     entries = [_arm_tuple(a) for a in arms]
     if not entries:
@@ -117,34 +144,18 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
     _, n_z, n_x, _ = zip(*entries)
     validate_grid((max(n_z) - min(n_z), max(n_x) - min(n_x)), grid, k)
 
-    if grid.dims == 1:
-        z = (np.arange(grid.shape[0]) - grid.shape[0] / 2) * grid.pitch
-        fieldsum = np.zeros(grid.shape[0], dtype=np.complex128)
-        for amp, nz, _, _ in entries:
-            fieldsum += amp * np.exp(1j * (k * nz) * z)
-        intensity = np.abs(fieldsum) ** 2
-        r2 = z ** 2
-        axes = ("z",)
-    else:
-        nz_, nx_ = grid.shape
-        z = (np.arange(nz_) - nz_ / 2) * grid.pitch
-        x = (np.arange(nx_) - nx_ / 2) * grid.pitch
-        zz = z[:, None]
-        xx = x[None, :]
-        fieldsum = np.zeros((nz_, nx_), dtype=np.complex128)
-        for amp, nz, nx, _ in entries:
-            fieldsum += amp * np.exp(1j * k * (nz * zz + nx * xx))
-        intensity = np.abs(fieldsum) ** 2
-        r2 = zz ** 2 + xx ** 2
-        axes = ("z", "x")
-
+    z = grid.coordinates(0)[:, None]
+    x = grid.coordinates(1)[None, :]
+    fieldsum = np.zeros((z.size, x.size), dtype=np.complex128)
+    for amp, nz, nx, _ in entries:
+        fieldsum += amp * np.exp(1j * ((k * nz) * z + (k * nx) * x))
+    intensity = np.abs(fieldsum) ** 2
     if envelope is not None:
-        intensity = intensity * envelope.intensity_factor(r2)
+        intensity = intensity * envelope.intensity_factor(z ** 2 + x ** 2)
     peak = intensity.max()
     if peak > 0:
         intensity = intensity / peak
-    return FringePattern(dims=grid.dims, pitch=grid.pitch, samples=intensity,
-                         axes=axes)
+    return FringePattern(grid=grid, samples=intensity.reshape(grid.shape))
 
 
 def validate_grid(separations, grid: GridSpec, k: float) -> None:
@@ -153,12 +164,11 @@ def validate_grid(separations, grid: GridSpec, k: float) -> None:
     grid axis must span MIN_PERIODS fringe periods with
     MIN_SAMPLES_PER_PERIOD samples each.  A zero separation makes no
     fringe to check."""
-    for axis_index, (key, dn) in enumerate(zip(("n_z", "n_x")[:grid.dims],
-                                               separations)):
+    for key, dn, n in zip(("n_z", "n_x"), separations, grid.shape):
         if dn == 0:
             continue
         finest = 2 * math.pi / (k * dn)
-        span = grid.shape[axis_index] * grid.pitch
+        span = n * grid.pitch
         if span < MIN_PERIODS * finest:
             raise ConfigurationError(
                 f"grid spans {span / finest:.1f} periods on {key}; "
@@ -176,10 +186,8 @@ def extract_spacing(pattern: FringePattern, axis: str = "z") -> SpacingEstimate:
     """
     if axis not in pattern.axes:
         raise ConfigurationError(f"pattern has no axis {axis!r}")
-    data = pattern.samples
-    if pattern.dims == 2:
-        other = 1 - pattern.axes.index(axis)
-        data = data.mean(axis=other)
+    others = tuple(j for j, name in enumerate(pattern.axes) if name != axis)
+    data = pattern.samples.mean(axis=others)
     data = data - data.mean()
     n = data.shape[0]
     spectrum = np.abs(np.fft.rfft(data))
@@ -206,16 +214,10 @@ def contrast(pattern: FringePattern,
     data = pattern.samples
     if envelope is not None:
         half = envelope.length / 2
-        if pattern.dims == 1:
-            z = pattern.axis_coordinates(0)
-            data = data[np.abs(z) <= half] if np.any(np.abs(z) <= half) else data
-        else:
-            z = pattern.axis_coordinates(0)
-            x = pattern.axis_coordinates(1)
-            zm = np.abs(z) <= half
-            xm = np.abs(x) <= half
-            if zm.any() and xm.any():
-                data = data[np.ix_(zm, xm)]
+        central = [np.abs(pattern.axis_coordinates(i)) <= half
+                   for i in range(pattern.dims)]
+        if all(mask.any() for mask in central):
+            data = data[np.ix_(*central)]
     hi = float(data.max())
     lo = float(data.min())
     if hi + lo == 0:

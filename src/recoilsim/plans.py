@@ -184,7 +184,6 @@ def run_plan_1d_adiabatic(params: Plan1DParams, atom: AtomParams) -> PlanResult:
         "delta_n_z": dn,
         "relative_velocity_m_s": dn * atom.recoil_velocity,
         "expected_spacing_m": lam / dn,
-        "nominal_spacing_m": atom.nominal_wavelength / dn,
         "recombine_drift_s": t_close,
         "reversal_duration_s": reverse.total_duration - reverse.epochs[0].t_start,
     }
@@ -358,9 +357,7 @@ def run_plan_ramsey(params: RamseyParams, atom: AtomParams) -> RamseyResult:
     tl.record("closing-pulse", d_half)
 
     return RamseyResult(
-        params=params, atom=atom, tau=float(tau), plan=tl.result(
-            {"tau_s": float(tau), "drift_out_s": float(d1),
-             "drift_back_s": float(d2)}),
+        params=params, atom=atom, tau=float(tau), plan=tl.result(),
         pre_final={"c0": complex(still.amplitude),
                    "b2": complex(moving.amplitude)},
         _scan_basis=scan_basis, _scan_psi=amps)
@@ -477,12 +474,11 @@ def run_plan_2d(params: Plan2DParams, atom: AtomParams) -> PlanResult:
 
     tl.drift("drift-recombine", float(df))
     return _finish_2d(tl, params, atom, dn_z=abs(exp_a - exp_c),
-                      dn_x=abs(a_xr - c_xr), dx=float(dx), df=float(df))
+                      dn_x=abs(a_xr - c_xr), dx=float(dx))
 
 
 def _finish_2d(tl: _Timeline, params: Plan2DParams, atom: AtomParams,
-               dn_z: int, dn_x: int, dx: float = 0.0,
-               df: float = 0.0) -> PlanResult:
+               dn_z: int, dn_x: int, dx: float = 0.0) -> PlanResult:
     sep_z = tl.stages[-1].separation(2)
     sep_x = tl.stages[-1].separation(0)
     tol = CLOSURE_TOL_FRACTION * params.cloud_size_m
@@ -501,7 +497,7 @@ def _finish_2d(tl: _Timeline, params: Plan2DParams, atom: AtomParams,
         "nominal_spacing_x_m": 100e-9 / q_half if q_half else math.inf,
         "convergence_speed_z_m_s": dn_z * atom.recoil_velocity,
         "convergence_speed_x_m_s": dn_x * atom.recoil_velocity,
-        "x_drift_s": dx, "final_drift_s": df,
+        "x_drift_s": dx,
     }
     return tl.result(extras)
 

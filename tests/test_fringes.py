@@ -36,7 +36,7 @@ def test_two_arm_spacing_is_wavelength_over_dn(atom):
 def test_fourier_consistency_across_separations(atom, dn):
     n = 4096
     pitch = 0.25e-9 if dn >= 10 else 2e-9
-    grid = GridSpec(dims=1, pitch=pitch, shape=(n,))
+    grid = GridSpec(pitch=pitch, shape=(n,))
     pattern = synthesize(equal_arms((0, 0), (dn, 0)), grid, atom)
     est = extract_spacing(pattern, "z")
     assert abs(est.period - atom.lattice_wavelength / dn) <= est.bin_uncertainty
@@ -67,13 +67,13 @@ def test_mixed_internal_levels_rejected(atom):
 
 
 def test_grid_must_span_ten_periods(atom):
-    small = GridSpec(dims=1, pitch=0.25e-9, shape=(64,))
+    small = GridSpec(pitch=0.25e-9, shape=(64,))
     with pytest.raises(ConfigurationError):
         synthesize(equal_arms((0, 0), (94, 0)), small, atom)
 
 
 def test_grid_must_resolve_sixteen_samples_per_period(atom):
-    coarse = GridSpec(dims=1, pitch=2e-9, shape=(4096,))
+    coarse = GridSpec(pitch=2e-9, shape=(4096,))
     with pytest.raises(ConfigurationError):
         synthesize(equal_arms((0, 0), (94, 0)), coarse, atom)
 
@@ -81,8 +81,7 @@ def test_grid_must_resolve_sixteen_samples_per_period(atom):
 def commensurate_grid(atom, dn, samples_per_period=64, periods=64):
     """Grid whose samples land exactly on the fringe extrema."""
     pitch = atom.lattice_wavelength / (dn * samples_per_period)
-    return GridSpec(dims=1, pitch=pitch,
-                    shape=(samples_per_period * periods,))
+    return GridSpec(pitch=pitch, shape=(samples_per_period * periods,))
 
 
 def test_two_arm_contrast_unity(atom):
@@ -137,6 +136,61 @@ def test_overflowing_amplitudes_rejected(atom):
         synthesize([(1e200, 0, 0), (1e200, 94, 0)], GridSpec(), atom)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_pitch_and_coherence_length_must_be_finite_and_positive(value):
+    # a NaN would pass a "<= 0" check and make every sample NaN
+    with pytest.raises(ConfigurationError):
+        GridSpec(pitch=value)
+    with pytest.raises(ConfigurationError):
+        CoherenceEnvelope(value)
+
+
+def plane_wave_sum(arms, grid, k, envelope_length):
+    """The fringe intensity written out: each arm's plane wave added in
+    order, times the Gaussian coherence envelope, over its peak.  A 1-D
+    grid takes the phase (k * n_z) * z alone."""
+    n = grid.shape
+    z = (np.arange(n[0]) - n[0] / 2) * grid.pitch
+    field = np.zeros(n, dtype=np.complex128)
+    if len(n) == 1:
+        for amp, nz, _, phase in arms:
+            field += amp * np.exp(1j * phase) * np.exp(1j * (k * nz) * z)
+        r2 = z ** 2
+    else:
+        z = z[:, None]
+        x = ((np.arange(n[1]) - n[1] / 2) * grid.pitch)[None, :]
+        for amp, nz, nx, phase in arms:
+            field += amp * np.exp(1j * phase) * np.exp(
+                1j * ((k * nz) * z + (k * nx) * x))
+        r2 = z ** 2 + x ** 2
+    intensity = np.abs(field) ** 2
+    if envelope_length is not None:
+        intensity = intensity * np.exp(-r2 / (2.0 * envelope_length ** 2))
+    peak = intensity.max()
+    return intensity / peak if peak > 0 else intensity
+
+
+@pytest.mark.parametrize("shape, arms, envelope_length", [
+    ((1024,), [(0.6, 0, 0, 0.0), (0.8j, 40, 0, 0.3)], 100e-9),
+    ((1024,), [(0.5, -12, 7, 1.1), (0.3 - 0.2j, 0, -5, 0.0),
+               (0.4, 20, 3, -2.0)], None),
+    ((1024,), [(0.7, 17, 0, 0.4)], 300e-6),
+    ((256, 256), [(0.5, 0, 0, 0.0), (0.5 + 0.2j, 40, 0, 0.3),
+                  (0.4, 0, 35, 0.0), (0.3, 40, 35, 1.1)], 100e-9),
+    ((256, 256), [(0.6, -20, 15, 0.0), (0.8, 20, -20, 2.5)], None),
+], ids=["1d-two-arms-envelope", "1d-three-arms", "1d-one-arm",
+        "2d-four-arms-envelope", "2d-two-arms"])
+def test_synthesize_is_the_per_arm_plane_wave_sum(atom, shape, arms,
+                                                  envelope_length):
+    grid = GridSpec(pitch=1e-9, shape=shape)
+    envelope = (None if envelope_length is None
+                else CoherenceEnvelope(envelope_length))
+    pattern = synthesize(arms, grid, atom, envelope)
+    expected = plane_wave_sum(arms, grid, atom.wavenumber(), envelope_length)
+    assert pattern.samples.shape == grid.shape
+    assert pattern.samples.tobytes() == expected.tobytes()
+
+
 def test_coherence_envelope_counts_enough_periods():
     env = CoherenceEnvelope()
     assert env.length == pytest.approx(300e-6)
@@ -145,7 +199,7 @@ def test_coherence_envelope_counts_enough_periods():
 
 def test_envelope_limits_fringe_field(atom):
     env = CoherenceEnvelope(length=100e-9)  # absurdly short, visible in grid
-    grid = GridSpec(dims=1, pitch=0.25e-9, shape=(4096,))
+    grid = GridSpec(pitch=0.25e-9, shape=(4096,))
     pattern = synthesize(equal_arms((0, 0), (94, 0)), grid, atom, env)
     z = pattern.axis_coordinates(0)
     outside = pattern.samples[np.abs(z) > 5 * env.length]

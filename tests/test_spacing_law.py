@@ -37,7 +37,7 @@ def test_z_spacing_scales_inversely_with_pulse_count(atom, half_count):
 
     amp = 1 / math.sqrt(2)
     pitch = min(0.25e-9, atom.lattice_wavelength / dn / 20)
-    grid = GridSpec(dims=1, pitch=pitch, shape=(8192,))
+    grid = GridSpec(pitch=pitch, shape=(8192,))
     pattern = synthesize([(amp, 0, 0), (amp, dn, 0)], grid, atom)
     est = extract_spacing(pattern, "z")
     exact = atom.lattice_wavelength / dn
