@@ -13,7 +13,8 @@
    given family and member strides, a member stride of 0 for rows shared
    by the members; the three phase tables, one (F, B, n) row per step laid
    out as the pattern, or NULL when no family has a rate; the envelope
-   table (F, 3, m) of real values at each step's start, middle and end. */
+   table (F, 3, m) of real values at each step's start, middle and end,
+   which rk4_envelopes fills. */
 
 #include <math.h>
 #include <stddef.h>
@@ -119,4 +120,33 @@ void rk4_probe(const cplx *a, const cplx *b, cplx *out, int64_t count)
 {
     for (int64_t i = 0; i < count; i++)
         out[i] = cmul(a[i], b[i]);
+}
+
+/* The envelope of each of F families at ``count`` times, out (F, count):
+   0 outside the closed window [start, end], the peak inside a square one
+   and peak sin^2(pi (t - start) / duration) inside a sine^2 one.  These
+   are the operations, in the order, of recoilsim.pulses.PulseEnvelope.value,
+   and libm's sin is the function math.sin calls, so the two agree bit for
+   bit.  ``windows`` (F, 5): sine^2 flag (0 or 1), peak, start, end,
+   duration. */
+void rk4_envelopes(int64_t families, const double *windows,
+                   const double *times, int64_t count, double *out)
+{
+    for (int64_t f = 0; f < families; f++) {
+        const double *w = windows + 5 * f;
+        const int sine = w[0] != 0.0;
+        const double peak = w[1], start = w[2], end = w[3], duration = w[4];
+        double *row = out + f * count;
+        for (int64_t i = 0; i < count; i++) {
+            const double t = times[i];
+            if (!(t >= start && t <= end)) {
+                row[i] = 0.0;
+            } else if (sine) {
+                const double s = sin(M_PI * ((t - start) / duration));
+                row[i] = peak * s * s;
+            } else {
+                row[i] = peak;
+            }
+        }
+    }
 }

@@ -1,4 +1,5 @@
-"""Build and load the C RK4 step loop (``_rk4.c``) on first use.
+"""Build and load the C RK4 step loop and envelope tabulation (``_rk4.c``)
+on first use.
 
 Nothing happens at import.  The first ``load()`` compiles the kernel with
 the system C compiler into ``$XDG_CACHE_HOME/recoilsim`` (default
@@ -7,24 +8,28 @@ opens it with ctypes.  Two builds exist: a plain one, and one that fuses
 each real part of a complex product into one multiply-add (``-mfma``), as
 numpy's FMA kernels do.  The build is the one whose complex product numpy
 matches on fixed probe operands, and it is used only once its own product
-of them equals numpy's bit for bit; the FMA build is never run on a CPU
-that numpy reports without FMA3.  With no such build, no compiler or no
-writable cache, ``load()`` returns None and the numpy loop runs.
+of them equals numpy's bit for bit, and its envelope table of fixed probe
+windows and times equals ``PulseEnvelope.value`` bit for bit; the FMA
+build is never run on a CPU that numpy reports without FMA3.  With no such
+build, no compiler or no writable cache, ``load()`` returns None, and the
+numpy loop and ``PulseEnvelope.value`` run.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from .pulses import SINE_SQUARED, SQUARE, PulseEnvelope
+
 SOURCE = Path(__file__).with_name("_rk4.c")
 COMPILE = ("cc", "-O3", "-shared", "-fPIC", "-ffp-contract=off")
 PLAIN, FMA = ("c-plain", ()), ("c-fma", ("-mfma", "-DUSE_FMA"))
-_loaded = None          # (engine name, bind on rk4_steps or None) once chosen
+_loaded = None          # (engine name, Kernel or None) once chosen
 
 
 def _probe_operands():
@@ -68,15 +73,31 @@ def _library(flags: tuple) -> Path | None:
     return path if built else None
 
 
+def _envelope_probe():
+    """Fixed sine-squared and square windows, and times before, over and
+    after each, with each window edge and its neighbouring doubles."""
+    windows = [PulseEnvelope(SINE_SQUARED, 2 * math.pi * 1e8, 3e-8, 1e-7),
+               PulseEnvelope(SINE_SQUARED, 1.0, 0.0, 1.0),
+               PulseEnvelope(SQUARE, 5.0, 1.1e-7, 4e-8)]
+    times = [w.start + w.duration * k / 37 for w in windows
+             for k in range(-4, 42)]
+    times += [math.nextafter(edge, toward) for w in windows
+              for edge in (w.start, w.end)
+              for toward in (-math.inf, edge, math.inf)]
+    return windows, times
+
+
 def _open(flags: tuple):
-    """``bind`` on ``rk4_steps`` of the build with ``flags``, or None
-    unless its probe product equals numpy's bit for bit."""
+    """The build with ``flags`` as a ``Kernel``, or None unless its probe
+    product equals numpy's and its probe envelopes ``PulseEnvelope.value``,
+    bit for bit."""
     path = _library(flags)
     if path is None:
         return None
     try:
         lib = ctypes.CDLL(str(path))
-        probe, steps = lib.rk4_probe, lib.rk4_steps
+        probe, steps, envelopes = \
+            lib.rk4_probe, lib.rk4_steps, lib.rk4_envelopes
     except (OSError, AttributeError):
         return None
     a, b = (np.array(x) for x in _probe_operands())
@@ -89,7 +110,40 @@ def _open(flags: tuple):
     steps.argtypes = (ctypes.c_int64,) * 3 + (ctypes.c_void_p,) * 4 + \
         (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6 + (ctypes.c_int64,) * 3
     steps.restype = None
-    return partial(bind, steps)
+    envelopes.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + \
+        (ctypes.c_int64, ctypes.c_void_p)
+    envelopes.restype = None
+    kernel = Kernel(steps, envelopes)
+    windows, times = _envelope_probe()
+    if kernel.envelope_table(windows, times).tobytes() != \
+            np.array([w.value(times) for w in windows]).tobytes():
+        return None
+    return kernel
+
+
+class Kernel:
+    """One probed build: calling it binds its ``rk4_steps`` on an operator
+    layout (``bind``), and ``envelope_table`` runs its ``rk4_envelopes``."""
+
+    def __init__(self, rk4_steps, rk4_envelopes):
+        self._steps, self._envelopes = rk4_steps, rk4_envelopes
+
+    def __call__(self, states, diag, perm, pattern, phases, coef, scratch):
+        return bind(self._steps, states, diag, perm, pattern, phases, coef,
+                    scratch)
+
+    def envelope_table(self, envelopes, times) -> np.ndarray:
+        """The ``PulseEnvelope``s ``envelopes`` at the 1-D ``times``,
+        (F, len(times)), each row what that envelope's ``value`` gives, in
+        one call for all of them."""
+        times = np.ascontiguousarray(times, dtype=np.float64)
+        windows = np.array([(e.shape == SINE_SQUARED, e.peak_rabi, e.start,
+                             e.end, e.duration) for e in envelopes],
+                           dtype=np.float64).reshape(-1, 5)
+        out = np.empty((len(windows), len(times)))
+        self._envelopes(len(windows), windows.ctypes.data, times.ctypes.data,
+                        len(times), out.ctypes.data)
+        return out
 
 
 def bind(rk4_steps, states, diag, perm, pattern, phases, coef, scratch):
@@ -164,7 +218,8 @@ def _cpu_features() -> dict:
 
 
 def load():
-    """``bind`` on the C ``rk4_steps``, or None where numpy's loop runs."""
+    """The probed C ``Kernel``, or None where numpy's loop and
+    ``PulseEnvelope.value`` run."""
     global _loaded
     if _loaded is None:
         _loaded = _choose()

@@ -148,8 +148,8 @@ def _write_fringe(pattern, out_dir, base) -> list[Path]:
                    zip(pattern.axis_coordinates(0), pattern.samples)])
         return [csv_path]
     pgm_path = out_dir / f"{base}.fringe.pgm"
-    pgmio.write_pgm(pgm_path,
-                    (pattern.samples * 65535).round().astype("uint16"))
+    scaled = pattern.samples * 65535
+    pgmio.write_pgm(pgm_path, scaled.round(out=scaled).astype("uint16"))
     sidecar_path = out_dir / f"{base}.fringe.txt"
     pgmio.write_sidecar(sidecar_path, {
         "pitch_m": pattern.pitch, "rows_axis": "z", "cols_axis": "x",

@@ -22,6 +22,7 @@ MIN_PERIODS = 10          # grid must span at least this many fringes
 MIN_SAMPLES_PER_PERIOD = 16
 PEAK_OVER_BACKGROUND = 5.0
 MAX_GRID_SAMPLES = 2 ** 24  # 4096 x 4096
+SYNTHESIS_BLOCK = 2 ** 14   # grid samples synthesized at once
 
 
 @dataclass(frozen=True)
@@ -146,15 +147,34 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
 
     z = grid.coordinates(0)[:, None]
     x = grid.coordinates(1)[None, :]
-    fieldsum = np.zeros((z.size, x.size), dtype=np.complex128)
-    for amp, nz, nx, _ in entries:
-        fieldsum += amp * np.exp(1j * ((k * nz) * z + (k * nx) * x))
-    intensity = np.abs(fieldsum) ** 2
-    if envelope is not None:
-        intensity = intensity * envelope.intensity_factor(z ** 2 + x ** 2)
+    intensity = np.empty((z.size, x.size))
+    # one block of rows at a time, in buffers made once: each element is
+    # what the whole-grid expressions give, with no full-grid temporaries.
+    # The amplitude product goes to its own buffer: numpy multiplies a
+    # one-element block in place without the fused multiply-add of its
+    # longer loops.
+    block = max(1, SYNTHESIS_BLOCK // x.size)
+    phase = np.empty((block, x.size))
+    wave, term, field = (np.empty(phase.shape, dtype=np.complex128)
+                         for _ in range(3))
+    for r0 in range(0, z.size, block):
+        z_rows = z[r0:r0 + block]
+        p, w, t, f = (a[:len(z_rows)] for a in (phase, wave, term, field))
+        f[...] = 0.0
+        for amp, nz, nx, _ in entries:
+            np.add((k * nz) * z_rows, (k * nx) * x, out=p)
+            np.multiply(1j, p, out=w)
+            np.exp(w, out=w)
+            np.multiply(amp, w, out=t)      # amplitude first, as amp * e^ip
+            f += t
+        rows = intensity[r0:r0 + len(z_rows)]
+        np.abs(f, out=rows)
+        np.square(rows, out=rows)
+        if envelope is not None:
+            rows *= envelope.intensity_factor(z_rows ** 2 + x ** 2)
     peak = intensity.max()
     if peak > 0:
-        intensity = intensity / peak
+        intensity /= peak
     return FringePattern(grid=grid, samples=intensity.reshape(grid.shape))
 
 

@@ -16,7 +16,8 @@ also the physical content of the momentum selection rules: within one
 family a state can only ever reach its single partner.  A compiled operator
 holds its F families stacked, in one format from compile to step: partner
 indices ``perm`` (F, n), ``pattern`` and phase-ramp ``rate`` (F, n) or
-(F, B, n), and one envelope callable and one peak per family, so that
+(F, B, n), and one envelope (a ``PulseEnvelope``'s bound ``value``) and
+one peak per family, so that
 
     H[i, perm[f, i]] += envelope_f(t) * pattern[f, i] * e^{i rate[f, i] t}.
 
@@ -70,7 +71,7 @@ class EpochHamiltonian:
     perm: np.ndarray        # (F, n) partner per state (identity where uncoupled)
     pattern: np.ndarray     # complex (F, n) or (F, B, n)
     rate: np.ndarray        # rad/s phase ramp, shaped like pattern (anti-symmetric over the matching)
-    envelopes: tuple        # per family: time or array of times -> envelope
+    envelopes: tuple        # per family: a PulseEnvelope's bound value
     peak: np.ndarray        # (F,) peak envelope per family
     _bound: tuple | None = field(default=None, init=False, repr=False)
 
@@ -88,8 +89,15 @@ class EpochHamiltonian:
         return (self.diagonal.shape[-1], self.envelopes, self.perm.tobytes())
 
     def envelope_table(self, times: np.ndarray) -> np.ndarray:
-        """Every family's envelope at ``times``, (F, len(times)), each
-        envelope evaluated once on the whole array."""
+        """Every family's envelope at the 1-D ``times``, (F, len(times)):
+        one C call for all families where ``ckernel.load`` gives a kernel,
+        each envelope's ``value`` on the whole array otherwise; the two
+        agree bit for bit."""
+        from . import ckernel     # not at import: the loader is run-time only
+        kernel = ckernel.load()
+        if kernel is not None:
+            return kernel.envelope_table(
+                [value.__self__ for value in self.envelopes], times)
         return np.array([value(times) for value in self.envelopes],
                         dtype=np.float64).reshape(len(self.envelopes),
                                                   len(times))

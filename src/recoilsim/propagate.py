@@ -17,9 +17,11 @@ interpreter overhead whatever the vector size, stays as the fallback where
 no build matches numpy's complex rounding and as the C loop's bit-for-bit
 oracle.  Nothing else exists twice: ``_rk4`` lays the operator out once
 for both, and one chunk loop tabulates the substage times, envelopes and
-phase ramps per chunk of steps, each evaluated once on an array of times.
-Every element is computed exactly as a per-family loop computes it, so
-results are bit-identical to that loop.
+phase ramps per chunk of steps, each evaluated once on an array of times;
+``EpochHamiltonian.envelope_table`` fills the envelopes in one C call
+(``PulseEnvelope.value``, its oracle, without a kernel).  Every element is
+computed exactly as a per-family loop computes it, so results are
+bit-identical to that loop, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ BOUNDARY_TOL = 1e-10        # population near the window edge triggering growth
 EXTEND_BY = 8               # rungs added per auto-extension
 MAX_STATES = 40_000         # basis size an auto-extension may not exceed
 MAX_STEPS_PER_EPOCH = 10 ** 7   # RK4 steps one epoch may ask for
-ENVELOPE_CHUNK = 128        # steps whose envelopes are tabulated at once
+ENVELOPE_CHUNK = 2048       # steps whose envelopes are tabulated at once
 PHASE_TABLE_ELEMENTS = 2 ** 12  # ramps in one substage's phase table: caps
                                 # the chunk of an operator with a rate, and
                                 # with it the tables' memory
@@ -122,6 +124,8 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
     """
     single = isinstance(psi, WaveFunction)
     psis = [psi] if single else list(psi)
+    if not psis:
+        raise ConfigurationError("no wavefunction to evolve")
     if observer is not None and not (single and psi.amplitudes.ndim == 1):
         raise ConfigurationError("observers need a single wavefunction")
     bases = [p.basis for p in psis]
@@ -229,11 +233,13 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
     diagonal (B, n), partner indices (F, n), pattern and rate rows
     (F, 1|B, n), where a member axis of one is a row the members share,
     one phase table per substage and one scratch (4, B, n).  The substage
-    times, envelopes and phase ramps are tabulated for up to
-    ENVELOPE_CHUNK steps at a time, with at most PHASE_TABLE_ELEMENTS
-    ramps per substage, and each chunk runs up to each observer stop in
-    the C loop where ``ckernel.load`` gives one, in ``_numpy_loop``
-    otherwise; the two agree bit for bit.
+    times, envelopes (``h.envelope_table``) and phase ramps are tabulated
+    for up to ENVELOPE_CHUNK steps at a time, with at most
+    PHASE_TABLE_ELEMENTS ramps per substage, and each chunk runs up to each
+    observer stop in the C loop where ``ckernel.load`` gives one, in
+    ``_numpy_loop`` otherwise; the two agree bit for bit.  Every time and
+    table element is computed from its own step index, so the chunk size
+    is not in the bits.
     """
     if not (work.flags.c_contiguous and work.dtype == np.complex128):
         raise ValueError("the states must be C-contiguous complex128")

@@ -85,7 +85,11 @@ class PulseEnvelope:
     def value(self, t):
         """The envelope at the time or array of times ``t``, zero outside
         the closed window.  Each element is the scalar formula: math.sin
-        per element, since a SIMD np.sin may differ in the last bit."""
+        per element, since a SIMD np.sin may differ in the last bit.
+
+        The C kernel's ``rk4_envelopes`` tabulates the operator envelopes
+        with the same operations and libm's sin; this stays as its
+        fallback and as the oracle it is checked against bit for bit."""
         t = np.asarray(t, dtype=np.float64)
         inside = (t >= self.start) & (t <= self.end)
         out = np.zeros(t.shape)

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recoilsim import fringes
 from recoilsim.errors import (ConfigurationError, NoFringeError, PhysicsError)
 from recoilsim.fringes import (CoherenceEnvelope, GridSpec, contrast,
                                extract_spacing, ramsey_scan, scan_minimum_near,
@@ -189,6 +191,20 @@ def test_synthesize_is_the_per_arm_plane_wave_sum(atom, shape, arms,
     expected = plane_wave_sum(arms, grid, atom.wavenumber(), envelope_length)
     assert pattern.samples.shape == grid.shape
     assert pattern.samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4096,), (230, 240)])
+def test_synthesis_block_is_not_in_the_bits(atom, shape):
+    # blocks of one row (one sample on a 1-D grid), of rows that do not
+    # divide the grid, and of the whole grid give the same samples
+    grid = GridSpec(pitch=1e-9, shape=shape)
+    arms = [(0.5, 0, 0, 0.0), (0.5 + 0.2j, 40, 0, 0.3), (0.4, 20, 35, 1.1)]
+    envelope = CoherenceEnvelope(100e-9)
+    runs = []
+    for block in (1, 1000, 2 ** 14, 2 ** 20):
+        with mock.patch.object(fringes, "SYNTHESIS_BLOCK", block):
+            runs.append(synthesize(arms, grid, atom, envelope).samples)
+    assert all(run.tobytes() == runs[0].tobytes() for run in runs)
 
 
 def test_coherence_envelope_counts_enough_periods():

@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 from recoilsim import ckernel, propagate
 from recoilsim.basis import Basis, RecoilState, WaveFunction
 from recoilsim.errors import ConfigurationError, IntegrationError
-from recoilsim.hamiltonian import EpochHamiltonian, compile_epoch
+from recoilsim.hamiltonian import (EpochHamiltonian, compile_epoch,
+                                   compile_from_epoch)
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.propagate import (STABILITY_LIMIT, check_stability,
                                  evolve_plan)
 from recoilsim.pulses import (SINE_SQUARED, SQUARE, Epoch, PulseEnvelope,
-                              SequencePlan, effective_pulse,
-                              copropagating_pulse)
+                              SequencePlan, build_adiabatic_sequence,
+                              effective_pulse, copropagating_pulse)
 
 A, B, C, E1 = (InternalLevel.A, InternalLevel.B, InternalLevel.C,
                InternalLevel.E1)
@@ -446,6 +447,93 @@ def test_c_kernel_binder_holds_the_copies_it_passes():
         steps(table, m, 2, m)
         runs.append(work.tobytes())
     assert runs[0] == runs[1]
+
+
+@given(windows=st.lists(st.tuples(st.sampled_from([SQUARE, SINE_SQUARED]),
+                                  st.floats(0.0, 1e10), st.floats(-1e-3, 1e-3),
+                                  st.floats(1e-9, 1e-3)),
+                        min_size=1, max_size=4),
+       fractions=st.lists(st.floats(-0.5, 1.5), max_size=24))
+@settings(max_examples=100, deadline=None)
+def test_c_envelope_table_is_the_envelope_value_bit_for_bit(windows,
+                                                            fractions):
+    c_kernel_or_skip()
+    envelopes = [PulseEnvelope(*window) for window in windows]
+    # each window edge, the doubles either side of it, and times before,
+    # inside and after the window, for every family at once
+    times = np.array([t for e in envelopes for edge in (e.start, e.end)
+                      for t in (np.nextafter(edge, -np.inf), edge,
+                                np.nextafter(edge, np.inf))] +
+                     [e.start + x * e.duration for e in envelopes
+                      for x in fractions])
+    n, families = 2, len(envelopes)
+    h = EpochHamiltonian(np.zeros(n), np.zeros(n),
+                         np.tile(np.arange(n), (families, 1)),
+                         np.zeros((families, n), dtype=np.complex128),
+                         np.zeros((families, n)),
+                         tuple(e.value for e in envelopes),
+                         np.array([e.peak_rabi for e in envelopes]))
+    table = h.envelope_table(times)
+    with mock.patch.object(ckernel, "load", lambda: None):
+        fallback = h.envelope_table(times)
+    want = np.array([e.value(times) for e in envelopes])
+    assert table.tobytes() == fallback.tobytes() == want.tobytes()
+
+
+def test_loader_refuses_a_build_whose_envelope_probe_disagrees(monkeypatch):
+    c_kernel_or_skip()
+    value = PulseEnvelope.value
+    monkeypatch.setattr(PulseEnvelope, "value", lambda self, t: np.nextafter(
+        value(self, t), np.inf))
+    monkeypatch.setattr(ckernel, "_loaded", None)   # choose again
+    assert ckernel.load() is None
+    assert ckernel.engine() == "numpy"
+
+
+def chunk_cases(atom):
+    """A ladder epoch (two sine-squared beams, no rate) and a detuned Raman
+    pulse (a rate, so the phase table caps the chunk), each with a state,
+    a step count and an observer count whose stride divides none of the
+    chunks."""
+    epoch = build_adiabatic_sequence(2, 50e-9, 2 * math.pi * 1e8).epochs[1]
+    ladder = compile_from_epoch(propagate.ladder_basis([A, B, E1], [-2, -4]),
+                                epoch, atom)
+    omega = 2 * math.pi * 4e5
+    raman_epoch = two_level_plan(atom, omega, math.pi / omega,
+                                 0.3 * omega).epochs[0]
+    raman = compile_from_epoch(Basis([A, C], range(-4, 3)), raman_epoch, atom)
+    rng = np.random.default_rng(11)
+    for h, ep in ((ladder, epoch), (raman, raman_epoch)):
+        n = h.diagonal.shape[-1]
+        work = rng.normal(size=n) + 1j * rng.normal(size=n)
+        yield h, work / np.linalg.norm(work), ep, 4100, 3
+
+
+@pytest.mark.parametrize("engine", ["kernel", "numpy"])
+def test_rk4_bytes_do_not_depend_on_the_envelope_chunk(atom, engine):
+    if engine == "kernel":
+        c_kernel_or_skip()
+    loader = ckernel.load if engine == "kernel" else lambda: None
+    for h, start, epoch, n_steps, per_epoch in chunk_cases(atom):
+        assert n_steps // per_epoch % 7 and 2048 % (n_steps // per_epoch)
+        runs = []
+        for chunk in (1, 7, 128, 2048):
+            work = start.copy()
+            samples, observe = observed(work)
+            with mock.patch.object(propagate, "ENVELOPE_CHUNK", chunk), \
+                    mock.patch.object(ckernel, "load", loader):
+                t = propagate._rk4(h, work, epoch, n_steps, observe,
+                                   per_epoch)
+            runs.append((t, work.tobytes(),
+                         [(s, w.tobytes()) for s, w in samples]))
+        assert len(runs[0][2]) == per_epoch + 1
+        assert all(run == runs[0] for run in runs)
+
+
+def test_evolve_plan_refuses_an_empty_list(atom):
+    plan = two_level_plan(atom, 2 * math.pi * 4e5, 1e-6)
+    with pytest.raises(ConfigurationError):
+        evolve_plan([], plan, atom)
 
 
 def test_rk4_refuses_work_it_cannot_step_in_place():
