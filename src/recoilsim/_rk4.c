@@ -8,13 +8,22 @@
    kernels; build with -ffp-contract=off, and with -mfma -DUSE_FMA to match
    the latter.  rk4_probe lets the loader check which one a build matches.
 
-   Arrays are complex128 (pairs of doubles): states (B, n) and partner
-   indices perm (F, n), C-contiguous; pattern rows (F, B, n) with the
-   given family and member strides, a member stride of 0 for rows shared
-   by the members; the three phase tables, one (F, B, n) row per step laid
-   out as the pattern, or NULL when no family has a rate; the envelope
-   table (F, 3, m) of real values at each step's start, middle and end,
-   which rk4_envelopes fills. */
+   The states (B, n) come in and go out as complex128 (pairs of doubles),
+   C-contiguous.  In between, every state-sized array is split: all real
+   parts, then all imaginary parts, count doubles each.  So are the
+   diagonal (B, n) and the pattern rows (F, B, n), read with the given
+   family and member strides, a member stride of 0 for rows shared by the
+   members.  apply first gathers each family's partners, at the flat
+   indices partner (F, B, n), into a split buffer, so every arithmetic loop
+   is a straight run over contiguous doubles that the compiler vectorizes.
+   Each lane computes its element with the scalar formula (cmul, cadd),
+   the products with a real envelope {e, 0} and with the RK4 factors kept
+   whole, x * 0.0 terms included, so the layout is not in the bits, nor
+   in the sign of a zero or an infinity, and a NaN stays a NaN.  The three
+   phase tables, one (F, B, n) row per step laid out as the pattern, stay
+   complex128, or are NULL when no family has a rate; the envelope table
+   (F, 3, m) holds real values at each step's start, middle and end, which
+   rk4_envelopes fills. */
 
 #include <math.h>
 #include <stddef.h>
@@ -40,54 +49,139 @@ static inline cplx cadd(cplx a, cplx b)
 
 typedef struct {
     int64_t members, n, families, family_stride, member_stride, m;
-    const cplx *diag, *pattern;
-    const int64_t *perm;
-    const double *envelopes;
+    const double *diag, *pattern;       /* split */
+    const int64_t *partner;
+    double *gathered;                   /* split, B n */
 } op_t;
 
-/* out = H psi: the diagonal term, then each family's partner * pattern *
-   phase * envelope added in family order.  ``env`` points at the family-0
-   value of one substage column; families lie 3 m apart. */
-static void apply(const op_t *op, const cplx *psi, cplx *out,
-                  const double *env, const cplx *phase)
+/* out = diag * psi over ``count`` elements of split arrays whose
+   imaginary parts lie ``count`` further on. */
+static void diagonal(int64_t count, const double *restrict diag,
+                     const double *restrict psi, double *restrict out)
 {
-    const int64_t n = op->n, rows = op->members * n;
-    for (int64_t i = 0; i < rows; i++)
-        out[i] = cmul(op->diag[i], psi[i]);
-    for (int64_t f = 0; f < op->families; f++) {
-        const cplx e = {env[f * 3 * op->m], 0.0};
-        const int64_t *perm = op->perm + f * n;
-        for (int64_t b = 0; b < op->members; b++) {
-            const int64_t at = f * op->family_stride + b * op->member_stride;
-            const cplx *pattern = op->pattern + at;
-            const cplx *src = psi + b * n;
-            cplx *dst = out + b * n;
-            for (int64_t i = 0; i < n; i++) {
-                cplx g = cmul(src[perm[i]], pattern[i]);
-                if (phase)
-                    g = cmul(g, phase[at + i]);
-                dst[i] = cadd(dst[i], cmul(g, e));
-            }
+    for (int64_t i = 0; i < count; i++) {
+        const cplx d = {diag[i], diag[count + i]},
+                   p = {psi[i], psi[count + i]};
+        const cplx r = cmul(d, p);
+        out[i] = r.re;
+        out[count + i] = r.im;
+    }
+}
+
+/* out += gathered * pattern [* phase] * e over ``count`` elements; the
+   split arrays have their imaginary parts ``size``, ``table`` and ``size``
+   further on. */
+static void couple(int64_t count, int64_t size, int64_t table,
+                   const double *restrict g, const double *restrict pattern,
+                   const cplx *restrict phase, cplx e, double *restrict out)
+{
+    if (phase) {
+        for (int64_t i = 0; i < count; i++) {
+            const cplx a = {g[i], g[size + i]},
+                       p = {pattern[i], pattern[table + i]},
+                       o = {out[i], out[size + i]};
+            const cplx r = cadd(o, cmul(cmul(cmul(a, p), phase[i]), e));
+            out[i] = r.re;
+            out[size + i] = r.im;
+        }
+    } else {
+        for (int64_t i = 0; i < count; i++) {
+            const cplx a = {g[i], g[size + i]},
+                       p = {pattern[i], pattern[table + i]},
+                       o = {out[i], out[size + i]};
+            const cplx r = cadd(o, cmul(cmul(a, p), e));
+            out[i] = r.re;
+            out[size + i] = r.im;
         }
     }
 }
 
-/* Steps lo..hi-1 of a chunk of m tabulated steps, in place on ``work``.
-   ``coef`` holds the complex factors -i dt/2, -i dt, -i dt/6 and 2;
-   ``scratch`` room for 4 B n states. */
+/* out = H psi (split): the diagonal term, then each family's partner *
+   pattern * phase * envelope added in family order.  ``env`` points at
+   the family-0 value of one substage column; families lie 3 m apart.  A
+   member-strided pattern is one run over all B n elements, a shared row
+   one run per member. */
+static void apply(const op_t *op, const double *psi, double *out,
+                  const double *env, const cplx *phase)
+{
+    const int64_t n = op->n, size = op->members * n,
+                  table = op->families * op->family_stride,
+                  run = op->member_stride ? size : n;
+    double *g = op->gathered;
+    diagonal(size, op->diag, psi, out);
+    for (int64_t f = 0; f < op->families; f++) {
+        const cplx e = {env[f * 3 * op->m], 0.0};
+        const int64_t *partner = op->partner + f * size,
+                      at = f * op->family_stride;
+        for (int64_t i = 0; i < size; i++) {
+            g[i] = psi[partner[i]];
+            g[size + i] = psi[size + partner[i]];
+        }
+        for (int64_t b = 0; b < size; b += run)
+            couple(run, size, table, g + b, op->pattern + at,
+                   phase ? phase + at : NULL, e, out + b);
+    }
+}
+
+/* y = k * c + w over split arrays of ``count``; with ``acc``, also
+   acc += k. */
+static void stage(int64_t count, const double *restrict k, cplx c,
+                  const double *restrict w, double *restrict y,
+                  double *restrict acc)
+{
+    for (int64_t i = 0; i < count; i++) {
+        const cplx a = {k[i], k[count + i]}, b = {w[i], w[count + i]};
+        const cplx r = cadd(cmul(a, c), b);
+        y[i] = r.re;
+        y[count + i] = r.im;
+    }
+    if (acc)
+        for (int64_t i = 0; i < count; i++) {
+            const cplx a = {acc[i], acc[count + i]}, b = {k[i], k[count + i]};
+            const cplx r = cadd(a, b);
+            acc[i] = r.re;
+            acc[count + i] = r.im;
+        }
+}
+
+/* w += ((k2 * two + k1) + k4) * sixth over split arrays of ``count``. */
+static void finish(int64_t count, const double *restrict k1,
+                   const double *restrict k2, const double *restrict k4,
+                   cplx two, cplx sixth, double *restrict w)
+{
+    for (int64_t i = 0; i < count; i++) {
+        const cplx a = {k1[i], k1[count + i]}, b = {k2[i], k2[count + i]},
+                   d = {k4[i], k4[count + i]}, o = {w[i], w[count + i]};
+        const cplx r = cadd(o, cmul(cadd(cadd(cmul(b, two), a), d), sixth));
+        w[i] = r.re;
+        w[count + i] = r.im;
+    }
+}
+
+/* Steps lo..hi-1 of a chunk of m tabulated steps, in place on ``states``.
+   ``diag`` and ``pattern`` are split; ``coef`` holds the complex factors
+   -i dt/2, -i dt, -i dt/6 and 2; ``stages`` room for k1, k2, k3 and y, and
+   ``split`` for the states and the gathered partners, all split, 2 B n
+   doubles each. */
 void rk4_steps(int64_t members, int64_t n, int64_t families,
-               cplx *work, const cplx *diag, const int64_t *perm,
-               const cplx *pattern, int64_t family_stride,
+               cplx *states, const double *diag, const int64_t *partner,
+               const double *pattern, int64_t family_stride,
                int64_t member_stride,
                const cplx *phase_start, const cplx *phase_mid,
-               const cplx *phase_end, const cplx *coef, cplx *scratch,
+               const cplx *phase_end, const cplx *coef, double *stages,
+               double *split,
                const double *envelopes, int64_t m, int64_t lo, int64_t hi)
 {
-    const op_t op = {members, n, families, family_stride, member_stride, m,
-                     diag, pattern, perm, envelopes};
     const int64_t size = members * n, table = families * family_stride;
+    double *k1 = stages, *k2 = k1 + 2 * size, *k3 = k2 + 2 * size,
+           *y = k3 + 2 * size, *w = split, *g = w + 2 * size;
+    const op_t op = {members, n, families, family_stride, member_stride, m,
+                     diag, pattern, partner, g};
     const cplx half = coef[0], full = coef[1], sixth = coef[2], two = coef[3];
-    cplx *k1 = scratch, *k2 = k1 + size, *k3 = k2 + size, *y = k3 + size;
+    for (int64_t i = 0; i < size; i++) {
+        w[i] = states[i].re;
+        w[size + i] = states[i].im;
+    }
     for (int64_t j = lo; j < hi; j++) {
         const double *env = envelopes + j;
         const cplx *ps = NULL, *pm = NULL, *pe = NULL;
@@ -96,22 +190,18 @@ void rk4_steps(int64_t members, int64_t n, int64_t families,
             pm = phase_mid + j * table;
             pe = phase_end + j * table;
         }
-        apply(&op, work, k1, env, ps);
-        for (int64_t i = 0; i < size; i++)
-            y[i] = cadd(cmul(k1[i], half), work[i]);
+        apply(&op, w, k1, env, ps);
+        stage(size, k1, half, w, y, NULL);
         apply(&op, y, k2, env + m, pm);
-        for (int64_t i = 0; i < size; i++)
-            y[i] = cadd(cmul(k2[i], half), work[i]);
+        stage(size, k2, half, w, y, NULL);
         apply(&op, y, k3, env + m, pm);
-        for (int64_t i = 0; i < size; i++) {
-            y[i] = cadd(cmul(k3[i], full), work[i]);
-            k2[i] = cadd(k2[i], k3[i]);
-        }
+        stage(size, k3, full, w, y, k2);
         apply(&op, y, k3, env + 2 * m, pe);         /* k4 */
-        for (int64_t i = 0; i < size; i++) {
-            cplx s = cadd(cadd(cmul(k2[i], two), k1[i]), k3[i]);
-            work[i] = cadd(work[i], cmul(s, sixth));
-        }
+        finish(size, k1, k2, k3, two, sixth, w);
+    }
+    for (int64_t i = 0; i < size; i++) {
+        states[i].re = w[i];
+        states[i].im = w[size + i];
     }
 }
 

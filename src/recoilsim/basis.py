@@ -68,6 +68,7 @@ class Basis:
         grid = np.meshgrid(codes, self.rungs_z, self.rungs_x, indexing="ij")
         self.level_codes, self.n_z, self.n_x = (g.ravel() for g in grid)
         self.n_squared = self.n_z ** 2 + self.n_x ** 2
+        self._level_masks = {}
 
     def __len__(self):
         return len(self.level_codes)
@@ -98,8 +99,16 @@ class Basis:
                            int(self.n_x[i]))
 
     def level_mask(self, levels: Iterable[InternalLevel]) -> np.ndarray:
-        codes = {LEVEL_ORDER[lv] for lv in levels}
-        return np.isin(self.level_codes, list(codes))
+        """Which states lie on one of ``levels``: read-only, made once per
+        set of levels, as observers ask for the same mask at every
+        sample."""
+        codes = frozenset(LEVEL_ORDER[lv] for lv in levels)
+        mask = self._level_masks.get(codes)
+        if mask is None:
+            mask = np.isin(self.level_codes, list(codes))
+            mask.flags.writeable = False
+            self._level_masks[codes] = mask
+        return mask
 
     def window_z(self) -> tuple[int, int]:
         return int(self.rungs_z[0]), int(self.rungs_z[-1])

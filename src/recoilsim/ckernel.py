@@ -8,15 +8,17 @@ opens it with ctypes.  Two builds exist: a plain one, and one that fuses
 each real part of a complex product into one multiply-add (``-mfma``), as
 numpy's FMA kernels do.  The build is the one whose complex product numpy
 matches on fixed probe operands, and it is used only once its own product
-of them equals numpy's bit for bit, and its envelope table of fixed probe
-windows and times equals ``PulseEnvelope.value`` bit for bit; the FMA
-build is never run on a CPU that numpy reports without FMA3.  With no such
-build, no compiler or no writable cache, ``load()`` returns None, and the
-numpy loop and ``PulseEnvelope.value`` run.
+of them equals numpy's bit for bit, its envelope table of fixed probe
+windows and times equals ``PulseEnvelope.value`` bit for bit, and its
+steps on two fixed probe operators equal ``propagate._numpy_loop``'s bit
+for bit; the FMA build is never run on a CPU that numpy reports without
+FMA3.  With no such build, no compiler or no writable cache, ``load()``
+returns None, and the numpy loop and ``PulseEnvelope.value`` run.
 """
 
 from __future__ import annotations
 
+import cmath
 import ctypes
 import math
 import os
@@ -87,10 +89,47 @@ def _envelope_probe():
     return windows, times
 
 
+def _step_probes():
+    """Binder arguments and a 2-step envelope table for two fixed operators
+    in ``propagate._rk4``'s layout, made of plain Python numbers, so the
+    probe pages in no numpy code that a run would not.  Both have 2 members
+    of 19 states, so a vector body and a remainder both run; a diagonal
+    real (imaginary parts -0.0) for one member and complex for the other; a
+    state component of -0.0; 2 families, one real (imaginary parts +0.0
+    and -0.0); and steps long enough that a one-ulp change in a stage
+    reaches the state.  In the first, a row per member and a phase ramp on
+    the complex family; in the second, rows the members share and no
+    rate."""
+    members, n, steps = 2, 19, 2
+    grid = [(b, k) for b in range(members) for k in range(n)]
+
+    def rows(values):
+        return np.array(list(values)).reshape(members, n)
+    states = rows(complex(math.cos(k + 7 * b), math.sin(3 * k - b))
+                  for b, k in grid)
+    states[0, 5] = complex(-0.0, 0.25)
+    diag = rows(complex(k - 9 + 0.5 * b, -0.05 * b * k) for b, k in grid)
+    perm = np.array([[k ^ 1 if k ^ 1 < n else k for k in range(n)],
+                     [n - 1 - k for k in range(n)]])
+    pattern = np.array([
+        rows(complex(1.5 - k / 7, math.copysign(0.0, k % 3 - 1))
+             for _, k in grid),
+        rows(complex(math.sin(k + b), math.cos(2 * k)) for b, k in grid)])
+    ramp = rows(cmath.exp(0.3j * (k - 9 + b)) for b, k in grid)
+    phases = [np.array([[np.ones((members, n)), ramp]] * steps)] * 3
+    dt = 0.25
+    coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6.0, 2.0])
+    scratch = np.empty((4, members, n), dtype=np.complex128)
+    table = np.array([[0.5 + 0.1 * j + f for j in range(3 * steps)]
+                      for f in range(2)])
+    yield states, diag, perm, pattern, phases, coef, scratch, table
+    yield states, diag, perm, pattern[:, :1], [None] * 3, coef, scratch, table
+
+
 def _open(flags: tuple):
     """The build with ``flags`` as a ``Kernel``, or None unless its probe
-    product equals numpy's and its probe envelopes ``PulseEnvelope.value``,
-    bit for bit."""
+    product equals numpy's, its probe envelopes ``PulseEnvelope.value``,
+    and its probe steps ``propagate._numpy_loop``'s, bit for bit."""
     path = _library(flags)
     if path is None:
         return None
@@ -108,7 +147,7 @@ def _open(flags: tuple):
     if out.tobytes() != (a * b).tobytes():
         return None
     steps.argtypes = (ctypes.c_int64,) * 3 + (ctypes.c_void_p,) * 4 + \
-        (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6 + (ctypes.c_int64,) * 3
+        (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 7 + (ctypes.c_int64,) * 3
     steps.restype = None
     envelopes.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + \
         (ctypes.c_int64, ctypes.c_void_p)
@@ -118,6 +157,15 @@ def _open(flags: tuple):
     if kernel.envelope_table(windows, times).tobytes() != \
             np.array([w.value(times) for w in windows]).tobytes():
         return None
+    from .propagate import _numpy_loop
+    for states, *layout, table in _step_probes():
+        runs = []
+        for loop in (kernel, _numpy_loop):
+            work, m = states.copy(), len(table[0]) // 3
+            loop(work, *layout)(table, m, 0, m)
+            runs.append(work.tobytes())
+        if runs[0] != runs[1]:
+            return None
     return kernel
 
 
@@ -151,9 +199,14 @@ def bind(rk4_steps, states, diag, perm, pattern, phases, coef, scratch):
     ``rk4_steps`` in place on ``states``, on the operator layout of
     ``propagate._rk4``.  ``states`` and the phase tables, refilled between
     calls, must be C-contiguous complex128; the other arrays are copied
-    into that form if need be.  A pattern row shared by the members is
-    read with a member stride of 0.  ``steps`` holds every array whose
-    pointer it passes."""
+    into that form if need be.  The kernel reads and writes ``states`` once
+    per call and keeps every state-sized array split into real and
+    imaginary parts in between, its RK4 stages in the memory of
+    ``scratch``.  The diagonal and the pattern are split here, once per
+    bind, into float64 copies (real parts, then imaginary parts), and the
+    partner indices turned into flat indices into the (B, n) states.  A
+    pattern row shared by the members is read with a member stride of 0.
+    ``steps`` holds every array whose pointer it passes."""
     members, n = states.shape
     diag, pattern, coef, scratch = (np.ascontiguousarray(
         a, dtype=np.complex128) for a in (diag, pattern, coef, scratch))
@@ -172,12 +225,17 @@ def bind(rk4_steps, states, diag, perm, pattern, phases, coef, scratch):
     if perm.shape != (families, n) or \
             perm.size and not 0 <= perm.min() <= perm.max() < n:
         raise ValueError("partner index outside the states")
-    held = (states, diag, perm, pattern, *tables, coef, scratch)
+    # (2, count) float64: the real parts, then the imaginary parts
+    diag, pattern = (a.view(np.float64).reshape(-1, 2).T.copy()
+                     for a in (diag, pattern))
+    partner = perm[:, None] + np.arange(0, members * n, n)[:, None]
+    split = np.empty(4 * states.size)   # the states, the gathered partners
+    held = (states, diag, partner, pattern, *tables, coef, scratch, split)
     fixed = (members, n, families, states.ctypes.data, diag.ctypes.data,
-             perm.ctypes.data, pattern.ctypes.data, rows * n,
+             partner.ctypes.data, pattern.ctypes.data, rows * n,
              n if rows > 1 else 0,
              *([p.ctypes.data for p in tables] or [None] * 3),
-             coef.ctypes.data, scratch.ctypes.data)
+             coef.ctypes.data, scratch.ctypes.data, split.ctypes.data)
 
     def steps(table, m, lo, hi):
         if table.dtype != np.float64 or not table.flags.c_contiguous or \

@@ -11,7 +11,8 @@ stage, each compiled on its own lattice, are stacked into one batch
 wherever their reduced operators couple alike.
 
 The vectors are short (2 to a few hundred states), so the step loop runs
-in C (``ckernel``, ``_rk4.c``), one chunk of steps per call; the numpy
+in C (``ckernel``, ``_rk4.c``), one chunk of steps per call, on split real
+and imaginary arrays that the compiler vectorizes; the numpy
 loop (``_numpy_loop``), whose every step costs a few dozen calls of
 interpreter overhead whatever the vector size, stays as the fallback where
 no build matches numpy's complex rounding and as the C loop's bit-for-bit
@@ -232,14 +233,16 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
     The operator is laid out once, for either step loop: states and
     diagonal (B, n), partner indices (F, n), pattern and rate rows
     (F, 1|B, n), where a member axis of one is a row the members share,
-    one phase table per substage and one scratch (4, B, n).  The substage
-    times, envelopes (``h.envelope_table``) and phase ramps are tabulated
-    for up to ENVELOPE_CHUNK steps at a time, with at most
-    PHASE_TABLE_ELEMENTS ramps per substage, and each chunk runs up to each
-    observer stop in the C loop where ``ckernel.load`` gives one, in
-    ``_numpy_loop`` otherwise; the two agree bit for bit.  Every time and
-    table element is computed from its own step index, so the chunk size
-    is not in the bits.
+    one phase table per substage and one scratch (4, B, n) for the RK4
+    stages; ``ckernel.bind`` splits the diagonal and pattern into real and
+    imaginary arrays for the C loop, which converts the states in and out
+    once per call.  The substage times, envelopes (``h.envelope_table``)
+    and phase ramps are tabulated for up to ENVELOPE_CHUNK steps at a time,
+    with at most PHASE_TABLE_ELEMENTS ramps per substage, and each chunk
+    runs up to each observer stop in the C loop where ``ckernel.load``
+    gives one, in ``_numpy_loop`` otherwise; the two agree bit for bit.
+    Every time and table element is computed from its own step index, so
+    the chunk size is not in the bits.
     """
     if not (work.flags.c_contiguous and work.dtype == np.complex128):
         raise ValueError("the states must be C-contiguous complex128")

@@ -72,6 +72,17 @@ def test_build_deterministic_and_indexable(levels, window_z, window_x):
     assert b1.locate([], [], []).shape == (0,)
 
 
+def test_level_mask_is_made_once_per_set_of_levels_and_read_only():
+    basis = Basis([A, B, C, E1], range(-3, 2), (0, 1))
+    mask = basis.level_mask([B, E1])
+    assert mask.tolist() == [basis.state(i).level in (B, E1)
+                             for i in range(len(basis))]
+    assert basis.level_mask((E1, B, E1)) is mask
+    assert basis.level_mask([B]) is not mask
+    with pytest.raises(ValueError):
+        mask[0] = True
+
+
 def test_span_window_guard():
     assert list(span_window([0, -10], guard=3)) == list(range(-13, 4))
 

@@ -294,11 +294,18 @@ def kernel_cases(draw):
     a perfect matching with an unbatched or (B, n) pattern (an unbatched
     row repeated over the members when another family is batched), rates
     and decay on or off, and square or sine^2 windows that may open or
-    close inside the epoch; ``scale`` sets the time unit.  The envelope
-    chunk and phase-table budget drawn last give chunks of one step and
-    partial chunks, with rates and without."""
+    close inside the epoch; ``scale`` sets the time unit.  Up to 40 states,
+    so the C loop's vector bodies run as well as their remainders.  A real
+    operator (ladder's case) has patterns and a diagonal whose imaginary
+    parts are +0.0 or -0.0, and the state may hold exact zeros of either
+    sign.  The envelope chunk and phase-table budget drawn last give chunks
+    of one step and partial chunks, with rates and without."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n = draw(st.integers(2, 9))
+
+    def signed_zeros(shape):
+        return np.copysign(0.0, rng.normal(size=shape))
+    n = draw(st.integers(2, 40))
+    real = draw(st.booleans())
     batch = draw(st.sampled_from([None, 1, 3]))
     shape = (n,) if batch is None else (batch, n)
     scale = draw(st.sampled_from([1.0, 1e-7]))
@@ -317,7 +324,9 @@ def kernel_cases(draw):
         perm[i], perm[j] = j, i
         fam_shape = per_member()
         half = np.zeros(fam_shape[:-1] + (m,), dtype=np.complex128)
-        half += rng.normal(size=half.shape) + 1j * rng.normal(size=half.shape)
+        half.real = rng.normal(size=half.shape)
+        half.imag = signed_zeros(half.shape) if real else \
+            rng.normal(size=half.shape)
         pattern = np.zeros(fam_shape, dtype=np.complex128)
         pattern[..., j] = half
         pattern[..., i] = np.conj(half)
@@ -333,6 +342,9 @@ def kernel_cases(draw):
                                duration * draw(st.floats(0.1, 1.5)))
         families.append((perm, pattern, rate, window))
     diagonal = rng.normal(size=per_member()) / scale
+    if real:    # set apart: x + 1j * -0.0 has an imaginary part of +0.0
+        diagonal = diagonal.astype(np.complex128)
+        diagonal.imag = signed_zeros(diagonal.shape)
     decay = np.zeros(per_member())
     if draw(st.booleans()):
         decay[..., ::2] = rng.uniform(0.0, 1.0, size=decay[..., ::2].shape) \
@@ -350,6 +362,10 @@ def kernel_cases(draw):
         tuple(window.value for *_, window in families),
         np.array([window.peak_rabi for *_, window in families]))
     work = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if draw(st.booleans()):
+        for part in (work.real, work.imag):
+            zero = rng.random(size=shape) < 0.3
+            part[zero] = signed_zeros(shape)[zero]
     stable = math.ceil(duration * float(np.max(h.max_element())) / 0.05)
     n_steps = max(draw(st.integers(1, 40)), stable)
     return (h, work, Epoch(t_start, duration, ()), n_steps,
@@ -485,6 +501,24 @@ def test_loader_refuses_a_build_whose_envelope_probe_disagrees(monkeypatch):
     value = PulseEnvelope.value
     monkeypatch.setattr(PulseEnvelope, "value", lambda self, t: np.nextafter(
         value(self, t), np.inf))
+    monkeypatch.setattr(ckernel, "_loaded", None)   # choose again
+    assert ckernel.load() is None
+    assert ckernel.engine() == "numpy"
+
+
+def test_loader_refuses_a_build_whose_step_probe_disagrees(monkeypatch):
+    c_kernel_or_skip()
+    loop = propagate._numpy_loop
+
+    def nudged(states, *layout):
+        steps = loop(states, *layout)
+
+        def run(*chunk):
+            steps(*chunk)
+            # the last state: in the remainder after the vector body
+            states.real[-1, -1] = np.nextafter(states.real[-1, -1], np.inf)
+        return run
+    monkeypatch.setattr(propagate, "_numpy_loop", nudged)
     monkeypatch.setattr(ckernel, "_loaded", None)   # choose again
     assert ckernel.load() is None
     assert ckernel.engine() == "numpy"
