@@ -10,12 +10,12 @@
 
    The states (B, n) come in and go out as complex128 (pairs of doubles),
    C-contiguous.  In between, every state-sized array is split: all real
-   parts, then all imaginary parts, count doubles each.  So are the
-   diagonal (B, n) and the pattern rows (F, B, n), read with the given
-   family and member strides, a member stride of 0 for rows shared by the
-   members.  apply first gathers each family's partners, at the flat
-   indices partner (F, B, n), into a split buffer, so every arithmetic loop
-   is a straight run over contiguous doubles that the compiler vectorizes.
+   parts, then all imaginary parts, size = B n doubles each.  So are the
+   diagonal (B, n) and the pattern rows (F, B, n), one run of size per
+   family: the kernel sees flat arrays and no batch member.  apply first
+   gathers each family's partners, at the flat indices partner (F, B, n),
+   into a split buffer, so every arithmetic loop is a straight run over
+   contiguous doubles that the compiler vectorizes.
    Each lane computes its element with the scalar formula (cmul, cadd),
    the products with a real envelope {e, 0} and with the RK4 factors kept
    whole, x * 0.0 terms included, so the layout is not in the bits, nor
@@ -48,7 +48,7 @@ static inline cplx cadd(cplx a, cplx b)
 }
 
 typedef struct {
-    int64_t members, n, families, family_stride, member_stride, m;
+    int64_t size, families, m;
     const double *diag, *pattern;       /* split */
     const int64_t *partner;
     double *gathered;                   /* split, B n */
@@ -68,15 +68,15 @@ static void diagonal(int64_t count, const double *restrict diag,
     }
 }
 
-/* out += gathered * pattern [* phase] * e over ``count`` elements; the
+/* out += gathered * pattern [* phase] * e over ``size`` elements; the
    split arrays have their imaginary parts ``size``, ``table`` and ``size``
    further on. */
-static void couple(int64_t count, int64_t size, int64_t table,
-                   const double *restrict g, const double *restrict pattern,
+static void couple(int64_t size, int64_t table, const double *restrict g,
+                   const double *restrict pattern,
                    const cplx *restrict phase, cplx e, double *restrict out)
 {
     if (phase) {
-        for (int64_t i = 0; i < count; i++) {
+        for (int64_t i = 0; i < size; i++) {
             const cplx a = {g[i], g[size + i]},
                        p = {pattern[i], pattern[table + i]},
                        o = {out[i], out[size + i]};
@@ -85,7 +85,7 @@ static void couple(int64_t count, int64_t size, int64_t table,
             out[size + i] = r.im;
         }
     } else {
-        for (int64_t i = 0; i < count; i++) {
+        for (int64_t i = 0; i < size; i++) {
             const cplx a = {g[i], g[size + i]},
                        p = {pattern[i], pattern[table + i]},
                        o = {out[i], out[size + i]};
@@ -97,29 +97,24 @@ static void couple(int64_t count, int64_t size, int64_t table,
 }
 
 /* out = H psi (split): the diagonal term, then each family's partner *
-   pattern * phase * envelope added in family order.  ``env`` points at
-   the family-0 value of one substage column; families lie 3 m apart.  A
-   member-strided pattern is one run over all B n elements, a shared row
-   one run per member. */
+   pattern * phase * envelope added in family order, one run over all
+   ``size`` elements each.  ``env`` points at the family-0 value of one
+   substage column; families lie 3 m apart. */
 static void apply(const op_t *op, const double *psi, double *out,
                   const double *env, const cplx *phase)
 {
-    const int64_t n = op->n, size = op->members * n,
-                  table = op->families * op->family_stride,
-                  run = op->member_stride ? size : n;
+    const int64_t size = op->size, table = op->families * size;
     double *g = op->gathered;
     diagonal(size, op->diag, psi, out);
     for (int64_t f = 0; f < op->families; f++) {
         const cplx e = {env[f * 3 * op->m], 0.0};
-        const int64_t *partner = op->partner + f * size,
-                      at = f * op->family_stride;
+        const int64_t *partner = op->partner + f * size;
         for (int64_t i = 0; i < size; i++) {
             g[i] = psi[partner[i]];
             g[size + i] = psi[size + partner[i]];
         }
-        for (int64_t b = 0; b < size; b += run)
-            couple(run, size, table, g + b, op->pattern + at,
-                   phase ? phase + at : NULL, e, out + b);
+        couple(size, table, g, op->pattern + f * size,
+               phase ? phase + f * size : NULL, e, out);
     }
 }
 
@@ -158,25 +153,23 @@ static void finish(int64_t count, const double *restrict k1,
     }
 }
 
-/* Steps lo..hi-1 of a chunk of m tabulated steps, in place on ``states``.
-   ``diag`` and ``pattern`` are split; ``coef`` holds the complex factors
-   -i dt/2, -i dt, -i dt/6 and 2; ``stages`` room for k1, k2, k3 and y, and
-   ``split`` for the states and the gathered partners, all split, 2 B n
+/* Steps lo..hi-1 of a chunk of m tabulated steps, in place on the
+   ``size`` complex ``states``, coupled by ``families`` families.  ``diag``
+   and ``pattern`` are split; ``coef`` holds the complex factors -i dt/2,
+   -i dt, -i dt/6 and 2; ``stages`` room for k1, k2, k3 and y, and
+   ``split`` for the states and the gathered partners, all split, 2 size
    doubles each. */
-void rk4_steps(int64_t members, int64_t n, int64_t families,
-               cplx *states, const double *diag, const int64_t *partner,
-               const double *pattern, int64_t family_stride,
-               int64_t member_stride,
-               const cplx *phase_start, const cplx *phase_mid,
-               const cplx *phase_end, const cplx *coef, double *stages,
-               double *split,
+void rk4_steps(int64_t size, int64_t families, cplx *states,
+               const double *diag, const int64_t *partner,
+               const double *pattern, const cplx *phase_start,
+               const cplx *phase_mid, const cplx *phase_end,
+               const cplx *coef, double *stages, double *split,
                const double *envelopes, int64_t m, int64_t lo, int64_t hi)
 {
-    const int64_t size = members * n, table = families * family_stride;
+    const int64_t table = families * size;
     double *k1 = stages, *k2 = k1 + 2 * size, *k3 = k2 + 2 * size,
            *y = k3 + 2 * size, *w = split, *g = w + 2 * size;
-    const op_t op = {members, n, families, family_stride, member_stride, m,
-                     diag, pattern, partner, g};
+    const op_t op = {size, families, m, diag, pattern, partner, g};
     const cplx half = coef[0], full = coef[1], sixth = coef[2], two = coef[3];
     for (int64_t i = 0; i < size; i++) {
         w[i] = states[i].re;

@@ -97,9 +97,8 @@ def _step_probes():
     real (imaginary parts -0.0) for one member and complex for the other; a
     state component of -0.0; 2 families, one real (imaginary parts +0.0
     and -0.0); and steps long enough that a one-ulp change in a stage
-    reaches the state.  In the first, a row per member and a phase ramp on
-    the complex family; in the second, rows the members share and no
-    rate."""
+    reaches the state.  The first has a phase ramp on the complex family,
+    the second the same rows and no rate."""
     members, n, steps = 2, 19, 2
     grid = [(b, k) for b in range(members) for k in range(n)]
 
@@ -109,8 +108,9 @@ def _step_probes():
                   for b, k in grid)
     states[0, 5] = complex(-0.0, 0.25)
     diag = rows(complex(k - 9 + 0.5 * b, -0.05 * b * k) for b, k in grid)
-    perm = np.array([[k ^ 1 if k ^ 1 < n else k for k in range(n)],
-                     [n - 1 - k for k in range(n)]])
+    partner = np.array([
+        rows(b * n + (k ^ 1 if k ^ 1 < n else k) for b, k in grid),
+        rows(b * n + n - 1 - k for b, k in grid)])
     pattern = np.array([
         rows(complex(1.5 - k / 7, math.copysign(0.0, k % 3 - 1))
              for _, k in grid),
@@ -122,8 +122,8 @@ def _step_probes():
     scratch = np.empty((4, members, n), dtype=np.complex128)
     table = np.array([[0.5 + 0.1 * j + f for j in range(3 * steps)]
                       for f in range(2)])
-    yield states, diag, perm, pattern, phases, coef, scratch, table
-    yield states, diag, perm, pattern[:, :1], [None] * 3, coef, scratch, table
+    yield states, diag, partner, pattern, phases, coef, scratch, table
+    yield states, diag, partner, pattern, [None] * 3, coef, scratch, table
 
 
 def _open(flags: tuple):
@@ -146,8 +146,8 @@ def _open(flags: tuple):
     probe(a.ctypes.data, b.ctypes.data, out.ctypes.data, len(a))
     if out.tobytes() != (a * b).tobytes():
         return None
-    steps.argtypes = (ctypes.c_int64,) * 3 + (ctypes.c_void_p,) * 4 + \
-        (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 7 + (ctypes.c_int64,) * 3
+    steps.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 11 + \
+        (ctypes.c_int64,) * 3
     steps.restype = None
     envelopes.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + \
         (ctypes.c_int64, ctypes.c_void_p)
@@ -176,9 +176,8 @@ class Kernel:
     def __init__(self, rk4_steps, rk4_envelopes):
         self._steps, self._envelopes = rk4_steps, rk4_envelopes
 
-    def __call__(self, states, diag, perm, pattern, phases, coef, scratch):
-        return bind(self._steps, states, diag, perm, pattern, phases, coef,
-                    scratch)
+    def __call__(self, *layout):
+        return bind(self._steps, *layout)
 
     def envelope_table(self, envelopes, times) -> np.ndarray:
         """The ``PulseEnvelope``s ``envelopes`` at the 1-D ``times``,
@@ -194,46 +193,43 @@ class Kernel:
         return out
 
 
-def bind(rk4_steps, states, diag, perm, pattern, phases, coef, scratch):
+def bind(rk4_steps, states, diag, partner, pattern, phases, coef, scratch):
     """``steps(table, m, lo, hi)``: steps lo..hi-1 of a chunk of m, run by
     ``rk4_steps`` in place on ``states``, on the operator layout of
-    ``propagate._rk4``.  ``states`` and the phase tables, refilled between
-    calls, must be C-contiguous complex128; the other arrays are copied
-    into that form if need be.  The kernel reads and writes ``states`` once
-    per call and keeps every state-sized array split into real and
-    imaginary parts in between, its RK4 stages in the memory of
-    ``scratch``.  The diagonal and the pattern are split here, once per
-    bind, into float64 copies (real parts, then imaginary parts), and the
-    partner indices turned into flat indices into the (B, n) states.  A
-    pattern row shared by the members is read with a member stride of 0.
-    ``steps`` holds every array whose pointer it passes."""
-    members, n = states.shape
+    ``propagate._rk4``: states and diagonal (B, n), flat partner indices
+    into the states, pattern and phase rows (F, B, n).  ``states`` and the
+    phase tables, refilled between calls, must be C-contiguous complex128;
+    the other arrays are copied into that form if need be.  The kernel
+    reads and writes ``states`` once per call and keeps every state-sized
+    array split into real and imaginary parts in between, its RK4 stages
+    in the memory of ``scratch``.  The diagonal and the pattern are split
+    here, once per bind, into float64 copies (real parts, then imaginary
+    parts).  Every check is made before a pointer reaches C, and ``steps``
+    holds every array whose pointer it passes."""
     diag, pattern, coef, scratch = (np.ascontiguousarray(
         a, dtype=np.complex128) for a in (diag, pattern, coef, scratch))
-    perm = np.ascontiguousarray(perm, dtype=np.int64)
-    families, rows = len(perm), pattern.shape[1]
+    partner = np.ascontiguousarray(partner, dtype=np.int64)
+    families = len(pattern)
     tables = [p for p in phases if p is not None]
     chunk = len(tables[0]) if tables else np.inf
     if len(tables) not in (0, 3) or not all(
             a.dtype == np.complex128 and a.flags.c_contiguous
             for a in (states, *tables)) or \
-            (diag.shape, scratch.shape, coef.shape) != \
-            (states.shape, (4,) + states.shape, (4,)) or \
-            any(p.shape != (chunk,) + pattern.shape for p in tables) or \
-            pattern.shape != (families, rows, n) or rows not in (1, members):
+            (diag.shape, scratch.shape, coef.shape, pattern.shape) != \
+            (states.shape, (4,) + states.shape, (4,),
+             (families,) + states.shape) or \
+            any(p.shape != (chunk,) + pattern.shape for p in tables):
         raise ValueError("arrays outside the (B, n) operator layout")
-    if perm.shape != (families, n) or \
-            perm.size and not 0 <= perm.min() <= perm.max() < n:
+    if partner.shape != pattern.shape or partner.size and \
+            not 0 <= partner.min() <= partner.max() < states.size:
         raise ValueError("partner index outside the states")
     # (2, count) float64: the real parts, then the imaginary parts
     diag, pattern = (a.view(np.float64).reshape(-1, 2).T.copy()
                      for a in (diag, pattern))
-    partner = perm[:, None] + np.arange(0, members * n, n)[:, None]
     split = np.empty(4 * states.size)   # the states, the gathered partners
     held = (states, diag, partner, pattern, *tables, coef, scratch, split)
-    fixed = (members, n, families, states.ctypes.data, diag.ctypes.data,
-             partner.ctypes.data, pattern.ctypes.data, rows * n,
-             n if rows > 1 else 0,
+    fixed = (states.size, families, states.ctypes.data, diag.ctypes.data,
+             partner.ctypes.data, pattern.ctypes.data,
              *([p.ctypes.data for p in tables] or [None] * 3),
              coef.ctypes.data, scratch.ctypes.data, split.ctypes.data)
 

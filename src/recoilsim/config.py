@@ -267,9 +267,8 @@ def validate_config(doc: dict) -> ResolvedConfig:
     # an oversized grid, or one too short or too coarse for the fringes of
     # the arms a plan will recombine, fails before any run
     if "grid_samples" in output:
-        grid = grid_from_output(cfg)
-        if plan in ("split1d", "split2d"):
-            validate_grid(arm_separation(cfg.params), grid, atom.wavenumber())
+        validate_grid(arm_separation(cfg.params), grid_from_output(cfg),
+                      atom.wavenumber())
     return cfg
 
 

@@ -142,8 +142,7 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
         raise ConfigurationError(
             f"arm amplitudes summing to {total:.3g} overflow the intensity")
     k = atom.wavenumber()
-    _, n_z, n_x, _ = zip(*entries)
-    validate_grid((max(n_z) - min(n_z), max(n_x) - min(n_x)), grid, k)
+    validate_grid(arm_spread([(nz, nx) for _, nz, nx, _ in entries]), grid, k)
 
     z = grid.coordinates(0)[:, None]
     x = grid.coordinates(1)[None, :]
@@ -176,6 +175,13 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
     if peak > 0:
         intensity /= peak
     return FringePattern(grid=grid, samples=intensity.reshape(grid.shape))
+
+
+def arm_spread(rungs) -> tuple[float, float]:
+    """The separation, in recoils, of the farthest-apart arms on
+    ``rungs`` (n_z, n_x), along z and along x, in floats: near the float
+    limit it is infinite, which ``validate_grid`` rejects."""
+    return tuple(float(max(ns)) - float(min(ns)) for ns in zip(*rungs))
 
 
 def validate_grid(separations, grid: GridSpec, k: float) -> None:

@@ -16,8 +16,7 @@ also the physical content of the momentum selection rules: within one
 family a state can only ever reach its single partner.  A compiled operator
 holds its F families stacked, in one format from compile to step: partner
 indices ``perm`` (F, n), ``pattern`` and phase-ramp ``rate`` (F, n) or
-(F, B, n), and one envelope (a ``PulseEnvelope``'s bound ``value``) and
-one peak per family, so that
+(F, B, n), and one ``PulseEnvelope`` and one peak per family, so that
 
     H[i, perm[f, i]] += envelope_f(t) * pattern[f, i] * e^{i rate[f, i] t}.
 
@@ -71,7 +70,7 @@ class EpochHamiltonian:
     perm: np.ndarray        # (F, n) partner per state (identity where uncoupled)
     pattern: np.ndarray     # complex (F, n) or (F, B, n)
     rate: np.ndarray        # rad/s phase ramp, shaped like pattern (anti-symmetric over the matching)
-    envelopes: tuple        # per family: a PulseEnvelope's bound value
+    envelopes: tuple        # per family: a PulseEnvelope
     peak: np.ndarray        # (F,) peak envelope per family
     _bound: tuple | None = field(default=None, init=False, repr=False)
 
@@ -96,9 +95,8 @@ class EpochHamiltonian:
         from . import ckernel     # not at import: the loader is run-time only
         kernel = ckernel.load()
         if kernel is not None:
-            return kernel.envelope_table(
-                [value.__self__ for value in self.envelopes], times)
-        return np.array([value(times) for value in self.envelopes],
+            return kernel.envelope_table(self.envelopes, times)
+        return np.array([e.value(times) for e in self.envelopes],
                         dtype=np.float64).reshape(len(self.envelopes),
                                                   len(times))
 
@@ -290,7 +288,7 @@ def compile_epoch(basis: Basis, events, atom: AtomParams,
     decay = np.where(_EXCITED[basis.level_codes], float(decay_rate), 0.0)
     return EpochHamiltonian(
         diagonal, decay, perm, pattern, rate,
-        tuple(event.envelope.value for event in events),
+        tuple(event.envelope for event in events),
         np.array([event.envelope.peak_rabi for event in events],
                  dtype=np.float64))
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .basis import Basis, RecoilState, WaveFunction
 from .errors import ConfigurationError, PhysicsError
+from .fringes import arm_spread
 from .interferometer import (ArmTrack, PlanResult, _Timeline,
                              require_adiabatic, selective_transfer)
 from .params import AtomParams, InternalLevel
@@ -502,15 +503,19 @@ def _finish_2d(tl: _Timeline, params: Plan2DParams, atom: AtomParams,
     return tl.result(extras)
 
 
-def arm_separation(params: Plan1DParams | Plan2DParams) -> tuple[float, ...]:
+def arm_separation(params: Plan1DParams | Plan2DParams | FringesParams
+                   ) -> tuple[float, ...]:
     """Nominal momentum separation, in recoils, of the recombined arms of
-    split1d or split2d along each axis of its fringe grid: z, then x when
-    split2d splits along x.  split1d ends 4N recoils apart.  On each split2d
-    axis, P splitting pi pulses leave the arms 4P + 2 recoils apart and each
-    of the R reversing ones closes that gap by 4.
+    split1d, split2d or fringes along each axis of its fringe grid: z, then
+    x when split2d splits along x.  split1d ends 4N recoils apart.  On each
+    split2d axis, P splitting pi pulses leave the arms 4P + 2 recoils apart
+    and each of the R reversing ones closes that gap by 4.  The arms of
+    fringes are as far apart as their rungs (z, then x).
 
     In floats: a count near the float limit gives an infinite separation,
     which the grid check rejects, where an integer one would overflow."""
+    if isinstance(params, FringesParams):
+        return arm_spread([(arm["n_z"], arm["n_x"]) for arm in params.arms])
     if isinstance(params, Plan1DParams):
         return (4.0 * params.ladder_n,)
     counts = [(params.p_pulses, params.p_reverse)]

@@ -182,15 +182,13 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
                                                             full.copy(), t)))
 
             norm_before = np.sum(np.abs(work) ** 2, axis=-1)
-            counts = sorted(set(n_steps.flat))
-            for count in counts:
-                if len(counts) == 1:
-                    t = _rk4(h, work, epoch, int(count), observe,
-                             observe_per_epoch)
-                else:
-                    rows = np.flatnonzero(n_steps == count)
-                    part = work[rows]
-                    t = _rk4(h.members(rows), part, epoch, int(count))
+            for count in sorted(set(n_steps.flat)):
+                # all members (an observer's one among them) run in place
+                rows = np.flatnonzero(n_steps == count)
+                part = work if len(rows) == len(work) else work[rows]
+                t = _rk4(h.members(rows), part, epoch, int(count), observe,
+                         observe_per_epoch)
+                if part is not work:
                     work[rows] = part
                 total_steps += int(count)
 
@@ -230,17 +228,18 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
     ``work`` ((n,) or (B, n), C-contiguous complex128); returns the end
     time.
 
-    The operator is laid out once, for either step loop: states and
-    diagonal (B, n), partner indices (F, n), pattern and rate rows
-    (F, 1|B, n), where a member axis of one is a row the members share,
-    one phase table per substage and one scratch (4, B, n) for the RK4
-    stages; ``ckernel.bind`` splits the diagonal and pattern into real and
-    imaginary arrays for the C loop, which converts the states in and out
-    once per call.  The substage times, envelopes (``h.envelope_table``)
-    and phase ramps are tabulated for up to ENVELOPE_CHUNK steps at a time,
-    with at most PHASE_TABLE_ELEMENTS ramps per substage, and each chunk
-    runs up to each observer stop in the C loop where ``ckernel.load``
-    gives one, in ``_numpy_loop`` otherwise; the two agree bit for bit.
+    The operator is laid out once, for either step loop, at the states'
+    member width, so neither loop knows what a member is: states and
+    diagonal (B, n), flat partner indices into the states, pattern and
+    rate rows (F, B, n), one phase table per substage and one scratch
+    (4, B, n) for the RK4 stages.  ``ckernel.bind`` splits the diagonal
+    and pattern into real and imaginary arrays for the C loop, which
+    converts the states in and out once per call.  The substage times,
+    envelopes (``h.envelope_table``) and phase ramps are tabulated for up
+    to ENVELOPE_CHUNK steps at a time, with at most PHASE_TABLE_ELEMENTS
+    ramps per substage, and each chunk runs up to each observer stop in
+    the C loop where ``ckernel.load`` gives one, in ``_numpy_loop``
+    otherwise; the two agree bit for bit.
     Every time and table element is computed from its own step index, so
     the chunk size is not in the bits.
     """
@@ -253,8 +252,11 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
     # numpy buffers a broadcast operand through a temporary on every multiply
     diag = np.ascontiguousarray(np.broadcast_to(h._diag_complex,
                                                 states.shape))
-    pattern, rate = (rows if rows.ndim > 2 else rows[:, None]
+    pattern, rate = (np.broadcast_to(rows if rows.ndim > 2 else rows[:, None],
+                                     (len(rows),) + states.shape)
                      for rows in (h.pattern, h.rate))
+    partner = h.perm[:, None] + \
+        np.arange(0, states.size, states.shape[1])[:, None]
     if rate.any():
         # one table of phase rows per substage, filled anew for each chunk
         chunk = max(1, min(ENVELOPE_CHUNK, PHASE_TABLE_ELEMENTS // rate.size))
@@ -265,7 +267,7 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
     coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6.0, 2.0])
     scratch = np.empty((4,) + states.shape, dtype=np.complex128)
     from . import ckernel     # not at import: the loader is run-time only
-    steps = (ckernel.load() or _numpy_loop)(states, diag, h.perm, pattern,
+    steps = (ckernel.load() or _numpy_loop)(states, diag, partner, pattern,
                                             phases, coef, scratch)
     for k0 in range(0, n_steps, chunk):
         k_stop = min(k0 + chunk, n_steps)
@@ -310,22 +312,21 @@ class _numpy_loop:
     """``ckernel.bind``'s chunk runner, in numpy.
 
     H psi is one ``take`` that gathers every family's partners at once
-    (flat indices with the member offsets, so each family row is
-    contiguous), one multiply each for the patterns, a row of phase ramps
-    and a column of envelope values, and one add per family row onto the
-    diagonal term, in family order.  k4 reuses k3's buffer once k2 + k3
+    (at the flat ``partner`` indices, so each family row is contiguous),
+    one multiply each for the patterns, a row of phase ramps and a column
+    of envelope values, and one add per family row onto the diagonal
+    term, in family order.  k4 reuses k3's buffer once k2 + k3
     is taken.  The stages are H psi, and the -i of the Schrodinger
     equation rides on the step coefficients: a product with -i only swaps
     and negates components, so each element is exactly what -i H psi
     scaled by a real coefficient gives.
     """
 
-    def __init__(self, states, diag, perm, pattern, phases, coef, scratch):
-        members, n = states.shape
-        self.states, self.diag, self.pattern = states, diag, pattern
-        self.phases, self.coef, self.scratch = phases, coef[:3], scratch
-        self.index = perm[:, None] + n * np.arange(members)[:, None]
-        self.gathered = np.empty(self.index.shape, dtype=np.complex128)
+    def __init__(self, states, diag, partner, pattern, phases, coef, scratch):
+        self.states, self.diag, self.partner = states, diag, partner
+        self.pattern, self.phases = pattern, phases
+        self.coef, self.scratch = coef[:3], scratch
+        self.gathered = np.empty(partner.shape, dtype=np.complex128)
         self.rows = list(self.gathered)
 
     def _apply(self, psi, out, envelope, phase):
@@ -335,7 +336,7 @@ class _numpy_loop:
         if not self.rows:
             return
         gathered = self.gathered
-        psi.take(self.index, out=gathered, mode="clip")
+        psi.take(self.partner, out=gathered, mode="clip")
         gathered *= self.pattern
         if phase is not None:
             gathered *= phase

@@ -285,6 +285,10 @@ ARM = {"amplitude_re": 1.0, "n_z": 0}
     ({"plan": "split2d", "params": {"p_pulses": 10 ** 30,
                                     "p_reverse": 10 ** 30, "q_pulses": 0}},
      f"params(split2d).p_pulses must be even and in [2, {MAX_PULSES}]"),
+    # 10**308 - -10**308 is an int whose product with k overflows a float
+    ({"plan": "fringes", "params": {"arms": [{**ARM, "n_z": 10 ** 308},
+                                             {**ARM, "n_z": -10 ** 308}]}},
+     "only 0.0 samples per period on n_z"),
 ])
 def test_rejected_at_load_before_any_run(tmp_path, capsys, monkeypatch, doc,
                                          message):

@@ -172,6 +172,7 @@ def plane_wave_sum(arms, grid, k, envelope_length):
     return intensity / peak if peak > 0 else intensity
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("shape, arms, envelope_length", [
     ((1024,), [(0.6, 0, 0, 0.0), (0.8j, 40, 0, 0.3)], 100e-9),
     ((1024,), [(0.5, -12, 7, 1.1), (0.3 - 0.2j, 0, -5, 0.0),
@@ -193,6 +194,7 @@ def test_synthesize_is_the_per_arm_plane_wave_sum(atom, shape, arms,
     assert pattern.samples.tobytes() == expected.tobytes()
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("shape", [(4096,), (230, 240)])
 def test_synthesis_block_is_not_in_the_bits(atom, shape):
     # blocks of one row (one sample on a 1-D grid), of rows that do not

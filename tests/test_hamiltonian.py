@@ -45,7 +45,7 @@ def dense(h, t, member=0):
     m = np.diag(rows(h.diagonal, 0) - 0.5j * rows(h.decay, 0))
     for f, envelope in enumerate(h.envelopes):
         for i in np.flatnonzero(pattern[f]):
-            m[i, h.perm[f, i]] += envelope(t) * pattern[f, i] * \
+            m[i, h.perm[f, i]] += envelope.value(t) * pattern[f, i] * \
                 np.exp(1j * t * rate[f, i])
     return m
 
@@ -303,7 +303,7 @@ def test_compile_matches_per_state_reference(atom, levels, window_z, window_x,
         assert identical(h.rate[f], rate)
         # a rate shows where a detuned tone couples a pair of the basis
         assert h.rate[f].any() == (has_rate and pattern.any())
-        assert h.envelopes[f] == events[f].envelope.value
+        assert h.envelopes[f] is events[f].envelope
         assert h.peak[f] == events[f].envelope.peak_rabi
 
 
@@ -356,7 +356,7 @@ def reference_bound(h, t0=None, t1=None):
     total = np.zeros(np.shape(diag + sum(elem)) + grid.shape)
     for f, envelope in enumerate(h.envelopes):
         if h.peak[f]:
-            total += (elem[f] / h.peak[f])[..., None] * envelope(grid)
+            total += (elem[f] / h.peak[f])[..., None] * envelope.value(grid)
     return diag + 1.02 * total.max(axis=-1)
 
 
@@ -434,8 +434,9 @@ def test_reductions_match_the_dense_operator(atom, case):
                                   full[r][np.ix_(idx, idx)])
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("bias, shape", [
-    (0.0, ()),                              # rows the members share
+    (0.0, ()),                              # unbatched: one member
     (0.0, (3,)),                            # rows repeated over 3 members
     (np.linspace(-2e4, 2e4, 5), (5,)),      # a detuning scan, (F, B, n)
 ])
@@ -453,7 +454,7 @@ def test_phase_table_matches_the_per_time_formula_bit_for_bit(atom, bias,
     h = compile_epoch(basis, events, atom, {B: (2, 1)})
     if shape == (3,):
         h = stack([h], [3])
-    # laid out as _rk4 lays it out: (F, 1|B, n)
+    # laid out as _rk4 lays it out for one state or B: (F, B, n)
     rate = h.rate if h.rate.ndim > 2 else h.rate[:, None]
     assert rate.shape == (2,) + (shape or (1,)) + (len(basis),)
     assert (rate < 0).any() and (rate > 0).any()
@@ -489,6 +490,7 @@ TRANSFER = single_pulse_plan(copropagating_pulse(math.pi, 1e6, "c-a",
                                                  axis="x"))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("plan, basis, axis, cross", [
     # a z ladder arm on x rung 7
     (LADDER, Basis([A, B, E1], range(-5, 8), (7,)), "z", 7),

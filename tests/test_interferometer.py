@@ -146,6 +146,7 @@ def test_arm_velocity_consistent_with_momentum(atom):
     assert v[1] == -0.5
 
 
+@pytest.mark.bits
 def test_batched_stage_matches_lone_arms(atom, monkeypatch):
     # an x-reverse stage on four arms (two z rungs x levels A and C) plus two
     # arms off the pulse path, whose one-state supports share a batch and

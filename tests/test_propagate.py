@@ -185,6 +185,7 @@ def test_memory_budget_enforced(atom, monkeypatch):
         evolve_plan(psi, plan, atom)
 
 
+@pytest.mark.bits
 def test_batch_member_keeps_its_own_step_count(atom, monkeypatch):
     omega = 2 * math.pi * 4e5
     duration = 0.8 * math.pi / omega
@@ -247,7 +248,7 @@ def test_batch_window_grows_when_any_member_nears_the_edge(atom):
 def reference_derivative(h, t, psi, out, buf):
     np.multiply(h.diagonal - 0.5j * h.decay, psi, out=out)
     for f, envelope in enumerate(h.envelopes):
-        env = float(envelope(t))
+        env = float(envelope.value(t))
         if env == 0.0:
             continue
         psi.take(h.perm[f], axis=-1, out=buf)
@@ -359,7 +360,7 @@ def kernel_cases(draw):
         diagonal, decay,
         np.array([perm for perm, *_ in families], dtype=np.int64)
         .reshape(-1, n), pattern, rate,
-        tuple(window.value for *_, window in families),
+        tuple(window for *_, window in families),
         np.array([window.peak_rabi for *_, window in families]))
     work = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     if draw(st.booleans()):
@@ -378,6 +379,7 @@ def observed(work):
     return samples, lambda t: samples.append((t, work.copy()))
 
 
+@pytest.mark.bits
 @given(case=kernel_cases())
 @settings(max_examples=200, deadline=None)
 def test_stacked_kernel_matches_the_per_family_loop_bit_for_bit(case):
@@ -411,6 +413,7 @@ def c_kernel_or_skip():
     assert ckernel.load() is not None, "the C kernel's probe disagrees"
 
 
+@pytest.mark.bits
 @given(case=kernel_cases())
 @settings(max_examples=200, deadline=None)
 def test_c_kernel_equals_the_numpy_loop(case):
@@ -434,6 +437,14 @@ def test_c_kernel_equals_the_numpy_loop(case):
         assert got.tobytes() == want.tobytes()
 
 
+def flat_partner(perm, members):
+    """(F, n) partner indices as flat indices (F, B, n) into (B, n)
+    states."""
+    n = perm.shape[-1]
+    return perm[:, None] + n * np.arange(members, dtype=perm.dtype)[:, None]
+
+
+@pytest.mark.bits
 def test_c_kernel_binder_holds_the_copies_it_passes():
     c_kernel_or_skip()
     rng = np.random.default_rng(5)
@@ -442,7 +453,9 @@ def test_c_kernel_binder_holds_the_copies_it_passes():
     def normal(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
     # int32 partner indices and a transposed pattern: bind passes copies
-    perm = np.array([[1, 0, 3, 2, 5, 4], [2, 3, 0, 1, 4, 5]], dtype=np.int32)
+    partner = flat_partner(np.array([[1, 0, 3, 2, 5, 4], [2, 3, 0, 1, 4, 5]],
+                                    dtype=np.int32), members)
+    assert partner.dtype == np.int32
     pattern = normal(2, n, members).transpose(0, 2, 1)
     phases = [np.exp(1j * rng.uniform(-3, 3, size=(m, 2, members, n)))
               for _ in range(3)]
@@ -453,18 +466,60 @@ def test_c_kernel_binder_holds_the_copies_it_passes():
     for loop in (ckernel.load(), propagate._numpy_loop):
         work = states.copy()
         scratch = np.empty((4, members, n), dtype=np.complex128)
-        steps = loop(work, diag, perm, pattern, phases, coef, scratch)
+        steps = loop(work, diag, partner, pattern, phases, coef, scratch)
         gc.collect()
         # take back the memory of a dropped copy (numpy reuses freed blocks
         # of a size) and zero it: partner 0 for every state, no pattern
         junk = [np.full(size, 0, dtype=np.int64)
-                for size in (perm.size, 2 * pattern.size) * 4]
+                for size in (partner.size, 2 * pattern.size) * 4]
         steps(table, m, 0, 2)
         steps(table, m, 2, m)
         runs.append(work.tobytes())
     assert runs[0] == runs[1]
 
 
+def bind_layouts():
+    """A valid layout for ``ckernel.bind`` (3 members of 4 states, 2
+    families with a rate), then that layout with one array the kernel
+    would read out of bounds: a pattern of one row shared by the members,
+    a phase table of the wrong shape, and flat partner indices below 0 or
+    past the last state."""
+    members, n, m = 3, 4, 2
+    states = np.ones((members, n), dtype=np.complex128)
+    partner = flat_partner(np.array([[1, 0, 3, 2], [3, 2, 1, 0]]), members)
+    pattern = np.ones((2, members, n), dtype=np.complex128)
+    phases = [np.ones((m, 2, members, n), dtype=np.complex128)] * 3
+    valid = dict(states=states, diag=states.copy(), partner=partner,
+                 pattern=pattern, phases=phases,
+                 coef=np.array([-0.05j, -0.1j, -0.1j / 6.0, 2.0]),
+                 scratch=np.empty((4, members, n), dtype=np.complex128))
+    low, high = partner.copy(), partner.copy()
+    low[1, 2, 3], high[0, 2, 3] = -1, members * n
+    return valid, [
+        ("layout", dict(valid, pattern=pattern[:, :1], phases=[None] * 3)),
+        ("layout", dict(valid, phases=[np.ones((m, 2, 1, n),
+                                               dtype=np.complex128)] * 3)),
+        ("layout", dict(valid, phases=[np.ones((m, 1, members, n),
+                                               dtype=np.complex128)] * 3)),
+        ("partner", dict(valid, partner=low)),
+        ("partner", dict(valid, partner=high))]
+
+
+@pytest.mark.bits
+def test_bind_refuses_a_layout_before_any_pointer_reaches_c():
+    def never_called(*args):
+        raise AssertionError("a pointer reached the kernel")
+    valid, bad = bind_layouts()
+    ran = []
+    steps = ckernel.bind(lambda *args: ran.append(args), **valid)
+    steps(np.ones((2, 6)), 2, 0, 2)
+    assert len(ran) == 1
+    for message, layout in bad:
+        with pytest.raises(ValueError, match=message):
+            ckernel.bind(never_called, **layout)
+
+
+@pytest.mark.bits
 @given(windows=st.lists(st.tuples(st.sampled_from([SQUARE, SINE_SQUARED]),
                                   st.floats(0.0, 1e10), st.floats(-1e-3, 1e-3),
                                   st.floats(1e-9, 1e-3)),
@@ -487,7 +542,7 @@ def test_c_envelope_table_is_the_envelope_value_bit_for_bit(windows,
                          np.tile(np.arange(n), (families, 1)),
                          np.zeros((families, n), dtype=np.complex128),
                          np.zeros((families, n)),
-                         tuple(e.value for e in envelopes),
+                         tuple(envelopes),
                          np.array([e.peak_rabi for e in envelopes]))
     table = h.envelope_table(times)
     with mock.patch.object(ckernel, "load", lambda: None):
@@ -496,6 +551,7 @@ def test_c_envelope_table_is_the_envelope_value_bit_for_bit(windows,
     assert table.tobytes() == fallback.tobytes() == want.tobytes()
 
 
+@pytest.mark.bits
 def test_loader_refuses_a_build_whose_envelope_probe_disagrees(monkeypatch):
     c_kernel_or_skip()
     value = PulseEnvelope.value
@@ -506,6 +562,7 @@ def test_loader_refuses_a_build_whose_envelope_probe_disagrees(monkeypatch):
     assert ckernel.engine() == "numpy"
 
 
+@pytest.mark.bits
 def test_loader_refuses_a_build_whose_step_probe_disagrees(monkeypatch):
     c_kernel_or_skip()
     loop = propagate._numpy_loop
@@ -543,6 +600,7 @@ def chunk_cases(atom):
         yield h, work / np.linalg.norm(work), ep, 4100, 3
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("engine", ["kernel", "numpy"])
 def test_rk4_bytes_do_not_depend_on_the_envelope_chunk(atom, engine):
     if engine == "kernel":
@@ -584,6 +642,7 @@ def test_rk4_refuses_work_it_cannot_step_in_place():
             propagate._rk4(h, work, epoch, 4)
 
 
+@pytest.mark.bits
 def test_loader_refuses_a_build_whose_probe_disagrees(monkeypatch,
                                                       tmp_path):
     c_kernel_or_skip()
@@ -599,6 +658,7 @@ def test_loader_refuses_a_build_whose_probe_disagrees(monkeypatch,
         assert list((tmp_path / "recoilsim").glob("rk4-*.so"))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("broken", ["compiler", "cache"])
 def test_loader_falls_back_to_numpy_with_identical_results(
         atom, monkeypatch, tmp_path, broken):

@@ -55,6 +55,7 @@ def scalar_envelope(env, t):
     return env.peak_rabi * s * s
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("shape", [SINE_SQUARED, SQUARE])
 def test_array_envelope_is_the_scalar_formula_at_the_window_edges(shape):
     env = PulseEnvelope(shape, TWO_PI * 1e8, 3e-8, 1e-7)
@@ -70,6 +71,7 @@ def test_array_envelope_is_the_scalar_formula_at_the_window_edges(shape):
     assert values[2] > 0.0 and values[4] > 0.0
 
 
+@pytest.mark.bits
 def test_array_envelope_is_the_scalar_formula_at_every_ladder_substage(atom):
     # the times the RK4 loop evaluates, computed as it does one step at a
     # time, over the second pair of a ladder (one beam opens at the epoch
