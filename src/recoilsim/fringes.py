@@ -6,6 +6,12 @@ with k the lattice wavenumber.  Two arms separated by dn recoils therefore
 produce a fringe period of exactly lambda/dn -- sub-wavelength for dn > 1.
 Spacing is recovered independently by discrete Fourier analysis, so the
 synthesis path and the measurement path can check each other.
+
+Synthesis calls exp on the grid's rows 0 ... n_z // 2 only.  The grid's
+coordinates are exact negations of each other about the origin, so each
+later row is the conjugate of its mirror row's waves in reverse column
+order (``synthesize`` states the rule and its exceptions), and the samples
+are byte-identical to the plain per-element sum.
 """
 
 from __future__ import annotations
@@ -125,7 +131,17 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
     and the samples take the grid's shape.  All arms must share one
     internal level: components in different levels are distinguishable
     and cannot interfere.  The result is normalized to unit peak, so
-    amplitudes whose intensity could overflow are rejected.
+    amplitudes whose intensity could overflow, and rungs whose
+    wavenumber k n is not finite, are rejected.
+
+    Only rows 0 ... n_z // 2 call exp.  For 1 <= i < n_z, row n_z - i
+    has exactly -z of row i, and for 1 <= j < n_x column n_x - j exactly
+    -x of column j, so every arm's phase there is exactly -p and its wave
+    is conj(exp(ip)), which numpy's exp(-ip) equals bit for bit for
+    every finite p != 0.  Three kinds of element still take exp: row 0
+    and column 0 of a 2-D grid, which have no mirror (a 1-D grid's one
+    column, at x = 0, is its own), and elements whose phase is exactly
+    zero, where the conjugate would flip the sign of the imaginary zero.
     """
     entries = [_arm_tuple(a) for a in arms]
     if not entries:
@@ -142,39 +158,81 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
         raise ConfigurationError(
             f"arm amplitudes summing to {total:.3g} overflow the intensity")
     k = atom.wavenumber()
+    waves = [(amp, _wavenumber(k, nz, "n_z"), _wavenumber(k, nx, "n_x"))
+             for amp, nz, nx, _ in entries]
     validate_grid(arm_spread([(nz, nx) for _, nz, nx, _ in entries]), grid, k)
 
     z = grid.coordinates(0)[:, None]
     x = grid.coordinates(1)[None, :]
-    intensity = np.empty((z.size, x.size))
-    # one block of rows at a time, in buffers made once: each element is
-    # what the whole-grid expressions give, with no full-grid temporaries.
-    # The amplitude product goes to its own buffer: numpy multiplies a
+    n_z, n_x = z.size, x.size
+    intensity = np.empty((n_z, n_x))
+    # one block of rows 0 ... n_z // 2 at a time, with the mirror rows
+    # n_z - i of its rows i = 1 ... (n_z - 1) // 2, about SYNTHESIS_BLOCK
+    # samples in all, in buffers made once: each element is what the
+    # whole-grid expressions give, with no full-grid temporaries.  The
+    # amplitude product goes to its own buffer: numpy multiplies a
     # one-element block in place without the fused multiply-add of its
     # longer loops.
-    block = max(1, SYNTHESIS_BLOCK // x.size)
-    phase = np.empty((block, x.size))
-    wave, term, field = (np.empty(phase.shape, dtype=np.complex128)
-                         for _ in range(3))
-    for r0 in range(0, z.size, block):
-        z_rows = z[r0:r0 + block]
+    half = n_z // 2 + 1
+    lone = min(n_x - 1, 1)    # leading columns of a mirror row with no mirror
+    block = max(1, SYNTHESIS_BLOCK // (2 * n_x))    # rows, before mirrors
+    phase = np.empty((block, n_x))
+    wave, term, field, mirror_wave, mirror_field = (
+        np.empty(phase.shape, dtype=np.complex128) for _ in range(5))
+    for r0 in range(0, half, block):
+        rows = slice(r0, min(r0 + block, half))
+        # the block's rows i0 <= i < i1 have their mirror rows n_z - i
+        i0 = max(r0, 1)
+        i1 = max(i0, min(rows.stop, n_z - half + 1))
+        mirrored = slice(i0 - r0, i1 - r0)
+        mirrors = slice(n_z + 1 - i1, n_z + 1 - i0)
+        z_rows, z_mirrors = z[rows], z[mirrors]
         p, w, t, f = (a[:len(z_rows)] for a in (phase, wave, term, field))
+        wm, fm = (a[:len(z_mirrors)] for a in (mirror_wave, mirror_field))
         f[...] = 0.0
-        for amp, nz, nx, _ in entries:
-            np.add((k * nz) * z_rows, (k * nx) * x, out=p)
+        fm[...] = 0.0
+        for amp, kz, kx in waves:
+            np.add(kz * z_rows, kx * x, out=p)
+            zero = (p[mirrored] == 0).any()
             np.multiply(1j, p, out=w)
             np.exp(w, out=w)
             np.multiply(amp, w, out=t)      # amplitude first, as amp * e^ip
             f += t
-        rows = intensity[r0:r0 + len(z_rows)]
-        np.abs(f, out=rows)
-        np.square(rows, out=rows)
-        if envelope is not None:
-            rows *= envelope.intensity_factor(z_rows ** 2 + x ** 2)
+            np.conjugate(w[mirrored][::-1, ::-1][:, :n_x - lone],
+                         out=wm[:, lone:])
+            np.exp(np.multiply(1j, kz * z_mirrors + kx * x[:, :lone]),
+                   out=wm[:, :lone])
+            if zero:    # exp(i 0) is 1 + 0j, its conjugate 1 - 0j
+                pm = p[:len(z_mirrors)]
+                np.add(kz * z_mirrors, kx * x, out=pm)
+                at = pm == 0
+                wm[at] = np.exp(np.multiply(1j, pm[at]))
+            tm = t[:len(z_mirrors)]
+            np.multiply(amp, wm, out=tm)
+            fm += tm
+        for out, sums, zs in ((intensity[rows], f, z_rows),
+                              (intensity[mirrors], fm, z_mirrors)):
+            np.abs(sums, out=out)
+            np.square(out, out=out)
+            if envelope is not None:
+                out *= envelope.intensity_factor(zs ** 2 + x ** 2)
     peak = intensity.max()
     if peak > 0:
         intensity /= peak
     return FringePattern(grid=grid, samples=intensity.reshape(grid.shape))
+
+
+def _wavenumber(k: float, n, key: str) -> float:
+    """k n for a rung n, rejected unless finite: a NaN rung would slip
+    past the grid check and make every sample NaN."""
+    try:
+        kn = k * n
+    except OverflowError:       # an int too large for a float
+        kn = math.inf
+    if not math.isfinite(kn):
+        raise ConfigurationError(
+            f"arm rung {key} and its wavenumber k * {key} must be finite")
+    return kn
 
 
 def arm_spread(rungs) -> tuple[float, float]:

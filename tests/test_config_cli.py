@@ -260,35 +260,46 @@ def _refuse_to_run(*args, **kwargs):
 ARM = {"amplitude_re": 1.0, "n_z": 0}
 
 
+def rejected(number, doc, message):
+    """One case, its id pinned to its number so that a case added
+    later renames none of the others."""
+    return pytest.param(doc, message, id=f"doc{number}-{message}")
+
+
 @pytest.mark.parametrize("doc, message", [
-    ({"plan": "fringes", "params": {"arms": [{**ARM, "n_z": 10 ** 400}]}},
-     "params.arms[].n_z must be finite"),
-    ({"plan": "fringes", "params": {"arms": [{**ARM, "n_x": -10 ** 400}]}},
-     "params.arms[].n_x must be finite"),
-    ({"plan": "figure3", "params": {"n_pairs": 10 ** 400}},
-     "params(figure3).n_pairs must be finite"),
-    ({"plan": "split1d", "output": {"grid_samples": 10 ** 400}},
-     "output(split1d).grid_samples must be finite"),
-    ({"plan": "split1d", "output": {"grid_samples": 10 ** 12}},
-     f"a grid of {10 ** 12} samples is over the limit of "
-     f"{MAX_GRID_SAMPLES}"),
-    ({"plan": "split2d", "output": {"grid_samples": 10 ** 6}},
-     f"a grid of {10 ** 6} x {10 ** 6} samples is over the limit"),
-    ({"plan": "fringes", "params": {"arms": [ARM]},
-      "output": {"dims": 2, "grid_samples": 4097}},
-     "a grid of 4097 x 4097 samples is over the limit"),
-    ({"plan": "split1d", "params": {"ladder_n": MAX_PULSES}},
-     "only 0.0 samples per period on n_z"),
-    ({"plan": "split1d", "params": {"ladder_n": 10 ** 308}},
-     f"params(split1d).ladder_n must be in [1, {MAX_PULSES}]"),
+    rejected(0, {"plan": "fringes",
+                 "params": {"arms": [{**ARM, "n_z": 10 ** 400}]}},
+             "params.arms[].n_z must be finite"),
+    rejected(1, {"plan": "fringes",
+                 "params": {"arms": [{**ARM, "n_x": -10 ** 400}]}},
+             "params.arms[].n_x must be finite"),
+    rejected(2, {"plan": "figure3", "params": {"n_pairs": 10 ** 400}},
+             "params(figure3).n_pairs must be finite"),
+    rejected(3, {"plan": "split1d", "output": {"grid_samples": 10 ** 400}},
+             "output(split1d).grid_samples must be finite"),
+    rejected(4, {"plan": "split1d", "output": {"grid_samples": 10 ** 12}},
+             f"a grid of {10 ** 12} samples is over the limit of "
+             f"{MAX_GRID_SAMPLES}"),
+    rejected(5, {"plan": "split2d", "output": {"grid_samples": 10 ** 6}},
+             f"a grid of {10 ** 6} x {10 ** 6} samples is over the limit"),
+    rejected(6, {"plan": "fringes", "params": {"arms": [ARM]},
+                 "output": {"dims": 2, "grid_samples": 4097}},
+             "a grid of 4097 x 4097 samples is over the limit"),
+    rejected(7, {"plan": "split1d", "params": {"ladder_n": MAX_PULSES}},
+             "only 0.0 samples per period on n_z"),
+    rejected(8, {"plan": "split1d", "params": {"ladder_n": 10 ** 308}},
+             f"params(split1d).ladder_n must be in [1, {MAX_PULSES}]"),
     # 4P + 2 - 4R rounds to 0 in floats, so no grid check could stop it
-    ({"plan": "split2d", "params": {"p_pulses": 10 ** 30,
-                                    "p_reverse": 10 ** 30, "q_pulses": 0}},
-     f"params(split2d).p_pulses must be even and in [2, {MAX_PULSES}]"),
+    rejected(9, {"plan": "split2d",
+                 "params": {"p_pulses": 10 ** 30, "p_reverse": 10 ** 30,
+                            "q_pulses": 0}},
+             "params(split2d).p_pulses must be even and in "
+             f"[2, {MAX_PULSES}]"),
     # 10**308 - -10**308 is an int whose product with k overflows a float
-    ({"plan": "fringes", "params": {"arms": [{**ARM, "n_z": 10 ** 308},
-                                             {**ARM, "n_z": -10 ** 308}]}},
-     "only 0.0 samples per period on n_z"),
+    rejected(10, {"plan": "fringes",
+                  "params": {"arms": [{**ARM, "n_z": 10 ** 308},
+                                      {**ARM, "n_z": -10 ** 308}]}},
+             "only 0.0 samples per period on n_z"),
 ])
 def test_rejected_at_load_before_any_run(tmp_path, capsys, monkeypatch, doc,
                                          message):

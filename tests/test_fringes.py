@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recoilsim import fringes
@@ -138,6 +138,16 @@ def test_overflowing_amplitudes_rejected(atom):
         synthesize([(1e200, 0, 0), (1e200, 94, 0)], GridSpec(), atom)
 
 
+@pytest.mark.parametrize("arms", [
+    [(1, 0, 0), (1, math.nan, 0)], [(1, 0, 0), (1, 0, math.nan)],
+    [(1, -math.inf, 0)], [(1, 0, 1e303)], [(1, 10 ** 400, 0)]])
+def test_rungs_whose_wavenumber_is_not_finite_rejected(atom, arms):
+    # a NaN rung gave a zero spread, which skipped the grid check, and an
+    # all-NaN pattern, as did one arm whose k n overflows (n = 1e303)
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        synthesize(arms, GridSpec(), atom)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
 def test_pitch_and_coherence_length_must_be_finite_and_positive(value):
     # a NaN would pass a "<= 0" check and make every sample NaN
@@ -181,8 +191,14 @@ def plane_wave_sum(arms, grid, k, envelope_length):
     ((256, 256), [(0.5, 0, 0, 0.0), (0.5 + 0.2j, 40, 0, 0.3),
                   (0.4, 0, 35, 0.0), (0.3, 40, 35, 1.1)], 100e-9),
     ((256, 256), [(0.6, -20, 15, 0.0), (0.8, 20, -20, 2.5)], None),
+    ((255, 257), [(0.6, -20, 18, 0.0), (0.5 - 0.3j, 20, -18, 0.7),
+                  (0.4, 0, 0, 1.9)], 100e-9),
+    ((1023,), [(0.6, 0, 0, 0.0), (0.8j, 40, 0, 0.3)], None),
+    ((256, 256), [(0.7, 0, 0, 0.0)], 100e-9),
+    ((200, 256), [(0.5, 0, 20, 0.0), (0.6 + 0.1j, 0, -16, 1.0)], None),
 ], ids=["1d-two-arms-envelope", "1d-three-arms", "1d-one-arm",
-        "2d-four-arms-envelope", "2d-two-arms"])
+        "2d-four-arms-envelope", "2d-two-arms", "2d-odd-sizes",
+        "1d-odd-size", "2d-arm-at-origin", "2d-arms-without-n_z"])
 def test_synthesize_is_the_per_arm_plane_wave_sum(atom, shape, arms,
                                                   envelope_length):
     grid = GridSpec(pitch=1e-9, shape=shape)
@@ -195,10 +211,12 @@ def test_synthesize_is_the_per_arm_plane_wave_sum(atom, shape, arms,
 
 
 @pytest.mark.bits
-@pytest.mark.parametrize("shape", [(4096,), (230, 240)])
+@pytest.mark.parametrize("shape", [(4096,), (230, 240), (4095,), (231, 241)])
 def test_synthesis_block_is_not_in_the_bits(atom, shape):
     # blocks of one row (one sample on a 1-D grid), of rows that do not
-    # divide the grid, and of the whole grid give the same samples
+    # divide the grid, and of the whole grid give the same samples, with
+    # block edges on either side of the middle row n_z // 2, the last row
+    # that calls exp
     grid = GridSpec(pitch=1e-9, shape=shape)
     arms = [(0.5, 0, 0, 0.0), (0.5 + 0.2j, 40, 0, 0.3), (0.4, 20, 35, 1.1)]
     envelope = CoherenceEnvelope(100e-9)
@@ -207,6 +225,27 @@ def test_synthesis_block_is_not_in_the_bits(atom, shape):
         with mock.patch.object(fringes, "SYNTHESIS_BLOCK", block):
             runs.append(synthesize(arms, grid, atom, envelope).samples)
     assert all(run.tobytes() == runs[0].tobytes() for run in runs)
+
+
+finite_phases = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+
+
+@pytest.mark.bits
+@given(phases=st.lists(finite_phases, min_size=1, max_size=40))
+@example(phases=[5e-324, -2.2e-308, 1e-300])      # subnormal and tiny
+@example(phases=[1.7976931348623157e308, -1e22, 2.0 ** 60])
+@settings(max_examples=200, deadline=None)
+def test_exp_of_a_negated_phase_is_the_conjugate_bit_for_bit(phases):
+    # synthesize makes the rows past the middle from this mirror rule
+    def exp_i(p):
+        return np.exp(np.multiply(1j, p))
+    p = np.array(phases)
+    assert exp_i(-p).tobytes() == np.conjugate(exp_i(p)).tobytes()
+    # except at zero: exp(i 0) is 1 + 0j for either zero, and its
+    # conjugate 1 - 0j, so synthesize calls exp where a phase is zero
+    for zero in (0.0, -0.0):
+        z = np.array([zero])
+        assert exp_i(-z).tobytes() != np.conjugate(exp_i(z)).tobytes()
 
 
 def test_coherence_envelope_counts_enough_periods():
