@@ -24,17 +24,27 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "scripts" / "configs"
 
 
-def run_config(config: Path, out_dir: Path) -> None:
-    if config.name == "pattern_gear.json":
-        cmd = [sys.executable, str(ROOT / "scripts" / "make_gear_pgm.py"),
-               "--out", str(out_dir)]
-    else:
-        cmd = [sys.executable, "-m", "recoilsim", "run", str(config),
-               "--out", str(out_dir)]
+def child_env() -> dict:
+    """This environment with the ``src`` of this checkout first on
+    PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    return env
+
+
+def command(config: Path, out_dir: Path) -> list[str]:
+    """The command line that runs ``config`` into ``out_dir``."""
+    if config.name == "pattern_gear.json":
+        return [sys.executable, str(ROOT / "scripts" / "make_gear_pgm.py"),
+                "--out", str(out_dir)]
+    return [sys.executable, "-m", "recoilsim", "run", str(config),
+            "--out", str(out_dir)]
+
+
+def run_config(config: Path, out_dir: Path) -> None:
+    done = subprocess.run(command(config, out_dir), env=child_env(),
+                          capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"{config.name} exited {done.returncode}:\n{done.stderr}")
 

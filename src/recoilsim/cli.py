@@ -19,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import fringes as fr
 from . import patterngen as pg
 from . import pgmio
@@ -140,16 +142,25 @@ def _stage_csv(result, path):
 
 def _write_fringe(pattern, out_dir, base) -> list[Path]:
     """A 1D pattern as a position/value CSV; a 2D one as a 16-bit PGM plus
-    its text sidecar.  Returns the written paths in manifest order."""
+    its text sidecar.  Returns the written paths in manifest order.
+
+    The CSV rows are generated as they are written.  The PGM's uint16
+    image is filled one ``pgmio.row_blocks`` block at a time (scaled by
+    65535, rounded in place, cast into the image rows), so beside the
+    samples the write holds the image and one block."""
     if pattern.dims == 1:
         csv_path = out_dir / f"{base}.fringe.csv"
         write_csv(csv_path, ["position_nm", "value"],
-                  [(z * 1e9, v) for z, v in
-                   zip(pattern.axis_coordinates(0), pattern.samples)])
+                  ((z * 1e9, v) for z, v in
+                   zip(pattern.axis_coordinates(0), pattern.samples)))
         return [csv_path]
     pgm_path = out_dir / f"{base}.fringe.pgm"
-    scaled = pattern.samples * 65535
-    pgmio.write_pgm(pgm_path, scaled.round(out=scaled).astype("uint16"))
+    samples = pattern.samples
+    image = np.empty(samples.shape, dtype=np.uint16)
+    for rows in pgmio.row_blocks(samples.shape):
+        scaled = samples[rows] * 65535
+        image[rows] = scaled.round(out=scaled)
+    pgmio.write_pgm(pgm_path, image)
     sidecar_path = out_dir / f"{base}.fringe.txt"
     pgmio.write_sidecar(sidecar_path, {
         "pitch_m": pattern.pitch, "rows_axis": "z", "cols_axis": "x",

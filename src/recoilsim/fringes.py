@@ -294,14 +294,17 @@ def extract_spacing(pattern: FringePattern, axis: str = "z") -> SpacingEstimate:
 
 def contrast(pattern: FringePattern,
              envelope: CoherenceEnvelope | None = None) -> float:
-    """(max - min) / (max + min) over the central coherence region."""
+    """(max - min) / (max + min) over the central coherence region.
+
+    The region is read as a view: the coordinates increase along each
+    axis, so the samples with |coordinate| <= length / 2 are one run."""
     data = pattern.samples
     if envelope is not None:
         half = envelope.length / 2
-        central = [np.abs(pattern.axis_coordinates(i)) <= half
+        central = [np.flatnonzero(np.abs(pattern.axis_coordinates(i)) <= half)
                    for i in range(pattern.dims)]
-        if all(mask.any() for mask in central):
-            data = data[np.ix_(*central)]
+        if all(run.size for run in central):
+            data = data[tuple(slice(run[0], run[-1] + 1) for run in central)]
     hi = float(data.max())
     lo = float(data.min())
     if hi + lo == 0:

@@ -3,7 +3,9 @@
 Output is always 16-bit big-endian with maxval 65535, per the interchange
 format used by the rest of the toolchain; input accepts 8-bit or 16-bit
 raw PGM.  A small text sidecar carries physical metadata (pixel pitch,
-axis labels) that PGM itself cannot.
+axis labels) that PGM itself cannot.  Images are written one block of
+about BLOCK_SAMPLES pixels at a time, so writing needs no copy of the
+whole image.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
+
+BLOCK_SAMPLES = 2 ** 14     # pixels converted or written at once
 
 _HEADER = re.compile(
     rb"^P5\s+(?:#.*\s+)*(\d+)\s+(?:#.*\s+)*(\d+)\s+(?:#.*\s+)*(\d+)\s")
@@ -41,8 +45,22 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         np.uint16 if maxval > 255 else np.uint8), maxval
 
 
+def row_blocks(shape):
+    """Slices of whole rows of an image of ``shape`` (height, width), in
+    order, each about BLOCK_SAMPLES pixels and at least one row."""
+    height, width = shape
+    rows = max(1, BLOCK_SAMPLES // width)
+    for r0 in range(0, height, rows):
+        yield slice(r0, min(r0 + rows, height))
+
+
 def write_pgm(path, image: np.ndarray, maxval: int = 65535) -> None:
-    """Write a 16-bit big-endian raw PGM (maxval 65535 by default)."""
+    """Write a raw PGM: 16-bit big-endian (maxval 65535 by default), or
+    8-bit for a maxval up to 255.
+
+    The range check runs before the file is opened, so an image it
+    rejects leaves no file.  The pixels are then converted and written
+    one ``row_blocks`` block at a time."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise ConfigurationError("PGM images must be 2D")
@@ -50,9 +68,11 @@ def write_pgm(path, image: np.ndarray, maxval: int = 65535) -> None:
         raise ConfigurationError(
             f"pixel values outside [0, {maxval}]")
     height, width = image.shape
-    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-    body = image.astype(">u2" if maxval > 255 else "u1").tobytes()
-    Path(path).write_bytes(header + body)
+    dtype = ">u2" if maxval > 255 else "u1"
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
+        for rows in row_blocks(image.shape):
+            fh.write(image[rows].astype(dtype, order="C"))
 
 
 def write_sidecar(path, metadata: dict) -> None:

@@ -227,6 +227,50 @@ def test_synthesis_block_is_not_in_the_bits(atom, shape):
     assert all(run.tobytes() == runs[0].tobytes() for run in runs)
 
 
+@pytest.mark.parametrize("shape", [(1024,), (1023,), (256, 256),
+                                   (255, 257)])
+def test_synthesize_calls_exp_on_half_the_grid(atom, shape, monkeypatch):
+    # rows past n_z // 2 are mirrors; each of their rows calls exp only
+    # for its leading column on a 2-D grid, and for none on a 1-D grid
+    arms = [(0.6, 17, 0), (0.5 + 0.2j, -12, 7), (0.4, 20, 35)]
+    exp = np.exp
+    sizes = []
+
+    def counting_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    synthesize(arms, GridSpec(pitch=1e-9, shape=shape), atom)
+    n_z = shape[0]
+    per_arm = (n_z // 2 + 2 if len(shape) == 1
+               else (n_z // 2 + 1) * shape[1] + n_z)
+    assert 0 < sum(sizes) <= len(arms) * per_arm
+
+
+def ix_contrast(pattern, envelope):
+    """contrast with the central region copied out through np.ix_."""
+    data = pattern.samples
+    central = [np.abs(pattern.axis_coordinates(i)) <= envelope.length / 2
+               for i in range(pattern.dims)]
+    if all(mask.any() for mask in central):
+        data = data[np.ix_(*central)]
+    hi, lo = float(data.max()), float(data.min())
+    return 0.0 if hi + lo == 0 else (hi - lo) / (hi + lo)
+
+
+@pytest.mark.parametrize("shape", [(64,), (65,), (48, 64), (49, 63)])
+@pytest.mark.parametrize("length", [0.4e-9, 3e-9, 20e-9, 1e-6])
+def test_contrast_reads_the_central_region_of_the_ix_copy(shape, length):
+    # lengths under one pitch (no central sample on an odd axis), inside
+    # the grid, and wider than the grid
+    samples = np.random.default_rng(sum(shape)).random(shape)
+    pattern = fringes.FringePattern(GridSpec(pitch=1e-9, shape=shape),
+                                    samples)
+    envelope = CoherenceEnvelope(length)
+    assert contrast(pattern, envelope) == ix_contrast(pattern, envelope)
+
+
 finite_phases = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
 
 

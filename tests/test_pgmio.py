@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from recoilsim import pgmio
 from recoilsim.errors import ConfigurationError
 from recoilsim.pgmio import read_pgm, write_pgm, write_sidecar
 
@@ -75,3 +76,46 @@ def test_sidecar_format(tmp_path):
     text = path.read_text()
     assert "pitch_m = 2.5e-10" in text
     assert "rows_axis = z" in text
+
+
+def whole_buffer_pgm(image, maxval=65535):
+    """The PGM bytes written out: header, then every pixel at once."""
+    height, width = image.shape
+    return (f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+            + image.astype(">u2" if maxval > 255 else "u1").tobytes())
+
+
+@pytest.mark.parametrize("width", [1, 300, pgmio.BLOCK_SAMPLES + 1])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_blocks_write_the_whole_buffer_bytes(tmp_path, width, edge):
+    # heights of one block less one row, one block and one block plus one
+    rows = max(1, pgmio.BLOCK_SAMPLES // width)
+    height = max(1, rows + edge)
+    image = np.random.default_rng(height).integers(
+        0, 65536, size=(height, width), dtype=np.uint16)
+    path = tmp_path / "img.pgm"
+    write_pgm(path, image)
+    assert path.read_bytes() == whole_buffer_pgm(image)
+
+
+@pytest.mark.parametrize("maxval, dtype", [(65535, np.uint16),
+                                           (255, np.uint8)])
+def test_one_row_and_eight_bit_images_write_the_whole_buffer_bytes(
+        tmp_path, maxval, dtype):
+    rng = np.random.default_rng(maxval)
+    for shape in [(1, 7), (3, 5)]:
+        image = rng.integers(0, maxval + 1, size=shape, dtype=dtype)
+        path = tmp_path / "img.pgm"
+        write_pgm(path, image, maxval=maxval)
+        assert path.read_bytes() == whole_buffer_pgm(image, maxval)
+    # a transposed view is written in its row order, as tobytes does
+    image = rng.integers(0, maxval + 1, size=(9, 4), dtype=dtype).T
+    write_pgm(path, image, maxval=maxval)
+    assert path.read_bytes() == whole_buffer_pgm(image, maxval)
+
+
+def test_out_of_range_pixels_leave_no_file(tmp_path):
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(ConfigurationError):
+        write_pgm(path, np.array([[1, 256]]), maxval=255)
+    assert not path.exists()
