@@ -8,19 +8,16 @@
    kernels; build with -ffp-contract=off, and with -mfma -DUSE_FMA to match
    the latter.  rk4_probe lets the loader check which one a build matches.
 
-   The states (B, n) come in and go out as complex128 (pairs of doubles),
-   C-contiguous.  In between, every state-sized array is split: all real
-   parts, then all imaginary parts, size = B n doubles each.  So are the
-   diagonal (B, n) and the pattern rows (F, B, n), one run of size per
-   family: the kernel sees flat arrays and no batch member.  apply first
-   gathers each family's partners, at the flat indices partner (F, B, n),
-   into a split buffer, so every arithmetic loop is a straight run over
-   contiguous doubles that the compiler vectorizes.
+   The states come in and go out as complex128, in runs that each family
+   couples to a whole partner run of the same length.  In between, they,
+   the diagonal and the pattern rows (F, size) are split (real parts, then
+   imaginary parts), so every loop, partner runs included, is a straight
+   run over contiguous doubles that the compiler vectorizes.
    Each lane computes its element with the scalar formula (cmul, cadd),
    the products with a real envelope {e, 0} and with the RK4 factors kept
    whole, x * 0.0 terms included, so the layout is not in the bits, nor
    in the sign of a zero or an infinity, and a NaN stays a NaN.  The three
-   phase tables, one (F, B, n) row per step laid out as the pattern, stay
+   phase tables, one (F, size) row per step laid out as the pattern, stay
    complex128, or are NULL when no family has a rate; the envelope table
    (F, 3, m) holds real values at each step's start, middle and end, which
    rk4_envelopes fills. */
@@ -48,10 +45,9 @@ static inline cplx cadd(cplx a, cplx b)
 }
 
 typedef struct {
-    int64_t size, families, m;
+    int64_t size, families, runs, m;
     const double *diag, *pattern;       /* split */
-    const int64_t *partner;
-    double *gathered;                   /* split, B n */
+    const int64_t *starts, *partner;
 } op_t;
 
 /* out = diag * psi over ``count`` elements of split arrays whose
@@ -68,16 +64,16 @@ static void diagonal(int64_t count, const double *restrict diag,
     }
 }
 
-/* out += gathered * pattern [* phase] * e over ``size`` elements; the
-   split arrays have their imaginary parts ``size``, ``table`` and ``size``
-   further on. */
-static void couple(int64_t size, int64_t table, const double *restrict g,
+/* out += psi * pattern [* phase] * e over a run of ``count`` elements;
+   imaginary parts lie ``size`` further on, of the pattern ``table``. */
+static void couple(int64_t count, int64_t size, int64_t table,
+                   const double *restrict psi,
                    const double *restrict pattern,
                    const cplx *restrict phase, cplx e, double *restrict out)
 {
     if (phase) {
-        for (int64_t i = 0; i < size; i++) {
-            const cplx a = {g[i], g[size + i]},
+        for (int64_t i = 0; i < count; i++) {
+            const cplx a = {psi[i], psi[size + i]},
                        p = {pattern[i], pattern[table + i]},
                        o = {out[i], out[size + i]};
             const cplx r = cadd(o, cmul(cmul(cmul(a, p), phase[i]), e));
@@ -85,8 +81,8 @@ static void couple(int64_t size, int64_t table, const double *restrict g,
             out[size + i] = r.im;
         }
     } else {
-        for (int64_t i = 0; i < size; i++) {
-            const cplx a = {g[i], g[size + i]},
+        for (int64_t i = 0; i < count; i++) {
+            const cplx a = {psi[i], psi[size + i]},
                        p = {pattern[i], pattern[table + i]},
                        o = {out[i], out[size + i]};
             const cplx r = cadd(o, cmul(cmul(a, p), e));
@@ -97,24 +93,22 @@ static void couple(int64_t size, int64_t table, const double *restrict g,
 }
 
 /* out = H psi (split): the diagonal term, then each family's partner *
-   pattern * phase * envelope added in family order, one run over all
-   ``size`` elements each.  ``env`` points at the family-0 value of one
-   substage column; families lie 3 m apart. */
+   pattern * phase * envelope added in family order, run by run.  ``env``
+   is the family-0 value of a substage column; families lie 3 m apart. */
 static void apply(const op_t *op, const double *psi, double *out,
                   const double *env, const cplx *phase)
 {
     const int64_t size = op->size, table = op->families * size;
-    double *g = op->gathered;
     diagonal(size, op->diag, psi, out);
     for (int64_t f = 0; f < op->families; f++) {
         const cplx e = {env[f * 3 * op->m], 0.0};
-        const int64_t *partner = op->partner + f * size;
-        for (int64_t i = 0; i < size; i++) {
-            g[i] = psi[partner[i]];
-            g[size + i] = psi[size + partner[i]];
+        const int64_t *partner = op->partner + f * op->runs;
+        for (int64_t r = 0; r < op->runs; r++) {
+            const int64_t at = op->starts[r], row = f * size + at;
+            couple(op->starts[r + 1] - at, size, table,
+                   psi + op->starts[partner[r]], op->pattern + row,
+                   phase ? phase + row : NULL, e, out + at);
         }
-        couple(size, table, g, op->pattern + f * size,
-               phase ? phase + f * size : NULL, e, out);
     }
 }
 
@@ -154,22 +148,23 @@ static void finish(int64_t count, const double *restrict k1,
 }
 
 /* Steps lo..hi-1 of a chunk of m tabulated steps, in place on the
-   ``size`` complex ``states``, coupled by ``families`` families.  ``diag``
-   and ``pattern`` are split; ``coef`` holds the complex factors -i dt/2,
-   -i dt, -i dt/6 and 2; ``stages`` room for k1, k2, k3 and y, and
-   ``split`` for the states and the gathered partners, all split, 2 size
-   doubles each. */
-void rk4_steps(int64_t size, int64_t families, cplx *states,
-               const double *diag, const int64_t *partner,
-               const double *pattern, const cplx *phase_start,
-               const cplx *phase_mid, const cplx *phase_end,
-               const cplx *coef, double *stages, double *split,
-               const double *envelopes, int64_t m, int64_t lo, int64_t hi)
+   ``size`` complex ``states``: run r, from starts[r] up to starts[r + 1],
+   is coupled by family f to run partner[f runs + r].  ``coef`` holds the
+   complex factors -i dt/2, -i dt, -i dt/6 and 2; ``stages`` room for k1,
+   k2, k3 and y, and ``split`` for the states, 2 size doubles each. */
+void rk4_steps(int64_t size, int64_t families, int64_t runs, cplx *states,
+               const double *diag, const int64_t *starts,
+               const int64_t *partner, const double *pattern,
+               const cplx *phase_start, const cplx *phase_mid,
+               const cplx *phase_end, const cplx *coef, double *stages,
+               double *split, const double *envelopes, int64_t m,
+               int64_t lo, int64_t hi)
 {
     const int64_t table = families * size;
     double *k1 = stages, *k2 = k1 + 2 * size, *k3 = k2 + 2 * size,
-           *y = k3 + 2 * size, *w = split, *g = w + 2 * size;
-    const op_t op = {size, families, m, diag, pattern, partner, g};
+           *y = k3 + 2 * size, *w = split;
+    const op_t op = {size, families, runs, m, diag, pattern, starts,
+                     partner};
     const cplx half = coef[0], full = coef[1], sixth = coef[2], two = coef[3];
     for (int64_t i = 0; i < size; i++) {
         w[i] = states[i].re;

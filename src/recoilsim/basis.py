@@ -130,7 +130,6 @@ class Observables:
     """Level-filtered momentum statistics; mean/spread are None when the
     filtered population is zero rather than masquerading as 0."""
 
-    population: float
     mean: float | None
     spread: float | None
 
@@ -203,11 +202,11 @@ class WaveFunction:
             w = w * mask
         pop = float(w.sum())
         if pop == 0.0:
-            return Observables(population=0.0, mean=None, spread=None)
+            return Observables(mean=None, spread=None)
         n = self.basis.n_z if axis == "z" else self.basis.n_x
         mean = float(np.sum(n * w) / pop)
         var = float(np.sum((n - mean) ** 2 * w) / pop)
-        return Observables(population=pop, mean=mean, spread=float(np.sqrt(max(var, 0.0))))
+        return Observables(mean=mean, spread=float(np.sqrt(max(var, 0.0))))
 
     def boundary_population(self, margin: int = 1):
         """Probability sitting within ``margin`` rungs of the window edge."""

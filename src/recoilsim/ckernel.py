@@ -92,38 +92,36 @@ def _envelope_probe():
 def _step_probes():
     """Binder arguments and a 2-step envelope table for two fixed operators
     in ``propagate._rk4``'s layout, made of plain Python numbers, so the
-    probe pages in no numpy code that a run would not.  Both have 2 members
-    of 19 states, so a vector body and a remainder both run; a diagonal
-    real (imaginary parts -0.0) for one member and complex for the other; a
-    state component of -0.0; 2 families, one real (imaginary parts +0.0
-    and -0.0); and steps long enough that a one-ulp change in a stage
-    reaches the state.  The first has a phase ramp on the complex family,
-    the second the same rows and no rate."""
-    members, n, steps = 2, 19, 2
-    grid = [(b, k) for b in range(members) for k in range(n)]
-
-    def rows(values):
-        return np.array(list(values)).reshape(members, n)
-    states = rows(complex(math.cos(k + 7 * b), math.sin(3 * k - b))
-                  for b, k in grid)
-    states[0, 5] = complex(-0.0, 0.25)
-    diag = rows(complex(k - 9 + 0.5 * b, -0.05 * b * k) for b, k in grid)
-    partner = np.array([
-        rows(b * n + (k ^ 1 if k ^ 1 < n else k) for b, k in grid),
-        rows(b * n + n - 1 - k for b, k in grid)])
+    probe pages in no numpy code that a run would not.  Both have runs of
+    11, 11, 5, 5, 3 and 3 states (vector bodies and remainders), a diagonal
+    real (imaginary parts -0.0) on 19 states, a state component of -0.0,
+    2 families, one real (imaginary parts +0.0 and -0.0), each coupling
+    some runs to others and some to themselves, and steps long enough that
+    a one-ulp change in a stage reaches the state; the first has a phase
+    ramp on the complex family."""
+    n, steps = 38, 2
+    grid = [divmod(k, 19) for k in range(n)]
+    starts = np.array([0, 11, 22, 27, 32, 35, n])
+    partner = np.array([[1, 0, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]])
+    states = np.array([complex(math.cos(k + 7 * b), math.sin(3 * k - b))
+                       for b, k in grid])
+    states[5] = complex(-0.0, 0.25)
+    diag = np.array([complex(k - 9 + 0.5 * b, -0.05 * b * k)
+                     for b, k in grid])
     pattern = np.array([
-        rows(complex(1.5 - k / 7, math.copysign(0.0, k % 3 - 1))
-             for _, k in grid),
-        rows(complex(math.sin(k + b), math.cos(2 * k)) for b, k in grid)])
-    ramp = rows(cmath.exp(0.3j * (k - 9 + b)) for b, k in grid)
-    phases = [np.array([[np.ones((members, n)), ramp]] * steps)] * 3
+        [complex(1.5 - k / 7, math.copysign(0.0, k % 3 - 1))
+         for _, k in grid],
+        [complex(math.sin(k + b), math.cos(2 * k)) for b, k in grid]])
+    ramp = [cmath.exp(0.3j * (k - 9 + b)) for b, k in grid]
+    phases = [np.array([[[1.0] * n, ramp]] * steps)] * 3
     dt = 0.25
     coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6.0, 2.0])
-    scratch = np.empty((4, members, n), dtype=np.complex128)
+    scratch = np.empty((4, n), dtype=np.complex128)
     table = np.array([[0.5 + 0.1 * j + f for j in range(3 * steps)]
                       for f in range(2)])
-    yield states, diag, partner, pattern, phases, coef, scratch, table
-    yield states, diag, partner, pattern, [None] * 3, coef, scratch, table
+    for tables in (phases, [None] * 3):
+        yield (states, diag, starts, partner, pattern, tables, coef, scratch,
+               table)
 
 
 def _open(flags: tuple):
@@ -146,7 +144,7 @@ def _open(flags: tuple):
     probe(a.ctypes.data, b.ctypes.data, out.ctypes.data, len(a))
     if out.tobytes() != (a * b).tobytes():
         return None
-    steps.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 11 + \
+    steps.argtypes = (ctypes.c_int64,) * 3 + (ctypes.c_void_p,) * 12 + \
         (ctypes.c_int64,) * 3
     steps.restype = None
     envelopes.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + \
@@ -193,45 +191,49 @@ class Kernel:
         return out
 
 
-def bind(rk4_steps, states, diag, partner, pattern, phases, coef, scratch):
+def bind(rk4_steps, states, diag, starts, partner, pattern, phases, coef,
+         scratch):
     """``steps(table, m, lo, hi)``: steps lo..hi-1 of a chunk of m, run by
-    ``rk4_steps`` in place on ``states``, on the operator layout of
-    ``propagate._rk4``: states and diagonal (B, n), flat partner indices
-    into the states, pattern and phase rows (F, B, n).  ``states`` and the
-    phase tables, refilled between calls, must be C-contiguous complex128;
-    the other arrays are copied into that form if need be.  The kernel
-    reads and writes ``states`` once per call and keeps every state-sized
-    array split into real and imaginary parts in between, its RK4 stages
-    in the memory of ``scratch``.  The diagonal and the pattern are split
-    here, once per bind, into float64 copies (real parts, then imaginary
-    parts).  Every check is made before a pointer reaches C, and ``steps``
-    holds every array whose pointer it passes."""
+    ``rk4_steps`` in place on ``states``, in ``propagate._rk4``'s layout:
+    states and diagonal (n,) in runs, run r from ``starts[r]`` up to
+    ``starts[r + 1]``, coupled by family f to the run ``partner[f, r]`` of
+    the same length, and pattern and phase rows (F, n).  ``states`` and
+    the phase tables must be C-contiguous complex128; the diagonal and
+    pattern are copied into split float64 arrays (real parts, then
+    imaginary parts), the rest only if need be.  Every check is made before
+    a pointer reaches C, and ``steps`` holds every array it passes."""
     diag, pattern, coef, scratch = (np.ascontiguousarray(
         a, dtype=np.complex128) for a in (diag, pattern, coef, scratch))
-    partner = np.ascontiguousarray(partner, dtype=np.int64)
-    families = len(pattern)
+    starts, partner = (np.ascontiguousarray(a, dtype=np.int64)
+                       for a in (starts, partner))
+    families, runs = len(pattern), len(starts) - 1
     tables = [p for p in phases if p is not None]
     chunk = len(tables[0]) if tables else np.inf
     if len(tables) not in (0, 3) or not all(
             a.dtype == np.complex128 and a.flags.c_contiguous
-            for a in (states, *tables)) or \
+            for a in (states, *tables)) or states.ndim != 1 or \
             (diag.shape, scratch.shape, coef.shape, pattern.shape) != \
             (states.shape, (4,) + states.shape, (4,),
              (families,) + states.shape) or \
             any(p.shape != (chunk,) + pattern.shape for p in tables):
-        raise ValueError("arrays outside the (B, n) operator layout")
-    if partner.shape != pattern.shape or partner.size and \
-            not 0 <= partner.min() <= partner.max() < states.size:
-        raise ValueError("partner index outside the states")
+        raise ValueError("arrays outside the (n,) operator layout")
+    lengths = starts[1:] - starts[:-1]
+    if starts.shape != (runs + 1,) or runs < 0 or starts[0] != 0 or \
+            starts[-1] != states.size or (lengths <= 0).any():
+        raise ValueError("runs outside the states")
+    if partner.shape != (families, runs) or partner.size and not (
+            0 <= partner.min() <= partner.max() < runs and
+            (lengths[partner] == lengths).all()):
+        raise ValueError("partner run outside the runs or of another length")
     # (2, count) float64: the real parts, then the imaginary parts
     diag, pattern = (a.view(np.float64).reshape(-1, 2).T.copy()
                      for a in (diag, pattern))
-    split = np.empty(4 * states.size)   # the states, the gathered partners
-    held = (states, diag, partner, pattern, *tables, coef, scratch, split)
-    fixed = (states.size, families, states.ctypes.data, diag.ctypes.data,
-             partner.ctypes.data, pattern.ctypes.data,
+    split = np.empty(2 * states.size)       # the states
+    held = (states, diag, starts, partner, pattern, *tables, coef, scratch,
+            split)
+    fixed = (states.size, families, runs, *(a.ctypes.data for a in held[:5]),
              *([p.ctypes.data for p in tables] or [None] * 3),
-             coef.ctypes.data, scratch.ctypes.data, split.ctypes.data)
+             *(a.ctypes.data for a in held[-3:]))
 
     def steps(table, m, lo, hi):
         if table.dtype != np.float64 or not table.flags.c_contiguous or \

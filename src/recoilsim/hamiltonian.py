@@ -21,21 +21,21 @@ indices ``perm`` (F, n), ``pattern`` and phase-ramp ``rate`` (F, n) or
     H[i, perm[f, i]] += envelope_f(t) * pattern[f, i] * e^{i rate[f, i] t}.
 
 ``rate`` is zero wherever ``pattern`` is, and a family without a rate holds
-exact zeros.  The queries (bounds, active sets, restriction, member
-selection, stacking) are one array expression over the family axis each.
+exact zeros.  The queries (bounds, blocks, active sets, restriction) are
+one array expression over the family axis each.  The families link the
+states into blocks that no coupling crosses (``blocks``), of 2 or 3 states
+in the paper's sequences; active sets and step layouts are whole blocks.
 
 An operator may carry a leading batch axis: B members that share the
-permutation and envelopes, such as one closing pulse at B detunings, and
-``stack`` gives the diagonal and decay that axis too, for members compiled
-apart (arms on their own lattices).  A family unbatched among batched ones
-has its row repeated over the members.  Every operation below is
-elementwise over that axis, so each member's arithmetic is exactly that of
-an operator compiled for it alone.
+permutation and envelopes, such as one closing pulse at B detunings.  A
+family unbatched among batched ones has its row repeated over the
+members.  Every operation below is elementwise over that axis, so each
+member's arithmetic is exactly that of an operator compiled for it alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
@@ -73,19 +73,10 @@ class EpochHamiltonian:
     envelopes: tuple        # per family: a PulseEnvelope
     peak: np.ndarray        # (F,) peak envelope per family
     _bound: tuple | None = field(default=None, init=False, repr=False)
+    _blocks: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._diag_complex = self.diagonal - 0.5j * self.decay
-
-    @property
-    def batched(self) -> bool:
-        return self.diagonal.ndim > 1 or self.pattern.ndim > 2
-
-    @property
-    def structure(self) -> tuple:
-        """Equal for operators whose members can share one integration: the
-        same number of states, coupled alike by the same envelopes."""
-        return (self.diagonal.shape[-1], self.envelopes, self.perm.tobytes())
 
     def envelope_table(self, times: np.ndarray) -> np.ndarray:
         """Every family's envelope at the 1-D ``times``, (F, len(times)):
@@ -140,77 +131,54 @@ class EpochHamiltonian:
                   .tolist()]
         rows = np.array(list(distinct))
         scales = rows[:, 1:][:, live] / self.peak[live]
-        bound = np.empty(len(distinct))
-        for r, scale in enumerate(scales):
-            total = _in_order_sum(scale[:, None] * envelopes, 0.0)
-            # small safety factor against the sampling missing the true peak
-            bound[r] = rows[r, 0] + 1.02 * np.max(total)
-        return bound[member] if self.batched else bound[0]
+        total = _in_order_sum(scales.T[:, :, None] * envelopes[:, None],
+                              np.zeros((len(rows), 1)))
+        # small safety factor against the sampling missing the true peak
+        bound = rows[:, 0] + 1.02 * np.max(total, axis=-1)
+        return bound[member] if np.ndim(diag_max) or elem.ndim > 1 \
+            else bound[0]
+
+    def blocks(self) -> np.ndarray:
+        """One label per state, the smallest index of its block (kept): the
+        partners link it, the identity where a family couples nothing."""
+        if self._blocks is None:
+            labels, grown = None, np.arange(self.diagonal.shape[-1])
+            while labels is None or (grown != labels).any():
+                labels = grown
+                for partner in self.perm:
+                    grown = np.minimum(grown, grown[partner])
+            self._blocks = labels
+        return self._blocks
 
     def active_mask(self, amps: np.ndarray) -> np.ndarray:
-        """States reachable from nonzero amplitudes via this epoch's
-        couplings, shaped like ``amps``: one row per member of a batch.
-        Everything outside stays exactly zero under the evolution, so it
-        can be excluded with no approximation."""
-        links = (self.pattern != 0).swapaxes(0, -2)       # ([B,] F, n)
-        active = np.abs(amps) > 0.0
-        while True:
-            grown = active | (links & active[..., self.perm]).any(axis=-2)
-            if bool(np.array_equal(grown, active)):
-                return active
-            active = grown
+        """The blocks that hold a nonzero amplitude, shaped like ``amps``
+        (one row per member of a batch).  Everything outside stays exactly
+        zero under the evolution, so it is excluded with no approximation."""
+        labels = self.blocks()
+        supported = np.abs(amps).reshape(-1, len(labels)) > 0.0
+        hit = np.zeros(supported.shape, dtype=bool)
+        rows, states = np.nonzero(supported)
+        hit[rows, labels[states]] = True
+        return hit[:, labels].reshape(np.shape(amps))
 
     def reduced(self, idx: np.ndarray) -> "EpochHamiltonian":
-        """Restriction to the index set ``idx`` (closed under couplings);
-        families that couple nothing there are dropped."""
+        """Restriction to ``idx``, a union of blocks; families that couple
+        nothing there are dropped."""
         def restrict(a):        # take() keeps the rows C-contiguous
             return a.take(idx, axis=-1)
         inverse = np.full(self.diagonal.shape[-1], -1, dtype=np.int64)
         inverse[idx] = np.arange(len(idx))
         pattern = restrict(self.pattern)
-        coupled = pattern != 0
-        live = coupled.any(axis=tuple(range(1, coupled.ndim)))
-        coupled = coupled[live].any(axis=tuple(range(1, coupled.ndim - 1)))
+        live = (pattern != 0).any(axis=tuple(range(1, pattern.ndim)))
         perm = inverse[restrict(self.perm[live])]
-        loose = perm < 0
-        if np.any(loose & coupled):
-            raise ValueError("index set not closed under couplings")
-        return EpochHamiltonian(
-            restrict(self.diagonal), restrict(self.decay),
-            np.where(loose, np.arange(len(idx)), perm), pattern[live],
+        if np.any(perm < 0):
+            raise ValueError("index set not a union of blocks")
+        op = EpochHamiltonian(
+            restrict(self.diagonal), restrict(self.decay), perm, pattern[live],
             restrict(self.rate[live]), tuple(compress(self.envelopes, live)),
             self.peak[live])
-
-    def members(self, rows) -> "EpochHamiltonian":
-        """The operator of the batch members ``rows`` (increasing indices)
-        alone: the operator itself for all of them, unbatched arrays for
-        one."""
-        members = self.diagonal.shape[:-1] or self.pattern.shape[1:-1]
-        if not members or len(rows) == members[0]:
-            return self
-        pick = rows[0] if len(rows) == 1 else rows
-
-        def take(a, axis):      # the member axis: 0 of a diagonal, 1 of rows
-            return a.take(pick, axis) if a.ndim > axis + 1 else a
-        return replace(self, diagonal=take(self.diagonal, 0),
-                       decay=take(self.decay, 0),
-                       pattern=take(self.pattern, 1),
-                       rate=take(self.rate, 1))
-
-
-def stack(operators: list[EpochHamiltonian], sizes) -> EpochHamiltonian:
-    """One batched operator over the members of ``operators``, which share
-    their ``structure``; operator k stands for ``sizes[k]`` members (one row
-    each of a batched operator, or copies of a shared one)."""
-    def rows(name, axis):       # the member axis: 0 of a diagonal, 1 of rows
-        arrays = [getattr(op, name) for op in operators]
-        return np.concatenate([np.broadcast_to(
-            np.expand_dims(a, axis) if a.ndim == axis + 1 else a,
-            a.shape[:axis] + (size,) + a.shape[-1:])
-            for a, size in zip(arrays, sizes)], axis=axis)
-    return replace(operators[0], diagonal=rows("diagonal", 0),
-                   decay=rows("decay", 0), pattern=rows("pattern", 1),
-                   rate=rows("rate", 1))
+        op._blocks = inverse[self.blocks()[idx]]    # min index to min index
+        return op
 
 
 def _matching(basis: Basis, level_from: InternalLevel, shift: int,

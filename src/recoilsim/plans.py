@@ -65,7 +65,6 @@ class Figure3Params:
 
 @dataclass
 class Figure3Result:
-    params: Figure3Params
     rows: list[dict]                  # fine-grained momentum trajectory
     pair_end_transfer: list[float]    # recoils transferred at each pair end
     final_transfer: float             # |mean n_z| of the deflected component
@@ -122,7 +121,7 @@ def run_figure3(params: Figure3Params, atom: AtomParams) -> Figure3Result:
     final_level = ladder.expected_final["deflected"].level
     obs_final = final.observables([final_level])
     return Figure3Result(
-        params=params, rows=rows, pair_end_transfer=pair_ends,
+        rows=rows, pair_end_transfer=pair_ends,
         final_transfer=(obs_final.mean or 0.0) / params.direction,
         final_population=final.population([final_level]) * weight,
         adiabaticity=xi)

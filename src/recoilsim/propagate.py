@@ -5,15 +5,15 @@ The step size is validated against an explicit stability bound and chosen
 conservatively enough that norm drift stays below 1e-9 per step without any
 renormalization tricks; norm is checked, never silently repaired.
 
-The one RK4 loop works on a leading batch axis: a whole detuning scan is
-one batch of members sharing a compiled operator, and the arms of one pulse
-stage, each compiled on its own lattice, are stacked into one batch
-wherever their reduced operators couple alike.
+The states fall into small blocks that no coupling crosses
+(``EpochHamiltonian.blocks``).  A member's active set is the blocks of its
+support, and ``_rk4`` steps the active states of every member of a batch
+(a detuning scan, the arms of a pulse stage) as one vector, in runs that
+each family couples to one whole partner run.
 
-The vectors are short (2 to a few hundred states), so the step loop runs
-in C (``ckernel``, ``_rk4.c``), one chunk of steps per call, on split real
-and imaginary arrays that the compiler vectorizes; the numpy
-loop (``_numpy_loop``), whose every step costs a few dozen calls of
+The step loop runs in C (``ckernel``, ``_rk4.c``), one chunk of steps per
+call, on split real and imaginary arrays that the compiler vectorizes; the
+numpy loop (``_numpy_loop``), whose every step costs a few dozen calls of
 interpreter overhead whatever the vector size, stays as the fallback where
 no build matches numpy's complex rounding and as the C loop's bit-for-bit
 oracle.  Nothing else exists twice: ``_rk4`` lays the operator out once
@@ -22,7 +22,7 @@ phase ramps per chunk of steps, each evaluated once on an array of times;
 ``EpochHamiltonian.envelope_table`` fills the envelopes in one C call
 (``PulseEnvelope.value``, its oracle, without a kernel).  Every element is
 computed exactly as a per-family loop computes it, so results are
-bit-identical to that loop, whatever the chunk size.
+bit-identical to that loop, whatever the chunk size or the state order.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .basis import Basis, WaveFunction, prune_dust, span_window
 from .errors import ConfigurationError, IntegrationError
-from .hamiltonian import EpochHamiltonian, compile_from_epoch, stack
+from .hamiltonian import EpochHamiltonian, compile_from_epoch
 from .params import AtomParams
 from .pulses import Epoch, SequencePlan
 
@@ -112,10 +112,9 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
 
     In every epoch each member gets its own active set, and with it its
     own reduced operator, bound, step count, norm check and dust prune.
-    Members whose reduced operators couple alike and whose step counts
-    agree run as one batch through the one RK4 loop; every operation is
-    elementwise over the members, so each member does exactly the
-    arithmetic of a run on its own; ``steps`` counts loop iterations.
+    Members with the same envelopes and step count run as one batch through
+    the one RK4 loop; every operation is elementwise, so each member does
+    the arithmetic of a run on its own; ``steps`` counts loop iterations.
     Observers need a single wavefunction.
 
     The basis of a wavefunction grows automatically whenever more than
@@ -141,72 +140,58 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
                 f"epoch {epoch.label!r} starts at {epoch.t_start} before "
                 f"current time {t}")
         t = epoch.t_start
-        # restrict each member to the states reachable from its support:
-        # everything else holds an exact zero and cannot change during this
-        # epoch.  Members whose restrictions couple alike share one batch.
+        # restrict each member to the blocks of its support (the rest stays
+        # an exact zero); members alike share one reduced operator, and all
+        # that share the envelopes and a step count run as one batch
         batches = {}
         for b, basis in enumerate(bases):
             compiled = compile_from_epoch(basis, epoch, atom, decay_rate)
             active = compiled.active_mask(amps[b])
             alike = {}
             for r, row in enumerate(active):
-                alike.setdefault(row.tobytes(), []).append(r)
-            for rows in alike.values():
+                if row.any():       # a member with no amplitude stays put
+                    alike.setdefault(row.tobytes(), []).append(r)
+            for rows in map(np.array, alike.values()):
                 idx = np.flatnonzero(active[rows[0]])
-                op = compiled.members(rows)
-                if len(idx) < len(basis):
-                    op = op.reduced(idx)
-                batches.setdefault(op.structure, []).append((op, b, rows, idx))
+                h = compiled if len(idx) == len(basis) else \
+                    compiled.reduced(idx)
+                dt_cap = default_dt(h, dt_factor, epoch.t_start, epoch.t_end)
+                bound = h.row_bound(epoch.t_start, epoch.t_end)
+                if np.ndim(bound):
+                    # members share the finest step unless their own bounds
+                    # move them across a step edge; each keeps its own count
+                    dt_cap = _dt_caps(bound, dt_factor)[rows]
+                counts = np.broadcast_to(_step_count(epoch.duration, dt_cap),
+                                         rows.shape)
+                for count in sorted(set(counts.tolist())):
+                    members = rows[counts == count]
+                    batches.setdefault((h.envelopes, count), []).append(
+                        (h, amps[b][np.ix_(members, idx)], members, b, idx))
 
-        for parts in batches.values():
-            h = parts[0][0] if len(parts) == 1 else stack(
-                [op for op, *_ in parts], [len(part[2]) for part in parts])
-            work = np.concatenate([amps[b][np.ix_(rows, idx)]
-                                   for _, b, rows, idx in parts])
-            dt_cap = default_dt(h, dt_factor, epoch.t_start, epoch.t_end)
-            if h.batched:
-                # members share the finest step unless their own bounds
-                # move them across a step edge; each keeps its own count
-                dt_cap = _dt_caps(h.row_bound(epoch.t_start, epoch.t_end),
-                                  dt_factor)
-            n_steps = np.broadcast_to(_step_count(epoch.duration, dt_cap),
-                                      work.shape[:-1])
-
+        for (_, count), batch in batches.items():
             observe = None
             if observer is not None and observe_per_epoch:
-                full, support = amps[0][0], parts[0][3]
+                full, ((_, work, _, _, support),) = amps[0][0], batch
 
                 def observe(t):
                     full[support] = work[0]
                     samples.append(observer(t, WaveFunction(bases[0],
                                                             full.copy(), t)))
-
-            norm_before = np.sum(np.abs(work) ** 2, axis=-1)
-            for count in sorted(set(n_steps.flat)):
-                # all members (an observer's one among them) run in place
-                rows = np.flatnonzero(n_steps == count)
-                part = work if len(rows) == len(work) else work[rows]
-                t = _rk4(h.members(rows), part, epoch, int(count), observe,
-                         observe_per_epoch)
-                if part is not work:
-                    work[rows] = part
-                total_steps += int(count)
-
-            norm_after = np.sum(np.abs(work) ** 2, axis=-1)
-            if decay_rate == 0.0:
-                drift = np.abs(norm_after - norm_before)
-                if np.any(drift > NORM_TOL_PER_STEP * n_steps):
+            norms = [np.sum(np.abs(part[1]) ** 2, axis=-1) for part in batch]
+            t = _rk4([part[:3] for part in batch], epoch, int(count), observe,
+                     observe_per_epoch)
+            total_steps += int(count)
+            for (_, work, members, b, idx), norm in zip(batch, norms):
+                drift = np.abs(np.sum(np.abs(work) ** 2, axis=-1) - norm)
+                if decay_rate == 0.0 and np.any(
+                        drift > NORM_TOL_PER_STEP * count):
                     raise IntegrationError(
                         f"norm drifted by {np.max(drift):.3e} over epoch "
                         f"{epoch.label!r}; reduce the step size")
-            # drop sub-floor dust so dead rungs cannot re-enter the active
-            # set (and with it the stability bound) of later epochs
-            prune_dust(work)
-
-            start = 0
-            for _, b, rows, idx in parts:
-                amps[b][np.ix_(rows, idx)] = work[start:start + len(rows)]
-                start += len(rows)
+                # drop sub-floor dust so dead rungs cannot re-enter the
+                # active set (and the stability bound) of later epochs
+                prune_dust(work)
+                amps[b][np.ix_(members, idx)] = work
 
         for b, basis in enumerate(bases):
             edge = WaveFunction(basis, amps[b]).boundary_population(2)
@@ -222,41 +207,50 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
                         samples=samples, steps=total_steps)
 
 
-def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
-         observe=None, observe_per_epoch: int = 0) -> float:
-    """Classic RK4 over the epoch in ``n_steps`` equal steps, in place on
-    ``work`` ((n,) or (B, n), C-contiguous complex128); returns the end
-    time.
+def _rk4(parts, epoch: Epoch, n_steps: int, observe=None,
+         observe_per_epoch: int = 0) -> float:
+    """Classic RK4 over the epoch in ``n_steps`` equal steps; returns the
+    end time.  Each of ``parts``, (h, work, rows), steps ``work`` ((n,) or
+    (B, n), C-contiguous complex128) in place under the member rows
+    ``rows`` of ``h``, one for each row of ``work``; all share their
+    envelopes.
 
-    The operator is laid out once, for either step loop, at the states'
-    member width, so neither loop knows what a member is: states and
-    diagonal (B, n), flat partner indices into the states, pattern and
-    rate rows (F, B, n), one phase table per substage and one scratch
-    (4, B, n) for the RK4 stages.  ``ckernel.bind`` splits the diagonal
-    and pattern into real and imaginary arrays for the C loop, which
-    converts the states in and out once per call.  The substage times,
-    envelopes (``h.envelope_table``) and phase ramps are tabulated for up
-    to ENVELOPE_CHUNK steps at a time, with at most PHASE_TABLE_ELEMENTS
-    ramps per substage, and each chunk runs up to each observer stop in
-    the C loop where ``ckernel.load`` gives one, in ``_numpy_loop``
-    otherwise; the two agree bit for bit.
-    Every time and table element is computed from its own step index, so
-    the chunk size is not in the bits.
+    All rows are laid out once, block-major (``_layout``), for either step
+    loop: states and diagonal (N,), runs, pattern and rate rows (F, N), a
+    phase table per substage and a scratch (4, N); the order is undone
+    before each observer call and on return.  Times, envelopes and phase
+    ramps are tabulated from their step indices, ENVELOPE_CHUNK steps (and
+    at most PHASE_TABLE_ELEMENTS ramps) at a time, and each chunk runs to
+    each observer stop in the C loop where ``ckernel.load`` gives one, in
+    ``_numpy_loop`` otherwise: no chunk size or state order is in the bits.
     """
-    if not (work.flags.c_contiguous and work.dtype == np.complex128):
-        raise ValueError("the states must be C-contiguous complex128")
     dt = epoch.duration / n_steps
-    check_stability(h, dt)
+    views, columns, offset = [], [], 0
+    for h, work, rows in parts:
+        if not (work.flags.c_contiguous and work.dtype == np.complex128):
+            raise ValueError("the states must be C-contiguous complex128")
+        check_stability(h, dt)
+        view = work.reshape(-1, work.shape[-1])
+        views.append((view, offset))
+        # each member row of each part: the states of one operator, in turn
+        shift = offset + view.shape[1] * np.arange(len(view))[:, None]
+        offset += view.size
+        columns.append([a.reshape(a.shape[:-2] + (view.size,)) for a in (
+            view, _member_rows(h._diag_complex, rows, 0),
+            h.blocks() + shift, h.perm[:, None] + shift,
+            _member_rows(h.pattern, rows, 1), _member_rows(h.rate, rows, 1))])
+    flat, diag, labels, perm, pattern, rate = (
+        np.concatenate(arrays, axis=-1) for arrays in zip(*columns))
+    order, starts, partner = _layout(labels, perm)
+    states, diag, pattern, rate = (a[..., order]
+                                   for a in (flat, diag, pattern, rate))
+
+    def unpermute():
+        flat[order] = states
+        for view, start in views:
+            view[...] = flat[start:start + view.size].reshape(view.shape)
+
     stride = max(1, n_steps // observe_per_epoch) if observe else 0
-    states = work.reshape(-1, work.shape[-1])
-    # numpy buffers a broadcast operand through a temporary on every multiply
-    diag = np.ascontiguousarray(np.broadcast_to(h._diag_complex,
-                                                states.shape))
-    pattern, rate = (np.broadcast_to(rows if rows.ndim > 2 else rows[:, None],
-                                     (len(rows),) + states.shape)
-                     for rows in (h.pattern, h.rate))
-    partner = h.perm[:, None] + \
-        np.arange(0, states.size, states.shape[1])[:, None]
     if rate.any():
         # one table of phase rows per substage, filled anew for each chunk
         chunk = max(1, min(ENVELOPE_CHUNK, PHASE_TABLE_ELEMENTS // rate.size))
@@ -267,8 +261,8 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
     coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6.0, 2.0])
     scratch = np.empty((4,) + states.shape, dtype=np.complex128)
     from . import ckernel     # not at import: the loader is run-time only
-    steps = (ckernel.load() or _numpy_loop)(states, diag, partner, pattern,
-                                            phases, coef, scratch)
+    steps = (ckernel.load() or _numpy_loop)(states, diag, starts, partner,
+                                            pattern, phases, coef, scratch)
     for k0 in range(0, n_steps, chunk):
         k_stop = min(k0 + chunk, n_steps)
         # the times of the step loop: each step starts where the last ended
@@ -290,8 +284,51 @@ def _rk4(h: EpochHamiltonian, work: np.ndarray, epoch: Epoch, n_steps: int,
             steps(table, k_stop - k0, done - k0, stop - k0)
             done = stop
             if stride and (done % stride == 0 or done == n_steps):
+                unpermute()
                 observe(float(bounds[done - k0]))
+    unpermute()
     return float(bounds[-1])
+
+
+def _member_rows(a: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
+    """The member rows ``rows`` of ``a`` along its member ``axis`` (0 of a
+    diagonal, 1 of family rows), or ``a`` repeated if it has none."""
+    if a.ndim > axis + 1:
+        return a.take(rows, axis)
+    return a.reshape(a.shape[:axis] + (1,) + a.shape[axis:]).repeat(
+        len(rows), axis)
+
+
+def _layout(labels: np.ndarray, perm: np.ndarray):
+    """Block-major order of states with block ``labels`` and partners
+    ``perm`` (F, n): ``order``, the state at each position; ``starts`` of
+    the runs, then the count; ``partner`` (F, runs), each family's partner
+    run of each run.  A kind (blocks of one size and coupling) takes one
+    run for each position in its blocks, so each family's partner of a run
+    is a run."""
+    by_block = np.argsort(labels, kind="stable")
+    grouped = labels[by_block]
+    size = np.bincount(labels, minlength=len(labels))[grouped]
+    position = np.empty_like(labels)
+    position[by_block] = np.arange(len(labels)) - np.searchsorted(grouped,
+                                                                  grouped)
+    order, starts, partner = [], [0], []
+    for s in sorted(set(size.tolist())):
+        blocks = by_block[size == s].reshape(-1, s)
+        # each family's partner, as a position, of each position of a block
+        kinds = {}
+        for b, shape in enumerate(position[perm[:, blocks]]
+                                  .transpose(1, 0, 2).reshape(len(blocks), -1)
+                                  .tolist()):
+            kinds.setdefault(tuple(shape), []).append(b)
+        for shape, kind in kinds.items():
+            runs = blocks[kind].T
+            partner.append(len(starts) - 1 + np.array(
+                shape, dtype=np.int64).reshape(-1, s))
+            order += list(runs)
+            starts += [starts[-1] + runs.shape[1] * j for j in range(1, s + 1)]
+    return (np.concatenate(order), np.array(starts),
+            np.concatenate(partner, axis=1))
 
 
 def _phase_rows(rate: np.ndarray, times: np.ndarray,
@@ -311,22 +348,23 @@ def _phase_rows(rate: np.ndarray, times: np.ndarray,
 class _numpy_loop:
     """``ckernel.bind``'s chunk runner, in numpy.
 
-    H psi is one ``take`` that gathers every family's partners at once
-    (at the flat ``partner`` indices, so each family row is contiguous),
-    one multiply each for the patterns, a row of phase ramps and a column
-    of envelope values, and one add per family row onto the diagonal
-    term, in family order.  k4 reuses k3's buffer once k2 + k3
-    is taken.  The stages are H psi, and the -i of the Schrodinger
-    equation rides on the step coefficients: a product with -i only swaps
-    and negates components, so each element is exactly what -i H psi
-    scaled by a real coefficient gives.
+    H psi is one ``take`` of every family's partners (the runs expanded
+    into one index), one multiply each for the patterns, a row of phase
+    ramps and a column of envelope values, and one add per family row onto
+    the diagonal term, in family order.  k4 reuses k3's buffer once k2 + k3
+    is taken.  The -i of the Schrodinger equation rides on the step
+    coefficients: a product with -i only swaps and negates components, so
+    each element is exactly -i H psi scaled by a real coefficient.
     """
 
-    def __init__(self, states, diag, partner, pattern, phases, coef, scratch):
-        self.states, self.diag, self.partner = states, diag, partner
+    def __init__(self, states, diag, starts, partner, pattern, phases, coef,
+                 scratch):
+        self.states, self.diag = states, diag
+        self.partner = np.arange(len(states)) + np.repeat(
+            starts[partner] - starts[:-1], starts[1:] - starts[:-1], axis=-1)
         self.pattern, self.phases = pattern, phases
         self.coef, self.scratch = coef[:3], scratch
-        self.gathered = np.empty(partner.shape, dtype=np.complex128)
+        self.gathered = np.empty(self.partner.shape, dtype=np.complex128)
         self.rows = list(self.gathered)
 
     def _apply(self, psi, out, envelope, phase):
@@ -348,7 +386,7 @@ class _numpy_loop:
         work, (k1, k2, k3, y) = self.states, self.scratch
         half, full, sixth = self.coef
         envelopes = table.T.astype(np.complex128) \
-            .reshape((3, m, len(table), 1, 1))
+            .reshape((3, m, len(table), 1))
         phases = [repeat(None) if p is None else p[lo:hi]
                   for p in self.phases]
         for e_s, e_m, e_e, p_s, p_m, p_e in zip(

@@ -175,7 +175,6 @@ class PulsePair:
     """One counter-intuitive pair: the leading beam, first of
     ``epoch.events``, couples the empty leg."""
 
-    adiabaticity: float
     adiabatic: bool
     target: RecoilState
     epoch: Epoch
@@ -253,8 +252,7 @@ def counter_intuitive_pair(index: int, stagger: float, rms_rabi: float,
                   label=f"pair-{index}")
 
     xi = adiabaticity_parameter(rms_rabi, stagger)
-    return PulsePair(adiabaticity=xi,
-                     adiabatic=xi <= ADIABATIC_FLAG_THRESHOLD,
+    return PulsePair(adiabatic=xi <= ADIABATIC_FLAG_THRESHOLD,
                      target=target, epoch=epoch)
 
 

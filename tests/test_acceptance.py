@@ -35,9 +35,9 @@ def report(n, text):
 # 1. deflection staircase at the published working point
 # ----------------------------------------------------------------------
 
-def test_criterion_1_deflection_staircase(figure3_run):
+def test_criterion_1_deflection_staircase(figure3_run, figure3_params):
     result, wall_time = figure3_run
-    p = result.params
+    p = figure3_params
     assert p.n_pairs == 30
     assert p.stagger_s == 50e-9                    # pair window 150 ns
     assert p.rms_rabi_hz == 100e6
@@ -64,11 +64,11 @@ def test_criterion_1_deflection_staircase(figure3_run):
 # 2. adiabaticity arithmetic
 # ----------------------------------------------------------------------
 
-def test_criterion_2_adiabaticity_number(atom):
+def test_criterion_2_adiabaticity_number(atom, pair_adiabaticity):
     xi = adiabaticity_parameter(TWO_PI * 100e6, 50e-9)
     assert xi == pytest.approx(0.032, abs=0.002)
     pair = counter_intuitive_pair(0, 50e-9, TWO_PI * 100e6)
-    assert pair.adiabaticity == pytest.approx(xi)
+    assert pair_adiabaticity(pair) == pytest.approx(xi)
     assert pair.adiabatic
     report(2, f"(2 pi g T)^-1 = {xi:.4f}")
 

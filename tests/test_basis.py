@@ -100,11 +100,11 @@ def test_observables_equal_superposition():
     psi = WaveFunction.from_components(
         basis, {RecoilState(C, 0): 1.0, RecoilState(A, -4): 1.0})
     obs_a = psi.observables([A])
-    assert obs_a.population == pytest.approx(0.5, abs=1e-12)
+    assert psi.population([A]) == pytest.approx(0.5, abs=1e-12)
     assert obs_a.mean == pytest.approx(-4.0)
     assert obs_a.spread == pytest.approx(0.0, abs=1e-9)
     obs_c = psi.observables([C])
-    assert obs_c.population == pytest.approx(0.5, abs=1e-12)
+    assert psi.population([C]) == pytest.approx(0.5, abs=1e-12)
     assert obs_c.mean == pytest.approx(0.0)
 
 
@@ -113,7 +113,7 @@ def test_observables_empty_filter_undefined_not_zero():
     psi = WaveFunction.from_components(
         basis, {RecoilState(C, 0): 1.0, RecoilState(A, -4): 1.0})
     obs_b = psi.observables([B])
-    assert obs_b.population == 0.0
+    assert psi.population([B]) == 0.0
     assert obs_b.mean is None
     assert obs_b.spread is None
 

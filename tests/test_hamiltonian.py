@@ -10,7 +10,7 @@ from recoilsim import propagate
 from recoilsim.basis import Basis, RecoilState
 from recoilsim.errors import ConfigurationError
 from recoilsim.hamiltonian import (compile_epoch, compile_from_epoch,
-                                   dark_state, stack)
+                                   dark_state)
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.propagate import ladder_basis
 from recoilsim.pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, PI_PAIR,
@@ -373,7 +373,7 @@ def test_reductions_match_the_dense_operator(atom, case):
     basis, events, anchors, decay_rate, support = case
     h = compile_epoch(basis, events, atom, anchors, decay_rate)
     members = len(support)
-    assert h.batched == (members > 1)
+    assert (np.ndim(h.row_bound(-0.2e-6, 0.7e-6)) > 0) == (members > 1)
     assert np.array_equal(h.row_bound(), reference_bound(h))
     assert np.array_equal(h.row_bound(-0.2e-6, 0.7e-6),
                           reference_bound(h, -0.2e-6, 0.7e-6))
@@ -394,34 +394,21 @@ def test_reductions_match_the_dense_operator(atom, case):
             closure = grown
         assert np.array_equal(mask[r], closure)
 
-    # members(r): the operator of member r compiled alone
-    for r in range(members):
-        alone = h.members([r])
-        assert not alone.batched
-        assert alone.structure == lone[r].structure
-        for name in ("diagonal", "decay", "pattern", "rate", "peak"):
-            assert np.array_equal(getattr(alone, name),
-                                  getattr(lone[r], name))
-        assert np.array_equal(dense(alone, t), dense(lone[r], t))
-    assert h.members(list(range(members))) is h
-
-    # stack of the lone operators: the batch
-    batch = stack(lone, [1] * members)
-    assert batch.structure == h.structure
-    for r in range(members):
-        assert np.array_equal(dense(batch, t, r), full[r])
     # members whose largest elements differ each get their own bound
     other = compile_epoch(basis, member_events(events, 0), atom, anchors,
                           1e5 - decay_rate)
-    mixed = stack([lone[0], other, lone[0]], [1, 2, 1])
+    mixed = replace(lone[0], **{name: np.stack([getattr(op, name) for op in
+                                                (lone[0], other, other,
+                                                 lone[0])])
+                                for name in ("diagonal", "decay")})
     assert np.array_equal(mixed.row_bound(-0.2e-6, 0.7e-6),
                           reference_bound(mixed, -0.2e-6, 0.7e-6))
 
     # reduced(idx): the full matrix restricted to idx, for each member
     for r in range(members):
         idx = np.flatnonzero(mask[r])
-        small = h.members([r]).reduced(idx)
-        assert np.array_equal(dense(small, t), full[r][np.ix_(idx, idx)])
+        small = h.reduced(idx)
+        assert np.array_equal(dense(small, t, r), full[r][np.ix_(idx, idx)])
         assert all(row.any() for row in small.pattern)   # none left idle
         # the step gathers and multiplies these rows whole: keep them dense
         assert all(a.flags.c_contiguous for a in
@@ -452,11 +439,11 @@ def test_phase_table_matches_the_per_time_formula_bit_for_bit(atom, bias,
               for axis, rung in (("z", -1), ("x", 0))]
     basis = Basis([A, B], range(-4, 5), range(-2, 3))
     h = compile_epoch(basis, events, atom, {B: (2, 1)})
-    if shape == (3,):
-        h = stack([h], [3])
-    # laid out as _rk4 lays it out for one state or B: (F, B, n)
-    rate = h.rate if h.rate.ndim > 2 else h.rate[:, None]
-    assert rate.shape == (2,) + (shape or (1,)) + (len(basis),)
+    # laid out as _rk4 lays it out, member after member (an unbatched row
+    # repeated for each), for one state or B: (F, B n)
+    members = np.arange(shape[0] if shape else 1)
+    rate = propagate._member_rows(h.rate, members, 1).reshape(2, -1)
+    assert rate.shape == (2, len(members) * len(basis))
     assert (rate < 0).any() and (rate > 0).any()
     # every substage time of the epoch as the RK4 loop steps it
     t_start, duration, n_steps = 1e-3, 5e-6, 97

@@ -168,9 +168,9 @@ def test_batched_stage_matches_lone_arms(atom, monkeypatch):
     widths, stage_calls = [], []
     rk4, run = propagate._rk4, interferometer.run_sequence_on_arm
 
-    def recording_rk4(h, work, *args):
-        widths.append(1 if work.ndim == 1 else len(work))
-        return rk4(h, work, *args)
+    def recording_rk4(parts, *args):
+        widths.append(sum(len(rows) for *_, rows in parts))
+        return rk4(parts, *args)
 
     def recording_run(stage_arms, *args):
         stage_calls.append(len(stage_arms))

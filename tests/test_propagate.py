@@ -374,6 +374,12 @@ def kernel_cases(draw):
             draw(st.sampled_from([1, 40, 2 ** 12])))
 
 
+def whole(h, work):
+    """``work`` as one part for ``propagate._rk4``: every row, each under
+    the same row of ``h`` (or ``h`` itself)."""
+    return h, work, np.arange(work.size // work.shape[-1])
+
+
 def observed(work):
     samples = []
     return samples, lambda t: samples.append((t, work.copy()))
@@ -389,7 +395,7 @@ def test_stacked_kernel_matches_the_per_family_loop_bit_for_bit(case):
     ref_samples, ref_observe = observed(ref)
     with mock.patch.object(propagate, "ENVELOPE_CHUNK", chunk), \
             mock.patch.object(propagate, "PHASE_TABLE_ELEMENTS", budget):
-        t = propagate._rk4(h, work, epoch, n_steps,
+        t = propagate._rk4([whole(h, work)], epoch, n_steps,
                            observe if per_epoch else None, per_epoch)
     t_ref = reference_rk4(h, ref, epoch, n_steps,
                           ref_observe if per_epoch else None, per_epoch)
@@ -424,10 +430,10 @@ def test_c_kernel_equals_the_numpy_loop(case):
     ref_samples, ref_observe = observed(ref)
     with mock.patch.object(propagate, "ENVELOPE_CHUNK", chunk), \
             mock.patch.object(propagate, "PHASE_TABLE_ELEMENTS", budget):
-        t = propagate._rk4(h, work, epoch, n_steps,
+        t = propagate._rk4([whole(h, work)], epoch, n_steps,
                            observe if per_epoch else None, per_epoch)
         with mock.patch.object(ckernel, "load", lambda: None):
-            t_ref = propagate._rk4(h, ref, epoch, n_steps,
+            t_ref = propagate._rk4([whole(h, ref)], epoch, n_steps,
                                    ref_observe if per_epoch else None,
                                    per_epoch)
     assert t == t_ref
@@ -437,41 +443,160 @@ def test_c_kernel_equals_the_numpy_loop(case):
         assert got.tobytes() == want.tobytes()
 
 
-def flat_partner(perm, members):
-    """(F, n) partner indices as flat indices (F, B, n) into (B, n)
-    states."""
-    n = perm.shape[-1]
-    return perm[:, None] + n * np.arange(members, dtype=perm.dtype)[:, None]
+@st.composite
+def layout_cases(draw):
+    """The parts of one step batch: 1-3 operators of 1-12 states each, under
+    the same 0-3 families, each of which is a random perfect matching of
+    its own on each operator, with an unbatched or (B, n) pattern and
+    diagonal (B of 1 to 3), and the states of some of its member rows,
+    which hold exact zeros of either sign and a NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    envelopes = tuple(PulseEnvelope(SQUARE, 1.0, 0.0, 1.0)
+                      for _ in range(draw(st.integers(0, 3))))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 12))
+        members = draw(st.integers(1, 3))
+        batched = members > 1 and draw(st.booleans())
+        shape = (members, n) if batched else (n,)
+        perm = np.tile(np.arange(n), (len(envelopes), 1))
+        pattern = np.zeros((len(envelopes),) + shape, dtype=np.complex128)
+        for f in range(len(envelopes)):
+            order = rng.permutation(n)
+            m = int(rng.integers(0, n // 2 + 1))
+            i, j = order[:m], order[m:2 * m]
+            perm[f, i], perm[f, j] = j, i
+            pattern[f][..., i] = rng.normal(size=shape[:-1] + (m,)) + 1j
+            pattern[f][..., j] = np.conj(pattern[f][..., i])
+        h = EpochHamiltonian(rng.normal(size=shape), np.zeros(shape), perm,
+                             pattern, np.zeros(pattern.shape), envelopes,
+                             np.ones(len(envelopes)))
+        rows = np.flatnonzero(rng.random(members) < 0.7)
+        rows = rows if len(rows) else np.array([members - 1])
+        work = rng.normal(size=(len(rows), n)) + 1j * rng.normal(
+            size=(len(rows), n))
+        work.real[rng.random(size=work.shape) < 0.2] = -0.0
+        work.imag[0, 0] = np.nan
+        parts.append((h, work, rows))
+    return parts
+
+
+def components(h):
+    """Per state, the smallest index of the states that the nonzero
+    off-diagonal entries of its dense matrix (of any member) link it to."""
+    n = h.diagonal.shape[-1]
+    reach = np.eye(n, dtype=bool)
+    for f, row in enumerate(h.pattern):
+        live = (row != 0).reshape(-1, n).any(axis=0)
+        reach[np.flatnonzero(live), h.perm[f, live]] = True
+    while not np.array_equal(grown := (reach.astype(int) @ reach) > 0,
+                             reach):
+        reach = grown
+    return reach.argmax(axis=1)
+
+
+class _BindRecorder:
+    """A kernel that records the layout it is bound on and steps nothing;
+    its envelope table is all zeros."""
+
+    def __init__(self):
+        self.bound = []
+
+    def __call__(self, states, diag, starts, partner, pattern, *_):
+        self.bound.append((states.copy(), diag, starts, partner, pattern))
+        return lambda *chunk: None
+
+    def envelope_table(self, envelopes, times):
+        return np.zeros((len(envelopes), len(times)))
+
+
+@pytest.mark.bits
+@given(parts=layout_cases())
+@settings(max_examples=200, deadline=None)
+def test_layout_is_block_major_and_undone_bit_for_bit(parts):
+    # every stepped state as (part, row, state), the rows of the parts one
+    # after the other, each with its operator's blocks and partners
+    flat, labels, perm = [], [], []
+    for k, (h, work, _) in enumerate(parts):
+        for r in range(len(work)):
+            n, first = h.diagonal.shape[-1], len(flat)
+            flat += [(k, r, i) for i in range(n)]
+            labels.append(first + h.blocks())
+            perm.append(first + h.perm)
+    order, starts, partner = propagate._layout(
+        np.concatenate(labels), np.concatenate(perm, axis=1))
+    assert np.array_equal(np.sort(order), np.arange(len(flat)))
+    assert starts[0] == 0 and starts[-1] == len(flat)
+    assert np.all(np.diff(starts) > 0)
+    for h, *_ in parts:
+        assert np.array_equal(h.blocks(), components(h))
+    # each family's partner of every run is a whole run of the same length,
+    # position by position: the partner of each state of the run
+    lengths = np.diff(starts)
+    assert partner.shape == (len(parts[0][0].perm), len(lengths))
+    for f, runs in enumerate(partner):
+        assert np.array_equal(lengths[runs], lengths)
+        for r, p in enumerate(runs):
+            for j in range(lengths[r]):
+                k, row, i = flat[order[starts[r] + j]]
+                assert flat[order[starts[p] + j]] == \
+                    (k, row, parts[k][0].perm[f, i])
+
+    # _rk4 binds the states and the operator in that order, and undoes it
+    # into every part, at each observer stop and on return, bit for bit
+    def member(a, row, axis):
+        return a.take(row, axis) if a.ndim > axis + 1 else a
+    before = [work.copy() for _, work, _ in parts]
+    seen = []
+    kernel = _BindRecorder()
+    with mock.patch.object(ckernel, "load", lambda: kernel):
+        propagate._rk4(parts, Epoch(0.0, 1e-3, ()), 5,
+                       lambda t: seen.append([w.tobytes() for _, w, _ in
+                                              parts]), 2)
+    assert [w.tobytes() for _, w, _ in parts] == \
+        [w.tobytes() for w in before]
+    assert seen == [[w.tobytes() for w in before]] * 3
+    ((states, diag, bound_starts, bound_partner, pattern),) = kernel.bound
+    assert np.array_equal(bound_starts, starts)
+    assert np.array_equal(bound_partner, partner)
+    for q, (k, row, i) in enumerate(np.array(flat, dtype=object)[order]):
+        h, _, rows = parts[k]
+        assert states[q].tobytes() == before[k][row, i].tobytes()
+        assert diag[q] == member(h._diag_complex, rows[row], 0)[i]
+        assert np.array_equal(pattern[:, q],
+                              member(h.pattern, rows[row], 1)[:, i])
 
 
 @pytest.mark.bits
 def test_c_kernel_binder_holds_the_copies_it_passes():
     c_kernel_or_skip()
     rng = np.random.default_rng(5)
-    members, n, m = 3, 6, 5
+    n, m = 18, 5
 
     def normal(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    # int32 partner indices and a transposed pattern: bind passes copies
-    partner = flat_partner(np.array([[1, 0, 3, 2, 5, 4], [2, 3, 0, 1, 4, 5]],
-                                    dtype=np.int32), members)
-    assert partner.dtype == np.int32
-    pattern = normal(2, n, members).transpose(0, 2, 1)
-    phases = [np.exp(1j * rng.uniform(-3, 3, size=(m, 2, members, n)))
+    # int32 run starts and partner runs and a transposed pattern: bind
+    # passes copies
+    starts = np.array([0, 3, 6, 9, 12, 18], dtype=np.int32)
+    partner = np.array([[1, 0, 3, 2, 4], [2, 3, 0, 1, 4]], dtype=np.int32)
+    pattern = normal(n, 2).T
+    phases = [np.exp(1j * rng.uniform(-3, 3, size=(m, 2, n)))
               for _ in range(3)]
-    diag, states = normal(members, n), normal(members, n)
+    diag, states = normal(n), normal(n)
     coef = np.array([-0.05j, -0.1j, -0.1j / 6.0, 2.0])
     table = rng.uniform(size=(2, 3 * m))
     runs = []
     for loop in (ckernel.load(), propagate._numpy_loop):
         work = states.copy()
-        scratch = np.empty((4, members, n), dtype=np.complex128)
-        steps = loop(work, diag, partner, pattern, phases, coef, scratch)
+        scratch = np.empty((4, n), dtype=np.complex128)
+        steps = loop(work, diag, starts, partner, pattern, phases, coef,
+                     scratch)
         gc.collect()
         # take back the memory of a dropped copy (numpy reuses freed blocks
-        # of a size) and zero it: partner 0 for every state, no pattern
+        # of a size) and zero it: every run starting at 0 and coupled to
+        # run 0, no pattern
         junk = [np.full(size, 0, dtype=np.int64)
-                for size in (partner.size, 2 * pattern.size) * 4]
+                for size in (starts.size, partner.size, 2 * pattern.size) * 4]
         steps(table, m, 0, 2)
         steps(table, m, 2, m)
         runs.append(work.tobytes())
@@ -479,28 +604,38 @@ def test_c_kernel_binder_holds_the_copies_it_passes():
 
 
 def bind_layouts():
-    """A valid layout for ``ckernel.bind`` (3 members of 4 states, 2
+    """A valid layout for ``ckernel.bind`` (12 states in 4 runs of 3, 2
     families with a rate), then that layout with one array the kernel
-    would read out of bounds: a pattern of one row shared by the members,
-    a phase table of the wrong shape, and flat partner indices below 0 or
-    past the last state."""
-    members, n, m = 3, 4, 2
-    states = np.ones((members, n), dtype=np.complex128)
-    partner = flat_partner(np.array([[1, 0, 3, 2], [3, 2, 1, 0]]), members)
-    pattern = np.ones((2, members, n), dtype=np.complex128)
-    phases = [np.ones((m, 2, members, n), dtype=np.complex128)] * 3
-    valid = dict(states=states, diag=states.copy(), partner=partner,
-                 pattern=pattern, phases=phases,
+    would read out of bounds: a pattern row shorter than the states, phase
+    tables of the wrong shape, run starts that run past the states, start
+    below 0, do not increase or do not end at the state count, a partner
+    run of another length, and partner runs below 0 or past the last
+    run."""
+    n, m = 12, 2
+    states = np.ones(n, dtype=np.complex128)
+    starts = np.array([0, 3, 6, 9, n])
+    partner = np.array([[1, 0, 3, 2], [3, 2, 1, 0]])
+    pattern = np.ones((2, n), dtype=np.complex128)
+    phases = [np.ones((m, 2, n), dtype=np.complex128)] * 3
+    valid = dict(states=states, diag=states.copy(), starts=starts,
+                 partner=partner, pattern=pattern, phases=phases,
                  coef=np.array([-0.05j, -0.1j, -0.1j / 6.0, 2.0]),
-                 scratch=np.empty((4, members, n), dtype=np.complex128))
+                 scratch=np.empty((4, n), dtype=np.complex128))
     low, high = partner.copy(), partner.copy()
-    low[1, 2, 3], high[0, 2, 3] = -1, members * n
+    low[1, 2], high[0, 2] = -1, len(starts) - 1
     return valid, [
-        ("layout", dict(valid, pattern=pattern[:, :1], phases=[None] * 3)),
-        ("layout", dict(valid, phases=[np.ones((m, 2, 1, n),
+        ("layout", dict(valid, pattern=pattern[:, :3], phases=[None] * 3)),
+        ("layout", dict(valid, phases=[np.ones((m, 2, 3),
                                                dtype=np.complex128)] * 3)),
-        ("layout", dict(valid, phases=[np.ones((m, 1, members, n),
+        ("layout", dict(valid, phases=[np.ones((m, 1, n),
                                                dtype=np.complex128)] * 3)),
+        ("runs", dict(valid, starts=np.array([0, 3, 6, 9, n + 1]))),
+        ("runs", dict(valid, starts=np.array([-3, 3, 6, 9, n]))),
+        ("runs", dict(valid, starts=np.array([0, 6, 3, 9, n]))),
+        ("runs", dict(valid, starts=np.array([0, 3, 3, 9, n]))),
+        ("runs", dict(valid, starts=np.array([0, 3, 6, 9]))),
+        ("runs", dict(valid, starts=np.array([0, 3, 6, 9, n - 1]))),
+        ("partner", dict(valid, starts=np.array([0, 3, 6, 8, n]))),
         ("partner", dict(valid, partner=low)),
         ("partner", dict(valid, partner=high))]
 
@@ -573,7 +708,7 @@ def test_loader_refuses_a_build_whose_step_probe_disagrees(monkeypatch):
         def run(*chunk):
             steps(*chunk)
             # the last state: in the remainder after the vector body
-            states.real[-1, -1] = np.nextafter(states.real[-1, -1], np.inf)
+            states.real[-1] = np.nextafter(states.real[-1], np.inf)
         return run
     monkeypatch.setattr(propagate, "_numpy_loop", nudged)
     monkeypatch.setattr(ckernel, "_loaded", None)   # choose again
@@ -614,8 +749,8 @@ def test_rk4_bytes_do_not_depend_on_the_envelope_chunk(atom, engine):
             samples, observe = observed(work)
             with mock.patch.object(propagate, "ENVELOPE_CHUNK", chunk), \
                     mock.patch.object(ckernel, "load", loader):
-                t = propagate._rk4(h, work, epoch, n_steps, observe,
-                                   per_epoch)
+                t = propagate._rk4([whole(h, work)], epoch,
+                                   n_steps, observe, per_epoch)
             runs.append((t, work.tobytes(),
                          [(s, w.tobytes()) for s, w in samples]))
         assert len(runs[0][2]) == per_epoch + 1
@@ -639,7 +774,7 @@ def test_rk4_refuses_work_it_cannot_step_in_place():
                  np.ones((2, 2 * n), dtype=np.complex128)[:, ::2],
                  np.ones(n)):
         with pytest.raises(ValueError):
-            propagate._rk4(h, work, epoch, 4)
+            propagate._rk4([whole(h, work)], epoch, 4)
 
 
 @pytest.mark.bits

@@ -59,14 +59,8 @@ ALLOWED = {
                                                "by the plan tests",
     "basis.Observables.spread": "momentum spread, checked by the basis "
                                 "tests",
-    "basis.Observables.population": "level population, checked by the "
-                                    "basis tests",
     "interferometer.StageRecord.dropped": "a stage's dropped population, "
                                           "checked by the batching test",
-    "plans.Figure3Result.params": "the run's parameters, which criterion 1 "
-                                  "reads back",
-    "pulses.PulsePair.adiabaticity": "the pair's adiabaticity parameter, "
-                                     "checked by criterion 2",
     "params.InternalLevel.is_excited": "read once at import, to build "
                                        "hamiltonian._EXCITED",
 }
