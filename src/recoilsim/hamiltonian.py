@@ -56,6 +56,17 @@ def _in_order_sum(rows: np.ndarray, empty):
     return np.add.accumulate(rows, axis=0)[-1] if len(rows) else empty
 
 
+def _window_bound(diag_max, scales, envelopes):
+    """``diag_max`` plus the largest sum over the live families, at any of
+    their sampled times, of each one's ``scales`` (L, 1) or (L, R, 1) times
+    its ``envelopes`` (L, samples), in family order, with a small safety
+    factor against the sampling missing the true peak."""
+    total = _in_order_sum(scales * envelopes.reshape(
+        envelopes.shape[:1] + (1,) * (scales.ndim - 2) + envelopes.shape[1:]),
+        np.zeros(np.shape(diag_max) + (1,)))
+    return diag_max + 1.02 * np.max(total, axis=-1)
+
+
 @dataclass(eq=False)
 class EpochHamiltonian:
     """Compiled operator for one epoch: static structure, time-dependent
@@ -74,6 +85,9 @@ class EpochHamiltonian:
     peak: np.ndarray        # (F,) peak envelope per family
     _bound: tuple | None = field(default=None, init=False, repr=False)
     _blocks: np.ndarray | None = field(default=None, init=False, repr=False)
+    _peaks: tuple | None = field(default=None, init=False, repr=False)
+    _samples: tuple | None = field(default=None, init=False, repr=False)
+    _parent: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._diag_complex = self.diagonal - 0.5j * self.decay
@@ -91,18 +105,20 @@ class EpochHamiltonian:
                         dtype=np.float64).reshape(len(self.envelopes),
                                                   len(times))
 
-    def _diag_max(self):
-        """Largest |diagonal element|, per member for a batch."""
-        return np.max(np.abs(self._diag_complex), axis=-1, initial=0.0)
-
-    def _peak_elements(self) -> np.ndarray:
-        """Largest |H element| of each family, (F,) or (F, B)."""
-        peak = self.peak.reshape((-1,) + (1,) * (self.pattern.ndim - 2))
-        return peak * np.max(np.abs(self.pattern), axis=-1, initial=0.0)
+    def _maxima(self):
+        """Largest |diagonal element| (per member for a batch), largest
+        |H element| of each family, (F,) or (F, B), and the larger of the
+        two (kept)."""
+        if self._peaks is None:
+            diag = np.max(np.abs(self._diag_complex), axis=-1, initial=0.0)
+            peak = self.peak.reshape((-1,) + (1,) * (self.pattern.ndim - 2))
+            elem = peak * np.max(np.abs(self.pattern), axis=-1, initial=0.0)
+            self._peaks = (diag, elem,
+                           np.maximum(diag, elem.max(axis=0, initial=0.0)))
+        return self._peaks
 
     def max_element(self):
-        return np.maximum(self._diag_max(),
-                          self._peak_elements().max(axis=0, initial=0.0))
+        return self._maxima()[2]
 
     def row_bound(self, t0: float | None = None, t1: float | None = None):
         """Gershgorin-style bound on the spectral radius.
@@ -115,28 +131,39 @@ class EpochHamiltonian:
             self._bound = ((t0, t1), self._sampled_bound(t0, t1))
         return self._bound[1]
 
+    def _envelope_samples(self, t0, t1) -> np.ndarray:
+        """Every family's envelope at 257 times of (t0, t1), (F, 257); a
+        reduced operator takes its families' rows of its parent's samples,
+        so a lattice samples each window once (the last window's are
+        kept)."""
+        if self._parent is not None:
+            parent, families = self._parent
+            return parent._envelope_samples(t0, t1)[families]
+        if self._samples is None or self._samples[0] != (t0, t1):
+            self._samples = ((t0, t1),
+                             self.envelope_table(np.linspace(t0, t1, 257)))
+        return self._samples[1]
+
     def _sampled_bound(self, t0, t1):
-        diag_max = self._diag_max()
-        elem = self._peak_elements()
+        diag_max, elem, _ = self._maxima()
         if t0 is None or t1 is None or t1 <= t0 or not len(elem):
             return diag_max + _in_order_sum(elem, 0)
         live = self.peak != 0
-        envelopes = self.envelope_table(np.linspace(t0, t1, 257))[live]
+        envelopes = self._envelope_samples(t0, t1)[live]
+        scales = elem[live] / self.peak[live].reshape((-1,) + (1,) * (
+            elem.ndim - 1))
+        if not (np.ndim(diag_max) or elem.ndim > 1):
+            return _window_bound(diag_max, scales[:, None], envelopes)
         # batch members mostly share their peak elements (over a detuning
         # scan they differ by an ulp at most), so each distinct row of them
         # is summed once instead of building a (B, 257) array
         distinct = {}
         member = [distinct.setdefault(tuple(row), len(distinct)) for row in
-                  np.column_stack(np.broadcast_arrays(diag_max, *elem))
+                  np.column_stack(np.broadcast_arrays(diag_max, *scales))
                   .tolist()]
         rows = np.array(list(distinct))
-        scales = rows[:, 1:][:, live] / self.peak[live]
-        total = _in_order_sum(scales.T[:, :, None] * envelopes[:, None],
-                              np.zeros((len(rows), 1)))
-        # small safety factor against the sampling missing the true peak
-        bound = rows[:, 0] + 1.02 * np.max(total, axis=-1)
-        return bound[member] if np.ndim(diag_max) or elem.ndim > 1 \
-            else bound[0]
+        return _window_bound(rows[:, 0], rows[:, 1:].T[..., None],
+                             envelopes)[member]
 
     def blocks(self) -> np.ndarray:
         """One label per state, the smallest index of its block (kept): the
@@ -163,7 +190,9 @@ class EpochHamiltonian:
 
     def reduced(self, idx: np.ndarray) -> "EpochHamiltonian":
         """Restriction to ``idx``, a union of blocks; families that couple
-        nothing there are dropped."""
+        nothing there are dropped.  It keeps this operator's block labels
+        and takes its envelope samples from it, so the parts of one lattice
+        sample each window once."""
         def restrict(a):        # take() keeps the rows C-contiguous
             return a.take(idx, axis=-1)
         inverse = np.full(self.diagonal.shape[-1], -1, dtype=np.int64)
@@ -178,6 +207,9 @@ class EpochHamiltonian:
             restrict(self.rate[live]), tuple(compress(self.envelopes, live)),
             self.peak[live])
         op._blocks = inverse[self.blocks()[idx]]    # min index to min index
+        families = np.flatnonzero(live)
+        op._parent = (self, families) if self._parent is None else \
+            (self._parent[0], self._parent[1][families])
         return op
 
 

@@ -4,7 +4,10 @@ The representation is hybrid: pulse sequences act on lattice wavefunctions
 (per arm, which is exact because the evolution is linear), while the
 macroscopic separation of the arms lives in classical centroid tracks
 evolved under gravity in closed form.  Quantization z and beam axis x are
-both normal to gravity (y), so separations never depend on g.
+both normal to gravity (y), so separations never depend on g.  The arms
+of a pulse stage that share a lattice (the same window along the pulse
+axis and the same rung across it) are member rows of one wavefunction on
+it, so each epoch is compiled and sampled once per lattice, not per arm.
 
 Phase bookkeeping: each arm's complex ``amplitude`` is its laser-frame
 amplitude, the one subsequent pulses act on -- equivalent to assuming every
@@ -109,28 +112,41 @@ def run_sequence_on_arm(arms: list[ArmTrack], plan: SequencePlan,
                         atom: AtomParams, levels, axis: str,
                         decay_rate: float, arm_floor: float
                         ) -> list[tuple[list[ArmTrack], float]]:
-    """Propagate arms through one pulse sequence, each on its own small
-    lattice, as one batch under the one ``plan``.
+    """Propagate arms through one pulse sequence on small lattices, as one
+    batch under the one ``plan``.
 
-    Each lattice holds a single rung of the arm's cross axis, on which
+    An arm's lattice spans the sequence's rungs and its own along ``axis``
+    and holds the single rung of its cross axis, on which
     ``compile_from_epoch`` anchors the frame, so every arm runs in the
-    frame of its own transverse motion.  Returns (child arms, dropped
-    population) for each arm, in order; components below ``arm_floor``
-    population are dropped.  Linearity of the Schrodinger equation makes
-    per-arm propagation exact; spatial selectivity is then just a matter of
-    which arms a stage is applied to.
+    frame of its own transverse motion.  Arms whose lattices coincide are
+    member rows of one wavefunction on it, so each epoch is compiled,
+    sampled and checked once per lattice; every member keeps the active
+    set, operator, bound and step count of a run on its own.  Returns
+    (child arms, dropped population) for each arm, in order; components
+    below ``arm_floor`` population are dropped.  Linearity of the
+    Schrodinger equation makes per-arm propagation exact; spatial
+    selectivity is then just a matter of which arms a stage is applied to.
     """
     seq_rungs = _sequence_rungs(plan, axis)
     t0 = plan.epochs[0].t_start if plan.epochs else 0.0
-    psis = []
-    for arm in arms:
+    lattices = {}
+    for k, arm in enumerate(arms):
         own, cross = (arm.n_z, arm.n_x) if axis == "z" else (arm.n_x, arm.n_z)
         window = span_window(seq_rungs | {own}, ARM_GUARD)
+        lattices.setdefault((window, cross), []).append(k)
+    psis = []
+    for (window, cross), members in lattices.items():
         basis = Basis(levels, window, (cross,)) if axis == "z" else \
             Basis(levels, (cross,), window)
-        psis.append(WaveFunction.from_components(
-            basis, {arm.state: 1.0}, time=t0, normalize=False))
-    finals = evolve_plan(psis, plan, atom, decay_rate=decay_rate).psi
+        amps = np.zeros((len(members), len(basis)), dtype=np.complex128)
+        amps[np.arange(len(members)),
+             [basis.index_of(arms[k].state) for k in members]] = 1.0
+        psis.append(WaveFunction(basis, amps, t0))
+    finals = [None] * len(arms)
+    for members, final in zip(lattices.values(), evolve_plan(
+            psis, plan, atom, decay_rate=decay_rate).psi):
+        for k, amps in zip(members, final.amplitudes):
+            finals[k] = WaveFunction(final.basis, amps, final.time)
 
     duration = plan.total_duration - t0
     g = atom.gravity

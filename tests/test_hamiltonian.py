@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from recoilsim import propagate
 from recoilsim.basis import Basis, RecoilState
 from recoilsim.errors import ConfigurationError
-from recoilsim.hamiltonian import (compile_epoch, compile_from_epoch,
-                                   dark_state)
+from recoilsim.hamiltonian import (EpochHamiltonian, compile_epoch,
+                                   compile_from_epoch, dark_state)
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.propagate import ladder_basis
 from recoilsim.pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, PI_PAIR,
                               SIGMA_LEG, SIGMA_PAIR, PulseEnvelope,
-                              PulseEvent, SQUARE, build_adiabatic_sequence,
+                              PulseEvent, SINE_SQUARED, SQUARE,
+                              build_adiabatic_sequence,
                               build_raman_sequence, copropagating_pulse,
                               counter_intuitive_pair, effective_pulse,
                               single_pulse_plan)
@@ -421,6 +422,93 @@ def test_reductions_match_the_dense_operator(atom, case):
                                   full[r][np.ix_(idx, idx)])
 
 
+def alone(h):
+    """An operator built from the arrays of ``h``, with no parent."""
+    return EpochHamiltonian(h.diagonal, h.decay, h.perm, h.pattern, h.rate,
+                            h.envelopes, h.peak)
+
+
+# the envelopes of batched_epochs are square over (0, 1e-6): the first
+# window sees them on, the second off, so a bound from reused samples of
+# the first would be wrong in the second
+WINDOWS = ((-0.2e-6, 0.7e-6), (1.5e-6, 2e-6), (-0.2e-6, 0.7e-6))
+
+
+@pytest.mark.bits
+@given(case=batched_epochs(), dead=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_reduced_operator_bounds_as_if_built_alone(atom, case, dead):
+    # a reduced operator takes its envelope samples from its parent's; its
+    # bound and largest element must be those of the same arrays alone, in
+    # every window, batched or not, with a family of zero peak or not
+    basis, events, anchors, decay_rate, support = case
+    if dead:
+        events[0] = replace(events[0], envelope=replace(events[0].envelope,
+                                                        peak_rabi=0.0))
+    h = compile_epoch(basis, events, atom, anchors, decay_rate)
+    mask = h.active_mask(np.where(support, 0.5 - 0.25j, 0.0))
+    for t0, t1 in WINDOWS:
+        for r in range(len(support)):
+            small = h.reduced(np.flatnonzero(mask[r]))
+            lone = alone(small)
+            assert identical(np.asarray(small.row_bound(t0, t1)),
+                             np.asarray(lone.row_bound(t0, t1)))
+            assert identical(np.asarray(small.max_element()),
+                             np.asarray(lone.max_element()))
+        assert identical(np.asarray(h.row_bound(t0, t1)),
+                         np.asarray(alone(h).row_bound(t0, t1)))
+
+
+@pytest.mark.bits
+def test_reduced_operator_samples_its_parent_once_per_window(atom,
+                                                             monkeypatch):
+    # three tones on sine-squared envelopes of their own, a batch of 3
+    # detunings on the first; member support at (A, 0) links A0-C2 and, by
+    # the zero-peak third tone, A0-B0, so the reduced operator drops the
+    # second tone (C4-B2) and keeps one dead family
+    def tone(levels, dn, rung, peak, start, bias=0.0):
+        return PulseEvent(
+            envelope=PulseEnvelope(SINE_SQUARED, peak, start, 1e-6),
+            polarization=PI_PAIR, axis="z", direction=1,
+            channel=CHANNEL_RAMAN, levels=levels, delta_n=dn,
+            target_rung=rung, reference_rung=rung, bias_detuning=bias)
+
+    events = [tone((A, C), 2, 0, 2e5, 0.0, np.array([0.0, 1e3, -2e4])),
+              tone((C, B), -2, 4, 7e5, 0.3e-6),
+              tone((A, B), 0, 0, 0.0, 0.1e-6)]
+    basis = Basis([A, B, C], range(-4, 5))
+    h = compile_epoch(basis, events, atom, {C: (2, 0)})
+    amps = np.zeros((3, len(basis)), dtype=np.complex128)
+    amps[:, basis.index_of(RecoilState(A, 0))] = 1.0
+    idx = np.flatnonzero(h.active_mask(amps)[0])
+    small = h.reduced(idx)
+    assert len(idx) == 3 and small.envelopes == (events[0].envelope,
+                                                 events[2].envelope)
+    sampled = []
+    table = EpochHamiltonian.envelope_table
+
+    def counting(self, times):
+        sampled.append((len(self.envelopes), float(times[0])))
+        return table(self, times)
+
+    monkeypatch.setattr(EpochHamiltonian, "envelope_table", counting)
+    bounds = []
+    for t0, t1 in ((0.0, 1.3e-6), (0.5e-6, 0.6e-6), (0.0, 1.3e-6)):
+        siblings = [h.reduced(idx) for _ in range(2)]
+        bounds.append(siblings[0].row_bound(t0, t1))
+        for op in siblings:
+            assert identical(op.row_bound(t0, t1),
+                             alone(op).row_bound(t0, t1))
+            assert identical(op.max_element(), alone(op).max_element())
+    assert not np.array_equal(bounds[0], bounds[1])
+    assert np.array_equal(bounds[0], bounds[2])
+    # the parent sampled all three families once per window; each operator
+    # built alone sampled its two
+    assert [s for s in sampled if s[0] == 3] == [(3, 0.0), (3, 0.5e-6),
+                                                 (3, 0.0)]
+    assert len(sampled) == 3 + 6
+
+
 @pytest.mark.bits
 @pytest.mark.parametrize("bias, shape", [
     (0.0, ()),                              # unbatched: one member
@@ -444,6 +532,8 @@ def test_phase_table_matches_the_per_time_formula_bit_for_bit(atom, bias,
     members = np.arange(shape[0] if shape else 1)
     rate = propagate._member_rows(h.rate, members, 1).reshape(2, -1)
     assert rate.shape == (2, len(members) * len(basis))
+    mates = (propagate._member_rows(h.perm, members, 1)
+             + len(basis) * members[:, None]).reshape(2, -1)
     assert (rate < 0).any() and (rate > 0).any()
     # every substage time of the epoch as the RK4 loop steps it
     t_start, duration, n_steps = 1e-3, 5e-6, 97
@@ -451,9 +541,11 @@ def test_phase_table_matches_the_per_time_formula_bit_for_bit(atom, bias,
     t = t_start + np.arange(n_steps) * duration / n_steps
     times = np.concatenate([t, t + 0.5 * dt,
                             np.minimum(t + dt, t_start + duration)])
-    out = np.empty(times.shape + rate.shape, dtype=np.complex128)
-    assert propagate._phase_rows(rate, times, out) is out
-    for time, row in zip(times.tolist(), out):
+    out = np.empty((3, n_steps) + rate.shape, dtype=np.complex128)
+    pairs = propagate._phase_pairs(rate, *propagate._ramp_order(mates),
+                                   n_steps)
+    assert propagate._phase_rows(times, out, pairs) is out
+    for time, row in zip(times.tolist(), out.reshape((-1,) + rate.shape)):
         assert identical(row, np.exp(1j * time * rate))
 
 

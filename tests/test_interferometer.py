@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from recoilsim.interferometer import (ArmTrack, _Timeline, free_flight,
                                       initial_arm, lattice_velocity,
                                       selective_transfer)
 from recoilsim.params import AtomParams, InternalLevel, rb87
-from recoilsim.pulses import build_raman_sequence, copropagating_pulse
+from recoilsim.pulses import (build_adiabatic_sequence, build_raman_sequence,
+                              copropagating_pulse)
 
-A, C = InternalLevel.A, InternalLevel.C
+A, B, C, E1 = (InternalLevel.A, InternalLevel.B, InternalLevel.C,
+               InternalLevel.E1)
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +153,9 @@ def test_arm_velocity_consistent_with_momentum(atom):
 def test_batched_stage_matches_lone_arms(atom, monkeypatch):
     # an x-reverse stage on four arms (two z rungs x levels A and C) plus two
     # arms off the pulse path, whose one-state supports share a batch and
-    # then need different step counts; every child must equal a lone run
+    # then need different step counts; every child must equal a lone run.
+    # The four on the path lie on two lattices (one per z rung), the two
+    # off it on one each, so each epoch compiles four lattices, not six
     omega = 2 * math.pi * 5e5
     a_x, c_x = 4, -6
     plan = build_raman_sequence("none", 4, math.pi / omega, omega, "x",
@@ -165,8 +170,13 @@ def test_batched_stage_matches_lone_arms(atom, monkeypatch):
              ArmTrack("offC", 0.1, C, -6, c_x - 3, np.zeros(3),
                       lattice_velocity(atom, -6, c_x - 3, 0.0))]
 
-    widths, stage_calls = [], []
+    widths, stage_calls, compiled = [], [], []
     rk4, run = propagate._rk4, interferometer.run_sequence_on_arm
+    compile_from_epoch = propagate.compile_from_epoch
+
+    def recording_compile(basis, epoch, *args):
+        compiled.append(epoch)
+        return compile_from_epoch(basis, epoch, *args)
 
     def recording_rk4(parts, *args):
         widths.append(sum(len(rows) for *_, rows in parts))
@@ -178,11 +188,14 @@ def test_batched_stage_matches_lone_arms(atom, monkeypatch):
 
     monkeypatch.setattr(propagate, "_rk4", recording_rk4)
     monkeypatch.setattr(interferometer, "run_sequence_on_arm", recording_run)
+    monkeypatch.setattr(propagate, "compile_from_epoch", recording_compile)
     tl = _Timeline(atom, arm_floor=1e-6, decay_rate=0.0)
     tl.arms = arms
     tl.sequence("x-reverse", plan, (A, C), "x")
     assert stage_calls == [len(arms)]
     assert {1, 2, 4} <= set(widths)
+    per_epoch = Counter(map(id, compiled))    # compiled holds every epoch
+    assert list(per_epoch.values()) == [4] * len(plan.epochs)
 
     lone_dropped = 0.0
     children = iter(tl.arms)
@@ -197,3 +210,50 @@ def test_batched_stage_matches_lone_arms(atom, monkeypatch):
             assert np.array_equal(got.velocity, kid.velocity)
     assert next(children, None) is None
     assert tl.stages[-1].dropped == lone_dropped > 0.0
+
+
+@pytest.mark.bits
+def test_a_shared_lattice_grows_for_one_member_and_keeps_the_other(
+        atom, monkeypatch):
+    # a 3-pair ladder whose window spans rungs -9..3: an arm at (A, -6) is
+    # pushed to the edge by the first pair, while its sibling at (A, 0)
+    # follows the ladder and first nears the edge in the second pair; both
+    # lie on one lattice, which grows after the first pair, so the sibling
+    # runs the second pair on a wider window than it would alone
+    plan = build_adiabatic_sequence(3, 50e-9, 2 * math.pi * 1e8)
+    sibling, mover = (ArmTrack(name, 0.5, A, n_z, 0, np.zeros(3),
+                               lattice_velocity(atom, n_z, 0, 0.0))
+                      for name, n_z in (("sibling", 0), ("mover", -6)))
+    grown, lattices, epochs = [], [], []
+    extend, evolve = propagate._extend, interferometer.evolve_plan
+    compile_from_epoch = propagate.compile_from_epoch
+
+    def recording_compile(basis, epoch, *args):
+        epochs.append(epoch.label)
+        return compile_from_epoch(basis, epoch, *args)
+
+    def recording_extend(basis, amps):
+        grown.append((epochs[-1], basis.window_z(), len(amps)))
+        return extend(basis, amps)
+
+    def recording_evolve(psis, *args, **kwargs):
+        lattices.append([psi.amplitudes.shape for psi in psis])
+        return evolve(psis, *args, **kwargs)
+
+    monkeypatch.setattr(propagate, "compile_from_epoch", recording_compile)
+    monkeypatch.setattr(propagate, "_extend", recording_extend)
+    monkeypatch.setattr(interferometer, "evolve_plan", recording_evolve)
+    run = interferometer.run_sequence_on_arm
+    (kids, dropped), _ = run([sibling, mover], plan, atom, (A, B, E1), "z",
+                             0.0, 1e-6)
+    ((lone_kids, lone_dropped),) = run([sibling], plan, atom, (A, B, E1),
+                                       "z", 0.0, 1e-6)
+    assert lattices == [[(2, 39)], [(1, 39)]]
+    assert grown == [("pair-0", (-9, 3), 2), ("pair-1", (-9, 3), 1)]
+    assert dropped == lone_dropped
+    assert len(kids) == len(lone_kids) > 1
+    for got, kid in zip(kids, lone_kids):
+        assert (got.id, got.amplitude, got.level, got.n_z, got.n_x) == \
+            (kid.id, kid.amplitude, kid.level, kid.n_z, kid.n_x)
+        assert np.array_equal(got.position, kid.position)
+        assert np.array_equal(got.velocity, kid.velocity)

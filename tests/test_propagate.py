@@ -567,6 +567,83 @@ def test_layout_is_block_major_and_undone_bit_for_bit(parts):
                               member(h.pattern, rows[row], 1)[:, i])
 
 
+def test_runs_keeps_a_bounded_number_of_read_only_layouts(monkeypatch):
+    # the layouts of lattices of 2 to 9 two-state blocks, one family each,
+    # the last two asked for again: each is _layout's, read-only, the same
+    # object when asked again while kept, and no more than RUNS_KEPT are
+    # kept (all are let go at the 4th and the 7th)
+    monkeypatch.setattr(propagate, "_kept_runs", {})
+    monkeypatch.setattr(propagate, "RUNS_KEPT", 3)
+    layouts = []
+    for pairs in range(2, 10):
+        labels = np.repeat(np.arange(0, 2 * pairs, 2), 2)
+        perm = (np.arange(2 * pairs) ^ 1)[None]
+        layouts.append((labels, perm))
+    for labels, perm in layouts + layouts[-2:]:
+        runs = propagate._runs(labels, perm)
+        assert len(propagate._kept_runs) <= 3
+        for got, want in zip(runs, propagate._layout(labels, perm)):
+            assert np.array_equal(got, want) and not got.flags.writeable
+        assert propagate._runs(labels, perm) is runs
+    assert len(propagate._kept_runs) == 2
+
+
+@st.composite
+def ramp_cases(draw):
+    """Family rows of phase rates over random matchings, as the compiler
+    makes them: in a family with a rate each coupled pair holds rho and
+    -rho, with exact zeros of both signs drawn on purpose; a family
+    without one holds +0.0 throughout.  With them the substage times of
+    an epoch that may start at 0, at -0.0 or before 0, and a table with
+    room for more steps than the epoch has."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 24))
+    families = draw(st.integers(1, 3))
+    mates = np.tile(np.arange(n), (families, 1))
+    rate = np.zeros((families, n))
+    for f in range(families):
+        order = rng.permutation(n)
+        m = int(rng.integers(0, n // 2 + 1))
+        i, j = order[:m], order[m:2 * m]
+        mates[f, i], mates[f, j] = j, i
+        if draw(st.booleans()):
+            rho = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-3, 9, m)
+            rho[rng.random(m) < 0.3] = 0.0
+            rho[rng.random(m) < 0.2] = -0.0
+            rate[f, i], rate[f, j] = rho, -rho
+    t_start = draw(st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0))
+    duration = draw(st.floats(1e-9, 1.0))
+    n_steps = draw(st.integers(1, 40))
+    t = t_start + np.arange(n_steps) * duration / n_steps
+    times = np.concatenate([t, t + 0.5 * duration / n_steps,
+                            np.minimum(t + duration / n_steps,
+                                       t_start + duration)])
+    return rate, mates, times, n_steps + draw(st.integers(0, 3))
+
+
+@pytest.mark.bits
+@given(case=ramp_cases())
+@settings(max_examples=300, deadline=None)
+def test_phase_rows_take_half_the_ramps_as_conjugates_bit_for_bit(case):
+    # exp runs on one element of each coupled pair; every ramp, the later
+    # elements' included, must be exactly exp(1j * t * rate): at t = 0 and
+    # for a zero rate that is exp's 1+0j (or 1-0j before t = 0), where a
+    # plain conjugate would flip the sign of the zero
+    rate, mates, times, rows = case
+    lead, follow = propagate._ramp_order(mates)
+    assert np.array_equal(np.sort(np.concatenate([lead, follow])),
+                          np.arange(rate.size))
+    assert len(follow) == np.count_nonzero(mates < np.arange(rate.shape[1]))
+    out = np.full((3, rows) + rate.shape, np.nan, dtype=np.complex128)
+    pairs = propagate._phase_pairs(rate, lead, follow, rows)
+    assert propagate._phase_rows(times, out, pairs) is out
+    steps = len(times) // 3
+    for time, row in zip(times.tolist(), out[:, :steps].reshape(
+            (-1,) + rate.shape)):
+        assert row.tobytes() == np.exp(1j * time * rate).tobytes()
+    assert np.isnan(out[:, steps:]).all()
+
+
 @pytest.mark.bits
 def test_c_kernel_binder_holds_the_copies_it_passes():
     c_kernel_or_skip()
