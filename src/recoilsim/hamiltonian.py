@@ -86,8 +86,6 @@ class EpochHamiltonian:
     _bound: tuple | None = field(default=None, init=False, repr=False)
     _blocks: np.ndarray | None = field(default=None, init=False, repr=False)
     _peaks: tuple | None = field(default=None, init=False, repr=False)
-    _samples: tuple | None = field(default=None, init=False, repr=False)
-    _parent: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._diag_complex = self.diagonal - 0.5j * self.decay
@@ -131,25 +129,12 @@ class EpochHamiltonian:
             self._bound = ((t0, t1), self._sampled_bound(t0, t1))
         return self._bound[1]
 
-    def _envelope_samples(self, t0, t1) -> np.ndarray:
-        """Every family's envelope at 257 times of (t0, t1), (F, 257); a
-        reduced operator takes its families' rows of its parent's samples,
-        so a lattice samples each window once (the last window's are
-        kept)."""
-        if self._parent is not None:
-            parent, families = self._parent
-            return parent._envelope_samples(t0, t1)[families]
-        if self._samples is None or self._samples[0] != (t0, t1):
-            self._samples = ((t0, t1),
-                             self.envelope_table(np.linspace(t0, t1, 257)))
-        return self._samples[1]
-
     def _sampled_bound(self, t0, t1):
         diag_max, elem, _ = self._maxima()
         if t0 is None or t1 is None or t1 <= t0 or not len(elem):
             return diag_max + _in_order_sum(elem, 0)
         live = self.peak != 0
-        envelopes = self._envelope_samples(t0, t1)[live]
+        envelopes = self.envelope_table(np.linspace(t0, t1, 257))[live]
         scales = elem[live] / self.peak[live].reshape((-1,) + (1,) * (
             elem.ndim - 1))
         if not (np.ndim(diag_max) or elem.ndim > 1):
@@ -190,9 +175,7 @@ class EpochHamiltonian:
 
     def reduced(self, idx: np.ndarray) -> "EpochHamiltonian":
         """Restriction to ``idx``, a union of blocks; families that couple
-        nothing there are dropped.  It keeps this operator's block labels
-        and takes its envelope samples from it, so the parts of one lattice
-        sample each window once."""
+        nothing there are dropped.  It keeps this operator's block labels."""
         def restrict(a):        # take() keeps the rows C-contiguous
             return a.take(idx, axis=-1)
         inverse = np.full(self.diagonal.shape[-1], -1, dtype=np.int64)
@@ -207,9 +190,6 @@ class EpochHamiltonian:
             restrict(self.rate[live]), tuple(compress(self.envelopes, live)),
             self.peak[live])
         op._blocks = inverse[self.blocks()[idx]]    # min index to min index
-        families = np.flatnonzero(live)
-        op._parent = (self, families) if self._parent is None else \
-            (self._parent[0], self._parent[1][families])
         return op
 
 

@@ -19,8 +19,7 @@ no build matches numpy's complex rounding and as the C loop's bit-for-bit
 oracle.  Nothing else exists twice: ``_rk4`` lays the operator out once
 for both (``_runs`` keeps the last distinct layouts), and one chunk loop
 tabulates the substage times, envelopes and phase ramps per chunk of
-steps, each evaluated once on an array of times (the ramps of one state
-of each coupled pair, the other's taken from it as a conjugate);
+steps, each evaluated once on an array of times;
 ``EpochHamiltonian.envelope_table`` fills the envelopes in one C call
 (``PulseEnvelope.value``, its oracle, without a kernel).  Every element is
 computed exactly as a per-family loop computes it, so results are
@@ -30,6 +29,7 @@ bit-identical to that loop, whatever the chunk size or the state order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -114,13 +114,12 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
 
     In every epoch each basis is compiled once, and each member gets its
     own active set, and with it its own reduced operator, bound, step
-    count, norm check and dust prune; the reduced operators of a basis
-    take their envelope samples from its compiled one, so each basis
-    samples each epoch once.  Members with the same active set share one
-    reduced operator, and all with the same envelopes and step count run
-    as one batch through the one RK4 loop; every operation is elementwise,
-    so each member does the arithmetic of a run on its own; ``steps``
-    counts loop iterations.  Observers need a single wavefunction.
+    count, norm check and dust prune.  Members with the same active set
+    share one reduced operator, and all with the same envelopes and step
+    count run as one batch through the one RK4 loop; every operation is
+    elementwise, so each member does the arithmetic of a run on its own;
+    ``steps`` counts loop iterations.  Observers need a single
+    wavefunction.
 
     The basis of a wavefunction grows automatically whenever more than
     BOUNDARY_TOL of the population of any of its members reaches the edge
@@ -248,7 +247,8 @@ def _rk4(parts, epoch: Epoch, n_steps: int, observe=None,
             _member_rows(h.pattern, rows, 1), _member_rows(h.rate, rows, 1))])
     flat, diag, labels, perm, pattern, rate = (
         np.concatenate(arrays, axis=-1) for arrays in zip(*columns))
-    order, starts, partner, lead, follow = _runs(labels, perm)
+    order, starts, partner = _runs(labels.tobytes(), perm.tobytes(),
+                                   len(labels))
     states, diag, pattern, rate = (a[..., order]
                                    for a in (flat, diag, pattern, rate))
 
@@ -262,9 +262,8 @@ def _rk4(parts, epoch: Epoch, n_steps: int, observe=None,
         # a table of phase rows per substage, filled anew for each chunk
         chunk = max(1, min(ENVELOPE_CHUNK, PHASE_TABLE_ELEMENTS // rate.size,
                            n_steps))
-        ramps = np.empty((3, chunk) + rate.shape, dtype=np.complex128)
-        phases = list(ramps)
-        pairs = _phase_pairs(rate, lead, follow, chunk)
+        phases = list(np.empty((3, chunk) + rate.shape,
+                               dtype=np.complex128))
     else:
         chunk, phases = ENVELOPE_CHUNK, [None] * 3
     coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6.0, 2.0])
@@ -272,6 +271,9 @@ def _rk4(parts, epoch: Epoch, n_steps: int, observe=None,
     from . import ckernel     # not at import: the loader is run-time only
     steps = (ckernel.load() or _numpy_loop)(states, diag, starts, partner,
                                             pattern, phases, coef, scratch)
+    # the batches of evolve_plan are keyed by the envelopes, so every part
+    # shares the first one's
+    shared = parts[0][0]
     for k0 in range(0, n_steps, chunk):
         k_stop = min(k0 + chunk, n_steps)
         # the times of the step loop: each step starts where the last ended
@@ -282,10 +284,10 @@ def _rk4(parts, epoch: Epoch, n_steps: int, observe=None,
         # clamp: rounding must not push the last substage past the
         # envelope window (a square edge there breaks the error order)
         end = np.minimum(t + dt, epoch.t_end)
-        times = np.concatenate([t, mid, end])
-        table = h.envelope_table(times)
+        table = shared.envelope_table(np.concatenate([t, mid, end]))
         if phases[0] is not None:
-            _phase_rows(times, ramps, pairs)
+            for times, phase in zip((t, mid, end), phases):
+                _phase_rows(rate, times, phase[:k_stop - k0])
         done = k0
         while done < k_stop:
             stop = min(k_stop, (done // stride + 1) * stride) \
@@ -308,29 +310,13 @@ def _member_rows(a: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
         len(rows), axis)
 
 
-RUNS_KEPT = 16      # distinct layouts _runs keeps (raman2d makes 7); each
-                    # holds a few int64 arrays of the joined states
-_kept_runs: dict = {}
-
-
-def _runs(labels: np.ndarray, perm: np.ndarray):
-    """``_layout`` of the states with block ``labels`` and partners
-    ``perm``, then its phase order (``_ramp_order``), all read-only; up to
-    RUNS_KEPT distinct layouts are kept (all are let go when that many
-    are), keyed by the bytes of ``labels`` and ``perm``, as the parts of a
-    lattice repeat them epoch after epoch."""
-    key = (labels.tobytes(), perm.tobytes())
-    runs = _kept_runs.get(key)
-    if runs is None:
-        order, starts, partner = _layout(labels, perm)
-        runs = (order, starts, partner,
-                *_ramp_order(_partner_positions(starts, partner)))
-        for a in runs:
-            a.flags.writeable = False
-        if len(_kept_runs) >= RUNS_KEPT:
-            _kept_runs.clear()
-        _kept_runs[key] = runs
-    return runs
+@lru_cache(maxsize=16)     # raman2d makes 7 distinct layouts
+def _runs(labels: bytes, perm: bytes, n: int):
+    """``_layout`` of ``n`` states with block labels and (F, n) partners
+    given as the bytes of int64 arrays, kept for the last distinct ones,
+    as the parts of a lattice repeat them epoch after epoch."""
+    return _layout(np.frombuffer(labels, dtype=np.int64),
+                   np.frombuffer(perm, dtype=np.int64).reshape(-1, n))
 
 
 def _layout(labels: np.ndarray, perm: np.ndarray):
@@ -339,7 +325,7 @@ def _layout(labels: np.ndarray, perm: np.ndarray):
     the runs, then the count; ``partner`` (F, runs), each family's partner
     run of each run.  A kind (blocks of one size and coupling) takes one
     run for each position in its blocks, so each family's partner of a run
-    is a run."""
+    is a run.  All three are read-only, as ``_runs`` shares them."""
     by_block = np.argsort(labels, kind="stable")
     grouped = labels[by_block]
     size = np.bincount(labels, minlength=len(labels))[grouped]
@@ -361,76 +347,25 @@ def _layout(labels: np.ndarray, perm: np.ndarray):
                 shape, dtype=np.int64).reshape(-1, s))
             order += list(runs)
             starts += [starts[-1] + runs.shape[1] * j for j in range(1, s + 1)]
-    return (np.concatenate(order), np.array(starts),
+    runs = (np.concatenate(order), np.array(starts),
             np.concatenate(partner, axis=1))
+    for a in runs:
+        a.flags.writeable = False
+    return runs
 
 
-def _partner_positions(starts: np.ndarray, partner: np.ndarray):
-    """Each family's partner of every position of runs ``starts`` whose
-    partner runs are ``partner`` (F, runs), (F, n): the same place in the
-    partner run."""
-    return np.arange(starts[-1]) + np.repeat(
-        starts[partner] - starts[:-1], starts[1:] - starts[:-1], axis=-1)
+def _phase_rows(rate: np.ndarray, times: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """e^{i rate t} of every family row at each of ``times``, written to
+    ``out`` (shaped ``times.shape + rate.shape``) and returned; each row is
+    exactly what ``exp(1j * t * rate)`` gives.
 
-
-def _ramp_order(mates: np.ndarray):
-    """The order in which ``_phase_rows`` makes the phase ramps of family
-    rows whose partners are ``mates`` (F, n), as flat indices into the
-    rows: ``lead``, whose ramps it computes, the mates of the follows
-    first and in follow order; and ``follow``, the later element of each
-    coupled pair, whose ramp it takes from its mate's."""
-    n = mates.shape[-1]
-    later = mates < np.arange(n)
-    mate = (mates + n * np.arange(len(mates))[:, None])[later]
-    rest = ~later.reshape(-1)
-    rest[mate] = False
-    return np.concatenate([mate, np.flatnonzero(rest)]), np.flatnonzero(later)
-
-
-def _phase_pairs(rate: np.ndarray, lead: np.ndarray, follow: np.ndarray,
-                 rows: int):
-    """What ``_phase_rows`` needs to fill a (3, rows) table of phase rows
-    of ``rate`` (F, n) in the order ``lead``, ``follow`` (``_ramp_order``):
-    the lead rates; the flat places in the table of the leads, (3, rows,
-    leads), and of the follows, (3, rows, follows); and the sign that
-    takes each follow's ramp from its mate's: -1 where its rate is its
-    mate's negated (rates are antisymmetric over a matching, so wherever
-    a family has a rate), +1 where the two are the same zero."""
-    flat = rate.reshape(-1)
-    rates = flat[lead]
-    sign = np.where(np.signbit(flat[follow])
-                    == np.signbit(rates[:len(follow)]), 1.0, -1.0)
-    places = rate.size * np.arange(3 * rows).reshape(3, rows, 1)
-    return rates, places + lead, places + follow, sign
-
-
-def _phase_rows(times: np.ndarray, out: np.ndarray, pairs) -> np.ndarray:
-    """e^{i rate t} of every family row at each of ``times``, the times of
-    the 3 substages one after the other, written to the first rows of each
-    substage's table in ``out`` and returned (``pairs`` is ``_phase_pairs``
-    of ``rate``); each row is exactly what ``exp(1j * t * rate)`` gives.
-
-    ``exp`` runs on the lead rates alone; (rate + 0i)(0 + it) has the bits
-    of (0 + it)(rate + 0i), as each factor has one zero part.  A follow's
-    product has its mate's real part, and as imaginary part z - y where
-    its rate is its mate's negated, z + y where both are the same zero (y
-    its mate's, z = 0 * Re(it) the product's zero term).  exp keeps both
-    relations in the imaginary part of its result, as sin is odd and exp
-    of an imaginary zero keeps that zero, and its mate's real part, as cos
-    is even; so a ramp of exactly 1 keeps exp's sign of zero (1+0j at
-    t = 0) where a plain conjugate would flip it.  This holds wherever
-    rate * t is not a nonzero product that underflows to 0."""
-    rates, lead, follow, sign = pairs
-    ramp = (1j * times)[:, None]
-    head = np.exp(np.multiply(rates, ramp)).reshape(3, -1, len(rates))
-    k = head.shape[1]
-    flat = out.reshape(-1)
-    flat[lead[:, :k]] = head
-    tail = head[..., :len(sign)]
-    tail.imag *= sign
-    tail.imag += 0.0 * ramp.real.reshape(3, k, 1)
-    flat[follow[:, :k]] = tail
-    return out
+    The rates are cast into ``out`` and scaled there, which makes no
+    temporary copy of them; the product (rate + 0i)(0 + it) has the bits of
+    (0 + it)(rate + 0i), as each factor has one zero part."""
+    out[...] = rate
+    out *= (1j * times).reshape(times.shape + (1,) * rate.ndim)
+    return np.exp(out, out=out)
 
 
 class _numpy_loop:
@@ -448,7 +383,8 @@ class _numpy_loop:
     def __init__(self, states, diag, starts, partner, pattern, phases, coef,
                  scratch):
         self.states, self.diag = states, diag
-        self.partner = _partner_positions(starts, partner)
+        self.partner = np.arange(len(states)) + np.repeat(
+            starts[partner] - starts[:-1], starts[1:] - starts[:-1], axis=-1)
         self.pattern, self.phases = pattern, phases
         self.coef, self.scratch = coef[:3], scratch
         self.gathered = np.empty(self.partner.shape, dtype=np.complex128)

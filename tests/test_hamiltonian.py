@@ -423,7 +423,7 @@ def test_reductions_match_the_dense_operator(atom, case):
 
 
 def alone(h):
-    """An operator built from the arrays of ``h``, with no parent."""
+    """An operator built anew from the arrays of ``h``."""
     return EpochHamiltonian(h.diagonal, h.decay, h.perm, h.pattern, h.rate,
                             h.envelopes, h.peak)
 
@@ -438,9 +438,9 @@ WINDOWS = ((-0.2e-6, 0.7e-6), (1.5e-6, 2e-6), (-0.2e-6, 0.7e-6))
 @given(case=batched_epochs(), dead=st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_reduced_operator_bounds_as_if_built_alone(atom, case, dead):
-    # a reduced operator takes its envelope samples from its parent's; its
-    # bound and largest element must be those of the same arrays alone, in
-    # every window, batched or not, with a family of zero peak or not
+    # a reduced operator's bound and largest element must be those of the
+    # same arrays alone, in every window, batched or not, with a family of
+    # zero peak or not
     basis, events, anchors, decay_rate, support = case
     if dead:
         events[0] = replace(events[0], envelope=replace(events[0].envelope,
@@ -460,8 +460,7 @@ def test_reduced_operator_bounds_as_if_built_alone(atom, case, dead):
 
 
 @pytest.mark.bits
-def test_reduced_operator_samples_its_parent_once_per_window(atom,
-                                                             monkeypatch):
+def test_reduced_operator_drops_a_tone_and_bounds_each_window(atom):
     # three tones on sine-squared envelopes of their own, a batch of 3
     # detunings on the first; member support at (A, 0) links A0-C2 and, by
     # the zero-peak third tone, A0-B0, so the reduced operator drops the
@@ -484,14 +483,6 @@ def test_reduced_operator_samples_its_parent_once_per_window(atom,
     small = h.reduced(idx)
     assert len(idx) == 3 and small.envelopes == (events[0].envelope,
                                                  events[2].envelope)
-    sampled = []
-    table = EpochHamiltonian.envelope_table
-
-    def counting(self, times):
-        sampled.append((len(self.envelopes), float(times[0])))
-        return table(self, times)
-
-    monkeypatch.setattr(EpochHamiltonian, "envelope_table", counting)
     bounds = []
     for t0, t1 in ((0.0, 1.3e-6), (0.5e-6, 0.6e-6), (0.0, 1.3e-6)):
         siblings = [h.reduced(idx) for _ in range(2)]
@@ -502,11 +493,6 @@ def test_reduced_operator_samples_its_parent_once_per_window(atom,
             assert identical(op.max_element(), alone(op).max_element())
     assert not np.array_equal(bounds[0], bounds[1])
     assert np.array_equal(bounds[0], bounds[2])
-    # the parent sampled all three families once per window; each operator
-    # built alone sampled its two
-    assert [s for s in sampled if s[0] == 3] == [(3, 0.0), (3, 0.5e-6),
-                                                 (3, 0.0)]
-    assert len(sampled) == 3 + 6
 
 
 @pytest.mark.bits
@@ -532,8 +518,6 @@ def test_phase_table_matches_the_per_time_formula_bit_for_bit(atom, bias,
     members = np.arange(shape[0] if shape else 1)
     rate = propagate._member_rows(h.rate, members, 1).reshape(2, -1)
     assert rate.shape == (2, len(members) * len(basis))
-    mates = (propagate._member_rows(h.perm, members, 1)
-             + len(basis) * members[:, None]).reshape(2, -1)
     assert (rate < 0).any() and (rate > 0).any()
     # every substage time of the epoch as the RK4 loop steps it
     t_start, duration, n_steps = 1e-3, 5e-6, 97
@@ -541,11 +525,9 @@ def test_phase_table_matches_the_per_time_formula_bit_for_bit(atom, bias,
     t = t_start + np.arange(n_steps) * duration / n_steps
     times = np.concatenate([t, t + 0.5 * dt,
                             np.minimum(t + dt, t_start + duration)])
-    out = np.empty((3, n_steps) + rate.shape, dtype=np.complex128)
-    pairs = propagate._phase_pairs(rate, *propagate._ramp_order(mates),
-                                   n_steps)
-    assert propagate._phase_rows(times, out, pairs) is out
-    for time, row in zip(times.tolist(), out.reshape((-1,) + rate.shape)):
+    out = np.empty(times.shape + rate.shape, dtype=np.complex128)
+    assert propagate._phase_rows(rate, times, out) is out
+    for time, row in zip(times.tolist(), out):
         assert identical(row, np.exp(1j * time * rate))
 
 

@@ -567,25 +567,27 @@ def test_layout_is_block_major_and_undone_bit_for_bit(parts):
                               member(h.pattern, rows[row], 1)[:, i])
 
 
-def test_runs_keeps_a_bounded_number_of_read_only_layouts(monkeypatch):
-    # the layouts of lattices of 2 to 9 two-state blocks, one family each,
-    # the last two asked for again: each is _layout's, read-only, the same
-    # object when asked again while kept, and no more than RUNS_KEPT are
-    # kept (all are let go at the 4th and the 7th)
-    monkeypatch.setattr(propagate, "_kept_runs", {})
-    monkeypatch.setattr(propagate, "RUNS_KEPT", 3)
-    layouts = []
-    for pairs in range(2, 10):
+def test_runs_keeps_a_bounded_number_of_read_only_layouts():
+    # the layouts of lattices of 2 to 25 two-state blocks, one family each,
+    # and of 3 states with no family, the last two asked for again: each
+    # is _layout's, read-only, the same object when asked again while
+    # kept, and no more than the memo's 16 are kept
+    propagate._runs.cache_clear()
+    layouts = [(np.arange(3), np.empty((0, 3), dtype=np.int64))]
+    for pairs in range(2, 26):
         labels = np.repeat(np.arange(0, 2 * pairs, 2), 2)
         perm = (np.arange(2 * pairs) ^ 1)[None]
         layouts.append((labels, perm))
     for labels, perm in layouts + layouts[-2:]:
-        runs = propagate._runs(labels, perm)
-        assert len(propagate._kept_runs) <= 3
+        key = (labels.tobytes(), perm.tobytes(), len(labels))
+        runs = propagate._runs(*key)
         for got, want in zip(runs, propagate._layout(labels, perm)):
             assert np.array_equal(got, want) and not got.flags.writeable
-        assert propagate._runs(labels, perm) is runs
-    assert len(propagate._kept_runs) == 2
+        assert propagate._runs(*key) is runs
+    info = propagate._runs.cache_info()
+    assert (info.hits, info.misses) == (len(layouts) + 4, len(layouts))
+    assert info.currsize == info.maxsize == 16
+    propagate._runs.cache_clear()
 
 
 @st.composite
@@ -599,13 +601,11 @@ def ramp_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 24))
     families = draw(st.integers(1, 3))
-    mates = np.tile(np.arange(n), (families, 1))
     rate = np.zeros((families, n))
     for f in range(families):
         order = rng.permutation(n)
         m = int(rng.integers(0, n // 2 + 1))
         i, j = order[:m], order[m:2 * m]
-        mates[f, i], mates[f, j] = j, i
         if draw(st.booleans()):
             rho = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-3, 9, m)
             rho[rng.random(m) < 0.3] = 0.0
@@ -618,26 +618,23 @@ def ramp_cases(draw):
     times = np.concatenate([t, t + 0.5 * duration / n_steps,
                             np.minimum(t + duration / n_steps,
                                        t_start + duration)])
-    return rate, mates, times, n_steps + draw(st.integers(0, 3))
+    return rate, times, n_steps + draw(st.integers(0, 3))
 
 
 @pytest.mark.bits
 @given(case=ramp_cases())
 @settings(max_examples=300, deadline=None)
-def test_phase_rows_take_half_the_ramps_as_conjugates_bit_for_bit(case):
-    # exp runs on one element of each coupled pair; every ramp, the later
-    # elements' included, must be exactly exp(1j * t * rate): at t = 0 and
-    # for a zero rate that is exp's 1+0j (or 1-0j before t = 0), where a
-    # plain conjugate would flip the sign of the zero
-    rate, mates, times, rows = case
-    lead, follow = propagate._ramp_order(mates)
-    assert np.array_equal(np.sort(np.concatenate([lead, follow])),
-                          np.arange(rate.size))
-    assert len(follow) == np.count_nonzero(mates < np.arange(rate.shape[1]))
+def test_phase_rows_are_exp_of_each_time_bit_for_bit(case):
+    # each substage's rows, filled in place as _rk4 fills its table, must
+    # be exactly exp(1j * t * rate): at t = 0 and for a zero rate that is
+    # exp's 1+0j (or 1-0j before t = 0), the sign of the zero included;
+    # the spare rows of the table stay untouched
+    rate, times, rows = case
     out = np.full((3, rows) + rate.shape, np.nan, dtype=np.complex128)
-    pairs = propagate._phase_pairs(rate, lead, follow, rows)
-    assert propagate._phase_rows(times, out, pairs) is out
     steps = len(times) // 3
+    for substage, table in zip(times.reshape(3, steps), out):
+        view = table[:steps]
+        assert propagate._phase_rows(rate, substage, view) is view
     for time, row in zip(times.tolist(), out[:, :steps].reshape(
             (-1,) + rate.shape)):
         assert row.tobytes() == np.exp(1j * time * rate).tobytes()
