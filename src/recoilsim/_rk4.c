@@ -10,9 +10,17 @@
 
    The states come in and go out as complex128, in runs that each family
    couples to a whole partner run of the same length.  In between, they,
-   the diagonal and the pattern rows (F, size) are split (real parts, then
-   imaginary parts), so every loop, partner runs included, is a straight
-   run over contiguous doubles that the compiler vectorizes.
+   ``diag`` and the pattern rows (F, size) are split (real parts, then
+   imaginary parts).  Each RK4 substage is one pass per run: an element
+   gets its term diag * y, then each family's partner * pattern [* phase]
+   * envelope in family order, and then its RK4 update, while it is still
+   in registers: four passes per run and step.  The four scratch rows
+   hold k1, k2 (to which k3 is added) and y twice over: each substage
+   reads y from one row and writes the next y into the other, as its later
+   runs still read partner runs of its input, and the last substage adds
+   ((k2 * 2 + k1) + k4) * -i dt/6 straight into the states, so no k4 is
+   kept.  Every operand of a pass, partner runs included, is a straight
+   run of contiguous doubles, so the compiler vectorizes it.
    Each lane computes its element with the scalar formula (cmul, cadd),
    the products with a real envelope {e, 0} and with the RK4 factors kept
    whole, x * 0.0 terms included, so the layout is not in the bits, nor
@@ -44,106 +52,119 @@ static inline cplx cadd(cplx a, cplx b)
     return r;
 }
 
+/* Inlined wherever it is called, so that each call with constant
+   arguments is a loop of its own. */
+#define INLINE static inline __attribute__((always_inline))
+
 typedef struct {
-    int64_t size, families, runs, m;
+    int64_t size, table, runs, m;       /* table: F size, the pattern's */
     const double *diag, *pattern;       /* split */
     const int64_t *starts, *partner;
+    cplx half, full, sixth, two;        /* -i dt/2, -i dt, -i dt/6, 2 */
 } op_t;
 
-/* out = diag * psi over ``count`` elements of split arrays whose
-   imaginary parts lie ``count`` further on. */
-static void diagonal(int64_t count, const double *restrict diag,
-                     const double *restrict psi, double *restrict out)
+/* What a substage does with each element h of H y, once it has it. */
+enum { K1, K2, K3, K4 };
+
+/* One RK4 substage, one pass per run: h = H in (split), diag * in and
+   then each family's partner * pattern [* phase] * envelope added in
+   family order, and then, by ``mode``,
+       K1: k1 = h, out = h * half + w
+       K2: k2 = h, out = h * half + w
+       K3: out = h * full + w, k2 += h
+       K4: w += ((k2 * two + k1) + h) * sixth.
+   ``env`` is the family-0 value of a substage column; families lie 3 m
+   apart.  K1's ``in`` is w, and its ``w`` is NULL.  ``out`` is never
+   ``in``, as later runs still read partner runs of ``in``, and an
+   element's real and imaginary parts lie ``size`` apart, so no iteration
+   reads what another writes (ivdep).  With ``families``, ``rated`` and
+   ``mode`` constant, the family loop unrolls and the element loop
+   vectorizes. */
+INLINE void sweep(const op_t *op, int64_t families, int rated, int mode,
+                  const double *restrict in, const cplx *restrict phase,
+                  const double *restrict env, double *restrict k1,
+                  double *restrict k2, double *restrict out,
+                  double *restrict w)
 {
-    for (int64_t i = 0; i < count; i++) {
-        const cplx d = {diag[i], diag[count + i]},
-                   p = {psi[i], psi[count + i]};
-        const cplx r = cmul(d, p);
-        out[i] = r.re;
-        out[count + i] = r.im;
+    const int64_t size = op->size, table = op->table, runs = op->runs;
+    const double *restrict diag = op->diag, *restrict pattern = op->pattern;
+    const double *restrict y0 = mode == K1 ? in : w;
+    for (int64_t r = 0; r < runs; r++) {
+        const int64_t at = op->starts[r], end = op->starts[r + 1];
+#pragma GCC ivdep
+        for (int64_t i = at; i < end; i++) {
+            const cplx d = {diag[i], diag[size + i]},
+                       p = {in[i], in[size + i]};
+            cplx h = cmul(d, p);
+#pragma GCC unroll 3
+            for (int64_t f = 0; f < families; f++) {
+                const int64_t s = op->starts[op->partner[f * runs + r]] +
+                                  (i - at), q = f * size + i;
+                const cplx a = {in[s], in[size + s]},
+                           t = {pattern[q], pattern[table + q]},
+                           e = {env[f * 3 * op->m], 0.0};
+                h = cadd(h, rated ? cmul(cmul(cmul(a, t), phase[q]), e)
+                                  : cmul(cmul(a, t), e));
+            }
+            const cplx o = {y0[i], y0[size + i]};
+            cplx y;
+            switch (mode) {
+            case K1:
+                k1[i] = h.re;
+                k1[size + i] = h.im;
+                y = cadd(cmul(h, op->half), o);
+                break;
+            case K2:
+                k2[i] = h.re;
+                k2[size + i] = h.im;
+                y = cadd(cmul(h, op->half), o);
+                break;
+            case K3: {
+                const cplx b = {k2[i], k2[size + i]}, c = cadd(b, h);
+                k2[i] = c.re;
+                k2[size + i] = c.im;
+                y = cadd(cmul(h, op->full), o);
+                break;
+            }
+            default: {
+                const cplx a = {k1[i], k1[size + i]},
+                           b = {k2[i], k2[size + i]};
+                const cplx r = cadd(o, cmul(cadd(cadd(cmul(b, op->two), a),
+                                                 h), op->sixth));
+                w[i] = r.re;
+                w[size + i] = r.im;
+                continue;
+            }
+            }
+            out[i] = y.re;
+            out[size + i] = y.im;
+        }
     }
 }
 
-/* out += psi * pattern [* phase] * e over a run of ``count`` elements;
-   imaginary parts lie ``size`` further on, of the pattern ``table``. */
-static void couple(int64_t count, int64_t size, int64_t table,
-                   const double *restrict psi,
-                   const double *restrict pattern,
-                   const cplx *restrict phase, cplx e, double *restrict out)
+/* Steps lo..hi-1 on the split states ``w``, a sweep per substage: y goes
+   from w to ya, yb and ya again, each substage reading it from one buffer
+   and writing the next into the other. */
+INLINE void steps(const op_t *op, int64_t families, int rated,
+                  const cplx *phase_start, const cplx *phase_mid,
+                  const cplx *phase_end, const double *envelopes,
+                  double *stages, double *w, int64_t lo, int64_t hi)
 {
-    if (phase) {
-        for (int64_t i = 0; i < count; i++) {
-            const cplx a = {psi[i], psi[size + i]},
-                       p = {pattern[i], pattern[table + i]},
-                       o = {out[i], out[size + i]};
-            const cplx r = cadd(o, cmul(cmul(cmul(a, p), phase[i]), e));
-            out[i] = r.re;
-            out[size + i] = r.im;
+    const int64_t m = op->m, size = op->size, table = op->table;
+    double *k1 = stages, *k2 = k1 + 2 * size, *ya = k2 + 2 * size,
+           *yb = ya + 2 * size;
+    for (int64_t j = lo; j < hi; j++) {
+        const double *env = envelopes + j;
+        const cplx *ps = NULL, *pm = NULL, *pe = NULL;
+        if (rated) {
+            ps = phase_start + j * table;
+            pm = phase_mid + j * table;
+            pe = phase_end + j * table;
         }
-    } else {
-        for (int64_t i = 0; i < count; i++) {
-            const cplx a = {psi[i], psi[size + i]},
-                       p = {pattern[i], pattern[table + i]},
-                       o = {out[i], out[size + i]};
-            const cplx r = cadd(o, cmul(cmul(a, p), e));
-            out[i] = r.re;
-            out[size + i] = r.im;
-        }
-    }
-}
-
-/* out = H psi (split): the diagonal term, then each family's partner *
-   pattern * phase * envelope added in family order, run by run.  ``env``
-   is the family-0 value of a substage column; families lie 3 m apart. */
-static void apply(const op_t *op, const double *psi, double *out,
-                  const double *env, const cplx *phase)
-{
-    const int64_t size = op->size, table = op->families * size;
-    diagonal(size, op->diag, psi, out);
-    for (int64_t f = 0; f < op->families; f++) {
-        const cplx e = {env[f * 3 * op->m], 0.0};
-        const int64_t *partner = op->partner + f * op->runs;
-        for (int64_t r = 0; r < op->runs; r++) {
-            const int64_t at = op->starts[r], row = f * size + at;
-            couple(op->starts[r + 1] - at, size, table,
-                   psi + op->starts[partner[r]], op->pattern + row,
-                   phase ? phase + row : NULL, e, out + at);
-        }
-    }
-}
-
-/* y = k * c + w over split arrays of ``count``; with ``acc``, also
-   acc += k. */
-static void stage(int64_t count, const double *restrict k, cplx c,
-                  const double *restrict w, double *restrict y,
-                  double *restrict acc)
-{
-    for (int64_t i = 0; i < count; i++) {
-        const cplx a = {k[i], k[count + i]}, b = {w[i], w[count + i]};
-        const cplx r = cadd(cmul(a, c), b);
-        y[i] = r.re;
-        y[count + i] = r.im;
-    }
-    if (acc)
-        for (int64_t i = 0; i < count; i++) {
-            const cplx a = {acc[i], acc[count + i]}, b = {k[i], k[count + i]};
-            const cplx r = cadd(a, b);
-            acc[i] = r.re;
-            acc[count + i] = r.im;
-        }
-}
-
-/* w += ((k2 * two + k1) + k4) * sixth over split arrays of ``count``. */
-static void finish(int64_t count, const double *restrict k1,
-                   const double *restrict k2, const double *restrict k4,
-                   cplx two, cplx sixth, double *restrict w)
-{
-    for (int64_t i = 0; i < count; i++) {
-        const cplx a = {k1[i], k1[count + i]}, b = {k2[i], k2[count + i]},
-                   d = {k4[i], k4[count + i]}, o = {w[i], w[count + i]};
-        const cplx r = cadd(o, cmul(cadd(cadd(cmul(b, two), a), d), sixth));
-        w[i] = r.re;
-        w[count + i] = r.im;
+        sweep(op, families, rated, K1, w, ps, env, k1, k2, ya, NULL);
+        sweep(op, families, rated, K2, ya, pm, env + m, k1, k2, yb, w);
+        sweep(op, families, rated, K3, yb, pm, env + m, k1, k2, ya, w);
+        sweep(op, families, rated, K4, ya, pe, env + 2 * m, k1, k2, NULL, w);
     }
 }
 
@@ -151,7 +172,9 @@ static void finish(int64_t count, const double *restrict k1,
    ``size`` complex ``states``: run r, from starts[r] up to starts[r + 1],
    is coupled by family f to run partner[f runs + r].  ``coef`` holds the
    complex factors -i dt/2, -i dt, -i dt/6 and 2; ``stages`` room for k1,
-   k2, k3 and y, and ``split`` for the states, 2 size doubles each. */
+   k2 (to which k3 is added) and two y buffers, and ``split`` for the
+   states, 2 size doubles each.  Up to 3 families get a loop of their own,
+   with and without a phase; more share one with a family count. */
 void rk4_steps(int64_t size, int64_t families, int64_t runs, cplx *states,
                const double *diag, const int64_t *starts,
                const int64_t *partner, const double *pattern,
@@ -160,33 +183,33 @@ void rk4_steps(int64_t size, int64_t families, int64_t runs, cplx *states,
                double *split, const double *envelopes, int64_t m,
                int64_t lo, int64_t hi)
 {
-    const int64_t table = families * size;
-    double *k1 = stages, *k2 = k1 + 2 * size, *k3 = k2 + 2 * size,
-           *y = k3 + 2 * size, *w = split;
-    const op_t op = {size, families, runs, m, diag, pattern, starts,
-                     partner};
-    const cplx half = coef[0], full = coef[1], sixth = coef[2], two = coef[3];
+    const op_t op = {size, families * size, runs, m, diag, pattern, starts,
+                     partner, coef[0], coef[1], coef[2], coef[3]};
+    double *w = split;
     for (int64_t i = 0; i < size; i++) {
         w[i] = states[i].re;
         w[size + i] = states[i].im;
     }
-    for (int64_t j = lo; j < hi; j++) {
-        const double *env = envelopes + j;
-        const cplx *ps = NULL, *pm = NULL, *pe = NULL;
-        if (phase_start) {
-            ps = phase_start + j * table;
-            pm = phase_mid + j * table;
-            pe = phase_end + j * table;
-        }
-        apply(&op, w, k1, env, ps);
-        stage(size, k1, half, w, y, NULL);
-        apply(&op, y, k2, env + m, pm);
-        stage(size, k2, half, w, y, NULL);
-        apply(&op, y, k3, env + m, pm);
-        stage(size, k3, full, w, y, k2);
-        apply(&op, y, k3, env + 2 * m, pe);         /* k4 */
-        finish(size, k1, k2, k3, two, sixth, w);
+#define STEPS(F, RATED) steps(&op, F, RATED, phase_start, phase_mid, \
+                              phase_end, envelopes, stages, w, lo, hi)
+    const int rated = phase_start != NULL;
+    switch (families) {
+    case 0:
+        STEPS(0, 0);
+        break;
+    case 1:
+        if (rated) STEPS(1, 1); else STEPS(1, 0);
+        break;
+    case 2:
+        if (rated) STEPS(2, 1); else STEPS(2, 0);
+        break;
+    case 3:
+        if (rated) STEPS(3, 1); else STEPS(3, 0);
+        break;
+    default:
+        if (rated) STEPS(families, 1); else STEPS(families, 0);
     }
+#undef STEPS
     for (int64_t i = 0; i < size; i++) {
         states[i].re = w[i];
         states[i].im = w[size + i];

@@ -139,6 +139,25 @@ def _per_member(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def momentum_moments(basis: Basis, w: np.ndarray,
+                     levels: Iterable[InternalLevel] | None = None,
+                     axis: str = "z") -> Observables:
+    """Mean momentum and momentum spread of the populations ``w`` (the
+    |amplitude|^2 of one wavefunction on ``basis``) over a level filter."""
+    if axis not in ("z", "x"):
+        raise ConfigurationError("axis must be 'z' or 'x'")
+    if levels is not None:
+        mask = basis.level_mask(levels)
+        w = w * mask
+    pop = float(w.sum())
+    if pop == 0.0:
+        return Observables(mean=None, spread=None)
+    n = basis.n_z if axis == "z" else basis.n_x
+    mean = float(np.sum(n * w) / pop)
+    var = float(np.sum((n - mean) ** 2 * w) / pop)
+    return Observables(mean=mean, spread=float(np.sqrt(max(var, 0.0))))
+
+
 class WaveFunction:
     """Complex amplitudes over a Basis at a given time.
 
@@ -194,19 +213,8 @@ class WaveFunction:
     def observables(self, levels: Iterable[InternalLevel] | None = None,
                     axis: str = "z") -> Observables:
         """Population, mean momentum and momentum spread over a level filter."""
-        if axis not in ("z", "x"):
-            raise ConfigurationError("axis must be 'z' or 'x'")
-        w = np.abs(self.amplitudes) ** 2
-        if levels is not None:
-            mask = self.basis.level_mask(levels)
-            w = w * mask
-        pop = float(w.sum())
-        if pop == 0.0:
-            return Observables(mean=None, spread=None)
-        n = self.basis.n_z if axis == "z" else self.basis.n_x
-        mean = float(np.sum(n * w) / pop)
-        var = float(np.sum((n - mean) ** 2 * w) / pop)
-        return Observables(mean=mean, spread=float(np.sqrt(max(var, 0.0))))
+        return momentum_moments(self.basis, np.abs(self.amplitudes) ** 2,
+                                levels, axis)
 
     def boundary_population(self, margin: int = 1):
         """Probability sitting within ``margin`` rungs of the window edge."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Basis, RecoilState, WaveFunction
+from .basis import Basis, RecoilState, WaveFunction, momentum_moments
 from .errors import ConfigurationError, PhysicsError
 from .fringes import arm_spread
 from .interferometer import (ArmTrack, PlanResult, _Timeline,
@@ -90,8 +90,12 @@ def run_figure3(params: Figure3Params, atom: AtomParams) -> Figure3Result:
         basis, {RecoilState(InternalLevel.A, 0): 1.0})
 
     def observe(t, wf):
-        obs_all = wf.observables(LAMBDA_LEVELS)
-        pops = {lv: wf.population([lv]) for lv in LAMBDA_LEVELS}
+        # |psi|^2 once, for the moments and each level's masked sum, as
+        # WaveFunction.observables and .population take them
+        w = np.abs(wf.amplitudes) ** 2
+        obs_all = momentum_moments(wf.basis, w, LAMBDA_LEVELS)
+        pops = {lv: float(w[..., wf.basis.level_mask([lv])].sum(axis=-1))
+                for lv in LAMBDA_LEVELS}
         return {
             "t_s": t,
             "recoils_transferred": (obs_all.mean or 0.0) / params.direction,

@@ -12,14 +12,16 @@ support, and ``_rk4`` steps the active states of every member of a batch
 each family couples to one whole partner run.
 
 The step loop runs in C (``ckernel``, ``_rk4.c``), one chunk of steps per
-call, on split real and imaginary arrays that the compiler vectorizes; the
-numpy loop (``_numpy_loop``), whose every step costs a few dozen calls of
-interpreter overhead whatever the vector size, stays as the fallback where
-no build matches numpy's complex rounding and as the C loop's bit-for-bit
-oracle.  Nothing else exists twice: ``_rk4`` lays the operator out once
-for both (``_runs`` keeps the last distinct layouts), and one chunk loop
-tabulates the substage times, envelopes and phase ramps per chunk of
-steps, each evaluated once on an array of times;
+call, on split real and imaginary arrays: each RK4 substage is one pass
+per run, which the compiler vectorizes and which takes each element from
+H psi to its RK4 update in registers.  The numpy loop (``_numpy_loop``),
+whose every step costs a few dozen calls of interpreter overhead whatever
+the vector size, stays as the fallback where no build matches numpy's
+complex rounding and as the C loop's bit-for-bit oracle.  Nothing else
+exists twice: ``_rk4`` lays the operator out once for both (``_runs``
+keeps the last distinct layouts), and one chunk loop tabulates the
+substage times, envelopes and phase ramps per chunk of steps, each
+evaluated once on an array of times;
 ``EpochHamiltonian.envelope_table`` fills the envelopes in one C call
 (``PulseEnvelope.value``, its oracle, without a kernel).  Every element is
 computed exactly as a per-family loop computes it, so results are

@@ -444,6 +444,114 @@ def test_c_kernel_equals_the_numpy_loop(case):
 
 
 @st.composite
+def bound_cases(draw):
+    """A layout for ``ckernel.bind`` drawn as it is, not through an
+    operator: runs of 1-17 states, some runs of each length; 0-5 families,
+    each coupling each run to a run of its length, itself included; phase
+    tables, where a family without a rate holds 1+0j or 1-0j, or none.
+    Each run of the state, the diagonal and each pattern row has both
+    parts drawn, or its real part, its imaginary part or both exact zeros
+    of either sign; envelopes are zero at random and in closed windows.
+    In half the cases, quiet ones (below), a product that drops an x * 0.0
+    term shows in the sign of a zero.  The m steps are cut into calls, of
+    one step each or at random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # 2 states at least: numpy's FMA kernels do not fuse an in-place
+    # product of 1-element arrays, which the C build always fuses
+    kinds = draw(st.lists(st.tuples(st.integers(1, 17), st.integers(1, 3)),
+                          min_size=1, max_size=3)
+                 .filter(lambda kinds: sum(a * b for a, b in kinds) > 1))
+    lengths = [length for length, count in kinds for _ in range(count)]
+    lengths = [lengths[k] for k in rng.permutation(len(lengths))]
+    starts = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    n, runs = int(starts[-1]), len(lengths)
+    families = draw(st.integers(0, 5))
+    partner = np.array([[rng.choice([q for q in range(runs)
+                                     if lengths[q] == lengths[r]])
+                         for r in range(runs)] for _ in range(families)],
+                       dtype=np.int64).reshape(families, runs)
+
+    def zeros(shape):
+        """+0.0 and -0.0, at random or all of one sign."""
+        signs = rng.normal(size=shape) if rng.random() < 0.5 else \
+            np.full(shape, rng.normal())
+        return np.copysign(0.0, signs)
+
+    def drawn(rows, mode=None):
+        """(rows, n) values, where each run of each row has both parts
+        drawn (mode 0), or its real part (1), its imaginary part (2) or
+        both (3) exact zeros: by ``mode``, or at random for each run."""
+        out = np.empty((rows, n), dtype=np.complex128)
+        out.real, out.imag = rng.normal(size=(2, rows, n))
+        for row in out:
+            for r in range(runs):
+                run = slice(starts[r], starts[r + 1])
+                zero = rng.integers(4) if mode is None else mode
+                for part, bit in ((row.real, 1), (row.imag, 2)):
+                    if zero & bit:
+                        part[run] = zeros(lengths[r])
+        return out
+
+    m = draw(st.integers(1, 4))
+    # envelopes in [0, 2), each a zero with chance 0.3, and windows closed
+    # throughout
+    table = rng.uniform(0.0, 2.0, size=(families, 3 * m))
+    closed = rng.random(table.shape) < 0.3
+    table[closed] = zeros(table.shape)[closed]
+    table[rng.random(families) < 0.4] = 0.0
+    if draw(st.booleans()):
+        chunk = m + draw(st.integers(0, 2))
+        phases = []
+        for _ in range(3):
+            rows = np.exp(1j * rng.uniform(-3, 3, (chunk, families, n)))
+            for f in np.flatnonzero(rng.random(families) < 0.5):
+                rows[:, f].real = 1.0
+                rows[:, f].imag = zeros((chunk, n))
+            phases.append(rows)
+    else:
+        phases = [None] * 3
+    dt = draw(st.sampled_from([0.25, 1e-3]))
+    # a quiet case: every window closed, and a state and a diagonal whose
+    # real parts are zeros (a diagonal of decay alone), so the diagonal
+    # term is exactly real, and the sign of its imaginary zero is set by
+    # the couplings' x * 0.0 terms
+    mode = None
+    if draw(st.booleans()):
+        table[...], mode = 0.0, 1
+    layout = (drawn(1, mode)[0], starts, partner, drawn(families), phases,
+              np.array([-0.5j * dt, -1j * dt, -1j * dt / 6.0, 2.0]))
+    states = drawn(1, mode)[0]
+    if draw(st.booleans()):
+        cuts = range(m + 1)
+    else:
+        cuts = [0, *sorted(set(draw(st.lists(st.integers(1, m))))), m]
+    calls = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    return states, layout, table, m, calls
+
+
+@pytest.mark.bits
+@given(case=bound_cases())
+@settings(max_examples=400, deadline=None)
+def test_c_kernel_equals_the_numpy_loop_on_drawn_layouts(case):
+    # every state after every call, the sign of each zero included; the
+    # draws reach the loop of each family count, with and without phase
+    # tables, and the loop of a run-time family count past 3
+    c_kernel_or_skip()
+    states, layout, table, m, calls = case
+    runs = []
+    for loop in (ckernel.load(), propagate._numpy_loop):
+        work = states.copy()
+        steps = loop(work, *layout,
+                     np.empty((4,) + work.shape, dtype=np.complex128))
+        after = []
+        for lo, hi in calls:
+            steps(table, m, lo, hi)
+            after.append(work.tobytes())
+        runs.append(after)
+    assert runs[0] == runs[1]
+
+
+@st.composite
 def layout_cases(draw):
     """The parts of one step batch: 1-3 operators of 1-12 states each, under
     the same 0-3 families, each of which is a random perfect matching of
@@ -903,3 +1011,29 @@ def test_import_neither_builds_nor_loads_the_kernel(tmp_path):
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False\nNone False\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_kernel_ns_replays_a_run_on_two_builds(tmp_path):
+    # a 2-pair figure3 run, recorded and replayed once on the loaded build
+    # and once on a build of the same source: both report their kernel
+    # time and exit 0, as every replayed state is the recorded one; a
+    # source that does not build exits 2
+    c_kernel_or_skip()
+    script = Path(__file__).parents[1] / "scripts" / "kernel_ns.py"
+    config = tmp_path / "figure3.json"
+    config.write_text('{"plan": "figure3", "params": {"n_pairs": 2, '
+                      '"stagger_s": 5e-08, "rms_rabi_hz": 1e8}}')
+    done = subprocess.run([sys.executable, str(script), str(config),
+                           "--against", str(ckernel.SOURCE), "--rounds", "1"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("figure3.json: 2 bindings")
+    assert [line.split()[0] for line in lines[1:]] == ["loaded", "against"]
+    assert all("ns per state-step" in line for line in lines[1:])
+    broken = tmp_path / "broken.c"
+    broken.write_text("not C\n")
+    done = subprocess.run([sys.executable, str(script), str(config),
+                           "--against", str(broken), "--rounds", "1"],
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and "broken.c" in done.stderr
