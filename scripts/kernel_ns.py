@@ -5,13 +5,14 @@
 
 Runs CONFIG once through ``recoilsim run`` (into a temporary directory,
 with the ``src`` of this checkout), with a wrapper on ``ckernel.bind`` that
-records every call of every bound step loop: the layout, the states it
-starts from, each chunk's envelope and phase tables and the states after
-each call.  Then it replays the recorded calls N times (default 5) on the
-loaded build and, given ``--against``, on a build of FILE.c with the same
-compiler flags, which must pass the loader's probes too; the builds
-alternate round by round in this one process.  Only the calls of the step
-loop are timed, not the binding or the copies of the tables between them.
+records every call of every bound step loop: the layout with its rate
+rows, the states it starts from, each chunk's envelope table and substage
+times and the states after each call.  Then it replays the recorded calls
+N times (default 5) on the loaded build and, given ``--against``, on a
+build of FILE.c with the same compiler flags, which must pass the loader's
+probes too; the builds alternate round by round in this one process.
+Only the calls of the step loop are timed, not the binding.  A call with
+rates makes its phase ramps inside the kernel, so its time includes them.
 
 Prints, for each build, the kernel time of one replay in ms and the ns per
 state-step, the median and the fastest of the rounds.  Exits 1 if any
@@ -38,24 +39,18 @@ from recoilsim import ckernel, cli  # noqa: E402
 
 class Bound:
     """One ``ckernel.bind`` of a run: the layout it was bound on, copied
-    when bound, and its calls in order, each (table, phase rows, m, lo, hi,
-    states after the call); calls of one chunk share their tables."""
+    when bound, and its calls in order, each (table, times, m, lo, hi,
+    states after the call); calls of one chunk share their table and
+    times, which no one writes once made."""
 
     def __init__(self, states, layout):
-        diag, starts, partner, pattern, phases, coef, _ = layout
         self.start = states.copy()
-        self.layout = tuple(np.array(a) for a in (diag, starts, partner,
-                                                  pattern, coef))
-        self.phases = phases
+        self.layout = tuple(None if a is None else np.array(a)
+                            for a in layout)
         self.calls = []
 
-    def record(self, states, table, m, lo, hi):
-        last = self.calls[-1] if self.calls else None
-        if last is not None and last[0] is table:
-            rows = last[1]
-        else:
-            rows = [None if p is None else p.copy() for p in self.phases]
-        self.calls.append((table, rows, m, lo, hi, states.tobytes()))
+    def record(self, states, table, times, m, lo, hi):
+        self.calls.append((table, times, m, lo, hi, states.tobytes()))
 
     def state_steps(self) -> int:
         return sum((hi - lo) * self.start.size
@@ -72,9 +67,9 @@ def record(config: Path) -> list:
         entry = Bound(states, layout)
         bound.append(entry)
 
-        def run(table, m, lo, hi):
-            steps(table, m, lo, hi)
-            entry.record(states, table, m, lo, hi)
+        def run(table, times, m, lo, hi):
+            steps(table, times, m, lo, hi)
+            entry.record(states, table, times, m, lo, hi)
         return run
     ckernel.bind = recording
     try:
@@ -95,20 +90,10 @@ def replay(kernel, bound: list) -> tuple[float, bool]:
     seconds, same = 0.0, True
     for entry in bound:
         states = entry.start.copy()
-        diag, starts, partner, pattern, coef = entry.layout
-        phases = [None if p is None else np.empty_like(p)
-                  for p in entry.phases]
-        steps = kernel(states, diag, starts, partner, pattern, phases, coef,
-                       np.empty((4,) + states.shape, dtype=np.complex128))
-        rows = None
-        for table, chunk, m, lo, hi, after in entry.calls:
-            if chunk is not rows:
-                rows = chunk
-                for p, row in zip(phases, rows):
-                    if p is not None:
-                        p[...] = row
+        steps = kernel(states, *entry.layout)
+        for table, times, m, lo, hi, after in entry.calls:
             t0 = time.perf_counter()
-            steps(table, m, lo, hi)
+            steps(table, times, m, lo, hi)
             seconds += time.perf_counter() - t0
             same &= states.tobytes() == after
     return seconds, same

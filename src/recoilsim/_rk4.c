@@ -24,12 +24,24 @@
    Each lane computes its element with the scalar formula (cmul, cadd),
    the products with a real envelope {e, 0} and with the RK4 factors kept
    whole, x * 0.0 terms included, so the layout is not in the bits, nor
-   in the sign of a zero or an infinity, and a NaN stays a NaN.  The three
-   phase tables, one (F, size) row per step laid out as the pattern, stay
-   complex128, or are NULL when no family has a rate; the envelope table
-   (F, 3, m) holds real values at each step's start, middle and end, which
-   rk4_envelopes fills. */
+   in the sign of a zero or an infinity, and a NaN stays a NaN.  The
+   envelope table (F, 3, m) holds real values at each step's start, middle
+   and end, which rk4_envelopes fills.
 
+   The phase ramps e^{i rate t} are made here, before the first, second
+   (which the third shares) and last substage of each step, at the times
+   of the step's start, middle and end, into a split (F, size) row: each
+   is numpy's exp(1j * t * rate), the two products by cmul and then
+   sincos of the imaginary part, as glibc's cexp takes it (the real
+   part is a zero, whose exp is 1).  The rates are antisymmetric over
+   every family's runs, which pair up, and glibc's sin is odd and its cos
+   even bit for bit, so a run whose partner run comes later writes the
+   conjugates of its own ramps into the partner run: one sincos per
+   coupled pair.  An element whose phase is an exact zero leaves its
+   partner its own sincos, as the conjugate would flip the sign of that
+   zero, and a run coupled to itself makes its own ramps. */
+
+#define _GNU_SOURCE     /* sincos */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -63,6 +75,53 @@ typedef struct {
     cplx half, full, sixth, two;        /* -i dt/2, -i dt, -i dt/6, 2 */
 } op_t;
 
+/* The imaginary part of it * (rate + 0i), it = 1j * t: the angle of the
+   ramp e^{i rate t}, in the operand order of numpy's 1j * t * rate (the
+   other order fuses the other product, which shows in the sign of an
+   angle that underflows to zero). */
+static inline double angle(double rate, cplx it)
+{
+    const cplx x = {rate, 0.0};
+    return cmul(it, x).im;
+}
+
+/* The ramps of every family at time t into the split rows ``phase``
+   (F, size), from the ``rate`` rows laid out as the pattern: cos and sin
+   of each angle, a run coupled to a later run writing the conjugates of
+   its own into that run, unless an angle is an exact zero. */
+static void ramps(const op_t *op, int64_t families, const double *rate,
+                  double t, double *phase)
+{
+    const int64_t size = op->size, table = op->table, runs = op->runs;
+    const cplx i = {0.0, 1.0}, time = {t, 0.0}, it = cmul(i, time);
+    double s, c;
+    for (int64_t f = 0; f < families; f++) {
+        for (int64_t r = 0; r < runs; r++) {
+            const int64_t p = op->partner[f * runs + r];
+            if (p < r)
+                continue;       /* run p has written these */
+            const int64_t at = f * size + op->starts[r],
+                          end = f * size + op->starts[r + 1],
+                          shift = op->starts[p] - op->starts[r];
+            for (int64_t q = at; q < end; q++) {
+                const double x = angle(rate[q], it);
+                sincos(x, &s, &c);
+                phase[q] = c;
+                phase[table + q] = s;
+                if (p == r)
+                    continue;
+                const int64_t k = q + shift;
+                if (x == 0.0)
+                    sincos(angle(rate[k], it), &s, &c);
+                else
+                    s = -s;
+                phase[k] = c;
+                phase[table + k] = s;
+            }
+        }
+    }
+}
+
 /* What a substage does with each element h of H y, once it has it. */
 enum { K1, K2, K3, K4 };
 
@@ -81,7 +140,7 @@ enum { K1, K2, K3, K4 };
    ``mode`` constant, the family loop unrolls and the element loop
    vectorizes. */
 INLINE void sweep(const op_t *op, int64_t families, int rated, int mode,
-                  const double *restrict in, const cplx *restrict phase,
+                  const double *restrict in, const double *restrict phase,
                   const double *restrict env, double *restrict k1,
                   double *restrict k2, double *restrict out,
                   double *restrict w)
@@ -103,8 +162,12 @@ INLINE void sweep(const op_t *op, int64_t families, int rated, int mode,
                 const cplx a = {in[s], in[size + s]},
                            t = {pattern[q], pattern[table + q]},
                            e = {env[f * 3 * op->m], 0.0};
-                h = cadd(h, rated ? cmul(cmul(cmul(a, t), phase[q]), e)
-                                  : cmul(cmul(a, t), e));
+                if (rated) {
+                    const cplx ph = {phase[q], phase[table + q]};
+                    h = cadd(h, cmul(cmul(cmul(a, t), ph), e));
+                } else {
+                    h = cadd(h, cmul(cmul(a, t), e));
+                }
             }
             const cplx o = {y0[i], y0[size + i]};
             cplx y;
@@ -144,70 +207,79 @@ INLINE void sweep(const op_t *op, int64_t families, int rated, int mode,
 
 /* Steps lo..hi-1 on the split states ``w``, a sweep per substage: y goes
    from w to ya, yb and ya again, each substage reading it from one buffer
-   and writing the next into the other. */
-INLINE void steps(const op_t *op, int64_t families, int rated,
-                  const cplx *phase_start, const cplx *phase_mid,
-                  const cplx *phase_end, const double *envelopes,
-                  double *stages, double *w, int64_t lo, int64_t hi)
+   and writing the next into the other.  With a rate, the ramps are made
+   at each step's start, middle and end (``times`` (3, m)) into ``phase``
+   before the substages that use them. */
+INLINE void steps(const op_t *op, int64_t families, const double *rate,
+                  const double *envelopes, const double *times,
+                  double *stages, double *phase, double *w, int64_t lo,
+                  int64_t hi)
 {
-    const int64_t m = op->m, size = op->size, table = op->table;
+    const int64_t m = op->m, size = op->size;
+    const int rated = rate != NULL;
     double *k1 = stages, *k2 = k1 + 2 * size, *ya = k2 + 2 * size,
            *yb = ya + 2 * size;
     for (int64_t j = lo; j < hi; j++) {
         const double *env = envelopes + j;
-        const cplx *ps = NULL, *pm = NULL, *pe = NULL;
-        if (rated) {
-            ps = phase_start + j * table;
-            pm = phase_mid + j * table;
-            pe = phase_end + j * table;
-        }
-        sweep(op, families, rated, K1, w, ps, env, k1, k2, ya, NULL);
-        sweep(op, families, rated, K2, ya, pm, env + m, k1, k2, yb, w);
-        sweep(op, families, rated, K3, yb, pm, env + m, k1, k2, ya, w);
-        sweep(op, families, rated, K4, ya, pe, env + 2 * m, k1, k2, NULL, w);
+        if (rated)
+            ramps(op, families, rate, times[j], phase);
+        sweep(op, families, rated, K1, w, phase, env, k1, k2, ya, NULL);
+        if (rated)
+            ramps(op, families, rate, times[m + j], phase);
+        sweep(op, families, rated, K2, ya, phase, env + m, k1, k2, yb, w);
+        sweep(op, families, rated, K3, yb, phase, env + m, k1, k2, ya, w);
+        if (rated)
+            ramps(op, families, rate, times[2 * m + j], phase);
+        sweep(op, families, rated, K4, ya, phase, env + 2 * m, k1, k2,
+              NULL, w);
     }
 }
 
 /* Steps lo..hi-1 of a chunk of m tabulated steps, in place on the
    ``size`` complex ``states``: run r, from starts[r] up to starts[r + 1],
-   is coupled by family f to run partner[f runs + r].  ``coef`` holds the
-   complex factors -i dt/2, -i dt, -i dt/6 and 2; ``stages`` room for k1,
-   k2 (to which k3 is added) and two y buffers, and ``split`` for the
-   states, 2 size doubles each.  Up to 3 families get a loop of their own,
-   with and without a phase; more share one with a family count. */
+   is coupled by family f to run partner[f runs + r].  ``rate`` holds the
+   (F, size) rate rows, laid out as the pattern, or is NULL when no family
+   has a rate; then every partner run's partner must be the run itself.
+   ``block`` holds, one after the other, the complex factors -i dt/2,
+   -i dt, -i dt/6 and 2 (8 doubles), and split: the diagonal (2 size),
+   the pattern (2 F size), room for the states (2 size), for k1, k2 (to
+   which k3 is added) and two y buffers (8 size) and, with a rate, for the
+   ramps (2 F size).  ``envelopes`` (F, 3 m) and ``times`` (3, m) hold
+   each step's start, middle and end.  Up to 3 families get a loop of
+   their own, with and without a rate; more share one with a family
+   count. */
 void rk4_steps(int64_t size, int64_t families, int64_t runs, cplx *states,
-               const double *diag, const int64_t *starts,
-               const int64_t *partner, const double *pattern,
-               const cplx *phase_start, const cplx *phase_mid,
-               const cplx *phase_end, const cplx *coef, double *stages,
-               double *split, const double *envelopes, int64_t m,
-               int64_t lo, int64_t hi)
+               const int64_t *starts, const int64_t *partner,
+               const double *rate, double *block, const double *envelopes,
+               const double *times, int64_t m, int64_t lo, int64_t hi)
 {
+    double *diag = block + 8, *pattern = diag + 2 * size,
+           *w = pattern + 2 * families * size, *stages = w + 2 * size,
+           *phase = rate != NULL ? stages + 8 * size : NULL;
     const op_t op = {size, families * size, runs, m, diag, pattern, starts,
-                     partner, coef[0], coef[1], coef[2], coef[3]};
-    double *w = split;
+                     partner, {block[0], block[1]}, {block[2], block[3]},
+                     {block[4], block[5]}, {block[6], block[7]}};
     for (int64_t i = 0; i < size; i++) {
         w[i] = states[i].re;
         w[size + i] = states[i].im;
     }
-#define STEPS(F, RATED) steps(&op, F, RATED, phase_start, phase_mid, \
-                              phase_end, envelopes, stages, w, lo, hi)
-    const int rated = phase_start != NULL;
+#define STEPS(F, RATE) steps(&op, F, RATE, envelopes, times, stages, phase, \
+                             w, lo, hi)
     switch (families) {
     case 0:
-        STEPS(0, 0);
+        STEPS(0, NULL);
         break;
     case 1:
-        if (rated) STEPS(1, 1); else STEPS(1, 0);
+        if (rate) STEPS(1, rate); else STEPS(1, NULL);
         break;
     case 2:
-        if (rated) STEPS(2, 1); else STEPS(2, 0);
+        if (rate) STEPS(2, rate); else STEPS(2, NULL);
         break;
     case 3:
-        if (rated) STEPS(3, 1); else STEPS(3, 0);
+        if (rate) STEPS(3, rate); else STEPS(3, NULL);
         break;
     default:
-        if (rated) STEPS(families, 1); else STEPS(families, 0);
+        if (rate) STEPS(families, rate); else STEPS(families, NULL);
     }
 #undef STEPS
     for (int64_t i = 0; i < size; i++) {

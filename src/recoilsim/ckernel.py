@@ -11,14 +11,17 @@ matches on fixed probe operands, and it is used only once its own product
 of them equals numpy's bit for bit, its envelope table of fixed probe
 windows and times equals ``PulseEnvelope.value`` bit for bit, and its
 steps on two fixed probe operators equal ``propagate._numpy_loop``'s bit
-for bit; the FMA build is never run on a CPU that numpy reports without
+for bit.  One of them has phase ramps (antisymmetric rates, a coupled
+pair at rate 0, a step from time 0.0), which the kernel makes with libm's
+``sincos`` and the numpy loop with numpy's complex ``exp``, so a libm
+whose ``sincos`` disagrees with that ``exp`` leaves the numpy loop
+running.  The FMA build is never run on a CPU that numpy reports without
 FMA3.  With no such build, no compiler or no writable cache, ``load()``
 returns None, and the numpy loop and ``PulseEnvelope.value`` run.
 """
 
 from __future__ import annotations
 
-import cmath
 import ctypes
 import math
 import os
@@ -90,15 +93,17 @@ def _envelope_probe():
 
 
 def _step_probes():
-    """Binder arguments and a 2-step envelope table for two fixed operators
-    in ``propagate._rk4``'s layout, made of plain Python numbers, so the
-    probe pages in no numpy code that a run would not.  Both have runs of
-    11, 11, 5, 5, 3 and 3 states (vector bodies and remainders), a diagonal
-    real (imaginary parts -0.0) on 19 states, a state component of -0.0,
-    2 families, one real (imaginary parts +0.0 and -0.0), each coupling
-    some runs to others and some to themselves, and steps long enough that
-    a one-ulp change in a stage reaches the state; the first has a phase
-    ramp on the complex family."""
+    """Binder arguments, a 2-step envelope table and its times for two fixed
+    operators in ``propagate._rk4``'s layout, made of plain Python numbers,
+    so the probe pages in no numpy code that a run would not.  Both have
+    runs of 11, 11, 5, 5, 3 and 3 states (vector bodies and remainders), a
+    diagonal real (imaginary parts -0.0) on 19 states, a state component of
+    -0.0, 2 families, one real (imaginary parts +0.0 and -0.0), each
+    coupling some runs to others and some to themselves, and steps long
+    enough that a one-ulp change in a stage reaches the state; the first
+    has rates of both signs, antisymmetric over each family's coupled runs
+    with a coupled pair at rate 0, and zeros on the runs coupled to
+    themselves, and its first step starts at time 0.0."""
     n, steps = 38, 2
     grid = [divmod(k, 19) for k in range(n)]
     starts = np.array([0, 11, 22, 27, 32, 35, n])
@@ -112,16 +117,21 @@ def _step_probes():
         [complex(1.5 - k / 7, math.copysign(0.0, k % 3 - 1))
          for _, k in grid],
         [complex(math.sin(k + b), math.cos(2 * k)) for b, k in grid]])
-    ramp = [cmath.exp(0.3j * (k - 9 + b)) for b, k in grid]
-    phases = [np.array([[[1.0] * n, ramp]] * steps)] * 3
+    # family 0 couples runs 0-1 and 2-3, family 1 runs 4-5 (rate 0 on
+    # their middle pair)
+    rho = [0.7 * (k - 4.5) for k in range(11)]
+    rate = np.array([rho + [-x for x in rho] + rho[:5] + [-x for x in rho[:5]]
+                     + [0.0] * 6,
+                     [0.0] * 32 + [1.3, 0.0, -2.1, -1.3, -0.0, 2.1]])
     dt = 0.25
     coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6.0, 2.0])
-    scratch = np.empty((4, n), dtype=np.complex128)
     table = np.array([[0.5 + 0.1 * j + f for j in range(3 * steps)]
                       for f in range(2)])
-    for tables in (phases, [None] * 3):
-        yield (states, diag, starts, partner, pattern, tables, coef, scratch,
-               table)
+    times = np.array([[dt * (j + s / 2) for j in range(steps)]
+                      for s in range(3)])
+    for rates in (rate, None):
+        yield (states, diag, starts, partner, pattern, rates, coef, table,
+               times)
 
 
 def _open(flags: tuple):
@@ -144,7 +154,7 @@ def _open(flags: tuple):
     probe(a.ctypes.data, b.ctypes.data, out.ctypes.data, len(a))
     if out.tobytes() != (a * b).tobytes():
         return None
-    steps.argtypes = (ctypes.c_int64,) * 3 + (ctypes.c_void_p,) * 12 + \
+    steps.argtypes = (ctypes.c_int64,) * 3 + (ctypes.c_void_p,) * 7 + \
         (ctypes.c_int64,) * 3
     steps.restype = None
     envelopes.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + \
@@ -156,11 +166,11 @@ def _open(flags: tuple):
             np.array([w.value(times) for w in windows]).tobytes():
         return None
     from .propagate import _numpy_loop
-    for states, *layout, table in _step_probes():
+    for states, *layout, table, times in _step_probes():
         runs = []
         for loop in (kernel, _numpy_loop):
-            work, m = states.copy(), len(table[0]) // 3
-            loop(work, *layout)(table, m, 0, m)
+            work, m = states.copy(), len(times[0])
+            loop(work, *layout)(table, times, m, 0, m)
             runs.append(work.tobytes())
         if runs[0] != runs[1]:
             return None
@@ -191,56 +201,70 @@ class Kernel:
         return out
 
 
-def bind(rk4_steps, states, diag, starts, partner, pattern, phases, coef,
-         scratch):
-    """``steps(table, m, lo, hi)``: steps lo..hi-1 of a chunk of m, run by
-    ``rk4_steps`` in place on ``states``, in ``propagate._rk4``'s layout:
-    states and diagonal (n,) in runs, run r from ``starts[r]`` up to
-    ``starts[r + 1]``, coupled by family f to the run ``partner[f, r]`` of
-    the same length, and pattern and phase rows (F, n).  ``states`` and
-    the phase tables must be C-contiguous complex128; the diagonal and
-    pattern are copied into split float64 arrays (real parts, then
-    imaginary parts), the rest only if need be.  Every check is made before
-    a pointer reaches C, and ``steps`` holds every array it passes."""
-    diag, pattern, coef, scratch = (np.ascontiguousarray(
-        a, dtype=np.complex128) for a in (diag, pattern, coef, scratch))
+def bind(rk4_steps, states, diag, starts, partner, pattern, rate, coef):
+    """``steps(table, times, m, lo, hi)``: steps lo..hi-1 of a chunk of m,
+    run by ``rk4_steps`` in place on ``states``, in ``propagate._rk4``'s
+    layout: states and diagonal (n,) in runs, run r from ``starts[r]`` up
+    to ``starts[r + 1]``, coupled by family f to the run ``partner[f, r]``
+    of the same length, and pattern and rate rows (F, n), or None for the
+    rates when no family has one.  Then every rate must be exactly minus
+    its partner's, each family's partner runs pairing up, as the kernel
+    makes one ramp of a coupled pair the other's conjugate.  ``states``
+    must be writeable C-contiguous complex128; the factors ``coef``, the
+    diagonal and the pattern are copied into one float64 block with the
+    kernel's scratch (split: real parts, then imaginary parts), the rest
+    only if need be.  Every check is made before a pointer reaches C, and
+    ``steps`` holds every array it passes."""
+    diag, pattern, coef = (np.ascontiguousarray(a, dtype=np.complex128)
+                           for a in (diag, pattern, coef))
     starts, partner = (np.ascontiguousarray(a, dtype=np.int64)
                        for a in (starts, partner))
-    families, runs = len(pattern), len(starts) - 1
-    tables = [p for p in phases if p is not None]
-    chunk = len(tables[0]) if tables else np.inf
-    if len(tables) not in (0, 3) or not all(
-            a.dtype == np.complex128 and a.flags.c_contiguous
-            for a in (states, *tables)) or states.ndim != 1 or \
-            (diag.shape, scratch.shape, coef.shape, pattern.shape) != \
-            (states.shape, (4,) + states.shape, (4,),
-             (families,) + states.shape) or \
-            any(p.shape != (chunk,) + pattern.shape for p in tables):
+    if rate is not None:
+        rate = np.ascontiguousarray(rate, dtype=np.float64)
+    n, families, runs = states.size, len(pattern), len(starts) - 1
+    if states.dtype != np.complex128 or not states.flags.c_contiguous or \
+            not states.flags.writeable or states.ndim != 1 or \
+            (diag.shape, coef.shape, pattern.shape) != \
+            ((n,), (4,), (families, n)) or \
+            rate is not None and rate.shape != pattern.shape:
         raise ValueError("arrays outside the (n,) operator layout")
-    lengths = starts[1:] - starts[:-1]
-    if starts.shape != (runs + 1,) or runs < 0 or starts[0] != 0 or \
-            starts[-1] != states.size or (lengths <= 0).any():
+    # a kind of block has a run for each of its positions, so the runs are
+    # few, and they are checked as Python ints
+    edges, mates = starts.tolist(), partner.tolist()
+    if starts.shape != (runs + 1,) or runs < 0 or edges[0] != 0 or \
+            edges[-1] != n or any(a >= b for a, b in zip(edges, edges[1:])):
         raise ValueError("runs outside the states")
-    if partner.shape != (families, runs) or partner.size and not (
-            0 <= partner.min() <= partner.max() < runs and
-            (lengths[partner] == lengths).all()):
+    lengths = [b - a for a, b in zip(edges, edges[1:])]
+    if partner.shape != (families, runs) or any(
+            not 0 <= p < runs or lengths[p] != lengths[r]
+            for row in mates for r, p in enumerate(row)):
         raise ValueError("partner run outside the runs or of another length")
-    # (2, count) float64: the real parts, then the imaginary parts
-    diag, pattern = (a.view(np.float64).reshape(-1, 2).T.copy()
-                     for a in (diag, pattern))
-    split = np.empty(2 * states.size)       # the states
-    held = (states, diag, starts, partner, pattern, *tables, coef, scratch,
-            split)
-    fixed = (states.size, families, runs, *(a.ctypes.data for a in held[:5]),
-             *([p.ctypes.data for p in tables] or [None] * 3),
-             *(a.ctypes.data for a in held[-3:]))
+    if rate is not None and any(
+            row[p] != r or p >= r and (rate[f, edges[r]:edges[r + 1]] !=
+                                       -rate[f, edges[p]:edges[p + 1]]).any()
+            for f, row in enumerate(mates) for r, p in enumerate(row)):
+        raise ValueError("rates not antisymmetric over paired partner runs")
+    # coef, then split (real parts, then imaginary parts): diagonal,
+    # pattern, and room for the states, k1, k2, two y and the ramps
+    rows = 2 * families if rate is not None else families
+    block = np.empty(8 + 2 * n * (rows + 6))
+    block[:8] = coef.view(np.float64)
+    for a, at in ((diag, 8), (pattern, 8 + 2 * n)):
+        block[at:at + 2 * a.size].reshape(2, -1)[...] = \
+            a.reshape(-1).view(np.float64).reshape(-1, 2).T
+    held = (states, starts, partner, rate, block)
+    fixed = (n, families, runs,
+             *(None if a is None else a.ctypes.data for a in held))
 
-    def steps(table, m, lo, hi):
+    def steps(table, times, m, lo, hi):
         if table.dtype != np.float64 or not table.flags.c_contiguous or \
                 table.shape != (families, 3 * m) or \
-                not 0 <= lo <= hi <= m <= chunk:
-            raise ValueError("envelope table or steps outside the chunk")
-        rk4_steps(*fixed, table.ctypes.data, m, lo, hi)
+                times.dtype != np.float64 or \
+                not times.flags.c_contiguous or times.shape != (3, m) or \
+                not 0 <= lo <= hi <= m:
+            raise ValueError("envelope table, times or steps outside the "
+                             "chunk")
+        rk4_steps(*fixed, table.ctypes.data, times.ctypes.data, m, lo, hi)
     steps.held = held
     return steps
 

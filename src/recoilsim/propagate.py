@@ -20,19 +20,21 @@ the vector size, stays as the fallback where no build matches numpy's
 complex rounding and as the C loop's bit-for-bit oracle.  Nothing else
 exists twice: ``_rk4`` lays the operator out once for both (``_runs``
 keeps the last distinct layouts), and one chunk loop tabulates the
-substage times, envelopes and phase ramps per chunk of steps, each
-evaluated once on an array of times;
-``EpochHamiltonian.envelope_table`` fills the envelopes in one C call
-(``PulseEnvelope.value``, its oracle, without a kernel).  Every element is
-computed exactly as a per-family loop computes it, so results are
-bit-identical to that loop, whatever the chunk size or the state order.
+substage times and envelopes per chunk of steps, evaluated once on an
+array of times; ``EpochHamiltonian.envelope_table`` fills the envelopes
+in one C call (``PulseEnvelope.value``, its oracle, without a kernel).
+The phase ramps e^{i rate t} are made inside each loop, for each
+substage time: the C loop takes one ``sincos`` per coupled pair and the
+conjugate for the partner, the numpy loop one ``exp`` per element
+(``_phase_rows``).  Every element is computed exactly as a per-family
+loop computes it, so results are bit-identical to that loop, whatever
+the chunk size or the state order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -50,9 +52,6 @@ EXTEND_BY = 8               # rungs added per auto-extension
 MAX_STATES = 40_000         # basis size an auto-extension may not exceed
 MAX_STEPS_PER_EPOCH = 10 ** 7   # RK4 steps one epoch may ask for
 ENVELOPE_CHUNK = 2048       # steps whose envelopes are tabulated at once
-PHASE_TABLE_ELEMENTS = 2 ** 12  # ramps in one substage's phase table: caps
-                                # the chunk of an operator with a rate, and
-                                # with it the tables' memory
 
 
 def check_stability(hamiltonian: EpochHamiltonian, dt: float) -> None:
@@ -224,13 +223,15 @@ def _rk4(parts, epoch: Epoch, n_steps: int, observe=None,
     envelopes.
 
     All rows are laid out once, block-major (``_layout``), for either step
-    loop: states and diagonal (N,), runs, pattern and rate rows (F, N), a
-    phase table per substage and a scratch (4, N); the order is undone
-    before each observer call and on return.  Times, envelopes and phase
-    ramps are tabulated from their step indices, ENVELOPE_CHUNK steps (and
-    at most PHASE_TABLE_ELEMENTS ramps) at a time, and each chunk runs to
-    each observer stop in the C loop where ``ckernel.load`` gives one, in
-    ``_numpy_loop`` otherwise: no chunk size or state order is in the bits.
+    loop: states and diagonal (N,), runs, and pattern and rate rows (F, N),
+    the rates only when a family has one; the order is undone before each
+    observer call and on return.  Times and envelopes are tabulated from
+    their step indices, ENVELOPE_CHUNK steps at a time, and each chunk runs
+    to each observer stop in the C loop where ``ckernel.load`` gives one,
+    in ``_numpy_loop`` otherwise; each loop makes its phase ramps from the
+    rates and the times step by step: no chunk size or state order is in
+    the bits.  A lone state that a family couples is refused, as numpy
+    rounds a product of 1-element arrays as the C loop does not.
     """
     dt = epoch.duration / n_steps
     views, columns, offset = [], [], 0
@@ -251,33 +252,28 @@ def _rk4(parts, epoch: Epoch, n_steps: int, observe=None,
         np.concatenate(arrays, axis=-1) for arrays in zip(*columns))
     order, starts, partner = _runs(labels.tobytes(), perm.tobytes(),
                                    len(labels))
-    states, diag, pattern, rate = (a[..., order]
-                                   for a in (flat, diag, pattern, rate))
+    states, diag, pattern = (a[..., order] for a in (flat, diag, pattern))
 
     def unpermute():
         flat[order] = states
         for view, start in views:
             view[...] = flat[start:start + view.size].reshape(view.shape)
 
+    if states.size == 1 and pattern.any():
+        # numpy's FMA kernels do not fuse a product of 1-element arrays,
+        # so the two loops would round a lone coupled state apart
+        raise ValueError("a family couples a lone state")
     stride = max(1, n_steps // observe_per_epoch) if observe else 0
-    if rate.any():
-        # a table of phase rows per substage, filled anew for each chunk
-        chunk = max(1, min(ENVELOPE_CHUNK, PHASE_TABLE_ELEMENTS // rate.size,
-                           n_steps))
-        phases = list(np.empty((3, chunk) + rate.shape,
-                               dtype=np.complex128))
-    else:
-        chunk, phases = ENVELOPE_CHUNK, [None] * 3
     coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6.0, 2.0])
-    scratch = np.empty((4,) + states.shape, dtype=np.complex128)
     from . import ckernel     # not at import: the loader is run-time only
-    steps = (ckernel.load() or _numpy_loop)(states, diag, starts, partner,
-                                            pattern, phases, coef, scratch)
+    steps = (ckernel.load() or _numpy_loop)(
+        states, diag, starts, partner, pattern,
+        rate[..., order] if rate.any() else None, coef)
     # the batches of evolve_plan are keyed by the envelopes, so every part
     # shares the first one's
     shared = parts[0][0]
-    for k0 in range(0, n_steps, chunk):
-        k_stop = min(k0 + chunk, n_steps)
+    for k0 in range(0, n_steps, ENVELOPE_CHUNK):
+        k_stop = min(k0 + ENVELOPE_CHUNK, n_steps)
         # the times of the step loop: each step starts where the last ended
         bounds = epoch.t_start + np.arange(k0, k_stop + 1) * epoch.duration \
             / n_steps
@@ -286,15 +282,14 @@ def _rk4(parts, epoch: Epoch, n_steps: int, observe=None,
         # clamp: rounding must not push the last substage past the
         # envelope window (a square edge there breaks the error order)
         end = np.minimum(t + dt, epoch.t_end)
-        table = shared.envelope_table(np.concatenate([t, mid, end]))
-        if phases[0] is not None:
-            for times, phase in zip((t, mid, end), phases):
-                _phase_rows(rate, times, phase[:k_stop - k0])
+        times = np.concatenate([t, mid, end])
+        table = shared.envelope_table(times)
+        times = times.reshape(3, -1)
         done = k0
         while done < k_stop:
             stop = min(k_stop, (done // stride + 1) * stride) \
                 if stride else k_stop
-            steps(table, k_stop - k0, done - k0, stop - k0)
+            steps(table, times, k_stop - k0, done - k0, stop - k0)
             done = stop
             if stride and (done % stride == 0 or done == n_steps):
                 unpermute()
@@ -362,11 +357,13 @@ def _phase_rows(rate: np.ndarray, times: np.ndarray,
     ``out`` (shaped ``times.shape + rate.shape``) and returned; each row is
     exactly what ``exp(1j * t * rate)`` gives.
 
-    The rates are cast into ``out`` and scaled there, which makes no
-    temporary copy of them; the product (rate + 0i)(0 + it) has the bits of
-    (0 + it)(rate + 0i), as each factor has one zero part."""
-    out[...] = rate
-    out *= (1j * times).reshape(times.shape + (1,) * rate.ndim)
+    Each 1j * t is spread over ``out`` and multiplied there by the rates,
+    which makes no temporary copy of them, in the operand order of
+    ``1j * t * rate``: on numpy's FMA kernels (0 + it)(rate + 0i) and
+    (rate + 0i)(0 + it) fuse different products, and so differ in the sign
+    of an angle rate * t that underflows to zero."""
+    out[...] = (1j * times).reshape(times.shape + (1,) * rate.ndim)
+    out *= rate
     return np.exp(out, out=out)
 
 
@@ -376,19 +373,23 @@ class _numpy_loop:
     H psi is one ``take`` of every family's partners (the runs expanded
     into one index), one multiply each for the patterns, a row of phase
     ramps and a column of envelope values, and one add per family row onto
-    the diagonal term, in family order.  k4 reuses k3's buffer once k2 + k3
-    is taken.  The -i of the Schrodinger equation rides on the step
-    coefficients: a product with -i only swaps and negates components, so
-    each element is exactly -i H psi scaled by a real coefficient.
+    the diagonal term, in family order.  Each step fills its three rows of
+    ramps, at its start, middle and end, with ``_phase_rows``.  k4 reuses
+    k3's buffer once k2 + k3 is taken.  The -i of the Schrodinger equation
+    rides on the step coefficients: a product with -i only swaps and
+    negates components, so each element is exactly -i H psi scaled by a
+    real coefficient.
     """
 
-    def __init__(self, states, diag, starts, partner, pattern, phases, coef,
-                 scratch):
+    def __init__(self, states, diag, starts, partner, pattern, rate, coef):
         self.states, self.diag = states, diag
         self.partner = np.arange(len(states)) + np.repeat(
             starts[partner] - starts[:-1], starts[1:] - starts[:-1], axis=-1)
-        self.pattern, self.phases = pattern, phases
-        self.coef, self.scratch = coef[:3], scratch
+        self.pattern, self.rate = pattern, rate
+        self.phases = None if rate is None else \
+            np.empty((3,) + rate.shape, dtype=np.complex128)
+        self.coef = coef[:3]
+        self.scratch = np.empty((4,) + states.shape, dtype=np.complex128)
         self.gathered = np.empty(self.partner.shape, dtype=np.complex128)
         self.rows = list(self.gathered)
 
@@ -407,15 +408,17 @@ class _numpy_loop:
         for row in self.rows:
             out += row
 
-    def __call__(self, table, m, lo, hi):
+    def __call__(self, table, times, m, lo, hi):
         work, (k1, k2, k3, y) = self.states, self.scratch
         half, full, sixth = self.coef
         envelopes = table.T.astype(np.complex128) \
             .reshape((3, m, len(table), 1))
-        phases = [repeat(None) if p is None else p[lo:hi]
-                  for p in self.phases]
-        for e_s, e_m, e_e, p_s, p_m, p_e in zip(
-                *envelopes[:, lo:hi], *phases):
+        p_s = p_m = p_e = None
+        for j in range(lo, hi):
+            e_s, e_m, e_e = envelopes[:, j]
+            if self.rate is not None:
+                p_s, p_m, p_e = _phase_rows(self.rate, times[:, j],
+                                            self.phases)
             self._apply(work, k1, e_s, p_s)
             np.multiply(k1, half, out=y)
             y += work

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recoilsim import ckernel, propagate
@@ -299,8 +299,8 @@ def kernel_cases(draw):
     so the C loop's vector bodies run as well as their remainders.  A real
     operator (ladder's case) has patterns and a diagonal whose imaginary
     parts are +0.0 or -0.0, and the state may hold exact zeros of either
-    sign.  The envelope chunk and phase-table budget drawn last give chunks
-    of one step and partial chunks, with rates and without."""
+    sign.  The envelope chunk drawn last gives chunks of one step and
+    partial chunks, with rates and without."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
     def signed_zeros(shape):
@@ -370,8 +370,7 @@ def kernel_cases(draw):
     stable = math.ceil(duration * float(np.max(h.max_element())) / 0.05)
     n_steps = max(draw(st.integers(1, 40)), stable)
     return (h, work, Epoch(t_start, duration, ()), n_steps,
-            draw(st.integers(0, 5)), draw(st.sampled_from([1, 3, 1024])),
-            draw(st.sampled_from([1, 40, 2 ** 12])))
+            draw(st.integers(0, 5)), draw(st.sampled_from([1, 3, 1024])))
 
 
 def whole(h, work):
@@ -389,12 +388,11 @@ def observed(work):
 @given(case=kernel_cases())
 @settings(max_examples=200, deadline=None)
 def test_stacked_kernel_matches_the_per_family_loop_bit_for_bit(case):
-    h, work, epoch, n_steps, per_epoch, chunk, budget = case
+    h, work, epoch, n_steps, per_epoch, chunk = case
     ref = work.copy()
     samples, observe = observed(work)
     ref_samples, ref_observe = observed(ref)
-    with mock.patch.object(propagate, "ENVELOPE_CHUNK", chunk), \
-            mock.patch.object(propagate, "PHASE_TABLE_ELEMENTS", budget):
+    with mock.patch.object(propagate, "ENVELOPE_CHUNK", chunk):
         t = propagate._rk4([whole(h, work)], epoch, n_steps,
                            observe if per_epoch else None, per_epoch)
     t_ref = reference_rk4(h, ref, epoch, n_steps,
@@ -424,12 +422,11 @@ def c_kernel_or_skip():
 @settings(max_examples=200, deadline=None)
 def test_c_kernel_equals_the_numpy_loop(case):
     c_kernel_or_skip()
-    h, work, epoch, n_steps, per_epoch, chunk, budget = case
+    h, work, epoch, n_steps, per_epoch, chunk = case
     ref = work.copy()
     samples, observe = observed(work)
     ref_samples, ref_observe = observed(ref)
-    with mock.patch.object(propagate, "ENVELOPE_CHUNK", chunk), \
-            mock.patch.object(propagate, "PHASE_TABLE_ELEMENTS", budget):
+    with mock.patch.object(propagate, "ENVELOPE_CHUNK", chunk):
         t = propagate._rk4([whole(h, work)], epoch, n_steps,
                            observe if per_epoch else None, per_epoch)
         with mock.patch.object(ckernel, "load", lambda: None):
@@ -447,14 +444,19 @@ def test_c_kernel_equals_the_numpy_loop(case):
 def bound_cases(draw):
     """A layout for ``ckernel.bind`` drawn as it is, not through an
     operator: runs of 1-17 states, some runs of each length; 0-5 families,
-    each coupling each run to a run of its length, itself included; phase
-    tables, where a family without a rate holds 1+0j or 1-0j, or none.
-    Each run of the state, the diagonal and each pattern row has both
-    parts drawn, or its real part, its imaginary part or both exact zeros
-    of either sign; envelopes are zero at random and in closed windows.
-    In half the cases, quiet ones (below), a product that drops an x * 0.0
-    term shows in the sign of a zero.  The m steps are cut into calls, of
-    one step each or at random."""
+    each coupling each run to a run of its length, itself included, and
+    rate rows or none.  Rate rows need each family's partner runs to pair
+    up; they hold rho on one run of a pair and -rho on the other, rho of
+    both signs, from 1e-3 to 1e4 in size, or an exact zero of either sign
+    on some coupled pairs, and zeros of either sign on a run coupled to
+    itself and on every run of a family without a rate.  The substage times
+    run to 1e5 or more, so that |rate t| passes 1e5 rad, and some are 0.0
+    and -0.0.  Each run of the state, the diagonal and each pattern row has
+    both parts drawn, or its real part, its imaginary part or both exact
+    zeros of either sign; envelopes are zero at random and in closed
+    windows.  In half the cases, quiet ones (below), a product that drops
+    an x * 0.0 term shows in the sign of a zero.  The m steps are cut into
+    calls, of one step each or at random."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     # 2 states at least: numpy's FMA kernels do not fuse an in-place
     # product of 1-element arrays, which the C build always fuses
@@ -466,9 +468,23 @@ def bound_cases(draw):
     starts = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
     n, runs = int(starts[-1]), len(lengths)
     families = draw(st.integers(0, 5))
-    partner = np.array([[rng.choice([q for q in range(runs)
-                                     if lengths[q] == lengths[r]])
-                         for r in range(runs)] for _ in range(families)],
+    rated = draw(st.booleans())
+
+    def partners():
+        """Each run's partner: a run of its length at random, or, for
+        rates, pairs of such runs and runs left to themselves."""
+        if not rated:
+            return [rng.choice([q for q in range(runs)
+                                if lengths[q] == lengths[r]])
+                    for r in range(runs)]
+        out = list(range(runs))
+        for length in set(lengths):
+            alike = [r for r in rng.permutation(runs) if lengths[r] == length]
+            pairs = int(rng.integers(0, len(alike) // 2 + 1))
+            for a, b in zip(alike[:pairs], alike[pairs:2 * pairs]):
+                out[a], out[b] = b, a
+        return out
+    partner = np.array([partners() for _ in range(families)],
                        dtype=np.int64).reshape(families, runs)
 
     def zeros(shape):
@@ -499,17 +515,22 @@ def bound_cases(draw):
     closed = rng.random(table.shape) < 0.3
     table[closed] = zeros(table.shape)[closed]
     table[rng.random(families) < 0.4] = 0.0
-    if draw(st.booleans()):
-        chunk = m + draw(st.integers(0, 2))
-        phases = []
-        for _ in range(3):
-            rows = np.exp(1j * rng.uniform(-3, 3, (chunk, families, n)))
-            for f in np.flatnonzero(rng.random(families) < 0.5):
-                rows[:, f].real = 1.0
-                rows[:, f].imag = zeros((chunk, n))
-            phases.append(rows)
-    else:
-        phases = [None] * 3
+    times = rng.uniform(-1.0, 1.0, (3, m)) * 10.0 ** rng.uniform(0, 6)
+    for zero in (0.0, -0.0):
+        times[rng.random(times.shape) < 0.2] = zero
+    rate = None
+    if rated:
+        rate = zeros((families, n))
+        without = rng.random(families) < 0.3
+        for f, r in zip(*np.nonzero(partner > np.arange(runs))):
+            if without[f]:
+                continue
+            rho = rng.choice([-1.0, 1.0], lengths[r]) * \
+                10.0 ** rng.uniform(-3, 4, lengths[r])
+            rho[rng.random(lengths[r]) < 0.2] = zeros(lengths[r])[0]
+            p = partner[f, r]
+            rate[f, starts[r]:starts[r + 1]] = rho
+            rate[f, starts[p]:starts[p + 1]] = -rho
     dt = draw(st.sampled_from([0.25, 1e-3]))
     # a quiet case: every window closed, and a state and a diagonal whose
     # real parts are zeros (a diagonal of decay alone), so the diagonal
@@ -518,7 +539,7 @@ def bound_cases(draw):
     mode = None
     if draw(st.booleans()):
         table[...], mode = 0.0, 1
-    layout = (drawn(1, mode)[0], starts, partner, drawn(families), phases,
+    layout = (drawn(1, mode)[0], starts, partner, drawn(families), rate,
               np.array([-0.5j * dt, -1j * dt, -1j * dt / 6.0, 2.0]))
     states = drawn(1, mode)[0]
     if draw(st.booleans()):
@@ -526,7 +547,7 @@ def bound_cases(draw):
     else:
         cuts = [0, *sorted(set(draw(st.lists(st.integers(1, m))))), m]
     calls = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    return states, layout, table, m, calls
+    return states, layout, table, times, m, calls
 
 
 @pytest.mark.bits
@@ -534,18 +555,17 @@ def bound_cases(draw):
 @settings(max_examples=400, deadline=None)
 def test_c_kernel_equals_the_numpy_loop_on_drawn_layouts(case):
     # every state after every call, the sign of each zero included; the
-    # draws reach the loop of each family count, with and without phase
-    # tables, and the loop of a run-time family count past 3
+    # draws reach the loop of each family count, with and without rates,
+    # and the loop of a run-time family count past 3
     c_kernel_or_skip()
-    states, layout, table, m, calls = case
+    states, layout, table, times, m, calls = case
     runs = []
     for loop in (ckernel.load(), propagate._numpy_loop):
         work = states.copy()
-        steps = loop(work, *layout,
-                     np.empty((4,) + work.shape, dtype=np.complex128))
+        steps = loop(work, *layout)
         after = []
         for lo, hi in calls:
-            steps(table, m, lo, hi)
+            steps(table, times, m, lo, hi)
             after.append(work.tobytes())
         runs.append(after)
     assert runs[0] == runs[1]
@@ -731,10 +751,13 @@ def ramp_cases(draw):
 
 @pytest.mark.bits
 @given(case=ramp_cases())
+@example(case=(np.array([[-2.2e-3, 2.2e-3, -118.0, 118.0]]),   # rate * t
+               np.array([5e-324, 0.5, 1.0]), 1))              # underflows
 @settings(max_examples=300, deadline=None)
 def test_phase_rows_are_exp_of_each_time_bit_for_bit(case):
-    # each substage's rows, filled in place as _rk4 fills its table, must
-    # be exactly exp(1j * t * rate): at t = 0 and for a zero rate that is
+    # rows filled in place for any array of times (the numpy loop passes
+    # a step's three) must each be exactly exp(1j * t * rate), the C
+    # loop's oracle through the states: at t = 0 and for a zero rate that is
     # exp's 1+0j (or 1-0j before t = 0), the sign of the zero included;
     # the spare rows of the table stay untouched
     rate, times, rows = case
@@ -757,30 +780,32 @@ def test_c_kernel_binder_holds_the_copies_it_passes():
 
     def normal(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    # int32 run starts and partner runs and a transposed pattern: bind
-    # passes copies
+    # int32 run starts and partner runs, a transposed pattern and float32
+    # rates: bind passes copies
     starts = np.array([0, 3, 6, 9, 12, 18], dtype=np.int32)
     partner = np.array([[1, 0, 3, 2, 4], [2, 3, 0, 1, 4]], dtype=np.int32)
     pattern = normal(n, 2).T
-    phases = [np.exp(1j * rng.uniform(-3, 3, size=(m, 2, n)))
-              for _ in range(3)]
+    rho = rng.uniform(-3, 3, size=(2, 3)).astype(np.float32)
+    rate = np.zeros((2, n), dtype=np.float32)
+    rate[0, :12] = np.concatenate([rho[0], -rho[0], rho[1], -rho[1]])
+    rate[1, :12] = np.concatenate([rho[0], rho[1], -rho[0], -rho[1]])
     diag, states = normal(n), normal(n)
     coef = np.array([-0.05j, -0.1j, -0.1j / 6.0, 2.0])
     table = rng.uniform(size=(2, 3 * m))
+    times = rng.uniform(size=(3, m))
     runs = []
     for loop in (ckernel.load(), propagate._numpy_loop):
         work = states.copy()
-        scratch = np.empty((4, n), dtype=np.complex128)
-        steps = loop(work, diag, starts, partner, pattern, phases, coef,
-                     scratch)
+        steps = loop(work, diag, starts, partner, pattern, rate, coef)
         gc.collect()
         # take back the memory of a dropped copy (numpy reuses freed blocks
         # of a size) and zero it: every run starting at 0 and coupled to
-        # run 0, no pattern
+        # run 0, no pattern and no rate
         junk = [np.full(size, 0, dtype=np.int64)
-                for size in (starts.size, partner.size, 2 * pattern.size) * 4]
-        steps(table, m, 0, 2)
-        steps(table, m, 2, m)
+                for size in (starts.size, partner.size, 2 * pattern.size,
+                             rate.size) * 4]
+        steps(table, times, m, 0, 2)
+        steps(table, times, m, 2, m)
         runs.append(work.tobytes())
     assert runs[0] == runs[1]
 
@@ -788,29 +813,38 @@ def test_c_kernel_binder_holds_the_copies_it_passes():
 def bind_layouts():
     """A valid layout for ``ckernel.bind`` (12 states in 4 runs of 3, 2
     families with a rate), then that layout with one array the kernel
-    would read out of bounds: a pattern row shorter than the states, phase
-    tables of the wrong shape, run starts that run past the states, start
-    below 0, do not increase or do not end at the state count, a partner
-    run of another length, and partner runs below 0 or past the last
-    run."""
-    n, m = 12, 2
+    would read out of bounds, write where it may not or ramp wrong:
+    read-only states, a pattern row shorter than the states, rate rows of
+    the wrong shape, run starts that run past the states, start below 0,
+    do not increase or do not end at the state count, a partner run of
+    another length, partner runs below 0 or past the last run, a rate that
+    is not minus its partner's, and rates on partner runs that do not pair
+    up."""
+    n = 12
     states = np.ones(n, dtype=np.complex128)
     starts = np.array([0, 3, 6, 9, n])
     partner = np.array([[1, 0, 3, 2], [3, 2, 1, 0]])
     pattern = np.ones((2, n), dtype=np.complex128)
-    phases = [np.ones((m, 2, n), dtype=np.complex128)] * 3
+    rate = np.array([[1.0, 2.0, 3.0] * 2 + [4.0, 5.0, 6.0] * 2,
+                     [7.0, 8.0, 9.0] * 2 + [-7.0, -8.0, -9.0] * 2])
+    rate[0, 3:6] *= -1
+    rate[0, 9:] *= -1
     valid = dict(states=states, diag=states.copy(), starts=starts,
-                 partner=partner, pattern=pattern, phases=phases,
-                 coef=np.array([-0.05j, -0.1j, -0.1j / 6.0, 2.0]),
-                 scratch=np.empty((4, n), dtype=np.complex128))
+                 partner=partner, pattern=pattern, rate=rate,
+                 coef=np.array([-0.05j, -0.1j, -0.1j / 6.0, 2.0]))
     low, high = partner.copy(), partner.copy()
     low[1, 2], high[0, 2] = -1, len(starts) - 1
+    frozen = states.copy()
+    frozen.flags.writeable = False
+    lopsided = rate.copy()
+    lopsided[1, 4] = np.nextafter(lopsided[1, 4], 0.0)
+    cycle = partner.copy()
+    cycle[1] = [1, 2, 3, 0]
     return valid, [
-        ("layout", dict(valid, pattern=pattern[:, :3], phases=[None] * 3)),
-        ("layout", dict(valid, phases=[np.ones((m, 2, 3),
-                                               dtype=np.complex128)] * 3)),
-        ("layout", dict(valid, phases=[np.ones((m, 1, n),
-                                               dtype=np.complex128)] * 3)),
+        ("layout", dict(valid, states=frozen)),
+        ("layout", dict(valid, pattern=pattern[:, :3], rate=None)),
+        ("layout", dict(valid, rate=rate[:, :3])),
+        ("layout", dict(valid, rate=rate[:1])),
         ("runs", dict(valid, starts=np.array([0, 3, 6, 9, n + 1]))),
         ("runs", dict(valid, starts=np.array([-3, 3, 6, 9, n]))),
         ("runs", dict(valid, starts=np.array([0, 6, 3, 9, n]))),
@@ -819,7 +853,10 @@ def bind_layouts():
         ("runs", dict(valid, starts=np.array([0, 3, 6, 9, n - 1]))),
         ("partner", dict(valid, starts=np.array([0, 3, 6, 8, n]))),
         ("partner", dict(valid, partner=low)),
-        ("partner", dict(valid, partner=high))]
+        ("partner", dict(valid, partner=high)),
+        ("antisymmetric", dict(valid, rate=lopsided)),
+        ("antisymmetric", dict(valid, partner=cycle,
+                               rate=np.zeros((2, n))))]
 
 
 @pytest.mark.bits
@@ -829,11 +866,32 @@ def test_bind_refuses_a_layout_before_any_pointer_reaches_c():
     valid, bad = bind_layouts()
     ran = []
     steps = ckernel.bind(lambda *args: ran.append(args), **valid)
-    steps(np.ones((2, 6)), 2, 0, 2)
+    steps(np.ones((2, 6)), np.zeros((3, 2)), 2, 0, 2)
     assert len(ran) == 1
+    # the same layout without rates, and with zero rates on partner runs
+    # that do not pair up, which only rates need
+    cycle = valid["partner"].copy()
+    cycle[1] = [1, 2, 3, 0]
+    for layout in (dict(valid, rate=None),
+                   dict(valid, partner=cycle, rate=None)):
+        ckernel.bind(lambda *args: ran.append(args), **layout)(
+            np.ones((2, 6)), np.zeros((3, 2)), 2, 0, 2)
+    assert len(ran) == 3
     for message, layout in bad:
         with pytest.raises(ValueError, match=message):
             ckernel.bind(never_called, **layout)
+    # a chunk's envelope table, times and steps must fit it
+    steps = ckernel.bind(never_called, **valid)
+    for table, times, m, lo, hi in [
+            (np.ones((2, 6)), np.zeros((2, 3)), 2, 0, 2),
+            (np.ones((2, 6)), np.zeros(6), 2, 0, 2),
+            (np.ones((2, 6)), np.zeros((3, 3)), 2, 0, 2),
+            (np.ones((2, 6)), np.zeros((3, 2), dtype=np.float32), 2, 0, 2),
+            (np.ones((2, 6)), np.zeros((2, 3)).T, 2, 0, 2),
+            (np.ones((2, 9)), np.zeros((3, 2)), 2, 0, 2),
+            (np.ones((2, 6)), np.zeros((3, 2)), 2, 1, 3)]:
+        with pytest.raises(ValueError, match="outside the chunk"):
+            steps(table, times, m, lo, hi)
 
 
 @pytest.mark.bits
@@ -900,9 +958,9 @@ def test_loader_refuses_a_build_whose_step_probe_disagrees(monkeypatch):
 
 def chunk_cases(atom):
     """A ladder epoch (two sine-squared beams, no rate) and a detuned Raman
-    pulse (a rate, so the phase table caps the chunk), each with a state,
-    a step count and an observer count whose stride divides none of the
-    chunks."""
+    pulse (a rate, whose ramps each loop makes step by step), each with a
+    state, a step count and an observer count whose stride divides none of
+    the chunks."""
     epoch = build_adiabatic_sequence(2, 50e-9, 2 * math.pi * 1e8).epochs[1]
     ladder = compile_from_epoch(propagate.ladder_basis([A, B, E1], [-2, -4]),
                                 epoch, atom)
@@ -937,6 +995,28 @@ def test_rk4_bytes_do_not_depend_on_the_envelope_chunk(atom, engine):
                          [(s, w.tobytes()) for s, w in samples]))
         assert len(runs[0][2]) == per_epoch + 1
         assert all(run == runs[0] for run in runs)
+
+
+def test_rk4_refuses_a_lone_state_that_a_family_couples():
+    # numpy's FMA kernels round a product of 1-element arrays unfused,
+    # unlike the C loop, so the two loops could not agree on it; a family
+    # that couples nothing there leaves every product exact
+    n = 1
+    envelopes = (PulseEnvelope(SQUARE, 1.0, 0.0, 1.0),)
+    epoch = Epoch(0.0, 1.0, ())
+    for pattern, refused in ((0.5 + 0.25j, True), (0.0, False)):
+        h = EpochHamiltonian(np.ones(n), np.zeros(n),
+                             np.zeros((1, n), dtype=np.int64),
+                             np.full((1, n), pattern, dtype=np.complex128),
+                             np.zeros((1, n)), envelopes, np.ones(1))
+        work = np.ones(n, dtype=np.complex128)
+        if refused:
+            with pytest.raises(ValueError, match="lone state"):
+                propagate._rk4([whole(h, work)], epoch, 40)
+            assert work.tobytes() == np.ones(n, dtype=np.complex128).tobytes()
+        else:
+            propagate._rk4([whole(h, work)], epoch, 40)
+            assert not np.array_equal(work, np.ones(n))
 
 
 def test_evolve_plan_refuses_an_empty_list(atom):
