@@ -1,4 +1,6 @@
-/* The RK4 step loop of recoilsim.propagate._rk4 for one chunk of steps.
+/* The RK4 step loop of recoilsim.propagate._rk4 for one chunk of steps,
+   and the fringe field of recoilsim.fringes.synthesize for one block of
+   grid rows (rk4_fringes, below).
 
    Every element is computed with the operations, operand order and
    rounding of the numpy loop it replaces, so the two agree bit for bit:
@@ -285,6 +287,72 @@ void rk4_steps(int64_t size, int64_t families, int64_t runs, cplx *states,
     for (int64_t i = 0; i < size; i++) {
         states[i].re = w[i];
         states[i].im = w[size + i];
+    }
+}
+
+/* The wave e^{ip} at phase p, as numpy's exp(1j * p): the angle is the
+   imaginary part of 1j * (p + 0i) (so -0.0 gives +0.0), and glibc's cexp
+   takes sincos of it, its real part being a zero, whose exp is 1. */
+static inline cplx wave(double p)
+{
+    const cplx i = {0.0, 1.0}, x = {p, 0.0};
+    cplx w;
+    sincos(cmul(i, x).im, &w.im, &w.re);
+    return w;
+}
+
+/* The field of ``arms`` plane waves amp e^{i (kz z + kx x)}, each term
+   added in arm order to a zero, on grid rows r0..r1-1 into ``field``
+   (r1 - r0, n_x) and on the mirror rows n_z - i of rows i0 <= i < i1 into
+   ``mirror`` (i1 - i0, n_x), which holds them in grid order: row k is grid
+   row n_z + 1 - i1 + k.  z (n_z) and x (n_x) are the grid's coordinates,
+   each mirror row and column at exactly minus its mirror's (x = 0 on a
+   1-D grid's one column, its own mirror), so a mirror element's phase is
+   exactly minus its mirror's, and its wave the conjugate: numpy's
+   exp(-ip) is conj(exp(ip)) bit for bit for every finite p != 0.  Two
+   kinds of mirror element make their own sincos: the leading column of a
+   2-D grid, which has no mirror column, and an element whose phase is an
+   exact zero, where the conjugate would flip the sign of the imaginary
+   zero.  Each phase is kz z + kx x, in numpy's operand order, and each
+   term cmul(amp, wave), as numpy's amp * e^{ip}.  For each row and arm,
+   one loop makes the row's waves into ``row`` (n_x), and the next adds
+   the terms to the row and its mirror row. */
+void rk4_fringes(int64_t arms, const cplx *amp, const double *kz,
+                 const double *kx, const double *z, int64_t n_z,
+                 const double *x, int64_t n_x, int64_t r0, int64_t r1,
+                 int64_t i0, int64_t i1, cplx *field, cplx *mirror,
+                 cplx *row)
+{
+    const int64_t lone = n_x > 1;   /* leading columns without a mirror */
+    const cplx zero = {0.0, 0.0};
+    for (int64_t i = r0; i < r1; i++) {
+        cplx *f = field + (i - r0) * n_x,
+             *fm = i >= i0 && i < i1 ? mirror + (i1 - 1 - i) * n_x : NULL;
+        for (int64_t c = 0; c < n_x; c++) {
+            f[c] = zero;
+            if (fm)
+                fm[c] = zero;
+        }
+        for (int64_t a = 0; a < arms; a++) {
+            const double zi = kz[a] * z[i], k = kx[a];
+            const cplx u = amp[a];
+            for (int64_t c = 0; c < n_x; c++)
+                row[c] = wave(zi + k * x[c]);
+            for (int64_t c = 0; c < n_x; c++)
+                f[c] = cadd(f[c], cmul(u, row[c]));
+            if (!fm)
+                continue;
+            const double zm = kz[a] * z[n_z - i];
+            if (lone)
+                fm[0] = cadd(fm[0], cmul(u, wave(zm + k * x[0])));
+            for (int64_t c = lone; c < n_x; c++) {
+                const int64_t cm = lone ? n_x - c : 0;  /* mirror column */
+                const cplx conj = {row[c].re, -row[c].im},
+                           w = zi + k * x[c] == 0.0 ? wave(zm + k * x[cm])
+                                                    : conj;
+                fm[cm] = cadd(fm[cm], cmul(u, w));
+            }
+        }
     }
 }
 

@@ -1,5 +1,5 @@
-"""Build and load the C RK4 step loop and envelope tabulation (``_rk4.c``)
-on first use.
+"""Build and load the C RK4 step loop, envelope tabulation and fringe
+field (``_rk4.c``) on first use.
 
 Nothing happens at import.  The first ``load()`` compiles the kernel with
 the system C compiler into ``$XDG_CACHE_HOME/recoilsim`` (default
@@ -15,9 +15,12 @@ for bit.  One of them has phase ramps (antisymmetric rates, a coupled
 pair at rate 0, a step from time 0.0), which the kernel makes with libm's
 ``sincos`` and the numpy loop with numpy's complex ``exp``, so a libm
 whose ``sincos`` disagrees with that ``exp`` leaves the numpy loop
-running.  The FMA build is never run on a CPU that numpy reports without
-FMA3.  With no such build, no compiler or no writable cache, ``load()``
-returns None, and the numpy loop and ``PulseEnvelope.value`` run.
+running.  Its fringe field on a fixed odd-sized 2-D grid and on a 1-D
+grid, each with an arm at the origin, must also equal
+``fringes._numpy_fields``' bit for bit.  The FMA build is never run on a
+CPU that numpy reports without FMA3.  With no such build, no compiler or
+no writable cache, ``load()`` returns None, and the numpy loop,
+``PulseEnvelope.value`` and ``fringes._numpy_fields`` run.
 """
 
 from __future__ import annotations
@@ -134,17 +137,35 @@ def _step_probes():
                times)
 
 
+def _fringe_probes():
+    """Plane waves (amp, kz, kx) and grid coordinates z and x, on a 9 x 7
+    grid and on a 1-D grid of 10 samples (z = 0 on its row 5, x = 0 on its
+    one column), with an arm at the origin and one with kz = kx, so that
+    phases of exactly +0 and -0 occur in rows and mirror rows, amplitudes
+    with signed-zero parts, and products that round differently with and
+    without a fused multiply-add."""
+    from .fringes import GridSpec
+    arms = [(complex(0.6, -0.0), 0.0, -0.0),
+            (complex(1.0 / 3.0, -2.0 / 7.0), 7.1e8, -3.3e8),
+            (complex(-0.0, 0.45), -2.9e8, 0.0),
+            (complex(0.25, 1.0 / 9.0), 4.7e8, 4.7e8)]
+    for shape in ((9, 7), (10,)):
+        grid = GridSpec(pitch=1e-9, shape=shape)
+        yield arms, grid.coordinates(0), grid.coordinates(1)
+
+
 def _open(flags: tuple):
     """The build with ``flags`` as a ``Kernel``, or None unless its probe
     product equals numpy's, its probe envelopes ``PulseEnvelope.value``,
-    and its probe steps ``propagate._numpy_loop``'s, bit for bit."""
+    its probe steps ``propagate._numpy_loop``'s, and its probe fringe
+    fields ``fringes._numpy_fields``', bit for bit."""
     path = _library(flags)
     if path is None:
         return None
     try:
         lib = ctypes.CDLL(str(path))
-        probe, steps, envelopes = \
-            lib.rk4_probe, lib.rk4_steps, lib.rk4_envelopes
+        probe, steps, envelopes, fringes = \
+            lib.rk4_probe, lib.rk4_steps, lib.rk4_envelopes, lib.rk4_fringes
     except (OSError, AttributeError):
         return None
     a, b = (np.array(x) for x in _probe_operands())
@@ -160,7 +181,11 @@ def _open(flags: tuple):
     envelopes.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + \
         (ctypes.c_int64, ctypes.c_void_p)
     envelopes.restype = None
-    kernel = Kernel(steps, envelopes)
+    fringes.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 4 + \
+        (ctypes.c_int64, ctypes.c_void_p) + (ctypes.c_int64,) * 5 + \
+        (ctypes.c_void_p,) * 3
+    fringes.restype = None
+    kernel = Kernel(steps, envelopes, fringes)
     windows, times = _envelope_probe()
     if kernel.envelope_table(windows, times).tobytes() != \
             np.array([w.value(times) for w in windows]).tobytes():
@@ -174,15 +199,25 @@ def _open(flags: tuple):
             runs.append(work.tobytes())
         if runs[0] != runs[1]:
             return None
+    from .fringes import _numpy_fields
+    for waves, z, x in _fringe_probes():
+        half = len(z) // 2 + 1
+        whole = (0, half, 1, len(z) - half + 1)     # rows and mirror rows
+        runs = [[a.tobytes() for a in fields(waves, z, x, half)(*whole)]
+                for fields in (kernel.fringe_fields, _numpy_fields)]
+        if runs[0] != runs[1]:
+            return None
     return kernel
 
 
 class Kernel:
     """One probed build: calling it binds its ``rk4_steps`` on an operator
-    layout (``bind``), and ``envelope_table`` runs its ``rk4_envelopes``."""
+    layout (``bind``), ``envelope_table`` runs its ``rk4_envelopes``, and
+    ``fringe_fields`` binds its ``rk4_fringes`` on a grid."""
 
-    def __init__(self, rk4_steps, rk4_envelopes):
-        self._steps, self._envelopes = rk4_steps, rk4_envelopes
+    def __init__(self, rk4_steps, rk4_envelopes, rk4_fringes):
+        self._steps, self._envelopes, self._fringes = \
+            rk4_steps, rk4_envelopes, rk4_fringes
 
     def __call__(self, *layout):
         return bind(self._steps, *layout)
@@ -199,6 +234,39 @@ class Kernel:
         self._envelopes(len(windows), windows.ctypes.data, times.ctypes.data,
                         len(times), out.ctypes.data)
         return out
+
+    def fringe_fields(self, waves, z, x, block: int):
+        """``fringes._numpy_fields`` in C: ``fields(r0, r1, i0, i1)`` gives
+        the field of the plane waves ``waves`` (amp, kz, kx) on grid rows
+        r0 ... r1 - 1 and on the mirror rows n_z - i of rows i0 <= i < i1,
+        (r1 - r0, n_x) and (i1 - i0, n_x), at most ``block`` rows each, as
+        views of buffers made once.  The grid coordinates ``z`` (n_z,) and
+        ``x`` (n_x,) must put each mirror row and column at exactly minus
+        its mirror's, and every phase must be finite.  Every check is made
+        before a pointer reaches C, and ``fields`` holds every array it
+        passes."""
+        amp = np.array([a for a, _, _ in waves], dtype=np.complex128)
+        kz = np.array([k for _, k, _ in waves], dtype=np.float64)
+        kx = np.array([k for _, _, k in waves], dtype=np.float64)
+        z, x = (np.ascontiguousarray(c, dtype=np.float64) for c in (z, x))
+        n_z, n_x = len(z), len(x)
+        if amp.ndim != 1 or z.ndim != 1 or x.ndim != 1 or n_x < 1 or \
+                block < 1:
+            raise ValueError("waves, coordinates or block outside the grid")
+        field, mirror, row = (np.empty(shape, dtype=np.complex128)
+                              for shape in ((block, n_x), (block, n_x), n_x))
+        fixed = (len(amp), amp.ctypes.data, kz.ctypes.data, kx.ctypes.data,
+                 z.ctypes.data, n_z, x.ctypes.data, n_x)
+
+        def fields(r0, r1, i0, i1):
+            if not (0 <= r0 < r1 <= n_z and r1 - r0 <= block and
+                    r0 <= i0 <= i1 <= r1 and i0 >= 1):
+                raise ValueError("rows outside the grid or the block")
+            self._fringes(*fixed, r0, r1, i0, i1, field.ctypes.data,
+                          mirror.ctypes.data, row.ctypes.data)
+            return field[:r1 - r0], mirror[:i1 - i0]
+        fields.held = (amp, kz, kx, z, x, field, mirror, row)
+        return fields
 
 
 def bind(rk4_steps, states, diag, starts, partner, pattern, rate, coef):
@@ -298,8 +366,8 @@ def _cpu_features() -> dict:
 
 
 def load():
-    """The probed C ``Kernel``, or None where numpy's loop and
-    ``PulseEnvelope.value`` run."""
+    """The probed C ``Kernel``, or None where numpy's loop,
+    ``PulseEnvelope.value`` and ``fringes._numpy_fields`` run."""
     global _loaded
     if _loaded is None:
         _loaded = _choose()
@@ -307,6 +375,6 @@ def load():
 
 
 def engine() -> str:
-    """Which RK4 loop runs: "c-fma", "c-plain" or "numpy"."""
+    """Which loops run: "c-fma", "c-plain" or "numpy"."""
     load()
     return _loaded[0]

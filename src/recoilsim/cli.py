@@ -100,10 +100,9 @@ def _run(cfg: ResolvedConfig, out_dir: Path, strict: bool) -> int:
 
     prov_path = out_dir / f"{base}.provenance.json"
     from . import ckernel     # not at import: the loader is run-time only
-    # fringes and pattern runs propagate nothing: no loop is chosen
+    # a pattern run neither propagates nor synthesizes: no loop is chosen
     write_provenance(prov_path, cfg.resolved, time.time() - t0, warnings,
-                     None if cfg.plan in ("fringes", "pattern")
-                     else ckernel.engine())
+                     None if cfg.plan == "pattern" else ckernel.engine())
     manifest = [{"path": p.name, "sha256": file_digest(p)}
                 for p in artifacts] + [{"path": prov_path.name}]
     manifest_path = out_dir / f"{base}.manifest.json"

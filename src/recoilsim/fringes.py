@@ -7,11 +7,14 @@ produce a fringe period of exactly lambda/dn -- sub-wavelength for dn > 1.
 Spacing is recovered independently by discrete Fourier analysis, so the
 synthesis path and the measurement path can check each other.
 
-Synthesis calls exp on the grid's rows 0 ... n_z // 2 only.  The grid's
-coordinates are exact negations of each other about the origin, so each
-later row is the conjugate of its mirror row's waves in reverse column
-order (``synthesize`` states the rule and its exceptions), and the samples
-are byte-identical to the plain per-element sum.
+Synthesis makes the waves of the grid's rows 0 ... n_z // 2 only.  The
+grid's coordinates are exact negations of each other about the origin, so
+each later row is the conjugate of its mirror row's waves in reverse
+column order (``synthesize`` states the rule and its exceptions), and the
+samples are byte-identical to the plain per-element sum.  The field runs
+in the C kernel (``ckernel.Kernel.fringe_fields``, one sincos per arm and
+mirrored pair) where ``ckernel.load`` gives one, and in numpy
+(``_numpy_fields``, its fallback and oracle) otherwise.
 """
 
 from __future__ import annotations
@@ -134,14 +137,20 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
     amplitudes whose intensity could overflow, and rungs whose
     wavenumber k n is not finite, are rejected.
 
-    Only rows 0 ... n_z // 2 call exp.  For 1 <= i < n_z, row n_z - i
-    has exactly -z of row i, and for 1 <= j < n_x column n_x - j exactly
-    -x of column j, so every arm's phase there is exactly -p and its wave
-    is conj(exp(ip)), which numpy's exp(-ip) equals bit for bit for
-    every finite p != 0.  Three kinds of element still take exp: row 0
-    and column 0 of a 2-D grid, which have no mirror (a 1-D grid's one
-    column, at x = 0, is its own), and elements whose phase is exactly
-    zero, where the conjugate would flip the sign of the imaginary zero.
+    Only rows 0 ... n_z // 2 make their waves.  For 1 <= i < n_z, row
+    n_z - i has exactly -z of row i, and for 1 <= j < n_x column n_x - j
+    exactly -x of column j, so every arm's phase there is exactly -p and
+    its wave is conj(exp(ip)), which numpy's exp(-ip) equals bit for bit
+    for every finite p != 0.  Three kinds of element still make their
+    own: row 0 and column 0 of a 2-D grid, which have no mirror (a 1-D
+    grid's one column, at x = 0, is its own), and elements whose phase is
+    exactly zero, where the conjugate would flip the sign of the imaginary
+    zero.  The field of each block of rows and their mirror rows is
+    summed per arm, in arm order, by the C kernel where it loads and
+    every phase is finite (one sincos per wave), and by ``_numpy_fields``
+    (one exp per wave) otherwise; the two agree bit for bit.  The
+    modulus, its square and the envelope stay in numpy, and a mirror row
+    takes the envelope factor of its row.
     """
     entries = [_arm_tuple(a) for a in arms]
     if not entries:
@@ -162,31 +171,68 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
              for amp, nz, nx, _ in entries]
     validate_grid(arm_spread([(nz, nx) for _, nz, nx, _ in entries]), grid, k)
 
-    z = grid.coordinates(0)[:, None]
-    x = grid.coordinates(1)[None, :]
+    z, x = grid.coordinates(0), grid.coordinates(1)
     n_z, n_x = z.size, x.size
     intensity = np.empty((n_z, n_x))
     # one block of rows 0 ... n_z // 2 at a time, with the mirror rows
     # n_z - i of its rows i = 1 ... (n_z - 1) // 2, about SYNTHESIS_BLOCK
-    # samples in all, in buffers made once: each element is what the
-    # whole-grid expressions give, with no full-grid temporaries.  The
-    # amplitude product goes to its own buffer: numpy multiplies a
-    # one-element block in place without the fused multiply-add of its
-    # longer loops.
+    # samples in all: each element is what the whole-grid expressions give,
+    # with no full-grid temporaries
     half = n_z // 2 + 1
-    lone = min(n_x - 1, 1)    # leading columns of a mirror row with no mirror
     block = max(1, SYNTHESIS_BLOCK // (2 * n_x))    # rows, before mirrors
+    from . import ckernel     # not at import: the loader is run-time only
+    kernel = ckernel.load()
+    # the C loop takes sincos of finite phases only, which every phase is
+    # when the largest |kz z| + |kx x| is
+    reach = (max(abs(kz) for _, kz, _ in waves) * abs(z[0]) +
+             max(abs(kx) for *_, kx in waves) * abs(x[0]))
+    if kernel is not None and math.isfinite(reach):
+        fields = kernel.fringe_fields(waves, z, x, block)
+    else:
+        fields = _numpy_fields(waves, z, x, block)
+    for r0 in range(0, half, block):
+        r1 = min(r0 + block, half)
+        # the block's rows i0 <= i < i1 have their mirror rows n_z - i
+        i0 = max(r0, 1)
+        i1 = max(i0, min(r1, n_z - half + 1))
+        rows, mirrors = slice(r0, r1), slice(n_z + 1 - i1, n_z + 1 - i0)
+        for out, sums in zip((intensity[rows], intensity[mirrors]),
+                             fields(r0, r1, i0, i1)):
+            np.abs(sums, out=out)
+            np.square(out, out=out)
+        if envelope is not None:
+            # a mirror row's z is minus its row's, so it has the same
+            # z ** 2 and envelope factor
+            factor = envelope.intensity_factor(z[rows, None] ** 2 + x ** 2)
+            intensity[rows] *= factor
+            intensity[mirrors] *= factor[i0 - r0:i1 - r0][::-1]
+    peak = intensity.max()
+    if peak > 0:
+        intensity /= peak
+    return FringePattern(grid=grid, samples=intensity.reshape(grid.shape))
+
+
+def _numpy_fields(waves, z, x, block: int):
+    """``fields(r0, r1, i0, i1)``: the field of the plane waves ``waves``
+    (amp, kz, kx) on grid rows r0 ... r1 - 1, and on the mirror rows
+    n_z - i of rows i0 <= i < i1 in grid order, (r1 - r0, n_x) and
+    (i1 - i0, n_x), at most ``block`` rows each, in numpy, with the
+    mirror rule ``synthesize`` states.  The two arrays are views of
+    buffers made once, which the next call overwrites; ``Kernel.
+    fringe_fields`` is the same in C."""
+    z, x = z[:, None], x[None, :]
+    n_z, n_x = z.size, x.size
+    lone = min(n_x - 1, 1)    # leading columns of a mirror row with no mirror
+    # the amplitude product goes to its own buffer: numpy multiplies a
+    # one-element block in place without the fused multiply-add of its
+    # longer loops
     phase = np.empty((block, n_x))
     wave, term, field, mirror_wave, mirror_field = (
         np.empty(phase.shape, dtype=np.complex128) for _ in range(5))
-    for r0 in range(0, half, block):
-        rows = slice(r0, min(r0 + block, half))
-        # the block's rows i0 <= i < i1 have their mirror rows n_z - i
-        i0 = max(r0, 1)
-        i1 = max(i0, min(rows.stop, n_z - half + 1))
+
+    def fields(r0, r1, i0, i1):
         mirrored = slice(i0 - r0, i1 - r0)
-        mirrors = slice(n_z + 1 - i1, n_z + 1 - i0)
-        z_rows, z_mirrors = z[rows], z[mirrors]
+        z_rows, z_mirrors = z[r0:r1], z[n_z + 1 - i1:n_z + 1 - i0]
         p, w, t, f = (a[:len(z_rows)] for a in (phase, wave, term, field))
         wm, fm = (a[:len(z_mirrors)] for a in (mirror_wave, mirror_field))
         f[...] = 0.0
@@ -210,16 +256,8 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
             tm = t[:len(z_mirrors)]
             np.multiply(amp, wm, out=tm)
             fm += tm
-        for out, sums, zs in ((intensity[rows], f, z_rows),
-                              (intensity[mirrors], fm, z_mirrors)):
-            np.abs(sums, out=out)
-            np.square(out, out=out)
-            if envelope is not None:
-                out *= envelope.intensity_factor(zs ** 2 + x ** 2)
-    peak = intensity.max()
-    if peak > 0:
-        intensity /= peak
-    return FringePattern(grid=grid, samples=intensity.reshape(grid.shape))
+        return f, fm
+    return fields
 
 
 def _wavenumber(k: float, n, key: str) -> float:

@@ -425,6 +425,9 @@ def test_cli_fringes_plan(tmp_path):
         780.241209e-9 / 100, rel=0.02)
     fringe = next(out.glob("*.fringe.csv")).read_text().splitlines()
     assert fringe[0] == "position_nm,value"
+    # the fringe field runs in the C kernel where it loads
+    prov = json.loads(next(out.glob("*.provenance.json")).read_text())
+    assert prov["rk4_kernel"] == ckernel.engine()
 
 
 def test_a_plan_that_propagates_nothing_neither_builds_nor_loads_the_kernel(
@@ -437,9 +440,9 @@ def test_a_plan_that_propagates_nothing_neither_builds_nor_loads_the_kernel(
     monkeypatch.setenv("PATH", str(tools))
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     monkeypatch.setattr(ckernel, "_loaded", None)   # nothing chosen yet
-    doc = {"plan": "fringes",
-           "params": {"arms": [{"amplitude_re": 1.0, "n_z": 0},
-                               {"amplitude_re": 1.0, "n_z": 100}]}}
+    gear_path = tmp_path / "gear.pgm"
+    write_pgm(gear_path, to_image(gear_silhouette(48)))
+    doc = {"plan": "pattern", "params": {"input_pgm": str(gear_path)}}
     out = tmp_path / "out"
     assert main(["run", str(write_config(tmp_path, doc)), "--out",
                  str(out)]) == 0

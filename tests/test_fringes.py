@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from recoilsim import fringes
+from recoilsim import ckernel, fringes
 from recoilsim.errors import (ConfigurationError, NoFringeError, PhysicsError)
 from recoilsim.fringes import (CoherenceEnvelope, GridSpec, contrast,
                                extract_spacing, ramsey_scan, scan_minimum_near,
@@ -230,8 +230,9 @@ def test_synthesis_block_is_not_in_the_bits(atom, shape):
 @pytest.mark.parametrize("shape", [(1024,), (1023,), (256, 256),
                                    (255, 257)])
 def test_synthesize_calls_exp_on_half_the_grid(atom, shape, monkeypatch):
-    # rows past n_z // 2 are mirrors; each of their rows calls exp only
-    # for its leading column on a 2-D grid, and for none on a 1-D grid
+    # on the numpy fallback, rows past n_z // 2 are mirrors; each of their
+    # rows calls exp only for its leading column on a 2-D grid, and for
+    # none on a 1-D grid
     arms = [(0.6, 17, 0), (0.5 + 0.2j, -12, 7), (0.4, 20, 35)]
     exp = np.exp
     sizes = []
@@ -240,12 +241,71 @@ def test_synthesize_calls_exp_on_half_the_grid(atom, shape, monkeypatch):
         sizes.append(np.size(x))
         return exp(x, *args, **kwargs)
 
+    monkeypatch.setattr(ckernel, "load", lambda: None)
     monkeypatch.setattr(np, "exp", counting_exp)
     synthesize(arms, GridSpec(pitch=1e-9, shape=shape), atom)
     n_z = shape[0]
     per_arm = (n_z // 2 + 2 if len(shape) == 1
                else (n_z // 2 + 1) * shape[1] + n_z)
     assert 0 < sum(sizes) <= len(arms) * per_arm
+
+
+signed_parts = st.one_of(st.sampled_from([0.0, -0.0]),
+                         st.floats(-2.0, 2.0, allow_nan=False))
+amplitudes = st.one_of(
+    st.builds(complex, signed_parts, signed_parts),
+    signed_parts,
+    st.builds(lambda re, im: np.complex128(complex(re, im)), signed_parts,
+              signed_parts))
+# rungs with 0 and both signs: an arm at the origin, arms with kz = kx and
+# arms with kz = -kx give phases of exactly +0 and -0 in rows and mirrors
+rungs = st.integers(-4, 4)
+drawn_arms = st.lists(
+    st.one_of(st.tuples(amplitudes, rungs, rungs),
+              st.tuples(amplitudes, rungs, rungs,
+                        st.sampled_from([0.0, -0.0, 0.7, -2.5]))),
+    min_size=1, max_size=5)
+grids = st.one_of(
+    st.tuples(st.integers(2, 300)),
+    st.tuples(st.integers(2, 40), st.integers(2, 40)))
+
+
+@pytest.mark.bits
+@given(arms=drawn_arms, shape=grids,
+       pitch=st.sampled_from([1e-9, 0.25e-9, 3e-8, 1.7e-7]),
+       rows=st.integers(2, 9), length=st.sampled_from([None, 40e-9]))
+@example(arms=[(complex(-0.0, 0.5), 0, 0), (0.6, 1, -1), (-0.0, 2, 2)],
+         shape=(2, 2), pitch=1e-9, rows=2, length=None)
+@example(arms=[(1.0, 0, 0), (complex(0.5, -0.0), -3, 0)], shape=(2,),
+         pitch=1e-9, rows=2, length=40e-9)
+@example(arms=[(complex(0.3, 0.4), 1, 1), (-0.5, 0, 0)], shape=(7, 2),
+         pitch=3e-8, rows=3, length=None)
+@settings(max_examples=150, deadline=None)
+def test_c_fringe_field_is_the_numpy_fallback_bit_for_bit(atom, arms, shape,
+                                                          pitch, rows,
+                                                          length):
+    # the C field against the numpy per-arm sum, with its mirror rule, on
+    # blocks of one row (one sample on a 1-D grid), of rows that need not
+    # divide the grid, and of the whole grid; the grid check is not under
+    # test, and it would leave grids this small no fringes
+    if ckernel.load() is None:
+        pytest.skip("no C kernel here")
+    grid = GridSpec(pitch=pitch, shape=shape)
+    envelope = None if length is None else CoherenceEnvelope(length)
+    n_x = shape[1] if len(shape) == 2 else 1
+    half = shape[0] // 2 + 1                # rows 0 ... n_z // 2
+    rows = next(r for r in range(rows, rows + half) if half % r)
+    runs = []
+    for block in (1, 2 * n_x * rows, 2 ** 24):
+        for loader in (ckernel.load, lambda: None):
+            with mock.patch.object(fringes, "SYNTHESIS_BLOCK", block), \
+                    mock.patch.object(fringes, "validate_grid",
+                                      lambda *args: None), \
+                    mock.patch.object(ckernel, "load", loader):
+                runs.append(synthesize(arms, grid, atom, envelope)
+                            .samples.tobytes())
+        assert runs[-2] == runs[-1]
+    assert len(set(runs)) == 1
 
 
 def ix_contrast(pattern, envelope):

@@ -956,6 +956,27 @@ def test_loader_refuses_a_build_whose_step_probe_disagrees(monkeypatch):
     assert ckernel.engine() == "numpy"
 
 
+@pytest.mark.bits
+def test_loader_refuses_a_build_whose_fringe_probe_disagrees(monkeypatch):
+    c_kernel_or_skip()
+    from recoilsim import fringes
+    numpy_fields = fringes._numpy_fields
+
+    def nudged(*grid):
+        fields = numpy_fields(*grid)
+
+        def run(*rows):
+            field, mirror = fields(*rows)
+            # the last mirror sample: a mirror column's conjugate
+            mirror.real[-1, -1] = np.nextafter(mirror.real[-1, -1], np.inf)
+            return field, mirror
+        return run
+    monkeypatch.setattr(fringes, "_numpy_fields", nudged)
+    monkeypatch.setattr(ckernel, "_loaded", None)   # choose again
+    assert ckernel.load() is None
+    assert ckernel.engine() == "numpy"
+
+
 def chunk_cases(atom):
     """A ladder epoch (two sine-squared beams, no rate) and a detuned Raman
     pulse (a rate, whose ramps each loop makes step by step), each with a
