@@ -290,14 +290,14 @@ void rk4_steps(int64_t size, int64_t families, int64_t runs, cplx *states,
     }
 }
 
-/* The wave e^{ip} at phase p, as numpy's exp(1j * p): the angle is the
-   imaginary part of 1j * (p + 0i) (so -0.0 gives +0.0), and glibc's cexp
-   takes sincos of it, its real part being a zero, whose exp is 1. */
+/* The wave e^{ip} at phase p, as glibc's cexp makes numpy's exp(1j * p):
+   sincos of p.  numpy's angle, the imaginary part of 1j * (p + 0i), is p
+   itself but for p = -0.0, which it makes +0.0; rk4_fringes states why no
+   field sum sees that zero's sign. */
 static inline cplx wave(double p)
 {
-    const cplx i = {0.0, 1.0}, x = {p, 0.0};
     cplx w;
-    sincos(cmul(i, x).im, &w.im, &w.re);
+    sincos(p, &w.im, &w.re);
     return w;
 }
 
@@ -309,11 +309,14 @@ static inline cplx wave(double p)
    each mirror row and column at exactly minus its mirror's (x = 0 on a
    1-D grid's one column, its own mirror), so a mirror element's phase is
    exactly minus its mirror's, and its wave the conjugate: numpy's
-   exp(-ip) is conj(exp(ip)) bit for bit for every finite p != 0.  Two
-   kinds of mirror element make their own sincos: the leading column of a
-   2-D grid, which has no mirror column, and an element whose phase is an
-   exact zero, where the conjugate would flip the sign of the imaginary
-   zero.  Each phase is kz z + kx x, in numpy's operand order, and each
+   exp(-ip) is conj(exp(ip)) bit for bit for every finite p != 0.  Only
+   the leading column of a 2-D grid, which has no mirror column, makes
+   its own sincos.  Where p is a zero, the phase, the wave and, with a
+   finite amp, the term amp * wave may differ from numpy's, but only in
+   the sign of a zero part, and the sums cannot: each starts at +0.0, a
+   round-to-nearest sum that starts at +0.0 never becomes -0.0 (x + y is
+   -0.0 only when both are), and adding +0.0 or -0.0 to it gives the same
+   value.  Each phase is kz z + kx x, in numpy's operand order, and each
    term cmul(amp, wave), as numpy's amp * e^{ip}.  For each row and arm,
    one loop makes the row's waves into ``row`` (n_x), and the next adds
    the terms to the row and its mirror row. */
@@ -347,10 +350,8 @@ void rk4_fringes(int64_t arms, const cplx *amp, const double *kz,
                 fm[0] = cadd(fm[0], cmul(u, wave(zm + k * x[0])));
             for (int64_t c = lone; c < n_x; c++) {
                 const int64_t cm = lone ? n_x - c : 0;  /* mirror column */
-                const cplx conj = {row[c].re, -row[c].im},
-                           w = zi + k * x[c] == 0.0 ? wave(zm + k * x[cm])
-                                                    : conj;
-                fm[cm] = cadd(fm[cm], cmul(u, w));
+                const cplx conj = {row[c].re, -row[c].im};
+                fm[cm] = cadd(fm[cm], cmul(u, conj));
             }
         }
     }

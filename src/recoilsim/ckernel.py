@@ -16,11 +16,12 @@ pair at rate 0, a step from time 0.0), which the kernel makes with libm's
 ``sincos`` and the numpy loop with numpy's complex ``exp``, so a libm
 whose ``sincos`` disagrees with that ``exp`` leaves the numpy loop
 running.  Its fringe field on a fixed odd-sized 2-D grid and on a 1-D
-grid, each with an arm at the origin, must also equal
-``fringes._numpy_fields``' bit for bit.  The FMA build is never run on a
-CPU that numpy reports without FMA3.  With no such build, no compiler or
-no writable cache, ``load()`` returns None, and the numpy loop,
-``PulseEnvelope.value`` and ``fringes._numpy_fields`` run.
+grid, each with an arm at the origin, made by the kernel's mirror rule,
+must also equal ``fringes._numpy_fields``' plain per-arm sum bit for bit.
+The FMA build is never run on a CPU that numpy reports without FMA3.  With
+no such build, no compiler or no writable cache, ``load()`` returns None,
+and the numpy loop, ``PulseEnvelope.value`` and ``fringes._numpy_fields``
+run.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ def _fringe_probes():
     one column), with an arm at the origin and one with kz = kx, so that
     phases of exactly +0 and -0 occur in rows and mirror rows, amplitudes
     with signed-zero parts, and products that round differently with and
-    without a fused multiply-add."""
+    without a fused multiply-add: the kernel's mirror rule, which takes
+    the conjugate even at a zero phase, against the plain sum."""
     from .fringes import GridSpec
     arms = [(complex(0.6, -0.0), 0.0, -0.0),
             (complex(1.0 / 3.0, -2.0 / 7.0), 7.1e8, -3.3e8),
@@ -158,7 +160,7 @@ def _open(flags: tuple):
     """The build with ``flags`` as a ``Kernel``, or None unless its probe
     product equals numpy's, its probe envelopes ``PulseEnvelope.value``,
     its probe steps ``propagate._numpy_loop``'s, and its probe fringe
-    fields ``fringes._numpy_fields``', bit for bit."""
+    fields the plain sums of ``fringes._numpy_fields``, bit for bit."""
     path = _library(flags)
     if path is None:
         return None
@@ -240,11 +242,12 @@ class Kernel:
         the field of the plane waves ``waves`` (amp, kz, kx) on grid rows
         r0 ... r1 - 1 and on the mirror rows n_z - i of rows i0 <= i < i1,
         (r1 - r0, n_x) and (i1 - i0, n_x), at most ``block`` rows each, as
-        views of buffers made once.  The grid coordinates ``z`` (n_z,) and
-        ``x`` (n_x,) must put each mirror row and column at exactly minus
-        its mirror's, and every phase must be finite.  Every check is made
-        before a pointer reaches C, and ``fields`` holds every array it
-        passes."""
+        views of buffers made once, each mirror row from its row's waves
+        by the mirror rule ``fringes.synthesize`` states.  The grid
+        coordinates ``z`` (n_z,) and ``x`` (n_x,) must put each mirror row
+        and column at exactly minus its mirror's, and every phase must be
+        finite.  Every check is made before a pointer reaches C, and
+        ``fields`` holds every array it passes."""
         amp = np.array([a for a, _, _ in waves], dtype=np.complex128)
         kz = np.array([k for _, k, _ in waves], dtype=np.float64)
         kx = np.array([k for _, _, k in waves], dtype=np.float64)

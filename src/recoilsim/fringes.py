@@ -7,14 +7,13 @@ produce a fringe period of exactly lambda/dn -- sub-wavelength for dn > 1.
 Spacing is recovered independently by discrete Fourier analysis, so the
 synthesis path and the measurement path can check each other.
 
-Synthesis makes the waves of the grid's rows 0 ... n_z // 2 only.  The
-grid's coordinates are exact negations of each other about the origin, so
-each later row is the conjugate of its mirror row's waves in reverse
-column order (``synthesize`` states the rule and its exceptions), and the
-samples are byte-identical to the plain per-element sum.  The field runs
-in the C kernel (``ckernel.Kernel.fringe_fields``, one sincos per arm and
-mirrored pair) where ``ckernel.load`` gives one, and in numpy
-(``_numpy_fields``, its fallback and oracle) otherwise.
+The field runs in the C kernel (``ckernel.Kernel.fringe_fields``) where
+``ckernel.load`` gives one, and in numpy (``_numpy_fields``, the plain
+per-arm sum, its fallback and oracle) otherwise.  The grid's coordinates
+are exact negations of each other about the origin, so the C kernel makes
+the waves of rows 0 ... n_z // 2 only, one sincos per arm and mirrored
+pair, and each later row from its mirror row (``synthesize`` states the
+rule); the samples are byte-identical to the plain sum.
 """
 
 from __future__ import annotations
@@ -137,20 +136,19 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
     amplitudes whose intensity could overflow, and rungs whose
     wavenumber k n is not finite, are rejected.
 
-    Only rows 0 ... n_z // 2 make their waves.  For 1 <= i < n_z, row
-    n_z - i has exactly -z of row i, and for 1 <= j < n_x column n_x - j
-    exactly -x of column j, so every arm's phase there is exactly -p and
-    its wave is conj(exp(ip)), which numpy's exp(-ip) equals bit for bit
-    for every finite p != 0.  Three kinds of element still make their
-    own: row 0 and column 0 of a 2-D grid, which have no mirror (a 1-D
-    grid's one column, at x = 0, is its own), and elements whose phase is
-    exactly zero, where the conjugate would flip the sign of the imaginary
-    zero.  The field of each block of rows and their mirror rows is
-    summed per arm, in arm order, by the C kernel where it loads and
-    every phase is finite (one sincos per wave), and by ``_numpy_fields``
-    (one exp per wave) otherwise; the two agree bit for bit.  The
-    modulus, its square and the envelope stay in numpy, and a mirror row
-    takes the envelope factor of its row.
+    The field of each block of rows and their mirror rows is summed per
+    arm, in arm order, by the C kernel where it loads and every phase is
+    finite, and by ``_numpy_fields`` (one exp per wave) otherwise; the
+    two agree bit for bit.  The C kernel makes the waves of rows
+    0 ... n_z // 2 only.  For 1 <= i < n_z, row n_z - i has exactly -z of
+    row i, and for 1 <= j < n_x column n_x - j exactly -x of column j, so
+    every arm's phase there is -p, and its wave conj(exp(ip)), which
+    numpy's exp(-ip) equals bit for bit for every finite p != 0; at
+    p = 0 the two differ only in the sign of a zero, which no field sum
+    shows.  Only row 0 and column 0 of a 2-D grid, which have no mirror,
+    make their own waves (a 1-D grid's one column, at x = 0, is its
+    own mirror).  The modulus, its square and the envelope stay in
+    numpy, and a mirror row takes the envelope factor of its row.
     """
     entries = [_arm_tuple(a) for a in arms]
     if not entries:
@@ -216,47 +214,25 @@ def _numpy_fields(waves, z, x, block: int):
     """``fields(r0, r1, i0, i1)``: the field of the plane waves ``waves``
     (amp, kz, kx) on grid rows r0 ... r1 - 1, and on the mirror rows
     n_z - i of rows i0 <= i < i1 in grid order, (r1 - r0, n_x) and
-    (i1 - i0, n_x), at most ``block`` rows each, in numpy, with the
-    mirror rule ``synthesize`` states.  The two arrays are views of
-    buffers made once, which the next call overwrites; ``Kernel.
-    fringe_fields`` is the same in C."""
+    (i1 - i0, n_x), at most ``block`` rows each: each arm's
+    amp * exp(1j * (kz z + kx x)) added in arm order to a zero.  The two
+    arrays are views of buffers made once, which the next call
+    overwrites; ``Kernel.fringe_fields`` is the same in C."""
     z, x = z[:, None], x[None, :]
-    n_z, n_x = z.size, x.size
-    lone = min(n_x - 1, 1)    # leading columns of a mirror row with no mirror
-    # the amplitude product goes to its own buffer: numpy multiplies a
-    # one-element block in place without the fused multiply-add of its
-    # longer loops
-    phase = np.empty((block, n_x))
-    wave, term, field, mirror_wave, mirror_field = (
-        np.empty(phase.shape, dtype=np.complex128) for _ in range(5))
+    n_z = z.size
+    buffers = np.empty((2, block, x.size), dtype=np.complex128)
 
     def fields(r0, r1, i0, i1):
-        mirrored = slice(i0 - r0, i1 - r0)
-        z_rows, z_mirrors = z[r0:r1], z[n_z + 1 - i1:n_z + 1 - i0]
-        p, w, t, f = (a[:len(z_rows)] for a in (phase, wave, term, field))
-        wm, fm = (a[:len(z_mirrors)] for a in (mirror_wave, mirror_field))
-        f[...] = 0.0
-        fm[...] = 0.0
-        for amp, kz, kx in waves:
-            np.add(kz * z_rows, kx * x, out=p)
-            zero = (p[mirrored] == 0).any()
-            np.multiply(1j, p, out=w)
-            np.exp(w, out=w)
-            np.multiply(amp, w, out=t)      # amplitude first, as amp * e^ip
-            f += t
-            np.conjugate(w[mirrored][::-1, ::-1][:, :n_x - lone],
-                         out=wm[:, lone:])
-            np.exp(np.multiply(1j, kz * z_mirrors + kx * x[:, :lone]),
-                   out=wm[:, :lone])
-            if zero:    # exp(i 0) is 1 + 0j, its conjugate 1 - 0j
-                pm = p[:len(z_mirrors)]
-                np.add(kz * z_mirrors, kx * x, out=pm)
-                at = pm == 0
-                wm[at] = np.exp(np.multiply(1j, pm[at]))
-            tm = t[:len(z_mirrors)]
-            np.multiply(amp, wm, out=tm)
-            fm += tm
-        return f, fm
+        sums = buffers[0, :r1 - r0], buffers[1, :i1 - i0]
+        mirrors = z[n_z + 1 - i1:n_z + 1 - i0]
+        for field, rows in zip(sums, (z[r0:r1], mirrors)):
+            field[...] = 0.0
+            for amp, kz, kx in waves:
+                # amp * wave, not in place: numpy multiplies a one-element
+                # block in place without the fused multiply-add of its
+                # longer loops
+                field += amp * np.exp(1j * (kz * rows + kx * x))
+        return sums
     return fields
 
 

@@ -182,25 +182,39 @@ def plane_wave_sum(arms, grid, k, envelope_length):
     return intensity / peak if peak > 0 else intensity
 
 
+PLANE_WAVE_CASES = {
+    "1d-two-arms-envelope": ((1024,), [(0.6, 0, 0, 0.0), (0.8j, 40, 0, 0.3)],
+                             100e-9),
+    "1d-three-arms": ((1024,), [(0.5, -12, 7, 1.1), (0.3 - 0.2j, 0, -5, 0.0),
+                                (0.4, 20, 3, -2.0)], None),
+    "1d-one-arm": ((1024,), [(0.7, 17, 0, 0.4)], 300e-6),
+    "2d-four-arms-envelope": ((256, 256), [(0.5, 0, 0, 0.0),
+                                           (0.5 + 0.2j, 40, 0, 0.3),
+                                           (0.4, 0, 35, 0.0),
+                                           (0.3, 40, 35, 1.1)], 100e-9),
+    "2d-two-arms": ((256, 256), [(0.6, -20, 15, 0.0), (0.8, 20, -20, 2.5)],
+                    None),
+    "2d-odd-sizes": ((255, 257), [(0.6, -20, 18, 0.0),
+                                  (0.5 - 0.3j, 20, -18, 0.7),
+                                  (0.4, 0, 0, 1.9)], 100e-9),
+    "1d-odd-size": ((1023,), [(0.6, 0, 0, 0.0), (0.8j, 40, 0, 0.3)], None),
+    "2d-arm-at-origin": ((256, 256), [(0.7, 0, 0, 0.0)], 100e-9),
+    "2d-arms-without-n_z": ((200, 256), [(0.5, 0, 20, 0.0),
+                                         (0.6 + 0.1j, 0, -16, 1.0)], None),
+}
+
+
 @pytest.mark.bits
-@pytest.mark.parametrize("shape, arms, envelope_length", [
-    ((1024,), [(0.6, 0, 0, 0.0), (0.8j, 40, 0, 0.3)], 100e-9),
-    ((1024,), [(0.5, -12, 7, 1.1), (0.3 - 0.2j, 0, -5, 0.0),
-               (0.4, 20, 3, -2.0)], None),
-    ((1024,), [(0.7, 17, 0, 0.4)], 300e-6),
-    ((256, 256), [(0.5, 0, 0, 0.0), (0.5 + 0.2j, 40, 0, 0.3),
-                  (0.4, 0, 35, 0.0), (0.3, 40, 35, 1.1)], 100e-9),
-    ((256, 256), [(0.6, -20, 15, 0.0), (0.8, 20, -20, 2.5)], None),
-    ((255, 257), [(0.6, -20, 18, 0.0), (0.5 - 0.3j, 20, -18, 0.7),
-                  (0.4, 0, 0, 1.9)], 100e-9),
-    ((1023,), [(0.6, 0, 0, 0.0), (0.8j, 40, 0, 0.3)], None),
-    ((256, 256), [(0.7, 0, 0, 0.0)], 100e-9),
-    ((200, 256), [(0.5, 0, 20, 0.0), (0.6 + 0.1j, 0, -16, 1.0)], None),
-], ids=["1d-two-arms-envelope", "1d-three-arms", "1d-one-arm",
-        "2d-four-arms-envelope", "2d-two-arms", "2d-odd-sizes",
-        "1d-odd-size", "2d-arm-at-origin", "2d-arms-without-n_z"])
-def test_synthesize_is_the_per_arm_plane_wave_sum(atom, shape, arms,
-                                                  envelope_length):
+@pytest.mark.parametrize("loader, shape, arms, envelope_length", [
+    pytest.param(loader, *case, id=name + suffix)
+    for loader, suffix in ((ckernel.load, ""), (lambda: None, "-numpy"))
+    for name, case in PLANE_WAVE_CASES.items()])
+def test_synthesize_is_the_per_arm_plane_wave_sum(atom, loader, shape, arms,
+                                                  envelope_length,
+                                                  monkeypatch):
+    # the C kernel where it loads, with its mirror rule, and the numpy
+    # fallback, each against the sum written out
+    monkeypatch.setattr(ckernel, "load", loader)
     grid = GridSpec(pitch=1e-9, shape=shape)
     envelope = (None if envelope_length is None
                 else CoherenceEnvelope(envelope_length))
@@ -216,7 +230,7 @@ def test_synthesis_block_is_not_in_the_bits(atom, shape):
     # blocks of one row (one sample on a 1-D grid), of rows that do not
     # divide the grid, and of the whole grid give the same samples, with
     # block edges on either side of the middle row n_z // 2, the last row
-    # that calls exp
+    # whose waves the C kernel makes
     grid = GridSpec(pitch=1e-9, shape=shape)
     arms = [(0.5, 0, 0, 0.0), (0.5 + 0.2j, 40, 0, 0.3), (0.4, 20, 35, 1.1)]
     envelope = CoherenceEnvelope(100e-9)
@@ -225,29 +239,6 @@ def test_synthesis_block_is_not_in_the_bits(atom, shape):
         with mock.patch.object(fringes, "SYNTHESIS_BLOCK", block):
             runs.append(synthesize(arms, grid, atom, envelope).samples)
     assert all(run.tobytes() == runs[0].tobytes() for run in runs)
-
-
-@pytest.mark.parametrize("shape", [(1024,), (1023,), (256, 256),
-                                   (255, 257)])
-def test_synthesize_calls_exp_on_half_the_grid(atom, shape, monkeypatch):
-    # on the numpy fallback, rows past n_z // 2 are mirrors; each of their
-    # rows calls exp only for its leading column on a 2-D grid, and for
-    # none on a 1-D grid
-    arms = [(0.6, 17, 0), (0.5 + 0.2j, -12, 7), (0.4, 20, 35)]
-    exp = np.exp
-    sizes = []
-
-    def counting_exp(x, *args, **kwargs):
-        sizes.append(np.size(x))
-        return exp(x, *args, **kwargs)
-
-    monkeypatch.setattr(ckernel, "load", lambda: None)
-    monkeypatch.setattr(np, "exp", counting_exp)
-    synthesize(arms, GridSpec(pitch=1e-9, shape=shape), atom)
-    n_z = shape[0]
-    per_arm = (n_z // 2 + 2 if len(shape) == 1
-               else (n_z // 2 + 1) * shape[1] + n_z)
-    assert 0 < sum(sizes) <= len(arms) * per_arm
 
 
 signed_parts = st.one_of(st.sampled_from([0.0, -0.0]),
@@ -280,14 +271,20 @@ grids = st.one_of(
          pitch=1e-9, rows=2, length=40e-9)
 @example(arms=[(complex(0.3, 0.4), 1, 1), (-0.5, 0, 0)], shape=(7, 2),
          pitch=3e-8, rows=3, length=None)
+# phases of exactly +0 and -0 on mirror elements (the arm at the origin,
+# and the diagonal of kz = -kx), with amplitudes whose zero parts are
+# signed: the conjugate's term differs from the plain one in a zero's sign
+@example(arms=[(complex(-0.0, 0.5), 0, 0), (complex(0.25, -0.0), 3, -3)],
+         shape=(7, 7), pitch=1e-9, rows=2, length=None)
 @settings(max_examples=150, deadline=None)
 def test_c_fringe_field_is_the_numpy_fallback_bit_for_bit(atom, arms, shape,
                                                           pitch, rows,
                                                           length):
-    # the C field against the numpy per-arm sum, with its mirror rule, on
-    # blocks of one row (one sample on a 1-D grid), of rows that need not
-    # divide the grid, and of the whole grid; the grid check is not under
-    # test, and it would leave grids this small no fringes
+    # the C field, with its mirror rule, against the plain per-arm sum of
+    # the numpy fallback, on blocks of one row (one sample on a 1-D grid),
+    # of rows that need not divide the grid, and of the whole grid; the
+    # grid check is not under test, and it would leave grids this small no
+    # fringes
     if ckernel.load() is None:
         pytest.skip("no C kernel here")
     grid = GridSpec(pitch=pitch, shape=shape)
@@ -306,6 +303,31 @@ def test_c_fringe_field_is_the_numpy_fallback_bit_for_bit(atom, arms, shape,
                             .samples.tobytes())
         assert runs[-2] == runs[-1]
     assert len(set(runs)) == 1
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("arms, shape", [
+    ([(complex(-0.0, 0.5), 0, 0), (complex(0.25, -0.0), 3, -3)], (7, 7)),
+    ([(complex(0.5, -0.0), 0, 0)], (7, 7)),
+    ([(complex(0.5, -0.0), 0, 0)], (6,))],
+    ids=["2d-two-arms", "2d-lone-arm", "1d-lone-arm"])
+def test_c_fringe_field_is_the_plain_sum_in_every_zero_sign(atom, arms,
+                                                            shape):
+    # the fields themselves, whose zero signs no intensity shows: a lone
+    # arm at the origin leaves a zero part in every sum, and the kernel's
+    # waves and terms at a zero phase differ from numpy's in a zero's sign
+    kernel = ckernel.load()
+    if kernel is None:
+        pytest.skip("no C kernel here")
+    k = atom.wavenumber()
+    waves = [(amp, k * nz, k * nx) for amp, nz, nx in arms]
+    grid = GridSpec(pitch=1e-9, shape=shape)
+    z, x = grid.coordinates(0), grid.coordinates(1)
+    half = shape[0] // 2 + 1
+    whole = (0, half, 1, shape[0] - half + 1)     # rows and mirror rows
+    runs = [[a.tobytes() for a in fields(waves, z, x, half)(*whole)]
+            for fields in (kernel.fringe_fields, fringes._numpy_fields)]
+    assert runs[0] == runs[1]
 
 
 def ix_contrast(pattern, envelope):
@@ -340,13 +362,15 @@ finite_phases = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
 @example(phases=[1.7976931348623157e308, -1e22, 2.0 ** 60])
 @settings(max_examples=200, deadline=None)
 def test_exp_of_a_negated_phase_is_the_conjugate_bit_for_bit(phases):
-    # synthesize makes the rows past the middle from this mirror rule
+    # the C kernel makes the rows past the middle from this mirror rule
     def exp_i(p):
         return np.exp(np.multiply(1j, p))
     p = np.array(phases)
     assert exp_i(-p).tobytes() == np.conjugate(exp_i(p)).tobytes()
     # except at zero: exp(i 0) is 1 + 0j for either zero, and its
-    # conjugate 1 - 0j, so synthesize calls exp where a phase is zero
+    # conjugate 1 - 0j; the kernel takes the conjugate there too, as the
+    # two differ only in the sign of a zero, and a field sum, which starts
+    # at +0.0 and so never becomes -0.0, cannot see that sign
     for zero in (0.0, -0.0):
         z = np.array([zero])
         assert exp_i(-z).tobytes() != np.conjugate(exp_i(z)).tobytes()

@@ -967,7 +967,8 @@ def test_loader_refuses_a_build_whose_fringe_probe_disagrees(monkeypatch):
 
         def run(*rows):
             field, mirror = fields(*rows)
-            # the last mirror sample: a mirror column's conjugate
+            # the last mirror sample, which the kernel makes as a
+            # mirror column's conjugate
             mirror.real[-1, -1] = np.nextafter(mirror.real[-1, -1], np.inf)
             return field, mirror
         return run
