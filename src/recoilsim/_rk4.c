@@ -8,7 +8,7 @@
    (a.re b.im + a.im b.re) i, with both terms rounded, on its baseline SIMD
    kernels, and with each real part fused into one multiply-add on its FMA
    kernels; build with -ffp-contract=off, and with -mfma -DUSE_FMA to match
-   the latter.  rk4_probe lets the loader check which one a build matches.
+   the latter.  The loader's step probes tell which one a build matches.
 
    The states come in and go out as complex128, in runs that each family
    couples to a whole partner run of the same length.  In between, they,
@@ -247,9 +247,9 @@ INLINE void steps(const op_t *op, int64_t families, const double *rate,
    the pattern (2 F size), room for the states (2 size), for k1, k2 (to
    which k3 is added) and two y buffers (8 size) and, with a rate, for the
    ramps (2 F size).  ``envelopes`` (F, 3 m) and ``times`` (3, m) hold
-   each step's start, middle and end.  Up to 3 families get a loop of
-   their own, with and without a rate; more share one with a family
-   count. */
+   each step's start, middle and end.  1 and 2 families, the counts the
+   plans bind, get a loop of their own, with and without a rate; every
+   other count shares one with a family count. */
 void rk4_steps(int64_t size, int64_t families, int64_t runs, cplx *states,
                const int64_t *starts, const int64_t *partner,
                const double *rate, double *block, const double *envelopes,
@@ -268,17 +268,11 @@ void rk4_steps(int64_t size, int64_t families, int64_t runs, cplx *states,
 #define STEPS(F, RATE) steps(&op, F, RATE, envelopes, times, stages, phase, \
                              w, lo, hi)
     switch (families) {
-    case 0:
-        STEPS(0, NULL);
-        break;
     case 1:
         if (rate) STEPS(1, rate); else STEPS(1, NULL);
         break;
     case 2:
         if (rate) STEPS(2, rate); else STEPS(2, NULL);
-        break;
-    case 3:
-        if (rate) STEPS(3, rate); else STEPS(3, NULL);
         break;
     default:
         if (rate) STEPS(families, rate); else STEPS(families, NULL);
@@ -355,13 +349,6 @@ void rk4_fringes(int64_t arms, const cplx *amp, const double *kz,
             }
         }
     }
-}
-
-/* out = a * b elementwise, for the loader's check against numpy. */
-void rk4_probe(const cplx *a, const cplx *b, cplx *out, int64_t count)
-{
-    for (int64_t i = 0; i < count; i++)
-        out[i] = cmul(a[i], b[i]);
 }
 
 /* The envelope of each of F families at ``count`` times, out (F, count):

@@ -140,19 +140,17 @@ def _per_member(x):
 
 
 def momentum_moments(basis: Basis, w: np.ndarray,
-                     levels: Iterable[InternalLevel] | None = None,
-                     axis: str = "z") -> Observables:
-    """Mean momentum and momentum spread of the populations ``w`` (the
+                     levels: Iterable[InternalLevel] | None = None
+                     ) -> Observables:
+    """Mean z momentum and its spread of the populations ``w`` (the
     |amplitude|^2 of one wavefunction on ``basis``) over a level filter."""
-    if axis not in ("z", "x"):
-        raise ConfigurationError("axis must be 'z' or 'x'")
     if levels is not None:
         mask = basis.level_mask(levels)
         w = w * mask
     pop = float(w.sum())
     if pop == 0.0:
         return Observables(mean=None, spread=None)
-    n = basis.n_z if axis == "z" else basis.n_x
+    n = basis.n_z
     mean = float(np.sum(n * w) / pop)
     var = float(np.sum((n - mean) ** 2 * w) / pop)
     return Observables(mean=mean, spread=float(np.sqrt(max(var, 0.0))))
@@ -182,17 +180,16 @@ class WaveFunction:
 
     @classmethod
     def from_components(cls, basis: Basis,
-                        components: dict[RecoilState, complex],
-                        time: float = 0.0,
-                        normalize: bool = True) -> "WaveFunction":
-        psi = cls(basis, time=time)
+                        components: dict[RecoilState, complex]
+                        ) -> "WaveFunction":
+        """The normalized wavefunction at time 0 with ``components``."""
+        psi = cls(basis)
         for state, amp in components.items():
             psi.amplitudes[basis.index_of(state)] = amp
-        if normalize:
-            norm = psi.norm()
-            if norm == 0:
-                raise ConfigurationError("cannot normalize a zero wavefunction")
-            psi.amplitudes /= norm
+        norm = psi.norm()
+        if norm == 0:
+            raise ConfigurationError("cannot normalize a zero wavefunction")
+        psi.amplitudes /= norm
         return psi
 
     def norm(self) -> float:
@@ -210,11 +207,11 @@ class WaveFunction:
             w = w[..., self.basis.level_mask(levels)]
         return _per_member(w.sum(axis=-1))
 
-    def observables(self, levels: Iterable[InternalLevel] | None = None,
-                    axis: str = "z") -> Observables:
-        """Population, mean momentum and momentum spread over a level filter."""
+    def observables(self, levels: Iterable[InternalLevel] | None = None
+                    ) -> Observables:
+        """Mean z momentum and its spread over a level filter."""
         return momentum_moments(self.basis, np.abs(self.amplitudes) ** 2,
-                                levels, axis)
+                                levels)
 
     def boundary_population(self, margin: int = 1):
         """Probability sitting within ``margin`` rungs of the window edge."""

@@ -6,22 +6,23 @@ the system C compiler into ``$XDG_CACHE_HOME/recoilsim`` (default
 ``~/.cache/recoilsim``), named by a hash of the source and the flags, and
 opens it with ctypes.  Two builds exist: a plain one, and one that fuses
 each real part of a complex product into one multiply-add (``-mfma``), as
-numpy's FMA kernels do.  The build is the one whose complex product numpy
-matches on fixed probe operands, and it is used only once its own product
-of them equals numpy's bit for bit, its envelope table of fixed probe
-windows and times equals ``PulseEnvelope.value`` bit for bit, and its
-steps on two fixed probe operators equal ``propagate._numpy_loop``'s bit
-for bit.  One of them has phase ramps (antisymmetric rates, a coupled
-pair at rate 0, a step from time 0.0), which the kernel makes with libm's
+numpy's FMA kernels do.  The probes choose between them: on a CPU that
+numpy reports with FMA3 the FMA build is tried first and then the plain
+one, elsewhere only the plain one, and the first build is used whose
+envelope table of fixed probe windows and times equals
+``PulseEnvelope.value`` bit for bit, and whose steps on two fixed probe
+operators equal ``propagate._numpy_loop``'s bit for bit; a build whose
+complex products round otherwise than numpy's fails the steps.  One of
+the operators has phase ramps (antisymmetric rates, a coupled pair at
+rate 0, a step from time 0.0), which the kernel makes with libm's
 ``sincos`` and the numpy loop with numpy's complex ``exp``, so a libm
 whose ``sincos`` disagrees with that ``exp`` leaves the numpy loop
 running.  Its fringe field on a fixed odd-sized 2-D grid and on a 1-D
 grid, each with an arm at the origin, made by the kernel's mirror rule,
 must also equal ``fringes._numpy_fields``' plain per-arm sum bit for bit.
-The FMA build is never run on a CPU that numpy reports without FMA3.  With
-no such build, no compiler or no writable cache, ``load()`` returns None,
-and the numpy loop, ``PulseEnvelope.value`` and ``fringes._numpy_fields``
-run.
+With no such build, no compiler or no writable cache, ``load()`` returns
+None, and the numpy loop, ``PulseEnvelope.value`` and
+``fringes._numpy_fields`` run.
 """
 
 from __future__ import annotations
@@ -39,16 +40,6 @@ SOURCE = Path(__file__).with_name("_rk4.c")
 COMPILE = ("cc", "-O3", "-shared", "-fPIC", "-ffp-contract=off")
 PLAIN, FMA = ("c-plain", ()), ("c-fma", ("-mfma", "-DUSE_FMA"))
 _loaded = None          # (engine name, Kernel or None) once chosen
-
-
-def _probe_operands():
-    """Fixed complex pairs, most of whose products round differently with
-    and without a fused multiply-add; plain Python numbers, so the probe
-    pages in no numpy code that a run would not."""
-    return ([complex(k / 7.0 + 1.0 / 3.0, k / 11.0 - 2.0 / 9.0)
-             for k in range(1, 65)],
-            [complex(1.0 / k - 0.3, k / 13.0 + 1.0 / 17.0)
-             for k in range(1, 65)])
 
 
 def _library(flags: tuple) -> Path | None:
@@ -158,24 +149,17 @@ def _fringe_probes():
 
 def _open(flags: tuple):
     """The build with ``flags`` as a ``Kernel``, or None unless its probe
-    product equals numpy's, its probe envelopes ``PulseEnvelope.value``,
-    its probe steps ``propagate._numpy_loop``'s, and its probe fringe
-    fields the plain sums of ``fringes._numpy_fields``, bit for bit."""
+    envelopes equal ``PulseEnvelope.value``, its probe steps
+    ``propagate._numpy_loop``'s, and its probe fringe fields the plain
+    sums of ``fringes._numpy_fields``, bit for bit."""
     path = _library(flags)
     if path is None:
         return None
     try:
         lib = ctypes.CDLL(str(path))
-        probe, steps, envelopes, fringes = \
-            lib.rk4_probe, lib.rk4_steps, lib.rk4_envelopes, lib.rk4_fringes
+        steps, envelopes, fringes = \
+            lib.rk4_steps, lib.rk4_envelopes, lib.rk4_fringes
     except (OSError, AttributeError):
-        return None
-    a, b = (np.array(x) for x in _probe_operands())
-    out = np.empty_like(a)
-    probe.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_int64,)
-    probe.restype = None
-    probe(a.ctypes.data, b.ctypes.data, out.ctypes.data, len(a))
-    if out.tobytes() != (a * b).tobytes():
         return None
     steps.argtypes = (ctypes.c_int64,) * 3 + (ctypes.c_void_p,) * 7 + \
         (ctypes.c_int64,) * 3
@@ -340,24 +324,16 @@ def bind(rk4_steps, states, diag, starts, partner, pattern, rate, coef):
     return steps
 
 
-def _numpy_product_is_plain() -> bool:
-    """Whether numpy rounds both terms of each part of a complex product,
-    as Python's float operations, one rounding each, do."""
-    a, b = _probe_operands()
-    return (np.array(a) * np.array(b)).tolist() == [
-        complex(x.real * y.real - x.imag * y.imag,
-                x.real * y.imag + x.imag * y.real) for x, y in zip(a, b)]
-
-
 def _choose():
-    if _numpy_product_is_plain():
-        name, flags = PLAIN
-    elif _cpu_features().get("FMA3"):
-        name, flags = FMA
-    else:
-        return "numpy", None
-    steps = _open(flags)
-    return (name, steps) if steps is not None else ("numpy", None)
+    """(engine name, Kernel) of the first build whose probes pass: the
+    FMA build, tried only on a CPU that numpy reports with FMA3, then the
+    plain one; ("numpy", None) when none does."""
+    for name, flags in (FMA, PLAIN) if _cpu_features().get("FMA3") \
+            else (PLAIN,):
+        kernel = _open(flags)
+        if kernel is not None:
+            return name, kernel
+    return "numpy", None
 
 
 def _cpu_features() -> dict:

@@ -134,13 +134,13 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
     internal level: components in different levels are distinguishable
     and cannot interfere.  The result is normalized to unit peak, so
     amplitudes whose intensity could overflow, and rungs whose
-    wavenumber k n is not finite, are rejected.
+    wavenumber k n or whose phase k n z on the grid is not finite, are
+    rejected.
 
     The field of each block of rows and their mirror rows is summed per
-    arm, in arm order, by the C kernel where it loads and every phase is
-    finite, and by ``_numpy_fields`` (one exp per wave) otherwise; the
-    two agree bit for bit.  The C kernel makes the waves of rows
-    0 ... n_z // 2 only.  For 1 <= i < n_z, row n_z - i has exactly -z of
+    arm, in arm order, by the C kernel where it loads, and by
+    ``_numpy_fields`` (one exp per wave) otherwise; the two agree bit
+    for bit.  The C kernel makes the waves of rows 0 ... n_z // 2 only.  For 1 <= i < n_z, row n_z - i has exactly -z of
     row i, and for 1 <= j < n_x column n_x - j exactly -x of column j, so
     every arm's phase there is -p, and its wave conj(exp(ip)), which
     numpy's exp(-ip) equals bit for bit for every finite p != 0; at
@@ -178,13 +178,19 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
     # with no full-grid temporaries
     half = n_z // 2 + 1
     block = max(1, SYNTHESIS_BLOCK // (2 * n_x))    # rows, before mirrors
+    # z[0] and x[0] have the largest |z| and |x|, and rounding is
+    # monotone, so every phase kz z + kx x is finite when each arm's
+    # |kz z[0]| + |kx x[0]| is; as Python floats, which overflow to inf
+    # without a warning
+    reach = max(abs(float(kz) * float(z[0])) + abs(float(kx) * float(x[0]))
+                for _, kz, kx in waves)
+    if not math.isfinite(reach):
+        raise ConfigurationError(
+            "the arms' phases k (n_z z + n_x x) overflow on this grid; "
+            "use smaller rungs or a smaller grid")
     from . import ckernel     # not at import: the loader is run-time only
     kernel = ckernel.load()
-    # the C loop takes sincos of finite phases only, which every phase is
-    # when the largest |kz z| + |kx x| is
-    reach = (max(abs(kz) for _, kz, _ in waves) * abs(z[0]) +
-             max(abs(kx) for *_, kx in waves) * abs(x[0]))
-    if kernel is not None and math.isfinite(reach):
+    if kernel is not None:
         fields = kernel.fringe_fields(waves, z, x, block)
     else:
         fields = _numpy_fields(waves, z, x, block)

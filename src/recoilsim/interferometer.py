@@ -66,8 +66,8 @@ class ArmTrack:
                         self.kinetic_phase)
 
 
-def initial_arm(level=InternalLevel.A) -> ArmTrack:
-    return ArmTrack("arm", 1.0 + 0.0j, level, 0, 0,
+def initial_arm() -> ArmTrack:
+    return ArmTrack("arm", 1.0 + 0.0j, InternalLevel.A, 0, 0,
                     np.zeros(3), np.zeros(3), 0.0)
 
 
@@ -342,10 +342,9 @@ class _Timeline:
                           warnings=self.warnings, dropped_total=self.dropped,
                           extras=extras or {})
 
-    def arm_by_state(self, level, n_z=None, n_x=None) -> ArmTrack:
+    def arm_by_state(self, level, n_z=None) -> ArmTrack:
         matches = [a for a in self.arms if a.level is level
-                   and (n_z is None or a.n_z == n_z)
-                   and (n_x is None or a.n_x == n_x)]
+                   and (n_z is None or a.n_z == n_z)]
         if len(matches) != 1:
             raise PhysicsError(
                 f"expected exactly one arm at {level.name}"

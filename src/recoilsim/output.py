@@ -63,8 +63,8 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def config_hash(config: dict, digits: int = 12) -> str:
-    return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:digits]
+def config_hash(config: dict) -> str:
+    return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:12]
 
 
 def write_provenance(path, resolved_config: dict, wall_time_s: float,

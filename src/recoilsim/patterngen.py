@@ -61,9 +61,10 @@ def from_image(u: np.ndarray, maxval: int, pitch: float = 1.0) -> TargetPattern:
     return TargetPattern(values=f, pitch=pitch)
 
 
-def to_image(f: np.ndarray, maxval: int = 65535) -> np.ndarray:
+def to_image(f: np.ndarray) -> np.ndarray:
+    """Map [-1, 1] onto 16-bit grays in [0, 65535]."""
     u = np.clip((np.asarray(f) + 1.0) / 2.0, 0.0, 1.0)
-    return np.round(u * maxval).astype(np.uint16 if maxval > 255 else np.uint8)
+    return np.round(u * 65535).astype(np.uint16)
 
 
 def encode(pattern: TargetPattern, magnification: float = 1.0) -> PhaseMask:
@@ -139,16 +140,17 @@ def roundtrip(pattern: TargetPattern, magnification: float = 1.0) -> RoundTripRe
         contrast_warning=contrast_map is not None)
 
 
-def gear_silhouette(size: int = 64, teeth: int = 8, r_outer: float = 0.46,
-                    r_inner: float = 0.34, r_hub: float = 0.12) -> np.ndarray:
-    """Binary gear test image in [-1, 1]; handy as a roundtrip fixture."""
+def gear_silhouette(size: int = 64) -> np.ndarray:
+    """Binary gear test image in [-1, 1], ``size`` pixels square: 8 teeth
+    out to 0.46 of the size from the centre, 0.34 between them, and a hub
+    hole of 0.12; handy as a roundtrip fixture."""
     y, x = np.mgrid[0:size, 0:size]
     cx = cy = (size - 1) / 2
     dx = (x - cx) / size
     dy = (y - cy) / size
     r = np.sqrt(dx ** 2 + dy ** 2)
     theta = np.arctan2(dy, dx)
-    tooth = (np.cos(teeth * theta) > 0)
-    radius = np.where(tooth, r_outer, r_inner)
-    solid = (r <= radius) & (r >= r_hub)
+    tooth = (np.cos(8 * theta) > 0)
+    radius = np.where(tooth, 0.46, 0.34)
+    solid = (r <= radius) & (r >= 0.12)
     return np.where(solid, 1.0, -1.0)

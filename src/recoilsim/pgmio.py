@@ -2,10 +2,11 @@
 
 Output is always 16-bit big-endian with maxval 65535, per the interchange
 format used by the rest of the toolchain; input accepts 8-bit or 16-bit
-raw PGM.  A small text sidecar carries physical metadata (pixel pitch,
-axis labels) that PGM itself cannot.  Images are written one block of
-about BLOCK_SAMPLES pixels at a time, so writing needs no copy of the
-whole image.
+raw PGM, so an 8-bit target image can be read but is never written.  A
+small text sidecar carries physical metadata (pixel pitch, axis labels)
+that PGM itself cannot.  Images are written one block of about
+BLOCK_SAMPLES pixels at a time, so writing needs no copy of the whole
+image.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ def row_blocks(shape):
         yield slice(r0, min(r0 + rows, height))
 
 
-def write_pgm(path, image: np.ndarray, maxval: int = 65535) -> None:
-    """Write a raw PGM: 16-bit big-endian (maxval 65535 by default), or
-    8-bit for a maxval up to 255.
+def write_pgm(path, image: np.ndarray) -> None:
+    """Write a raw 16-bit big-endian PGM with maxval 65535.
 
     The range check runs before the file is opened, so an image it
     rejects leaves no file.  The pixels are then converted and written
@@ -64,15 +64,13 @@ def write_pgm(path, image: np.ndarray, maxval: int = 65535) -> None:
     image = np.asarray(image)
     if image.ndim != 2:
         raise ConfigurationError("PGM images must be 2D")
-    if image.min() < 0 or image.max() > maxval:
-        raise ConfigurationError(
-            f"pixel values outside [0, {maxval}]")
+    if image.min() < 0 or image.max() > 65535:
+        raise ConfigurationError("pixel values outside [0, 65535]")
     height, width = image.shape
-    dtype = ">u2" if maxval > 255 else "u1"
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
+        fh.write(f"P5\n{width} {height}\n65535\n".encode("ascii"))
         for rows in row_blocks(image.shape):
-            fh.write(image[rows].astype(dtype, order="C"))
+            fh.write(image[rows].astype(">u2", order="C"))
 
 
 def write_sidecar(path, metadata: dict) -> None:

@@ -259,9 +259,9 @@ def counter_intuitive_pair(index: int, stagger: float, rms_rabi: float,
 def build_adiabatic_sequence(n_pairs: int, stagger: float, rms_rabi: float,
                              start_rung: int = 0,
                              direction: int = -1, chirp: bool = True,
-                             t_start: float = 0.0,
                              shape: str = SINE_SQUARED) -> SequencePlan:
-    """Chain ``n_pairs`` counter-intuitive pairs into one deflection ramp.
+    """Chain ``n_pairs`` counter-intuitive pairs into one deflection ramp,
+    starting at time 0 (``shift_plan`` moves it).
 
     The deflected component ends at start_rung + 2*direction*n_pairs, in
     level A when n_pairs is even and B when odd.
@@ -271,7 +271,7 @@ def build_adiabatic_sequence(n_pairs: int, stagger: float, rms_rabi: float,
     pairs = []
     epochs = []
     rung = start_rung
-    t = t_start
+    t = 0.0
     for j in range(n_pairs):
         pair = counter_intuitive_pair(
             j, stagger, rms_rabi, direction=direction, start_rung=rung,
@@ -325,7 +325,7 @@ def effective_pulse(area: float, omega_eff: float,
 
 def copropagating_pulse(area: float, omega_eff: float,
                         transition: str = "a-c", axis: str = "x",
-                        t_start: float = 0.0, phase: float = 0.0) -> PulseEvent:
+                        t_start: float = 0.0) -> PulseEvent:
     """Momentum-preserving two-photon pulse (both legs travel together).
 
     Because the legs copropagate, every momentum class is resonant at once,
@@ -344,7 +344,7 @@ def copropagating_pulse(area: float, omega_eff: float,
     return PulseEvent(
         envelope=env, polarization=RAMAN_POLARIZATION.get(axis), axis=axis,
         direction=+1, channel=CHANNEL_RAMAN, levels=pairs[transition],
-        delta_n=0, target_rung=None, reference_rung=None, phase=phase,
+        delta_n=0, target_rung=None, reference_rung=None,
     )
 
 
@@ -373,8 +373,9 @@ def build_raman_sequence(first: str, n_pulses: int, t_prime: float,
                          omega_eff: float, axis: str,
                          start_rung: int = 0, start_direction: int = +1,
                          half_pi_direction: int = -1, c_start_rung: int | None = None,
-                         chirp: bool = True, t_start: float = 0.0) -> SequencePlan:
-    """Optional pi/2 splitter followed by direction-alternating pi pulses.
+                         chirp: bool = True) -> SequencePlan:
+    """Optional pi/2 splitter followed by direction-alternating pi pulses,
+    starting at time 0 (``shift_plan`` moves them).
 
     With ``first='half_pi'`` the sequence starts from a single component in
     level A at ``start_rung``; otherwise the caller supplies both components
@@ -395,7 +396,7 @@ def build_raman_sequence(first: str, n_pulses: int, t_prime: float,
         raise ConfigurationError("directions must be +1 or -1")
 
     epochs = []
-    t = t_start
+    t = 0.0
     a_rung = start_rung
 
     if first == "half_pi":

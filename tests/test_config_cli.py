@@ -517,6 +517,20 @@ def test_cli_fringes_overflowing_amplitudes_is_config_error(tmp_path,
     assert not list(out.glob("*.fringe.csv"))
 
 
+def test_cli_fringes_overflowing_phases_is_config_error(tmp_path, capsys):
+    # k n_z is finite, but k n_z z is not at the grid's edge: without the
+    # check every sample was NaN and the run exited 0
+    arm = {"amplitude_re": 0.5, "n_z": 10 ** 300}
+    doc = {"plan": "fringes", "params": {"arms": [arm, arm]},
+           "output": {"grid_pitch_m": 100, "grid_samples": 16}}
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not list(out.glob("*"))
+
+
 def test_cli_split2d_fringe_artifacts_and_determinism(tmp_path):
     # four small pulse trains per axis and a coarse grid keep this quick
     doc = {"plan": "split2d",

@@ -123,5 +123,5 @@ def test_image_gray_mapping_round_trip():
     pattern = from_image(img, 65535)
     assert pattern.values[0, 0] == pytest.approx(-1.0)
     assert pattern.values[0, 2] == pytest.approx(1.0)
-    back = to_image(pattern.values, 65535)
+    back = to_image(pattern.values)
     assert np.array_equal(back, img)

@@ -13,16 +13,19 @@ of the package is used by the program.
   the same name.  Reads by the dataclass machinery (``replace``, ``__eq__``),
   by a ``__post_init__`` check or by a test do not count.
 * Every parameter of every function and lambda must be read by its body.
+* Every parameter with a default must be passed by some call in
+  ``src/recoilsim`` or ``scripts``, else its default is a constant.
 
 Names kept for the tests alone, or read only on a path the small runs do
 not take, must be listed in ALLOWED, by module and qualified name, with
-the reason.
+the reason; defaults only the tests pass, in UNSET, with the reason.
 """
 
 import ast
 import dataclasses
 import importlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -63,6 +66,15 @@ ALLOWED = {
                                           "checked by the batching test",
     "params.InternalLevel.is_excited": "read once at import, to build "
                                        "hamiltonian._EXCITED",
+}
+
+UNSET = {
+    "propagate.evolve_plan(dt_factor)": "the acceptance tests run at 64 "
+                                        "(ROADMAP item 2)",
+    "fringes.scan_minimum_near(center_hz)": "acceptance-test helper "
+                                            "(criterion 6)",
+    "hamiltonian.dark_state(basis)": "oracle of the STIRAP and Hamiltonian "
+                                     "tests",
 }
 
 
@@ -210,3 +222,112 @@ def test_every_parameter_is_read():
                 unread += [f"{path.stem}.{name}({p})"
                            for p in _unread_parameters(node)]
     assert not unread, f"parameters the body never reads: {unread}"
+
+
+def _program():
+    """The parameters with a default of every def in the package, and every
+    call in the package and ``scripts``.
+
+    A parameter is ('module.qualname(param)', param, names, position): the
+    names a call of its def goes by (its own; for an ``__init__``, also its
+    class's and those of the package's subclasses of it), and its index
+    among a call's positional arguments, None when keyword-only.  A call
+    is (name, positional, starred, keywords): the called name or
+    attribute, what each leading positional argument passes, the index of
+    its first ``*args`` (or None), and what each keyword passes (None for
+    a ``**kwargs``).  An argument passes the parameter of the enclosing
+    package def that it names bare, whose own default it forwards, and
+    None otherwise."""
+    files = sorted(PACKAGE.glob("*.py")) + \
+        sorted((ROOT / "scripts").glob("*.py"))
+    trees = [(path, ast.parse(path.read_text())) for path in files]
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for _, tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    params, calls = [], []
+
+    def descends(name, ancestor):
+        return name == ancestor or any(descends(b, ancestor)
+                                       for b in bases.get(name, ()))
+
+    def defaulted(node, where, cls):
+        names = {node.name}
+        if cls is not None and node.name == "__init__":
+            names |= {c for c in bases if descends(c, cls)}
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        offset = 0 if cls is None else 1     # self or cls
+        for k, arg in enumerate(positional[first:], first - offset):
+            yield f"{where}({arg.arg})", arg.arg, names, k
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{where}({arg.arg})", arg.arg, names, None
+
+    def call(node, scope):
+        def passes(arg):
+            return scope.get(arg.id) if isinstance(arg, ast.Name) else None
+        name = getattr(node.func, "id", None) or \
+            getattr(node.func, "attr", None)
+        starred = next((k for k, a in enumerate(node.args)
+                        if isinstance(a, ast.Starred)), None)
+        return (name, [passes(a) for a in node.args[:starred]], starred,
+                {k.arg: passes(k.value) for k in node.keywords})
+
+    def visit(node, module, prefix, cls, scope):
+        """``module`` is None in ``scripts``, whose defaults go unchecked."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.", child.name,
+                      scope)
+            elif isinstance(child, ast.FunctionDef):
+                own = [] if module is None else list(defaulted(
+                    child, f"{module}.{prefix}{child.name}", cls))
+                params.extend(own)
+                visit(child, module, f"{prefix}{child.name}.", None,
+                      {param: where for where, param, _, _ in own})
+            else:
+                if isinstance(child, ast.Call):
+                    calls.append(call(child, scope))
+                visit(child, module, prefix, cls, scope)
+
+    for path, tree in trees:
+        visit(tree, path.stem if path.parent == PACKAGE else None, "", None,
+              {})
+    return params, calls
+
+
+def test_every_default_is_set_by_some_caller():
+    params, calls = _program()
+
+    def passed(param, names, position):
+        """What the calls pass to a parameter."""
+        for name, positional, starred, keywords in calls:
+            if name not in names:
+                continue
+            if position is not None and position < len(positional):
+                yield positional[position]
+            if position is not None and starred is not None and \
+                    position >= starred or None in keywords:
+                yield None
+            if param in keywords:
+                yield keywords[param]
+
+    def set_by_a_call(where, param, names, position, unset):
+        return any(source is None or source not in unset
+                   for source in passed(param, names, position))
+
+    # a default only passed on from an unset default is unset; one the
+    # tests set counts as set where it is passed on
+    unset = {where for where, *_ in params} - set(UNSET)
+    while True:
+        still = {p[0] for p in params
+                 if p[0] in unset and not set_by_a_call(*p, unset)}
+        if still == unset:
+            break
+        unset = still
+    assert not unset, f"defaults no call in the program sets: {sorted(unset)}"
+    stale = set(UNSET) - {p[0] for p in params
+                          if p[0] in UNSET and not set_by_a_call(*p, unset)}
+    assert not stale, f"UNSET names a default that no longer is one, or " \
+                      f"that a call sets: {sorted(stale)}"
