@@ -31,11 +31,23 @@ permutation and envelopes, such as one closing pulse at B detunings.  A
 family unbatched among batched ones has its row repeated over the
 members.  Every operation below is elementwise over that axis, so each
 member's arithmetic is exactly that of an operator compiled for it alone.
+
+A plan is compiled on a lattice in one pass (``compile_plan``): it reads
+every event of the plan's epochs once, refuses any that addresses a level
+outside the basis before an epoch runs, and finds the coupled pairs of
+all events, with their pattern, rate and frame-shift values, in a few
+array operations.  It keeps tables of O(couplings), two entries per
+coupled pair, shared by the epochs whose families couple the same pairs;
+an epoch's dense operator is assembled from them when the epoch comes
+up.  ``compile_epoch`` and ``compile_from_epoch`` are that pass over one
+epoch, so each value has one implementation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import compress
 
 import numpy as np
@@ -47,6 +59,9 @@ from .pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, Epoch, SIGMA_LEG)
 
 
 _EXCITED = np.array([level.is_excited for level in LEVELS])
+
+# an epoch's part of a plan pass, which assembles its operator when called
+Tables = Callable[[], "EpochHamiltonian"]
 
 
 def _in_order_sum(rows: np.ndarray, empty):
@@ -87,8 +102,10 @@ class EpochHamiltonian:
     _blocks: np.ndarray | None = field(default=None, init=False, repr=False)
     _peaks: tuple | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        self._diag_complex = self.diagonal - 0.5j * self.decay
+    @cached_property
+    def _diag_complex(self) -> np.ndarray:
+        """The diagonal less i decay / 2 (kept)."""
+        return self.diagonal - 0.5j * self.decay
 
     def envelope_table(self, times: np.ndarray) -> np.ndarray:
         """Every family's envelope at the 1-D ``times``, (F, len(times)):
@@ -193,19 +210,210 @@ class EpochHamiltonian:
         return op
 
 
-def _matching(basis: Basis, level_from: InternalLevel, shift: int,
-              level_to: InternalLevel, axis: str = "z",
-              rung: int | None = None):
-    """Pairs (i, j) taking |level_from, n> to |level_to, n + shift> along
-    ``axis`` (only from ``rung`` if given).  The levels differ, so the
-    pairs form a perfect matching."""
-    i = np.flatnonzero(basis.level_codes == LEVEL_ORDER[level_from])
-    if rung is not None:
-        i = i[(basis.n_z if axis == "z" else basis.n_x)[i] == rung]
-    dz, dx = (shift, 0) if axis == "z" else (0, shift)
-    j = basis.locate(LEVEL_ORDER[level_to], basis.n_z[i] + dz,
-                     basis.n_x[i] + dx)
-    return i[j >= 0], j[j >= 0]
+def _gauged(basis: Basis, anchors: dict) -> dict:
+    """``anchors`` with each rung on a one-rung axis of ``basis`` set to
+    that rung (``compile_from_epoch``)."""
+    (z_lo, z_hi), (x_lo, x_hi) = basis.window_z(), basis.window_x()
+    return {level: (z_lo if z_lo == z_hi else n_z,
+                    x_lo if x_lo == x_hi else n_x)
+            for level, (n_z, n_x) in anchors.items()}
+
+
+def _assemble(kinetic, codes, decay, shifts, envelopes, peak, index,
+              partner, code, values, rates, batch, sweeps) -> EpochHamiltonian:
+    """One epoch's operator from its part of a plan pass (``_plan_pass``):
+    the lattice's kinetic rates, level codes and decay rates, the epoch's
+    frame shift per level, its families' envelopes and peaks, and its
+    entries, two for each coupled pair, one for each of its states: the
+    flat position in the (F, n) family rows, the partner state, and the
+    value ``code``, 2 f for the target state of family f and 2 f + 1 for
+    its source state, which picks the pattern and rate from ``values`` and
+    ``rates`` (F, 2).  A family whose tone sweeps an array of detunings or
+    phases, giving the epoch its ``batch`` shape, gets its values from
+    ``sweeps`` instead, as (family, source states, target states, pattern
+    at the targets, rates)."""
+    n, families = len(kinetic), len(envelopes)
+    perm = np.empty((families, n), dtype=np.int64)
+    perm[...] = np.arange(n)
+    perm.reshape(-1)[index] = partner
+    pattern = np.zeros((families, n), dtype=np.complex128)
+    rate = np.zeros((families, n), dtype=np.float64)
+    pattern.reshape(-1)[index] = values.take(code)
+    rate.reshape(-1)[index] = rates.take(code)
+    if batch:
+        # every member starts as the unswept rows
+        pattern, rate = (np.broadcast_to(
+            a.reshape((families,) + (1,) * len(batch) + (n,)),
+            (families,) + batch + (n,)).copy() for a in (pattern, rate))
+    for f, i, j, half, rho in sweeps:
+        pattern[f][..., j] = half           # H[to, from]
+        pattern[f][..., i] = np.conj(half)
+        # a tone without a detuning keeps its exact zero rates
+        if np.any(rho != 0.0):
+            rate[f][..., j] = -rho
+            rate[f][..., i] = +rho
+    return EpochHamiltonian(kinetic - shifts[codes], decay, perm, pattern,
+                            rate, envelopes, peak)
+
+
+def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ..."""
+    out = np.empty(2 * len(a), dtype=a.dtype)
+    out[0::2], out[1::2] = a, b
+    return out
+
+
+def _plan_pass(basis: Basis, epochs, atom: AtomParams,
+               decay_rate: float) -> Iterator[Tables]:
+    """The tables of each of ``epochs``, (events, anchors) pairs, on
+    ``basis``, taken in turn: each assembles its epoch's operator when
+    called (``_assemble``).  An event on a level outside the basis is
+    refused here, before any epoch runs.
+
+    The coupled pairs come from one comparison of each event's source
+    level and rung with every state, and one ``Basis.locate`` of their
+    partners, for the events of the first epoch of each kind (epochs of
+    one kind couple the same pairs, family by family); each event's pairs
+    form a perfect matching, as its two levels differ.  Every value is
+    computed with the operations, in the order, of a loop over the
+    events."""
+    wr = atom.recoil_frequency
+    first, epoch_of, anchored, swept = [0], [], [], []
+    # per event: source and target level codes, recoil shift along z and
+    # along x, the axis of the rung it starts from (-1: any rung) and that
+    # rung, and its tone's reference rung and net recoil; its pattern at
+    # the target and at the source state, its bias detuning, and whether
+    # it is a tone with a scalar detuning
+    spec, values, bias, tuned, envelopes = [], [], [], [], []
+    for k, (events, anchors) in enumerate(epochs):
+        for level, (n_z, n_x) in anchors.items():
+            anchored.append((k, LEVEL_ORDER[level], n_z, n_x))
+        epoch_of += [k] * len(events)
+        for event in events:
+            envelopes.append(event.envelope)
+            sweeping = isinstance(event.bias_detuning, np.ndarray) or \
+                isinstance(event.phase, np.ndarray)
+            if sweeping:
+                swept.append((k, len(spec), event))
+            if event.channel == CHANNEL_LAMBDA:
+                if InternalLevel.E1 not in basis.levels:
+                    raise ConfigurationError("adiabatic channel needs the "
+                                             "intermediate level in the basis")
+                spec.append((LEVEL_ORDER[SIGMA_LEG[event.polarization]],
+                             LEVEL_ORDER[InternalLevel.E1], event.direction,
+                             0, -1, 0, 0, 0))
+                values.append((0.5, 0.5))
+                bias.append(0.0)
+                tuned.append(False)
+                continue
+            if event.channel != CHANNEL_RAMAN:  # pragma: no cover
+                # PulseEvent validation rejects any other channel earlier
+                raise ConfigurationError(
+                    f"unknown channel {event.channel!r}")
+            lf, lt = event.levels
+            if lf not in basis.levels or lt not in basis.levels:
+                missing = lf if lf not in basis.levels else lt
+                raise ConfigurationError(f"pulse addresses level "
+                                         f"{missing.name} missing from basis")
+            on_z, dn = event.axis == "z", event.delta_n
+            spec.append((LEVEL_ORDER[lf], LEVEL_ORDER[lt], dn if on_z else 0,
+                         0 if on_z else dn,
+                         -1 if event.target_rung is None else int(not on_z),
+                         event.target_rung or 0, event.reference_rung or 0,
+                         dn))
+            if sweeping:
+                values.append((0.0, 0.0))
+                bias.append(0.0)
+            else:
+                half = 0.5 * np.exp(1j * event.phase)
+                values.append((half, np.conj(half)))
+                bias.append(event.bias_detuning)
+            tuned.append(not sweeping)
+        first.append(len(spec))
+
+    spec = np.array(spec, dtype=np.int64).reshape(-1, 8)
+    bounds = np.array(first)
+    # an epoch's kind is the pairs its families couple, set by the first
+    # six columns; ``head`` is the first epoch of each kind
+    kinds, kind, head = {}, [], []
+    key, width = spec[:, :6].tobytes(), 6 * spec.itemsize
+    for k in range(len(epochs)):
+        kind.append(kinds.setdefault(key[width * first[k]:
+                                         width * first[k + 1]], len(kinds)))
+        if len(head) < len(kinds):
+            head.append(k)
+    rungs = np.zeros((len(epochs), len(LEVELS), 2), dtype=np.int64)
+    if anchored:
+        k, code, n_z, n_x = np.array(anchored, dtype=np.int64).T
+        rungs[k, code, 0], rungs[k, code, 1] = n_z, n_x
+    shifts = wr * (rungs ** 2).sum(axis=-1)
+    epoch_of = np.array(epoch_of, dtype=np.int64)
+    source, target, dz, dx, axis, rung, ref, dn = spec.T
+    # the tone, plus the bias, less the frame's shift of the target level
+    # from the source level
+    tone = wr * ((ref + dn) ** 2 - ref ** 2)
+    shift = shifts[epoch_of, target] - shifts[epoch_of, source]
+    rho = tone + np.array(bias, dtype=np.float64) - shift
+    rates = np.zeros((len(spec), 2))
+    live = np.flatnonzero(tuned)
+    live = live[rho[live] != 0.0]     # a tone on resonance keeps exact zeros
+    rates[live, 0], rates[live, 1] = -rho[live], rho[live]
+
+    is_head = np.zeros(len(epochs), dtype=bool)
+    is_head[head] = True
+    lead = np.flatnonzero(is_head[epoch_of])
+    along = np.where(axis[lead, None] == 1, basis.n_x, basis.n_z)
+    e, i = np.nonzero((basis.level_codes == source[lead, None])
+                      & ((axis[lead, None] < 0) | (along == rung[lead, None])))
+    e = lead[e]
+    j = basis.locate(target[e], basis.n_z[i] + dz[e], basis.n_x[i] + dx[e])
+    e, i, j = e[j >= 0], i[j >= 0], j[j >= 0]
+    # two entries per pair: the target state j, then the source state i
+    family = e - bounds[epoch_of[e]]
+    row = family * len(basis)
+    index = _pairwise(row + j, row + i)
+    partner = _pairwise(i, j)
+    code = _pairwise(2 * family, 2 * family + 1)
+    start = (2 * np.searchsorted(e, bounds[head])).tolist()
+    stop = (2 * np.searchsorted(e, bounds[np.add(head, 1)])).tolist()
+
+    kinetic = wr * basis.n_squared
+    decay = np.where(_EXCITED[basis.level_codes], float(decay_rate), 0.0)
+    peak = np.array([envelope.peak_rabi for envelope in envelopes],
+                    dtype=np.float64)
+    values = np.array(values, dtype=np.complex128).reshape(-1, 2)
+    decay.flags.writeable = peak.flags.writeable = False   # shared
+    batches, sweeps = {}, {}
+    for k, s, event in swept:
+        batches[k] = np.broadcast_shapes(*(
+            np.shape(value) for other in epochs[k][0]
+            for value in (other.bias_detuning, other.phase)))
+        if event.channel == CHANNEL_RAMAN:
+            # the pairs of this family in the first epoch of this kind
+            h = first[head[kind[k]]] + s - first[k]
+            p0, p1 = np.searchsorted(e, (h, h + 1))
+            sweeps[k] = sweeps.get(k, ()) + ((
+                s - first[k], i[p0:p1], j[p0:p1],
+                np.asarray(0.5 * np.exp(1j * event.phase))[..., None],
+                np.asarray(tone[s] + event.bias_detuning - shift[s])
+                [..., None]),)
+    return (partial(_assemble, kinetic, basis.level_codes, decay, shifts[k],
+                    tuple(envelopes[first[k]:first[k + 1]]),
+                    peak[first[k]:first[k + 1]],
+                    *(a[start[kind[k]]:stop[kind[k]]]
+                      for a in (index, partner, code)),
+                    values[first[k]:first[k + 1]],
+                    rates[first[k]:first[k + 1]],
+                    batches.get(k, ()), sweeps.get(k, ()))
+            for k in range(len(epochs)))
+
+
+def compile_plan(basis: Basis, epochs, atom: AtomParams,
+                 decay_rate: float = 0.0) -> Iterator[Tables]:
+    """The plan pass: the tables of each of ``epochs`` on ``basis``, each
+    gauged as ``compile_from_epoch`` gauges it."""
+    return _plan_pass(basis, [(epoch.events, _gauged(basis, epoch.anchors))
+                              for epoch in epochs], atom, decay_rate)
 
 
 def compile_epoch(basis: Basis, events, atom: AtomParams,
@@ -214,68 +422,16 @@ def compile_epoch(basis: Basis, events, atom: AtomParams,
     """Turn an epoch's active events into a ready-to-integrate operator,
     with one coupling family per event.  A Raman tone with an array bias
     detuning or phase gives one batch member per entry."""
-    anchors = anchors or {}
-    # the kinetic rate each level's frame subtracts, indexed by level code
-    shifts = np.array([atom.kinetic_rate(*anchors.get(level, (0, 0)))
-                       for level in LEVELS])
-    for event in events:
-        if event.channel == CHANNEL_LAMBDA:
-            if InternalLevel.E1 not in basis.levels:
-                raise ConfigurationError(
-                    "adiabatic channel needs the intermediate level in the basis")
-        elif event.channel == CHANNEL_RAMAN:
-            for level in event.levels:
-                if level not in basis.levels:
-                    raise ConfigurationError(
-                        f"pulse addresses level {level.name} missing from basis")
-        else:  # pragma: no cover - PulseEvent validation rejects this earlier
-            raise ConfigurationError(f"unknown channel {event.channel!r}")
-    n = len(basis)
-    batch = np.broadcast_shapes(*(np.shape(value) for event in events
-                                  for value in (event.bias_detuning,
-                                                event.phase)))
-    perm = np.tile(np.arange(n), (len(events), 1))
-    pattern = np.zeros((len(events),) + batch + (n,), dtype=np.complex128)
-    rate = np.zeros(pattern.shape, dtype=np.float64)
-    wr = atom.recoil_frequency
-    for f, event in enumerate(events):
-        if event.channel == CHANNEL_LAMBDA:
-            i, j = _matching(basis, SIGMA_LEG[event.polarization],
-                             event.direction, InternalLevel.E1)
-            pattern[f][..., i] = 0.5
-            pattern[f][..., j] = 0.5
-        else:
-            lf, lt = event.levels
-            ref = event.reference_rung if event.reference_rung is not None \
-                else 0
-            tone = wr * ((ref + event.delta_n) ** 2 - ref ** 2) \
-                if event.delta_n else 0.0
-            rho = np.asarray(tone + event.bias_detuning
-                             - (shifts[LEVEL_ORDER[lt]]
-                                - shifts[LEVEL_ORDER[lf]]))[..., None]
-            half = np.asarray(0.5 * np.exp(1j * event.phase))[..., None]
-            i, j = _matching(basis, lf, event.delta_n, lt, event.axis,
-                             event.target_rung)
-            pattern[f][..., j] = half           # H[to, from]
-            pattern[f][..., i] = np.conj(half)
-            # a tone without a detuning keeps its exact zero rates
-            if np.any(rho != 0.0):
-                rate[f][..., j] = -rho
-                rate[f][..., i] = +rho
-        perm[f, i] = j
-        perm[f, j] = i
-    diagonal = wr * basis.n_squared - shifts[basis.level_codes]
-    decay = np.where(_EXCITED[basis.level_codes], float(decay_rate), 0.0)
-    return EpochHamiltonian(
-        diagonal, decay, perm, pattern, rate,
-        tuple(event.envelope for event in events),
-        np.array([event.envelope.peak_rabi for event in events],
-                 dtype=np.float64))
+    return next(_plan_pass(basis, [(tuple(events), anchors or {})], atom,
+                           decay_rate))()
 
 
 def compile_from_epoch(basis: Basis, epoch: Epoch, atom: AtomParams,
-                       decay_rate: float = 0.0) -> EpochHamiltonian:
-    """Compile an epoch on ``basis``, with its anchors gauged to it.
+                       decay_rate: float = 0.0,
+                       tables: Tables | None = None) -> EpochHamiltonian:
+    """Compile an epoch on ``basis``, with its anchors gauged to it; from
+    ``tables``, this epoch's part of a ``compile_plan`` pass made on
+    ``basis`` with ``atom`` and ``decay_rate``, if given.
 
     Along an axis where the basis holds one rung (the cross axis of an
     arm's lattice), every anchored level is anchored on that rung: the
@@ -283,11 +439,10 @@ def compile_from_epoch(basis: Basis, epoch: Epoch, atom: AtomParams,
     common-mode term that would add only a global phase but would still
     throttle the step size.  Levels without an anchor stay unshifted.
     """
-    (z_lo, z_hi), (x_lo, x_hi) = basis.window_z(), basis.window_x()
-    anchors = {level: (z_lo if z_lo == z_hi else n_z,
-                       x_lo if x_lo == x_hi else n_x)
-               for level, (n_z, n_x) in epoch.anchors.items()}
-    return compile_epoch(basis, epoch.events, atom, anchors, decay_rate)
+    if tables is None:
+        return compile_epoch(basis, epoch.events, atom,
+                             _gauged(basis, epoch.anchors), decay_rate)
+    return tables()
 
 
 def dark_state(rabi_plus: float, rabi_minus: float, n_origin: int,

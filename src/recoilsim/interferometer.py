@@ -7,7 +7,8 @@ evolved under gravity in closed form.  Quantization z and beam axis x are
 both normal to gravity (y), so separations never depend on g.  The arms
 of a pulse stage that share a lattice (the same window along the pulse
 axis and the same rung across it) are member rows of one wavefunction on
-it, so each epoch is compiled and sampled once per lattice, not per arm.
+it, so the stage's plan is compiled in one pass per lattice, not per arm,
+and each epoch's operator is assembled and sampled once per lattice.
 
 Phase bookkeeping: each arm's complex ``amplitude`` is its laser-frame
 amplitude, the one subsequent pulses act on -- equivalent to assuming every
@@ -119,9 +120,10 @@ def run_sequence_on_arm(arms: list[ArmTrack], plan: SequencePlan,
     and holds the single rung of its cross axis, on which
     ``compile_from_epoch`` anchors the frame, so every arm runs in the
     frame of its own transverse motion.  Arms whose lattices coincide are
-    member rows of one wavefunction on it, so each epoch is compiled,
-    sampled and checked once per lattice; every member keeps the active
-    set, operator, bound and step count of a run on its own.  Returns
+    member rows of one wavefunction on it, so the plan is compiled in one
+    pass per lattice and each epoch is assembled, sampled and checked
+    once per lattice; every member keeps the active set, operator, bound
+    and step count of a run on its own.  Returns
     (child arms, dropped population) for each arm, in order; components
     below ``arm_floor`` population are dropped.  Linearity of the
     Schrodinger equation makes per-arm propagation exact; spatial

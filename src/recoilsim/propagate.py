@@ -5,11 +5,15 @@ The step size is validated against an explicit stability bound and chosen
 conservatively enough that norm drift stays below 1e-9 per step without any
 renormalization tricks; norm is checked, never silently repaired.
 
-The states fall into small blocks that no coupling crosses
-(``EpochHamiltonian.blocks``).  A member's active set is the blocks of its
-support, and ``_rk4`` steps the active states of every member of a batch
-(a detuning scan, the arms of a pulse stage) as one vector, in runs that
-each family couples to one whole partner run.
+Each lattice's epochs are compiled in one plan pass when a plan starts
+(``hamiltonian.compile_plan``), which refuses an event outside the basis
+before the first step, and in one more for the epochs left after its
+window grows; each epoch's operator is assembled from the pass's tables
+as the epoch comes up.  The states fall into small blocks that no
+coupling crosses (``EpochHamiltonian.blocks``).  A member's active set
+is the blocks of its support, and ``_rk4`` steps the active states of
+every member of a batch (a detuning scan, the arms of a pulse stage) as
+one vector, in runs that each family couples to one whole partner run.
 
 The step loop runs in C (``ckernel``, ``_rk4.c``), one chunk of steps per
 call, on split real and imaginary arrays: each RK4 substage is one pass
@@ -40,7 +44,7 @@ import numpy as np
 
 from .basis import Basis, WaveFunction, prune_dust, span_window
 from .errors import ConfigurationError, IntegrationError
-from .hamiltonian import EpochHamiltonian, compile_from_epoch
+from .hamiltonian import EpochHamiltonian, compile_from_epoch, compile_plan
 from .params import AtomParams
 from .pulses import Epoch, SequencePlan
 
@@ -107,7 +111,10 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
 
     ``psi`` is one wavefunction or a list of them, each on its own basis,
     all run under the one ``plan``; each epoch is compiled on each basis,
-    whose one-rung axis, if any, gauges the frame (``compile_from_epoch``).
+    whose one-rung axis, if any, gauges the frame (``compile_from_epoch``),
+    from one plan pass per basis (``compile_plan``), made when the plan
+    starts, so that an event outside a basis is refused before the first
+    step, and again for the epochs left after the basis grows.
     A wavefunction may hold a batch of members (B, n), such as one state
     under a pulse compiled at B detunings; then its ``psi`` and ``loss`` in
     the result are per member too.  The result holds ``psi`` and ``loss``
@@ -140,8 +147,12 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
     t = max(p.time for p in psis)
     samples = []
     total_steps = 0
+    # each lattice's tables of the epochs to come; a grown window drops
+    # them, and the next epoch passes the rest of the plan anew
+    tables = [compile_plan(basis, plan.epochs, atom, decay_rate)
+              for basis in bases]
 
-    for epoch in plan.epochs:
+    for k, epoch in enumerate(plan.epochs):
         if epoch.t_start < t - 1e-15:
             raise ConfigurationError(
                 f"epoch {epoch.label!r} starts at {epoch.t_start} before "
@@ -152,7 +163,11 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
         # that share the envelopes and a step count run as one batch
         batches = {}
         for b, basis in enumerate(bases):
-            compiled = compile_from_epoch(basis, epoch, atom, decay_rate)
+            if tables[b] is None:
+                tables[b] = compile_plan(basis, plan.epochs[k:], atom,
+                                         decay_rate)
+            compiled = compile_from_epoch(basis, epoch, atom, decay_rate,
+                                          next(tables[b]))
             active = compiled.active_mask(amps[b])
             alike = {}
             for r, row in enumerate(active):
@@ -204,6 +219,7 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
             edge = WaveFunction(basis, amps[b]).boundary_population(2)
             if np.any(edge > BOUNDARY_TOL):
                 bases[b], amps[b] = _extend(basis, amps[b])
+                tables[b] = None
 
     finals = [WaveFunction(basis, a if p.amplitudes.ndim > 1 else a[0], t)
               for basis, a, p in zip(bases, amps, psis)]

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,9 @@ from recoilsim.errors import ConfigurationError
 from recoilsim.hamiltonian import (EpochHamiltonian, compile_epoch,
                                    compile_from_epoch, dark_state)
 from recoilsim.params import InternalLevel, rb87
+from recoilsim.plans import (Figure3Params, Plan1DParams, Plan2DParams,
+                             RamseyParams, run_figure3, run_plan_1d_adiabatic,
+                             run_plan_2d, run_plan_ramsey)
 from recoilsim.propagate import ladder_basis
 from recoilsim.pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, PI_PAIR,
                               SIGMA_LEG, SIGMA_PAIR, PulseEnvelope,
@@ -577,3 +581,46 @@ def test_compile_from_epoch_anchors_on_the_cross_rung(atom, plan, basis, axis,
                              atom.recoil_frequency * basis.n_squared)
         if cross == 0:
             assert reference.anchors == epoch.anchors
+
+
+@pytest.mark.bits
+def test_a_plan_pass_assembles_each_epoch_as_compiled_alone(atom,
+                                                            monkeypatch):
+    # every operator that evolve_plan assembles from a plan pass, over small
+    # runs of the four plans and the Ramsey closing pulse at seven
+    # detunings, equals its epoch compiled alone, byte for byte; figure3
+    # runs with decay, and the ladders grow their windows, so some epochs
+    # come from a pass made after a growth
+    compile_from = propagate.compile_from_epoch
+    extend = propagate._extend
+    grown, seen = [], Counter()
+
+    def checked_compile(basis, epoch, *args):
+        h = compile_from(basis, epoch, *args)
+        alone = compile_from(basis, epoch, *args[:-1])
+        for name in ("perm", "pattern", "rate", "diagonal", "decay", "peak"):
+            assert identical(getattr(h, name), getattr(alone, name)), name
+        assert len(h.envelopes) == len(alone.envelopes)
+        assert all(a is b for a, b in zip(h.envelopes, alone.envelopes))
+        seen["epochs"] += 1
+        seen["batched"] += h.pattern.ndim > 2
+        seen["grown"] += any(basis is b for b in grown)
+        seen["decay"] += bool(h.decay.any())
+        return h
+
+    def recording_extend(basis, amps):
+        new_basis, new_amps = extend(basis, amps)
+        grown.append(new_basis)
+        return new_basis, new_amps
+
+    monkeypatch.setattr(propagate, "compile_from_epoch", checked_compile)
+    monkeypatch.setattr(propagate, "_extend", recording_extend)
+    run_figure3(Figure3Params(n_pairs=4, decay_gamma_hz=1e6), atom)
+    run_plan_1d_adiabatic(Plan1DParams(ladder_n=2, drift1_s=0.06), atom)
+    run_plan_2d(Plan2DParams(p_pulses=4, p_reverse=8, q_pulses=4,
+                             q_reverse=8, drift1_s=0.03), atom)
+    ramsey = run_plan_ramsey(RamseyParams(ladder_n=1), atom)
+    ramsey.pc_of(np.linspace(-2e3, 2e3, 7))
+    assert seen["epochs"] == 69
+    assert seen["batched"] == 1
+    assert seen["grown"] > 0 and seen["decay"] > 0

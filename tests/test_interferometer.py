@@ -170,13 +170,18 @@ def test_batched_stage_matches_lone_arms(atom, monkeypatch):
              ArmTrack("offC", 0.1, C, -6, c_x - 3, np.zeros(3),
                       lattice_velocity(atom, -6, c_x - 3, 0.0))]
 
-    widths, stage_calls, compiled = [], [], []
+    widths, stage_calls, compiled, passes = [], [], [], []
     rk4, run = propagate._rk4, interferometer.run_sequence_on_arm
     compile_from_epoch = propagate.compile_from_epoch
+    compile_plan = propagate.compile_plan
 
     def recording_compile(basis, epoch, *args):
         compiled.append(epoch)
         return compile_from_epoch(basis, epoch, *args)
+
+    def recording_pass(basis, epochs, *args):
+        passes.append(len(epochs))
+        return compile_plan(basis, epochs, *args)
 
     def recording_rk4(parts, *args):
         widths.append(sum(len(rows) for *_, rows in parts))
@@ -189,6 +194,7 @@ def test_batched_stage_matches_lone_arms(atom, monkeypatch):
     monkeypatch.setattr(propagate, "_rk4", recording_rk4)
     monkeypatch.setattr(interferometer, "run_sequence_on_arm", recording_run)
     monkeypatch.setattr(propagate, "compile_from_epoch", recording_compile)
+    monkeypatch.setattr(propagate, "compile_plan", recording_pass)
     tl = _Timeline(atom, arm_floor=1e-6, decay_rate=0.0)
     tl.arms = arms
     tl.sequence("x-reverse", plan, (A, C), "x")
@@ -196,6 +202,8 @@ def test_batched_stage_matches_lone_arms(atom, monkeypatch):
     assert {1, 2, 4} <= set(widths)
     per_epoch = Counter(map(id, compiled))    # compiled holds every epoch
     assert list(per_epoch.values()) == [4] * len(plan.epochs)
+    # one plan pass per lattice, none growing
+    assert passes == [len(plan.epochs)] * 4
 
     lone_dropped = 0.0
     children = iter(tl.arms)
@@ -224,13 +232,18 @@ def test_a_shared_lattice_grows_for_one_member_and_keeps_the_other(
     sibling, mover = (ArmTrack(name, 0.5, A, n_z, 0, np.zeros(3),
                                lattice_velocity(atom, n_z, 0, 0.0))
                       for name, n_z in (("sibling", 0), ("mover", -6)))
-    grown, lattices, epochs = [], [], []
+    grown, lattices, epochs, passes = [], [], [], []
     extend, evolve = propagate._extend, interferometer.evolve_plan
     compile_from_epoch = propagate.compile_from_epoch
+    compile_plan = propagate.compile_plan
 
     def recording_compile(basis, epoch, *args):
         epochs.append(epoch.label)
         return compile_from_epoch(basis, epoch, *args)
+
+    def recording_pass(basis, plan_epochs, *args):
+        passes.append([epoch.label for epoch in plan_epochs])
+        return compile_plan(basis, plan_epochs, *args)
 
     def recording_extend(basis, amps):
         grown.append((epochs[-1], basis.window_z(), len(amps)))
@@ -241,6 +254,7 @@ def test_a_shared_lattice_grows_for_one_member_and_keeps_the_other(
         return evolve(psis, *args, **kwargs)
 
     monkeypatch.setattr(propagate, "compile_from_epoch", recording_compile)
+    monkeypatch.setattr(propagate, "compile_plan", recording_pass)
     monkeypatch.setattr(propagate, "_extend", recording_extend)
     monkeypatch.setattr(interferometer, "evolve_plan", recording_evolve)
     run = interferometer.run_sequence_on_arm
@@ -250,6 +264,10 @@ def test_a_shared_lattice_grows_for_one_member_and_keeps_the_other(
                                        "z", 0.0, 1e-6)
     assert lattices == [[(2, 39)], [(1, 39)]]
     assert grown == [("pair-0", (-9, 3), 2), ("pair-1", (-9, 3), 1)]
+    # a plan pass when each run starts, and one more for the epochs left
+    # after each growth
+    labels = [epoch.label for epoch in plan.epochs]
+    assert passes == [labels, labels[1:], labels, labels[2:]]
     assert dropped == lone_dropped
     assert len(kids) == len(lone_kids) > 1
     for got, kid in zip(kids, lone_kids):

@@ -1039,6 +1039,32 @@ def test_rk4_refuses_a_lone_state_that_a_family_couples():
             assert not np.array_equal(work, np.ones(n))
 
 
+def test_a_level_outside_the_basis_is_refused_before_any_step(atom,
+                                                               monkeypatch):
+    # the plan pass checks every epoch as the plan starts, so a second
+    # epoch that addresses B on an (A, C) basis is refused before the first
+    # is integrated
+    steps = []
+    rk4 = propagate._rk4
+
+    def recording_rk4(*args):
+        steps.append(args)
+        return rk4(*args)
+
+    monkeypatch.setattr(propagate, "_rk4", recording_rk4)
+    omega = 2 * math.pi * 4e5
+    (first,) = two_level_plan(atom, omega, math.pi / omega).epochs
+    stray = effective_pulse(math.pi, omega, RecoilState(A, 0),
+                            RecoilState(B, 2), "z")
+    plan = SequencePlan(epochs=[first, Epoch(first.t_end, first.duration,
+                                             (stray,), {})])
+    psi = WaveFunction.from_components(Basis([A, C], range(-4, 3)),
+                                       {RecoilState(A, 0): 1.0})
+    with pytest.raises(ConfigurationError, match="level B missing"):
+        evolve_plan(psi, plan, atom)
+    assert steps == []
+
+
 def test_evolve_plan_refuses_an_empty_list(atom):
     plan = two_level_plan(atom, 2 * math.pi * 4e5, 1e-6)
     with pytest.raises(ConfigurationError):
