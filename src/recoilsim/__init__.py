@@ -7,12 +7,11 @@ from .errors import (AdiabaticityError, ConfigurationError, IntegrationError,
                      RecoilSimError, SelectivityError)
 from .fringes import (CoherenceEnvelope, FringePattern, GridSpec, RamseyScan,
                       contrast, extract_spacing, ramsey_scan, synthesize)
-from .hamiltonian import EpochHamiltonian, compile_epoch, dark_state
+from .hamiltonian import EpochHamiltonian, compile_plan, dark_state
 from .interferometer import (ArmTrack, PlanResult, StageRecord, free_flight,
                              selective_transfer)
 from .params import AtomParams, InternalLevel, rb87
-from .patterngen import (PhaseMask, TargetPattern, encode, equal_split,
-                         gear_silhouette, imprint, interfere, recover,
+from .patterngen import (encode, gear_silhouette, interfere, recover,
                          roundtrip)
 from .plans import (Figure3Params, Figure3Result, Plan1DParams, Plan2DParams,
                     RamseyParams, RamseyResult, run_figure3,

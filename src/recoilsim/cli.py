@@ -147,11 +147,11 @@ def _write_fringe(pattern, out_dir, base) -> list[Path]:
     image is filled one ``pgmio.row_blocks`` block at a time (scaled by
     65535, rounded in place, cast into the image rows), so beside the
     samples the write holds the image and one block."""
-    if pattern.dims == 1:
+    if pattern.grid.dims == 1:
         csv_path = out_dir / f"{base}.fringe.csv"
         write_csv(csv_path, ["position_nm", "value"],
                   ((z * 1e9, v) for z, v in
-                   zip(pattern.axis_coordinates(0), pattern.samples)))
+                   zip(pattern.grid.coordinates(0), pattern.samples)))
         return [csv_path]
     pgm_path = out_dir / f"{base}.fringe.pgm"
     samples = pattern.samples
@@ -162,7 +162,7 @@ def _write_fringe(pattern, out_dir, base) -> list[Path]:
     pgmio.write_pgm(pgm_path, image)
     sidecar_path = out_dir / f"{base}.fringe.txt"
     pgmio.write_sidecar(sidecar_path, {
-        "pitch_m": pattern.pitch, "rows_axis": "z", "cols_axis": "x",
+        "pitch_m": pattern.grid.pitch, "rows_axis": "z", "cols_axis": "x",
         "max_value": 65535, "byte_order": "big-endian"})
     return [pgm_path, sidecar_path]
 
@@ -251,7 +251,7 @@ def _run_fringes(cfg, out_dir, base):
     pattern = fr.synthesize(arms, grid, cfg.atom, envelope)
     artifacts = _write_fringe(pattern, out_dir, base)
     summary_rows = []
-    for axis in pattern.axes:
+    for axis in grid.axes:
         try:
             est = fr.extract_spacing(pattern, axis)
             summary_rows += [(f"extracted_spacing_{axis}_m", est.period),
@@ -268,13 +268,14 @@ def _run_fringes(cfg, out_dir, base):
 def _run_pattern(cfg, out_dir, base):
     params = cfg.params
     image, maxval = pgmio.read_pgm(params.input_pgm)
-    target = pg.from_image(image, maxval, pitch=params.pitch_m)
-    report = pg.roundtrip(target, magnification=params.magnification)
+    report = pg.roundtrip(pg.from_image(image, maxval))
+    # the ideal magnification of the optics only scales the pixel pitch
+    output_pitch = params.pitch_m / params.magnification
 
     recovered_path = out_dir / f"{base}.recovered.pgm"
     pgmio.write_pgm(recovered_path, pg.to_image(report.recovered))
     pgmio.write_sidecar(out_dir / f"{base}.recovered.txt", {
-        "pitch_m": report.output_pitch,
+        "pitch_m": output_pitch,
         "magnification": params.magnification,
         "max_value": 65535, "byte_order": "big-endian"})
     error_path = out_dir / f"{base}.errors.csv"
@@ -282,11 +283,9 @@ def _run_pattern(cfg, out_dir, base):
         ("max_abs_error", report.max_abs_error),
         ("mean_abs_error", report.mean_abs_error),
         ("rms_error", report.rms_error),
-        ("output_pitch_m", report.output_pitch),
+        ("output_pitch_m", output_pitch),
     ])
-    warnings = (["unequal split: contrast loss"] if report.contrast_warning
-                else [])
-    return [recovered_path, out_dir / f"{base}.recovered.txt", error_path], warnings
+    return [recovered_path, out_dir / f"{base}.recovered.txt", error_path], []
 
 
 if __name__ == "__main__":

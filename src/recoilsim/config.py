@@ -14,7 +14,8 @@ default, a field without a default is a required key, and a field named
 in ``_TOGGLES`` is a toggle.  So a plan takes exactly the toggles it
 reads.  Validation builds the dataclass from the resolved params and
 toggles as they are, in the config's units (Hz, s, m); each plan converts
-to angular rates on entry.
+to angular rates on entry.  The atom section is checked the same way,
+against AtomParams' fields under the keys of ``_ATOM_FIELDS``.
 """
 
 from __future__ import annotations
@@ -161,6 +162,20 @@ _RANGES = {
                  f"{SINE_SQUARED!r} or {SQUARE!r}"),
 }
 
+# the atom section's keys, each with the AtomParams field it sets, whose
+# annotated type and default it takes
+_ATOM_FIELDS = {
+    "mass_kg": "mass",
+    "wavelength_d1_m": "wavelength_d1",
+    "wavelength_d2_m": "wavelength_d2",
+    "nominal_wavelength_m": "nominal_wavelength",
+    "gravity_m_s2": "gravity",
+    "lattice_manifold": "lattice_manifold",
+}
+_ATOM_FIELD_SCHEMAS = _dataclass_schemas(AtomParams)[0]
+_ATOM_SCHEMA = {key: _ATOM_FIELD_SCHEMAS[name]
+                for key, name in _ATOM_FIELDS.items()}
+
 _ARM_SCHEMA = {
     "amplitude_re": ((int, float), None),
     "amplitude_im": ((int, float), 0.0),
@@ -227,12 +242,11 @@ def validate_config(doc: dict) -> ResolvedConfig:
         raise ConfigurationError(
             f"unknown plan {plan!r}; valid kinds: {sorted(PLAN_CATALOG)}")
 
-    atom_section = doc.get("atom", {})
-    if not isinstance(atom_section, dict):
-        raise ConfigurationError("atom must be a JSON object")
+    atom_section = _apply_schema(doc.get("atom", {}), _ATOM_SCHEMA, "atom")
     try:
-        atom = AtomParams.from_dict(atom_section)
-    except (ValueError, TypeError, OverflowError) as exc:
+        atom = AtomParams(**{_ATOM_FIELDS[key]: value
+                             for key, value in atom_section.items()})
+    except ValueError as exc:
         raise ConfigurationError(f"atom section: {exc}") from exc
 
     params = _apply_schema(doc.get("params", {}), _PARAM_SCHEMAS[plan],
@@ -256,7 +270,7 @@ def validate_config(doc: dict) -> ResolvedConfig:
 
     resolved = {
         "plan": plan,
-        "atom": atom.to_dict(),
+        "atom": atom_section,
         "params": params,
         "toggles": toggles,
         "output": output,

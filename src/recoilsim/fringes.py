@@ -56,6 +56,10 @@ class GridSpec:
     def dims(self) -> int:
         return len(self.shape)
 
+    @property
+    def axes(self) -> tuple[str, ...]:
+        return ("z", "x")[:self.dims]
+
     def coordinates(self, axis: int) -> np.ndarray:
         """Positions (m) on axis 0 (z) or 1 (x): [0.0] on x of a 1-D grid."""
         if axis >= self.dims:
@@ -90,21 +94,6 @@ class FringePattern:
 
     grid: GridSpec
     samples: np.ndarray
-
-    @property
-    def pitch(self) -> float:
-        return self.grid.pitch
-
-    @property
-    def dims(self) -> int:
-        return self.grid.dims
-
-    @property
-    def axes(self) -> tuple[str, ...]:
-        return ("z", "x")[:self.dims]
-
-    def axis_coordinates(self, axis_index: int) -> np.ndarray:
-        return self.grid.coordinates(axis_index)
 
 
 @dataclass
@@ -288,9 +277,10 @@ def extract_spacing(pattern: FringePattern, axis: str = "z") -> SpacingEstimate:
 
     The uncertainty is one frequency bin, converted to a period difference.
     """
-    if axis not in pattern.axes:
+    axes = pattern.grid.axes
+    if axis not in axes:
         raise ConfigurationError(f"pattern has no axis {axis!r}")
-    others = tuple(j for j, name in enumerate(pattern.axes) if name != axis)
+    others = tuple(j for j, name in enumerate(axes) if name != axis)
     data = pattern.samples.mean(axis=others)
     data = data - data.mean()
     n = data.shape[0]
@@ -305,7 +295,7 @@ def extract_spacing(pattern: FringePattern, axis: str = "z") -> SpacingEstimate:
         raise NoFringeError(
             f"no spectral peak above {PEAK_OVER_BACKGROUND}x background on "
             f"axis {axis!r}")
-    span = n * pattern.pitch
+    span = n * pattern.grid.pitch
     freq = peak_idx / span
     period = 1.0 / freq
     uncertainty = period ** 2 / span  # one bin, |d(1/f)| = f^-2 * df
@@ -321,8 +311,8 @@ def contrast(pattern: FringePattern,
     data = pattern.samples
     if envelope is not None:
         half = envelope.length / 2
-        central = [np.flatnonzero(np.abs(pattern.axis_coordinates(i)) <= half)
-                   for i in range(pattern.dims)]
+        central = [np.flatnonzero(np.abs(pattern.grid.coordinates(i)) <= half)
+                   for i in range(pattern.grid.dims)]
         if all(run.size for run in central):
             data = data[tuple(slice(run[0], run[-1] + 1) for run in central)]
     hi = float(data.max())

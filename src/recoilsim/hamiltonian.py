@@ -4,7 +4,7 @@ The frame convention: optical and hyperfine frequencies are already removed,
 and each internal level is additionally shifted by the kinetic energy of an
 anchor rung (per epoch), so the transition chain a pulse targets sits at
 exactly zero diagonal; on a basis with a one-rung axis the anchors take
-that rung (``compile_from_epoch``).  What remains on the diagonal is the
+that rung (``compile_plan``).  What remains on the diagonal is the
 real physics a chirped synthesizer cannot remove for more than one
 momentum class at a time: quadratic recoil/Doppler mismatches of all the
 other rungs.  A second synthesizer tone inside the same window is
@@ -39,15 +39,14 @@ all events, with their pattern, rate and frame-shift values, in a few
 array operations.  It keeps tables of O(couplings), two entries per
 coupled pair, shared by the epochs whose families couple the same pairs;
 an epoch's dense operator is assembled from them when the epoch comes
-up.  ``compile_epoch`` and ``compile_from_epoch`` are that pass over one
-epoch, so each value has one implementation.
+up (``compile_from_epoch``), so each value has one implementation.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -55,13 +54,10 @@ import numpy as np
 from .basis import LEVEL_ORDER, LEVELS, Basis, RecoilState, WaveFunction
 from .errors import ConfigurationError
 from .params import AtomParams, InternalLevel
-from .pulses import (CHANNEL_LAMBDA, CHANNEL_RAMAN, Epoch, SIGMA_LEG)
+from .pulses import CHANNEL_LAMBDA, CHANNEL_RAMAN, SIGMA_LEG
 
 
 _EXCITED = np.array([level.is_excited for level in LEVELS])
-
-# an epoch's part of a plan pass, which assembles its operator when called
-Tables = Callable[[], "EpochHamiltonian"]
 
 
 def _in_order_sum(rows: np.ndarray, empty):
@@ -154,6 +150,8 @@ class EpochHamiltonian:
         envelopes = self.envelope_table(np.linspace(t0, t1, 257))[live]
         scales = elem[live] / self.peak[live].reshape((-1,) + (1,) * (
             elem.ndim - 1))
+        # an unbatched operator skips the distinct-row path below, which
+        # would cost raman2d's 303 bound calls 3.5-4.4 ms a run
         if not (np.ndim(diag_max) or elem.ndim > 1):
             return _window_bound(diag_max, scales[:, None], envelopes)
         # batch members mostly share their peak elements (over a detuning
@@ -210,25 +208,17 @@ class EpochHamiltonian:
         return op
 
 
-def _gauged(basis: Basis, anchors: dict) -> dict:
-    """``anchors`` with each rung on a one-rung axis of ``basis`` set to
-    that rung (``compile_from_epoch``)."""
-    (z_lo, z_hi), (x_lo, x_hi) = basis.window_z(), basis.window_x()
-    return {level: (z_lo if z_lo == z_hi else n_z,
-                    x_lo if x_lo == x_hi else n_x)
-            for level, (n_z, n_x) in anchors.items()}
-
-
-def _assemble(kinetic, codes, decay, shifts, envelopes, peak, index,
-              partner, code, values, rates, batch, sweeps) -> EpochHamiltonian:
-    """One epoch's operator from its part of a plan pass (``_plan_pass``):
-    the lattice's kinetic rates, level codes and decay rates, the epoch's
-    frame shift per level, its families' envelopes and peaks, and its
-    entries, two for each coupled pair, one for each of its states: the
-    flat position in the (F, n) family rows, the partner state, and the
-    value ``code``, 2 f for the target state of family f and 2 f + 1 for
-    its source state, which picks the pattern and rate from ``values`` and
-    ``rates`` (F, 2).  A family whose tone sweeps an array of detunings or
+def compile_from_epoch(kinetic, codes, decay, shifts, envelopes, peak, index,
+                       partner, code, values, rates, batch,
+                       sweeps) -> EpochHamiltonian:
+    """One epoch's operator from its tables, its part of a plan pass
+    (``compile_plan``): the lattice's kinetic rates, level codes and decay
+    rates, the epoch's frame shift per level, its families' envelopes and
+    peaks, and its entries, two for each coupled pair, one for each of its
+    states: the flat position in the (F, n) family rows, the partner
+    state, and the value ``code``, 2 f for the target state of family f
+    and 2 f + 1 for its source state, which picks the pattern and rate
+    from ``values`` and ``rates`` (F, 2).  A family whose tone sweeps an array of detunings or
     phases, giving the epoch its ``batch`` shape, gets its values from
     ``sweeps`` instead, as (family, source states, target states, pattern
     at the targets, rates)."""
@@ -264,11 +254,11 @@ def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _plan_pass(basis: Basis, epochs, atom: AtomParams,
-               decay_rate: float) -> Iterator[Tables]:
+               decay_rate: float) -> Iterator[tuple]:
     """The tables of each of ``epochs``, (events, anchors) pairs, on
-    ``basis``, taken in turn: each assembles its epoch's operator when
-    called (``_assemble``).  An event on a level outside the basis is
-    refused here, before any epoch runs.
+    ``basis``, taken in turn: the arguments of ``compile_from_epoch``,
+    which assembles the epoch's operator from them.  An event on a level
+    outside the basis is refused here, before any epoch runs.
 
     The coupled pairs come from one comparison of each event's source
     level and rung with every state, and one ``Basis.locate`` of their
@@ -334,7 +324,9 @@ def _plan_pass(basis: Basis, epochs, atom: AtomParams,
     spec = np.array(spec, dtype=np.int64).reshape(-1, 8)
     bounds = np.array(first)
     # an epoch's kind is the pairs its families couple, set by the first
-    # six columns; ``head`` is the first epoch of each kind
+    # six columns; ``head`` is the first epoch of each kind.  Finding pairs
+    # for every epoch instead keeps every byte but costs the ladder's pass
+    # 0.8-1.0 ms a run, and its peak memory more
     kinds, kind, head = {}, [], []
     key, width = spec[:, :6].tobytes(), 6 * spec.itemsize
     for k in range(len(epochs)):
@@ -397,41 +389,21 @@ def _plan_pass(basis: Basis, epochs, atom: AtomParams,
                 np.asarray(0.5 * np.exp(1j * event.phase))[..., None],
                 np.asarray(tone[s] + event.bias_detuning - shift[s])
                 [..., None]),)
-    return (partial(_assemble, kinetic, basis.level_codes, decay, shifts[k],
-                    tuple(envelopes[first[k]:first[k + 1]]),
-                    peak[first[k]:first[k + 1]],
-                    *(a[start[kind[k]]:stop[kind[k]]]
-                      for a in (index, partner, code)),
-                    values[first[k]:first[k + 1]],
-                    rates[first[k]:first[k + 1]],
-                    batches.get(k, ()), sweeps.get(k, ()))
+    return ((kinetic, basis.level_codes, decay, shifts[k],
+             tuple(envelopes[first[k]:first[k + 1]]),
+             peak[first[k]:first[k + 1]],
+             *(a[start[kind[k]]:stop[kind[k]]]
+               for a in (index, partner, code)),
+             values[first[k]:first[k + 1]], rates[first[k]:first[k + 1]],
+             batches.get(k, ()), sweeps.get(k, ()))
             for k in range(len(epochs)))
 
 
 def compile_plan(basis: Basis, epochs, atom: AtomParams,
-                 decay_rate: float = 0.0) -> Iterator[Tables]:
-    """The plan pass: the tables of each of ``epochs`` on ``basis``, each
-    gauged as ``compile_from_epoch`` gauges it."""
-    return _plan_pass(basis, [(epoch.events, _gauged(basis, epoch.anchors))
-                              for epoch in epochs], atom, decay_rate)
-
-
-def compile_epoch(basis: Basis, events, atom: AtomParams,
-                  anchors: dict[InternalLevel, tuple[int, int]] | None = None,
-                  decay_rate: float = 0.0) -> EpochHamiltonian:
-    """Turn an epoch's active events into a ready-to-integrate operator,
-    with one coupling family per event.  A Raman tone with an array bias
-    detuning or phase gives one batch member per entry."""
-    return next(_plan_pass(basis, [(tuple(events), anchors or {})], atom,
-                           decay_rate))()
-
-
-def compile_from_epoch(basis: Basis, epoch: Epoch, atom: AtomParams,
-                       decay_rate: float = 0.0,
-                       tables: Tables | None = None) -> EpochHamiltonian:
-    """Compile an epoch on ``basis``, with its anchors gauged to it; from
-    ``tables``, this epoch's part of a ``compile_plan`` pass made on
-    ``basis`` with ``atom`` and ``decay_rate``, if given.
+                 decay_rate: float) -> Iterator[tuple]:
+    """The plan pass: the tables of each of ``epochs`` on ``basis``, with
+    one coupling family per event; a Raman tone with an array bias
+    detuning or phase gives one batch member per entry.
 
     Along an axis where the basis holds one rung (the cross axis of an
     arm's lattice), every anchored level is anchored on that rung: the
@@ -439,10 +411,11 @@ def compile_from_epoch(basis: Basis, epoch: Epoch, atom: AtomParams,
     common-mode term that would add only a global phase but would still
     throttle the step size.  Levels without an anchor stay unshifted.
     """
-    if tables is None:
-        return compile_epoch(basis, epoch.events, atom,
-                             _gauged(basis, epoch.anchors), decay_rate)
-    return tables()
+    (z_lo, z_hi), (x_lo, x_hi) = basis.window_z(), basis.window_x()
+    return _plan_pass(basis, [(epoch.events, {
+        level: (z_lo if z_lo == z_hi else n_z, x_lo if x_lo == x_hi else n_x)
+        for level, (n_z, n_x) in epoch.anchors.items()}) for epoch in epochs],
+        atom, decay_rate)
 
 
 def dark_state(rabi_plus: float, rabi_minus: float, n_origin: int,

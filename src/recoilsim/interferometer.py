@@ -117,9 +117,9 @@ def run_sequence_on_arm(arms: list[ArmTrack], plan: SequencePlan,
     batch under the one ``plan``.
 
     An arm's lattice spans the sequence's rungs and its own along ``axis``
-    and holds the single rung of its cross axis, on which
-    ``compile_from_epoch`` anchors the frame, so every arm runs in the
-    frame of its own transverse motion.  Arms whose lattices coincide are
+    and holds the single rung of its cross axis, on which the plan pass
+    (``compile_plan``) anchors the frame, so every arm runs in the frame
+    of its own transverse motion.  Arms whose lattices coincide are
     member rows of one wavefunction on it, so the plan is compiled in one
     pass per lattice and each epoch is assembled, sampled and checked
     once per lattice; every member keeps the active set, operator, bound

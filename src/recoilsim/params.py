@@ -108,33 +108,6 @@ class AtomParams:
         """Kinetic energy of lattice momentum (n_z, n_x) as an angular rate."""
         return self.recoil_frequency * (n_z ** 2 + n_x ** 2)
 
-    def to_dict(self) -> dict:
-        return {
-            "mass_kg": self.mass,
-            "wavelength_d1_m": self.wavelength_d1,
-            "wavelength_d2_m": self.wavelength_d2,
-            "nominal_wavelength_m": self.nominal_wavelength,
-            "gravity_m_s2": self.gravity,
-            "lattice_manifold": self.lattice_manifold,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AtomParams":
-        mapping = {
-            "mass_kg": "mass",
-            "wavelength_d1_m": "wavelength_d1",
-            "wavelength_d2_m": "wavelength_d2",
-            "nominal_wavelength_m": "nominal_wavelength",
-            "gravity_m_s2": "gravity",
-            "lattice_manifold": "lattice_manifold",
-        }
-        kwargs = {}
-        for key, value in data.items():
-            if key not in mapping:
-                raise ValueError(f"unknown atom parameter: {key!r}")
-            kwargs[mapping[key]] = value
-        return cls(**kwargs)
-
 
 def rb87() -> AtomParams:
     """Default rubidium-87 parameter set."""

@@ -491,14 +491,16 @@ def _finish_2d(tl: _Timeline, params: Plan2DParams, atom: AtomParams,
             f"closure mismatch z={sep_z * 1e6:.1f} um, x={sep_x * 1e6:.1f} um "
             f"exceeds {tol * 1e6:.0f} um")
     lam = atom.lattice_wavelength
+    # the round-number estimates, 100 nm / (P / 2) at the nominal 800 nm
+    nominal = atom.nominal_wavelength / 8
     p_half = params.p_pulses // 2
     q_half = params.q_pulses // 2
     extras = {
         "delta_n_z": dn_z, "delta_n_x": dn_x,
         "expected_spacing_z_m": lam / dn_z if dn_z else math.inf,
         "expected_spacing_x_m": lam / dn_x if dn_x else math.inf,
-        "nominal_spacing_z_m": 100e-9 / p_half if p_half else math.inf,
-        "nominal_spacing_x_m": 100e-9 / q_half if q_half else math.inf,
+        "nominal_spacing_z_m": nominal / p_half if p_half else math.inf,
+        "nominal_spacing_x_m": nominal / q_half if q_half else math.inf,
         "convergence_speed_z_m_s": dn_z * atom.recoil_velocity,
         "convergence_speed_x_m_s": dn_x * atom.recoil_velocity,
         "x_drift_s": dx,

@@ -110,11 +110,12 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
     """Integrate wavefunctions through every epoch of a sequence plan.
 
     ``psi`` is one wavefunction or a list of them, each on its own basis,
-    all run under the one ``plan``; each epoch is compiled on each basis,
-    whose one-rung axis, if any, gauges the frame (``compile_from_epoch``),
-    from one plan pass per basis (``compile_plan``), made when the plan
-    starts, so that an event outside a basis is refused before the first
-    step, and again for the epochs left after the basis grows.
+    all run under the one ``plan``; each epoch is compiled on each basis
+    (``compile_from_epoch``) from one plan pass per basis
+    (``compile_plan``), which gauges the frame to the basis's one-rung
+    axis, if any.  The pass is made when the plan starts, so that an event
+    outside a basis is refused before the first step, and again for the
+    epochs left after the basis grows.
     A wavefunction may hold a batch of members (B, n), such as one state
     under a pulse compiled at B detunings; then its ``psi`` and ``loss`` in
     the result are per member too.  The result holds ``psi`` and ``loss``
@@ -166,8 +167,7 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
             if tables[b] is None:
                 tables[b] = compile_plan(basis, plan.epochs[k:], atom,
                                          decay_rate)
-            compiled = compile_from_epoch(basis, epoch, atom, decay_rate,
-                                          next(tables[b]))
+            compiled = compile_from_epoch(*next(tables[b]))
             active = compiled.active_mask(amps[b])
             alike = {}
             for r, row in enumerate(active):

@@ -15,7 +15,7 @@ from recoilsim.basis import Basis, RecoilState, WaveFunction
 from recoilsim.fringes import (GridSpec, extract_spacing, ramsey_scan,
                                scan_minimum_near, synthesize)
 from recoilsim.params import InternalLevel, rb87
-from recoilsim.patterngen import TargetPattern, gear_silhouette, roundtrip
+from recoilsim.patterngen import gear_silhouette, roundtrip
 from recoilsim.plans import LAMBDA_LEVELS
 from recoilsim.propagate import evolve_plan, ladder_basis
 from recoilsim.pulses import (Epoch, SequencePlan, adiabaticity_parameter,
@@ -256,16 +256,16 @@ def test_criterion_8_ramsey_readout(ramsey_run):
 def test_criterion_9_pattern_round_trip():
     worst = 0.0
     for value in (-1.0, 0.0, 0.6, 1.0):
-        rep = roundtrip(TargetPattern(np.full((32, 32), value)))
+        rep = roundtrip(np.full((32, 32), value))
         worst = max(worst, rep.max_abs_error)
         assert rep.max_abs_error < 1e-12
 
     gradient = np.outer(np.linspace(-1, 1, 64), np.ones(64))
-    rep = roundtrip(TargetPattern(gradient))
+    rep = roundtrip(gradient)
     worst = max(worst, rep.max_abs_error)
     assert rep.max_abs_error < 1e-12
 
-    rep = roundtrip(TargetPattern(gear_silhouette(64)))
+    rep = roundtrip(gear_silhouette(64))
     worst = max(worst, rep.max_abs_error)
     assert rep.max_abs_error < 1e-12
     report(9, f"constant, gradient and silhouette round trips all within "

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from recoilsim import ckernel, cli, interferometer, plans
 from recoilsim.cli import main
-from recoilsim.config import (_OUTPUT_SCHEMAS, _PARAM_SCHEMAS, _RANGES,
-                              _TOGGLE_SCHEMAS, MAX_PULSES, PLAN_CATALOG,
-                              list_plans, load_config, validate_config)
-from recoilsim.params import AtomParams
+from recoilsim.config import (_ATOM_SCHEMA, _OUTPUT_SCHEMAS, _PARAM_SCHEMAS,
+                              _RANGES, _TOGGLE_SCHEMAS, MAX_PULSES,
+                              PLAN_CATALOG, list_plans, load_config,
+                              validate_config)
 from recoilsim.errors import ConfigurationError
 from recoilsim.fringes import MAX_GRID_SAMPLES
 from recoilsim.output import config_hash
@@ -214,7 +214,14 @@ RESOLVED_HASHES = {
     "split2d": "30ec780670fc",
     "fringes": "7b70fc0d3794",
     "pattern": "32a8f23b4631",
+    "every atom key": "a7bc19687493",
 }
+
+# a document that sets every atom key, one float as an int
+ATOM_DOCUMENT = {"plan": "figure3", "atom": {
+    "mass_kg": 1.44e-25, "wavelength_d1_m": 795e-9,
+    "wavelength_d2_m": 780e-9, "nominal_wavelength_m": 8e-7,
+    "gravity_m_s2": 9, "lattice_manifold": "d1"}}
 
 # the least document of each plan: fringes and pattern have required keys
 LEAST_DOCUMENTS = {
@@ -229,6 +236,7 @@ def test_resolved_documents_are_pinned():
             for path in sorted(configs.glob("*.json"))}
     docs.update({plan: {"plan": plan, **LEAST_DOCUMENTS.get(plan, {})}
                  for plan in PLAN_CATALOG})
+    docs["every atom key"] = ATOM_DOCUMENT
     assert {name: config_hash(validate_config(doc).resolved)
             for name, doc in docs.items()} == RESOLVED_HASHES
     for plan, cls in [("figure3", Figure3Params), ("split1d", Plan1DParams),
@@ -300,6 +308,13 @@ def rejected(number, doc, message):
                   "params": {"arms": [{**ARM, "n_z": 10 ** 308},
                                       {**ARM, "n_z": -10 ** 308}]}},
              "only 0.0 samples per period on n_z"),
+    # JSON true is no number, though Python's bool is an int
+    *(rejected(number, {"plan": "figure3", "atom": {key: True},
+                        "params": {"n_pairs": 1}},
+               f"atom.{key} has the wrong type")
+      for number, key in enumerate(("mass_kg", "wavelength_d1_m",
+                                    "wavelength_d2_m", "nominal_wavelength_m",
+                                    "gravity_m_s2"), 11)),
 ])
 def test_rejected_at_load_before_any_run(tmp_path, capsys, monkeypatch, doc,
                                          message):
@@ -592,8 +607,7 @@ def config_documents(draw):
         "params": _PARAM_SCHEMAS[schema_plan],
         "toggles": _TOGGLE_SCHEMAS[schema_plan],
         "output": _OUTPUT_SCHEMAS[schema_plan],
-        "atom": {key: (None, value)
-                 for key, value in AtomParams().to_dict().items()},
+        "atom": _ATOM_SCHEMA,
     }
     doc = {"plan": plan} if draw(st.integers(0, 9)) else {}
     for name, schema in sections.items():

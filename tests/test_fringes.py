@@ -333,8 +333,8 @@ def test_c_fringe_field_is_the_plain_sum_in_every_zero_sign(atom, arms,
 def ix_contrast(pattern, envelope):
     """contrast with the central region copied out through np.ix_."""
     data = pattern.samples
-    central = [np.abs(pattern.axis_coordinates(i)) <= envelope.length / 2
-               for i in range(pattern.dims)]
+    central = [np.abs(pattern.grid.coordinates(i)) <= envelope.length / 2
+               for i in range(pattern.grid.dims)]
     if all(mask.any() for mask in central):
         data = data[np.ix_(*central)]
     hi, lo = float(data.max()), float(data.min())
@@ -386,7 +386,7 @@ def test_envelope_limits_fringe_field(atom):
     env = CoherenceEnvelope(length=100e-9)  # absurdly short, visible in grid
     grid = GridSpec(pitch=0.25e-9, shape=(4096,))
     pattern = synthesize(equal_arms((0, 0), (94, 0)), grid, atom, env)
-    z = pattern.axis_coordinates(0)
+    z = pattern.grid.coordinates(0)
     outside = pattern.samples[np.abs(z) > 5 * env.length]
     assert outside.max() < 1e-3
 

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from recoilsim import propagate
 from recoilsim.basis import Basis, RecoilState
 from recoilsim.errors import ConfigurationError
-from recoilsim.hamiltonian import (EpochHamiltonian, compile_epoch,
-                                   compile_from_epoch, dark_state)
+from recoilsim.hamiltonian import (EpochHamiltonian, _plan_pass,
+                                   compile_from_epoch, compile_plan,
+                                   dark_state)
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.plans import (Figure3Params, Plan1DParams, Plan2DParams,
                              RamseyParams, run_figure3, run_plan_1d_adiabatic,
@@ -38,6 +39,13 @@ def sigma_event(pol, direction, peak=1e6, duration=1e-6):
     return PulseEvent(envelope=PulseEnvelope(SQUARE, peak, 0.0, duration),
                       polarization=pol, axis="z", direction=direction,
                       channel="adiabatic_lambda")
+
+
+def compile_epoch(basis, events, atom, anchors=None, decay_rate=0.0):
+    """An epoch of ``events`` compiled alone, from a one-epoch plan pass
+    that takes its ``anchors`` as given: no gauge to the basis."""
+    return compile_from_epoch(*next(_plan_pass(
+        basis, [(tuple(events), anchors or {})], atom, decay_rate)))
 
 
 def dense(h, t, member=0):
@@ -569,8 +577,10 @@ TRANSFER = single_pulse_plan(copropagating_pulse(math.pi, 1e6, "c-a",
 def test_compile_from_epoch_anchors_on_the_cross_rung(atom, plan, basis, axis,
                                                       cross):
     gauged = anchor_cross_axis(plan, axis, cross)
-    for epoch, reference in zip(plan.epochs, gauged.epochs):
-        h = compile_from_epoch(basis, epoch, atom, 1e5)
+    for epoch, reference, tables in zip(
+            plan.epochs, gauged.epochs,
+            compile_plan(basis, plan.epochs, atom, 1e5)):
+        h = compile_from_epoch(*tables)
         ref = compile_epoch(basis, reference.events, atom, reference.anchors,
                             1e5)
         for name in ("diagonal", "decay", "perm", "pattern", "rate", "peak"):
@@ -591,13 +601,20 @@ def test_a_plan_pass_assembles_each_epoch_as_compiled_alone(atom,
     # detunings, equals its epoch compiled alone, byte for byte; figure3
     # runs with decay, and the ladders grow their windows, so some epochs
     # come from a pass made after a growth
-    compile_from = propagate.compile_from_epoch
+    compile_from, compile_pass = propagate.compile_from_epoch, \
+        propagate.compile_plan
     extend = propagate._extend
     grown, seen = [], Counter()
 
-    def checked_compile(basis, epoch, *args):
-        h = compile_from(basis, epoch, *args)
-        alone = compile_from(basis, epoch, *args[:-1])
+    # each pass hands its lattice, epoch and arguments to the compile with
+    # its tables
+    def recording_pass(basis, epochs, *args):
+        return ((basis, epoch, args, *tables) for epoch, tables in
+                zip(epochs, compile_pass(basis, epochs, *args)))
+
+    def checked_compile(basis, epoch, args, *tables):
+        h = compile_from(*tables)
+        alone = compile_from(*next(compile_pass(basis, [epoch], *args)))
         for name in ("perm", "pattern", "rate", "diagonal", "decay", "peak"):
             assert identical(getattr(h, name), getattr(alone, name)), name
         assert len(h.envelopes) == len(alone.envelopes)
@@ -614,6 +631,7 @@ def test_a_plan_pass_assembles_each_epoch_as_compiled_alone(atom,
         return new_basis, new_amps
 
     monkeypatch.setattr(propagate, "compile_from_epoch", checked_compile)
+    monkeypatch.setattr(propagate, "compile_plan", recording_pass)
     monkeypatch.setattr(propagate, "_extend", recording_extend)
     run_figure3(Figure3Params(n_pairs=4, decay_gamma_hz=1e6), atom)
     run_plan_1d_adiabatic(Plan1DParams(ladder_n=2, drift1_s=0.06), atom)

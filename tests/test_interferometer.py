@@ -175,13 +175,15 @@ def test_batched_stage_matches_lone_arms(atom, monkeypatch):
     compile_from_epoch = propagate.compile_from_epoch
     compile_plan = propagate.compile_plan
 
-    def recording_compile(basis, epoch, *args):
+    # each pass hands its epoch to the compile with its tables
+    def recording_compile(epoch, *tables):
         compiled.append(epoch)
-        return compile_from_epoch(basis, epoch, *args)
+        return compile_from_epoch(*tables)
 
     def recording_pass(basis, epochs, *args):
         passes.append(len(epochs))
-        return compile_plan(basis, epochs, *args)
+        return ((epoch, *tables) for epoch, tables in
+                zip(epochs, compile_plan(basis, epochs, *args)))
 
     def recording_rk4(parts, *args):
         widths.append(sum(len(rows) for *_, rows in parts))
@@ -237,13 +239,15 @@ def test_a_shared_lattice_grows_for_one_member_and_keeps_the_other(
     compile_from_epoch = propagate.compile_from_epoch
     compile_plan = propagate.compile_plan
 
-    def recording_compile(basis, epoch, *args):
+    # each pass hands its epoch to the compile with its tables
+    def recording_compile(epoch, *tables):
         epochs.append(epoch.label)
-        return compile_from_epoch(basis, epoch, *args)
+        return compile_from_epoch(*tables)
 
     def recording_pass(basis, plan_epochs, *args):
         passes.append([epoch.label for epoch in plan_epochs])
-        return compile_plan(basis, plan_epochs, *args)
+        return ((epoch, *tables) for epoch, tables in
+                zip(plan_epochs, compile_plan(basis, plan_epochs, *args)))
 
     def recording_extend(basis, amps):
         grown.append((epochs[-1], basis.window_z(), len(amps)))

@@ -116,6 +116,6 @@ def test_fringe_csv_rows_are_position_and_value(tmp_path):
                             samples)
     _write_fringe(pattern, tmp_path, "run")
     rows = [(z * 1e9, v) for z, v in
-            zip(pattern.axis_coordinates(0), samples)]
+            zip(pattern.grid.coordinates(0), samples)]
     assert (tmp_path / "run.fringe.csv").read_bytes() == whole_buffer_csv(
         ["position_nm", "value"], rows)

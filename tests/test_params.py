@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from recoilsim.config import validate_config
+from recoilsim.errors import ConfigurationError
 from recoilsim.params import (AtomParams, InternalLevel, Manifold, rb87)
 
 
@@ -68,12 +70,6 @@ def test_nonpositive_parameters_rejected(field):
         AtomParams(**{field: -1.0})
 
 
-def test_dict_round_trip():
-    atom = AtomParams(gravity=9.8)
-    again = AtomParams.from_dict(atom.to_dict())
-    assert again == atom
-
-
 def test_unknown_atom_key_rejected():
-    with pytest.raises(ValueError):
-        AtomParams.from_dict({"mass_g": 1.0})
+    with pytest.raises(ConfigurationError):
+        validate_config({"plan": "figure3", "atom": {"mass_g": 1.0}})

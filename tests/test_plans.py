@@ -1,6 +1,7 @@
 """Whole-timeline checks against the narrative bookkeeping."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,6 +197,17 @@ class TestPlan2D:
         assert total_arms + plan2d_run.dropped_total == pytest.approx(
             1.0, abs=1e-7)
         assert total_arms == pytest.approx(1.0, abs=1e-6)
+
+    def test_nominal_spacings_scale_with_the_nominal_wavelength(
+            self, plan2d_run, atom):
+        # 100 nm over P / 2 and Q / 2 at the nominal 800 nm
+        assert plan2d_run.extras["nominal_spacing_z_m"] == 100e-9 / 12
+        assert plan2d_run.extras["nominal_spacing_x_m"] == 100e-9 / 24
+        small = Plan2DParams(p_pulses=4, p_reverse=8, q_pulses=4,
+                             q_reverse=8, drift1_s=0.03)
+        wide = run_plan_2d(small, replace(atom, nominal_wavelength=880e-9))
+        assert wide.extras["nominal_spacing_z_m"] == pytest.approx(55e-9)
+        assert wide.extras["nominal_spacing_x_m"] == pytest.approx(55e-9)
 
     def test_odd_pulse_counts_rejected(self, atom):
         with pytest.raises(Exception):

@@ -16,14 +16,15 @@ from hypothesis import strategies as st
 from recoilsim import ckernel, propagate
 from recoilsim.basis import Basis, RecoilState, WaveFunction
 from recoilsim.errors import ConfigurationError, IntegrationError
-from recoilsim.hamiltonian import (EpochHamiltonian, compile_epoch,
-                                   compile_from_epoch)
+from recoilsim.hamiltonian import (EpochHamiltonian, compile_from_epoch,
+                                   compile_plan)
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.propagate import (STABILITY_LIMIT, check_stability,
                                  evolve_plan)
 from recoilsim.pulses import (SINE_SQUARED, SQUARE, Epoch, PulseEnvelope,
                               SequencePlan, build_adiabatic_sequence,
-                              effective_pulse, copropagating_pulse)
+                              effective_pulse, copropagating_pulse,
+                              single_pulse_plan)
 
 A, B, C, E1 = (InternalLevel.A, InternalLevel.B, InternalLevel.C,
                InternalLevel.E1)
@@ -93,7 +94,8 @@ def test_step_validates_stability_bound(atom):
     omega = 2 * math.pi * 1e6
     ev = copropagating_pulse(math.pi, omega, "a-c", axis="x")
     basis = Basis([A, C], range(-1, 2))
-    h = compile_epoch(basis, [ev], atom)
+    h = compile_from_epoch(*next(compile_plan(
+        basis, single_pulse_plan(ev).epochs, atom, 0.0)))
     limit = STABILITY_LIMIT / h.max_element()
     with pytest.raises(IntegrationError):
         check_stability(h, 2 * limit)
@@ -982,12 +984,13 @@ def chunk_cases(atom):
     state, a step count and an observer count whose stride divides none of
     the chunks."""
     epoch = build_adiabatic_sequence(2, 50e-9, 2 * math.pi * 1e8).epochs[1]
-    ladder = compile_from_epoch(propagate.ladder_basis([A, B, E1], [-2, -4]),
-                                epoch, atom)
+    ladder = compile_from_epoch(*next(compile_plan(
+        propagate.ladder_basis([A, B, E1], [-2, -4]), [epoch], atom, 0.0)))
     omega = 2 * math.pi * 4e5
     raman_epoch = two_level_plan(atom, omega, math.pi / omega,
                                  0.3 * omega).epochs[0]
-    raman = compile_from_epoch(Basis([A, C], range(-4, 3)), raman_epoch, atom)
+    raman = compile_from_epoch(*next(compile_plan(
+        Basis([A, C], range(-4, 3)), [raman_epoch], atom, 0.0)))
     rng = np.random.default_rng(11)
     for h, ep in ((ladder, epoch), (raman, raman_epoch)):
         n = h.diagonal.shape[-1]

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from recoilsim.basis import Basis, RecoilState
 from recoilsim.errors import ConfigurationError
-from recoilsim.hamiltonian import compile_epoch, compile_from_epoch
+from recoilsim.hamiltonian import compile_from_epoch, compile_plan
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.propagate import default_dt, ladder_basis
-from recoilsim.pulses import (PulseEnvelope, SINE_SQUARED, SQUARE,
+from recoilsim.pulses import (Epoch, PulseEnvelope, SINE_SQUARED, SQUARE,
                               adiabaticity_parameter,
                               build_adiabatic_sequence, build_raman_sequence,
                               copropagating_pulse, counter_intuitive_pair,
@@ -78,7 +78,7 @@ def test_array_envelope_is_the_scalar_formula_at_every_ladder_substage(atom):
     # start, the other closes at its end)
     epoch = build_adiabatic_sequence(2, 50e-9, TWO_PI * 1e8).epochs[1]
     basis = ladder_basis([A, B, E1], [-2, -4])
-    h = compile_from_epoch(basis, epoch, atom)
+    h = compile_from_epoch(*next(compile_plan(basis, [epoch], atom, 0.0)))
     n_steps = math.ceil(epoch.duration / default_dt(h, 32.0, epoch.t_start,
                                                     epoch.t_end))
     dt = epoch.duration / n_steps
@@ -157,7 +157,9 @@ def tone_rate(atom, from_state, to_state, anchors=None, **kw):
     tone's detuning from the pair's transition in the anchored frame."""
     ev = effective_pulse(math.pi, 1e6, from_state, to_state, "z", **kw)
     basis = Basis([A, C], range(-12, 13))
-    h = compile_epoch(basis, [ev], atom, anchors)
+    epoch = Epoch(ev.envelope.start, ev.envelope.duration, (ev,),
+                  anchors or {})
+    h = compile_from_epoch(*next(compile_plan(basis, [epoch], atom, 0.0)))
     (perm,), (rate,) = h.perm, h.rate
     i = basis.index_of(from_state)
     assert perm[i] == basis.index_of(to_state)

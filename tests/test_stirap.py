@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from recoilsim.basis import Basis, RecoilState, WaveFunction
-from recoilsim.hamiltonian import compile_epoch, dark_state
+from recoilsim.hamiltonian import dark_state
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.propagate import evolve_plan, ladder_basis
 from recoilsim.pulses import (Epoch, PulseEnvelope, PulseEvent, SQUARE,
