@@ -15,7 +15,10 @@ Only the calls of the step loop are timed, not the binding.  A call with
 rates makes its phase ramps inside the kernel, so its time includes them.
 
 Prints, for each build, the kernel time of one replay in ms and the ns per
-state-step, the median and the fastest of the rounds.  Exits 1 if any
+state-step, the median and the fastest of the rounds; then the recorded
+run's wall time in ``evolve_plan`` (every call, less the time the
+recording itself took) and the part of it outside the step loop: that
+time less the loaded build's median kernel time.  Exits 1 if any
 replayed state differs, bit for bit, from the recorded run, and so between
 the builds; 2 if no C build loads here or FILE.c gives none.
 """
@@ -34,7 +37,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from recoilsim import ckernel, cli  # noqa: E402
+from recoilsim import ckernel, cli, interferometer, plans  # noqa: E402
 
 
 class Bound:
@@ -57,21 +60,42 @@ class Bound:
                    for _, _, _, lo, hi, _ in self.calls)
 
 
-def record(config: Path) -> list:
-    """Run ``config`` once and return a ``Bound`` of each binding."""
+def record(config: Path) -> tuple[list, float]:
+    """Run ``config`` once and return a ``Bound`` of each binding, and the
+    seconds spent in ``evolve_plan``, less those spent recording."""
     bound = []
     bind = ckernel.bind
+    seconds = {"evolve": 0.0, "recording": 0.0}
 
     def recording(rk4_steps, states, *layout):
         steps = bind(rk4_steps, states, *layout)
+        t0 = time.perf_counter()
         entry = Bound(states, layout)
         bound.append(entry)
+        seconds["recording"] += time.perf_counter() - t0
 
         def run(table, times, m, lo, hi):
             steps(table, times, m, lo, hi)
+            t0 = time.perf_counter()
             entry.record(states, table, times, m, lo, hi)
+            seconds["recording"] += time.perf_counter() - t0
         return run
+
+    def timed(wrapped):
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return wrapped(*args, **kwargs)
+            finally:
+                seconds["evolve"] += time.perf_counter() - t0
+        return run
+
+    # plans and interferometer each hold their own evolve_plan
+    callers = {module: module.evolve_plan for module in (plans,
+                                                         interferometer)}
     ckernel.bind = recording
+    for module, evolve_plan in callers.items():
+        module.evolve_plan = timed(evolve_plan)
     try:
         with tempfile.TemporaryDirectory() as out, \
                 open(os.devnull, "w") as quiet, \
@@ -79,9 +103,11 @@ def record(config: Path) -> list:
             code = cli.main(["run", str(config), "--out", out])
     finally:
         ckernel.bind = bind
+        for module, evolve_plan in callers.items():
+            module.evolve_plan = evolve_plan
     if code != 0:
         sys.exit(f"{config} exited {code}")
-    return bound
+    return bound, seconds["evolve"] - seconds["recording"]
 
 
 def replay(kernel, bound: list) -> tuple[float, bool]:
@@ -130,7 +156,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         builds[f"against {args.against.resolve()}"] = other
-    bound = record(args.config)
+    bound, evolve = record(args.config)
     state_steps = sum(entry.state_steps() for entry in bound)
     times = {name: [] for name in builds}
     same = True
@@ -148,6 +174,10 @@ def main(argv=None) -> int:
               f"{1e3 * fastest:.2f} ms min; "
               f"{1e9 * median / state_steps:.2f} ns per state-step median, "
               f"{1e9 * fastest / state_steps:.2f} min")
+    kernel = statistics.median(next(iter(times.values())))
+    print(f"  recorded run: evolve_plan {1e3 * evolve:.2f} ms, of which "
+          f"{1e3 * (evolve - kernel):.2f} ms outside the loaded build's "
+          f"step loop")
     if not same:
         print("replayed states differ from the recorded run", file=sys.stderr)
         return 1

@@ -32,7 +32,9 @@
 
    The phase ramps e^{i rate t} are made here, before the first, second
    (which the third shares) and last substage of each step, at the times
-   of the step's start, middle and end, into a split (F, size) row: each
+   of the step's start, middle and end, into a split (F, size) row (a
+   step that starts at its predecessor's end time, bit for bit, keeps the
+   ramps of that end): each
    is numpy's exp(1j * t * rate), the two products by cmul and then
    sincos of the imaginary part, as glibc's cexp takes it (the real
    part is a zero, whose exp is 1).  The rates are antisymmetric over
@@ -47,6 +49,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef struct { double re, im; } cplx;
 
@@ -207,11 +210,23 @@ INLINE void sweep(const op_t *op, int64_t families, int rated, int mode,
     }
 }
 
+/* Whether two times are one double, bit for bit (+0.0 and -0.0 are not:
+   the sign of a zero angle is in the ramps). */
+static inline int same_time(double a, double b)
+{
+    uint64_t x, y;
+    memcpy(&x, &a, sizeof x);
+    memcpy(&y, &b, sizeof y);
+    return x == y;
+}
+
 /* Steps lo..hi-1 on the split states ``w``, a sweep per substage: y goes
    from w to ya, yb and ya again, each substage reading it from one buffer
    and writing the next into the other.  With a rate, the ramps are made
    at each step's start, middle and end (``times`` (3, m)) into ``phase``
-   before the substages that use them. */
+   before the substages that use them; a step that starts at the very
+   time the last step of this call ended keeps the ramps made for that
+   end, as a ramp is a function of the rate and the time alone. */
 INLINE void steps(const op_t *op, int64_t families, const double *rate,
                   const double *envelopes, const double *times,
                   double *stages, double *phase, double *w, int64_t lo,
@@ -221,9 +236,10 @@ INLINE void steps(const op_t *op, int64_t families, const double *rate,
     const int rated = rate != NULL;
     double *k1 = stages, *k2 = k1 + 2 * size, *ya = k2 + 2 * size,
            *yb = ya + 2 * size;
+    int kept = 0;       /* whether ``phase`` holds this step's start ramps */
     for (int64_t j = lo; j < hi; j++) {
         const double *env = envelopes + j;
-        if (rated)
+        if (rated && !kept)
             ramps(op, families, rate, times[j], phase);
         sweep(op, families, rated, K1, w, phase, env, k1, k2, ya, NULL);
         if (rated)
@@ -234,6 +250,9 @@ INLINE void steps(const op_t *op, int64_t families, const double *rate,
             ramps(op, families, rate, times[2 * m + j], phase);
         sweep(op, families, rated, K4, ya, phase, env + 2 * m, k1, k2,
               NULL, w);
+        /* set here, not tested against j > lo at the top, which has the
+           compiler peel a first step and so grow the loop by half */
+        kept = j + 1 < hi && same_time(times[2 * m + j], times[j + 1]);
     }
 }
 

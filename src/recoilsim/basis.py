@@ -68,7 +68,7 @@ class Basis:
         grid = np.meshgrid(codes, self.rungs_z, self.rungs_x, indexing="ij")
         self.level_codes, self.n_z, self.n_x = (g.ravel() for g in grid)
         self.n_squared = self.n_z ** 2 + self.n_x ** 2
-        self._level_masks = {}
+        self._level_masks, self._edge_masks = {}, {}
 
     def __len__(self):
         return len(self.level_codes)
@@ -109,6 +109,22 @@ class Basis:
             mask.flags.writeable = False
             self._level_masks[codes] = mask
         return mask
+
+    def edge_mask(self, margin: int) -> np.ndarray:
+        """Which states lie within ``margin`` rungs of the window edge:
+        read-only, made once per margin, as ``evolve_plan`` checks the
+        edge after every epoch.  A one-rung window is a cross axis, not
+        an edge."""
+        near = self._edge_masks.get(margin)
+        if near is None:
+            near = np.zeros(len(self), dtype=bool)
+            for n, (lo, hi) in ((self.n_z, self.window_z()),
+                                (self.n_x, self.window_x())):
+                if hi > lo:
+                    near |= (n <= lo + margin - 1) | (n >= hi - margin + 1)
+            near.flags.writeable = False
+            self._edge_masks[margin] = near
+        return near
 
     def window_z(self) -> tuple[int, int]:
         return int(self.rungs_z[0]), int(self.rungs_z[-1])
@@ -214,17 +230,11 @@ class WaveFunction:
                                 levels)
 
     def boundary_population(self, margin: int = 1):
-        """Probability sitting within ``margin`` rungs of the window edge."""
-        zmin, zmax = self.basis.window_z()
-        xmin, xmax = self.basis.window_x()
-        # a one-rung window is a cross axis, not an edge
-        near = np.zeros(len(self.basis), dtype=bool)
-        if zmax > zmin:
-            near |= (self.basis.n_z <= zmin + margin - 1) | (self.basis.n_z >= zmax - margin + 1)
-        if xmax > xmin:
-            near |= (self.basis.n_x <= xmin + margin - 1) | (self.basis.n_x >= xmax - margin + 1)
+        """Probability sitting within ``margin`` rungs of the window edge
+        (``Basis.edge_mask``)."""
+        near = self.basis.edge_mask(margin)
         return _per_member(
-            np.sum(np.abs(self.amplitudes[..., near]) ** 2, axis=-1))
+            (abs(self.amplitudes[..., near]) ** 2).sum(axis=-1))
 
     def components(self, floor: float = 0.0) -> list[tuple[RecoilState, complex]]:
         """(state, amplitude) pairs with |amp|^2 above ``floor``, basis order."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -269,7 +270,9 @@ def bind(rk4_steps, states, diag, starts, partner, pattern, rate, coef):
     diagonal and the pattern are copied into one float64 block with the
     kernel's scratch (split: real parts, then imaginary parts), the rest
     only if need be.  Every check is made before a pointer reaches C, and
-    ``steps`` holds every array it passes."""
+    ``steps`` holds every array it passes; the verdict on the runs and
+    partners is kept for the last distinct layouts (``_runs_verdict``),
+    and the rates are checked on every call."""
     diag, pattern, coef = (np.ascontiguousarray(a, dtype=np.complex128)
                            for a in (diag, pattern, coef))
     starts, partner = (np.ascontiguousarray(a, dtype=np.int64)
@@ -283,22 +286,13 @@ def bind(rk4_steps, states, diag, starts, partner, pattern, rate, coef):
             ((n,), (4,), (families, n)) or \
             rate is not None and rate.shape != pattern.shape:
         raise ValueError("arrays outside the (n,) operator layout")
-    # a kind of block has a run for each of its positions, so the runs are
-    # few, and they are checked as Python ints
-    edges, mates = starts.tolist(), partner.tolist()
-    if starts.shape != (runs + 1,) or runs < 0 or edges[0] != 0 or \
-            edges[-1] != n or any(a >= b for a, b in zip(edges, edges[1:])):
-        raise ValueError("runs outside the states")
-    lengths = [b - a for a, b in zip(edges, edges[1:])]
-    if partner.shape != (families, runs) or any(
-            not 0 <= p < runs or lengths[p] != lengths[r]
-            for row in mates for r, p in enumerate(row)):
-        raise ValueError("partner run outside the runs or of another length")
-    if rate is not None and any(
-            row[p] != r or p >= r and (rate[f, edges[r]:edges[r + 1]] !=
-                                       -rate[f, edges[p]:edges[p + 1]]).any()
-            for f, row in enumerate(mates) for r, p in enumerate(row)):
-        raise ValueError("rates not antisymmetric over paired partner runs")
+    mate = _runs_verdict(n, families, starts.shape, starts.tobytes(),
+                         partner.shape, partner.tobytes(), rate is not None)
+    if rate is not None:
+        flat = rate.reshape(-1)
+        if (flat != -flat.take(mate)).any():
+            raise ValueError("rates not antisymmetric over paired partner "
+                             "runs")
     # coef, then split (real parts, then imaginary parts): diagonal,
     # pattern, and room for the states, k1, k2, two y and the ramps
     rows = 2 * families if rate is not None else families
@@ -322,6 +316,44 @@ def bind(rk4_steps, states, diag, starts, partner, pattern, rate, coef):
         rk4_steps(*fixed, table.ctypes.data, times.ctypes.data, m, lo, hi)
     steps.held = held
     return steps
+
+
+@lru_cache(maxsize=16)
+def _runs_verdict(n: int, families: int, starts_shape: tuple,
+                  starts: bytes, partner_shape: tuple, partner: bytes,
+                  rated: bool):
+    """``bind``'s checks of the runs ``starts`` and the partner runs
+    ``partner`` of ``families`` families on ``n`` states, given as shapes
+    and int64 bytes, and, when ``rated``, of the partner runs' pairing up:
+    raises where ``bind`` must refuse the layout.  Else, when ``rated``,
+    the flat position in the (F, n) rows of each element's partner
+    (read-only), against which ``bind`` checks the rates.  A verdict is
+    kept for the last distinct layouts, as the parts of a lattice repeat
+    theirs epoch after epoch; a refusal is not, and each layout is keyed
+    by its bytes, so no check is skipped."""
+    starts = np.frombuffer(starts, dtype=np.int64).reshape(starts_shape)
+    partner = np.frombuffer(partner, dtype=np.int64).reshape(partner_shape)
+    runs = len(starts) - 1
+    # a kind of block has a run for each of its positions, so the runs are
+    # few, and they are checked as Python ints
+    edges, mates = starts.tolist(), partner.tolist()
+    if starts.shape != (runs + 1,) or runs < 0 or edges[0] != 0 or \
+            edges[-1] != n or any(a >= b for a, b in zip(edges, edges[1:])):
+        raise ValueError("runs outside the states")
+    lengths = [b - a for a, b in zip(edges, edges[1:])]
+    if partner.shape != (families, runs) or any(
+            not 0 <= p < runs or lengths[p] != lengths[r]
+            for row in mates for r, p in enumerate(row)):
+        raise ValueError("partner run outside the runs or of another length")
+    if not rated:
+        return None
+    if any(row[p] != r for row in mates for r, p in enumerate(row)):
+        raise ValueError("rates not antisymmetric over paired partner runs")
+    # the partner of each element: its run's partner run, at its position
+    mate = (np.arange(n) + n * np.arange(families)[:, None] + np.repeat(
+        starts[partner] - starts[:-1], lengths, axis=-1)).reshape(-1)
+    mate.flags.writeable = False
+    return mate
 
 
 def _choose():

@@ -192,6 +192,25 @@ def _is_finite(value) -> bool:
         return False
 
 
+# a schema's accepted types, and a parsed JSON value's type, as JSON names
+# them: JSON has one number type, and its true and false are no numbers
+_JSON_TYPES = {(int, float): "a number", int: "an integer", bool: "a boolean",
+               str: "a string", list: "an array"}
+_JSON_VALUES = {bool: "a boolean", int: "a number", float: "a number",
+                str: "a string", list: "an array", dict: "an object",
+                type(None): "null"}
+
+
+def _type_error(where: str, types, value) -> ConfigurationError:
+    """``where`` must be of ``types``, and ``value`` is not, in JSON terms:
+    a number for an integer key is named with its value."""
+    got = f"the number {value!r}" if types is int and \
+        type(value) is float else \
+        _JSON_VALUES.get(type(value), type(value).__name__)
+    return ConfigurationError(f"{where} must be {_JSON_TYPES[types]}, "
+                              f"got {got}")
+
+
 def _apply_schema(section: dict, schema: dict, where: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigurationError(f"{where} must be a JSON object")
@@ -204,11 +223,10 @@ def _apply_schema(section: dict, schema: dict, where: str) -> dict:
     for key, (types, default) in schema.items():
         if key in section:
             value = section[key]
-            if isinstance(value, bool) and types is not bool:
-                raise ConfigurationError(f"{where}.{key} has the wrong type")
-            if not isinstance(value, types):
-                raise ConfigurationError(
-                    f"{where}.{key} must be {types}, got {type(value).__name__}")
+            # Python's bool is an int, but JSON's true is no number
+            if isinstance(value, bool) != (types is bool) or \
+                    not isinstance(value, types):
+                raise _type_error(f"{where}.{key}", types, value)
             if types in (int, (int, float)) and not _is_finite(value):
                 raise ConfigurationError(
                     f"{where}.{key} must be finite, got {value!r}")

@@ -40,10 +40,15 @@ array operations.  It keeps tables of O(couplings), two entries per
 coupled pair, shared by the epochs whose families couple the same pairs;
 an epoch's dense operator is assembled from them when the epoch comes
 up (``compile_from_epoch``), so each value has one implementation.
+
+The bound of an operator samples its envelopes at 257 times of the
+epoch's window (``window_samples``); the operators of an epoch's lattices
+share those samples, and a reduced operator takes its families' rows.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -94,6 +99,8 @@ class EpochHamiltonian:
     rate: np.ndarray        # rad/s phase ramp, shaped like pattern (anti-symmetric over the matching)
     envelopes: tuple        # per family: a PulseEnvelope
     peak: np.ndarray        # (F,) peak envelope per family
+    # the window, envelope table and row maxima of ``window_samples``
+    samples: tuple | None = field(default=None, init=False, repr=False)
     _bound: tuple | None = field(default=None, init=False, repr=False)
     _blocks: np.ndarray | None = field(default=None, init=False, repr=False)
     _peaks: tuple | None = field(default=None, init=False, repr=False)
@@ -121,15 +128,26 @@ class EpochHamiltonian:
         |H element| of each family, (F,) or (F, B), and the larger of the
         two (kept)."""
         if self._peaks is None:
-            diag = np.max(np.abs(self._diag_complex), axis=-1, initial=0.0)
+            diag = abs(self._diag_complex).max(axis=-1, initial=0.0)
             peak = self.peak.reshape((-1,) + (1,) * (self.pattern.ndim - 2))
-            elem = peak * np.max(np.abs(self.pattern), axis=-1, initial=0.0)
+            elem = peak * abs(self.pattern).max(axis=-1, initial=0.0)
             self._peaks = (diag, elem,
                            np.maximum(diag, elem.max(axis=0, initial=0.0)))
         return self._peaks
 
     def max_element(self):
         return self._maxima()[2]
+
+    def window_samples(self, t0: float, t1: float) -> tuple:
+        """The window (t0, t1), every family's envelope at the 257 bound
+        times over it, (F, 257), and each family's largest sample, (F,):
+        kept for the last window, and handed down by ``reduced``.  The
+        operators of one epoch share their families, so ``evolve_plan``
+        samples an epoch once and sets ``samples`` on every lattice's."""
+        if self.samples is None or self.samples[0] != (t0, t1):
+            table = self.envelope_table(np.linspace(t0, t1, 257))
+            self.samples = ((t0, t1), table, table.max(axis=1, initial=0.0))
+        return self.samples
 
     def row_bound(self, t0: float | None = None, t1: float | None = None):
         """Gershgorin-style bound on the spectral radius.
@@ -146,13 +164,24 @@ class EpochHamiltonian:
         diag_max, elem, _ = self._maxima()
         if t0 is None or t1 is None or t1 <= t0 or not len(elem):
             return diag_max + _in_order_sum(elem, 0)
-        live = self.peak != 0
-        envelopes = self.envelope_table(np.linspace(t0, t1, 257))[live]
+        _, table, largest = self.window_samples(t0, t1)
+        peaks = self.peak.tolist()
+        live = [f for f, peak in enumerate(peaks) if peak != 0]
+        batched = elem.ndim > 1 or diag_max.ndim
+        if not batched and len(live) == 1:
+            # one family's sum is its row, and fl(scale * x) is monotone in
+            # x for a finite scale >= 0 (peaks and envelopes are >= 0), so
+            # the largest product is the one with the largest sample
+            (f,) = live
+            scale = elem[f] / peaks[f]
+            if math.isfinite(scale):
+                return diag_max + 1.02 * (scale * largest[f])
+        envelopes = table[live]
         scales = elem[live] / self.peak[live].reshape((-1,) + (1,) * (
             elem.ndim - 1))
         # an unbatched operator skips the distinct-row path below, which
         # would cost raman2d's 303 bound calls 3.5-4.4 ms a run
-        if not (np.ndim(diag_max) or elem.ndim > 1):
+        if not batched:
             return _window_bound(diag_max, scales[:, None], envelopes)
         # batch members mostly share their peak elements (over a detuning
         # scan they differ by an ulp at most), so each distinct row of them
@@ -182,15 +211,16 @@ class EpochHamiltonian:
         (one row per member of a batch).  Everything outside stays exactly
         zero under the evolution, so it is excluded with no approximation."""
         labels = self.blocks()
-        supported = np.abs(amps).reshape(-1, len(labels)) > 0.0
+        supported = abs(amps).reshape(-1, len(labels)) > 0.0
         hit = np.zeros(supported.shape, dtype=bool)
-        rows, states = np.nonzero(supported)
+        rows, states = supported.nonzero()
         hit[rows, labels[states]] = True
-        return hit[:, labels].reshape(np.shape(amps))
+        return hit[:, labels].reshape(amps.shape)
 
     def reduced(self, idx: np.ndarray) -> "EpochHamiltonian":
         """Restriction to ``idx``, a union of blocks; families that couple
-        nothing there are dropped.  It keeps this operator's block labels."""
+        nothing there are dropped.  It keeps this operator's block labels
+        and window samples."""
         def restrict(a):        # take() keeps the rows C-contiguous
             return a.take(idx, axis=-1)
         inverse = np.full(self.diagonal.shape[-1], -1, dtype=np.int64)
@@ -198,13 +228,16 @@ class EpochHamiltonian:
         pattern = restrict(self.pattern)
         live = (pattern != 0).any(axis=tuple(range(1, pattern.ndim)))
         perm = inverse[restrict(self.perm[live])]
-        if np.any(perm < 0):
+        if (perm < 0).any():
             raise ValueError("index set not a union of blocks")
         op = EpochHamiltonian(
             restrict(self.diagonal), restrict(self.decay), perm, pattern[live],
             restrict(self.rate[live]), tuple(compress(self.envelopes, live)),
             self.peak[live])
         op._blocks = inverse[self.blocks()[idx]]    # min index to min index
+        if self.samples is not None:
+            window, table, largest = self.samples
+            op.samples = (window, table[live], largest[live])
         return op
 
 

@@ -15,6 +15,16 @@ is the blocks of its support, and ``_rk4`` steps the active states of
 every member of a batch (a detuning scan, the arms of a pulse stage) as
 one vector, in runs that each family couples to one whole partner run.
 
+Most of an epoch's work outside the step loop is per member group, on
+arrays of a few states, so each group costs a fixed number of small
+numpy calls: the epoch's envelopes are sampled for the bounds once for
+every lattice (``EpochHamiltonian.window_samples``), and an unbatched
+operator with one live family takes its bound from that family's
+largest sample, with no sum; a lone part is laid out as it is, a lone
+member is gathered by basic indexing, and one bound gives its step as a
+float, not an array.  ``ckernel.bind`` keeps its verdict on the runs and
+partners of the last distinct layouts, keyed by their bytes.
+
 The step loop runs in C (``ckernel``, ``_rk4.c``), one chunk of steps per
 call, on split real and imaginary arrays: each RK4 substage is one pass
 per run, which the compiler vectorizes and which takes each element from
@@ -37,6 +47,7 @@ the chunk size or the state order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,7 +71,7 @@ ENVELOPE_CHUNK = 2048       # steps whose envelopes are tabulated at once
 
 def check_stability(hamiltonian: EpochHamiltonian, dt: float) -> None:
     peak = hamiltonian.max_element()
-    if np.any(dt * peak > STABILITY_LIMIT):
+    if (dt * peak > STABILITY_LIMIT).any():
         raise IntegrationError(
             f"dt={dt:.3e} s violates the stability bound "
             f"dt*max|H| <= {STABILITY_LIMIT}")
@@ -68,7 +79,11 @@ def check_stability(hamiltonian: EpochHamiltonian, dt: float) -> None:
 
 def _dt_caps(bound, dt_factor: float):
     """1 / (dt_factor * bound), per member for a batch; inf where the
-    operator vanishes."""
+    operator vanishes.  One bound gives a float, by the division numpy
+    makes."""
+    if np.ndim(bound) == 0:
+        scaled = float(dt_factor * bound)
+        return 1.0 / scaled if scaled else math.copysign(math.inf, scaled)
     with np.errstate(divide="ignore"):
         return 1.0 / (dt_factor * np.asarray(bound, dtype=np.float64))
 
@@ -78,20 +93,26 @@ def default_dt(hamiltonian: EpochHamiltonian,
                t0: float | None = None, t1: float | None = None) -> float:
     """Default step; for a batch, that of the member with the largest
     bound, i.e. the finest."""
-    return float(np.min(_dt_caps(hamiltonian.row_bound(t0, t1), dt_factor)))
+    caps = _dt_caps(hamiltonian.row_bound(t0, t1), dt_factor)
+    return caps if isinstance(caps, float) else float(caps.min())
 
 
 def _step_count(duration: float, dt_cap):
-    """Equal RK4 steps covering ``duration`` with none above ``dt_cap``;
-    a count that is not finite or exceeds MAX_STEPS_PER_EPOCH is an
-    error."""
+    """Equal RK4 steps covering ``duration`` with none above ``dt_cap``:
+    an int, or a list of them for an array of caps; a count that is not
+    finite or exceeds MAX_STEPS_PER_EPOCH is an error."""
+    if isinstance(dt_cap, float) and dt_cap > 0.0:
+        # ceil(x) <= MAX_STEPS_PER_EPOCH exactly when x is
+        steps = duration / dt_cap
+        if steps <= MAX_STEPS_PER_EPOCH:
+            return max(1, math.ceil(steps))
     with np.errstate(divide="ignore"):
         steps = np.ceil(duration / np.asarray(dt_cap))
     if not np.all(steps <= MAX_STEPS_PER_EPOCH):
         raise IntegrationError(
             f"an epoch needs {np.max(steps):.3e} RK4 steps, over the budget "
             f"of {MAX_STEPS_PER_EPOCH}")
-    return np.maximum(1, steps).astype(np.int64)
+    return np.maximum(1, steps).astype(np.int64).tolist()
 
 
 @dataclass
@@ -121,9 +142,10 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
     the result are per member too.  The result holds ``psi`` and ``loss``
     in the form they were given.
 
-    In every epoch each basis is compiled once, and each member gets its
-    own active set, and with it its own reduced operator, bound, step
-    count, norm check and dust prune.  Members with the same active set
+    In every epoch each basis is compiled once, its envelopes are sampled
+    for the bounds once for every basis, and each member gets its own
+    active set, and with it its own reduced operator, bound, step count,
+    norm check and dust prune.  Members with the same active set
     share one reduced operator, and all with the same envelopes and step
     count run as one batch through the one RK4 loop; every operation is
     elementwise, so each member does the arithmetic of a run on its own;
@@ -162,19 +184,24 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
         # restrict each member to the blocks of its support (the rest stays
         # an exact zero); members alike share one reduced operator, and all
         # that share the envelopes and a step count run as one batch
-        batches = {}
+        batches, sampled = {}, None
         for b, basis in enumerate(bases):
             if tables[b] is None:
                 tables[b] = compile_plan(basis, plan.epochs[k:], atom,
                                          decay_rate)
             compiled = compile_from_epoch(*next(tables[b]))
+            # every lattice's operator has the epoch's families: their
+            # envelopes are sampled for the bounds once an epoch
+            if sampled is None:
+                sampled = compiled.window_samples(epoch.t_start, epoch.t_end)
+            compiled.samples = sampled
             active = compiled.active_mask(amps[b])
             alike = {}
             for r, row in enumerate(active):
                 if row.any():       # a member with no amplitude stays put
                     alike.setdefault(row.tobytes(), []).append(r)
-            for rows in map(np.array, alike.values()):
-                idx = np.flatnonzero(active[rows[0]])
+            for rows in alike.values():
+                idx = active[rows[0]].nonzero()[0]
                 h = compiled if len(idx) == len(basis) else \
                     compiled.reduced(idx)
                 dt_cap = default_dt(h, dt_factor, epoch.t_start, epoch.t_end)
@@ -182,42 +209,47 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
                 if np.ndim(bound):
                     # members share the finest step unless their own bounds
                     # move them across a step edge; each keeps its own count
-                    dt_cap = _dt_caps(bound, dt_factor)[rows]
-                counts = np.broadcast_to(_step_count(epoch.duration, dt_cap),
-                                         rows.shape)
-                for count in sorted(set(counts.tolist())):
-                    members = rows[counts == count]
+                    counts = _step_count(epoch.duration,
+                                         _dt_caps(bound, dt_factor)[rows])
+                else:
+                    counts = [_step_count(epoch.duration, dt_cap)] * len(rows)
+                for count in sorted(set(counts)):
+                    members = [r for r, c in zip(rows, counts) if c == count]
+                    # a lone member's row as a slice: the same
+                    # C-contiguous copy as np.ix_ gives, in fewer calls
+                    at = (slice(members[0], members[0] + 1), idx) \
+                        if len(members) == 1 else np.ix_(members, idx)
                     batches.setdefault((h.envelopes, count), []).append(
-                        (h, amps[b][np.ix_(members, idx)], members, b, idx))
+                        (h, amps[b][at], members, b, at))
 
         for (_, count), batch in batches.items():
             observe = None
             if observer is not None and observe_per_epoch:
-                full, ((_, work, _, _, support),) = amps[0][0], batch
+                full, ((_, work, _, _, (_, support)),) = amps[0][0], batch
 
                 def observe(t):
                     full[support] = work[0]
                     samples.append(observer(t, WaveFunction(bases[0],
                                                             full.copy(), t)))
-            norms = [np.sum(np.abs(part[1]) ** 2, axis=-1) for part in batch]
-            t = _rk4([part[:3] for part in batch], epoch, int(count), observe,
+            norms = [(abs(part[1]) ** 2).sum(axis=-1) for part in batch]
+            t = _rk4([part[:3] for part in batch], epoch, count, observe,
                      observe_per_epoch)
-            total_steps += int(count)
-            for (_, work, members, b, idx), norm in zip(batch, norms):
-                drift = np.abs(np.sum(np.abs(work) ** 2, axis=-1) - norm)
-                if decay_rate == 0.0 and np.any(
-                        drift > NORM_TOL_PER_STEP * count):
+            total_steps += count
+            for (_, work, _, b, at), norm in zip(batch, norms):
+                drift = abs((abs(work) ** 2).sum(axis=-1) - norm)
+                if decay_rate == 0.0 and (
+                        drift > NORM_TOL_PER_STEP * count).any():
                     raise IntegrationError(
                         f"norm drifted by {np.max(drift):.3e} over epoch "
                         f"{epoch.label!r}; reduce the step size")
                 # drop sub-floor dust so dead rungs cannot re-enter the
                 # active set (and the stability bound) of later epochs
                 prune_dust(work)
-                amps[b][np.ix_(members, idx)] = work
+                amps[b][at] = work
 
         for b, basis in enumerate(bases):
             edge = WaveFunction(basis, amps[b]).boundary_population(2)
-            if np.any(edge > BOUNDARY_TOL):
+            if (edge > BOUNDARY_TOL).any():
                 bases[b], amps[b] = _extend(basis, amps[b])
                 tables[b] = None
 
@@ -241,12 +273,13 @@ def _rk4(parts, epoch: Epoch, n_steps: int, observe=None,
     All rows are laid out once, block-major (``_layout``), for either step
     loop: states and diagonal (N,), runs, and pattern and rate rows (F, N),
     the rates only when a family has one; the order is undone before each
-    observer call and on return.  Times and envelopes are tabulated from
-    their step indices, ENVELOPE_CHUNK steps at a time, and each chunk runs
-    to each observer stop in the C loop where ``ckernel.load`` gives one,
-    in ``_numpy_loop`` otherwise; each loop makes its phase ramps from the
-    rates and the times step by step: no chunk size or state order is in
-    the bits.  A lone state that a family couples is refused, as numpy
+    observer call and on return.  A lone part is laid out from its own
+    arrays, its states a view of its ``work``.  Times and envelopes are
+    tabulated from their step indices, ENVELOPE_CHUNK steps at a time, and
+    each chunk runs to each observer stop in the C loop where
+    ``ckernel.load`` gives one, in ``_numpy_loop`` otherwise; each loop
+    makes its phase ramps from the rates and the times step by step: no
+    chunk size or state order is in the bits.  A lone state that a family couples is refused, as numpy
     rounds a product of 1-element arrays as the C loop does not.
     """
     dt = epoch.duration / n_steps
@@ -257,23 +290,33 @@ def _rk4(parts, epoch: Epoch, n_steps: int, observe=None,
         check_stability(h, dt)
         view = work.reshape(-1, work.shape[-1])
         views.append((view, offset))
-        # each member row of each part: the states of one operator, in turn
-        shift = offset + view.shape[1] * np.arange(len(view))[:, None]
+        diag = h._diag_complex
+        if len(view) == 1 and diag.ndim == 1 and h.pattern.ndim == 2:
+            # the one member of an unbatched operator: its own rows
+            columns.append((view.reshape(-1), diag,
+                            h.blocks() + offset, h.perm + offset, h.pattern,
+                            h.rate))
+        else:
+            # each member row: the states of one operator, in turn
+            shift = offset + view.shape[1] * np.arange(len(view))[:, None]
+            columns.append([a.reshape(a.shape[:-2] + (view.size,)) for a in (
+                view, _member_rows(diag, rows, 0),
+                h.blocks() + shift, h.perm[:, None] + shift,
+                _member_rows(h.pattern, rows, 1),
+                _member_rows(h.rate, rows, 1))])
         offset += view.size
-        columns.append([a.reshape(a.shape[:-2] + (view.size,)) for a in (
-            view, _member_rows(h._diag_complex, rows, 0),
-            h.blocks() + shift, h.perm[:, None] + shift,
-            _member_rows(h.pattern, rows, 1), _member_rows(h.rate, rows, 1))])
-    flat, diag, labels, perm, pattern, rate = (
-        np.concatenate(arrays, axis=-1) for arrays in zip(*columns))
+    # one part is laid out as it is: its states are a view of ``work``
+    flat, diag, labels, perm, pattern, rate = columns[0] if len(parts) == 1 \
+        else (np.concatenate(arrays, axis=-1) for arrays in zip(*columns))
     order, starts, partner = _runs(labels.tobytes(), perm.tobytes(),
                                    len(labels))
     states, diag, pattern = (a[..., order] for a in (flat, diag, pattern))
 
     def unpermute():
         flat[order] = states
-        for view, start in views:
-            view[...] = flat[start:start + view.size].reshape(view.shape)
+        if len(views) > 1:
+            for view, start in views:
+                view[...] = flat[start:start + view.size].reshape(view.shape)
 
     if states.size == 1 and pattern.any():
         # numpy's FMA kernels do not fuse a product of 1-element arrays,

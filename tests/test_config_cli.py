@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from recoilsim import ckernel, cli, interferometer, plans
 from recoilsim.cli import main
-from recoilsim.config import (_ATOM_SCHEMA, _OUTPUT_SCHEMAS, _PARAM_SCHEMAS,
-                              _RANGES, _TOGGLE_SCHEMAS, MAX_PULSES,
+from recoilsim.config import (_ARM_SCHEMA, _ATOM_SCHEMA, _JSON_TYPES,
+                              _OUTPUT_SCHEMAS, _PARAM_SCHEMAS, _RANGES,
+                              _TOGGLE_SCHEMAS, MAX_PULSES,
                               PLAN_CATALOG, list_plans, load_config,
                               validate_config)
 from recoilsim.errors import ConfigurationError
@@ -88,6 +89,45 @@ def test_type_errors_caught():
         validate_config({"plan": "figure3", "params": {"n_pairs": "thirty"}})
     with pytest.raises(ConfigurationError):
         validate_config({"plan": "figure3", "params": {"n_pairs": True}})
+
+
+# one key of each schema type, and a JSON value of each type
+TYPED_KEYS = {"a string": ("figure3", "atom", "lattice_manifold"),
+              "a number": ("figure3", "atom", "mass_kg"),
+              "an integer": ("figure3", "params", "n_pairs"),
+              "a boolean": ("figure3", "toggles", "chirp"),
+              "an array": ("fringes", "params", "arms")}
+VALUE_OF_TYPE = {"a string": '"x"', "a number": "3", "a boolean": "true",
+                 "an array": "[1]", "an object": "{}", "null": "null"}
+
+
+@pytest.mark.parametrize("expected, got", [
+    (expected, got) for expected in TYPED_KEYS for got in VALUE_OF_TYPE
+    # 3 is a number and an integer
+    if got != expected and (expected, got) != ("an integer", "a number")])
+def test_type_errors_name_json_types(expected, got):
+    plan, section, key = TYPED_KEYS[expected]
+    doc = json.loads(f'{{"plan": "{plan}", "{section}": {{"{key}": '
+                     f'{VALUE_OF_TYPE[got]}}}}}')
+    where = section if section == "atom" else f"{section}({plan})"
+    with pytest.raises(ConfigurationError) as refused:
+        validate_config(doc)
+    assert str(refused.value) == f"{where}.{key} must be {expected}, got {got}"
+
+
+def test_a_decimal_for_an_integer_key_is_named_with_its_value():
+    with pytest.raises(ConfigurationError,
+                       match=r"^params\(figure3\)\.n_pairs must be an "
+                             r"integer, got the number 2\.0$"):
+        validate_config(json.loads('{"plan": "figure3", '
+                                   '"params": {"n_pairs": 2.0}}'))
+
+
+def test_every_schema_type_has_a_json_name():
+    schemas = [_ATOM_SCHEMA, _ARM_SCHEMA, *_PARAM_SCHEMAS.values(),
+               *_TOGGLE_SCHEMAS.values(), *_OUTPUT_SCHEMAS.values()]
+    assert {types for schema in schemas
+            for types, _ in schema.values()} <= set(_JSON_TYPES)
 
 
 def test_fringes_requires_arms():
@@ -311,7 +351,7 @@ def rejected(number, doc, message):
     # JSON true is no number, though Python's bool is an int
     *(rejected(number, {"plan": "figure3", "atom": {key: True},
                         "params": {"n_pairs": 1}},
-               f"atom.{key} has the wrong type")
+               f"atom.{key} must be a number, got a boolean")
       for number, key in enumerate(("mass_kg", "wavelength_d1_m",
                                     "wavelength_d2_m", "nominal_wavelength_m",
                                     "gravity_m_s2"), 11)),

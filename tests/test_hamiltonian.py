@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recoilsim import propagate
+from recoilsim import hamiltonian, propagate
 from recoilsim.basis import Basis, RecoilState
 from recoilsim.errors import ConfigurationError
 from recoilsim.hamiltonian import (EpochHamiltonian, _plan_pass,
-                                   compile_from_epoch, compile_plan,
-                                   dark_state)
+                                   _window_bound, compile_from_epoch,
+                                   compile_plan, dark_state)
 from recoilsim.params import InternalLevel, rb87
 from recoilsim.plans import (Figure3Params, Plan1DParams, Plan2DParams,
                              RamseyParams, run_figure3, run_plan_1d_adiabatic,
@@ -505,6 +505,72 @@ def test_reduced_operator_drops_a_tone_and_bounds_each_window(atom):
             assert identical(op.max_element(), alone(op).max_element())
     assert not np.array_equal(bounds[0], bounds[1])
     assert np.array_equal(bounds[0], bounds[2])
+
+
+@st.composite
+def bound_cases(draw):
+    """An operator of 1-3 families on 4 states, of which exactly one has a
+    nonzero peak, unbatched or over 3 members, and a window starting at
+    0.0, -0.0 or a drawn time; square envelopes may be off for all of it,
+    and a family's pattern may be zero."""
+    families = draw(st.integers(1, 3))
+    members = draw(st.sampled_from([(), (3,)]))
+    live = draw(st.integers(0, families - 1))
+    t0 = draw(st.sampled_from([0.0, -0.0]) | st.floats(-2e-6, 2e-6))
+    t1 = t0 + draw(st.floats(1e-9, 3e-6))
+    values = st.floats(-1e7, 1e7, allow_subnormal=False)
+    envelopes = []
+    for f in range(families):
+        # a square envelope may end before t0 or start after t1
+        start = draw(st.floats(-5e-6, 5e-6))
+        envelopes.append(PulseEnvelope(
+            draw(st.sampled_from([SQUARE, SINE_SQUARED])),
+            draw(st.floats(1.0, 1e9)) if f == live else 0.0, start,
+            draw(st.floats(1e-9, 4e-6))))
+    n = 4
+    parts = 2 * families * n * (members[0] if members else 1)
+    pattern = np.array(draw(st.lists(values, min_size=parts,
+                                     max_size=parts))).view(
+        np.complex128).reshape((families,) + members + (n,))
+    if draw(st.booleans()):
+        pattern[live] = 0.0
+    diagonal = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    decay = np.array(draw(st.lists(st.floats(0.0, 1e6), min_size=n,
+                                   max_size=n)))
+    perm = np.tile(np.arange(n), (families, 1))
+    h = EpochHamiltonian(diagonal, decay, perm, pattern,
+                         np.zeros(pattern.shape), tuple(envelopes),
+                         np.array([e.peak_rabi for e in envelopes]))
+    return h, t0, t1
+
+
+@pytest.mark.bits
+@given(case=bound_cases())
+@settings(max_examples=200, deadline=None)
+def test_one_live_family_bound_is_the_window_bound(case):
+    # an unbatched operator with one live family takes its bound from the
+    # family's largest sample, a batched one sums the samples: both must
+    # give _window_bound's bits, over the window's 257 samples
+    h, t0, t1 = case
+    diag_max, elem, _ = h._maxima()
+    live = h.peak != 0
+    samples = h.envelope_table(np.linspace(t0, t1, 257))[live]
+    scales = elem[live] / h.peak[live].reshape((-1,) + (1,) * (elem.ndim - 1))
+    expected = _window_bound(diag_max, scales[..., None], samples)
+    summed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hamiltonian, "_window_bound",
+                      lambda *args: summed.append(args) or
+                      _window_bound(*args))
+        assert identical(np.asarray(h.row_bound(t0, t1)),
+                         np.asarray(expected))
+    assert bool(summed) == (h.pattern.ndim > 2)
+    # and so must a copy that takes the samples of another operator of the
+    # same families, as the lattices of an epoch share them
+    other = alone(h)
+    other.samples = alone(h).window_samples(t0, t1)
+    assert identical(np.asarray(other.row_bound(t0, t1)),
+                     np.asarray(expected))
 
 
 @pytest.mark.bits

@@ -451,10 +451,11 @@ def bound_cases(draw):
     on some coupled pairs, and zeros of either sign on a run coupled to
     itself and on every run of a family without a rate.  The substage times
     run to 1e5 or more, so that |rate t| passes 1e5 rad, and some are 0.0
-    and -0.0.  Each run of the state, the diagonal and each pattern row has
-    both parts drawn, or its real part, its imaginary part or both exact
-    zeros of either sign; envelopes are zero at random and in closed
-    windows.  In half the cases, quiet ones (below), a product that drops
+    and -0.0; most steps start at the last one's end, bit for bit, some
+    one ulp later, and some at -0.0 after an end at 0.0.  Each run of the
+    state, the diagonal and each pattern row has both parts drawn, or its
+    real part, its imaginary part or both exact zeros of either sign;
+    envelopes are zero at random and in closed windows.  In half the cases, quiet ones (below), a product that drops
     an x * 0.0 term shows in the sign of a zero.  The m steps are cut into
     calls, of one step each or at random."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -518,6 +519,16 @@ def bound_cases(draw):
     times = rng.uniform(-1.0, 1.0, (3, m)) * 10.0 ** rng.uniform(0, 6)
     for zero in (0.0, -0.0):
         times[rng.random(times.shape) < 0.2] = zero
+    # most steps start where the last one ended, bit for bit, as _rk4's
+    # mostly do, and the C loop keeps that end's ramps for the start; some
+    # start one ulp later, or at the other zero after an end at a zero
+    ends, starts_at = times[2, :-1], times[0, 1:]
+    link = rng.choice(["same", "ulp", "zero", "free"], m - 1,
+                      p=[0.6, 0.15, 0.1, 0.15])
+    starts_at[link == "same"] = ends[link == "same"]
+    starts_at[link == "ulp"] = np.nextafter(ends[link == "ulp"], np.inf)
+    ends[link == "zero"] = 0.0
+    starts_at[link == "zero"] = -0.0
     rate = None
     if rated:
         rate = zeros((families, n))
@@ -773,6 +784,45 @@ def test_phase_rows_are_exp_of_each_time_bit_for_bit(case):
 
 
 @pytest.mark.bits
+@given(links=st.lists(st.sampled_from(["same", "ulp", "zero", "free"]),
+                      min_size=5, max_size=5),
+       cuts=st.sets(st.integers(1, 5)))
+@settings(max_examples=100, deadline=None)
+def test_c_loop_keeps_an_end_s_ramps_only_for_a_start_at_that_time(links,
+                                                                  cuts):
+    # the loader's rated probe operator over 6 steps, each starting at the
+    # last one's end (bit for bit), one ulp later, at -0.0 after an end at
+    # +0.0, or anywhere: the C loop, which keeps an end's ramps for a start
+    # at that very time within a call, against the numpy loop, which makes
+    # every ramp anew, after each call
+    c_kernel_or_skip()
+    states, *layout, _, _ = next(ckernel._step_probes())
+    m = 6
+    times = np.array([[0.25 * j + 0.125 * s for j in range(m)]
+                      for s in range(3)])
+    for j, link in enumerate(links):
+        if link == "same":
+            times[0, j + 1] = times[2, j]
+        elif link == "ulp":
+            times[0, j + 1] = np.nextafter(times[2, j], np.inf)
+        elif link == "zero":
+            times[2, j], times[0, j + 1] = 0.0, -0.0
+    table = np.array([[0.5 + 0.1 * k + f for k in range(3 * m)]
+                      for f in range(2)])
+    bounds = [0, *sorted(cuts), m]
+    runs = []
+    for loop in (ckernel.load(), propagate._numpy_loop):
+        work = states.copy()
+        steps = loop(work, *layout)
+        after = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            steps(table, times, m, lo, hi)
+            after.append(work.tobytes())
+        runs.append(after)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.bits
 def test_c_kernel_binder_holds_the_copies_it_passes():
     c_kernel_or_skip()
     rng = np.random.default_rng(5)
@@ -892,6 +942,29 @@ def test_bind_refuses_a_layout_before_any_pointer_reaches_c():
             (np.ones((2, 6)), np.zeros((3, 2)), 2, 1, 3)]:
         with pytest.raises(ValueError, match="outside the chunk"):
             steps(table, times, m, lo, hi)
+
+
+@pytest.mark.bits
+def test_bind_refuses_a_bad_layout_after_keeping_a_good_one_of_its_shapes():
+    # bind keeps the verdict on a layout's runs and partners, keyed by its
+    # bytes: a bad layout of the same shapes is still refused, each time,
+    # and rates are checked on every call
+    def never_called(*args):
+        raise AssertionError("a pointer reached the kernel")
+    valid, bad = bind_layouts()
+    ckernel._runs_verdict.cache_clear()
+    for _ in range(2):
+        ckernel.bind(lambda *args: None, **valid)
+    assert ckernel._runs_verdict.cache_info().hits == 1
+    alike = [(message, layout) for message, layout in bad
+             if layout["starts"].shape == valid["starts"].shape and
+             layout["partner"].shape == valid["partner"].shape and
+             message != "layout"]
+    assert {message for message, _ in alike} == {"runs", "partner",
+                                                 "antisymmetric"}
+    for message, layout in alike * 2:
+        with pytest.raises(ValueError, match=message):
+            ckernel.bind(never_called, **layout)
 
 
 @pytest.mark.bits
@@ -1141,8 +1214,9 @@ def test_import_neither_builds_nor_loads_the_kernel(tmp_path):
 def test_kernel_ns_replays_a_run_on_two_builds(tmp_path):
     # a 2-pair figure3 run, recorded and replayed once on the loaded build
     # and once on a build of the same source: both report their kernel
-    # time and exit 0, as every replayed state is the recorded one; a
-    # source that does not build exits 2
+    # time and exit 0, as every replayed state is the recorded one, and
+    # the recorded run's evolve_plan time follows with its part outside
+    # the step loop; a source that does not build exits 2
     c_kernel_or_skip()
     script = Path(__file__).parents[1] / "scripts" / "kernel_ns.py"
     config = tmp_path / "figure3.json"
@@ -1154,8 +1228,12 @@ def test_kernel_ns_replays_a_run_on_two_builds(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].startswith("figure3.json: 2 bindings")
-    assert [line.split()[0] for line in lines[1:]] == ["loaded", "against"]
-    assert all("ns per state-step" in line for line in lines[1:])
+    assert [line.split()[0] for line in lines[1:]] == ["loaded", "against",
+                                                       "recorded"]
+    assert all("ns per state-step" in line for line in lines[1:3])
+    evolve, outside = (float(word) for word in lines[3].split()
+                       if word.replace(".", "").isdigit())
+    assert 0 < outside < evolve
     broken = tmp_path / "broken.c"
     broken.write_text("not C\n")
     done = subprocess.run([sys.executable, str(script), str(config),
