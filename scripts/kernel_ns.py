@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the C RK4 step loop alone on the kernel calls of one run.
 
-    python3 scripts/kernel_ns.py CONFIG [--against FILE.c] [--rounds N]
+    python3 scripts/kernel_ns.py CONFIG [--against FILE.c] [--tune=FLAGS]
+        [--rounds N]
 
 Runs CONFIG once through ``recoilsim run`` (into a temporary directory,
 with the ``src`` of this checkout), with a wrapper on ``ckernel.bind`` that
@@ -11,6 +12,12 @@ times and the states after each call.  Then it replays the recorded calls
 N times (default 5) on the loaded build and, given ``--against``, on a
 build of FILE.c with the same compiler flags, which must pass the loader's
 probes too; the builds alternate round by round in this one process.
+``--tune`` replaces the tuning flags of that second build (the loader's
+``ckernel.TUNE``, ``-mtune=native``), given after an ``=`` as they start
+with a dash: ``--tune=""`` builds it untuned, and
+``--tune="-mtune=native -mtune-ctrl=^FEATURE"`` drops one of GCC's tuning
+features; without ``--against`` it builds the loaded source.  A tuning the
+compiler refuses exits 2, as does a FILE.c that gives no build.
 Only the calls of the step loop are timed, not the binding.  A call with
 rates makes its phase ramps inside the kernel, so its time includes them.
 
@@ -125,22 +132,27 @@ def replay(kernel, bound: list) -> tuple[float, bool]:
     return seconds, same
 
 
-def build(source: Path):
+def build(source: Path, tune: tuple):
     """The probed ``Kernel`` of ``source``, built with the loaded build's
-    flags, or None if it does not build or its probes disagree."""
+    flags and the tuning flags ``tune``, or None if it does not build so
+    or its probes disagree."""
     flags = dict([ckernel.PLAIN, ckernel.FMA])[ckernel.engine()]
-    loaded = ckernel.SOURCE
-    ckernel.SOURCE = source
+    loaded = ckernel.SOURCE, ckernel.TUNE
+    ckernel.SOURCE, ckernel.TUNE = source, tune
     try:
+        # built first, so that the loader cannot fall back to no tuning
+        if ckernel._built(ckernel.COMPILE + tune + flags) is None:
+            return None
         return ckernel._open(flags)
     finally:
-        ckernel.SOURCE = loaded
+        ckernel.SOURCE, ckernel.TUNE = loaded
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("config", type=Path)
     parser.add_argument("--against", type=Path, metavar="FILE.c")
+    parser.add_argument("--tune", metavar="FLAGS")
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args(argv)
     if args.rounds < 1:
@@ -149,13 +161,15 @@ def main(argv=None) -> int:
         print("no C build of the step loop loads here", file=sys.stderr)
         return 2
     builds = {f"loaded {ckernel.engine()} {ckernel.SOURCE}": ckernel.load()}
-    if args.against is not None:
-        other = build(args.against.resolve())
+    if args.against is not None or args.tune is not None:
+        source = (args.against or ckernel.SOURCE).resolve()
+        tune = ckernel.TUNE if args.tune is None else tuple(args.tune.split())
+        other = build(source, tune)
         if other is None:
-            print(f"{args.against} gives no build that passes the probes",
-                  file=sys.stderr)
+            print(f"{source} with {' '.join(tune) or 'no tuning'} gives no "
+                  f"build that passes the probes", file=sys.stderr)
             return 2
-        builds[f"against {args.against.resolve()}"] = other
+        builds[f"against {source} {' '.join(tune) or 'untuned'}"] = other
     bound, evolve = record(args.config)
     state_steps = sum(entry.state_steps() for entry in bound)
     times = {name: [] for name in builds}

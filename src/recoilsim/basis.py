@@ -102,13 +102,23 @@ class Basis:
         """Which states lie on one of ``levels``: read-only, made once per
         set of levels, as observers ask for the same mask at every
         sample."""
+        return self._on_levels(levels)[0]
+
+    def level_index(self, levels: Iterable[InternalLevel]) -> np.ndarray:
+        """The states on one of ``levels``, ascending: ``level_mask``'s
+        nonzero positions, read-only and made with it."""
+        return self._on_levels(levels)[1]
+
+    def _on_levels(self, levels):
         codes = frozenset(LEVEL_ORDER[lv] for lv in levels)
-        mask = self._level_masks.get(codes)
-        if mask is None:
+        kept = self._level_masks.get(codes)
+        if kept is None:
             mask = np.isin(self.level_codes, list(codes))
-            mask.flags.writeable = False
-            self._level_masks[codes] = mask
-        return mask
+            kept = (mask, mask.nonzero()[0])
+            for a in kept:
+                a.flags.writeable = False
+            self._level_masks[codes] = kept
+        return kept
 
     def edge_mask(self, margin: int) -> np.ndarray:
         """Which states lie within ``margin`` rungs of the window edge:
@@ -161,14 +171,15 @@ def momentum_moments(basis: Basis, w: np.ndarray,
     """Mean z momentum and its spread of the populations ``w`` (the
     |amplitude|^2 of one wavefunction on ``basis``) over a level filter."""
     if levels is not None:
-        mask = basis.level_mask(levels)
-        w = w * mask
+        mask, index = basis._on_levels(levels)
+        if len(index) < len(mask):      # else w * mask is w, bit for bit
+            w = w * mask
     pop = float(w.sum())
     if pop == 0.0:
         return Observables(mean=None, spread=None)
     n = basis.n_z
-    mean = float(np.sum(n * w) / pop)
-    var = float(np.sum((n - mean) ** 2 * w) / pop)
+    mean = float((n * w).sum() / pop)
+    var = float(((n - mean) ** 2 * w).sum() / pop)
     return Observables(mean=mean, spread=float(np.sqrt(max(var, 0.0))))
 
 

@@ -4,7 +4,18 @@ field (``_rk4.c``) on first use.
 Nothing happens at import.  The first ``load()`` compiles the kernel with
 the system C compiler into ``$XDG_CACHE_HOME/recoilsim`` (default
 ``~/.cache/recoilsim``), named by a hash of the source and the flags, and
-opens it with ctypes.  Two builds exist: a plain one, and one that fuses
+opens it with ctypes.  Each build is tuned for the CPU that compiles it
+(``TUNE``, ``-mtune=native``), or built untuned where the compiler refuses
+that flag, which costs each process one failed compile of a few ms.
+Tuning picks the compiler's instruction scheduling and selection, never
+the instruction set (there is no ``-march``), so no build runs an
+instruction its CPU lacks, and with ``-ffp-contract=off`` it changes no
+rounding: the probes below hold for a tuned build as for an untuned one.
+The cache key names the flags, not the CPU, so a cache shared between
+CPUs reuses the build tuned for the one that compiled it first, which
+gives the same bits, only tuned for another CPU.
+
+Two builds exist: a plain one, and one that fuses
 each real part of a complex product into one multiply-add (``-mfma``), as
 numpy's FMA kernels do.  The probes choose between them: on a CPU that
 numpy reports with FMA3 the FMA build is tried first and then the plain
@@ -23,6 +34,22 @@ must also equal ``fringes._numpy_fields``' plain per-arm sum bit for bit.
 With no such build, no compiler or no writable cache, ``load()`` returns
 None, and the numpy loop, ``PulseEnvelope.value`` and
 ``fringes._numpy_fields`` run.
+
+Why tuning pays.  On an AVX-512 Xeon that GCC 12 resolves to
+sapphirerapids, the FMA build's step loop takes 7.9-8.3 ns per
+state-step on the figure3 ladder of 30 pairs, against 9.5-10.0 untuned
+(``scripts/kernel_ns.py --tune=""``); the plain build gains about 5%.  No
+tuning feature of ``-mtune-ctrl`` accounts for it: generic tuning with
+every feature that sapphirerapids turns on gives none of it; skylake
+gives all of it and haswell none, and skylake with the one feature that
+haswell lacks (``prefer_known_rep_movsb_stosb``) turned off still gives
+all of it, as does native tuning without post-reload scheduling or loop
+alignment.  It comes from the processor cost table that ``-mtune``
+selects and ``-mtune-ctrl`` does not reach: the same loops vectorize at
+the same width, but under the tunings that gain (skylake, icelake-server,
+sapphirerapids) the step loop's vector bodies carry 53
+register-to-register copies (``vmovapd``), and under those that do not
+(generic, haswell, znver3) 101-105.
 """
 
 from __future__ import annotations
@@ -39,27 +66,50 @@ from .pulses import SINE_SQUARED, SQUARE, PulseEnvelope
 
 SOURCE = Path(__file__).with_name("_rk4.c")
 COMPILE = ("cc", "-O3", "-shared", "-fPIC", "-ffp-contract=off")
+TUNE = ("-mtune=native",)
 PLAIN, FMA = ("c-plain", ()), ("c-fma", ("-mfma", "-DUSE_FMA"))
 _loaded = None          # (engine name, Kernel or None) once chosen
 
 
+def commands(flags: tuple) -> tuple:
+    """The compiler commands of the build with ``flags``, in the order
+    they are tried: tuned for this CPU, then untuned."""
+    return COMPILE + TUNE + flags, COMPILE + flags
+
+
 def _library(flags: tuple) -> Path | None:
-    """The compiled kernel, built unless the cache holds it; None when it
-    cannot be built or cached."""
+    """The compiled kernel of the build with ``flags``, tuned for this CPU
+    (``TUNE``) unless the compiler refuses that, built unless the cache
+    holds it; None when it cannot be built or cached."""
+    for command in commands(flags):
+        path = _built(command)
+        if path is not None:
+            return path
+    return None
+
+
+def _path(command: tuple) -> Path:
+    """Where the cache keeps the kernel compiled by ``command``: named by
+    a hash of the source and the command."""
     import hashlib
-    command = COMPILE + flags
+    key = hashlib.sha256(SOURCE.read_bytes() +
+                         " ".join(command).encode()).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME")
+                 or Path.home() / ".cache") / "recoilsim"
+    return cache / f"rk4-{key[:16]}.so"
+
+
+def _built(command: tuple) -> Path | None:
+    """The kernel compiled by ``command``, built unless the cache holds
+    it; None when it cannot be built or cached."""
     try:
-        source = SOURCE.read_bytes()
-        key = hashlib.sha256(source + " ".join(command).encode()).hexdigest()
-        cache = Path(os.environ.get("XDG_CACHE_HOME")
-                     or Path.home() / ".cache") / "recoilsim"
-        path = cache / f"rk4-{key[:16]}.so"
+        path = _path(command)
         if path.is_file():
             return path
         import subprocess
         import tempfile
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
         os.close(fd)
         try:
             built = subprocess.run(command + ("-o", tmp, str(SOURCE), "-lm"),

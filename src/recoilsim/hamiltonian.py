@@ -52,7 +52,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -218,26 +217,33 @@ class EpochHamiltonian:
         return hit[:, labels].reshape(amps.shape)
 
     def reduced(self, idx: np.ndarray) -> "EpochHamiltonian":
-        """Restriction to ``idx``, a union of blocks; families that couple
-        nothing there are dropped.  It keeps this operator's block labels
-        and window samples."""
+        """Restriction to ``idx``, an ascending union of blocks; families
+        that couple nothing there are dropped.  It keeps this operator's
+        block labels and window samples."""
+        if (idx[1:] <= idx[:-1]).any():
+            raise ValueError("index set not ascending")
+
         def restrict(a):        # take() keeps the rows C-contiguous
             return a.take(idx, axis=-1)
-        inverse = np.full(self.diagonal.shape[-1], -1, dtype=np.int64)
-        inverse[idx] = np.arange(len(idx))
         pattern = restrict(self.pattern)
-        live = (pattern != 0).any(axis=tuple(range(1, pattern.ndim)))
-        perm = inverse[restrict(self.perm[live])]
-        if (perm < 0).any():
+        live = pattern.any(axis=tuple(range(1, pattern.ndim))).nonzero()[0]
+        # each live partner and each block label (a block's smallest
+        # state) as its position in idx, which must hold it
+        links = np.concatenate((restrict(self.perm).take(live, axis=0),
+                                restrict(self.blocks())[None]))
+        at = idx.searchsorted(links)
+        if (idx.take(at, mode="clip") != links).any():
             raise ValueError("index set not a union of blocks")
         op = EpochHamiltonian(
-            restrict(self.diagonal), restrict(self.decay), perm, pattern[live],
-            restrict(self.rate[live]), tuple(compress(self.envelopes, live)),
-            self.peak[live])
-        op._blocks = inverse[self.blocks()[idx]]    # min index to min index
+            restrict(self.diagonal), restrict(self.decay), at[:-1],
+            pattern.take(live, axis=0), restrict(self.rate).take(live, axis=0),
+            tuple(self.envelopes[f] for f in live.tolist()),
+            self.peak.take(live))
+        op._blocks = at[-1]
         if self.samples is not None:
             window, table, largest = self.samples
-            op.samples = (window, table[live], largest[live])
+            op.samples = (window, table.take(live, axis=0),
+                          largest.take(live))
         return op
 
 

@@ -90,11 +90,12 @@ def run_figure3(params: Figure3Params, atom: AtomParams) -> Figure3Result:
         basis, {RecoilState(InternalLevel.A, 0): 1.0})
 
     def observe(t, wf):
-        # |psi|^2 once, for the moments and each level's masked sum, as
-        # WaveFunction.observables and .population take them
+        # |psi|^2 once, for the moments and each level's sum over its
+        # states in basis order, as WaveFunction.observables and
+        # .population take them
         w = np.abs(wf.amplitudes) ** 2
         obs_all = momentum_moments(wf.basis, w, LAMBDA_LEVELS)
-        pops = {lv: float(w[..., wf.basis.level_mask([lv])].sum(axis=-1))
+        pops = {lv: float(w.take(wf.basis.level_index([lv])).sum())
                 for lv in LAMBDA_LEVELS}
         return {
             "t_s": t,

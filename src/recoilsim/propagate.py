@@ -196,11 +196,7 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
                 sampled = compiled.window_samples(epoch.t_start, epoch.t_end)
             compiled.samples = sampled
             active = compiled.active_mask(amps[b])
-            alike = {}
-            for r, row in enumerate(active):
-                if row.any():       # a member with no amplitude stays put
-                    alike.setdefault(row.tobytes(), []).append(r)
-            for rows in alike.values():
+            for rows in _alike(active):
                 idx = active[rows[0]].nonzero()[0]
                 h = compiled if len(idx) == len(basis) else \
                     compiled.reduced(idx)
@@ -260,6 +256,20 @@ def evolve_plan(psi: WaveFunction | list, plan: SequencePlan,
     return EvolveResult(psi=finals[0] if single else finals,
                         loss=losses[0] if single else losses,
                         samples=samples, steps=total_steps)
+
+
+def _alike(active: np.ndarray) -> list:
+    """The members (rows) of ``active`` (B, n) grouped by their rows: a
+    list of ascending member lists, in the order of each group's first
+    member, leaving out a member whose row is all False (it has no
+    amplitude and stays put).  The rows are packed into one bytes object
+    and grouped by its slices, with no numpy call per member."""
+    packed = np.packbits(active, axis=1)
+    width, keys = packed.shape[1], packed.tobytes()
+    alike = {}
+    for r in active.any(axis=1).nonzero()[0].tolist():
+        alike.setdefault(keys[r * width:(r + 1) * width], []).append(r)
+    return list(alike.values())
 
 
 def _rk4(parts, epoch: Epoch, n_steps: int, observe=None,

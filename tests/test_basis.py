@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recoilsim.basis import (LEVEL_ORDER, Basis, RecoilState, WaveFunction,
-                             prune_dust, span_window)
+                             momentum_moments, prune_dust, span_window)
 from recoilsim.errors import ConfigurationError
 from recoilsim.params import InternalLevel
 
@@ -79,8 +79,26 @@ def test_level_mask_is_made_once_per_set_of_levels_and_read_only():
                              for i in range(len(basis))]
     assert basis.level_mask((E1, B, E1)) is mask
     assert basis.level_mask([B]) is not mask
-    with pytest.raises(ValueError):
-        mask[0] = True
+    index = basis.level_index([E1, B])
+    assert index.tolist() == np.flatnonzero(mask).tolist()
+    assert basis.level_index([B, E1]) is index
+    for kept in (mask, index):
+        with pytest.raises(ValueError):
+            kept[0] = 0
+
+
+@pytest.mark.bits
+def test_moments_over_every_level_skip_the_mask_with_the_same_bits():
+    # a filter that selects every state leaves the populations as they
+    # are, which w * mask gives too; a filter that drops a level masks
+    basis = Basis([A, B, E1], range(-4, 5))
+    rng = np.random.default_rng(5)
+    w = rng.random(len(basis)) ** 3
+    for levels in ([A, B, E1], [E1, A]):
+        mask = basis.level_mask(levels)
+        got = momentum_moments(basis, w, levels)
+        want = momentum_moments(basis, w * mask)
+        assert (got.mean, got.spread) == (want.mean, want.spread)
 
 
 def test_span_window_guard():

@@ -507,6 +507,86 @@ def test_reduced_operator_drops_a_tone_and_bounds_each_window(atom):
     assert np.array_equal(bounds[0], bounds[2])
 
 
+def inverse_reduced(h, idx):
+    """The oracle of ``h.reduced(idx)`` for any order of ``idx``: the
+    arrays restricted to ``idx``, the families live there, and partners
+    and block labels mapped through an inverse index over the whole
+    lattice (-1 outside idx), refused where one falls outside."""
+    inverse = np.full(h.diagonal.shape[-1], -1, dtype=np.int64)
+    inverse[idx] = np.arange(len(idx))
+    pattern = h.pattern[..., idx]
+    live = (pattern != 0).any(axis=tuple(range(1, pattern.ndim)))
+    perm, labels = inverse[h.perm[live][:, idx]], inverse[h.blocks()[idx]]
+    if (perm < 0).any() or (labels < 0).any():
+        raise ValueError("index set not a union of blocks")
+    window, table, largest = h.samples
+    return dict(diagonal=h.diagonal[..., idx], decay=h.decay[..., idx],
+                perm=perm, pattern=pattern[live], rate=h.rate[live][..., idx],
+                peak=h.peak[live], _blocks=labels,
+                envelopes=tuple(e for e, on in zip(h.envelopes, live) if on),
+                samples=(window, table[live], largest[live]))
+
+
+@pytest.mark.bits
+@given(case=batched_epochs(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_reduced_maps_an_ascending_union_of_blocks_as_its_oracle(
+        atom, case, data):
+    # drawn blocks, and the same less one state: reduced gives its
+    # oracle's arrays, partners and block labels bit for bit, or refuses
+    # where the oracle does, short of a block's label or of a state that
+    # a live family couples; the first family may couple its pairs by a
+    # zero pattern, so that it links blocks it never makes live; an index
+    # set out of order or with a repeat is refused
+    basis, events, anchors, decay_rate, _ = case
+    h = compile_epoch(basis, events, atom, anchors, decay_rate)
+    if data.draw(st.booleans()):
+        h.pattern[0] = 0.0
+    h.window_samples(0.0, 1e-6)
+    labels = h.blocks()
+    chosen = data.draw(st.lists(st.sampled_from(np.unique(labels).tolist()),
+                                min_size=1, unique=True))
+    idx = np.flatnonzero(np.isin(labels, chosen))
+    for drop in [None] + idx.tolist():
+        part = idx[idx != drop]
+        try:
+            want = inverse_reduced(h, part)
+        except ValueError:
+            assert drop is not None     # a union of blocks is kept
+            with pytest.raises(ValueError, match="not a union of blocks"):
+                h.reduced(part)
+            continue
+        small = h.reduced(part)
+        for name, a in want.items():
+            if isinstance(a, np.ndarray):
+                assert identical(getattr(small, name), a), name
+        assert small.envelopes == want["envelopes"]
+        window, table, largest = small.samples
+        assert window == want["samples"][0]
+        assert identical(table, want["samples"][1])
+        assert identical(largest, want["samples"][2])
+    if len(idx) > 1:
+        for disordered in (idx[::-1].copy(), np.repeat(idx, 2)):
+            with pytest.raises(ValueError, match="not ascending"):
+                h.reduced(disordered)
+
+
+@pytest.mark.bits
+def test_reduced_refuses_a_block_short_of_its_label():
+    # states 0 and 1 are one block, linked by a family whose pattern is
+    # zero there, so no live partner shows that state 1 lacks its block's
+    # smallest state: its block label does
+    n = 3
+    h = EpochHamiltonian(np.zeros(n), np.zeros(n), np.array([[1, 0, 2]]),
+                         np.zeros((1, n), dtype=np.complex128),
+                         np.zeros((1, n)), (envelope(1.0),), np.ones(1))
+    assert h.blocks().tolist() == [0, 0, 2]
+    with pytest.raises(ValueError, match="not a union of blocks"):
+        h.reduced(np.array([1, 2]))
+    small = h.reduced(np.array([0, 1]))
+    assert small.perm.shape == (0, 2) and small.blocks().tolist() == [0, 0]
+
+
 @st.composite
 def bound_cases(draw):
     """An operator of 1-3 families on 4 states, of which exactly one has a

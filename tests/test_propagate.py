@@ -1198,6 +1198,44 @@ def test_loader_falls_back_to_numpy_with_identical_results(
         kernel_run.amplitudes.tobytes()
 
 
+@pytest.mark.bits
+def test_loader_builds_untuned_where_the_compiler_refuses_the_tuning(
+        atom, monkeypatch, tmp_path):
+    # a tuning flag the compiler refuses leaves every build untuned, with
+    # the untuned command's flags; the same engine is chosen, and it gives
+    # the bits of the build loaded with the usual tuning
+    c_kernel_or_skip()
+    engine = ckernel.engine()
+    omega = 2 * math.pi * 4e5
+    tuned_run = run_two_level(atom, omega, 0.7 * math.pi / omega, 0.2 * omega)
+    monkeypatch.setattr(ckernel, "TUNE", ("-mtune=no-such-cpu",))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(ckernel, "_loaded", None)   # choose again
+    untuned_run = run_two_level(atom, omega, 0.7 * math.pi / omega,
+                                0.2 * omega)
+    assert ckernel.engine() == engine
+    built = {path.name for path in (tmp_path / "recoilsim").iterdir()}
+    assert built and built <= {ckernel._path(ckernel.COMPILE + flags).name
+                               for _, flags in (ckernel.PLAIN, ckernel.FMA)}
+    assert untuned_run.amplitudes.tobytes() == tuned_run.amplitudes.tobytes()
+
+
+def test_tuned_and_untuned_builds_are_cached_apart(monkeypatch, tmp_path):
+    # each build's tuned and untuned commands name files of their own, and
+    # the loader takes the tuned one wherever the compiler builds it
+    c_kernel_or_skip()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    for _, flags in (ckernel.PLAIN, ckernel.FMA):
+        tuned, untuned = ckernel.commands(flags)
+        assert tuned == ckernel.COMPILE + ckernel.TUNE + flags
+        assert untuned == ckernel.COMPILE + flags
+        assert ckernel._path(tuned) != ckernel._path(untuned)
+    flags = dict([ckernel.PLAIN, ckernel.FMA])[ckernel.engine()]
+    tuned, untuned = ckernel.commands(flags)
+    assert ckernel._library(flags) == (ckernel._built(tuned) or
+                                       ckernel._path(untuned))
+
+
 def test_import_neither_builds_nor_loads_the_kernel(tmp_path):
     code = ("import sys, recoilsim, recoilsim.cli; "
             "print('recoilsim.ckernel' in sys.modules); "
@@ -1216,7 +1254,8 @@ def test_kernel_ns_replays_a_run_on_two_builds(tmp_path):
     # and once on a build of the same source: both report their kernel
     # time and exit 0, as every replayed state is the recorded one, and
     # the recorded run's evolve_plan time follows with its part outside
-    # the step loop; a source that does not build exits 2
+    # the step loop; a source that does not build exits 2, and so does a
+    # tuning that the compiler refuses
     c_kernel_or_skip()
     script = Path(__file__).parents[1] / "scripts" / "kernel_ns.py"
     config = tmp_path / "figure3.json"
@@ -1240,3 +1279,25 @@ def test_kernel_ns_replays_a_run_on_two_builds(tmp_path):
                            "--against", str(broken), "--rounds", "1"],
                           capture_output=True, text=True)
     assert done.returncode == 2 and "broken.c" in done.stderr
+    # a tuning the compiler refuses exits 2 too, with no untuned fallback
+    done = subprocess.run([sys.executable, str(script), str(config),
+                           "--tune=-mtune=no-such-cpu", "--rounds", "1"],
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and "no-such-cpu" in done.stderr
+
+
+@given(rows=st.integers(1, 20).flatmap(lambda n: st.lists(
+    st.lists(st.booleans(), min_size=n, max_size=n), min_size=1,
+    max_size=9)))
+@settings(max_examples=200, deadline=None)
+def test_members_group_by_their_active_rows(rows):
+    # each distinct row that is not all False gets its members, ascending,
+    # in the order of the group's first member, as a dict keyed by the
+    # rows themselves gives them; rows of more than 8 states pack into
+    # more than one byte
+    groups = {}
+    for r, row in enumerate(rows):
+        if any(row):
+            groups.setdefault(tuple(row), []).append(r)
+    assert propagate._alike(np.array(rows, dtype=bool)) == \
+        list(groups.values())
