@@ -1,6 +1,8 @@
 /* The RK4 step loop of recoilsim.propagate._rk4 for one chunk of steps,
    and the fringe field of recoilsim.fringes.synthesize for one block of
-   grid rows (rk4_fringes, below).
+   grid rows (rk4_fringes, below): a sum of plane waves, each the product
+   of a row wave and a column wave, so one sincos per arm and grid line
+   and one complex multiply-add per arm and sample.
 
    Every element is computed with the operations, operand order and
    rounding of the numpy loop it replaces, so the two agree bit for bit:
@@ -314,57 +316,46 @@ static inline cplx wave(double p)
     return w;
 }
 
-/* The field of ``arms`` plane waves amp e^{i (kz z + kx x)}, each term
-   added in arm order to a zero, on grid rows r0..r1-1 into ``field``
-   (r1 - r0, n_x) and on the mirror rows n_z - i of rows i0 <= i < i1 into
-   ``mirror`` (i1 - i0, n_x), which holds them in grid order: row k is grid
-   row n_z + 1 - i1 + k.  z (n_z) and x (n_x) are the grid's coordinates,
-   each mirror row and column at exactly minus its mirror's (x = 0 on a
-   1-D grid's one column, its own mirror), so a mirror element's phase is
-   exactly minus its mirror's, and its wave the conjugate: numpy's
-   exp(-ip) is conj(exp(ip)) bit for bit for every finite p != 0.  Only
-   the leading column of a 2-D grid, which has no mirror column, makes
-   its own sincos.  Where p is a zero, the phase, the wave and, with a
-   finite amp, the term amp * wave may differ from numpy's, but only in
-   the sign of a zero part, and the sums cannot: each starts at +0.0, a
-   round-to-nearest sum that starts at +0.0 never becomes -0.0 (x + y is
-   -0.0 only when both are), and adding +0.0 or -0.0 to it gives the same
-   value.  Each phase is kz z + kx x, in numpy's operand order, and each
-   term cmul(amp, wave), as numpy's amp * e^{ip}.  For each row and arm,
-   one loop makes the row's waves into ``row`` (n_x), and the next adds
-   the terms to the row and its mirror row. */
+/* The field of ``arms`` plane waves amp e^{i (kz z + kx x)} on ``rows``
+   grid rows at z (rows) into ``field`` (rows, n_x), in the separable form
+   of recoilsim.fringes._numpy_fields: each sample is the sum, in arm
+   order from +0.0, of the terms u w, u = amp e^{i kz z} the arm's row
+   wave, made once per row and arm, and w = e^{i kx x} its column wave,
+   made once per column and arm into ``columns`` (split: the arm's real
+   parts, then its imaginary parts, (arms, 2, n_x)) when ``x`` (n_x) is
+   given, and taken from an earlier call when it is NULL.  Each phase is
+   numpy's kz z or kx x, each u cmul(amp, wave) as numpy's amp * e^{ip},
+   and each term cmul(u, w) as numpy's u * w.  Where p is a zero, the
+   wave, and so a u or a term, may differ from numpy's, but only in the
+   sign of a zero part: a product or a sum takes its value, but for the
+   sign of a zero, from its operands' values alone, and the sums cannot
+   differ even there: each starts at +0.0, a round-to-nearest sum that
+   starts at +0.0 never becomes -0.0 (x + y is -0.0 only when both are),
+   and adding +0.0 or -0.0 to it gives the same value. */
 void rk4_fringes(int64_t arms, const cplx *amp, const double *kz,
-                 const double *kx, const double *z, int64_t n_z,
-                 const double *x, int64_t n_x, int64_t r0, int64_t r1,
-                 int64_t i0, int64_t i1, cplx *field, cplx *mirror,
-                 cplx *row)
+                 const double *kx, const double *z, int64_t rows,
+                 const double *x, int64_t n_x, double *columns, cplx *field)
 {
-    const int64_t lone = n_x > 1;   /* leading columns without a mirror */
     const cplx zero = {0.0, 0.0};
-    for (int64_t i = r0; i < r1; i++) {
-        cplx *f = field + (i - r0) * n_x,
-             *fm = i >= i0 && i < i1 ? mirror + (i1 - 1 - i) * n_x : NULL;
+    for (int64_t a = 0; x != NULL && a < arms; a++) {
+        double *re = columns + 2 * a * n_x, *im = re + n_x;
         for (int64_t c = 0; c < n_x; c++) {
-            f[c] = zero;
-            if (fm)
-                fm[c] = zero;
+            const cplx w = wave(kx[a] * x[c]);
+            re[c] = w.re;
+            im[c] = w.im;
         }
+    }
+    for (int64_t i = 0; i < rows; i++) {
+        cplx *f = field + i * n_x;
+        for (int64_t c = 0; c < n_x; c++)
+            f[c] = zero;
         for (int64_t a = 0; a < arms; a++) {
-            const double zi = kz[a] * z[i], k = kx[a];
-            const cplx u = amp[a];
-            for (int64_t c = 0; c < n_x; c++)
-                row[c] = wave(zi + k * x[c]);
-            for (int64_t c = 0; c < n_x; c++)
-                f[c] = cadd(f[c], cmul(u, row[c]));
-            if (!fm)
-                continue;
-            const double zm = kz[a] * z[n_z - i];
-            if (lone)
-                fm[0] = cadd(fm[0], cmul(u, wave(zm + k * x[0])));
-            for (int64_t c = lone; c < n_x; c++) {
-                const int64_t cm = lone ? n_x - c : 0;  /* mirror column */
-                const cplx conj = {row[c].re, -row[c].im};
-                fm[cm] = cadd(fm[cm], cmul(u, conj));
+            const cplx u = cmul(amp[a], wave(kz[a] * z[i]));
+            const double *restrict re = columns + 2 * a * n_x,
+                         *restrict im = re + n_x;
+            for (int64_t c = 0; c < n_x; c++) {
+                const cplx w = {re[c], im[c]};
+                f[c] = cadd(f[c], cmul(u, w));
             }
         }
     }

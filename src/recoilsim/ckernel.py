@@ -29,8 +29,9 @@ rate 0, a step from time 0.0), which the kernel makes with libm's
 ``sincos`` and the numpy loop with numpy's complex ``exp``, so a libm
 whose ``sincos`` disagrees with that ``exp`` leaves the numpy loop
 running.  Its fringe field on a fixed odd-sized 2-D grid and on a 1-D
-grid, each with an arm at the origin, made by the kernel's mirror rule,
-must also equal ``fringes._numpy_fields``' plain per-arm sum bit for bit.
+grid, each with an arm at the origin, a product of row and column waves
+that it makes with ``sincos`` per arm and grid line, must also equal
+``fringes._numpy_fields``' bit for bit.
 With no such build, no compiler or no writable cache, ``load()`` returns
 None, and the numpy loop, ``PulseEnvelope.value`` and
 ``fringes._numpy_fields`` run.
@@ -183,11 +184,10 @@ def _step_probes():
 def _fringe_probes():
     """Plane waves (amp, kz, kx) and grid coordinates z and x, on a 9 x 7
     grid and on a 1-D grid of 10 samples (z = 0 on its row 5, x = 0 on its
-    one column), with an arm at the origin and one with kz = kx, so that
-    phases of exactly +0 and -0 occur in rows and mirror rows, amplitudes
-    with signed-zero parts, and products that round differently with and
-    without a fused multiply-add: the kernel's mirror rule, which takes
-    the conjugate even at a zero phase, against the plain sum."""
+    one column), with an arm at the origin and one with kx = 0, so that
+    phases of exactly +0 and -0 occur, amplitudes with signed-zero parts,
+    and products that round differently with and without a fused
+    multiply-add: the kernel's separable field against numpy's."""
     from .fringes import GridSpec
     arms = [(complex(0.6, -0.0), 0.0, -0.0),
             (complex(1.0 / 3.0, -2.0 / 7.0), 7.1e8, -3.3e8),
@@ -219,8 +219,8 @@ def _open(flags: tuple):
         (ctypes.c_int64, ctypes.c_void_p)
     envelopes.restype = None
     fringes.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 4 + \
-        (ctypes.c_int64, ctypes.c_void_p) + (ctypes.c_int64,) * 5 + \
-        (ctypes.c_void_p,) * 3
+        (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64) + \
+        (ctypes.c_void_p,) * 2
     fringes.restype = None
     kernel = Kernel(steps, envelopes, fringes)
     windows, times = _envelope_probe()
@@ -238,9 +238,7 @@ def _open(flags: tuple):
             return None
     from .fringes import _numpy_fields
     for waves, z, x in _fringe_probes():
-        half = len(z) // 2 + 1
-        whole = (0, half, 1, len(z) - half + 1)     # rows and mirror rows
-        runs = [[a.tobytes() for a in fields(waves, z, x, half)(*whole)]
+        runs = [fields(waves, z, x, len(z))(0, len(z)).tobytes()
                 for fields in (kernel.fringe_fields, _numpy_fields)]
         if runs[0] != runs[1]:
             return None
@@ -273,16 +271,14 @@ class Kernel:
         return out
 
     def fringe_fields(self, waves, z, x, block: int):
-        """``fringes._numpy_fields`` in C: ``fields(r0, r1, i0, i1)`` gives
-        the field of the plane waves ``waves`` (amp, kz, kx) on grid rows
-        r0 ... r1 - 1 and on the mirror rows n_z - i of rows i0 <= i < i1,
-        (r1 - r0, n_x) and (i1 - i0, n_x), at most ``block`` rows each, as
-        views of buffers made once, each mirror row from its row's waves
-        by the mirror rule ``fringes.synthesize`` states.  The grid
-        coordinates ``z`` (n_z,) and ``x`` (n_x,) must put each mirror row
-        and column at exactly minus its mirror's, and every phase must be
-        finite.  Every check is made before a pointer reaches C, and
-        ``fields`` holds every array it passes."""
+        """``fringes._numpy_fields`` in C: ``fields(r0, r1)`` gives the
+        field of the plane waves ``waves`` (amp, kz, kx) on the grid rows
+        r0 ... r1 - 1 of the coordinates ``z`` (n_z,) and ``x`` (n_x,),
+        (r1 - r0, n_x), at most ``block`` rows, as a view of a buffer made
+        once, which the next call overwrites.  The column waves are made
+        here, once; every phase must be finite.  Every check is made
+        before a pointer reaches C, and ``fields`` holds every array it
+        passes."""
         amp = np.array([a for a, _, _ in waves], dtype=np.complex128)
         kz = np.array([k for _, k, _ in waves], dtype=np.float64)
         kx = np.array([k for _, _, k in waves], dtype=np.float64)
@@ -291,19 +287,20 @@ class Kernel:
         if amp.ndim != 1 or z.ndim != 1 or x.ndim != 1 or n_x < 1 or \
                 block < 1:
             raise ValueError("waves, coordinates or block outside the grid")
-        field, mirror, row = (np.empty(shape, dtype=np.complex128)
-                              for shape in ((block, n_x), (block, n_x), n_x))
-        fixed = (len(amp), amp.ctypes.data, kz.ctypes.data, kx.ctypes.data,
-                 z.ctypes.data, n_z, x.ctypes.data, n_x)
+        field = np.empty((block, n_x), dtype=np.complex128)
+        columns = np.empty((len(amp), 2, n_x))
+        fixed = (len(amp), amp.ctypes.data, kz.ctypes.data, kx.ctypes.data)
+        rows = z.ctypes.data                # row r at rows + 8 r
+        self._fringes(*fixed, rows, 0, x.ctypes.data, n_x,
+                      columns.ctypes.data, field.ctypes.data)
 
-        def fields(r0, r1, i0, i1):
-            if not (0 <= r0 < r1 <= n_z and r1 - r0 <= block and
-                    r0 <= i0 <= i1 <= r1 and i0 >= 1):
+        def fields(r0, r1):
+            if not 0 <= r0 < r1 <= min(n_z, r0 + block):
                 raise ValueError("rows outside the grid or the block")
-            self._fringes(*fixed, r0, r1, i0, i1, field.ctypes.data,
-                          mirror.ctypes.data, row.ctypes.data)
-            return field[:r1 - r0], mirror[:i1 - i0]
-        fields.held = (amp, kz, kx, z, x, field, mirror, row)
+            self._fringes(*fixed, rows + 8 * r0, r1 - r0, None, n_x,
+                          columns.ctypes.data, field.ctypes.data)
+            return field[:r1 - r0]
+        fields.held = (amp, kz, kx, z, x, columns, field)
         return fields
 
 

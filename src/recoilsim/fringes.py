@@ -7,13 +7,12 @@ produce a fringe period of exactly lambda/dn -- sub-wavelength for dn > 1.
 Spacing is recovered independently by discrete Fourier analysis, so the
 synthesis path and the measurement path can check each other.
 
+Each arm's wave factors into a row wave amp * exp(i k n_z z) and a column
+wave exp(i k n_x x), so a grid of n_z x n_x samples takes one complex exp
+per arm and grid line, and one complex multiply-add per arm and sample.
 The field runs in the C kernel (``ckernel.Kernel.fringe_fields``) where
-``ckernel.load`` gives one, and in numpy (``_numpy_fields``, the plain
-per-arm sum, its fallback and oracle) otherwise.  The grid's coordinates
-are exact negations of each other about the origin, so the C kernel makes
-the waves of rows 0 ... n_z // 2 only, one sincos per arm and mirrored
-pair, and each later row from its mirror row (``synthesize`` states the
-rule); the samples are byte-identical to the plain sum.
+``ckernel.load`` gives one, and in numpy (``_numpy_fields``, its fallback
+and oracle) otherwise; the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -126,18 +125,15 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
     wavenumber k n or whose phase k n z on the grid is not finite, are
     rejected.
 
-    The field of each block of rows and their mirror rows is summed per
-    arm, in arm order, by the C kernel where it loads, and by
-    ``_numpy_fields`` (one exp per wave) otherwise; the two agree bit
-    for bit.  The C kernel makes the waves of rows 0 ... n_z // 2 only.  For 1 <= i < n_z, row n_z - i has exactly -z of
-    row i, and for 1 <= j < n_x column n_x - j exactly -x of column j, so
-    every arm's phase there is -p, and its wave conj(exp(ip)), which
-    numpy's exp(-ip) equals bit for bit for every finite p != 0; at
-    p = 0 the two differ only in the sign of a zero, which no field sum
-    shows.  Only row 0 and column 0 of a 2-D grid, which have no mirror,
-    make their own waves (a 1-D grid's one column, at x = 0, is its
-    own mirror).  The modulus, its square and the envelope stay in
-    numpy, and a mirror row takes the envelope factor of its row.
+    Each sample adds, in arm order to a zero, the arms' products of a
+    row wave amp * exp(1j * (kz z)) and a column wave exp(1j * (kx x)),
+    kz = k n_z and kx = k n_x, by the C kernel where it loads, and by
+    ``_numpy_fields`` otherwise; the two agree bit for bit.  On a 1-D
+    grid every column wave, at x = 0, is 1 + 0j or 1 - 0j, so the product
+    is the row wave exactly: the samples are those of one phase
+    kz z + kx x per sample.  On a 2-D grid they differ from those in the
+    last bits, and lie nearer the exact intensity, as no sum kz z + kx x
+    is rounded.  The modulus, its square and the envelope stay in numpy.
     """
     entries = [_arm_tuple(a) for a in arms]
     if not entries:
@@ -159,14 +155,11 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
     validate_grid(arm_spread([(nz, nx) for _, nz, nx, _ in entries]), grid, k)
 
     z, x = grid.coordinates(0), grid.coordinates(1)
-    n_z, n_x = z.size, x.size
-    intensity = np.empty((n_z, n_x))
-    # one block of rows 0 ... n_z // 2 at a time, with the mirror rows
-    # n_z - i of its rows i = 1 ... (n_z - 1) // 2, about SYNTHESIS_BLOCK
-    # samples in all: each element is what the whole-grid expressions give,
-    # with no full-grid temporaries
-    half = n_z // 2 + 1
-    block = max(1, SYNTHESIS_BLOCK // (2 * n_x))    # rows, before mirrors
+    n_z = z.size
+    intensity = np.empty((n_z, x.size))
+    # about SYNTHESIS_BLOCK samples at a time: each element is what the
+    # whole-grid expressions give, with no full-grid temporaries
+    block = max(1, SYNTHESIS_BLOCK // x.size)
     # z[0] and x[0] have the largest |z| and |x|, and rounding is
     # monotone, so every phase kz z + kx x is finite when each arm's
     # |kz z[0]| + |kx x[0]| is; as Python floats, which overflow to inf
@@ -179,26 +172,15 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
             "use smaller rungs or a smaller grid")
     from . import ckernel     # not at import: the loader is run-time only
     kernel = ckernel.load()
-    if kernel is not None:
-        fields = kernel.fringe_fields(waves, z, x, block)
-    else:
-        fields = _numpy_fields(waves, z, x, block)
-    for r0 in range(0, half, block):
-        r1 = min(r0 + block, half)
-        # the block's rows i0 <= i < i1 have their mirror rows n_z - i
-        i0 = max(r0, 1)
-        i1 = max(i0, min(r1, n_z - half + 1))
-        rows, mirrors = slice(r0, r1), slice(n_z + 1 - i1, n_z + 1 - i0)
-        for out, sums in zip((intensity[rows], intensity[mirrors]),
-                             fields(r0, r1, i0, i1)):
-            np.abs(sums, out=out)
-            np.square(out, out=out)
+    fields = (_numpy_fields if kernel is None else kernel.fringe_fields)(
+        waves, z, x, block)
+    for r0 in range(0, n_z, block):
+        r1 = min(r0 + block, n_z)
+        out = intensity[r0:r1]
+        np.abs(fields(r0, r1), out=out)
+        np.square(out, out=out)
         if envelope is not None:
-            # a mirror row's z is minus its row's, so it has the same
-            # z ** 2 and envelope factor
-            factor = envelope.intensity_factor(z[rows, None] ** 2 + x ** 2)
-            intensity[rows] *= factor
-            intensity[mirrors] *= factor[i0 - r0:i1 - r0][::-1]
+            out *= envelope.intensity_factor(z[r0:r1, None] ** 2 + x ** 2)
     peak = intensity.max()
     if peak > 0:
         intensity /= peak
@@ -206,28 +188,24 @@ def synthesize(arms, grid: GridSpec, atom: AtomParams,
 
 
 def _numpy_fields(waves, z, x, block: int):
-    """``fields(r0, r1, i0, i1)``: the field of the plane waves ``waves``
-    (amp, kz, kx) on grid rows r0 ... r1 - 1, and on the mirror rows
-    n_z - i of rows i0 <= i < i1 in grid order, (r1 - r0, n_x) and
-    (i1 - i0, n_x), at most ``block`` rows each: each arm's
-    amp * exp(1j * (kz z + kx x)) added in arm order to a zero.  The two
-    arrays are views of buffers made once, which the next call
-    overwrites; ``Kernel.fringe_fields`` is the same in C."""
-    z, x = z[:, None], x[None, :]
-    n_z = z.size
-    buffers = np.empty((2, block, x.size), dtype=np.complex128)
+    """``fields(r0, r1)``: the field of the plane waves ``waves``
+    (amp, kz, kx) on the grid rows r0 ... r1 - 1 of the coordinates ``z``
+    (n_z,) and ``x`` (n_x,), (r1 - r0, n_x), at most ``block`` rows, as a
+    view of a buffer made once, which the next call overwrites.  Each
+    arm's wave factors into a row wave amp * exp(1j * (kz z)) and a column
+    wave exp(1j * (kx x)), each made once, and every sample adds the
+    arms' products of the two in arm order to a zero;
+    ``Kernel.fringe_fields`` is the same in C."""
+    rows = [amp * np.exp(1j * (kz * z)) for amp, kz, _ in waves]
+    columns = [np.exp(1j * (kx * x)) for _, _, kx in waves]
+    buffer = np.empty((block, x.size), dtype=np.complex128)
 
-    def fields(r0, r1, i0, i1):
-        sums = buffers[0, :r1 - r0], buffers[1, :i1 - i0]
-        mirrors = z[n_z + 1 - i1:n_z + 1 - i0]
-        for field, rows in zip(sums, (z[r0:r1], mirrors)):
-            field[...] = 0.0
-            for amp, kz, kx in waves:
-                # amp * wave, not in place: numpy multiplies a one-element
-                # block in place without the fused multiply-add of its
-                # longer loops
-                field += amp * np.exp(1j * (kz * rows + kx * x))
-        return sums
+    def fields(r0, r1):
+        field = buffer[:r1 - r0]
+        field[...] = 0.0
+        for u, w in zip(rows, columns):
+            field += u[r0:r1, None] * w
+        return field
     return fields
 
 

@@ -455,10 +455,17 @@ def _state(axis: str, level: InternalLevel, rung: int) -> RecoilState:
 
 
 def shift_plan(plan: SequencePlan, dt: float) -> SequencePlan:
-    """Return a copy of the plan with all times offset by ``dt``."""
+    """Return a copy of the plan with all times offset by ``dt``.  Each
+    envelope, event and epoch is made by its constructor, whose checks run
+    as for any other; ``replace`` would make the same objects at twice the
+    cost."""
+    def shifted(e: PulseEvent) -> PulseEvent:
+        v = e.envelope
+        return PulseEvent(
+            PulseEnvelope(v.shape, v.peak_rabi, v.start + dt, v.duration),
+            e.polarization, e.axis, e.direction, e.channel, e.levels,
+            e.delta_n, e.target_rung, e.reference_rung, e.bias_detuning,
+            e.phase)
     return replace(plan, epochs=[
-        replace(ep, t_start=ep.t_start + dt, events=tuple(
-            replace(e, envelope=replace(e.envelope,
-                                        start=e.envelope.start + dt))
-            for e in ep.events))
-        for ep in plan.epochs])
+        Epoch(ep.t_start + dt, ep.duration, tuple(map(shifted, ep.events)),
+              ep.anchors, ep.label) for ep in plan.epochs])

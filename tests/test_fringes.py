@@ -157,29 +157,32 @@ def test_pitch_and_coherence_length_must_be_finite_and_positive(value):
         CoherenceEnvelope(value)
 
 
-def plane_wave_sum(arms, grid, k, envelope_length):
+def plane_wave_sum(arms, grid, k, envelope_length, separable=True):
     """The fringe intensity written out: each arm's plane wave added in
-    order, times the Gaussian coherence envelope, over its peak.  A 1-D
-    grid takes the phase (k * n_z) * z alone."""
+    order, times the Gaussian coherence envelope, over its peak.  A wave is
+    the product of its row wave amp * exp(1j * (k n_z) z) and its column
+    wave exp(1j * (k n_x) x), or, not ``separable``, amp * exp(1j *
+    ((k n_z) z + (k n_x) x)) with one phase per sample.  A 1-D grid is its
+    one column at x = 0."""
     n = grid.shape
-    z = (np.arange(n[0]) - n[0] / 2) * grid.pitch
-    field = np.zeros(n, dtype=np.complex128)
-    if len(n) == 1:
-        for amp, nz, _, phase in arms:
-            field += amp * np.exp(1j * phase) * np.exp(1j * (k * nz) * z)
-        r2 = z ** 2
-    else:
-        z = z[:, None]
-        x = ((np.arange(n[1]) - n[1] / 2) * grid.pitch)[None, :]
-        for amp, nz, nx, phase in arms:
-            field += amp * np.exp(1j * phase) * np.exp(
-                1j * ((k * nz) * z + (k * nx) * x))
-        r2 = z ** 2 + x ** 2
+    z = ((np.arange(n[0]) - n[0] / 2) * grid.pitch)[:, None]
+    x = ((np.arange(n[1]) - n[1] / 2) * grid.pitch if len(n) == 2
+         else np.zeros(1))[None, :]
+    field = np.zeros((z.size, x.size), dtype=np.complex128)
+    for amp, nz, nx, *phase in arms:
+        if phase:
+            amp = amp * np.exp(1j * phase[0])
+        if separable:
+            field += amp * np.exp(1j * ((k * nz) * z)) * np.exp(
+                1j * ((k * nx) * x))
+        else:
+            field += amp * np.exp(1j * ((k * nz) * z + (k * nx) * x))
     intensity = np.abs(field) ** 2
     if envelope_length is not None:
-        intensity = intensity * np.exp(-r2 / (2.0 * envelope_length ** 2))
+        intensity = intensity * np.exp(-(z ** 2 + x ** 2) /
+                                       (2.0 * envelope_length ** 2))
     peak = intensity.max()
-    return intensity / peak if peak > 0 else intensity
+    return (intensity / peak if peak > 0 else intensity).reshape(n)
 
 
 PLANE_WAVE_CASES = {
@@ -212,8 +215,8 @@ PLANE_WAVE_CASES = {
 def test_synthesize_is_the_per_arm_plane_wave_sum(atom, loader, shape, arms,
                                                   envelope_length,
                                                   monkeypatch):
-    # the C kernel where it loads, with its mirror rule, and the numpy
-    # fallback, each against the sum written out
+    # the C kernel where it loads and the numpy fallback, each against the
+    # separable sum written out
     monkeypatch.setattr(ckernel, "load", loader)
     grid = GridSpec(pitch=1e-9, shape=shape)
     envelope = (None if envelope_length is None
@@ -228,9 +231,7 @@ def test_synthesize_is_the_per_arm_plane_wave_sum(atom, loader, shape, arms,
 @pytest.mark.parametrize("shape", [(4096,), (230, 240), (4095,), (231, 241)])
 def test_synthesis_block_is_not_in_the_bits(atom, shape):
     # blocks of one row (one sample on a 1-D grid), of rows that do not
-    # divide the grid, and of the whole grid give the same samples, with
-    # block edges on either side of the middle row n_z // 2, the last row
-    # whose waves the C kernel makes
+    # divide the grid, and of the whole grid give the same samples
     grid = GridSpec(pitch=1e-9, shape=shape)
     arms = [(0.5, 0, 0, 0.0), (0.5 + 0.2j, 40, 0, 0.3), (0.4, 20, 35, 1.1)]
     envelope = CoherenceEnvelope(100e-9)
@@ -248,8 +249,8 @@ amplitudes = st.one_of(
     signed_parts,
     st.builds(lambda re, im: np.complex128(complex(re, im)), signed_parts,
               signed_parts))
-# rungs with 0 and both signs: an arm at the origin, arms with kz = kx and
-# arms with kz = -kx give phases of exactly +0 and -0 in rows and mirrors
+# rungs with 0 and both signs: an arm at the origin and arms on a grid's
+# middle row or column give phases of exactly +0 and -0
 rungs = st.integers(-4, 4)
 drawn_arms = st.lists(
     st.one_of(st.tuples(amplitudes, rungs, rungs),
@@ -271,29 +272,27 @@ grids = st.one_of(
          pitch=1e-9, rows=2, length=40e-9)
 @example(arms=[(complex(0.3, 0.4), 1, 1), (-0.5, 0, 0)], shape=(7, 2),
          pitch=3e-8, rows=3, length=None)
-# phases of exactly +0 and -0 on mirror elements (the arm at the origin,
-# and the diagonal of kz = -kx), with amplitudes whose zero parts are
-# signed: the conjugate's term differs from the plain one in a zero's sign
+# phases of exactly +0 and -0 (the arm at the origin, and the middle row
+# and column), with amplitudes whose zero parts are signed: the kernel's
+# wave at a zero phase differs from numpy's in a zero's sign
 @example(arms=[(complex(-0.0, 0.5), 0, 0), (complex(0.25, -0.0), 3, -3)],
          shape=(7, 7), pitch=1e-9, rows=2, length=None)
 @settings(max_examples=150, deadline=None)
 def test_c_fringe_field_is_the_numpy_fallback_bit_for_bit(atom, arms, shape,
                                                           pitch, rows,
                                                           length):
-    # the C field, with its mirror rule, against the plain per-arm sum of
-    # the numpy fallback, on blocks of one row (one sample on a 1-D grid),
-    # of rows that need not divide the grid, and of the whole grid; the
-    # grid check is not under test, and it would leave grids this small no
-    # fringes
+    # the C field against the numpy fallback's, on blocks of one row (one
+    # sample on a 1-D grid), of rows that need not divide the grid, and of
+    # the whole grid; the grid check is not under test, and it would leave
+    # grids this small no fringes
     if ckernel.load() is None:
         pytest.skip("no C kernel here")
     grid = GridSpec(pitch=pitch, shape=shape)
     envelope = None if length is None else CoherenceEnvelope(length)
     n_x = shape[1] if len(shape) == 2 else 1
-    half = shape[0] // 2 + 1                # rows 0 ... n_z // 2
-    rows = next(r for r in range(rows, rows + half) if half % r)
+    rows = next(r for r in range(rows, rows + shape[0]) if shape[0] % r)
     runs = []
-    for block in (1, 2 * n_x * rows, 2 ** 24):
+    for block in (1, n_x * rows, 2 ** 24):
         for loader in (ckernel.load, lambda: None):
             with mock.patch.object(fringes, "SYNTHESIS_BLOCK", block), \
                     mock.patch.object(fringes, "validate_grid",
@@ -309,8 +308,9 @@ def test_c_fringe_field_is_the_numpy_fallback_bit_for_bit(atom, arms, shape,
 @pytest.mark.parametrize("arms, shape", [
     ([(complex(-0.0, 0.5), 0, 0), (complex(0.25, -0.0), 3, -3)], (7, 7)),
     ([(complex(0.5, -0.0), 0, 0)], (7, 7)),
-    ([(complex(0.5, -0.0), 0, 0)], (6,))],
-    ids=["2d-two-arms", "2d-lone-arm", "1d-lone-arm"])
+    ([(complex(0.5, -0.0), 0, 0)], (6,)),
+    ([(complex(-0.0, 0.5), 0, 0)], (6,))],
+    ids=["2d-two-arms", "2d-lone-arm", "1d-lone-arm", "1d-lone-arm-on-i"])
 def test_c_fringe_field_is_the_plain_sum_in_every_zero_sign(atom, arms,
                                                             shape):
     # the fields themselves, whose zero signs no intensity shows: a lone
@@ -323,11 +323,72 @@ def test_c_fringe_field_is_the_plain_sum_in_every_zero_sign(atom, arms,
     waves = [(amp, k * nz, k * nx) for amp, nz, nx in arms]
     grid = GridSpec(pitch=1e-9, shape=shape)
     z, x = grid.coordinates(0), grid.coordinates(1)
-    half = shape[0] // 2 + 1
-    whole = (0, half, 1, shape[0] - half + 1)     # rows and mirror rows
-    runs = [[a.tobytes() for a in fields(waves, z, x, half)(*whole)]
+    runs = [fields(waves, z, x, len(z))(0, len(z)).tobytes()
             for fields in (kernel.fringe_fields, fringes._numpy_fields)]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.bits
+@given(arms=drawn_arms, n=st.integers(2, 300),
+       pitch=st.sampled_from([1e-9, 0.25e-9, 3e-8, 1.7e-7]),
+       length=st.sampled_from([None, 40e-9]))
+@example(arms=[(complex(-0.0, 0.5), 0, 0), (complex(0.25, -0.0), 3, -3)],
+         n=7, pitch=1e-9, length=None)
+@example(arms=[(-0.0, 2, 1), (complex(0.5, -0.0), -3, 0, -0.0)], n=2,
+         pitch=1e-9, length=40e-9)
+@settings(max_examples=100, deadline=None)
+def test_a_1d_pattern_is_the_phase_per_sample_sum_bit_for_bit(atom, arms, n,
+                                                              pitch, length):
+    # on a 1-D grid's one column, at x = 0, each column wave is 1 + 0j or
+    # 1 - 0j, whose product with the row wave is exact: the separable
+    # field gives the samples of one phase (k n_z) z + (k n_x) 0 per
+    # sample, on the C kernel and on the numpy fallback
+    grid = GridSpec(pitch=pitch, shape=(n,))
+    envelope = None if length is None else CoherenceEnvelope(length)
+    expected = plane_wave_sum(arms, grid, atom.wavenumber(), length,
+                              separable=False)
+    for loader in (ckernel.load, lambda: None):
+        with mock.patch.object(fringes, "validate_grid", lambda *args: None), \
+                mock.patch.object(ckernel, "load", loader):
+            samples = synthesize(arms, grid, atom, envelope).samples
+        assert samples.tobytes() == expected.tobytes()
+
+
+# raman2d's recombined arms: amplitude, n_z, n_x
+RAMAN2D_ARMS = [(complex(-0.482409853527052, -0.1314561870266764), -24, -48),
+                (complex(-0.4939699758816582, 0.0774186508086897), -24, 46),
+                (complex(0.25370676631026734, 0.4308513274130443), 22, -48),
+                (complex(0.407776111390674, 0.28934170366667755), 22, 46)]
+
+
+def test_separable_field_is_no_less_accurate_than_a_phase_per_sample(atom):
+    # raman2d's arms on every 16th row of its 1024^2 grid: the intensities
+    # of the separable field and of one phase per sample, each against
+    # one made in long double from a phase per sample
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("long double is no wider than a double here")
+    k = atom.wavenumber()
+    grid = GridSpec.default_2d()
+    z, x = grid.coordinates(0)[::16], grid.coordinates(1)
+    waves = [(amp, k * nz, k * nx) for amp, nz, nx in RAMAN2D_ARMS]
+    separable = np.abs(fringes._numpy_fields(waves, z, x, z.size)(
+        0, z.size)) ** 2
+    field = np.zeros((z.size, x.size), dtype=np.complex128)
+    wide = np.zeros((2, z.size, x.size), dtype=np.longdouble)
+    z, x = z[:, None], x[None, :]
+    for amp, kz, kx in waves:
+        field += amp * np.exp(1j * (kz * z + kx * x))
+        phase = (np.longdouble(kz) * z.astype(np.longdouble) +
+                 np.longdouble(kx) * x.astype(np.longdouble))
+        re, im = np.longdouble(amp.real), np.longdouble(amp.imag)
+        wide += (re * np.cos(phase) - im * np.sin(phase),
+                 re * np.sin(phase) + im * np.cos(phase))
+    per_sample = np.abs(field) ** 2
+    exact = wide[0] ** 2 + wide[1] ** 2
+    errors = [float(np.abs(intensity - exact).max())
+              for intensity in (separable, per_sample)]
+    assert errors[0] <= errors[1]
+    assert np.abs(separable - per_sample).max() < 1e-13 * float(exact.max())
 
 
 def ix_contrast(pattern, envelope):
@@ -362,15 +423,15 @@ finite_phases = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
 @example(phases=[1.7976931348623157e308, -1e22, 2.0 ** 60])
 @settings(max_examples=200, deadline=None)
 def test_exp_of_a_negated_phase_is_the_conjugate_bit_for_bit(phases):
-    # the C kernel makes the rows past the middle from this mirror rule
+    # the C step loop makes the ramps of a run's partner run from this
+    # rule, one sincos per coupled pair
     def exp_i(p):
         return np.exp(np.multiply(1j, p))
     p = np.array(phases)
     assert exp_i(-p).tobytes() == np.conjugate(exp_i(p)).tobytes()
     # except at zero: exp(i 0) is 1 + 0j for either zero, and its
-    # conjugate 1 - 0j; the kernel takes the conjugate there too, as the
-    # two differ only in the sign of a zero, and a field sum, which starts
-    # at +0.0 and so never becomes -0.0, cannot see that sign
+    # conjugate 1 - 0j, so a partner run makes its own ramp where the
+    # phase is an exact zero
     for zero in (0.0, -0.0):
         z = np.array([zero])
         assert exp_i(-z).tobytes() != np.conjugate(exp_i(z)).tobytes()

@@ -1039,11 +1039,10 @@ def test_loader_refuses_a_build_whose_fringe_probe_disagrees(monkeypatch):
         fields = numpy_fields(*grid)
 
         def run(*rows):
-            field, mirror = fields(*rows)
-            # the last mirror sample, which the kernel makes as a
-            # mirror column's conjugate
-            mirror.real[-1, -1] = np.nextafter(mirror.real[-1, -1], np.inf)
-            return field, mirror
+            field = fields(*rows)
+            # the last sample, of an odd-sized row
+            field.real[-1, -1] = np.nextafter(field.real[-1, -1], np.inf)
+            return field
         return run
     monkeypatch.setattr(fringes, "_numpy_fields", nudged)
     monkeypatch.setattr(ckernel, "_loaded", None)   # choose again

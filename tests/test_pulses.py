@@ -15,7 +15,7 @@ from recoilsim.pulses import (Epoch, PulseEnvelope, SINE_SQUARED, SQUARE,
                               adiabaticity_parameter,
                               build_adiabatic_sequence, build_raman_sequence,
                               copropagating_pulse, counter_intuitive_pair,
-                              effective_pulse)
+                              effective_pulse, shift_plan, single_pulse_plan)
 
 A, B, C, E1 = (InternalLevel.A, InternalLevel.B, InternalLevel.C,
                InternalLevel.E1)
@@ -300,3 +300,28 @@ def test_copropagating_pulse_shapes(atom):
         copropagating_pulse(math.pi, omega, "a-b")
     with pytest.raises(ConfigurationError):  # a coupling must change level
         dataclasses.replace(ev, levels=(A, A))
+
+
+@pytest.mark.parametrize("plan", [
+    build_adiabatic_sequence(3, 50e-9, TWO_PI * 1e8),
+    build_raman_sequence("half_pi", 3, math.pi / 1e6, 1e6, "x",
+                         start_rung=2),
+    # every optional field of an event off its default
+    single_pulse_plan(effective_pulse(
+        math.pi, 1e6, RecoilState(A, 0, 0), RecoilState(C, 2, 0), "z",
+        reference_rung=4, bias_detuning=2e3, phase=0.7, t_start=1e-6))],
+    ids=["adiabatic", "raman", "tuned-pulse"])
+def test_shift_plan_moves_every_time_and_keeps_every_other_field(plan):
+    # against the copy dataclasses.replace makes, which carries over every
+    # field it is not given: a field added later that shift_plan drops
+    # fails here
+    dt = 3.7e-3
+    expected = dataclasses.replace(plan, epochs=[
+        dataclasses.replace(ep, t_start=ep.t_start + dt, events=tuple(
+            dataclasses.replace(e, envelope=dataclasses.replace(
+                e.envelope, start=e.envelope.start + dt))
+            for e in ep.events))
+        for ep in plan.epochs])
+    shifted = shift_plan(plan, dt)
+    assert shifted == expected
+    assert shifted.epochs[0].t_start != plan.epochs[0].t_start

@@ -52,8 +52,6 @@ ALLOWED = {
                                "criteria 2 and 4 measure",
     "pulses.SequencePlan.pairs": "the ladder's pairs, whose targets "
                                  "criterion 4 measures",
-    "pulses.Epoch.label": "names the epoch in the error messages of "
-                          "propagate",
     "propagate.EvolveResult.steps": "the RK4 step count that criterion 10 "
                                     "pins",
     "propagate.EvolveResult.loss": "decay loss per member, checked by the "
